@@ -23,6 +23,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 from scipy import sparse
@@ -79,10 +80,14 @@ class SolveResult:
 class LinearModel:
     """Sparse container for an LP or mixed-binary program.
 
-    Rows are stored as (index, coefficient) lists so both matrix assembly
-    and transposition (for dualization) are cheap. Senses are "<=", ">=",
-    or "=". Binary variables get bounds [0, 1]; fixing one is done by
-    tightening lb/ub.
+    Two storage forms share one public surface. The list form, made by the
+    constructor and grown with add_var/add_row, stores rows as sorted
+    (index, coefficient) lists. The array form, made by from_arrays, holds
+    numpy arrays and a ready CSR matrix that matrix() returns as is; its
+    rows and names are materialised only when first read, and adding a
+    variable or row turns it back into the list form. Senses are "<=",
+    ">=", or "=". Binary variables get bounds [0, 1]; fixing one is done by
+    tightening lb/ub, which works in place in either form.
     """
 
     def __init__(self, name: str = "model", sense: str = "min"):
@@ -91,27 +96,103 @@ class LinearModel:
         self.name = name
         self.sense = sense
         self.obj_offset = 0.0
-        self.var_names: list[str] = []
+        self._var_names: list[str] | Callable[[], list[str]] = []
         self.var_lb: list[float] = []
         self.var_ub: list[float] = []
         self.var_obj: list[float] = []
         self.var_binary: list[bool] = []
-        self.row_names: list[str] = []
+        self._row_names: list[str] | Callable[[], list[str]] = []
         self.row_sense: list[str] = []
         self.row_rhs: list[float] = []
-        self.rows: list[list[tuple[int, float]]] = []
+        self._rows: list[list[tuple[int, float]]] | None = []
+        self._csr: sparse.csr_matrix | None = None
+
+    @classmethod
+    def from_arrays(
+        cls,
+        matrix: sparse.csr_matrix,
+        row_sense: np.ndarray,
+        row_rhs: np.ndarray,
+        var_lb: np.ndarray,
+        var_ub: np.ndarray,
+        var_obj: np.ndarray,
+        var_names,
+        row_names,
+        var_binary: np.ndarray | None = None,
+        name: str = "model",
+        sense: str = "min",
+    ) -> "LinearModel":
+        """Array-backed model around a canonical CSR matrix.
+
+        var_names and row_names are lists or zero-argument callables that
+        return them; a callable runs on first access only.
+        """
+        model = cls(name=name, sense=sense)
+        n_rows, n_vars = matrix.shape
+        if len(row_sense) != n_rows or len(row_rhs) != n_rows:
+            raise ValueError("row arrays do not match the matrix height")
+        if not len(var_lb) == len(var_ub) == len(var_obj) == n_vars:
+            raise ValueError("variable arrays do not match the matrix width")
+        model._csr = matrix
+        model._rows = None
+        model.row_sense = row_sense
+        model.row_rhs = row_rhs
+        model.var_lb = var_lb
+        model.var_ub = var_ub
+        model.var_obj = var_obj
+        model.var_binary = (
+            np.zeros(n_vars, dtype=bool) if var_binary is None else var_binary
+        )
+        model._var_names = var_names
+        model._row_names = row_names
+        return model
+
+    @property
+    def var_names(self) -> list[str]:
+        if callable(self._var_names):
+            self._var_names = self._var_names()
+        return self._var_names
+
+    @property
+    def row_names(self) -> list[str]:
+        if callable(self._row_names):
+            self._row_names = self._row_names()
+        return self._row_names
+
+    @property
+    def rows(self) -> list[list[tuple[int, float]]]:
+        if self._rows is None:
+            A = self._csr
+            cols, vals = A.indices.tolist(), A.data.tolist()
+            ptr = A.indptr.tolist()
+            self._rows = [
+                list(zip(cols[ptr[i]:ptr[i + 1]], vals[ptr[i]:ptr[i + 1]]))
+                for i in range(A.shape[0])
+            ]
+        return self._rows
 
     @property
     def n_vars(self) -> int:
-        return len(self.var_names)
+        return len(self.var_lb)
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return len(self.row_rhs)
 
     @property
     def is_mip(self) -> bool:
-        return any(self.var_binary)
+        return bool(np.any(self.var_binary))
+
+    def _to_lists(self) -> None:
+        """Leave the array form before a structural change."""
+        if self._csr is None:
+            return
+        self.rows  # materialise before the matrix goes
+        self._var_names = list(self.var_names)
+        self._row_names = list(self.row_names)
+        for attr in ("var_lb", "var_ub", "var_obj", "var_binary", "row_sense", "row_rhs"):
+            setattr(self, attr, np.asarray(getattr(self, attr)).tolist())
+        self._csr = None
 
     def add_var(
         self,
@@ -126,6 +207,7 @@ class LinearModel:
             ub = min(ub, 1.0)
         if lb > ub:
             raise ValueError(f"variable {name}: lb {lb} > ub {ub}")
+        self._to_lists()
         self.var_names.append(name)
         self.var_lb.append(float(lb))
         self.var_ub.append(float(ub))
@@ -139,6 +221,7 @@ class LinearModel:
     def add_row(self, coeffs, sense: str, rhs: float, name: str = "") -> int:
         if sense not in _SENSES:
             raise ValueError(f"unknown row sense {sense!r}")
+        self._to_lists()
         if isinstance(coeffs, dict):
             coeffs = coeffs.items()
         terms: dict[int, float] = {}
@@ -163,6 +246,8 @@ class LinearModel:
         return float(sum(coef * x[j] for j, coef in self.rows[i]))
 
     def matrix(self) -> sparse.csr_matrix:
+        if self._csr is not None:
+            return self._csr
         data, ri, ci = [], [], []
         for i, row in enumerate(self.rows):
             for j, coef in row:
@@ -181,11 +266,13 @@ def _check_no_binaries(model: LinearModel) -> None:
         )
 
 
-def _reduced_costs(model: LinearModel, duals: np.ndarray) -> np.ndarray:
+def _reduced_costs(
+    model: LinearModel, A: sparse.csr_matrix, duals: np.ndarray
+) -> np.ndarray:
     """Reduced costs in the model's stated sense: var_obj - A^T duals."""
     reduced = np.asarray(model.var_obj, dtype=float).copy()
     if model.n_rows:
-        reduced -= model.matrix().T @ duals
+        reduced -= A.T @ duals
     return reduced
 
 
@@ -210,10 +297,9 @@ class ScipyBackend:
         b_ub = np.concatenate([rhs[le_idx], -rhs[ge_idx]]) if A_ub is not None else None
         A_eq = A[eq_idx] if len(eq_idx) else None
         b_eq = rhs[eq_idx] if A_eq is not None else None
-        bounds = [
-            (lb if lb > -INF else None, ub if ub < INF else None)
-            for lb, ub in zip(model.var_lb, model.var_ub)
-        ]
+        bounds = np.column_stack(
+            [np.asarray(model.var_lb, dtype=float), np.asarray(model.var_ub, dtype=float)]
+        )
         res = linprog(
             c,
             A_ub=A_ub,
@@ -241,7 +327,7 @@ class ScipyBackend:
             objective=sign * float(res.fun) + model.obj_offset,
             x=np.asarray(res.x),
             duals=duals,
-            reduced=_reduced_costs(model, duals),
+            reduced=_reduced_costs(model, A, duals),
             stats={"iterations": int(getattr(res, "nit", 0))},
         )
 
@@ -253,13 +339,10 @@ class ScipyBackend:
         constraints = []
         if model.n_rows:
             A = model.matrix()
-            lo = np.full(model.n_rows, -INF)
-            hi = np.full(model.n_rows, INF)
-            for i, (sense, rhs) in enumerate(zip(model.row_sense, model.row_rhs)):
-                if sense in (LE, EQ):
-                    hi[i] = rhs
-                if sense in (GE, EQ):
-                    lo[i] = rhs
+            senses = np.asarray(model.row_sense, dtype=object)
+            rhs = np.asarray(model.row_rhs, dtype=float)
+            hi = np.where(senses == GE, INF, rhs)
+            lo = np.where(senses == LE, -INF, rhs)
             constraints.append(LinearConstraint(A, lo, hi))
         res = milp(
             c=c,
@@ -543,7 +626,7 @@ class InTreeBackend:
             objective=objective,
             x=x,
             duals=duals,
-            reduced=_reduced_costs(model, duals),
+            reduced=_reduced_costs(model, model.matrix(), duals),
             stats={"basis_size": len(basis)},
         )
 

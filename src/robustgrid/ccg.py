@@ -17,6 +17,7 @@ loop stops and reports a numerical stall instead of spinning.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -57,6 +58,10 @@ class CcgConfig:
             )
         if self.big_m is not None and not self.big_m > 0:
             raise ValueError(f"big_m must be positive, got {self.big_m}")
+        if self.mip_gap is not None and not 0 <= self.mip_gap < math.inf:
+            raise ValueError(
+                f"mip_gap must be nonnegative and finite, got {self.mip_gap}"
+            )
 
     @property
     def subproblem_gap(self) -> float:

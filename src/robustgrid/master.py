@@ -2,11 +2,20 @@
 
 The master LP carries one set of first-stage capacity variables, one full
 dispatch block per adverse realization seen so far, and a recourse variable
-bounded below by every block's operating cost. The same block emitter also
-builds the fixed-capacity dispatch LP (capacities folded into right-hand
-sides), which is what the worst-case subproblem dualizes; in that mode each
-row records how its rhs depends on the handed-over capacities and on the
-availability deviation, so the dual can be assembled mechanically.
+bounded below by every block's operating cost. The fixed-capacity dispatch
+LP (capacities folded into right-hand sides) is one such block on its own,
+and it is what the worst-case subproblem dualizes.
+
+Template and stamps: the block emitter defines a dispatch block once per
+instance, as a DispatchTemplate of numpy/CSR arrays: the block's own rows
+and columns, each row's sense and base rhs, and beside them how each row
+depends on the capacities (RowMeta.cap_terms, scaled by the realized
+capacity factor on the availability rows). The builders then stamp copies
+with array operations: the master stacks one copy per realization
+block-diagonally and writes the capacity columns; the dispatch LP keeps the
+matrix and moves the capacity terms into the rhs. A stamped model is the
+very model that emitting each block row by row would produce, down to the
+order and value of every matrix entry.
 
 Conventions: dispatch quantities are energies per step (MWh). A power
 rating K limits energy as K * step_hours; storage energy caps carry no
@@ -19,9 +28,11 @@ row (variables are only "free" or ">= 0"), which keeps the dual mechanical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 
 from .backend import EQ, LE, BackendError, LinearModel, SolveResult
 from .model import NetworkInstance, tech_class
@@ -33,6 +44,8 @@ __all__ = [
     "ScenarioBlock",
     "RowMeta",
     "DispatchBuild",
+    "DispatchTemplate",
+    "dispatch_template",
     "build_master",
     "solve_master",
     "build_dispatch_lp",
@@ -99,11 +112,13 @@ def investment_cost(inst: NetworkInstance, capacities: dict[CapKey, float]) -> f
 
 @dataclass(frozen=True)
 class RowMeta:
-    """How one dispatch row's rhs is assembled (fixed-capacity mode only).
+    """How one dispatch row's rhs is assembled at fixed capacities.
 
     rhs = base_rhs + sum(coef * capacity[key] for key, coef in cap_terms),
-    and for renewable limit rows the realized availability can further
-    lower it: rhs -= dev_rhs when the row's flag triple is selected.
+    where on ren_cap rows coef is further multiplied by the realized
+    capacity factor of (entity, t). On those rows the realized availability
+    can lower the rhs by dev_rhs per unit of capacity when the row's flag
+    triple is selected.
     """
 
     index: int
@@ -120,17 +135,12 @@ class RowMeta:
 
 @dataclass
 class BlockBuild:
-    """Column registry and cost terms of one dispatch block inside a model."""
+    """One stamped dispatch block: its realization and first column."""
 
     tag: str
     cf: dict[str, tuple[float, ...]]
-    cols: dict[tuple, int] = field(default_factory=dict)
-    fuel_terms: list[tuple[int, float]] = field(default_factory=list)
-    shed_terms: list[tuple[int, float]] = field(default_factory=list)
-
-    @property
-    def cost_terms(self) -> list[tuple[int, float]]:
-        return self.fuel_terms + self.shed_terms
+    template: "DispatchTemplate"
+    offset: int = 0
 
 
 @dataclass
@@ -176,54 +186,37 @@ class MasterSolution:
 
 
 class _BlockEmitter:
-    """Emits one dispatch block into a LinearModel.
+    """Defines one dispatch block: its columns, rows and cost terms.
 
-    Exactly one of inv (capacity variable indices) or caps (fixed capacity
-    values) is given. With inv, capacity-dependent limits put the capacity
-    variable on the left-hand side; with caps, its contribution lands in
-    the rhs and row_meta records the dependence.
+    emit() declares every column through var() and every row through row();
+    this is the only place the dispatch physics is written down. Rows hold
+    the block's own columns only. How a row depends on the first-stage
+    capacities is recorded beside it as RowMeta.cap_terms, and on ren_cap
+    rows each term is further scaled by the realized capacity factor of
+    (entity, t); the builders below turn that into capacity columns (the
+    master) or into right-hand sides (the fixed-capacity dispatch LP).
     """
 
-    def __init__(
-        self,
-        model: LinearModel,
-        inst: NetworkInstance,
-        cf: dict[str, tuple[float, ...]],
-        tag: str,
-        inv: dict[CapKey, int] | None = None,
-        caps: dict[CapKey, float] | None = None,
-    ):
-        if (inv is None) == (caps is None):
-            raise ValueError("exactly one of inv or caps must be given")
+    def __init__(self, model: LinearModel, inst: NetworkInstance):
         self.model = model
         self.inst = inst
-        self.tag = tag
-        self.inv = inv
-        self.caps = caps
-        self.block = BlockBuild(tag=tag, cf=cf)
+        self.cols: dict[tuple, int] = {}
+        self.fuel_terms: list[tuple[int, float]] = []
+        self.shed_terms: list[tuple[int, float]] = []
         self.row_meta: list[RowMeta] = []
-        T = inst.timegrid.step_count
-        for unit in inst.renewables:
-            if unit.id not in cf:
-                raise ValueError(f"realization {tag!r} misses unit {unit.id!r}")
-            if len(cf[unit.id]) != T:
-                raise ValueError(
-                    f"realization {tag!r}, unit {unit.id!r}: series length "
-                    f"{len(cf[unit.id])} != {T}"
-                )
 
     # -- low-level helpers -------------------------------------------------
 
     def var(self, family: str, entity: str, t: int, free: bool = False) -> int:
         j = self.model.add_var(
-            f"{self.tag}:{family}[{entity},{t}]",
+            f"{family}[{entity},{t}]",
             lb=-math.inf if free else 0.0,
         )
-        self.block.cols[(family, entity, t)] = j
+        self.cols[(family, entity, t)] = j
         return j
 
     def col(self, family: str, entity: str, t: int) -> int:
-        return self.block.cols[(family, entity, t)]
+        return self.cols[(family, entity, t)]
 
     def row(
         self,
@@ -238,12 +231,7 @@ class _BlockEmitter:
         dev_rhs: float = 0.0,
         flag: tuple[str, str, str] | None = None,
     ) -> int:
-        rhs = base_rhs
-        if self.inv is not None:
-            coeffs = coeffs + [(self.inv[key], -coef) for key, coef in cap_terms]
-        else:
-            rhs += sum(coef * self.caps.get(key, 0.0) for key, coef in cap_terms)
-        idx = self.model.add_row(coeffs, sense, rhs, name=f"{self.tag}:{name}")
+        idx = self.model.add_row(coeffs, sense, base_rhs, name=name)
         self.row_meta.append(
             RowMeta(
                 index=idx,
@@ -266,7 +254,6 @@ class _BlockEmitter:
         inst = self.inst
         grid = inst.timegrid
         T, dt = grid.step_count, grid.step_hours
-        cf = self.block.cf
         has_ac = any(l.kind == "ac" for l in inst.lines)
 
         # variables
@@ -276,7 +263,7 @@ class _BlockEmitter:
         for c in inst.conventionals:
             for t in range(T):
                 j = self.var("gen", c.id, t)
-                self.block.fuel_terms.append((j, c.variable_cost))
+                self.fuel_terms.append((j, c.variable_cost))
         for h in inst.hydros:
             for t in range(T):
                 self.var("gen", h.id, t)
@@ -307,7 +294,7 @@ class _BlockEmitter:
                     continue
                 for k, family in enumerate(("ls1", "ls2", "ls3")):
                     j = self.var(family, n.id, t)
-                    self.block.shed_terms.append((j, costs[k]))
+                    self.shed_terms.append((j, costs[k]))
 
         # energy balance at every node and step
         units_at: dict[str, list] = {n.id: [] for n in inst.nodes}
@@ -358,7 +345,7 @@ class _BlockEmitter:
                     LE,
                     0.0,
                     kind="ren_cap", entity=r.id, t=t,
-                    cap_terms=((key, cf[r.id][t] * dt),),
+                    cap_terms=((key, dt),),
                     dev_rhs=r.cf.deviation[t] * dt,
                     flag=flag,
                 )
@@ -565,44 +552,242 @@ class _BlockEmitter:
                     )
 
 
+class DispatchTemplate:
+    """One dispatch block in array form, emitted once per instance.
+
+    matrix is the block's local CSR exactly as the emitter wrote it (rows
+    sorted and merged, explicit zeros kept). Beside it: row senses and base
+    right-hand sides, column lower bounds (0 or -inf), the operating cost of
+    every column, and the capacity coupling as one entry per coupled row:
+    cap_rows, cap_keys (positions in `keys`) and cap_coefs. For the entries
+    listed in `ren` (the ren_cap rows) the coefficient is per unit of
+    capacity factor, taken at unit ren_units and step ren_steps of the
+    realization. Names are local; builders prefix a tag only when a
+    model's names are read.
+    """
+
+    def __init__(self, inst: NetworkInstance):
+        local = LinearModel(name="dispatch_template")
+        emitter = _BlockEmitter(local, inst)
+        emitter.emit()
+        self.keys = capacity_keys(inst)
+        self.matrix = local.matrix()
+        self.n_rows, self.n_vars = self.matrix.shape
+        self.row_sense = np.array(local.row_sense, dtype=object)
+        self.base_rhs = np.array(local.row_rhs)
+        self.var_lb = np.array(local.var_lb)
+        self.var_names = local.var_names
+        self.row_names = local.row_names
+        self.row_meta = emitter.row_meta
+        self.col_keys = list(emitter.cols)
+
+        self.fuel_cols = np.array([j for j, _ in emitter.fuel_terms], dtype=np.intp)
+        self.fuel_costs = np.array([float(c) for _, c in emitter.fuel_terms])
+        self.shed_cols = np.array([j for j, _ in emitter.shed_terms], dtype=np.intp)
+        self.shed_costs = np.array([float(c) for _, c in emitter.shed_terms])
+        self.var_obj = np.zeros(self.n_vars)
+        self.var_obj[self.fuel_cols] += self.fuel_costs
+        self.var_obj[self.shed_cols] += self.shed_costs
+
+        key_index = {key: k for k, key in enumerate(self.keys)}
+        coupled = [m for m in self.row_meta if m.cap_terms]
+        for m in coupled:
+            if len(m.cap_terms) != 1:
+                raise ValueError(f"row {m.name}: a row may depend on one capacity only")
+        self.cap_rows = np.array([m.index for m in coupled], dtype=np.intp)
+        self.cap_keys = np.array([key_index[m.cap_terms[0][0]] for m in coupled], dtype=np.intp)
+        self.cap_coefs = np.array([float(m.cap_terms[0][1]) for m in coupled])
+
+        unit_index = {r.id: u for u, r in enumerate(inst.renewables)}
+        ren = [m for m in coupled if m.kind == "ren_cap"]
+        self.ren = np.array(
+            [k for k, m in enumerate(coupled) if m.kind == "ren_cap"], dtype=np.intp
+        )
+        self.ren_units = np.array([unit_index[m.entity] for m in ren], dtype=np.intp)
+        self.ren_steps = np.array([m.t for m in ren], dtype=np.intp)
+        self.ren_dev = np.array([m.dev_rhs for m in ren], dtype=float)
+        # distinct (tech, region, period) flags, sorted; per ren row its rank or -1
+        self.flags = sorted({m.flag for m in ren if m.flag is not None})
+        rank = {flag: i for i, flag in enumerate(self.flags)}
+        self.ren_flags = np.array([rank.get(m.flag, -1) for m in ren], dtype=np.intp)
+
+    @cached_property
+    def master_block(self) -> tuple[np.ndarray, ...]:
+        """One master block plus its recourse row, as CSR in master columns.
+
+        Columns are laid out as in the master: capacities, then the recourse
+        variable, then this block. Returns (indptr, indices, data,
+        in_block, ren_pos): in_block marks entries in block columns, which
+        shift by the block width from copy to copy, and ren_pos gives the
+        data positions of the capacity-factor coefficients, aligned with
+        `ren`. Those carry a placeholder until a realization is stamped.
+        """
+        n_cap, mb, A = len(self.keys), self.n_rows, self.matrix
+        cost_cols = np.concatenate([self.fuel_cols, self.shed_cols])
+        cost_vals = np.concatenate([self.fuel_costs, self.shed_costs])
+        rows = np.concatenate([
+            np.repeat(np.arange(mb), np.diff(A.indptr)),
+            self.cap_rows,
+            np.full(1 + len(cost_cols), mb),
+        ])
+        cols = np.concatenate([
+            n_cap + 1 + A.indices, self.cap_keys, [n_cap], n_cap + 1 + cost_cols,
+        ])
+        # 0.0 + v is what LinearModel.add_row stores for a coefficient v
+        vals = np.concatenate([A.data, 0.0 + -self.cap_coefs, [-1.0], 0.0 + cost_vals])
+        order = np.lexsort((cols, rows))
+        position = np.empty_like(order)
+        position[order] = np.arange(len(order))
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=mb + 1))])
+        cols = cols[order]
+        return indptr, cols, vals[order], cols > n_cap, position[A.nnz + self.ren]
+
+    @cached_property
+    def dual_rows(self) -> sparse.csr_matrix:
+        """The transposed block, one row per column: the dual constraints.
+
+        A column's entry from row i is negated when row i is an inequality,
+        since <= rows get nonnegative multipliers entering with a minus.
+        """
+        At = self.matrix.tocsc()  # row indices ascend within each column
+        sign = np.where(self.row_sense == EQ, 1.0, -1.0)
+        data = 0.0 + At.data * sign[At.indices]
+        return sparse.csr_matrix(
+            (data, At.indices, At.indptr), shape=(self.n_vars, self.n_rows)
+        )
+
+    def realized_coefs(self, cf: np.ndarray) -> np.ndarray:
+        """Capacity-factor coefficients of the ren_cap rows, per realization.
+
+        cf has shape (realizations, renewable units, steps).
+        """
+        return cf[:, self.ren_units, self.ren_steps] * self.cap_coefs[self.ren]
+
+
+def dispatch_template(inst: NetworkInstance) -> DispatchTemplate:
+    """The instance's dispatch template, emitted on first use.
+
+    It is kept on the instance object itself: instances are immutable, and
+    hashing one to key a cache would walk every series it holds.
+    """
+    template = inst.__dict__.get("_dispatch_template")
+    if template is None:
+        template = DispatchTemplate(inst)
+        object.__setattr__(inst, "_dispatch_template", template)
+    return template
+
+
+def _cf_array(
+    inst: NetworkInstance,
+    realizations: list[dict[str, tuple[float, ...]]],
+    tags: list[str],
+) -> np.ndarray:
+    """Realized capacity factors as (realizations, renewable units, steps)."""
+    T = inst.timegrid.step_count
+    out = np.empty((len(realizations), len(inst.renewables), T))
+    for k, (tag, cf) in enumerate(zip(tags, realizations)):
+        for u, unit in enumerate(inst.renewables):
+            if unit.id not in cf:
+                raise ValueError(f"realization {tag!r} misses unit {unit.id!r}")
+            if len(cf[unit.id]) != T:
+                raise ValueError(
+                    f"realization {tag!r}, unit {unit.id!r}: series length "
+                    f"{len(cf[unit.id])} != {T}"
+                )
+            out[k, u] = cf[unit.id]
+    return out
+
+
+def _tagged(tag: str, names: list[str]) -> list[str]:
+    return [f"{tag}:{name}" for name in names]
+
+
 def build_master(
     inst: NetworkInstance,
     realizations: list[dict[str, tuple[float, ...]]],
     tags: list[str] | None = None,
 ) -> MasterBuild:
-    """Master LP: investment variables, one block per realization, epigraph."""
+    """Master LP: investment variables, one block per realization, epigraph.
+
+    The blocks are copies of the instance's dispatch template, stacked
+    block-diagonally; each copy gets its own recourse row and, on its
+    ren_cap rows, the capacity coefficient -cf * step_hours of its
+    realization.
+    """
     if not realizations:
         raise ValueError("need at least one realization (the reference counts)")
     if tags is None:
         tags = [f"s{k}" for k in range(len(realizations))]
-    model = LinearModel(name="master")
+    pairs = list(zip(tags, realizations))
+    tags = [tag for tag, _ in pairs]
+    tpl = dispatch_template(inst)
+    K, nb, mb, n_cap = len(pairs), tpl.n_vars, tpl.n_rows, len(tpl.keys)
     costs = _capacity_costs(inst)
     limits = _capacity_limits(inst)
-    inv = {
-        key: model.add_var(f"cap[{key[0]},{key[1]}]", ub=limits[key], obj=costs[key])
-        for key in capacity_keys(inst)
-    }
-    eta = model.add_var("recourse", obj=1.0)
-    blocks = []
-    for tag, cf in zip(tags, realizations):
-        emitter = _BlockEmitter(model, inst, cf, tag, inv=inv)
-        emitter.emit()
-        # recourse epigraph: eta at least this block's operating cost
-        coeffs = [(j, c) for j, c in emitter.block.cost_terms]
-        coeffs.append((eta, -1.0))
-        model.add_row(coeffs, LE, 0.0, name=f"{tag}:recourse_bound")
-        blocks.append(emitter.block)
-    return MasterBuild(instance=inst, model=model, inv=inv, eta=eta, blocks=blocks)
+    cap_ub = np.array([limits[key] for key in tpl.keys], dtype=float)
+    for key, ub in zip(tpl.keys, cap_ub):
+        if ub < 0.0:
+            raise ValueError(f"variable cap[{key[0]},{key[1]}]: lb 0.0 > ub {ub}")
+    cf = _cf_array(inst, [cf for _, cf in pairs], tags)
+
+    indptr, indices, data, in_block, ren_pos = tpl.master_block
+    nnz = len(data)
+    data = np.tile(data, (K, 1))
+    data[:, ren_pos] = 0.0 + -tpl.realized_coefs(cf)
+    indices = np.tile(indices, (K, 1))
+    indices[:, in_block] += (nb * np.arange(K))[:, None]
+    indptr = np.append((indptr[:-1] + nnz * np.arange(K)[:, None]).ravel(), K * nnz)
+    matrix = sparse.csr_matrix(
+        (data.ravel(), indices.ravel(), indptr), shape=(K * (mb + 1), n_cap + 1 + K * nb)
+    )
+
+    def var_names():
+        names = [f"cap[{kind},{entity}]" for kind, entity in tpl.keys] + ["recourse"]
+        for tag in tags:
+            names += _tagged(tag, tpl.var_names)
+        return names
+
+    def row_names():
+        names = []
+        for tag in tags:
+            names += _tagged(tag, tpl.row_names) + [f"{tag}:recourse_bound"]
+        return names
+
+    model = LinearModel.from_arrays(
+        matrix,
+        row_sense=np.tile(np.append(tpl.row_sense, LE), K),
+        row_rhs=np.tile(np.append(tpl.base_rhs, 0.0), K),
+        var_lb=np.concatenate([np.zeros(n_cap + 1), np.tile(tpl.var_lb, K)]),
+        var_ub=np.concatenate([cap_ub, np.full(1 + K * nb, math.inf)]),
+        var_obj=np.concatenate(
+            [[float(costs[key]) for key in tpl.keys], [1.0], np.zeros(K * nb)]
+        ),
+        var_names=var_names,
+        row_names=row_names,
+        name="master",
+    )
+    inv = {key: k for k, key in enumerate(tpl.keys)}
+    blocks = [
+        BlockBuild(tag=tag, cf=cf_k, template=tpl, offset=n_cap + 1 + k * nb)
+        for k, (tag, cf_k) in enumerate(pairs)
+    ]
+    return MasterBuild(instance=inst, model=model, inv=inv, eta=n_cap, blocks=blocks)
+
+
+def _running_sum(terms: np.ndarray) -> float:
+    """Left-to-right sum: the order Python's sum() adds in (np.sum pairs terms)."""
+    return float(np.cumsum(terms)[-1]) if len(terms) else 0.0
 
 
 def _extract_block(block: BlockBuild, x: np.ndarray) -> ScenarioBlock:
-    values = {key: float(x[j]) for key, j in block.cols.items()}
-    fuel = float(sum(c * x[j] for j, c in block.fuel_terms))
-    shed = float(sum(c * x[j] for j, c in block.shed_terms))
+    tpl = block.template
+    xb = x[block.offset : block.offset + tpl.n_vars]
+    fuel = _running_sum(tpl.fuel_costs * xb[tpl.fuel_cols])
+    shed = _running_sum(tpl.shed_costs * xb[tpl.shed_cols])
     return ScenarioBlock(
         tag=block.tag,
         realized_cf=block.cf,
-        values=values,
+        values=dict(zip(tpl.col_keys, xb.tolist())),
         operating_cost=fuel + shed,
         fuel_cost=fuel,
         shedding_cost=shed,
@@ -634,22 +819,46 @@ def build_dispatch_lp(
     cf: dict[str, tuple[float, ...]],
     tag: str = "d",
 ) -> DispatchBuild:
-    """Single-block dispatch LP with capacities fixed into the rhs."""
+    """Single-block dispatch LP with capacities fixed into the rhs.
+
+    The template's matrix is used as is; only the right-hand sides of the
+    capacity-coupled rows change: base + coefficient * capacity, with the
+    ren_cap coefficients taken from the realized capacity factors.
+    """
     for key, v in capacities.items():
         if not math.isfinite(v) or v < 0:
             raise ValueError(f"capacity {key}: bad value {v}")
-    model = LinearModel(name=f"dispatch:{tag}")
-    emitter = _BlockEmitter(model, inst, cf, tag, caps=capacities)
-    emitter.emit()
-    for j, c in emitter.block.cost_terms:
-        model.add_obj(j, c)
+    tpl = dispatch_template(inst)
+    caps = np.array([capacities.get(key, 0.0) for key in tpl.keys], dtype=float)
+    coefs = tpl.cap_coefs.copy()
+    coefs[tpl.ren] = tpl.realized_coefs(_cf_array(inst, [cf], [tag]))[0]
+    rhs = tpl.base_rhs.copy()
+    rhs[tpl.cap_rows] += coefs * caps[tpl.cap_keys]
+    model = LinearModel.from_arrays(
+        tpl.matrix,
+        row_sense=tpl.row_sense.copy(),
+        row_rhs=rhs,
+        var_lb=tpl.var_lb.copy(),
+        var_ub=np.full(tpl.n_vars, math.inf),
+        var_obj=tpl.var_obj.copy(),
+        var_names=lambda: _tagged(tag, tpl.var_names),
+        row_names=lambda: _tagged(tag, tpl.row_names),
+        name=f"dispatch:{tag}",
+    )
     return DispatchBuild(
         instance=inst,
         model=model,
         capacities=dict(capacities),
-        block=emitter.block,
-        row_meta=emitter.row_meta,
+        block=BlockBuild(tag=tag, cf=cf, template=tpl),
+        row_meta=tpl.row_meta,
     )
+
+
+def _solve_dispatch_lp(build: DispatchBuild, backend) -> SolveResult:
+    res = backend.solve_lp(build.model)
+    if res.status != "optimal":
+        raise BackendError(f"dispatch solve ended {res.status}")
+    return res
 
 
 def solve_dispatch(
@@ -659,9 +868,7 @@ def solve_dispatch(
     backend,
 ) -> tuple[float, ScenarioBlock]:
     build = build_dispatch_lp(inst, capacities, cf)
-    res = backend.solve_lp(build.model)
-    if res.status != "optimal":
-        raise BackendError(f"dispatch solve ended {res.status}")
+    res = _solve_dispatch_lp(build, backend)
     return float(res.objective), _extract_block(build.block, res.x)
 
 
@@ -672,8 +879,8 @@ def dispatch_cost(
     backend,
 ) -> float:
     """Optimal operating cost at fixed capacities under one realization."""
-    cost, _ = solve_dispatch(inst, capacities, cf, backend)
-    return cost
+    res = _solve_dispatch_lp(build_dispatch_lp(inst, capacities, cf), backend)
+    return float(res.objective)
 
 
 def check_block_physics(

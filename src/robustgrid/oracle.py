@@ -39,11 +39,17 @@ def robust_optimum_by_enumeration(
     budget: UncertaintyBudget,
     backend,
     cap: int = DEFAULT_ENUMERATION_CAP,
+    *,
+    realized: list[dict[str, tuple[float, ...]]] | None = None,
 ) -> float:
-    """Exact robust optimum: one LP with a block per enumerated realization."""
-    members = enumerate_set(inst, budget, cap=cap)
-    cfs = [realize(inst, m) for m in members]
-    sol = solve_master(build_master(inst, cfs), backend)
+    """Exact robust optimum: one LP with a block per enumerated realization.
+
+    realized, when given, is the capacity-factor map of every member of the
+    budget's set, from a caller that has already enumerated it.
+    """
+    if realized is None:
+        realized = [realize(inst, m) for m in enumerate_set(inst, budget, cap=cap)]
+    sol = solve_master(build_master(inst, realized), backend)
     return sol.objective
 
 
@@ -114,8 +120,10 @@ def certify_run(
     """
     solution, _ = ccg_result
     report = CertificationReport()
+    members = enumerate_set(inst, budget, cap=cap)
+    realized = [realize(inst, m) for m in members]
 
-    exact = robust_optimum_by_enumeration(inst, budget, backend, cap=cap)
+    exact = robust_optimum_by_enumeration(inst, budget, backend, cap=cap, realized=realized)
     gap = abs(solution.objective - exact) / max(1.0, abs(exact))
     report.checks.append(
         CertificationCheck(
@@ -126,11 +134,7 @@ def certify_run(
         )
     )
 
-    members = enumerate_set(inst, budget, cap=cap)
-    costs = [
-        dispatch_cost(inst, solution.capacities, realize(inst, m), backend)
-        for m in members
-    ]
+    costs = [dispatch_cost(inst, solution.capacities, cf, backend) for cf in realized]
     bound = solution.recourse_bound + tolerance * max(1.0, solution.recourse_bound)
     uncovered = [
         (m, c) for m, c in zip(members, costs) if c > bound

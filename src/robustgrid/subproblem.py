@@ -15,6 +15,15 @@ that could drift from the primal: adding a row to the dispatch builder
 automatically carries it here. Strong duality at fixed flags is the
 arbiter that the construction is right, and verify_strong_duality checks
 it on demand.
+
+Template and stamps: the block emitter in master.py defines the dispatch
+block once per instance, and the dispatch template keeps it as a CSR
+matrix. The dual constraints are that matrix transposed, with the entries
+of inequality rows negated, so the dual still follows from the emitted
+rows alone. Capacities only move right-hand sides, never the matrix, so
+the transposed block is computed once per instance; a build stamps the
+parts that depend on the handoff (dual objective, flag binaries, budget
+rows, linearization rows) as arrays around it.
 """
 
 from __future__ import annotations
@@ -23,8 +32,17 @@ import logging
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+from scipy import sparse
+
 from .backend import EQ, LE, BackendError, LinearModel
-from .master import CapKey, DispatchBuild, build_dispatch_lp, dispatch_cost
+from .master import (
+    CapKey,
+    DispatchBuild,
+    build_dispatch_lp,
+    dispatch_cost,
+    dispatch_template,
+)
 from .model import NetworkInstance, PV, WIND
 from .uncertainty import Flag, UncertaintyBudget, WorstCaseRealization, realize
 
@@ -119,6 +137,23 @@ class SubproblemBuild:
     dispatch: DispatchBuild
 
 
+def _csr_rows(parts, n_cols: int) -> sparse.csr_matrix:
+    """Stack row blocks, each given as (indptr, indices, data), into one CSR."""
+    indptr, offset = [np.zeros(1, dtype=np.int64)], 0
+    for ptr, _, _ in parts:
+        indptr.append(np.asarray(ptr[1:], dtype=np.int64) + offset)
+        offset += int(ptr[-1])
+    indptr = np.concatenate(indptr)
+    return sparse.csr_matrix(
+        (
+            np.concatenate([np.asarray(d, dtype=float) for _, _, d in parts]),
+            np.concatenate([np.asarray(i, dtype=np.int64) for _, i, _ in parts]),
+            indptr,
+        ),
+        shape=(len(indptr) - 1, n_cols),
+    )
+
+
 def build_subproblem(
     inst: NetworkInstance,
     handoff: CapacityHandoff,
@@ -130,93 +165,120 @@ def build_subproblem(
         big_m = default_big_m(inst)
     if not big_m > 0:
         raise ValueError(f"big_m must be positive, got {big_m}")
+    M = float(big_m)
     caps = handoff.expansions(inst)
     reference = {r.id: r.cf.reference for r in inst.renewables}
     disp = build_dispatch_lp(inst, caps, reference, tag="d")
     pm = disp.model
+    tpl = dispatch_template(inst)
+    n_dual = pm.n_rows
+    eq = tpl.row_sense == EQ
 
-    model = LinearModel(name="worst_case", sense="max")
-
-    # one multiplier per primal row, weighted by that row's numeric rhs
-    dual_var: list[int] = []
-    for meta in disp.row_meta:
-        name = pm.row_names[meta.index]
-        rhs = pm.row_rhs[meta.index]
-        if meta.sense == EQ:
-            j = model.add_var(f"lam[{name}]", lb=-math.inf, obj=rhs)
-        else:
-            j = model.add_var(f"mu[{name}]", obj=-rhs)
-        dual_var.append(j)
-
-    # dual constraints: transpose of the primal rows, one per primal column
-    cols_of: list[list[tuple[int, float]]] = [[] for _ in range(pm.n_vars)]
-    for i, row in enumerate(pm.rows):
-        for j, a in row:
-            cols_of[j].append((i, a))
-    for j in range(pm.n_vars):
-        coeffs = [
-            (dual_var[i], a if pm.row_sense[i] == EQ else -a)
-            for i, a in cols_of[j]
-        ]
-        sense = EQ if pm.var_lb[j] == -math.inf else LE
-        model.add_row(coeffs, sense, pm.var_obj[j], name=f"dc[{pm.var_names[j]}]")
-
-    # flag binaries, only where flipping one changes the dispatch at all
-    candidates: dict[Flag, list[int]] = {}
-    for meta in disp.row_meta:
-        if meta.kind != "ren_cap" or meta.flag is None:
-            continue
-        cap = caps.get(("ren", meta.entity), 0.0)
-        if cap * meta.dev_rhs > 0.0:
-            candidates.setdefault(meta.flag, []).append(meta.index)
-    z = {
-        flag: model.add_var(f"z[{flag[0]},{flag[1]},{flag[2]}]", binary=True)
-        for flag in sorted(candidates)
-    }
+    # flag binaries, only where flipping one changes the dispatch at all;
+    # indices below run over the template's ren_cap entries
+    ren_cap = np.array([caps.get(key, 0.0) for key in tpl.keys])[tpl.cap_keys[tpl.ren]]
+    hit = np.flatnonzero((tpl.ren_flags >= 0) & (ren_cap * tpl.ren_dev > 0.0))
+    z_ranks, first = np.unique(tpl.ren_flags[hit], return_index=True)  # sorted flags
+    n_z = len(z_ranks)
+    z_flags = [tpl.flags[r] for r in z_ranks.tolist()]
+    z_col = np.empty(len(tpl.flags), dtype=np.intp)
+    z_col[z_ranks] = n_dual + np.arange(n_z)
+    # one phi term per hit row, grouped by flag: flags in the order they
+    # first appear, rows ascending within a flag
+    group = np.empty(len(tpl.flags), dtype=np.intp)
+    group[z_ranks[np.argsort(first)]] = np.arange(n_z)
+    terms = hit[np.argsort(group[tpl.ren_flags[hit]], kind="stable")]
+    phi_rows = tpl.cap_rows[tpl.ren][terms]
+    phi_obj = (ren_cap * tpl.ren_dev)[terms]
+    phi_z = z_col[tpl.ren_flags[terms]]
+    n_phi = len(terms)
+    phi_col = n_dual + n_z + np.arange(n_phi)
 
     # per-period budget on the number of flagged regions per technology
-    periods = sorted({flag[2] for flag in z})
+    budget_rows, budget_names, budget_rhs = [], [], []
+    periods = sorted({flag[2] for flag in z_flags})
     for tech in (PV, WIND):
         for pid in periods:
-            members = [z[f] for f in z if f[0] == tech and f[2] == pid]
+            members = [
+                n_dual + k for k, f in enumerate(z_flags) if f[0] == tech and f[2] == pid
+            ]
             if members:
-                model.add_row(
-                    [(j, 1.0) for j in members],
-                    LE,
-                    float(budget.limit(tech)),
-                    name=f"budget[{tech},{pid}]",
-                )
+                budget_rows.append(members)
+                budget_names.append(f"budget[{tech},{pid}]")
+                budget_rhs.append(float(budget.limit(tech)))
+    budget_part = (
+        np.cumsum([0] + [len(r) for r in budget_rows]),
+        [j for r in budget_rows for j in r],
+        np.ones(sum(len(r) for r in budget_rows)),
+    )
 
     # bilinear term per affected availability row: phi stands for mu * z,
-    # pinned by four big-M rows, and recovers the deviation in the objective
-    phi: dict[int, int] = {}
-    for flag, row_ids in candidates.items():
-        zj = z[flag]
-        for i in row_ids:
-            meta = disp.row_meta[i]
-            name = pm.row_names[i]
-            cap = caps.get(("ren", meta.entity), 0.0)
-            pj = model.add_var(f"phi[{name}]", obj=cap * meta.dev_rhs)
-            mj = dual_var[i]
-            model.add_row([(pj, 1.0), (zj, -big_m)], LE, 0.0, name=f"lin1[{name}]")
-            model.add_row([(pj, -1.0), (zj, -big_m)], LE, 0.0, name=f"lin2[{name}]")
-            model.add_row(
-                [(mj, 1.0), (pj, -1.0), (zj, big_m)], LE, big_m, name=f"lin3[{name}]"
-            )
-            model.add_row(
-                [(mj, -1.0), (pj, 1.0), (zj, big_m)], LE, big_m, name=f"lin4[{name}]"
-            )
-            phi[i] = pj
+    # pinned by four big-M rows (lin1..lin4), in that order per term:
+    #   phi <= M z,  -phi <= M z,  mu - phi + M z <= M,  -mu + phi + M z <= M
+    lin_part = (
+        np.cumsum(np.concatenate([[0], np.tile([2, 2, 3, 3], n_phi)])),
+        np.column_stack([
+            phi_z, phi_col, phi_z, phi_col,
+            phi_rows, phi_z, phi_col, phi_rows, phi_z, phi_col,
+        ]).ravel(),
+        np.tile([-M, 1.0, -M, -1.0, 1.0, M, -1.0, -1.0, M, 1.0], n_phi),
+    )
 
+    # one multiplier per primal row, weighted by that row's numeric rhs; the
+    # dual constraints are the transposed block, one per primal column
+    dual = tpl.dual_rows
+    matrix = _csr_rows(
+        [(dual.indptr, dual.indices, dual.data), budget_part, lin_part],
+        n_dual + n_z + n_phi,
+    )
+    primal_free = tpl.var_lb == -math.inf
+
+    def var_names():
+        names = [
+            f"lam[{name}]" if is_eq else f"mu[{name}]"
+            for name, is_eq in zip(pm.row_names, eq.tolist())
+        ]
+        names += [f"z[{f[0]},{f[1]},{f[2]}]" for f in z_flags]
+        return names + [f"phi[{pm.row_names[i]}]" for i in phi_rows.tolist()]
+
+    def row_names():
+        names = [f"dc[{name}]" for name in pm.var_names] + budget_names
+        for i in phi_rows.tolist():
+            name = pm.row_names[i]
+            names += [f"lin{k}[{name}]" for k in (1, 2, 3, 4)]
+        return names
+
+    model = LinearModel.from_arrays(
+        matrix,
+        row_sense=np.concatenate([
+            np.where(primal_free, EQ, LE).astype(object),
+            np.full(len(budget_rows) + 4 * n_phi, LE, dtype=object),
+        ]),
+        row_rhs=np.concatenate([
+            pm.var_obj, budget_rhs, np.tile([0.0, 0.0, M, M], n_phi),
+        ]),
+        var_lb=np.concatenate([np.where(eq, -math.inf, 0.0), np.zeros(n_z + n_phi)]),
+        var_ub=np.concatenate([
+            np.full(n_dual, math.inf), np.ones(n_z), np.full(n_phi, math.inf),
+        ]),
+        var_obj=np.concatenate([np.where(eq, pm.row_rhs, -pm.row_rhs), np.zeros(n_z), phi_obj]),
+        var_binary=np.concatenate([
+            np.zeros(n_dual, dtype=bool), np.ones(n_z, dtype=bool), np.zeros(n_phi, dtype=bool),
+        ]),
+        var_names=var_names,
+        row_names=row_names,
+        name="worst_case",
+        sense="max",
+    )
     return SubproblemBuild(
         instance=inst,
         handoff=handoff,
         budget=budget,
         big_m=big_m,
         model=model,
-        dual_var=dual_var,
-        z=z,
-        phi=phi,
+        dual_var=list(range(n_dual)),
+        z=dict(zip(z_flags, z_col[z_ranks].tolist())),
+        phi=dict(zip(phi_rows.tolist(), phi_col.tolist())),
         dispatch=disp,
     )
 

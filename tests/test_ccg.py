@@ -180,6 +180,22 @@ def test_config_validation():
         CcgConfig(big_m=-5.0)
 
 
+@pytest.mark.parametrize("gap", [-1e-9, float("nan"), float("inf")])
+def test_config_rejects_bad_mip_gap(gap):
+    with pytest.raises(ValueError, match="mip_gap"):
+        CcgConfig(mip_gap=gap)
+
+
+def test_config_accepts_zero_mip_gap():
+    assert CcgConfig(mip_gap=0.0).subproblem_gap == 0.0
+
+
+def test_ladder_never_starts_with_a_negative_mip_gap():
+    # rejected up front, not as an exception escaping the first rung's solve
+    with pytest.raises(ValueError, match="mip_gap"):
+        run_gamma_ladder(single_node(), [0, 1], CcgConfig(mip_gap=-0.1), SCIPY)
+
+
 def test_budget_clamp_warns(caplog):
     inst = single_node()
     with caplog.at_level(logging.WARNING):

@@ -1,0 +1,289 @@
+"""Stamped models equal the models a row-by-row build produces.
+
+The builders stamp the master, the fixed-capacity dispatch LP and the
+worst-case subproblem from the instance's dispatch template. The references
+here are built the direct way: _BlockEmitter writes every block row by row
+into a fresh LinearModel, with the capacity coupling applied per row, and
+the subproblem dualizes that model one column at a time. Every name, sense,
+right-hand side, bound, objective coefficient, binary marker and CSR entry
+must agree exactly.
+"""
+
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from robustgrid.backend import EQ, LE, LinearModel, ScipyBackend
+from robustgrid.io import load_instance
+from robustgrid.master import (
+    _BlockEmitter,
+    _capacity_costs,
+    _capacity_limits,
+    build_dispatch_lp,
+    build_master,
+    capacity_keys,
+    dispatch_template,
+    solve_dispatch,
+)
+from robustgrid.model import PV, WIND
+from robustgrid.subproblem import CapacityHandoff, build_subproblem, default_big_m
+from robustgrid.uncertainty import (
+    UncertaintyBudget,
+    WorstCaseRealization,
+    enumerate_set,
+    realize,
+)
+
+from toys import (
+    single_node,
+    symmetric_pair,
+    three_region_hydro,
+    two_period_battery,
+    two_region,
+)
+
+FIXTURE = Path(__file__).parent / "fixtures" / "toy6.json"
+
+INSTANCES = {
+    "single_node": single_node,
+    "ac_lines": two_region,
+    "batteries_dc": two_period_battery,
+    "psp_hydrogen": three_region_hydro,
+    "symmetric_pair": symmetric_pair,
+    "toy6": lambda: load_instance(FIXTURE),
+}
+
+
+@pytest.fixture(params=sorted(INSTANCES), scope="module")
+def inst(request):
+    return INSTANCES[request.param]()
+
+
+# --- the row-by-row reference ------------------------------------------------
+
+class _RowByRowEmitter(_BlockEmitter):
+    """Applies the capacity coupling to each row as it is emitted.
+
+    With inv (capacity column indices) the coupling becomes -coef entries
+    on the capacity columns; with caps (fixed values) it lands in the rhs.
+    """
+
+    def __init__(self, model, inst, cf, tag, inv=None, caps=None):
+        super().__init__(model, inst)
+        self.cf, self.tag, self.inv, self.caps = cf, tag, inv, caps
+        self.meta = []
+
+    def var(self, family, entity, t, free=False):
+        j = self.model.add_var(
+            f"{self.tag}:{family}[{entity},{t}]", lb=-math.inf if free else 0.0
+        )
+        self.cols[(family, entity, t)] = j
+        return j
+
+    def row(self, name, coeffs, sense, base_rhs, kind, entity, t,
+            cap_terms=(), dev_rhs=0.0, flag=None):
+        if kind == "ren_cap":
+            cap_terms = tuple((key, self.cf[entity][t] * c) for key, c in cap_terms)
+        rhs = base_rhs
+        if self.inv is not None:
+            coeffs = coeffs + [(self.inv[key], -c) for key, c in cap_terms]
+        else:
+            rhs += sum(c * self.caps.get(key, 0.0) for key, c in cap_terms)
+        idx = self.model.add_row(coeffs, sense, rhs, name=f"{self.tag}:{name}")
+        self.meta.append((idx, sense, kind, entity, dev_rhs, flag))
+        return idx
+
+
+def reference_master(inst, cfs):
+    model = LinearModel(name="master")
+    costs, limits = _capacity_costs(inst), _capacity_limits(inst)
+    inv = {
+        key: model.add_var(f"cap[{key[0]},{key[1]}]", ub=limits[key], obj=costs[key])
+        for key in capacity_keys(inst)
+    }
+    eta = model.add_var("recourse", obj=1.0)
+    for k, cf in enumerate(cfs):
+        emitter = _RowByRowEmitter(model, inst, cf, f"s{k}", inv=inv)
+        emitter.emit()
+        coeffs = emitter.fuel_terms + emitter.shed_terms + [(eta, -1.0)]
+        model.add_row(coeffs, LE, 0.0, name=f"s{k}:recourse_bound")
+    return model
+
+
+def reference_dispatch(inst, caps, cf, tag="d"):
+    model = LinearModel(name=f"dispatch:{tag}")
+    emitter = _RowByRowEmitter(model, inst, cf, tag, caps=caps)
+    emitter.emit()
+    for j, c in emitter.fuel_terms + emitter.shed_terms:
+        model.add_obj(j, c)
+    return model, emitter.meta
+
+
+def reference_subproblem(inst, handoff, budget):
+    big_m = default_big_m(inst)
+    caps = handoff.expansions(inst)
+    reference = {r.id: r.cf.reference for r in inst.renewables}
+    pm, meta = reference_dispatch(inst, caps, reference)
+    model = LinearModel(name="worst_case", sense="max")
+    dual_var = []
+    for i, sense, *_ in meta:
+        name, rhs = pm.row_names[i], pm.row_rhs[i]
+        if sense == EQ:
+            dual_var.append(model.add_var(f"lam[{name}]", lb=-math.inf, obj=rhs))
+        else:
+            dual_var.append(model.add_var(f"mu[{name}]", obj=-rhs))
+    cols_of = [[] for _ in range(pm.n_vars)]
+    for i, row in enumerate(pm.rows):
+        for j, a in row:
+            cols_of[j].append((i, a))
+    for j in range(pm.n_vars):
+        coeffs = [(dual_var[i], a if pm.row_sense[i] == EQ else -a) for i, a in cols_of[j]]
+        sense = EQ if pm.var_lb[j] == -math.inf else LE
+        model.add_row(coeffs, sense, pm.var_obj[j], name=f"dc[{pm.var_names[j]}]")
+    candidates = {}
+    for i, _, kind, entity, dev_rhs, flag in meta:
+        if kind == "ren_cap" and flag is not None:
+            if caps.get(("ren", entity), 0.0) * dev_rhs > 0.0:
+                candidates.setdefault(flag, []).append((i, entity, dev_rhs))
+    z = {f: model.add_var(f"z[{f[0]},{f[1]},{f[2]}]", binary=True) for f in sorted(candidates)}
+    for tech in (PV, WIND):
+        for pid in sorted({f[2] for f in z}):
+            members = [z[f] for f in z if f[0] == tech and f[2] == pid]
+            if members:
+                model.add_row([(j, 1.0) for j in members], LE,
+                              float(budget.limit(tech)), name=f"budget[{tech},{pid}]")
+    for flag, rows in candidates.items():
+        zj = z[flag]
+        for i, entity, dev_rhs in rows:
+            name, mj = pm.row_names[i], dual_var[i]
+            pj = model.add_var(f"phi[{name}]", obj=caps.get(("ren", entity), 0.0) * dev_rhs)
+            model.add_row([(pj, 1.0), (zj, -big_m)], LE, 0.0, name=f"lin1[{name}]")
+            model.add_row([(pj, -1.0), (zj, -big_m)], LE, 0.0, name=f"lin2[{name}]")
+            model.add_row([(mj, 1.0), (pj, -1.0), (zj, big_m)], LE, big_m, name=f"lin3[{name}]")
+            model.add_row([(mj, -1.0), (pj, 1.0), (zj, big_m)], LE, big_m, name=f"lin4[{name}]")
+    return model
+
+
+# --- comparison ----------------------------------------------------------------
+
+def assert_same_model(stamped, ref):
+    assert (stamped.name, stamped.sense) == (ref.name, ref.sense)
+    assert (stamped.n_vars, stamped.n_rows) == (ref.n_vars, ref.n_rows)
+    assert list(stamped.var_names) == ref.var_names
+    assert list(stamped.row_names) == ref.row_names
+    assert list(stamped.row_sense) == ref.row_sense
+    for attr in ("row_rhs", "var_lb", "var_ub", "var_obj", "var_binary"):
+        got, want = np.asarray(getattr(stamped, attr)), np.asarray(getattr(ref, attr))
+        assert got.shape == want.shape, attr
+        assert (got == want).all(), attr
+        assert (np.signbit(got) == np.signbit(want)).all(), attr  # 0.0 vs -0.0
+    A, B = stamped.matrix(), ref.matrix()
+    assert A.shape == B.shape
+    for attr in ("indptr", "indices", "data"):
+        got, want = getattr(A, attr), getattr(B, attr)
+        assert got.shape == want.shape, attr
+        assert (got == want).all(), attr
+    assert (np.signbit(A.data) == np.signbit(B.data)).all()
+    assert stamped.rows == ref.rows
+
+
+def distinct_realizations(inst, n, seed=0):
+    """n distinct realizations: set members first, then random series."""
+    distinct = {}
+    for m in enumerate_set(inst, UncertaintyBudget(1, 1)):
+        if len(distinct) == n:
+            break
+        cf = realize(inst, m)
+        distinct.setdefault(tuple(sorted(cf.items())), cf)
+    rng = np.random.default_rng(seed)
+    T = inst.timegrid.step_count
+    while len(distinct) < n:
+        cf = {
+            r.id: tuple(float(v) for v in rng.choice([0.0, 0.3, 1.0, rng.uniform()], T))
+            for r in inst.renewables
+        }
+        distinct.setdefault(tuple(sorted(cf.items())), cf)
+    return list(distinct.values())
+
+
+def some_capacities(inst, seed=1):
+    """A capacity map with zeros, fractions and a missing key."""
+    rng = np.random.default_rng(seed)
+    keys = capacity_keys(inst)
+    caps = {key: float(rng.choice([0.0, rng.uniform(0.0, 50.0)])) for key in keys}
+    caps.pop(keys[-1])
+    return caps
+
+
+# --- the three stamped models --------------------------------------------------
+
+@pytest.mark.parametrize("n_blocks", [1, 3, 8])
+def test_master_matches_row_by_row(inst, n_blocks):
+    cfs = distinct_realizations(inst, n_blocks)
+    assert len({tuple(sorted(cf.items())) for cf in cfs}) == n_blocks
+    assert_same_model(build_master(inst, cfs).model, reference_master(inst, cfs))
+
+
+def test_dispatch_lp_matches_row_by_row(inst):
+    caps = some_capacities(inst)
+    for cf in distinct_realizations(inst, 3):
+        ref, _ = reference_dispatch(inst, caps, cf)
+        assert_same_model(build_dispatch_lp(inst, caps, cf).model, ref)
+
+
+@pytest.mark.parametrize("gamma", [1, 2])
+def test_subproblem_matches_row_by_row(inst, gamma):
+    handoff = CapacityHandoff.from_master(inst, some_capacities(inst, seed=gamma))
+    budget = UncertaintyBudget(gamma, gamma)
+    assert_same_model(
+        build_subproblem(inst, handoff, budget).model,
+        reference_subproblem(inst, handoff, budget),
+    )
+
+
+# --- template lifetime and the array form --------------------------------------
+
+def test_template_is_emitted_once_per_instance():
+    inst = two_region()
+    tpl = dispatch_template(inst)
+    build_master(inst, distinct_realizations(inst, 2))
+    build_dispatch_lp(inst, {}, realize(inst, WorstCaseRealization.reference()))
+    assert dispatch_template(inst) is tpl
+    assert dispatch_template(two_region()) is not tpl
+    assert inst == two_region()  # the cached template is not part of equality
+
+
+def test_stamped_models_do_not_share_writable_state():
+    inst = two_period_battery()
+    cf = realize(inst, WorstCaseRealization.reference())
+    first = build_dispatch_lp(inst, {}, cf).model
+    first.var_lb[0] = 5.0
+    first.row_rhs[0] = -1.0
+    first.var_obj[0] = 99.0
+    second = build_dispatch_lp(inst, {}, cf).model
+    ref, _ = reference_dispatch(inst, {}, cf)
+    assert_same_model(second, ref)
+
+
+def test_adding_to_a_stamped_model_keeps_it_consistent():
+    inst = single_node()
+    cf = realize(inst, WorstCaseRealization.reference())
+    model = build_dispatch_lp(inst, {("ren", "s1"): 20.0}, cf).model
+    ref, _ = reference_dispatch(inst, {("ren", "s1"): 20.0}, cf)
+    for m in (model, ref):
+        j = m.add_var("extra", obj=1.0)
+        m.add_row([(0, 1.0), (j, 2.0)], LE, 3.0, name="extra_row")
+    assert_same_model(model, ref)
+
+
+def test_stamped_dispatch_solves_like_the_reference():
+    inst = three_region_hydro()
+    caps = some_capacities(inst)
+    cf = distinct_realizations(inst, 2)[1]
+    cost, block = solve_dispatch(inst, caps, cf, ScipyBackend())
+    ref, _ = reference_dispatch(inst, caps, cf)
+    res = ScipyBackend().solve_lp(ref)
+    assert cost == float(res.objective)
+    assert block.values == dict(zip(dispatch_template(inst).col_keys, res.x.tolist()))
