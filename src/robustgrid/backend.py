@@ -1,8 +1,11 @@
 """Solver backends behind a single small contract.
 
 Model logic elsewhere in the package builds a LinearModel (variables with
-bounds, sparse rows, one objective) and hands it to a backend. Two backends
-ship:
+bounds, a CSR constraint matrix, one objective) and hands it to a backend.
+A LinearModel has one storage form, numpy arrays around the CSR: the
+builders in master.py and subproblem.py stamp those arrays directly, and
+ModelBuilder makes them from a model written one row at a time. Two
+backends ship:
 
 - ScipyBackend: scipy.optimize.linprog (HiGHS) for LPs with row duals, and
   scipy.optimize.milp for mixed binary programs. Default.
@@ -20,10 +23,7 @@ from __future__ import annotations
 import heapq
 import logging
 import math
-import re
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Callable
 
 import numpy as np
 from scipy import sparse
@@ -35,12 +35,11 @@ __all__ = [
     "EQ",
     "BackendError",
     "LinearModel",
+    "ModelBuilder",
     "SolveResult",
     "ScipyBackend",
     "InTreeBackend",
     "get_backend",
-    "write_lp_file",
-    "read_lp_file",
 ]
 
 log = logging.getLogger(__name__)
@@ -78,38 +77,20 @@ class SolveResult:
 
 
 class LinearModel:
-    """Sparse container for an LP or mixed-binary program.
+    """Sparse LP or mixed-binary program, held as arrays around one CSR.
 
-    Two storage forms share one public surface. The list form, made by the
-    constructor and grown with add_var/add_row, stores rows as sorted
-    (index, coefficient) lists. The array form, made by from_arrays, holds
-    numpy arrays and a ready CSR matrix that matrix() returns as is; its
-    rows and names are materialised only when first read, and adding a
-    variable or row turns it back into the list form. Senses are "<=",
-    ">=", or "=". Binary variables get bounds [0, 1]; fixing one is done by
-    tightening lb/ub, which works in place in either form.
+    matrix is the constraint matrix in canonical form (sorted column
+    indices, merged duplicates, explicit zeros kept) and matrix() returns it
+    as is. Beside it: row senses ("<=", ">=", "=") and right-hand sides;
+    variable bounds, objective and binary markers. var_lb and var_ub are
+    writable arrays, so fixing a binary is done by tightening them in place.
+    var_names and row_names are lists or zero-argument callables that
+    return them; a callable runs on first access only. Row-by-row
+    construction goes through ModelBuilder.
     """
 
-    def __init__(self, name: str = "model", sense: str = "min"):
-        if sense not in ("min", "max"):
-            raise ValueError(f"sense must be min or max, got {sense!r}")
-        self.name = name
-        self.sense = sense
-        self.obj_offset = 0.0
-        self._var_names: list[str] | Callable[[], list[str]] = []
-        self.var_lb: list[float] = []
-        self.var_ub: list[float] = []
-        self.var_obj: list[float] = []
-        self.var_binary: list[bool] = []
-        self._row_names: list[str] | Callable[[], list[str]] = []
-        self.row_sense: list[str] = []
-        self.row_rhs: list[float] = []
-        self._rows: list[list[tuple[int, float]]] | None = []
-        self._csr: sparse.csr_matrix | None = None
-
-    @classmethod
-    def from_arrays(
-        cls,
+    def __init__(
+        self,
         matrix: sparse.csr_matrix,
         row_sense: np.ndarray,
         row_rhs: np.ndarray,
@@ -121,31 +102,27 @@ class LinearModel:
         var_binary: np.ndarray | None = None,
         name: str = "model",
         sense: str = "min",
-    ) -> "LinearModel":
-        """Array-backed model around a canonical CSR matrix.
-
-        var_names and row_names are lists or zero-argument callables that
-        return them; a callable runs on first access only.
-        """
-        model = cls(name=name, sense=sense)
+    ):
+        if sense not in ("min", "max"):
+            raise ValueError(f"sense must be min or max, got {sense!r}")
         n_rows, n_vars = matrix.shape
         if len(row_sense) != n_rows or len(row_rhs) != n_rows:
             raise ValueError("row arrays do not match the matrix height")
         if not len(var_lb) == len(var_ub) == len(var_obj) == n_vars:
             raise ValueError("variable arrays do not match the matrix width")
-        model._csr = matrix
-        model._rows = None
-        model.row_sense = row_sense
-        model.row_rhs = row_rhs
-        model.var_lb = var_lb
-        model.var_ub = var_ub
-        model.var_obj = var_obj
-        model.var_binary = (
+        self.name = name
+        self.sense = sense
+        self._csr = matrix
+        self.row_sense = row_sense
+        self.row_rhs = row_rhs
+        self.var_lb = var_lb
+        self.var_ub = var_ub
+        self.var_obj = var_obj
+        self.var_binary = (
             np.zeros(n_vars, dtype=bool) if var_binary is None else var_binary
         )
-        model._var_names = var_names
-        model._row_names = row_names
-        return model
+        self._var_names = var_names
+        self._row_names = row_names
 
     @property
     def var_names(self) -> list[str]:
@@ -161,15 +138,13 @@ class LinearModel:
 
     @property
     def rows(self) -> list[list[tuple[int, float]]]:
-        if self._rows is None:
-            A = self._csr
-            cols, vals = A.indices.tolist(), A.data.tolist()
-            ptr = A.indptr.tolist()
-            self._rows = [
-                list(zip(cols[ptr[i]:ptr[i + 1]], vals[ptr[i]:ptr[i + 1]]))
-                for i in range(A.shape[0])
-            ]
-        return self._rows
+        """The matrix as (column, coefficient) lists, one per row; a copy."""
+        A = self._csr
+        cols, vals, ptr = A.indices.tolist(), A.data.tolist(), A.indptr.tolist()
+        return [
+            list(zip(cols[ptr[i]:ptr[i + 1]], vals[ptr[i]:ptr[i + 1]]))
+            for i in range(A.shape[0])
+        ]
 
     @property
     def n_vars(self) -> int:
@@ -183,16 +158,34 @@ class LinearModel:
     def is_mip(self) -> bool:
         return bool(np.any(self.var_binary))
 
-    def _to_lists(self) -> None:
-        """Leave the array form before a structural change."""
-        if self._csr is None:
-            return
-        self.rows  # materialise before the matrix goes
-        self._var_names = list(self.var_names)
-        self._row_names = list(self.row_names)
-        for attr in ("var_lb", "var_ub", "var_obj", "var_binary", "row_sense", "row_rhs"):
-            setattr(self, attr, np.asarray(getattr(self, attr)).tolist())
-        self._csr = None
+    def matrix(self) -> sparse.csr_matrix:
+        return self._csr
+
+
+class ModelBuilder:
+    """Builds a LinearModel one variable and one row at a time.
+
+    A row's terms are merged per column and sorted by column; a zero
+    coefficient stays as an explicit entry, and every coefficient is stored
+    as 0.0 + v, so -0.0 becomes 0.0. Binary variables get bounds [0, 1].
+    """
+
+    def __init__(self, name: str = "model", sense: str = "min"):
+        self.name = name
+        self.sense = sense
+        self.var_names: list[str] = []
+        self.var_lb: list[float] = []
+        self.var_ub: list[float] = []
+        self.var_obj: list[float] = []
+        self.var_binary: list[bool] = []
+        self.row_names: list[str] = []
+        self.row_sense: list[str] = []
+        self.row_rhs: list[float] = []
+        self.rows: list[list[tuple[int, float]]] = []
+
+    @property
+    def n_vars(self) -> int:
+        return len(self.var_lb)
 
     def add_var(
         self,
@@ -207,7 +200,6 @@ class LinearModel:
             ub = min(ub, 1.0)
         if lb > ub:
             raise ValueError(f"variable {name}: lb {lb} > ub {ub}")
-        self._to_lists()
         self.var_names.append(name)
         self.var_lb.append(float(lb))
         self.var_ub.append(float(ub))
@@ -221,7 +213,6 @@ class LinearModel:
     def add_row(self, coeffs, sense: str, rhs: float, name: str = "") -> int:
         if sense not in _SENSES:
             raise ValueError(f"unknown row sense {sense!r}")
-        self._to_lists()
         if isinstance(coeffs, dict):
             coeffs = coeffs.items()
         terms: dict[int, float] = {}
@@ -239,23 +230,28 @@ class LinearModel:
         self.row_names.append(name or f"c{len(self.rows) - 1}")
         return len(self.rows) - 1
 
-    def objective_value(self, x) -> float:
-        return float(np.dot(self.var_obj, x) + self.obj_offset)
-
-    def row_activity(self, i: int, x) -> float:
-        return float(sum(coef * x[j] for j, coef in self.rows[i]))
-
-    def matrix(self) -> sparse.csr_matrix:
-        if self._csr is not None:
-            return self._csr
-        data, ri, ci = [], [], []
-        for i, row in enumerate(self.rows):
-            for j, coef in row:
-                ri.append(i)
-                ci.append(j)
-                data.append(coef)
-        return sparse.csr_matrix(
-            (data, (ri, ci)), shape=(self.n_rows, self.n_vars), dtype=float
+    def build(self) -> LinearModel:
+        indptr = np.cumsum([0] + [len(row) for row in self.rows])
+        matrix = sparse.csr_matrix(
+            (
+                np.array([coef for row in self.rows for _, coef in row], dtype=float),
+                np.array([j for row in self.rows for j, _ in row], dtype=np.intp),
+                indptr,
+            ),
+            shape=(len(self.rows), self.n_vars),
+        )
+        return LinearModel(
+            matrix,
+            row_sense=np.array(self.row_sense, dtype=object),
+            row_rhs=np.array(self.row_rhs, dtype=float),
+            var_lb=np.array(self.var_lb, dtype=float),
+            var_ub=np.array(self.var_ub, dtype=float),
+            var_obj=np.array(self.var_obj, dtype=float),
+            var_names=list(self.var_names),
+            row_names=list(self.row_names),
+            var_binary=np.array(self.var_binary, dtype=bool),
+            name=self.name,
+            sense=self.sense,
         )
 
 
@@ -324,7 +320,7 @@ class ScipyBackend:
         duals *= sign
         return SolveResult(
             status="optimal",
-            objective=sign * float(res.fun) + model.obj_offset,
+            objective=sign * float(res.fun),
             x=np.asarray(res.x),
             duals=duals,
             reduced=_reduced_costs(model, A, duals),
@@ -358,7 +354,7 @@ class ScipyBackend:
             return SolveResult(status=status, stats={"message": res.message})
         return SolveResult(
             status="optimal",
-            objective=sign * float(res.fun) + model.obj_offset,
+            objective=sign * float(res.fun),
             x=np.asarray(res.x),
             stats={"mip_gap": float(res.mip_gap) if res.mip_gap is not None else 0.0},
         )
@@ -447,16 +443,16 @@ class _StandardForm:
                 row[km] = row.get(km, 0.0) - coef
 
         rhs_adj = np.zeros(model.n_rows)
-        for i, row in enumerate(model.rows):
-            for j, coef in row:
-                kind, data = self.recipe[j]
-                if kind == "fixed":
-                    rhs_adj[i] += coef * data
-                elif kind == "shift":
-                    rhs_adj[i] += coef * data[1]
-                elif kind == "mirror":
-                    rhs_adj[i] += coef * data[1]
-                place(j, coef, cols[i])
+        entries = model.matrix().tocoo()
+        for i, j, coef in zip(entries.row.tolist(), entries.col.tolist(), entries.data.tolist()):
+            kind, data = self.recipe[j]
+            if kind == "fixed":
+                rhs_adj[i] += coef * data
+            elif kind == "shift":
+                rhs_adj[i] += coef * data[1]
+            elif kind == "mirror":
+                rhs_adj[i] += coef * data[1]
+            place(j, coef, cols[i])
 
         n_struct = model.n_rows
         n_extra = len(extra_rows)
@@ -610,7 +606,7 @@ class InTreeBackend:
         basis, keep_rows = info
         x = std.restore_x(y)
         obj_min = float(std.c @ y) + std.offset
-        objective = std.sign * obj_min + model.obj_offset
+        objective = std.sign * obj_min
         # duals of the surviving rows: solve B^T yd = c_B, map back by flips
         B = std.A[keep_rows][:, basis]
         try:
@@ -703,199 +699,3 @@ def get_backend(name: str = "scipy"):
         raise ValueError(
             f"unknown backend {name!r}; available: {sorted(_BACKENDS)}"
         ) from None
-
-
-# ---------------------------------------------------------------------------
-# Text export in LP format (and a reader for the same dialect).
-# ---------------------------------------------------------------------------
-
-
-def _lp_safe_names(names: list[str]) -> list[str]:
-    out, seen = [], set()
-    for k, name in enumerate(names):
-        safe = re.sub(r"[^A-Za-z0-9_.]", "_", name) or f"v{k}"
-        if safe[0].isdigit() or safe[0] == ".":
-            safe = "v_" + safe
-        base = safe
-        i = 1
-        while safe in seen:
-            safe = f"{base}_{i}"
-            i += 1
-        seen.add(safe)
-        out.append(safe)
-    return out
-
-
-def _lp_terms(terms, names) -> str:
-    parts = []
-    for j, coef in terms:
-        if coef == 0:
-            continue
-        op = "-" if coef < 0 else "+"
-        parts.append(f"{op} {abs(coef):.17g} {names[j]}")
-    if not parts:
-        return "0 " + (names[0] if names else "x0")
-    text = " ".join(parts)
-    return text[2:] if text.startswith("+ ") else text
-
-
-def write_lp_file(model: LinearModel, path) -> None:
-    """Write the model in LP text format for external inspection."""
-    names = _lp_safe_names(model.var_names)
-    lines = [f"\\ {model.name}"]
-    lines.append("Minimize" if model.sense == "min" else "Maximize")
-    obj = _lp_terms(list(enumerate(model.var_obj)), names)
-    if model.obj_offset:
-        op = "+" if model.obj_offset > 0 else "-"
-        obj += f" {op} {abs(model.obj_offset):.17g}"
-    lines.append(f" obj: {obj}")
-    lines.append("Subject To")
-    for i, row in enumerate(model.rows):
-        sense = {LE: "<=", GE: ">=", EQ: "="}[model.row_sense[i]]
-        lines.append(
-            f" c{i}: {_lp_terms(row, names)} {sense} {model.row_rhs[i]:.17g}"
-        )
-    lines.append("Bounds")
-    for j in range(model.n_vars):
-        lb, ub = model.var_lb[j], model.var_ub[j]
-        if lb == 0.0 and ub == INF:
-            continue
-        if lb == -INF and ub == INF:
-            lines.append(f" {names[j]} free")
-        elif ub == INF:
-            lines.append(f" {names[j]} >= {lb:.17g}")
-        elif lb == -INF:
-            lines.append(f" {names[j]} <= {ub:.17g}")
-        else:
-            lines.append(f" {lb:.17g} <= {names[j]} <= {ub:.17g}")
-    binaries = [names[j] for j in range(model.n_vars) if model.var_binary[j]]
-    if binaries:
-        lines.append("Binaries")
-        lines.append(" " + " ".join(binaries))
-    lines.append("End")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-_NUM = r"[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?"
-_IDENT = r"[A-Za-z_][A-Za-z0-9_.]*"
-
-
-def _parse_expr(text: str, var_ids: dict[str, int], model: LinearModel):
-    """Parse 'a x + b y - 3' into (terms, constant), registering variables."""
-    terms: list[tuple[int, float]] = []
-    const = 0.0
-    pos = 0
-    token = re.compile(
-        rf"\s*(?P<sign>[+-])?\s*(?:(?P<num>{_NUM})\s*)?(?P<var>{_IDENT})?"
-    )
-    while pos < len(text):
-        m = token.match(text, pos)
-        if not m or m.end() == pos:
-            raise ValueError(f"cannot parse LP expression at: {text[pos:]!r}")
-        sign = -1.0 if m.group("sign") == "-" else 1.0
-        num = float(m.group("num")) if m.group("num") else 1.0
-        var = m.group("var")
-        if var is None:
-            if m.group("num") is None:
-                raise ValueError(f"dangling sign in LP expression: {text!r}")
-            const += sign * num
-        else:
-            if var not in var_ids:
-                var_ids[var] = model.add_var(var)
-            terms.append((var_ids[var], sign * num))
-        pos = m.end()
-    return terms, const
-
-
-def read_lp_file(path) -> LinearModel:
-    """Parse the LP dialect written by write_lp_file back into a model."""
-    raw = [
-        ln.rstrip()
-        for ln in Path(path).read_text().splitlines()
-        if ln.strip() and not ln.lstrip().startswith("\\")
-    ]
-    model = LinearModel(name=str(path))
-    var_ids: dict[str, int] = {}
-    section = None
-    sense_words = {
-        "minimize": "min",
-        "maximize": "max",
-        "subject": "rows",
-        "bounds": "bounds",
-        "binaries": "binaries",
-        "end": "end",
-    }
-    rows_pending: list[tuple[str, str]] = []
-    bounds_pending: list[str] = []
-    binaries_pending: list[str] = []
-    obj_text = []
-    for ln in raw:
-        word = ln.strip().split()[0].lower()
-        if word in sense_words and len(ln.strip().split()) <= 2:
-            kind = sense_words[word]
-            if kind in ("min", "max"):
-                model.sense = kind
-                section = "obj"
-            elif kind == "end":
-                break
-            else:
-                section = kind
-            continue
-        if section == "obj":
-            obj_text.append(ln.strip())
-        elif section == "rows":
-            name, _, body = ln.strip().partition(":")
-            rows_pending.append((name.strip(), body.strip()))
-        elif section == "bounds":
-            bounds_pending.append(ln.strip())
-        elif section == "binaries":
-            binaries_pending.extend(ln.split())
-
-    obj_body = " ".join(obj_text)
-    if ":" in obj_body:
-        obj_body = obj_body.split(":", 1)[1]
-    terms, const = _parse_expr(obj_body.strip(), var_ids, model)
-    for j, coef in terms:
-        model.add_obj(j, coef)
-    model.obj_offset = const
-
-    for name, body in rows_pending:
-        m = re.match(r"(.*?)(<=|>=|=)(.*)", body)
-        if not m:
-            raise ValueError(f"row {name!r}: no sense found in {body!r}")
-        lhs, sense, rhs_text = m.group(1), m.group(2), m.group(3)
-        terms, const = _parse_expr(lhs.strip(), var_ids, model)
-        rhs = float(rhs_text) - const
-        model.add_row(terms, sense if sense != "=" else EQ, rhs, name=name)
-
-    for ln in bounds_pending:
-        if ln.lower().endswith(" free"):
-            name = ln[: -len(" free")].strip()
-            j = var_ids.setdefault(name, model.add_var(name))
-            model.var_lb[j], model.var_ub[j] = -INF, INF
-            continue
-        two = re.match(rf"({_NUM}|-{_NUM})\s*<=\s*({_IDENT})\s*<=\s*({_NUM}|-{_NUM})", ln)
-        if two:
-            j = var_ids.setdefault(two.group(2), model.add_var(two.group(2)))
-            model.var_lb[j] = float(two.group(1))
-            model.var_ub[j] = float(two.group(3))
-            continue
-        one = re.match(rf"({_IDENT})\s*(<=|>=)\s*(-?{_NUM})", ln)
-        if one:
-            j = var_ids.setdefault(one.group(1), model.add_var(one.group(1)))
-            if one.group(2) == "<=":
-                model.var_lb[j] = -INF
-                model.var_ub[j] = float(one.group(3))
-            else:
-                model.var_lb[j] = float(one.group(3))
-                model.var_ub[j] = INF
-            continue
-        raise ValueError(f"cannot parse bound line: {ln!r}")
-
-    for name in binaries_pending:
-        j = var_ids.setdefault(name, model.add_var(name))
-        model.var_binary[j] = True
-        model.var_lb[j] = max(model.var_lb[j], 0.0)
-        model.var_ub[j] = min(model.var_ub[j], 1.0)
-    return model

@@ -9,8 +9,9 @@ and it is what the worst-case subproblem dualizes.
 Template and stamps: the block emitter defines a dispatch block once per
 instance, as a DispatchTemplate of numpy/CSR arrays: the block's own rows
 and columns, each row's sense and base rhs, and beside them how each row
-depends on the capacities (RowMeta.cap_terms, scaled by the realized
-capacity factor on the availability rows). The builders then stamp copies
+depends on the capacities (the template's cap_rows, cap_keys and
+cap_coefs, scaled by the realized capacity factor on the availability
+rows). The builders then stamp copies
 with array operations: the master stacks one copy per realization
 block-diagonally and writes the capacity columns; the dispatch LP keeps the
 matrix and moves the capacity terms into the rhs. A stamped model is the
@@ -34,7 +35,7 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
-from .backend import EQ, LE, BackendError, LinearModel, SolveResult
+from .backend import EQ, LE, BackendError, LinearModel, ModelBuilder, SolveResult
 from .model import NetworkInstance, tech_class
 
 __all__ = [
@@ -42,7 +43,6 @@ __all__ = [
     "MasterBuild",
     "MasterSolution",
     "ScenarioBlock",
-    "RowMeta",
     "DispatchBuild",
     "DispatchTemplate",
     "dispatch_template",
@@ -110,29 +110,6 @@ def investment_cost(inst: NetworkInstance, capacities: dict[CapKey, float]) -> f
     return float(sum(costs[k] * capacities.get(k, 0.0) for k in costs))
 
 
-@dataclass(frozen=True)
-class RowMeta:
-    """How one dispatch row's rhs is assembled at fixed capacities.
-
-    rhs = base_rhs + sum(coef * capacity[key] for key, coef in cap_terms),
-    where on ren_cap rows coef is further multiplied by the realized
-    capacity factor of (entity, t). On those rows the realized availability
-    can lower the rhs by dev_rhs per unit of capacity when the row's flag
-    triple is selected.
-    """
-
-    index: int
-    name: str
-    sense: str
-    kind: str
-    entity: str
-    t: int
-    base_rhs: float
-    cap_terms: tuple[tuple[CapKey, float], ...] = ()
-    dev_rhs: float = 0.0
-    flag: tuple[str, str, str] | None = None  # (tech, region, period id)
-
-
 @dataclass
 class BlockBuild:
     """One stamped dispatch block: its realization and first column."""
@@ -158,7 +135,6 @@ class DispatchBuild:
     model: LinearModel
     capacities: dict[CapKey, float]
     block: BlockBuild
-    row_meta: list[RowMeta]
 
 
 @dataclass
@@ -190,25 +166,29 @@ class _BlockEmitter:
 
     emit() declares every column through var() and every row through row();
     this is the only place the dispatch physics is written down. Rows hold
-    the block's own columns only. How a row depends on the first-stage
-    capacities is recorded beside it as RowMeta.cap_terms, and on ren_cap
-    rows each term is further scaled by the realized capacity factor of
-    (entity, t); the builders below turn that into capacity columns (the
-    master) or into right-hand sides (the fixed-capacity dispatch LP).
+    the block's own columns only. A row that depends on a first-stage
+    capacity names it as cap=(key, coefficient), recorded in coupling as
+    (row, key, coefficient). On ren_cap rows that coefficient is further
+    scaled by the realized capacity factor of (unit, step), and
+    ren=(unit, step, deviation, flag) is recorded in ren, led by the
+    entry's position in coupling. The builders below turn the coupling into
+    capacity columns (the master) or into right-hand sides (the
+    fixed-capacity dispatch LP).
     """
 
-    def __init__(self, model: LinearModel, inst: NetworkInstance):
-        self.model = model
+    def __init__(self, builder: ModelBuilder, inst: NetworkInstance):
+        self.builder = builder
         self.inst = inst
         self.cols: dict[tuple, int] = {}
         self.fuel_terms: list[tuple[int, float]] = []
         self.shed_terms: list[tuple[int, float]] = []
-        self.row_meta: list[RowMeta] = []
+        self.coupling: list[tuple[int, CapKey, float]] = []
+        self.ren: list[tuple[int, int, int, float, tuple[str, str, str] | None]] = []
 
     # -- low-level helpers -------------------------------------------------
 
     def var(self, family: str, entity: str, t: int, free: bool = False) -> int:
-        j = self.model.add_var(
+        j = self.builder.add_var(
             f"{family}[{entity},{t}]",
             lb=-math.inf if free else 0.0,
         )
@@ -224,28 +204,14 @@ class _BlockEmitter:
         coeffs: list[tuple[int, float]],
         sense: str,
         base_rhs: float,
-        kind: str,
-        entity: str,
-        t: int,
-        cap_terms: tuple[tuple[CapKey, float], ...] = (),
-        dev_rhs: float = 0.0,
-        flag: tuple[str, str, str] | None = None,
+        cap: tuple[CapKey, float] | None = None,
+        ren: tuple[int, int, float, tuple[str, str, str] | None] | None = None,
     ) -> int:
-        idx = self.model.add_row(coeffs, sense, base_rhs, name=name)
-        self.row_meta.append(
-            RowMeta(
-                index=idx,
-                name=name,
-                sense=sense,
-                kind=kind,
-                entity=entity,
-                t=t,
-                base_rhs=base_rhs,
-                cap_terms=cap_terms,
-                dev_rhs=dev_rhs,
-                flag=flag,
-            )
-        )
+        idx = self.builder.add_row(coeffs, sense, base_rhs, name=name)
+        if cap is not None:
+            if ren is not None:
+                self.ren.append((len(self.coupling), *ren))
+            self.coupling.append((idx, *cap))
         return idx
 
     # -- the block itself ----------------------------------------------------
@@ -327,13 +293,10 @@ class _BlockEmitter:
                 if dem > 0.0:
                     for family in ("ls1", "ls2", "ls3"):
                         coeffs.append((self.col(family, n.id, t), 1.0))
-                self.row(
-                    f"balance[{n.id},{t}]", coeffs, EQ, dem,
-                    kind="balance", entity=n.id, t=t,
-                )
+                self.row(f"balance[{n.id},{t}]", coeffs, EQ, dem)
 
         # renewable availability limits (the uncertainty-sensitive rows)
-        for r in inst.renewables:
+        for u, r in enumerate(inst.renewables):
             key = ("ren", r.id)
             tech = tech_class(r.technology)
             for t in range(T):
@@ -344,10 +307,8 @@ class _BlockEmitter:
                     [(self.col("gen", r.id, t), 1.0)],
                     LE,
                     0.0,
-                    kind="ren_cap", entity=r.id, t=t,
-                    cap_terms=((key, dt),),
-                    dev_rhs=r.cf.deviation[t] * dt,
-                    flag=flag,
+                    cap=(key, dt),
+                    ren=(u, t, r.cf.deviation[t] * dt, flag),
                 )
 
         # conventional and hydro power limits
@@ -357,7 +318,6 @@ class _BlockEmitter:
                     f"conv_cap[{c.id},{t}]",
                     [(self.col("gen", c.id, t), 1.0)],
                     LE, c.existing_cap * dt,
-                    kind="conv_cap", entity=c.id, t=t,
                 )
         for h in inst.hydros:
             if h.kind in ("ror", "rsv"):
@@ -366,7 +326,6 @@ class _BlockEmitter:
                         f"hydro_cap[{h.id},{t}]",
                         [(self.col("gen", h.id, t), 1.0)],
                         LE, h.availability[t] * h.existing_cap * dt,
-                        kind="hydro_cap", entity=h.id, t=t,
                     )
             else:  # pumped storage
                 energy_cap = h.existing_cap * h.storage_scale
@@ -375,19 +334,16 @@ class _BlockEmitter:
                         f"psp_gen_cap[{h.id},{t}]",
                         [(self.col("gen", h.id, t), 1.0)],
                         LE, h.existing_cap * dt,
-                        kind="psp_gen_cap", entity=h.id, t=t,
                     )
                     self.row(
                         f"psp_ch_cap[{h.id},{t}]",
                         [(self.col("ch", h.id, t), 1.0)],
                         LE, h.existing_cap * dt,
-                        kind="psp_ch_cap", entity=h.id, t=t,
                     )
                     self.row(
                         f"psp_lvl_cap[{h.id},{t}]",
                         [(self.col("lvl", h.id, t), 1.0)],
                         LE, energy_cap,
-                        kind="psp_lvl_cap", entity=h.id, t=t,
                     )
                     # level recursion; starts half full
                     coeffs = [
@@ -396,16 +352,10 @@ class _BlockEmitter:
                         (self.col("gen", h.id, t), 1.0),
                     ]
                     if t == 0:
-                        self.row(
-                            f"psp_lvl[{h.id},0]", coeffs, EQ, energy_cap / 2.0,
-                            kind="psp_lvl", entity=h.id, t=0,
-                        )
+                        self.row(f"psp_lvl[{h.id},0]", coeffs, EQ, energy_cap / 2.0)
                     else:
                         coeffs.append((self.col("lvl", h.id, t - 1), -1.0))
-                        self.row(
-                            f"psp_lvl[{h.id},{t}]", coeffs, EQ, 0.0,
-                            kind="psp_lvl", entity=h.id, t=t,
-                        )
+                        self.row(f"psp_lvl[{h.id},{t}]", coeffs, EQ, 0.0)
 
         # batteries: power through the inverter, energy in the store, empty start
         for b in inst.batteries:
@@ -416,22 +366,19 @@ class _BlockEmitter:
                     f"bat_gen_cap[{b.id},{t}]",
                     [(self.col("gen", b.id, t), 1.0)],
                     LE, 0.0,
-                    kind="bat_gen_cap", entity=b.id, t=t,
-                    cap_terms=((inv_key, dt),),
+                    cap=(inv_key, dt),
                 )
                 self.row(
                     f"bat_ch_cap[{b.id},{t}]",
                     [(self.col("ch", b.id, t), 1.0)],
                     LE, 0.0,
-                    kind="bat_ch_cap", entity=b.id, t=t,
-                    cap_terms=((inv_key, dt),),
+                    cap=(inv_key, dt),
                 )
                 self.row(
                     f"bat_lvl_cap[{b.id},{t}]",
                     [(self.col("lvl", b.id, t), 1.0)],
                     LE, 0.0,
-                    kind="bat_lvl_cap", entity=b.id, t=t,
-                    cap_terms=((stor_key, 1.0),),
+                    cap=(stor_key, 1.0),
                 )
                 coeffs = [
                     (self.col("lvl", b.id, t), 1.0),
@@ -440,10 +387,7 @@ class _BlockEmitter:
                 ]
                 if t > 0:
                     coeffs.append((self.col("lvl", b.id, t - 1), -1.0))
-                self.row(
-                    f"bat_lvl[{b.id},{t}]", coeffs, EQ, 0.0,
-                    kind="bat_lvl", entity=b.id, t=t,
-                )
+                self.row(f"bat_lvl[{b.id},{t}]", coeffs, EQ, 0.0)
 
         # hydrogen chain: electrolyzer in, tank, turbine out
         for h in inst.hydrogens:
@@ -452,22 +396,19 @@ class _BlockEmitter:
                     f"h2_gen_cap[{h.id},{t}]",
                     [(self.col("gen", h.id, t), 1.0)],
                     LE, 0.0,
-                    kind="h2_gen_cap", entity=h.id, t=t,
-                    cap_terms=((("h2_ocgt", h.id), dt),),
+                    cap=(("h2_ocgt", h.id), dt),
                 )
                 self.row(
                     f"h2_ch_cap[{h.id},{t}]",
                     [(self.col("ch", h.id, t), 1.0)],
                     LE, 0.0,
-                    kind="h2_ch_cap", entity=h.id, t=t,
-                    cap_terms=((("h2_el", h.id), dt),),
+                    cap=(("h2_el", h.id), dt),
                 )
                 self.row(
                     f"h2_lvl_cap[{h.id},{t}]",
                     [(self.col("lvl", h.id, t), 1.0)],
                     LE, 0.0,
-                    kind="h2_lvl_cap", entity=h.id, t=t,
-                    cap_terms=((("h2_stor", h.id), 1.0),),
+                    cap=(("h2_stor", h.id), 1.0),
                 )
                 # tank balance: stored hydrogen, in via electrolysis,
                 # out via the turbine at its heat rate
@@ -478,10 +419,7 @@ class _BlockEmitter:
                 ]
                 if t > 0:
                     coeffs.append((self.col("lvl", h.id, t - 1), -1.0))
-                self.row(
-                    f"h2_lvl[{h.id},{t}]", coeffs, EQ, 0.0,
-                    kind="h2_lvl", entity=h.id, t=t,
-                )
+                self.row(f"h2_lvl[{h.id},{t}]", coeffs, EQ, 0.0)
 
         # network: flow definition on AC lines, capacity both ways, angles
         for l in inst.lines:
@@ -496,21 +434,18 @@ class _BlockEmitter:
                             (self.col("theta", l.to_node, t), l.susceptance * dt),
                         ],
                         EQ, 0.0,
-                        kind="flow_def", entity=l.id, t=t,
                     )
                 self.row(
                     f"flow_hi[{l.id},{t}]",
                     [(self.col("pf", l.id, t), 1.0)],
                     LE, l.existing_cap * dt,
-                    kind="flow_hi", entity=l.id, t=t,
-                    cap_terms=((key, dt),),
+                    cap=(key, dt),
                 )
                 self.row(
                     f"flow_lo[{l.id},{t}]",
                     [(self.col("pf", l.id, t), -1.0)],
                     LE, l.existing_cap * dt,
-                    kind="flow_lo", entity=l.id, t=t,
-                    cap_terms=((key, dt),),
+                    cap=(key, dt),
                 )
         if has_ac:
             ref = inst.reference_node().id
@@ -519,7 +454,6 @@ class _BlockEmitter:
                     f"slack[{t}]",
                     [(self.col("theta", ref, t), 1.0)],
                     EQ, 0.0,
-                    kind="slack", entity=ref, t=t,
                 )
             for n in inst.nodes:
                 for t in range(T):
@@ -527,13 +461,11 @@ class _BlockEmitter:
                         f"ang_hi[{n.id},{t}]",
                         [(self.col("theta", n.id, t), 1.0)],
                         LE, ANGLE_BOUND,
-                        kind="ang_hi", entity=n.id, t=t,
                     )
                     self.row(
                         f"ang_lo[{n.id},{t}]",
                         [(self.col("theta", n.id, t), -1.0)],
                         LE, ANGLE_BOUND,
-                        kind="ang_lo", entity=n.id, t=t,
                     )
 
         # shedding tier caps
@@ -548,7 +480,6 @@ class _BlockEmitter:
                         f"{family}_cap[{n.id},{t}]",
                         [(self.col(family, n.id, t), 1.0)],
                         LE, fractions[k] * dem,
-                        kind=f"{family}_cap", entity=n.id, t=t,
                     )
 
 
@@ -567,18 +498,17 @@ class DispatchTemplate:
     """
 
     def __init__(self, inst: NetworkInstance):
-        local = LinearModel(name="dispatch_template")
-        emitter = _BlockEmitter(local, inst)
+        emitter = _BlockEmitter(ModelBuilder(name="dispatch_template"), inst)
         emitter.emit()
+        local = emitter.builder.build()
         self.keys = capacity_keys(inst)
         self.matrix = local.matrix()
         self.n_rows, self.n_vars = self.matrix.shape
-        self.row_sense = np.array(local.row_sense, dtype=object)
-        self.base_rhs = np.array(local.row_rhs)
-        self.var_lb = np.array(local.var_lb)
+        self.row_sense = local.row_sense
+        self.base_rhs = local.row_rhs
+        self.var_lb = local.var_lb
         self.var_names = local.var_names
         self.row_names = local.row_names
-        self.row_meta = emitter.row_meta
         self.col_keys = list(emitter.cols)
 
         self.fuel_cols = np.array([j for j, _ in emitter.fuel_terms], dtype=np.intp)
@@ -590,26 +520,19 @@ class DispatchTemplate:
         self.var_obj[self.shed_cols] += self.shed_costs
 
         key_index = {key: k for k, key in enumerate(self.keys)}
-        coupled = [m for m in self.row_meta if m.cap_terms]
-        for m in coupled:
-            if len(m.cap_terms) != 1:
-                raise ValueError(f"row {m.name}: a row may depend on one capacity only")
-        self.cap_rows = np.array([m.index for m in coupled], dtype=np.intp)
-        self.cap_keys = np.array([key_index[m.cap_terms[0][0]] for m in coupled], dtype=np.intp)
-        self.cap_coefs = np.array([float(m.cap_terms[0][1]) for m in coupled])
+        coupling, ren = emitter.coupling, emitter.ren
+        self.cap_rows = np.array([i for i, _, _ in coupling], dtype=np.intp)
+        self.cap_keys = np.array([key_index[key] for _, key, _ in coupling], dtype=np.intp)
+        self.cap_coefs = np.array([float(c) for _, _, c in coupling])
 
-        unit_index = {r.id: u for u, r in enumerate(inst.renewables)}
-        ren = [m for m in coupled if m.kind == "ren_cap"]
-        self.ren = np.array(
-            [k for k, m in enumerate(coupled) if m.kind == "ren_cap"], dtype=np.intp
-        )
-        self.ren_units = np.array([unit_index[m.entity] for m in ren], dtype=np.intp)
-        self.ren_steps = np.array([m.t for m in ren], dtype=np.intp)
-        self.ren_dev = np.array([m.dev_rhs for m in ren], dtype=float)
+        self.ren = np.array([k for k, *_ in ren], dtype=np.intp)
+        self.ren_units = np.array([u for _, u, _, _, _ in ren], dtype=np.intp)
+        self.ren_steps = np.array([t for _, _, t, _, _ in ren], dtype=np.intp)
+        self.ren_dev = np.array([d for _, _, _, d, _ in ren], dtype=float)
         # distinct (tech, region, period) flags, sorted; per ren row its rank or -1
-        self.flags = sorted({m.flag for m in ren if m.flag is not None})
+        self.flags = sorted({f for *_, f in ren if f is not None})
         rank = {flag: i for i, flag in enumerate(self.flags)}
-        self.ren_flags = np.array([rank.get(m.flag, -1) for m in ren], dtype=np.intp)
+        self.ren_flags = np.array([rank.get(f, -1) for *_, f in ren], dtype=np.intp)
 
     @cached_property
     def master_block(self) -> tuple[np.ndarray, ...]:
@@ -633,7 +556,7 @@ class DispatchTemplate:
         cols = np.concatenate([
             n_cap + 1 + A.indices, self.cap_keys, [n_cap], n_cap + 1 + cost_cols,
         ])
-        # 0.0 + v is what LinearModel.add_row stores for a coefficient v
+        # 0.0 + v is what ModelBuilder.add_row stores for a coefficient v
         vals = np.concatenate([A.data, 0.0 + -self.cap_coefs, [-1.0], 0.0 + cost_vals])
         order = np.lexsort((cols, rows))
         position = np.empty_like(order)
@@ -753,7 +676,7 @@ def build_master(
             names += _tagged(tag, tpl.row_names) + [f"{tag}:recourse_bound"]
         return names
 
-    model = LinearModel.from_arrays(
+    model = LinearModel(
         matrix,
         row_sense=np.tile(np.append(tpl.row_sense, LE), K),
         row_rhs=np.tile(np.append(tpl.base_rhs, 0.0), K),
@@ -834,7 +757,7 @@ def build_dispatch_lp(
     coefs[tpl.ren] = tpl.realized_coefs(_cf_array(inst, [cf], [tag]))[0]
     rhs = tpl.base_rhs.copy()
     rhs[tpl.cap_rows] += coefs * caps[tpl.cap_keys]
-    model = LinearModel.from_arrays(
+    model = LinearModel(
         tpl.matrix,
         row_sense=tpl.row_sense.copy(),
         row_rhs=rhs,
@@ -850,7 +773,6 @@ def build_dispatch_lp(
         model=model,
         capacities=dict(capacities),
         block=BlockBuild(tag=tag, cf=cf, template=tpl),
-        row_meta=tpl.row_meta,
     )
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -114,14 +114,20 @@ class CapacityHandoff:
 
 @dataclass
 class DualSolution:
-    """Multipliers of the worst-case solve, keyed by primal row name."""
+    """Multipliers of the worst-case solve, as arrays over dispatch rows.
+
+    multipliers[i] belongs to row i of the dispatch model: free on an
+    equality row, nonnegative on a <= row. phi[k] is the auxiliary product
+    on dispatch row phi_rows[k]. A row's name, when wanted, is that model's
+    row_names[i].
+    """
 
     objective: float
     z: dict[Flag, float]
-    lam: dict[str, float] = field(default_factory=dict)
-    mu: dict[str, float] = field(default_factory=dict)
-    phi: dict[str, float] = field(default_factory=dict)
-    big_m: float = 0.0
+    multipliers: np.ndarray
+    phi_rows: np.ndarray
+    phi: np.ndarray
+    big_m: float
 
 
 @dataclass
@@ -130,8 +136,7 @@ class SubproblemBuild:
     handoff: CapacityHandoff
     budget: UncertaintyBudget
     big_m: float
-    model: LinearModel
-    dual_var: list[int]
+    model: LinearModel  # column i is the multiplier of dispatch row i
     z: dict[Flag, int]
     phi: dict[int, int]  # primal row index -> auxiliary variable
     dispatch: DispatchBuild
@@ -248,7 +253,7 @@ def build_subproblem(
             names += [f"lin{k}[{name}]" for k in (1, 2, 3, 4)]
         return names
 
-    model = LinearModel.from_arrays(
+    model = LinearModel(
         matrix,
         row_sense=np.concatenate([
             np.where(primal_free, EQ, LE).astype(object),
@@ -276,29 +281,21 @@ def build_subproblem(
         budget=budget,
         big_m=big_m,
         model=model,
-        dual_var=list(range(n_dual)),
         z=dict(zip(z_flags, z_col[z_ranks].tolist())),
         phi=dict(zip(phi_rows.tolist(), phi_col.tolist())),
         dispatch=disp,
     )
 
 
-def _extract_dual(build: SubproblemBuild, x) -> DualSolution:
-    pm = build.dispatch.model
-    sol = DualSolution(
-        objective=0.0,
+def _extract_dual(build: SubproblemBuild, x, objective: float) -> DualSolution:
+    return DualSolution(
+        objective=objective,
         z={flag: float(x[j]) for flag, j in build.z.items()},
+        multipliers=x[: build.dispatch.model.n_rows].copy(),
+        phi_rows=np.array(list(build.phi), dtype=np.intp),
+        phi=x[np.array(list(build.phi.values()), dtype=np.intp)],
         big_m=build.big_m,
     )
-    for meta, j in zip(build.dispatch.row_meta, build.dual_var):
-        name = pm.row_names[meta.index]
-        if meta.sense == EQ:
-            sol.lam[name] = float(x[j])
-        else:
-            sol.mu[name] = float(x[j])
-    for i, pj in build.phi.items():
-        sol.phi[pm.row_names[i]] = float(x[pj])
-    return sol
 
 
 def _check_saturation(build: SubproblemBuild, x, objective: float, backend) -> None:
@@ -314,7 +311,7 @@ def _check_saturation(build: SubproblemBuild, x, objective: float, backend) -> N
     hot = [
         build.dispatch.model.row_names[i]
         for i, pj in build.phi.items()
-        if x[pj] >= threshold or x[build.dual_var[i]] >= threshold
+        if x[pj] >= threshold or x[i] >= threshold
     ]
     if not hot:
         return
@@ -346,8 +343,7 @@ def solve_subproblem(
     _check_saturation(build, res.x, float(res.objective), backend)
     flags = frozenset(flag for flag, j in build.z.items() if res.x[j] > 0.5)
     realized = realize(build.instance, WorstCaseRealization(flags=flags), build.budget)
-    dual = _extract_dual(build, res.x)
-    dual.objective = float(res.objective)
+    dual = _extract_dual(build, res.x, float(res.objective))
     worst = WorstCaseRealization(
         flags=flags,
         realized_cf=realized,

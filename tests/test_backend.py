@@ -1,4 +1,4 @@
-"""Solver backends: correctness, duals, cross-checks, file round-trips."""
+"""Solver backends: correctness, duals, cross-checks; the model builder."""
 
 import math
 
@@ -12,10 +12,9 @@ from robustgrid.backend import (
     BackendError,
     InTreeBackend,
     LinearModel,
+    ModelBuilder,
     ScipyBackend,
     get_backend,
-    read_lp_file,
-    write_lp_file,
 )
 
 BACKENDS = [ScipyBackend(), InTreeBackend()]
@@ -31,10 +30,10 @@ def backend(request):
 
 def test_min_with_floor_row(backend):
     # min x s.t. x >= 3: solution 3, and the row's dual is 1
-    m = LinearModel()
+    m = ModelBuilder()
     x = m.add_var("x", obj=1.0)
     m.add_row([(x, 1.0)], GE, 3.0, name="floor")
-    r = backend.solve_lp(m)
+    r = backend.solve_lp(m.build())
     assert r.optimal
     assert r.objective == pytest.approx(3.0, abs=1e-9)
     assert r.x[x] == pytest.approx(3.0, abs=1e-9)
@@ -44,13 +43,13 @@ def test_min_with_floor_row(backend):
 def test_max_with_mixed_rows_and_free_var(backend):
     # max 3x + 2y - f/2 with x <= 4, x + y <= 6, f = y
     # Optimum x=4, y=2, f=2: objective 15; duals 1.5 on the cap, -0.5 on the link.
-    m = LinearModel(sense="max")
+    m = ModelBuilder(sense="max")
     x = m.add_var("x", obj=3.0, ub=4.0)
     y = m.add_var("y", obj=2.0)
     f = m.add_var("f", lb=-math.inf, obj=-0.5)
     m.add_row([(x, 1.0), (y, 1.0)], LE, 6.0, name="cap")
     m.add_row([(f, 1.0), (y, -1.0)], EQ, 0.0, name="link")
-    r = backend.solve_lp(m)
+    r = backend.solve_lp(m.build())
     assert r.optimal
     assert r.objective == pytest.approx(15.0, abs=1e-8)
     assert np.allclose(r.x, [4.0, 2.0, 2.0], atol=1e-8)
@@ -58,35 +57,26 @@ def test_max_with_mixed_rows_and_free_var(backend):
 
 
 def test_infeasible_lp_reported(backend):
-    m = LinearModel()
+    m = ModelBuilder()
     x = m.add_var("x", ub=1.0, obj=1.0)
     m.add_row([(x, 1.0)], GE, 2.0)
-    assert backend.solve_lp(m).status == "infeasible"
+    assert backend.solve_lp(m.build()).status == "infeasible"
 
 
 def test_unbounded_lp_reported(backend):
-    m = LinearModel(sense="max")
+    m = ModelBuilder(sense="max")
     m.add_var("x", obj=1.0)
-    assert backend.solve_lp(m).status == "unbounded"
-
-
-def test_objective_offset_carried(backend):
-    m = LinearModel()
-    x = m.add_var("x", obj=2.0)
-    m.add_row([(x, 1.0)], GE, 1.0)
-    m.obj_offset = 7.5
-    r = backend.solve_lp(m)
-    assert r.objective == pytest.approx(9.5, abs=1e-9)
+    assert backend.solve_lp(m.build()).status == "unbounded"
 
 
 def test_reduced_costs_known_lp(backend):
     # min x + 2y s.t. x + y >= 3, x <= 2: optimum x=2, y=1, row dual 2.
     # Reduced costs c - A^T dual = [-1, 0]: x pressed against its cap.
-    m = LinearModel()
+    m = ModelBuilder()
     x = m.add_var("x", ub=2.0, obj=1.0)
     y = m.add_var("y", obj=2.0)
     m.add_row([(x, 1.0), (y, 1.0)], GE, 3.0)
-    r = backend.solve_lp(m)
+    r = backend.solve_lp(m.build())
     assert r.optimal
     assert np.allclose(r.x, [2.0, 1.0], atol=1e-8)
     assert np.allclose(r.reduced, [-1.0, 0.0], atol=1e-8)
@@ -99,11 +89,11 @@ def test_reduced_cost_bound_complementarity(backend):
     rng = np.random.default_rng(7)
     for _ in range(10):
         n = int(rng.integers(3, 7))
-        m = LinearModel()
+        m = ModelBuilder()
         for j in range(n):
             m.add_var(f"x{j}", ub=1.0, obj=float(rng.uniform(-1.0, 2.0)))
         m.add_row([(j, 1.0) for j in range(n)], GE, float(rng.uniform(0.5, n - 1)))
-        r = backend.solve_lp(m)
+        r = backend.solve_lp(m.build())
         assert r.optimal
         for j in range(n):
             if r.x[j] <= 1e-7:
@@ -115,20 +105,21 @@ def test_reduced_cost_bound_complementarity(backend):
 
 
 def test_lp_rejects_binary_model(backend):
-    m = LinearModel()
+    m = ModelBuilder()
     m.add_var("z", binary=True, obj=1.0)
     with pytest.raises(BackendError):
-        backend.solve_lp(m)
+        backend.solve_lp(m.build())
 
 
 def test_deterministic_resolve(backend):
-    m = LinearModel()
+    m = ModelBuilder()
     x = m.add_var("x", obj=1.0)
     y = m.add_var("y", obj=2.0)
     m.add_row([(x, 1.0), (y, 1.0)], GE, 4.0)
     m.add_row([(x, 1.0), (y, -1.0)], LE, 1.0)
-    r1 = backend.solve_lp(m)
-    r2 = backend.solve_lp(m)
+    model = m.build()
+    r1 = backend.solve_lp(model)
+    r2 = backend.solve_lp(model)
     assert r1.objective == r2.objective
     assert np.array_equal(r1.x, r2.x)
     assert np.array_equal(r1.duals, r2.duals)
@@ -140,7 +131,7 @@ def _random_ge_lp(rng):
     """min c'x, A x >= b, x >= 0 with c > 0 and A >= 0: feasible, bounded."""
     n = int(rng.integers(2, 7))
     m_rows = int(rng.integers(1, 9))
-    model = LinearModel()
+    model = ModelBuilder()
     c = rng.uniform(0.5, 5.0, size=n)
     for j in range(n):
         model.add_var(f"x{j}", obj=float(c[j]))
@@ -149,7 +140,7 @@ def _random_ge_lp(rng):
         a[int(rng.integers(0, n))] += 1.0  # at least one strictly positive entry
         b = float(rng.uniform(0.5, 8.0))
         model.add_row([(j, float(a[j])) for j in range(n) if a[j] > 0], GE, b)
-    return model
+    return model.build()
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -169,9 +160,9 @@ def test_complementary_slackness_on_random_lps(backend, seed):
     model = _random_ge_lp(rng)
     r = backend.solve_lp(model)
     assert r.optimal
+    slack = model.matrix() @ r.x - model.row_rhs
     for i in range(model.n_rows):
-        slack = model.row_activity(i, r.x) - model.row_rhs[i]
-        assert abs(r.duals[i] * slack) < 1e-6
+        assert abs(r.duals[i] * slack[i]) < 1e-6
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -198,14 +189,12 @@ def test_duals_match_finite_differences(backend, seed):
     assert base.optimal
     eps = 1e-5
     for i in range(model.n_rows):
-        bumped = LinearModel()
-        for j in range(model.n_vars):
-            bumped.add_var(model.var_names[j], obj=model.var_obj[j])
-        for k in range(model.n_rows):
-            bumped.add_row(
-                list(model.rows[k]), model.row_sense[k],
-                model.row_rhs[k] + (eps if k == i else 0.0),
-            )
+        rhs = model.row_rhs.copy()
+        rhs[i] += eps
+        bumped = LinearModel(
+            model.matrix(), model.row_sense, rhs, model.var_lb, model.var_ub,
+            model.var_obj, model.var_names, model.row_names,
+        )
         shifted = backend.solve_lp(bumped)
         assert shifted.optimal
         fd = (shifted.objective - base.objective) / eps
@@ -217,12 +206,12 @@ def test_duals_match_finite_differences(backend, seed):
 
 def test_knapsack(backend):
     # max 10a + 6b + 4c s.t. 5a + 4b + 3c <= 8: take a and c, value 14
-    m = LinearModel(sense="max")
+    m = ModelBuilder(sense="max")
     a = m.add_var("a", obj=10.0, binary=True)
     b = m.add_var("b", obj=6.0, binary=True)
     c = m.add_var("c", obj=4.0, binary=True)
     m.add_row([(a, 5.0), (b, 4.0), (c, 3.0)], LE, 8.0)
-    r = backend.solve_milp(m, gap_tol=1e-9)
+    r = backend.solve_milp(m.build(), gap_tol=1e-9)
     assert r.optimal
     assert r.objective == pytest.approx(14.0, abs=1e-9)
     assert np.allclose(r.x, [1.0, 0.0, 1.0], atol=1e-6)
@@ -230,32 +219,33 @@ def test_knapsack(backend):
 
 def test_mixed_binary_continuous(backend):
     # min 5z + x with x + 4z >= 7, x <= 10: z=0, x=7 beats z=1, x=3
-    m = LinearModel()
+    m = ModelBuilder()
     z = m.add_var("z", obj=5.0, binary=True)
     x = m.add_var("x", obj=1.0, ub=10.0)
     m.add_row([(x, 1.0), (z, 4.0)], GE, 7.0)
-    r = backend.solve_milp(m)
+    r = backend.solve_milp(m.build())
     assert r.optimal
     assert r.objective == pytest.approx(7.0, abs=1e-9)
 
 
 def test_milp_infeasible(backend):
-    m = LinearModel()
+    m = ModelBuilder()
     z = m.add_var("z", obj=1.0, binary=True)
     m.add_row([(z, 1.0)], GE, 2.0)
-    assert backend.solve_milp(m).status == "infeasible"
+    assert backend.solve_milp(m.build()).status == "infeasible"
 
 
 def test_milp_gap_tolerance_respected(backend):
     # With a loose gap the answer may be off, but never beyond the gap.
-    m = LinearModel(sense="max")
+    m = ModelBuilder(sense="max")
     vals = [10.0, 6.0, 4.0, 3.0, 2.0]
     weights = [5.0, 4.0, 3.0, 2.0, 1.0]
     for k, v in enumerate(vals):
         m.add_var(f"z{k}", obj=v, binary=True)
     m.add_row(list(enumerate(weights)), LE, 9.0)
-    exact = backend.solve_milp(m, gap_tol=1e-9).objective
-    loose = backend.solve_milp(m, gap_tol=0.3).objective
+    model = m.build()
+    exact = backend.solve_milp(model, gap_tol=1e-9).objective
+    loose = backend.solve_milp(model, gap_tol=0.3).objective
     assert loose <= exact + 1e-9
     assert loose >= exact - 0.3 * max(1.0, abs(exact)) - 1e-9
 
@@ -264,19 +254,20 @@ def test_milp_gap_tolerance_respected(backend):
 def test_backends_agree_on_random_milps(seed):
     rng = np.random.default_rng(seed + 4000)
     n = int(rng.integers(3, 7))
-    m = LinearModel(sense="max")
+    m = ModelBuilder(sense="max")
     vals = rng.uniform(1.0, 10.0, size=n)
     weights = rng.uniform(1.0, 5.0, size=n)
     for k in range(n):
         m.add_var(f"z{k}", obj=float(vals[k]), binary=True)
     m.add_row([(k, float(weights[k])) for k in range(n)], LE, float(weights.sum() * 0.6))
-    ra = ScipyBackend().solve_milp(m, gap_tol=1e-9)
-    rb = InTreeBackend().solve_milp(m, gap_tol=1e-9)
+    model = m.build()
+    ra = ScipyBackend().solve_milp(model, gap_tol=1e-9)
+    rb = InTreeBackend().solve_milp(model, gap_tol=1e-9)
     assert ra.optimal and rb.optimal
     assert ra.objective == pytest.approx(rb.objective, abs=1e-7)
 
 
-# --- factory and LP files --------------------------------------------------
+# --- factory and model builder ---------------------------------------------
 
 def test_get_backend_factory():
     assert get_backend().name == "scipy"
@@ -285,30 +276,47 @@ def test_get_backend_factory():
         get_backend("gurobi")
 
 
-def test_lp_file_round_trips_objective(tmp_path, backend):
-    m = LinearModel(sense="min")
-    x = m.add_var("gen[r1,0]", obj=2.5, ub=7.0)
-    y = m.add_var("flow", lb=-math.inf, obj=-1.0)
-    z = m.add_var("build", obj=100.0, binary=True)
-    m.add_row([(x, 1.0), (y, -2.0), (z, 4.0)], GE, 3.0, name="need")
-    m.add_row([(x, 1.0), (z, 1.0)], LE, 6.0, name="room")
-    m.obj_offset = 11.0
-    path = tmp_path / "model.lp"
-    write_lp_file(m, path)
-    m2 = read_lp_file(path)
-    r1 = backend.solve_milp(m, gap_tol=1e-9)
-    r2 = backend.solve_milp(m2, gap_tol=1e-9)
-    assert r1.objective == pytest.approx(r2.objective, abs=1e-9)
+def test_builder_canonical_row():
+    # terms merge per column and sort by column; explicit zeros stay, and
+    # every stored coefficient is 0.0 + v, so -0.0 comes out as +0.0
+    m = ModelBuilder()
+    for name in ("a", "b", "c"):
+        m.add_var(name)
+    m.add_row([(2, 1.0), (0, -0.0), (2, 2.0), (1, 0.0)], LE, 4.0)
+    A = m.build().matrix()
+    assert A.indptr.tolist() == [0, 3]
+    assert A.indices.tolist() == [0, 1, 2]
+    assert A.data.tolist() == [0.0, 0.0, 3.0]
+    assert not np.signbit(A.data).any()
 
 
-def test_lp_file_round_trips_pure_lp(tmp_path, backend):
-    m = LinearModel(sense="max")
-    x = m.add_var("x", obj=3.0, ub=4.0)
-    y = m.add_var("y", obj=2.0)
-    m.add_row([(x, 1.0), (y, 1.0)], LE, 6.0)
-    path = tmp_path / "model.lp"
-    write_lp_file(m, path)
-    m2 = read_lp_file(path)
-    assert backend.solve_lp(m2).objective == pytest.approx(
-        backend.solve_lp(m).objective, abs=1e-9
-    )
+@pytest.mark.parametrize(
+    "bad",
+    [
+        lambda m: m.add_row([(2, 1.0)], LE, 1.0),
+        lambda m: m.add_row([(0, math.nan)], LE, 1.0),
+        lambda m: m.add_row([(0, 1.0)], LE, math.inf),
+        lambda m: m.add_var("y", lb=2.0, ub=1.0),
+        lambda m: m.add_row([(0, 1.0)], "<", 1.0),
+    ],
+    ids=["column", "coefficient", "rhs", "bounds", "sense"],
+)
+def test_builder_rejects_bad_input(bad):
+    m = ModelBuilder()
+    m.add_var("x")
+    m.add_var("w")
+    with pytest.raises(ValueError):
+        bad(m)
+
+
+def test_built_model_rows_view_the_matrix():
+    m = ModelBuilder(sense="max")
+    x = m.add_var("x", obj=3.0)
+    z = m.add_var("z", binary=True, ub=5.0)
+    m.add_row([(z, 2.0), (x, 1.0)], GE, 1.0, name="need")
+    m.add_row([(x, 1.0)], EQ, 2.0)
+    model = m.build()
+    assert model.rows == [[(0, 1.0), (1, 2.0)], [(0, 1.0)]]
+    assert model.row_names == ["need", "c1"]
+    assert model.var_ub.tolist() == [math.inf, 1.0]
+    assert model.is_mip and model.sense == "max"

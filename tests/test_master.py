@@ -4,13 +4,7 @@ import math
 
 import pytest
 
-from robustgrid.backend import (
-    BackendError,
-    InTreeBackend,
-    ScipyBackend,
-    read_lp_file,
-    write_lp_file,
-)
+from robustgrid.backend import BackendError, InTreeBackend, ScipyBackend
 from robustgrid.master import (
     build_dispatch_lp,
     build_master,
@@ -317,17 +311,6 @@ def test_capacity_keys_cover_fleet():
     assert len(keys) == len(set(keys))
     # hydro is existing-only: no investment key for any hydro unit
     assert not any(uid in ("psp_1", "rsv_2", "ror_3") for _, uid in keys)
-
-
-def test_master_lp_file_roundtrip(tmp_path):
-    inst = single_node()
-    build = build_master(inst, [ref_cf(inst)])
-    path = tmp_path / "master.lp"
-    write_lp_file(build.model, path)
-    again = read_lp_file(path)
-    a = SCIPY.solve_lp(build.model)
-    b = SCIPY.solve_lp(again)
-    assert a.objective == pytest.approx(b.objective, rel=1e-9)
 
 
 def test_solve_dispatch_returns_block():

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from robustgrid.backend import BackendError, InTreeBackend, ScipyBackend
+from robustgrid.backend import EQ, BackendError, InTreeBackend, ScipyBackend
 from robustgrid.master import (
     build_master,
     capacity_keys,
@@ -252,7 +252,7 @@ def test_no_multiplier_saturates_default_big_m():
     limit = build.big_m * (1.0 - 1e-6)
     for i, pj in build.phi.items():
         assert res.x[pj] < limit
-        assert res.x[build.dual_var[i]] < limit
+        assert res.x[i] < limit
 
 
 def test_tiny_big_m_raises_with_guidance():
@@ -286,11 +286,23 @@ def test_dual_signs_and_objective():
     build = build_subproblem(inst, handoff, UncertaintyBudget(1, 1))
     worst, dual = solve_subproblem(build, SCIPY)
     assert dual.objective == pytest.approx(worst.dual_objective)
-    assert all(v >= -1e-9 for v in dual.mu.values())
-    assert all(v >= -1e-9 for v in dual.phi.values())
+    pm = build.dispatch.model
+    # every primal row got exactly one multiplier, nonnegative on <= rows
+    assert dual.multipliers.shape == (pm.n_rows,)
+    assert (dual.multipliers[pm.row_sense != EQ] >= -1e-9).all()
+    assert dual.phi_rows.tolist() == list(build.phi)
+    assert (dual.phi >= -1e-9).all()
     assert set(dual.z) == set(build.z)
-    # every primal row got exactly one multiplier
-    assert len(dual.lam) + len(dual.mu) == build.dispatch.model.n_rows
+
+
+def test_worst_case_solve_leaves_row_names_unmade():
+    # names are made only when asked; a solve with no saturated multiplier
+    # (see test_no_multiplier_saturates_default_big_m) never asks
+    inst = halve_deviation(two_region())
+    build = build_subproblem(inst, master_handoff(inst), UncertaintyBudget(1, 1))
+    solve_subproblem(build, SCIPY)
+    assert callable(build.dispatch.model._row_names)
+    assert callable(build.model._row_names)
 
 
 def test_realization_carries_realized_cf():
