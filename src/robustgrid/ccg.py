@@ -17,13 +17,12 @@ loop stops and reports a numerical stall instead of spinning.
 from __future__ import annotations
 
 import logging
-import math
 import time
 from dataclasses import dataclass, field
 
 from .backend import BackendError, get_backend
 from .master import MasterSolution, build_master, solve_master
-from .subproblem import CapacityHandoff, build_subproblem, solve_subproblem
+from .subproblem import build_subproblem, solve_subproblem
 from .uncertainty import UncertaintyBudget, WorstCaseRealization, realize
 from .model import NetworkInstance
 
@@ -41,13 +40,13 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class CcgConfig:
-    """Loop controls. mip_gap defaults to a tenth of the stopping tolerance
-    so the worst-case bound is crisper than the gap it feeds."""
+    """Loop controls. The worst-case MILP runs to a relative gap of a
+    tenth of the stopping tolerance, so its bound is crisper than the gap it
+    feeds."""
 
     tolerance: float = 1e-8
     max_iterations: int = 50
     big_m: float | None = None
-    mip_gap: float | None = None
 
     def __post_init__(self):
         if not self.tolerance > 0:
@@ -58,14 +57,6 @@ class CcgConfig:
             )
         if self.big_m is not None and not self.big_m > 0:
             raise ValueError(f"big_m must be positive, got {self.big_m}")
-        if self.mip_gap is not None and not 0 <= self.mip_gap < math.inf:
-            raise ValueError(
-                f"mip_gap must be nonnegative and finite, got {self.mip_gap}"
-            )
-
-    @property
-    def subproblem_gap(self) -> float:
-        return self.mip_gap if self.mip_gap is not None else self.tolerance / 10.0
 
 
 @dataclass
@@ -112,9 +103,9 @@ def run_ccg(
     backend = backend or get_backend("scipy")
     budget = budget.clamp(len(inst.regions))
 
-    memory: list[WorstCaseRealization] = [WorstCaseRealization.reference()]
-    seen = {memory[0].key()}
-    cf_memory = [realize(inst, memory[0])]
+    reference = WorstCaseRealization.reference()
+    seen = {reference.key()}
+    cf_memory = [realize(inst, reference)]
     trace = CcgTrace()
     running_ub = float("inf")
     solution: MasterSolution | None = None
@@ -124,11 +115,8 @@ def run_ccg(
         try:
             build = build_master(inst, cf_memory)
             solution = solve_master(build, backend)
-            handoff = CapacityHandoff.from_master(inst, solution.capacities)
-            sub = build_subproblem(inst, handoff, budget, big_m=config.big_m)
-            worst, _ = solve_subproblem(
-                sub, backend, gap_tol=config.subproblem_gap
-            )
+            sub = build_subproblem(inst, solution.capacities, budget, big_m=config.big_m)
+            worst = solve_subproblem(sub, backend, gap_tol=config.tolerance / 10.0)
         except BackendError as err:
             raise BackendError(f"iteration {k}: {err}") from err
 
@@ -170,7 +158,6 @@ def run_ccg(
             )
             log.warning(trace.message)
             break
-        memory.append(worst)
         seen.add(worst.key())
         cf_memory.append(worst.realized_cf)
     else:

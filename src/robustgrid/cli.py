@@ -20,7 +20,7 @@ import os
 import sys
 from pathlib import Path
 
-from .backend import BackendError, InTreeBackend, ScipyBackend
+from .backend import BackendError, get_backend
 from .ccg import CcgConfig, run_ccg, run_gamma_ladder
 from .io import InstanceError, load_instance, save_instance
 from .model import CapacityFactorBundle
@@ -59,10 +59,6 @@ OUTPUT_DIR_ENV = "ROBUSTGRID_OUTPUT_DIR"
 
 class InputError(Exception):
     """Bad file, flag, or instance content; maps to exit code 2."""
-
-
-def _make_backend(name: str):
-    return InTreeBackend() if name == "intree" else ScipyBackend()
 
 
 def _load(path: str):
@@ -104,7 +100,7 @@ def cmd_plan(args) -> int:
     budget = _budget(args)
     config = _config(args)
     outdir = _output_dir(args)
-    solution, trace = run_ccg(inst, budget, config=config, backend=_make_backend(args.backend))
+    solution, trace = run_ccg(inst, budget, config=config, backend=get_backend(args.backend))
     write_solution(outdir / "solution.json", inst, budget, solution, trace)
     write_trace_csv(outdir / "trace.csv", trace)
     write_realizations(outdir / "realizations.txt", inst, trace)
@@ -129,7 +125,7 @@ def cmd_ladder(args) -> int:
     outdir = _output_dir(args)
     try:
         entries = run_gamma_ladder(
-            inst, gammas, config=config, backend=_make_backend(args.backend)
+            inst, gammas, config=config, backend=get_backend(args.backend)
         )
     except ValueError as exc:
         raise InputError(str(exc)) from exc
@@ -163,7 +159,7 @@ def cmd_certify(args) -> int:
     inst = _load(args.instance)
     budget = _budget(args)
     config = _config(args)
-    backend = _make_backend(args.backend)
+    backend = get_backend(args.backend)
     outdir = _output_dir(args)
     result = run_ccg(inst, budget, config=config, backend=backend)
     report = certify_run(inst, budget, result, backend, cap=args.cap)

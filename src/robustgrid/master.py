@@ -61,53 +61,40 @@ CapKey = tuple[str, str]  # (kind, entity id)
 ANGLE_BOUND = math.pi
 
 
+def _limit(value: float | None) -> float:
+    return math.inf if value is None else value
+
+
+def _capacity_table(inst: NetworkInstance) -> list[tuple[CapKey, float, float]]:
+    """Every first-stage capacity decision in build order: (key, cost, limit)."""
+    table = [
+        (("ren", r.id), r.annualized_cost, _limit(r.expansion_limit))
+        for r in inst.renewables
+    ]
+    for b in inst.batteries:
+        table += [
+            (("bat_inv", b.id), b.inverter_cost, _limit(b.inverter_limit)),
+            (("bat_stor", b.id), b.storage_cost, _limit(b.storage_limit)),
+        ]
+    for h in inst.hydrogens:
+        table += [
+            (("h2_ocgt", h.id), h.ocgt_cost, _limit(h.ocgt_limit)),
+            (("h2_el", h.id), h.electrolyzer_cost, _limit(h.el_limit)),
+            (("h2_stor", h.id), h.storage_cost, _limit(h.storage_limit)),
+        ]
+    table += [(("line", l.id), l.expansion_cost, l.expansion_limit) for l in inst.lines]
+    return table
+
+
 def capacity_keys(inst: NetworkInstance) -> list[CapKey]:
     """Every first-stage capacity decision of the instance, in build order."""
-    keys: list[CapKey] = [("ren", r.id) for r in inst.renewables]
-    for b in inst.batteries:
-        keys += [("bat_inv", b.id), ("bat_stor", b.id)]
-    for h in inst.hydrogens:
-        keys += [("h2_ocgt", h.id), ("h2_el", h.id), ("h2_stor", h.id)]
-    keys += [("line", l.id) for l in inst.lines]
-    return keys
-
-
-def _capacity_costs(inst: NetworkInstance) -> dict[CapKey, float]:
-    costs: dict[CapKey, float] = {}
-    for r in inst.renewables:
-        costs[("ren", r.id)] = r.annualized_cost
-    for b in inst.batteries:
-        costs[("bat_inv", b.id)] = b.inverter_cost
-        costs[("bat_stor", b.id)] = b.storage_cost
-    for h in inst.hydrogens:
-        costs[("h2_ocgt", h.id)] = h.ocgt_cost
-        costs[("h2_el", h.id)] = h.electrolyzer_cost
-        costs[("h2_stor", h.id)] = h.storage_cost
-    for l in inst.lines:
-        costs[("line", l.id)] = l.expansion_cost
-    return costs
-
-
-def _capacity_limits(inst: NetworkInstance) -> dict[CapKey, float]:
-    inf = math.inf
-    lim: dict[CapKey, float] = {}
-    for r in inst.renewables:
-        lim[("ren", r.id)] = inf if r.expansion_limit is None else r.expansion_limit
-    for b in inst.batteries:
-        lim[("bat_inv", b.id)] = inf if b.inverter_limit is None else b.inverter_limit
-        lim[("bat_stor", b.id)] = inf if b.storage_limit is None else b.storage_limit
-    for h in inst.hydrogens:
-        lim[("h2_ocgt", h.id)] = inf if h.ocgt_limit is None else h.ocgt_limit
-        lim[("h2_el", h.id)] = inf if h.el_limit is None else h.el_limit
-        lim[("h2_stor", h.id)] = inf if h.storage_limit is None else h.storage_limit
-    for l in inst.lines:
-        lim[("line", l.id)] = l.expansion_limit
-    return lim
+    return [key for key, _, _ in _capacity_table(inst)]
 
 
 def investment_cost(inst: NetworkInstance, capacities: dict[CapKey, float]) -> float:
-    costs = _capacity_costs(inst)
-    return float(sum(costs[k] * capacities.get(k, 0.0) for k in costs))
+    return float(sum(
+        cost * capacities.get(key, 0.0) for key, cost, _ in _capacity_table(inst)
+    ))
 
 
 @dataclass
@@ -133,7 +120,7 @@ class MasterBuild:
 class DispatchBuild:
     instance: NetworkInstance
     model: LinearModel
-    capacities: dict[CapKey, float]
+    cap_values: np.ndarray  # the capacities, one per template key
     block: BlockBuild
 
 
@@ -147,9 +134,6 @@ class ScenarioBlock:
     operating_cost: float
     fuel_cost: float
     shedding_cost: float
-
-    def series(self, family: str, entity: str, steps: int) -> list[float]:
-        return [self.values.get((family, entity, t), 0.0) for t in range(steps)]
 
 
 @dataclass
@@ -628,30 +612,25 @@ def _tagged(tag: str, names: list[str]) -> list[str]:
 def build_master(
     inst: NetworkInstance,
     realizations: list[dict[str, tuple[float, ...]]],
-    tags: list[str] | None = None,
 ) -> MasterBuild:
     """Master LP: investment variables, one block per realization, epigraph.
 
     The blocks are copies of the instance's dispatch template, stacked
     block-diagonally; each copy gets its own recourse row and, on its
     ren_cap rows, the capacity coefficient -cf * step_hours of its
-    realization.
+    realization. Block k's names carry the tag s<k>.
     """
     if not realizations:
         raise ValueError("need at least one realization (the reference counts)")
-    if tags is None:
-        tags = [f"s{k}" for k in range(len(realizations))]
-    pairs = list(zip(tags, realizations))
-    tags = [tag for tag, _ in pairs]
+    tags = [f"s{k}" for k in range(len(realizations))]
     tpl = dispatch_template(inst)
-    K, nb, mb, n_cap = len(pairs), tpl.n_vars, tpl.n_rows, len(tpl.keys)
-    costs = _capacity_costs(inst)
-    limits = _capacity_limits(inst)
-    cap_ub = np.array([limits[key] for key in tpl.keys], dtype=float)
+    K, nb, mb, n_cap = len(realizations), tpl.n_vars, tpl.n_rows, len(tpl.keys)
+    table = _capacity_table(inst)
+    cap_ub = np.array([limit for _, _, limit in table], dtype=float)
     for key, ub in zip(tpl.keys, cap_ub):
         if ub < 0.0:
             raise ValueError(f"variable cap[{key[0]},{key[1]}]: lb 0.0 > ub {ub}")
-    cf = _cf_array(inst, [cf for _, cf in pairs], tags)
+    cf = _cf_array(inst, realizations, tags)
 
     indptr, indices, data, in_block, ren_pos = tpl.master_block
     nnz = len(data)
@@ -683,7 +662,7 @@ def build_master(
         var_lb=np.concatenate([np.zeros(n_cap + 1), np.tile(tpl.var_lb, K)]),
         var_ub=np.concatenate([cap_ub, np.full(1 + K * nb, math.inf)]),
         var_obj=np.concatenate(
-            [[float(costs[key]) for key in tpl.keys], [1.0], np.zeros(K * nb)]
+            [[float(cost) for _, cost, _ in table], [1.0], np.zeros(K * nb)]
         ),
         var_names=var_names,
         row_names=row_names,
@@ -692,7 +671,7 @@ def build_master(
     inv = {key: k for k, key in enumerate(tpl.keys)}
     blocks = [
         BlockBuild(tag=tag, cf=cf_k, template=tpl, offset=n_cap + 1 + k * nb)
-        for k, (tag, cf_k) in enumerate(pairs)
+        for k, (tag, cf_k) in enumerate(zip(tags, realizations))
     ]
     return MasterBuild(instance=inst, model=model, inv=inv, eta=n_cap, blocks=blocks)
 
@@ -740,13 +719,13 @@ def build_dispatch_lp(
     inst: NetworkInstance,
     capacities: dict[CapKey, float],
     cf: dict[str, tuple[float, ...]],
-    tag: str = "d",
 ) -> DispatchBuild:
     """Single-block dispatch LP with capacities fixed into the rhs.
 
     The template's matrix is used as is; only the right-hand sides of the
     capacity-coupled rows change: base + coefficient * capacity, with the
-    ren_cap coefficients taken from the realized capacity factors.
+    ren_cap coefficients taken from the realized capacity factors. Names
+    carry the tag d.
     """
     for key, v in capacities.items():
         if not math.isfinite(v) or v < 0:
@@ -754,7 +733,7 @@ def build_dispatch_lp(
     tpl = dispatch_template(inst)
     caps = np.array([capacities.get(key, 0.0) for key in tpl.keys], dtype=float)
     coefs = tpl.cap_coefs.copy()
-    coefs[tpl.ren] = tpl.realized_coefs(_cf_array(inst, [cf], [tag]))[0]
+    coefs[tpl.ren] = tpl.realized_coefs(_cf_array(inst, [cf], ["d"]))[0]
     rhs = tpl.base_rhs.copy()
     rhs[tpl.cap_rows] += coefs * caps[tpl.cap_keys]
     model = LinearModel(
@@ -764,15 +743,15 @@ def build_dispatch_lp(
         var_lb=tpl.var_lb.copy(),
         var_ub=np.full(tpl.n_vars, math.inf),
         var_obj=tpl.var_obj.copy(),
-        var_names=lambda: _tagged(tag, tpl.var_names),
-        row_names=lambda: _tagged(tag, tpl.row_names),
-        name=f"dispatch:{tag}",
+        var_names=lambda: _tagged("d", tpl.var_names),
+        row_names=lambda: _tagged("d", tpl.row_names),
+        name="dispatch:d",
     )
     return DispatchBuild(
         instance=inst,
         model=model,
-        capacities=dict(capacities),
-        block=BlockBuild(tag=tag, cf=cf, template=tpl),
+        cap_values=caps,
+        block=BlockBuild(tag="d", cf=cf, template=tpl),
     )
 
 

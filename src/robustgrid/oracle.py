@@ -16,7 +16,7 @@ from .backend import BackendError
 from .ccg import CcgTrace
 from .master import MasterSolution, build_master, dispatch_cost, solve_master
 from .model import NetworkInstance
-from .subproblem import CapacityHandoff, build_subproblem, solve_subproblem
+from .subproblem import build_subproblem, solve_subproblem
 from .uncertainty import (
     DEFAULT_ENUMERATION_CAP,
     UncertaintyBudget,
@@ -116,7 +116,9 @@ def certify_run(
     Three checks: the objective matches the enumerated optimum, the final
     recourse bound covers the dispatch cost of every member, and the
     worst-case search at the final capacities agrees with the enumerated
-    maximum. Failures are report entries, never exceptions.
+    maximum. The search and the enumeration price the same capacity map,
+    solution.capacities as the master returned it. Failures are report
+    entries, never exceptions.
     """
     solution, _ = ccg_result
     report = CertificationReport()
@@ -156,10 +158,9 @@ def certify_run(
         )
     )
 
-    handoff = CapacityHandoff.from_master(inst, solution.capacities)
     try:
-        sub = build_subproblem(inst, handoff, budget)
-        worst, _ = solve_subproblem(sub, backend, gap_tol=tolerance / 10.0)
+        sub = build_subproblem(inst, solution.capacities, budget)
+        worst = solve_subproblem(sub, backend, gap_tol=tolerance / 10.0)
         enum_max = max(costs)
         sub_gap = abs(worst.dual_objective - enum_max) / max(1.0, abs(enum_max))
         report.checks.append(

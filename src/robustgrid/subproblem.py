@@ -22,7 +22,7 @@ matrix. The dual constraints are that matrix transposed, with the entries
 of inequality rows negated, so the dual still follows from the emitted
 rows alone. Capacities only move right-hand sides, never the matrix, so
 the transposed block is computed once per instance; a build stamps the
-parts that depend on the handoff (dual objective, flag binaries, budget
+parts that depend on the capacities (dual objective, flag binaries, budget
 rows, linearization rows) as arrays around it.
 """
 
@@ -47,8 +47,6 @@ from .model import NetworkInstance, PV, WIND
 from .uncertainty import Flag, UncertaintyBudget, WorstCaseRealization, realize
 
 __all__ = [
-    "CapacityHandoff",
-    "DualSolution",
     "SubproblemBuild",
     "default_big_m",
     "build_subproblem",
@@ -74,66 +72,10 @@ def default_big_m(inst: NetworkInstance) -> float:
     return DEFAULT_BIGM_FACTOR * top
 
 
-@dataclass(frozen=True)
-class CapacityHandoff:
-    """First-stage capacities handed to the worst-case search.
-
-    Same keys as the master's capacity map, except that line entries carry
-    the total transfer capacity (existing plus expansion).
-    """
-
-    values: dict[CapKey, float]
-
-    def __post_init__(self):
-        for key, v in self.values.items():
-            if not math.isfinite(v):
-                raise ValueError(f"handoff {key}: non-finite value {v}")
-            if v < -1e-9:
-                raise ValueError(f"handoff {key}: negative value {v}")
-
-    @staticmethod
-    def from_master(
-        inst: NetworkInstance, capacities: dict[CapKey, float]
-    ) -> "CapacityHandoff":
-        existing = {("line", l.id): l.existing_cap for l in inst.lines}
-        return CapacityHandoff(
-            values={
-                key: max(0.0, v) + existing.get(key, 0.0)
-                for key, v in capacities.items()
-            }
-        )
-
-    def expansions(self, inst: NetworkInstance) -> dict[CapKey, float]:
-        """Back to the dispatch builder's convention (lines as expansion)."""
-        existing = {("line", l.id): l.existing_cap for l in inst.lines}
-        return {
-            key: max(0.0, max(0.0, v) - existing.get(key, 0.0))
-            for key, v in self.values.items()
-        }
-
-
-@dataclass
-class DualSolution:
-    """Multipliers of the worst-case solve, as arrays over dispatch rows.
-
-    multipliers[i] belongs to row i of the dispatch model: free on an
-    equality row, nonnegative on a <= row. phi[k] is the auxiliary product
-    on dispatch row phi_rows[k]. A row's name, when wanted, is that model's
-    row_names[i].
-    """
-
-    objective: float
-    z: dict[Flag, float]
-    multipliers: np.ndarray
-    phi_rows: np.ndarray
-    phi: np.ndarray
-    big_m: float
-
-
 @dataclass
 class SubproblemBuild:
     instance: NetworkInstance
-    handoff: CapacityHandoff
+    capacities: dict[CapKey, float]  # lines as expansion, as the master returns them
     budget: UncertaintyBudget
     big_m: float
     model: LinearModel  # column i is the multiplier of dispatch row i
@@ -161,19 +103,26 @@ def _csr_rows(parts, n_cols: int) -> sparse.csr_matrix:
 
 def build_subproblem(
     inst: NetworkInstance,
-    handoff: CapacityHandoff,
+    capacities: dict[CapKey, float],
     budget: UncertaintyBudget,
     big_m: float | None = None,
 ) -> SubproblemBuild:
-    """Dualize the fixed-capacity dispatch LP and couple it to the flags."""
+    """Dualize the fixed-capacity dispatch LP and couple it to the flags.
+
+    capacities is the master's capacity map as solve_master returns it:
+    lines as expansion beyond the existing capacity, every value finite and
+    nonnegative (build_dispatch_lp rejects anything else). The dispatch
+    right-hand sides the dual objective weighs are exactly those of
+    build_dispatch_lp at these capacities and the reference capacity
+    factors.
+    """
     if big_m is None:
         big_m = default_big_m(inst)
     if not big_m > 0:
         raise ValueError(f"big_m must be positive, got {big_m}")
     M = float(big_m)
-    caps = handoff.expansions(inst)
     reference = {r.id: r.cf.reference for r in inst.renewables}
-    disp = build_dispatch_lp(inst, caps, reference, tag="d")
+    disp = build_dispatch_lp(inst, capacities, reference)
     pm = disp.model
     tpl = dispatch_template(inst)
     n_dual = pm.n_rows
@@ -181,7 +130,7 @@ def build_subproblem(
 
     # flag binaries, only where flipping one changes the dispatch at all;
     # indices below run over the template's ren_cap entries
-    ren_cap = np.array([caps.get(key, 0.0) for key in tpl.keys])[tpl.cap_keys[tpl.ren]]
+    ren_cap = disp.cap_values[tpl.cap_keys[tpl.ren]]
     hit = np.flatnonzero((tpl.ren_flags >= 0) & (ren_cap * tpl.ren_dev > 0.0))
     z_ranks, first = np.unique(tpl.ren_flags[hit], return_index=True)  # sorted flags
     n_z = len(z_ranks)
@@ -277,7 +226,7 @@ def build_subproblem(
     )
     return SubproblemBuild(
         instance=inst,
-        handoff=handoff,
+        capacities=capacities,
         budget=budget,
         big_m=big_m,
         model=model,
@@ -287,18 +236,19 @@ def build_subproblem(
     )
 
 
-def _extract_dual(build: SubproblemBuild, x, objective: float) -> DualSolution:
-    return DualSolution(
-        objective=objective,
-        z={flag: float(x[j]) for flag, j in build.z.items()},
-        multipliers=x[: build.dispatch.model.n_rows].copy(),
-        phi_rows=np.array(list(build.phi), dtype=np.intp),
-        phi=x[np.array(list(build.phi.values()), dtype=np.intp)],
-        big_m=build.big_m,
-    )
+def _duality_gap(
+    build: SubproblemBuild, realization: WorstCaseRealization, objective: float, backend
+) -> float:
+    """Relative gap between a dual objective and the primal dispatch cost
+    at the build's capacities under the realization's flags."""
+    realized = realize(build.instance, realization)
+    primal = dispatch_cost(build.instance, build.capacities, realized, backend)
+    return abs(objective - primal) / max(1.0, abs(primal))
 
 
-def _check_saturation(build: SubproblemBuild, x, objective: float, backend) -> None:
+def _check_saturation(
+    build: SubproblemBuild, x, flags: frozenset[Flag], objective: float, backend
+) -> None:
     """Error out if the linearization constant clipped a binding multiplier.
 
     A multiplier parked at the constant is harmless when it sits on a
@@ -315,12 +265,7 @@ def _check_saturation(build: SubproblemBuild, x, objective: float, backend) -> N
     ]
     if not hot:
         return
-    flags = frozenset(flag for flag, j in build.z.items() if x[j] > 0.5)
-    realized = realize(build.instance, WorstCaseRealization(flags=flags))
-    primal = dispatch_cost(
-        build.instance, build.handoff.expansions(build.instance), realized, backend
-    )
-    gap = abs(objective - primal) / max(1.0, abs(primal))
+    gap = _duality_gap(build, WorstCaseRealization(flags=flags), objective, backend)
     if gap > 1e-6:
         raise BackendError(
             f"big-M saturation on {len(hot)} multiplier(s) (first: {hot[0]}) "
@@ -335,31 +280,33 @@ def _check_saturation(build: SubproblemBuild, x, objective: float, backend) -> N
 
 def solve_subproblem(
     build: SubproblemBuild, backend, gap_tol: float = 1e-9
-) -> tuple[WorstCaseRealization, DualSolution]:
-    """Maximize the dual over multipliers and flags; return the worst case."""
+) -> WorstCaseRealization:
+    """Maximize the dual over multipliers and flags; return the worst case.
+
+    The returned realization carries its flags, its realized capacity
+    factors and, as dual_objective, the optimal dual value: the worst-case
+    dispatch cost at the build's capacities.
+    """
     res = backend.solve_milp(build.model, gap_tol=gap_tol)
     if res.status != "optimal":
         raise BackendError(f"worst-case solve ended {res.status}")
-    _check_saturation(build, res.x, float(res.objective), backend)
+    objective = float(res.objective)
     flags = frozenset(flag for flag, j in build.z.items() if res.x[j] > 0.5)
+    _check_saturation(build, res.x, flags, objective, backend)
     realized = realize(build.instance, WorstCaseRealization(flags=flags), build.budget)
-    dual = _extract_dual(build, res.x, float(res.objective))
-    worst = WorstCaseRealization(
-        flags=flags,
-        realized_cf=realized,
-        dual_objective=float(res.objective),
-    )
-    return worst, dual
+    return WorstCaseRealization(flags=flags, realized_cf=realized, dual_objective=objective)
 
 
 def verify_strong_duality(
     inst: NetworkInstance,
-    handoff: CapacityHandoff,
+    capacities: dict[CapKey, float],
     realization: WorstCaseRealization,
     backend,
 ) -> float:
     """Relative gap between the dual at fixed flags and the primal dispatch.
 
+    capacities is a master capacity map, lines as expansion, as for
+    build_subproblem; both sides are priced at exactly these values.
     Flags that cannot affect the dispatch (no capacity, no deviation, or
     outside every period) carry no binary and are skipped; they change
     neither side of the comparison.
@@ -367,7 +314,7 @@ def verify_strong_duality(
     permissive = UncertaintyBudget(
         gamma_pv=len(inst.regions), gamma_wind=len(inst.regions)
     )
-    build = build_subproblem(inst, handoff, permissive)
+    build = build_subproblem(inst, capacities, permissive)
     for flag, j in build.z.items():
         value = 1.0 if flag in realization.flags else 0.0
         build.model.var_lb[j] = value
@@ -375,6 +322,4 @@ def verify_strong_duality(
     res = backend.solve_milp(build.model, gap_tol=1e-12)
     if res.status != "optimal":
         raise BackendError(f"fixed-flag dual solve ended {res.status}")
-    realized = realize(inst, realization)
-    primal = dispatch_cost(inst, handoff.expansions(inst), realized, backend)
-    return abs(float(res.objective) - primal) / max(1.0, abs(primal))
+    return _duality_gap(build, realization, float(res.objective), backend)

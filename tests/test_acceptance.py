@@ -35,7 +35,6 @@ from robustgrid.prep import (
     synthesize_lower_bound,
 )
 from robustgrid.subproblem import (
-    CapacityHandoff,
     build_subproblem,
     verify_strong_duality,
 )
@@ -152,9 +151,8 @@ def test_03_strong_duality(converged_runs):
     rng = np.random.default_rng(2024)
     for name, run in converged_runs.items():
         inst = run["inst"]
-        handoff = CapacityHandoff.from_master(inst, run["solution"].capacities)
         final = run["trace"].iterations[-1].realization
-        gap = verify_strong_duality(inst, handoff, final, SCIPY)
+        gap = verify_strong_duality(inst, run["solution"].capacities, final, SCIPY)
         assert gap <= 1e-6, f"{name}: converged-run duality gap {gap:.3e}"
 
         triples = [
@@ -167,10 +165,9 @@ def test_03_strong_duality(converged_runs):
             values = {
                 key: float(rng.uniform(0.0, 30.0)) for key in capacity_keys(inst)
             }
-            random_handoff = CapacityHandoff.from_master(inst, values)
             flags = frozenset(t for t in triples if rng.uniform() < 0.4)
             gap = verify_strong_duality(
-                inst, random_handoff, WorstCaseRealization(flags), SCIPY
+                inst, values, WorstCaseRealization(flags), SCIPY
             )
             assert gap <= 1e-6, f"{name} trial {trial}: duality gap {gap:.3e}"
 
@@ -246,8 +243,7 @@ def test_07_bigm_soundness():
     for name, (inst, budget) in cases.items():
         solution, trace = run_ccg(inst, budget, backend=SCIPY)
         assert trace.converged, name
-        handoff = CapacityHandoff.from_master(inst, solution.capacities)
-        build = build_subproblem(inst, handoff, budget)
+        build = build_subproblem(inst, solution.capacities, budget)
         ceiling = build.big_m * (1.0 - 1e-6)
         for member in enumerate_set(inst, budget):
             for flag, j in build.z.items():

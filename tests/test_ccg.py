@@ -14,7 +14,6 @@ from robustgrid.ccg import (
 import robustgrid.ccg as ccg_module
 from robustgrid.master import build_master, dispatch_cost, solve_master
 from robustgrid.subproblem import (
-    CapacityHandoff,
     build_subproblem,
     solve_subproblem,
 )
@@ -102,9 +101,8 @@ def test_convergence_certificate(builder):
     inst = builder()
     sol, trace = run_ccg(inst, UncertaintyBudget(1, 1), backend=SCIPY)
     assert trace.converged
-    handoff = CapacityHandoff.from_master(inst, sol.capacities)
-    build = build_subproblem(inst, handoff, UncertaintyBudget(1, 1))
-    worst, _ = solve_subproblem(build, SCIPY)
+    build = build_subproblem(inst, sol.capacities, UncertaintyBudget(1, 1))
+    worst = solve_subproblem(build, SCIPY)
     assert worst.dual_objective <= sol.recourse_bound \
         + 1e-6 * max(1.0, sol.recourse_bound)
 
@@ -149,12 +147,11 @@ def test_duplicate_with_open_gap_stalls(monkeypatch):
     flags = frozenset({("pv", "R1", "p1")})
 
     def fake_solve(build, backend, gap_tol=1e-9):
-        worst = WorstCaseRealization(
+        return WorstCaseRealization(
             flags=flags,
             realized_cf=realize(build.instance, WorstCaseRealization(flags=flags)),
             dual_objective=9.9e9,
         )
-        return worst, None
 
     monkeypatch.setattr(ccg_module, "solve_subproblem", fake_solve)
     sol, trace = run_ccg(inst, UncertaintyBudget(1, 0), backend=SCIPY)
@@ -178,22 +175,6 @@ def test_config_validation():
         CcgConfig(max_iterations=0)
     with pytest.raises(ValueError, match="big_m"):
         CcgConfig(big_m=-5.0)
-
-
-@pytest.mark.parametrize("gap", [-1e-9, float("nan"), float("inf")])
-def test_config_rejects_bad_mip_gap(gap):
-    with pytest.raises(ValueError, match="mip_gap"):
-        CcgConfig(mip_gap=gap)
-
-
-def test_config_accepts_zero_mip_gap():
-    assert CcgConfig(mip_gap=0.0).subproblem_gap == 0.0
-
-
-def test_ladder_never_starts_with_a_negative_mip_gap():
-    # rejected up front, not as an exception escaping the first rung's solve
-    with pytest.raises(ValueError, match="mip_gap"):
-        run_gamma_ladder(single_node(), [0, 1], CcgConfig(mip_gap=-0.1), SCIPY)
 
 
 def test_budget_clamp_warns(caplog):

@@ -7,6 +7,7 @@ import pytest
 
 from robustgrid.backend import EQ, BackendError, InTreeBackend, ScipyBackend
 from robustgrid.master import (
+    build_dispatch_lp,
     build_master,
     capacity_keys,
     dispatch_cost,
@@ -14,7 +15,6 @@ from robustgrid.master import (
 )
 from robustgrid.model import PV, WIND
 from robustgrid.subproblem import (
-    CapacityHandoff,
     build_subproblem,
     default_big_m,
     solve_subproblem,
@@ -50,9 +50,8 @@ def ref_cf(inst):
     return realize(inst, WorstCaseRealization.reference())
 
 
-def master_handoff(inst, backend=SCIPY):
-    sol = solve_master(build_master(inst, [ref_cf(inst)]), backend)
-    return CapacityHandoff.from_master(inst, sol.capacities)
+def master_capacities(inst, backend=SCIPY):
+    return solve_master(build_master(inst, [ref_cf(inst)]), backend).capacities
 
 
 def fix_flags(build, flags):
@@ -79,19 +78,18 @@ def halve_deviation(inst):
 
 def test_gamma_zero_is_reference_dispatch(backend):
     inst = single_node()
-    handoff = CapacityHandoff.from_master(inst, {("ren", "s1"): 20.0})
-    build = build_subproblem(inst, handoff, UncertaintyBudget(0, 0))
-    worst, dual = solve_subproblem(build, backend)
+    caps = {("ren", "s1"): 20.0}
+    build = build_subproblem(inst, caps, UncertaintyBudget(0, 0))
+    worst = solve_subproblem(build, backend)
     assert worst.flags == frozenset()
     assert worst.dual_objective == pytest.approx(0.0, abs=1e-6)
-    assert dual.objective == pytest.approx(0.0, abs=1e-6)
 
 
 def test_full_wipe_single_node(backend):
     inst = single_node()
-    handoff = CapacityHandoff.from_master(inst, {("ren", "s1"): 20.0})
-    build = build_subproblem(inst, handoff, UncertaintyBudget(1, 0))
-    worst, _ = solve_subproblem(build, backend)
+    caps = {("ren", "s1"): 20.0}
+    build = build_subproblem(inst, caps, UncertaintyBudget(1, 0))
+    worst = solve_subproblem(build, backend)
     assert worst.flags == frozenset({("pv", "R1", "p1")})
     assert worst.dual_objective == pytest.approx(202000.0, rel=1e-8)
 
@@ -100,27 +98,24 @@ def test_zero_capacity_handoff_is_flag_independent():
     # with nothing built the dispatch sheds everything either way, and no
     # flag binaries exist because no flag can change anything
     inst = single_node()
-    handoff = CapacityHandoff.from_master(inst, {("ren", "s1"): 0.0})
+    caps = {("ren", "s1"): 0.0}
     want = FULL_SHED_COST_PER_MWH * 10.0 * 2
     for budget in (UncertaintyBudget(0, 0), UncertaintyBudget(1, 0)):
-        build = build_subproblem(inst, handoff, budget)
+        build = build_subproblem(inst, caps, budget)
         assert build.z == {}
-        worst, _ = solve_subproblem(build, SCIPY)
+        worst = solve_subproblem(build, SCIPY)
         assert worst.dual_objective == pytest.approx(want, rel=1e-8)
 
 
 def test_symmetric_regions_tie(backend):
     # either region can be hit for the same damage; whichever the solver
     # returns, the objective must match the dispatch under that choice
-    # (the handoff is pinned symmetric; a master vertex need not be)
+    # (the capacities are pinned symmetric; a master vertex need not be)
     inst = symmetric_pair()
-    handoff = CapacityHandoff.from_master(
-        inst, {("ren", "pv_1"): 10.0, ("ren", "pv_2"): 10.0, ("line", "l12"): 0.0}
-    )
-    build = build_subproblem(inst, handoff, UncertaintyBudget(1, 0))
-    worst, _ = solve_subproblem(build, backend)
+    caps = {("ren", "pv_1"): 10.0, ("ren", "pv_2"): 10.0, ("line", "l12"): 0.0}
+    build = build_subproblem(inst, caps, UncertaintyBudget(1, 0))
+    worst = solve_subproblem(build, backend)
     assert len(worst.flags) == 1
-    caps = handoff.expansions(inst)
     costs = [
         dispatch_cost(inst, caps, realize(inst, WorstCaseRealization(
             flags=frozenset({("pv", f"R{k}", "p1")}))), SCIPY)
@@ -133,9 +128,8 @@ def test_symmetric_regions_tie(backend):
 def test_budget_rows_respected():
     inst = three_region_hydro()
     caps = {key: 10.0 for key in capacity_keys(inst)}
-    handoff = CapacityHandoff.from_master(inst, caps)
-    build = build_subproblem(inst, handoff, UncertaintyBudget(1, 0))
-    worst, _ = solve_subproblem(build, SCIPY)
+    build = build_subproblem(inst, caps, UncertaintyBudget(1, 0))
+    worst = solve_subproblem(build, SCIPY)
     assert sum(f[0] == PV for f in worst.flags) <= 1
     assert sum(f[0] == WIND for f in worst.flags) == 0
 
@@ -149,12 +143,12 @@ TOYS = [single_node, two_region, two_period_battery, three_region_hydro,
 @pytest.mark.parametrize("builder", TOYS, ids=lambda b: b.__name__)
 def test_strong_duality_at_master_optimum(builder):
     inst = builder()
-    handoff = master_handoff(inst)
-    build = build_subproblem(inst, handoff, UncertaintyBudget(1, 1))
-    worst, _ = solve_subproblem(build, SCIPY)
-    assert verify_strong_duality(inst, handoff, worst, SCIPY) <= 1e-6
+    caps = master_capacities(inst)
+    build = build_subproblem(inst, caps, UncertaintyBudget(1, 1))
+    worst = solve_subproblem(build, SCIPY)
+    assert verify_strong_duality(inst, caps, worst, SCIPY) <= 1e-6
     reference = WorstCaseRealization.reference()
-    assert verify_strong_duality(inst, handoff, reference, SCIPY) <= 1e-6
+    assert verify_strong_duality(inst, caps, reference, SCIPY) <= 1e-6
 
 
 @pytest.mark.parametrize("builder", [two_region, three_region_hydro],
@@ -173,19 +167,18 @@ def test_strong_duality_random_pairs(builder):
     ]
     for _ in range(10):
         caps = {key: float(rng.uniform(0.0, 30.0)) for key in keys}
-        handoff = CapacityHandoff.from_master(inst, caps)
         picks = frozenset(
             f for f in flags_pool if rng.uniform() < 0.4
         )
         realization = WorstCaseRealization(flags=picks)
-        assert verify_strong_duality(inst, handoff, realization, SCIPY) <= 1e-6
+        assert verify_strong_duality(inst, caps, realization, SCIPY) <= 1e-6
 
 
 def test_strong_duality_intree_backend():
     inst = single_node()
-    handoff = CapacityHandoff.from_master(inst, {("ren", "s1"): 20.0})
+    caps = {("ren", "s1"): 20.0}
     worst = WorstCaseRealization(flags=frozenset({("pv", "R1", "p1")}))
-    assert verify_strong_duality(inst, handoff, worst, InTreeBackend()) <= 1e-6
+    assert verify_strong_duality(inst, caps, worst, InTreeBackend()) <= 1e-6
 
 
 # --- oracle equivalence and monotonicity -------------------------------------
@@ -194,21 +187,20 @@ def test_strong_duality_intree_backend():
                          ids=lambda b: b.__name__)
 def test_matches_enumeration_maximum(builder):
     inst = builder()
-    handoff = master_handoff(inst)
+    caps = master_capacities(inst)
     budget = UncertaintyBudget(1, 1)
-    caps = handoff.expansions(inst)
     worst_enum = max(
         dispatch_cost(inst, caps, realize(inst, r), SCIPY)
         for r in enumerate_set(inst, budget)
     )
-    build = build_subproblem(inst, handoff, budget)
-    worst, _ = solve_subproblem(build, SCIPY)
+    build = build_subproblem(inst, caps, budget)
+    worst = solve_subproblem(build, SCIPY)
     assert worst.dual_objective == pytest.approx(worst_enum, rel=1e-6)
 
 
 def test_objective_nondecreasing_in_gamma():
     inst = three_region_hydro()
-    handoff = master_handoff(inst)
+    caps = master_capacities(inst)
     budgets = [
         UncertaintyBudget(0, 0),
         UncertaintyBudget(1, 0),
@@ -218,7 +210,7 @@ def test_objective_nondecreasing_in_gamma():
     ]
     objs = []
     for budget in budgets:
-        worst, _ = solve_subproblem(build_subproblem(inst, handoff, budget), SCIPY)
+        worst = solve_subproblem(build_subproblem(inst, caps, budget), SCIPY)
         objs.append(worst.dual_objective)
     for lo, hi in zip(objs, objs[1:]):
         assert hi >= lo - 1e-6 * max(1.0, abs(lo))
@@ -231,22 +223,20 @@ def test_restricted_flags_reproduce_dispatch():
     # the dual land exactly on that member's primal dispatch cost
     inst = halve_deviation(two_region())
     caps = {("ren", "pv_a"): 20.0, ("ren", "w_b"): 15.0, ("line", "l12"): 0.0}
-    handoff = CapacityHandoff.from_master(inst, caps)
     budget = UncertaintyBudget(1, 1)
-    expansions = handoff.expansions(inst)
     for member in enumerate_set(inst, budget):
-        build = build_subproblem(inst, handoff, budget)
+        build = build_subproblem(inst, caps, budget)
         fix_flags(build, member.flags)
         res = SCIPY.solve_milp(build.model, gap_tol=1e-12)
         assert res.status == "optimal"
-        primal = dispatch_cost(inst, expansions, realize(inst, member), SCIPY)
+        primal = dispatch_cost(inst, caps, realize(inst, member), SCIPY)
         assert res.objective == pytest.approx(primal, rel=1e-6, abs=1e-6)
 
 
 def test_no_multiplier_saturates_default_big_m():
     inst = halve_deviation(two_region())
-    handoff = master_handoff(inst)
-    build = build_subproblem(inst, handoff, UncertaintyBudget(1, 1))
+    caps = master_capacities(inst)
+    build = build_subproblem(inst, caps, UncertaintyBudget(1, 1))
     res = SCIPY.solve_milp(build.model, gap_tol=1e-9)
     assert res.status == "optimal"
     limit = build.big_m * (1.0 - 1e-6)
@@ -257,16 +247,16 @@ def test_no_multiplier_saturates_default_big_m():
 
 def test_tiny_big_m_raises_with_guidance():
     inst = single_node()
-    handoff = CapacityHandoff.from_master(inst, {("ren", "s1"): 20.0})
-    build = build_subproblem(inst, handoff, UncertaintyBudget(1, 0), big_m=1.0)
+    caps = {("ren", "s1"): 20.0}
+    build = build_subproblem(inst, caps, UncertaintyBudget(1, 0), big_m=1.0)
     with pytest.raises(BackendError, match="increase big_m"):
         solve_subproblem(build, SCIPY)
 
 
 def test_four_linearization_rows_per_term():
     inst = single_node()
-    handoff = CapacityHandoff.from_master(inst, {("ren", "s1"): 20.0})
-    build = build_subproblem(inst, handoff, UncertaintyBudget(1, 0))
+    caps = {("ren", "s1"): 20.0}
+    build = build_subproblem(inst, caps, UncertaintyBudget(1, 0))
     # 2 steps inside the period, deviation positive: 2 phi terms, 8 rows
     assert len(build.phi) == 2
     for tag in ("lin1", "lin2", "lin3", "lin4"):
@@ -282,24 +272,26 @@ def test_default_big_m_tracks_top_shedding_tier():
 
 def test_dual_signs_and_objective():
     inst = two_region()
-    handoff = master_handoff(inst)
-    build = build_subproblem(inst, handoff, UncertaintyBudget(1, 1))
-    worst, dual = solve_subproblem(build, SCIPY)
-    assert dual.objective == pytest.approx(worst.dual_objective)
+    caps = master_capacities(inst)
+    build = build_subproblem(inst, caps, UncertaintyBudget(1, 1))
+    res = SCIPY.solve_milp(build.model, gap_tol=1e-9)
+    assert res.status == "optimal"
+    assert solve_subproblem(build, SCIPY).dual_objective == pytest.approx(res.objective)
     pm = build.dispatch.model
-    # every primal row got exactly one multiplier, nonnegative on <= rows
-    assert dual.multipliers.shape == (pm.n_rows,)
-    assert (dual.multipliers[pm.row_sense != EQ] >= -1e-9).all()
-    assert dual.phi_rows.tolist() == list(build.phi)
-    assert (dual.phi >= -1e-9).all()
-    assert set(dual.z) == set(build.z)
+    # column i is the multiplier of dispatch row i: free on an equality row,
+    # nonnegative on a <= row; every phi is nonnegative
+    multipliers = res.x[: pm.n_rows]
+    assert (build.model.var_lb[: pm.n_rows][pm.row_sense == EQ] == -np.inf).all()
+    assert (multipliers[pm.row_sense != EQ] >= -1e-9).all()
+    assert (res.x[list(build.phi.values())] >= -1e-9).all()
+    assert len(build.phi) > 0
 
 
 def test_worst_case_solve_leaves_row_names_unmade():
     # names are made only when asked; a solve with no saturated multiplier
     # (see test_no_multiplier_saturates_default_big_m) never asks
     inst = halve_deviation(two_region())
-    build = build_subproblem(inst, master_handoff(inst), UncertaintyBudget(1, 1))
+    build = build_subproblem(inst, master_capacities(inst), UncertaintyBudget(1, 1))
     solve_subproblem(build, SCIPY)
     assert callable(build.dispatch.model._row_names)
     assert callable(build.model._row_names)
@@ -307,30 +299,55 @@ def test_worst_case_solve_leaves_row_names_unmade():
 
 def test_realization_carries_realized_cf():
     inst = single_node()
-    handoff = CapacityHandoff.from_master(inst, {("ren", "s1"): 20.0})
-    build = build_subproblem(inst, handoff, UncertaintyBudget(1, 0))
-    worst, _ = solve_subproblem(build, SCIPY)
+    caps = {("ren", "s1"): 20.0}
+    build = build_subproblem(inst, caps, UncertaintyBudget(1, 0))
+    worst = solve_subproblem(build, SCIPY)
     assert worst.realized_cf == {"s1": (0.0, 0.0)}
 
 
-# --- handoff validation ---------------------------------------------------------
+# --- the capacities handed over ------------------------------------------------
 
 def test_handoff_rejects_bad_values():
-    with pytest.raises(ValueError, match="non-finite"):
-        CapacityHandoff(values={("ren", "s1"): float("nan")})
-    with pytest.raises(ValueError, match="negative"):
-        CapacityHandoff(values={("ren", "s1"): -2.0})
+    inst = single_node()
+    budget = UncertaintyBudget(1, 0)
+    with pytest.raises(ValueError, match="bad value nan"):
+        build_subproblem(inst, {("ren", "s1"): float("nan")}, budget)
+    with pytest.raises(ValueError, match="bad value -2.0"):
+        build_subproblem(inst, {("ren", "s1"): -2.0}, budget)
 
 
 def test_handoff_lines_carry_total_capacity():
+    # a line enters as its expansion; its flow rows see existing + expansion
     inst = two_region()  # l12 existing 50
-    handoff = CapacityHandoff.from_master(inst, {("line", "l12"): 3.0})
-    assert handoff.values[("line", "l12")] == pytest.approx(53.0)
-    assert handoff.expansions(inst)[("line", "l12")] == pytest.approx(3.0)
+    dt = inst.timegrid.step_hours
+    build = build_subproblem(inst, {("line", "l12"): 3.0}, UncertaintyBudget(1, 1))
+    pm = build.dispatch.model
+    for t in range(inst.timegrid.step_count):
+        for side in ("hi", "lo"):
+            i = pm.row_names.index(f"d:flow_{side}[l12,{t}]")
+            assert pm.row_rhs[i] == pytest.approx(53.0 * dt)
+
+
+def test_worst_case_prices_the_dispatch_rhs_exactly():
+    # the worst case weighs the very right-hand sides the dispatch LP has at
+    # the same capacities; (x + existing) - existing is not x in floating
+    # point, and at 24-hour steps it moves flow_hi[l12,0] off 1207.2
+    inst = two_region()
+    inst = inst.replace(timegrid=dataclasses.replace(inst.timegrid, step_hours=24.0))
+    caps = {("line", "l12"): 0.3}
+    build = build_subproblem(inst, caps, UncertaintyBudget(1, 1))
+    want = build_dispatch_lp(inst, caps, ref_cf(inst)).model.row_rhs
+    got = build.dispatch.model.row_rhs
+    assert got.tolist() == want.tolist()
+    i = build.dispatch.model.row_names.index("d:flow_hi[l12,0]")
+    assert got[i] == 1207.2
+    # the dual objective carries them: +rhs on equality rows, -rhs on <= rows
+    eq = build.dispatch.model.row_sense == EQ
+    assert build.model.var_obj[: got.size].tolist() == np.where(eq, want, -want).tolist()
 
 
 def test_bad_big_m_rejected():
     inst = single_node()
-    handoff = CapacityHandoff.from_master(inst, {("ren", "s1"): 1.0})
+    caps = {("ren", "s1"): 1.0}
     with pytest.raises(ValueError, match="big_m"):
-        build_subproblem(inst, handoff, UncertaintyBudget(0, 0), big_m=0.0)
+        build_subproblem(inst, caps, UncertaintyBudget(0, 0), big_m=0.0)

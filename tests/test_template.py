@@ -19,8 +19,7 @@ from robustgrid.backend import EQ, LE, ModelBuilder, ScipyBackend
 from robustgrid.io import load_instance
 from robustgrid.master import (
     _BlockEmitter,
-    _capacity_costs,
-    _capacity_limits,
+    _capacity_table,
     build_dispatch_lp,
     build_master,
     capacity_keys,
@@ -28,7 +27,7 @@ from robustgrid.master import (
     solve_dispatch,
 )
 from robustgrid.model import PV, WIND
-from robustgrid.subproblem import CapacityHandoff, build_subproblem, default_big_m
+from robustgrid.subproblem import build_subproblem, default_big_m
 from robustgrid.uncertainty import (
     UncertaintyBudget,
     WorstCaseRealization,
@@ -101,10 +100,9 @@ class _RowByRowEmitter(_BlockEmitter):
 
 def reference_master(inst, cfs):
     model = ModelBuilder(name="master")
-    costs, limits = _capacity_costs(inst), _capacity_limits(inst)
     inv = {
-        key: model.add_var(f"cap[{key[0]},{key[1]}]", ub=limits[key], obj=costs[key])
-        for key in capacity_keys(inst)
+        key: model.add_var(f"cap[{key[0]},{key[1]}]", ub=limit, obj=cost)
+        for key, cost, limit in _capacity_table(inst)
     }
     eta = model.add_var("recourse", obj=1.0)
     for k, cf in enumerate(cfs):
@@ -124,9 +122,8 @@ def reference_dispatch(inst, caps, cf, tag="d"):
     return model.build(), emitter.meta
 
 
-def reference_subproblem(inst, handoff, budget):
+def reference_subproblem(inst, caps, budget):
     big_m = default_big_m(inst)
-    caps = handoff.expansions(inst)
     reference = {r.id: r.cf.reference for r in inst.renewables}
     pm, meta = reference_dispatch(inst, caps, reference)
     model = ModelBuilder(name="worst_case", sense="max")
@@ -238,11 +235,11 @@ def test_dispatch_lp_matches_row_by_row(inst):
 
 @pytest.mark.parametrize("gamma", [1, 2])
 def test_subproblem_matches_row_by_row(inst, gamma):
-    handoff = CapacityHandoff.from_master(inst, some_capacities(inst, seed=gamma))
+    caps = some_capacities(inst, seed=gamma)
     budget = UncertaintyBudget(gamma, gamma)
     assert_same_model(
-        build_subproblem(inst, handoff, budget).model,
-        reference_subproblem(inst, handoff, budget),
+        build_subproblem(inst, caps, budget).model,
+        reference_subproblem(inst, caps, budget),
     )
 
 
