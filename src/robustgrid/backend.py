@@ -7,8 +7,8 @@ builders in master.py and subproblem.py stamp those arrays directly, and
 ModelBuilder makes them from a model written one row at a time. Two
 backends ship:
 
-- ScipyBackend: scipy.optimize.linprog (HiGHS) for LPs with row duals, and
-  scipy.optimize.milp for mixed binary programs. Default.
+- ScipyBackend: the HiGHS solver bundled with scipy, called directly, for
+  LPs with row duals and for mixed binary programs. Default.
 - InTreeBackend: a dense two-phase simplex with Bland's rule plus best-first
   branch-and-bound over binary variables, pure numpy. Self-contained and
   deterministic; meant for desk-scale models and for cross-checking.
@@ -27,7 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+# Private scipy API, hence the scipy>=1.15 floor in pyproject.toml: the
+# HiGHS object that scipy's own linprog and milp wrap.
+from scipy.optimize._highspy import _core as highs
 
 __all__ = [
     "LE",
@@ -58,17 +60,14 @@ class BackendError(Exception):
 
 @dataclass
 class SolveResult:
-    """Outcome of one solve. x and duals are present iff status is optimal.
-
-    reduced holds per-variable reduced costs in the model's stated sense,
-    computed as var_obj - A^T duals; LP solves only (None for MILPs).
+    """Outcome of one solve. x is present iff status is optimal; duals too,
+    for LPs only (a mixed-binary solve has none).
     """
 
     status: str
     objective: float | None = None
     x: np.ndarray | None = None
     duals: np.ndarray | None = None
-    reduced: np.ndarray | None = None
     stats: dict = field(default_factory=dict)
 
     @property
@@ -262,102 +261,93 @@ def _check_no_binaries(model: LinearModel) -> None:
         )
 
 
-def _reduced_costs(
-    model: LinearModel, A: sparse.csr_matrix, duals: np.ndarray
-) -> np.ndarray:
-    """Reduced costs in the model's stated sense: var_obj - A^T duals."""
-    reduced = np.asarray(model.var_obj, dtype=float).copy()
-    if model.n_rows:
-        reduced -= A.T @ duals
-    return reduced
+_STATUS = {
+    highs.HighsModelStatus.kOptimal: "optimal",
+    highs.HighsModelStatus.kInfeasible: "infeasible",
+    highs.HighsModelStatus.kUnbounded: "unbounded",
+    highs.HighsModelStatus.kModelError: "infeasible",
+}
+
+# Dual simplex, presolve on, no output: the options linprog's "highs"
+# method used. HiGHS's pivots depend on these and on the row order.
+_OPTIONS = {"output_flag": False, "presolve": "on", "simplex_strategy": 1}
+
+
+def _run(model: LinearModel, options: dict) -> tuple[SolveResult, highs.HighsInfo]:
+    """Solve model with one HiGHS run; return the result and HiGHS's info.
+
+    Rows go in as lower <= A x <= upper. An LP goes in with its inequality
+    rows first, then its equality rows, each group in model order, and a
+    mixed-binary program in model order: the layouts linprog and milp gave
+    HiGHS. HiGHS's pivots depend on the row order, and so does the CCG path
+    (the full-budget benchmark run took 21 iterations, not 15, with LPs in
+    model order). duals come back in model row order, for LPs only.
+    """
+    sign = 1.0 if model.sense == "min" else -1.0
+    order = np.argsort((model.row_sense == EQ) & (not model.is_mip), kind="stable")
+    senses, rhs = model.row_sense[order], model.row_rhs[order]
+    A = model.matrix()[order].tocsc()
+
+    lp = highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = model.n_vars
+    lp.num_row_ = lp.a_matrix_.num_row_ = model.n_rows
+    lp.col_cost_ = sign * model.var_obj
+    lp.col_lower_ = model.var_lb
+    lp.col_upper_ = model.var_ub
+    lp.row_lower_ = np.where(senses == LE, -INF, rhs)
+    lp.row_upper_ = np.where(senses == GE, INF, rhs)
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = A.indptr
+    lp.a_matrix_.index_ = A.indices
+    lp.a_matrix_.value_ = A.data
+    if model.is_mip:  # HighsVarType 1 is integer, 0 continuous
+        lp.integrality_ = [highs.HighsVarType(int(b)) for b in model.var_binary]
+
+    solver = highs._Highs()
+    for key, value in options.items():
+        solver.setOptionValue(key, value)
+    if solver.passModel(lp) == highs.HighsStatus.kError:
+        status = highs.HighsModelStatus.kModelError
+    else:
+        solver.run()
+        status = solver.getModelStatus()
+    info = solver.getInfo()
+    if status != highs.HighsModelStatus.kOptimal:
+        message = solver.modelStatusToString(status)
+        return SolveResult(_STATUS.get(status, "limit"), stats={"message": message}), info
+    solution = solver.getSolution()
+    row_dual = sign * np.asarray(solution.row_dual)
+    duals = row_dual[np.argsort(order)] if solution.dual_valid else None
+    result = SolveResult(
+        status="optimal",
+        objective=sign * info.objective_function_value,
+        x=np.asarray(solution.col_value),
+        duals=duals,
+    )
+    return result, info
 
 
 class ScipyBackend:
-    """LP via linprog/HiGHS (with duals), MILP via scipy's branch-and-cut."""
+    """LPs and mixed-binary programs through the HiGHS object scipy bundles:
+    each solve loads the model's arrays into a fresh one and runs it once.
+    """
 
     name = "scipy"
 
     def solve_lp(self, model: LinearModel) -> SolveResult:
         _check_no_binaries(model)
-        sign = 1.0 if model.sense == "min" else -1.0
-        c = sign * np.asarray(model.var_obj)
-        A = model.matrix().tocsr()
-        senses = np.asarray(model.row_sense, dtype=object)
-        rhs = np.asarray(model.row_rhs)
-
-        eq_idx = np.flatnonzero(senses == EQ)
-        le_idx = np.flatnonzero(senses == LE)
-        ge_idx = np.flatnonzero(senses == GE)
-        # >=-rows enter linprog negated; their reported dual flips back below.
-        A_ub = sparse.vstack([A[le_idx], -A[ge_idx]]) if len(le_idx) + len(ge_idx) else None
-        b_ub = np.concatenate([rhs[le_idx], -rhs[ge_idx]]) if A_ub is not None else None
-        A_eq = A[eq_idx] if len(eq_idx) else None
-        b_eq = rhs[eq_idx] if A_eq is not None else None
-        bounds = np.column_stack(
-            [np.asarray(model.var_lb, dtype=float), np.asarray(model.var_ub, dtype=float)]
-        )
-        res = linprog(
-            c,
-            A_ub=A_ub,
-            b_ub=b_ub,
-            A_eq=A_eq,
-            b_eq=b_eq,
-            bounds=bounds,
-            method="highs",
-        )
-        status = {0: "optimal", 1: "limit", 2: "infeasible", 3: "unbounded"}.get(
-            res.status, "limit"
-        )
-        if status != "optimal":
-            return SolveResult(status=status, stats={"message": res.message})
-        duals = np.zeros(model.n_rows)
-        if len(eq_idx):
-            duals[eq_idx] = res.eqlin.marginals
-        if len(le_idx):
-            duals[le_idx] = res.ineqlin.marginals[: len(le_idx)]
-        if len(ge_idx):
-            duals[ge_idx] = -res.ineqlin.marginals[len(le_idx) :]
-        duals *= sign
-        return SolveResult(
-            status="optimal",
-            objective=sign * float(res.fun),
-            x=np.asarray(res.x),
-            duals=duals,
-            reduced=_reduced_costs(model, A, duals),
-            stats={"iterations": int(getattr(res, "nit", 0))},
-        )
+        res, info = _run(model, _OPTIONS)
+        if res.optimal:
+            res.stats["iterations"] = info.simplex_iteration_count
+        return res
 
     def solve_milp(self, model: LinearModel, gap_tol: float = 1e-9) -> SolveResult:
         if gap_tol < 0:
             raise ValueError("gap_tol must be nonnegative")
-        sign = 1.0 if model.sense == "min" else -1.0
-        c = sign * np.asarray(model.var_obj)
-        constraints = []
-        if model.n_rows:
-            A = model.matrix()
-            senses = np.asarray(model.row_sense, dtype=object)
-            rhs = np.asarray(model.row_rhs, dtype=float)
-            hi = np.where(senses == GE, INF, rhs)
-            lo = np.where(senses == LE, -INF, rhs)
-            constraints.append(LinearConstraint(A, lo, hi))
-        res = milp(
-            c=c,
-            constraints=constraints,
-            integrality=np.asarray(model.var_binary, dtype=int),
-            bounds=Bounds(np.asarray(model.var_lb), np.asarray(model.var_ub)),
-            options={"mip_rel_gap": gap_tol},
-        )
-        status = {0: "optimal", 1: "limit", 2: "infeasible", 3: "unbounded"}.get(
-            res.status, "limit"
-        )
-        if status != "optimal" or res.x is None:
-            return SolveResult(status=status, stats={"message": res.message})
-        return SolveResult(
-            status="optimal",
-            objective=sign * float(res.fun),
-            x=np.asarray(res.x),
-            stats={"mip_gap": float(res.mip_gap) if res.mip_gap is not None else 0.0},
-        )
+        res, info = _run(model, {**_OPTIONS, "mip_rel_gap": gap_tol})
+        if res.optimal:
+            res.stats["mip_gap"] = info.mip_gap if model.is_mip else 0.0
+        return res
 
 
 # ---------------------------------------------------------------------------
@@ -377,10 +367,8 @@ class _StandardForm:
     map solutions and duals back to the original model.
     """
 
-    def __init__(self, model: LinearModel, lb=None, ub=None):
+    def __init__(self, model: LinearModel, lb: np.ndarray, ub: np.ndarray):
         n = model.n_vars
-        lb = np.asarray(model.var_lb if lb is None else lb, dtype=float)
-        ub = np.asarray(model.var_ub if ub is None else ub, dtype=float)
         sign = 1.0 if model.sense == "min" else -1.0
         c_orig = sign * np.asarray(model.var_obj)
 
@@ -593,10 +581,13 @@ class InTreeBackend:
 
     name = "intree"
 
-    def solve_lp(self, model: LinearModel, lb=None, ub=None) -> SolveResult:
-        if lb is None and ub is None:
-            _check_no_binaries(model)
-        std = _StandardForm(model, lb=lb, ub=ub)
+    def solve_lp(self, model: LinearModel) -> SolveResult:
+        _check_no_binaries(model)
+        return self._relaxation(model, model.var_lb, model.var_ub)
+
+    def _relaxation(self, model: LinearModel, lb: np.ndarray, ub: np.ndarray) -> SolveResult:
+        """Solve model as an LP over the bounds lb, ub, binaries relaxed."""
+        std = _StandardForm(model, lb, ub)
         if std.infeasible_by_bounds:
             return SolveResult(status="infeasible")
         status, y, info = _simplex(std.A.copy(), std.b.copy(), std.c)
@@ -622,7 +613,6 @@ class InTreeBackend:
             objective=objective,
             x=x,
             duals=duals,
-            reduced=_reduced_costs(model, model.matrix(), duals),
             stats={"basis_size": len(basis)},
         )
 
@@ -635,11 +625,11 @@ class InTreeBackend:
         sign = 1.0 if model.sense == "min" else -1.0
 
         def relax(fix: dict[int, float]) -> SolveResult:
-            lb = list(model.var_lb)
-            ub = list(model.var_ub)
+            lb = model.var_lb.copy()
+            ub = model.var_ub.copy()
             for j, v in fix.items():
                 lb[j] = ub[j] = v
-            return self.solve_lp(model, lb=lb, ub=ub)
+            return self._relaxation(model, lb, ub)
 
         root = relax({})
         if root.status != "optimal":

@@ -336,11 +336,16 @@ def validate(inst: NetworkInstance) -> list[Violation]:
     T = inst.timegrid.step_count
 
     node_ids = inst.node_ids()
-    seen: set[str] = set()
-    for n in inst.nodes:
-        if n.id in seen:
-            out.append(Violation(n.id, "duplicate_id", "node id used twice"))
-        seen.add(n.id)
+    # One id space for all units: every family keys its dispatch columns ("gen", id, t).
+    units = (
+        *inst.renewables, *inst.conventionals, *inst.hydros, *inst.batteries, *inst.hydrogens
+    )
+    for kind, entities in (("node", inst.nodes), ("line", inst.lines), ("unit", units)):
+        seen: set[str] = set()
+        for e in entities:
+            if e.id in seen:
+                out.append(Violation(e.id, "duplicate_id", f"{kind} id used twice"))
+            seen.add(e.id)
     refs = [n for n in inst.nodes if n.is_reference]
     if len(refs) != 1:
         out.append(

@@ -69,41 +69,6 @@ def test_unbounded_lp_reported(backend):
     assert backend.solve_lp(m.build()).status == "unbounded"
 
 
-def test_reduced_costs_known_lp(backend):
-    # min x + 2y s.t. x + y >= 3, x <= 2: optimum x=2, y=1, row dual 2.
-    # Reduced costs c - A^T dual = [-1, 0]: x pressed against its cap.
-    m = ModelBuilder()
-    x = m.add_var("x", ub=2.0, obj=1.0)
-    y = m.add_var("y", obj=2.0)
-    m.add_row([(x, 1.0), (y, 1.0)], GE, 3.0)
-    r = backend.solve_lp(m.build())
-    assert r.optimal
-    assert np.allclose(r.x, [2.0, 1.0], atol=1e-8)
-    assert np.allclose(r.reduced, [-1.0, 0.0], atol=1e-8)
-
-
-def test_reduced_cost_bound_complementarity(backend):
-    # Box LPs with one coupling row. In a minimization, a variable at its
-    # lower bound must have reduced cost >= 0, at its upper bound <= 0,
-    # and strictly interior values price at zero.
-    rng = np.random.default_rng(7)
-    for _ in range(10):
-        n = int(rng.integers(3, 7))
-        m = ModelBuilder()
-        for j in range(n):
-            m.add_var(f"x{j}", ub=1.0, obj=float(rng.uniform(-1.0, 2.0)))
-        m.add_row([(j, 1.0) for j in range(n)], GE, float(rng.uniform(0.5, n - 1)))
-        r = backend.solve_lp(m.build())
-        assert r.optimal
-        for j in range(n):
-            if r.x[j] <= 1e-7:
-                assert r.reduced[j] >= -1e-6
-            elif r.x[j] >= 1.0 - 1e-7:
-                assert r.reduced[j] <= 1e-6
-            else:
-                assert abs(r.reduced[j]) <= 1e-6
-
-
 def test_lp_rejects_binary_model(backend):
     m = ModelBuilder()
     m.add_var("z", binary=True, obj=1.0)
@@ -143,15 +108,47 @@ def _random_ge_lp(rng):
     return model.build()
 
 
+def _random_mixed_lp(rng, sense):
+    """LP over x >= 0 whose =, >= and <= rows interleave, an = row first.
+
+    Rows are drawn around a positive point x0, so the LP is feasible; costs
+    are positive and, for a max, one <= row caps the sum of x, so it is
+    bounded. A solver that reorders rows by sense must map duals back.
+    """
+    n = int(rng.integers(3, 7))
+    x0 = rng.uniform(0.5, 3.0, size=n)
+    extra = rng.integers(0, 2, size=int(rng.integers(0, 4)))
+    senses = [EQ, GE, LE] + [[GE, LE][k] for k in extra]
+    rng.shuffle(senses)
+    senses = [EQ] + senses  # two = rows, fewer than the variables
+    model = ModelBuilder(sense=sense)
+    for j, c in enumerate(rng.uniform(0.5, 5.0, size=n)):
+        model.add_var(f"x{j}", obj=float(c))
+    cap = int(rng.integers(1, len(senses))) if sense == "max" else None
+    if cap is not None:
+        senses[cap] = LE
+    for i, row_sense in enumerate(senses):
+        a = np.ones(n) if i == cap else rng.uniform(-1.0, 2.0, size=n)
+        slack = float(rng.uniform(0.1, 2.0))
+        b = float(a @ x0) + {EQ: 0.0, GE: -slack, LE: slack}[row_sense]
+        model.add_row(list(enumerate(a.tolist())), row_sense, b)
+    return model.build()
+
+
+def _random_lps(rng):
+    """One LP of each family, drawn in a fixed order from rng."""
+    return [_random_ge_lp(rng), _random_mixed_lp(rng, "min"), _random_mixed_lp(rng, "max")]
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_strong_duality_on_random_lps(backend, seed):
     # No upper bounds and zero lower bounds, so the dual objective is y'b.
     rng = np.random.default_rng(seed)
-    model = _random_ge_lp(rng)
-    r = backend.solve_lp(model)
-    assert r.optimal
-    dual_obj = float(np.dot(r.duals, model.row_rhs))
-    assert r.objective == pytest.approx(dual_obj, abs=1e-8 * max(1.0, abs(r.objective)))
+    for model in _random_lps(rng):
+        r = backend.solve_lp(model)
+        assert r.optimal
+        dual_obj = float(np.dot(r.duals, model.row_rhs))
+        assert r.objective == pytest.approx(dual_obj, abs=1e-8 * max(1.0, abs(r.objective)))
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -184,22 +181,27 @@ def test_backends_agree_on_random_lps(seed):
 @pytest.mark.parametrize("seed", range(8))
 def test_duals_match_finite_differences(backend, seed):
     rng = np.random.default_rng(seed + 3000)
-    model = _random_ge_lp(rng)
-    base = backend.solve_lp(model)
-    assert base.optimal
     eps = 1e-5
-    for i in range(model.n_rows):
-        rhs = model.row_rhs.copy()
-        rhs[i] += eps
-        bumped = LinearModel(
-            model.matrix(), model.row_sense, rhs, model.var_lb, model.var_ub,
-            model.var_obj, model.var_names, model.row_names,
-        )
-        shifted = backend.solve_lp(bumped)
-        assert shifted.optimal
-        fd = (shifted.objective - base.objective) / eps
-        # one-sided difference: matches the dual unless the basis changes
-        assert fd == pytest.approx(base.duals[i], abs=1e-4) or fd >= base.duals[i] - 1e-9
+    for model in _random_lps(rng):
+        base = backend.solve_lp(model)
+        assert base.optimal
+        # the optimal value is convex in the rhs for a min, concave for a max
+        sign = 1.0 if model.sense == "min" else -1.0
+        for i in range(model.n_rows):
+            rhs = model.row_rhs.copy()
+            rhs[i] += eps
+            bumped = LinearModel(
+                model.matrix(), model.row_sense, rhs, model.var_lb, model.var_ub,
+                model.var_obj, model.var_names, model.row_names, sense=model.sense,
+            )
+            shifted = backend.solve_lp(bumped)
+            assert shifted.optimal
+            fd = (shifted.objective - base.objective) / eps
+            # one-sided difference: matches the dual unless the basis changes
+            assert (
+                fd == pytest.approx(base.duals[i], abs=1e-4)
+                or sign * (fd - base.duals[i]) >= -1e-9
+            )
 
 
 # --- MILP -----------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Domain types, validation rules, and cost annualization."""
 
+import dataclasses
 import math
 
 import pytest
@@ -117,9 +118,18 @@ def test_missing_reference_node_flagged():
 
 
 def test_duplicate_node_ids_flagged():
+    # Nodes, lines and units (one id space across all unit families) must
+    # each have unique ids.
     inst = toys.two_region()
-    bad = inst.replace(nodes=inst.nodes + (Node("n1", region="RA"),))
-    assert any(rule == "duplicate_id" for _, rule in _violations(bad))
+    pv, wind = inst.renewables
+    (gas,) = inst.conventionals
+    for bad in (
+        inst.replace(nodes=inst.nodes + (Node("n1", region="RA"),)),
+        inst.replace(lines=inst.lines * 2),
+        inst.replace(renewables=(pv, dataclasses.replace(wind, id=pv.id))),
+        inst.replace(conventionals=(dataclasses.replace(gas, id=pv.id),)),
+    ):
+        assert any(rule == "duplicate_id" for _, rule in _violations(bad))
 
 
 def test_cf_out_of_range_flagged():
