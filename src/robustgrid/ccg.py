@@ -80,14 +80,6 @@ class CcgTrace:
     message: str = ""
 
     @property
-    def final_lower_bound(self) -> float:
-        return self.iterations[-1].lower_bound
-
-    @property
-    def final_upper_bound(self) -> float:
-        return self.iterations[-1].upper_bound
-
-    @property
     def final_gap(self) -> float:
         return self.iterations[-1].gap
 

@@ -1,8 +1,9 @@
 """Command-line entry points.
 
 Four subcommands: `plan` runs the robust planner for one budget, `ladder`
-sweeps a list of budgets, `certify` referees a finished run against full
-enumeration, and `prep` turns raw weather history into model-ready series.
+sweeps a list of budgets, `certify` referees a finished run against
+exhaustive enumeration of the maximal realizations, and `prep` turns raw
+weather history into model-ready series.
 
 Exit codes: 0 success, 1 internal failure, 2 input error, 3 the run did not
 converge, 4 certification failed, 5 the enumeration cap was exceeded. The
@@ -271,12 +272,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_flags(p)
     p.set_defaults(func=cmd_ladder)
 
-    p = sub.add_parser("certify", help="referee a run against full enumeration")
+    p = sub.add_parser("certify", help="referee a run against exhaustive enumeration")
     p.add_argument("instance", help="instance JSON file")
     p.add_argument("--gamma-pv", type=int, default=0, help="solar budget per period")
     p.add_argument("--gamma-wind", type=int, default=0, help="wind budget per period")
     p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
-                   help="largest realization count worth enumerating")
+                   help="largest count of maximal realizations worth enumerating")
     _add_run_flags(p)
     p.set_defaults(func=cmd_certify)
 

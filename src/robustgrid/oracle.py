@@ -6,6 +6,20 @@ members and solving that LP gives the exact robust optimum with no
 decomposition, no duality, and no big-M involved, which makes it a fair
 referee for the iterative pipeline. The only shared machinery is the block
 builder and the LP backend, both tested independently.
+
+certify_run enumerates only the maximal members of the set, those that
+flag min(gamma, regions) regions in every (technology, period) group. That
+loses nothing. A flag can only lower availability: model.validate keeps
+0 <= deviation <= reference, realize floors at zero, and a unit's
+availability enters the dispatch only through its `ren_cap` row
+gen <= cf * cap * step_hours. So at any capacities a member's dispatch
+cost is no higher than that of any member whose flags contain its own,
+and every member is contained in a maximal one. The robust optimum, the
+largest dispatch cost and the coverage check are therefore the same over
+the maximal members as over the full set. enumerate_set,
+worst_case_by_enumeration and the default path of
+robust_optimum_by_enumeration still enumerate the full set and stay
+independent judges of that argument.
 """
 
 from __future__ import annotations
@@ -21,7 +35,9 @@ from .uncertainty import (
     DEFAULT_ENUMERATION_CAP,
     UncertaintyBudget,
     WorstCaseRealization,
+    count_realizations,
     enumerate_set,
+    maximal_sets,
     realize,
 )
 
@@ -44,8 +60,9 @@ def robust_optimum_by_enumeration(
 ) -> float:
     """Exact robust optimum: one LP with a block per enumerated realization.
 
-    realized, when given, is the capacity-factor map of every member of the
-    budget's set, from a caller that has already enumerated it.
+    realized, when given, is the capacity-factor map of every member the
+    caller enumerated: the budget's full set, or its maximal members, which
+    give the same optimum. Without it the full set is enumerated.
     """
     if realized is None:
         realized = [realize(inst, m) for m in enumerate_set(inst, budget, cap=cap)]
@@ -119,13 +136,20 @@ def certify_run(
     maximum. The search and the enumeration price the same capacity map,
     solution.capacities as the master returned it. Failures are report
     entries, never exceptions.
+
+    All three enumerate the maximal members only (maximal_sets, bounded by
+    cap). Because deviation <= reference and availability enters only
+    through the `<=` rows gen <= cf * cap * step_hours, adding a flag never
+    lowers the dispatch cost at any capacities; a maximal member therefore
+    costs at least as much as every member it contains, and each check has
+    the same outcome as over the full set.
     """
     solution, _ = ccg_result
     report = CertificationReport()
-    members = enumerate_set(inst, budget, cap=cap)
+    members = maximal_sets(inst, budget, cap=cap)
     realized = [realize(inst, m) for m in members]
 
-    exact = robust_optimum_by_enumeration(inst, budget, backend, cap=cap, realized=realized)
+    exact = robust_optimum_by_enumeration(inst, budget, backend, realized=realized)
     gap = abs(solution.objective - exact) / max(1.0, abs(exact))
     report.checks.append(
         CertificationCheck(
@@ -150,10 +174,11 @@ def certify_run(
             passed=not uncovered,
             value=worst_excess,
             detail=(
-                f"{len(uncovered)} of {len(members)} realization(s) above the "
-                f"recourse bound, first: {uncovered[0][0].summary()}"
+                f"{len(uncovered)} of {len(members)} maximal realization(s) "
+                f"above the recourse bound, first: {uncovered[0][0].summary()}"
                 if uncovered
-                else f"all {len(members)} realization(s) covered"
+                else f"all {len(members)} maximal realization(s) covered "
+                f"(they dominate all {count_realizations(inst, budget)} members)"
             ),
         )
     )

@@ -5,7 +5,10 @@ to gamma_pv weather regions whose solar units and up to gamma_wind regions
 whose wind units drop from the reference capacity factor to the synthetic
 lower bound (reference minus deviation) for every step of that period.
 Deviations are downward only: more availability never hurts a
-cost-minimizing dispatcher, so upward branches would never be active.
+cost-minimizing dispatcher, so upward branches would never be active. For
+the same reason a member never costs more than one whose flags contain its
+own, so the maximal members (maximal_sets), which flag min(gamma, regions)
+regions in every (technology, period) group, carry every worst case.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ __all__ = [
     "count_realizations",
     "enumerate_set",
     "is_dunkelflaute",
+    "maximal_sets",
     "realize",
 ]
 
@@ -158,46 +162,43 @@ def realize(
     return out
 
 
-def _per_period_choices(regions: list[str], gamma: int) -> list[frozenset[str]]:
-    picks: list[frozenset[str]] = []
-    for k in range(min(gamma, len(regions)) + 1):
-        picks.extend(frozenset(c) for c in itertools.combinations(regions, k))
-    return picks
-
-
-def count_realizations(inst: NetworkInstance, budget: UncertaintyBudget) -> int:
-    """Closed-form cardinality of the realization set."""
-    G = len(inst.regions)
-    per_tech = []
+def _group_sizes(inst: NetworkInstance, budget: UncertaintyBudget, maximal: bool):
+    """Flag counts allowed per (tech, period) group, pv first, then wind."""
+    out = []
     for gamma in (budget.gamma_pv, budget.gamma_wind):
-        per_tech.append(sum(math.comb(G, k) for k in range(min(gamma, G) + 1)))
-    per_period = per_tech[0] * per_tech[1]
-    return per_period ** max(1, len(inst.timegrid.periods)) if inst.timegrid.periods else 1
+        top = min(gamma, len(inst.regions))
+        out.append(range(top, top + 1) if maximal else range(top + 1))
+    return out
 
 
-def enumerate_set(
-    inst: NetworkInstance,
-    budget: UncertaintyBudget,
-    cap: int = DEFAULT_ENUMERATION_CAP,
+def _count(inst: NetworkInstance, sizes) -> int:
+    G = len(inst.regions)
+    per_period = 1
+    for tech_sizes in sizes:
+        per_period *= sum(math.comb(G, k) for k in tech_sizes)
+    return per_period ** len(inst.timegrid.periods)
+
+
+def _product(
+    inst: NetworkInstance, sizes, cap: int, what: str
 ) -> list[WorstCaseRealization]:
-    """Every realization the budget admits, duplicate-free.
+    """Every member whose (tech, period) groups flag a count from sizes.
 
     Raises EnumerationCapError when the closed-form count exceeds cap, so
     callers never start a hopeless enumeration.
     """
-    total = count_realizations(inst, budget)
+    total = _count(inst, sizes)
     if total > cap:
         raise EnumerationCapError(
-            f"{total} realizations exceed the enumeration cap of {cap}"
+            f"{total} {what} exceed the enumeration cap of {cap}"
         )
     regions = inst.region_ids()
-    periods = [p.id for p in inst.timegrid.periods]
-    if not periods:
-        return [WorstCaseRealization.reference()]
-    pv_choices = _per_period_choices(regions, budget.gamma_pv)
-    wind_choices = _per_period_choices(regions, budget.gamma_wind)
+    pv_choices, wind_choices = (
+        [frozenset(c) for k in tech_sizes for c in itertools.combinations(regions, k)]
+        for tech_sizes in sizes
+    )
     per_period: list[list[frozenset[Flag]]] = []
-    for pid in periods:
+    for pid in (p.id for p in inst.timegrid.periods):
         options = []
         for pv_set, wind_set in itertools.product(pv_choices, wind_choices):
             options.append(
@@ -207,10 +208,45 @@ def enumerate_set(
                 )
             )
         per_period.append(options)
-    out = []
-    for combo in itertools.product(*per_period):
-        out.append(WorstCaseRealization(frozenset().union(*combo)))
-    return out
+    return [
+        WorstCaseRealization(frozenset().union(*combo))
+        for combo in itertools.product(*per_period)
+    ]
+
+
+def count_realizations(inst: NetworkInstance, budget: UncertaintyBudget) -> int:
+    """Closed-form cardinality of the realization set."""
+    return _count(inst, _group_sizes(inst, budget, maximal=False))
+
+
+def enumerate_set(
+    inst: NetworkInstance,
+    budget: UncertaintyBudget,
+    cap: int = DEFAULT_ENUMERATION_CAP,
+) -> list[WorstCaseRealization]:
+    """Every realization the budget admits, duplicate-free.
+
+    Raises EnumerationCapError when the closed-form count exceeds cap.
+    """
+    sizes = _group_sizes(inst, budget, maximal=False)
+    return _product(inst, sizes, cap, "realizations")
+
+
+def maximal_sets(
+    inst: NetworkInstance,
+    budget: UncertaintyBudget,
+    cap: int = DEFAULT_ENUMERATION_CAP,
+) -> list[WorstCaseRealization]:
+    """The members no other member contains, generated directly.
+
+    Each flags exactly min(gamma, regions) regions in every (technology,
+    period) group, so there are C(G, gamma_pv)^P * C(G, gamma_wind)^P of
+    them for G regions and P periods. Every member of the budget's set is
+    a subset of one of them. Raises EnumerationCapError when that count
+    exceeds cap.
+    """
+    sizes = _group_sizes(inst, budget, maximal=True)
+    return _product(inst, sizes, cap, "maximal realizations")
 
 
 def is_dunkelflaute(

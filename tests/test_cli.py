@@ -211,6 +211,28 @@ def test_certify_cap_exceeded(tmp_path, capsys):
     assert "enumeration cap" in capsys.readouterr().err
 
 
+def test_certify_cap_below_maximal_count(tmp_path, capsys):
+    # two_region at (1, 1): 9 realizations, 4 of them maximal
+    rc = main([
+        "certify", save(two_region(), tmp_path),
+        "--gamma-pv", "1", "--gamma-wind", "1", "--cap", "3",
+    ])
+    assert rc == CAP_EXCEEDED
+    assert "4 maximal realizations exceed the enumeration cap of 3" in capsys.readouterr().err
+
+
+def test_certify_cap_between_maximal_and_full_count(tmp_path, capsys):
+    # the cap counts the 4 maximal realizations, not all 9
+    rc = main([
+        "certify", save(two_region(), tmp_path),
+        "--gamma-pv", "1", "--gamma-wind", "1", "--cap", "4",
+    ])
+    assert rc == OK
+    stdout = capsys.readouterr().out
+    assert stdout.count("PASS") == 3
+    assert "all 4 maximal realization(s) covered (they dominate all 9 members)" in stdout
+
+
 # --- prep -----------------------------------------------------------------------
 
 def write_history(tmp_path, unit_ids, years=3, weeks=2, seed=11):

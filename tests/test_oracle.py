@@ -8,7 +8,7 @@ import pytest
 
 from robustgrid.backend import InTreeBackend, ScipyBackend
 from robustgrid.ccg import CcgConfig, run_ccg
-from robustgrid.master import build_master, dispatch_cost, solve_master
+from robustgrid.master import build_master, capacity_keys, dispatch_cost, solve_master
 from robustgrid.model import CapacityFactorBundle
 from robustgrid.oracle import (
     certify_run,
@@ -21,6 +21,7 @@ from robustgrid.uncertainty import (
     WorstCaseRealization,
     count_realizations,
     enumerate_set,
+    maximal_sets,
     realize,
 )
 
@@ -177,6 +178,64 @@ def test_argmax_at_zero_capacity():
     argmax, worst = worst_case_by_enumeration(inst, {}, budget, SCIPY)
     assert worst == pytest.approx(FULL_SHED_COST_PER_MWH * 10.0 * 2, rel=1e-9)
     assert len(argmax) == count_realizations(inst, budget)
+
+
+# --- maximal members ----------------------------------------------------------
+
+def max_cost(inst, caps, members):
+    return max(dispatch_cost(inst, caps, realize(inst, m), SCIPY) for m in members)
+
+
+@pytest.mark.parametrize("gamma", [0, 1, 2])
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_maximal_members_referee_like_the_full_set(name, gamma):
+    # certify_run's three numbers, over the maximal members and over all of
+    # them: the enumeration LP, the coverage maximum at the converged
+    # capacities, and the worst case at fixed (deterministic) capacities.
+    inst = FIXTURES[name]()
+    budget = UncertaintyBudget(gamma, gamma)
+    maximal = maximal_sets(inst, budget)
+    full = robust_optimum_by_enumeration(inst, budget, SCIPY)
+    narrow = robust_optimum_by_enumeration(
+        inst, budget, SCIPY, realized=[realize(inst, m) for m in maximal]
+    )
+    assert narrow == pytest.approx(full, rel=1e-9, abs=1e-9)
+
+    solution, trace = run_ccg(inst, budget, backend=SCIPY)
+    assert trace.converged
+    fixed = solve_master(build_master(inst, [ref_cf(inst)]), SCIPY).capacities
+    for caps in (solution.capacities, fixed):
+        _, worst = worst_case_by_enumeration(inst, caps, budget, SCIPY)
+        assert max_cost(inst, caps, maximal) == pytest.approx(worst, rel=1e-9, abs=1e-9)
+
+
+def random_capacities(inst, rng):
+    line_limit = {l.id: l.expansion_limit for l in inst.lines}
+    return {
+        (kind, eid): rng.uniform(0.0, line_limit[eid] if kind == "line" else 10.0)
+        for kind, eid in capacity_keys(inst)
+    }
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("make", [two_region, two_period_battery, three_region_hydro],
+                         ids=lambda make: make.__name__)
+def test_adding_a_flag_never_lowers_the_dispatch_cost(make, seed):
+    # The lemma behind certifying over maximal members: a flag only lowers
+    # availability, so at any capacities cost(S) <= cost(S + {f}). A full
+    # budget makes every flag set a member.
+    inst = make()
+    G = len(inst.regions)
+    caps = random_capacities(inst, random.Random(seed))
+    members = enumerate_set(inst, UncertaintyBudget(G, G))
+    cost = {
+        m.flags: dispatch_cost(inst, caps, realize(inst, m), SCIPY) for m in members
+    }
+    every_flag = frozenset().union(*cost)
+    for flags, c in cost.items():
+        for f in every_flag - flags:
+            bigger = cost[flags | {f}]
+            assert c <= bigger + 1e-9 * max(1.0, abs(bigger)), (sorted(flags), f)
 
 
 # --- certification ------------------------------------------------------------

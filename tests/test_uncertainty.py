@@ -14,6 +14,7 @@ from robustgrid.uncertainty import (
     count_realizations,
     enumerate_set,
     is_dunkelflaute,
+    maximal_sets,
     realize,
 )
 
@@ -183,6 +184,45 @@ def test_enumeration_cap_enforced():
     inst = _synthetic_regions(4, 2)
     with pytest.raises(EnumerationCapError):
         enumerate_set(inst, UncertaintyBudget(4, 4), cap=100)
+
+
+@pytest.mark.parametrize("G", [1, 2, 3, 4])
+@pytest.mark.parametrize("periods", [1, 2])
+def test_maximal_sets_fill_every_group(G, periods):
+    inst = _synthetic_regions(G, periods)
+    pids = [p.id for p in inst.timegrid.periods]
+    for g_pv in range(G + 2):
+        for g_wind in range(G + 2):
+            budget = UncertaintyBudget(g_pv, g_wind)
+            full_pv, full_wind = min(g_pv, G), min(g_wind, G)
+            members = maximal_sets(inst, budget)
+            assert len(members) == (
+                math.comb(G, full_pv) ** periods * math.comb(G, full_wind) ** periods
+            )
+            assert len({m.key() for m in members}) == len(members)
+            for m in members:
+                for pid in pids:
+                    assert sum(1 for t, _, p in m.flags if t == PV and p == pid) == full_pv
+                    assert sum(1 for t, _, p in m.flags if t == WIND and p == pid) == full_wind
+
+
+@pytest.mark.parametrize("G, periods", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_every_member_lies_in_a_maximal_set(G, periods):
+    inst = _synthetic_regions(G, periods)
+    for budget in (UncertaintyBudget(1, 1), UncertaintyBudget(2, 1), UncertaintyBudget(1, 0)):
+        tops = [m.flags for m in maximal_sets(inst, budget)]
+        everything = {m.flags for m in enumerate_set(inst, budget)}
+        assert set(tops) <= everything
+        for flags in everything:
+            assert any(flags <= top for top in tops)
+
+
+def test_maximal_sets_cap_enforced():
+    inst = _synthetic_regions(3, 2)
+    budget = UncertaintyBudget(1, 1)
+    assert len(maximal_sets(inst, budget, cap=81)) == 81
+    with pytest.raises(EnumerationCapError, match="81 maximal realizations"):
+        maximal_sets(inst, budget, cap=80)
 
 
 def test_every_member_respects_budget():
