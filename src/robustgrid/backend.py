@@ -206,9 +206,6 @@ class ModelBuilder:
         self.var_binary.append(binary)
         return len(self.var_names) - 1
 
-    def add_obj(self, j: int, coef: float) -> None:
-        self.var_obj[j] += float(coef)
-
     def add_row(self, coeffs, sense: str, rhs: float, name: str = "") -> int:
         if sense not in _SENSES:
             raise ValueError(f"unknown row sense {sense!r}")

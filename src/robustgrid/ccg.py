@@ -1,17 +1,27 @@
 """Column-and-constraint generation loop tying master and worst case together.
 
-Each iteration solves the investment master over every realization found so
-far (the all-reference one seeds the memory), hands the capacities to the
-worst-case search, and adds whatever realization it returns. The master
+Each iteration solves the investment master over every cut found so far
+(the all-reference realization seeds the memory) and hands the capacities
+to the worst-case search. The memory does not get the search's worst case
+itself but its completion (uncertainty.complete): the same flags plus live
+flags, in region declaration order, up to the budget in every (technology,
+period) group. The search only has binaries where a unit already has
+capacity, so its worst case leaves out the regions the master has not
+built in yet; the completion puts them in, and at full budget the first
+cut is the member that dominates all others. The cut is exact: at the
+capacities the search saw, a flag never lowers the dispatch cost, so the
+cut costs at least the worst-case value, and it is a member, so it costs
+at most that. The trace keeps the search's own worst case. The master
 objective is a lower bound that only rises as memory grows; investment plus
 the worst-case value is an upper bound whose running minimum only falls.
 The loop stops when the current iterate's own bound pair closes, which is
 the same statement as the convergence certificate: the worst case found for
 the final plan costs no more than the recourse the master already priced.
 
-With exact arithmetic the search cannot return a realization it already
-returned while the gap is open; if floating point makes that happen, the
-loop stops and reports a numerical stall instead of spinning.
+With exact arithmetic no cut can repeat while the gap is open: a cut in
+memory already holds the recourse estimate at or above the worst-case
+value. If floating point makes one repeat, the loop stops and reports a
+numerical stall instead of spinning.
 """
 
 from __future__ import annotations
@@ -23,7 +33,7 @@ from dataclasses import dataclass, field
 from .backend import BackendError, get_backend
 from .master import MasterSolution, build_master, solve_master
 from .subproblem import build_subproblem, solve_subproblem
-from .uncertainty import UncertaintyBudget, WorstCaseRealization, realize
+from .uncertainty import UncertaintyBudget, WorstCaseRealization, complete, realize
 from .model import NetworkInstance
 
 __all__ = [
@@ -67,8 +77,8 @@ class CcgIteration:
     gap: float
     investment: float
     subproblem_objective: float
-    realization: WorstCaseRealization
-    duplicate: bool
+    realization: WorstCaseRealization  # the search's worst case, not the cut
+    duplicate: bool  # the cut was already in memory
     seconds: float
 
 
@@ -111,13 +121,14 @@ def run_ccg(
             worst = solve_subproblem(sub, backend, gap_tol=config.tolerance / 10.0)
         except BackendError as err:
             raise BackendError(f"iteration {k}: {err}") from err
+        cut = WorstCaseRealization(complete(inst, worst.flags, budget))
 
         lower = solution.objective
         fresh_ub = solution.investment_cost + worst.dual_objective
         running_ub = min(running_ub, fresh_ub)
         gap = (running_ub - lower) / max(1e-12, abs(running_ub))
         fresh_gap = (fresh_ub - lower) / max(1.0, abs(fresh_ub))
-        duplicate = worst.key() in seen
+        duplicate = cut.key() in seen
         trace.iterations.append(
             CcgIteration(
                 index=k,
@@ -143,15 +154,15 @@ def run_ccg(
         if duplicate:
             trace.stalled = True
             trace.message = (
-                f"numerical stall at iteration {k}: worst case "
-                f"{worst.summary()!r} re-identified with the gap still "
+                f"numerical stall at iteration {k}: cut {cut.summary()!r} "
+                f"(worst case {worst.summary()!r}) re-identified with the gap still "
                 f"{fresh_gap:.3e}; solver tolerances are too loose for the "
                 "requested stopping tolerance"
             )
             log.warning(trace.message)
             break
-        seen.add(worst.key())
-        cf_memory.append(worst.realized_cf)
+        seen.add(cut.key())
+        cf_memory.append(realize(inst, cut, budget))
     else:
         trace.message = (
             f"iteration limit {config.max_iterations} reached with gap "

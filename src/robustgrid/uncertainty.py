@@ -8,7 +8,8 @@ Deviations are downward only: more availability never hurts a
 cost-minimizing dispatcher, so upward branches would never be active. For
 the same reason a member never costs more than one whose flags contain its
 own, so the maximal members (maximal_sets), which flag min(gamma, regions)
-regions in every (technology, period) group, carry every worst case.
+regions in every (technology, period) group, carry every worst case, and
+any worst case stays one when complete fills its groups up to the budget.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ __all__ = [
     "UncertaintyBudget",
     "WorstCaseRealization",
     "check_flags",
+    "complete",
     "count_realizations",
     "enumerate_set",
     "is_dunkelflaute",
@@ -247,6 +249,45 @@ def maximal_sets(
     """
     sizes = _group_sizes(inst, budget, maximal=True)
     return _product(inst, sizes, cap, "maximal realizations")
+
+
+def _live_flags(inst: NetworkInstance) -> set[Flag]:
+    """Flags that lower some unit's availability at some step of their period."""
+    periods = inst.timegrid.periods
+    return {
+        (tech_class(unit.technology), unit.region, period.id)
+        for unit in inst.renewables
+        for period in periods
+        if any(unit.cf.deviation[t] > 0.0 for t in period.steps())
+    }
+
+
+def complete(
+    inst: NetworkInstance, flags: frozenset[Flag], budget: UncertaintyBudget
+) -> frozenset[Flag]:
+    """flags plus live flags up to the budget in every (tech, period) group.
+
+    A group holding fewer than budget.limit(tech) flags gains further flags
+    in region declaration order, each live: the region has a unit of that
+    technology whose deviation is positive at some step of the period. A
+    flag never lowers the dispatch cost, so at any capacities the result
+    costs at least what flags cost; a worst case stays a worst case.
+    """
+    live = _live_flags(inst)
+    out = set(flags)
+    for tech in TECH_CLASSES:
+        for period in inst.timegrid.periods:
+            room = budget.limit(tech) - sum(
+                1 for t, _, p in flags if t == tech and p == period.id
+            )
+            for region in inst.region_ids():
+                if room <= 0:
+                    break
+                flag = (tech, region, period.id)
+                if flag in live and flag not in out:
+                    out.add(flag)
+                    room -= 1
+    return frozenset(out)
 
 
 def is_dunkelflaute(

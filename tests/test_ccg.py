@@ -1,6 +1,8 @@
 """CCG loop: convergence, bound behaviour, ladder, failure modes."""
 
 import logging
+import random
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +14,8 @@ from robustgrid.ccg import (
     run_gamma_ladder,
 )
 import robustgrid.ccg as ccg_module
-from robustgrid.master import build_master, dispatch_cost, solve_master
+from robustgrid.io import load_instance
+from robustgrid.master import build_master, capacity_keys, dispatch_cost, solve_master
 from robustgrid.subproblem import (
     build_subproblem,
     solve_subproblem,
@@ -20,11 +23,18 @@ from robustgrid.subproblem import (
 from robustgrid.uncertainty import (
     UncertaintyBudget,
     WorstCaseRealization,
+    complete,
     enumerate_set,
     realize,
 )
 
-from toys import single_node, three_region_hydro, two_period_battery, two_region
+from toys import (
+    single_node,
+    symmetric_pair,
+    three_region_hydro,
+    two_period_battery,
+    two_region,
+)
 
 SCIPY = ScipyBackend()
 
@@ -126,6 +136,53 @@ def test_memory_grows_without_repeats():
     # every identified realization before the last is distinct and kept
     assert len(set(keys[:-1])) == len(keys[:-1])
     assert all(it.seconds >= 0.0 for it in trace.iterations)
+
+
+# --- completed cuts ----------------------------------------------------------------
+
+def sparse_capacities(inst, rng):
+    """Random capacities where about half the units have none, so the
+    worst-case search lacks binaries for their flags."""
+    line_limit = {l.id: l.expansion_limit for l in inst.lines}
+    return {
+        (kind, eid): 0.0 if rng.random() < 0.5
+        else rng.uniform(0.0, line_limit[eid] if kind == "line" else 10.0)
+        for kind, eid in capacity_keys(inst)
+    }
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("gamma", [0, 1, 2])
+@pytest.mark.parametrize(
+    "make",
+    [single_node, two_region, two_period_battery, three_region_hydro, symmetric_pair],
+    ids=lambda make: make.__name__,
+)
+def test_completed_cut_is_still_a_worst_case(make, gamma, seed):
+    inst = make()
+    budget = UncertaintyBudget(gamma, gamma).clamp(len(inst.regions))
+    caps = sparse_capacities(inst, random.Random(seed))
+    worst = solve_subproblem(build_subproblem(inst, caps, budget), SCIPY)
+    cut = complete(inst, worst.flags, budget)
+    assert worst.flags <= cut
+    cost = dispatch_cost(inst, caps, realize(inst, WorstCaseRealization(cut)), SCIPY)
+    assert cost == pytest.approx(worst.dual_objective, rel=1e-6, abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "make, gamma",
+    [
+        (lambda: load_instance(Path(__file__).parent / "fixtures" / "toy6.json"), 6),
+        (two_region, 2),
+    ],
+    ids=["toy6", "two_region"],
+)
+def test_full_budget_converges_in_two(make, gamma):
+    # the first cut flags every live (tech, region, period), which dominates
+    # every member, so the second iteration re-identifies it with the gap shut
+    _, trace = run_ccg(make(), UncertaintyBudget(gamma, gamma), backend=SCIPY)
+    assert trace.converged
+    assert len(trace.iterations) <= 2
 
 
 # --- failure modes ---------------------------------------------------------------

@@ -118,7 +118,7 @@ def reference_dispatch(inst, caps, cf, tag="d"):
     emitter = _RowByRowEmitter(model, inst, cf, tag, caps=caps)
     emitter.emit()
     for j, c in emitter.fuel_terms + emitter.shed_terms:
-        model.add_obj(j, c)
+        model.var_obj[j] += float(c)
     return model.build(), emitter.meta
 
 

@@ -1,8 +1,10 @@
 """Uncertainty set: realization arithmetic, enumeration counts, budgets."""
 
+import dataclasses
 import itertools
 import logging
 import math
+import random
 
 import pytest
 
@@ -11,6 +13,8 @@ from robustgrid.uncertainty import (
     EnumerationCapError,
     UncertaintyBudget,
     WorstCaseRealization,
+    check_flags,
+    complete,
     count_realizations,
     enumerate_set,
     is_dunkelflaute,
@@ -223,6 +227,86 @@ def test_maximal_sets_cap_enforced():
     assert len(maximal_sets(inst, budget, cap=81)) == 81
     with pytest.raises(EnumerationCapError, match="81 maximal realizations"):
         maximal_sets(inst, budget, cap=80)
+
+
+def _patchy_regions(G):
+    """_synthetic_regions(G, 2) with gaps in what a flag can lower.
+
+    Wind units stand only in the even regions, R1's solar unit cannot
+    deviate in p2, and the regions are declared in reverse, so declaration
+    order is not sorted order.
+    """
+    from robustgrid.model import CapacityFactorBundle, RenewableUnit
+
+    inst = _synthetic_regions(G, 2)
+    solar = tuple(
+        dataclasses.replace(u, cf=CapacityFactorBundle(
+            reference=u.cf.reference, deviation=(0.1, 0.1, 0.0, 0.0)
+        )) if u.region == "R1" else u
+        for u in inst.renewables
+    )
+    wind = tuple(
+        RenewableUnit(
+            id=f"w{k}", node=f"n{k}", technology="wind_onshore", region=f"R{k}",
+            annualized_cost=1.0,
+            cf=CapacityFactorBundle(reference=(0.4,) * 4, deviation=(0.2,) * 4),
+        )
+        for k in range(0, G, 2)
+    )
+    return inst.replace(
+        renewables=solar + wind, regions=tuple(reversed(inst.regions))
+    )
+
+
+def _lowers_something(inst, flag):
+    reference = realize(inst, WorstCaseRealization.reference())
+    return realize(inst, WorstCaseRealization(frozenset({flag}))) != reference
+
+
+@pytest.mark.parametrize("G", [3, 4])
+def test_complete_adds_live_flags_in_declaration_order(G):
+    inst = _patchy_regions(G)
+    every_flag = {
+        (tech, g, p.id)
+        for tech in (PV, WIND)
+        for g in inst.region_ids()
+        for p in inst.timegrid.periods
+    }
+    live = {f for f in every_flag if _lowers_something(inst, f)}
+    assert live < every_flag
+    rng = random.Random(G)
+    for g_pv in range(G + 2):
+        for g_wind in range(G + 2):
+            budget = UncertaintyBudget(g_pv, g_wind)
+            members = enumerate_set(inst, budget.clamp(G))
+            for member in rng.sample(members, min(20, len(members))):
+                flags = member.flags & live
+                cut = complete(inst, flags, budget)
+                assert flags <= cut
+                check_flags(inst, cut, budget)
+                for tech in (PV, WIND):
+                    for pid in ("p1", "p2"):
+                        group = [g for g in inst.region_ids() if (tech, g, pid) in live]
+                        held = [g for g in group if (tech, g, pid) in flags]
+                        added = [g for g in inst.region_ids()
+                                 if (tech, g, pid) in cut - flags]
+                        fill = min(budget.limit(tech), len(group))
+                        assert len(held) + len(added) == fill
+                        assert added == [g for g in group if g not in held][:len(added)]
+
+
+@pytest.mark.parametrize("G", [3, 4])
+def test_complete_leaves_full_groups_alone(G):
+    inst = _synthetic_regions(G, 2)
+    for budget in (UncertaintyBudget(0, 0), UncertaintyBudget(1, 0), UncertaintyBudget(2, 2)):
+        for member in maximal_sets(inst, budget):
+            # the instance has no wind unit, so wind groups stay empty
+            live = frozenset(f for f in member.flags if f[0] == PV)
+            assert complete(inst, live, budget) == live
+    patchy = _patchy_regions(G)
+    budget = UncertaintyBudget(G, G)
+    cut = complete(patchy, frozenset(), budget)
+    assert complete(patchy, cut, budget) == cut
 
 
 def test_every_member_respects_budget():
