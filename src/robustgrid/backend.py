@@ -341,10 +341,7 @@ class ScipyBackend:
     def solve_milp(self, model: LinearModel, gap_tol: float = 1e-9) -> SolveResult:
         if gap_tol < 0:
             raise ValueError("gap_tol must be nonnegative")
-        res, info = _run(model, {**_OPTIONS, "mip_rel_gap": gap_tol})
-        if res.optimal:
-            res.stats["mip_gap"] = info.mip_gap if model.is_mip else 0.0
-        return res
+        return _run(model, {**_OPTIONS, "mip_rel_gap": gap_tol})[0]
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +607,6 @@ class InTreeBackend:
             objective=objective,
             x=x,
             duals=duals,
-            stats={"basis_size": len(basis)},
         )
 
     def solve_milp(self, model: LinearModel, gap_tol: float = 1e-9) -> SolveResult:
@@ -635,7 +631,6 @@ class InTreeBackend:
         best_obj = INF  # min space
         counter = 0
         heap = [(sign * root.objective, counter, {}, root)]
-        nodes = 0
 
         def cutoff() -> float:
             if not math.isfinite(best_obj):
@@ -646,7 +641,6 @@ class InTreeBackend:
             bound, _, fix, res = heapq.heappop(heap)
             if bound >= cutoff() - 1e-12:
                 continue
-            nodes += 1
             frac_j, frac_dist = -1, -1.0
             for j in bins:
                 v = res.x[j]
@@ -670,8 +664,7 @@ class InTreeBackend:
                     counter += 1
                     heapq.heappush(heap, (child_bound, counter, child_fix, child))
         if incumbent is None:
-            return SolveResult(status="infeasible", stats={"nodes": nodes})
-        incumbent.stats["nodes"] = nodes
+            return SolveResult(status="infeasible")
         incumbent.duals = None  # relaxation duals are not the MILP's
         return incumbent
 

@@ -6,7 +6,12 @@ one, and the dual objective weighs them with the numeric right-hand sides
 the capacities produced. Availability is the only place a realization can
 touch the primal, so in the dual it surfaces as a bilinear product of the
 availability multiplier and the region flag binary; each such product is
-replaced by an auxiliary variable pinned down exactly by four big-M rows.
+replaced by an auxiliary variable phi capped by two rows, phi <= M z and
+phi <= mu. phi is nonnegative and positively priced in a maximization, so
+the optimum lifts it to min(mu, M z), which is mu * z whenever mu <= M.
+The exact big-M product's other rows cannot bind: phi >= -M z and
+phi >= mu - M (1 - z) are lower bounds, and phi <= mu + M (1 - z) is weaker
+than phi <= mu. So M bounds only phi, never an unflagged multiplier.
 Maximizing over the multipliers and the flags, subject to the per-period
 budgets, prices the worst realization the budget allows.
 
@@ -44,7 +49,7 @@ from .master import (
     dispatch_template,
 )
 from .model import NetworkInstance, PV, WIND
-from .uncertainty import Flag, UncertaintyBudget, WorstCaseRealization, realize
+from .uncertainty import Flag, UncertaintyBudget, WorstCaseRealization, check_flags, realize
 
 __all__ = [
     "SubproblemBuild",
@@ -167,15 +172,13 @@ def build_subproblem(
     )
 
     # bilinear term per affected availability row: phi stands for mu * z,
-    # pinned by four big-M rows (lin1..lin4), in that order per term:
-    #   phi <= M z,  -phi <= M z,  mu - phi + M z <= M,  -mu + phi + M z <= M
+    # capped by two rows (lin1, lin2), in that order per term:
+    #   phi - M z <= 0,  phi - mu <= 0
+    # the other rows of the exact product cannot bind (module docstring)
     lin_part = (
-        np.cumsum(np.concatenate([[0], np.tile([2, 2, 3, 3], n_phi)])),
-        np.column_stack([
-            phi_z, phi_col, phi_z, phi_col,
-            phi_rows, phi_z, phi_col, phi_rows, phi_z, phi_col,
-        ]).ravel(),
-        np.tile([-M, 1.0, -M, -1.0, 1.0, M, -1.0, -1.0, M, 1.0], n_phi),
+        np.arange(0, 4 * n_phi + 1, 2),
+        np.column_stack([phi_z, phi_col, phi_rows, phi_col]).ravel(),
+        np.tile([-M, 1.0, -1.0, 1.0], n_phi),
     )
 
     # one multiplier per primal row, weighted by that row's numeric rhs; the
@@ -199,18 +202,16 @@ def build_subproblem(
         names = [f"dc[{name}]" for name in pm.var_names] + budget_names
         for i in phi_rows.tolist():
             name = pm.row_names[i]
-            names += [f"lin{k}[{name}]" for k in (1, 2, 3, 4)]
+            names += [f"lin1[{name}]", f"lin2[{name}]"]
         return names
 
     model = LinearModel(
         matrix,
         row_sense=np.concatenate([
             np.where(primal_free, EQ, LE).astype(object),
-            np.full(len(budget_rows) + 4 * n_phi, LE, dtype=object),
+            np.full(len(budget_rows) + 2 * n_phi, LE, dtype=object),
         ]),
-        row_rhs=np.concatenate([
-            pm.var_obj, budget_rhs, np.tile([0.0, 0.0, M, M], n_phi),
-        ]),
+        row_rhs=np.concatenate([pm.var_obj, budget_rhs, np.zeros(2 * n_phi)]),
         var_lb=np.concatenate([np.where(eq, -math.inf, 0.0), np.zeros(n_z + n_phi)]),
         var_ub=np.concatenate([
             np.full(n_dual, math.inf), np.ones(n_z), np.full(n_phi, math.inf),
@@ -255,7 +256,9 @@ def _check_saturation(
     payoff-neutral ray (full deviation makes the availability multiplier's
     net objective coefficient vanish), so before failing the solve is
     cross-checked against the primal dispatch at the chosen flags; only a
-    real duality gap raises.
+    real duality gap raises. M caps only phi, so a multiplier above M on an
+    unflagged row does not distort the value; the check still flags it,
+    and the cross-check clears it.
     """
     threshold = build.big_m * (1.0 - SATURATION_RTOL)
     hot = [
@@ -283,8 +286,8 @@ def solve_subproblem(
 ) -> WorstCaseRealization:
     """Maximize the dual over multipliers and flags; return the worst case.
 
-    The returned realization carries its flags, its realized capacity
-    factors and, as dual_objective, the optimal dual value: the worst-case
+    The returned realization carries its flags, checked against the
+    budget, and, as dual_objective, the optimal dual value: the worst-case
     dispatch cost at the build's capacities.
     """
     res = backend.solve_milp(build.model, gap_tol=gap_tol)
@@ -293,8 +296,8 @@ def solve_subproblem(
     objective = float(res.objective)
     flags = frozenset(flag for flag, j in build.z.items() if res.x[j] > 0.5)
     _check_saturation(build, res.x, flags, objective, backend)
-    realized = realize(build.instance, WorstCaseRealization(flags=flags), build.budget)
-    return WorstCaseRealization(flags=flags, realized_cf=realized, dual_objective=objective)
+    check_flags(build.instance, flags, build.budget)
+    return WorstCaseRealization(flags=flags, dual_objective=objective)
 
 
 def verify_strong_duality(

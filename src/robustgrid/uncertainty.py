@@ -85,14 +85,11 @@ class WorstCaseRealization:
     """One member of the uncertainty set.
 
     flags holds the (tech, region, period) triples whose availability drops
-    to the lower bound. realized_cf and dual_objective are filled in once a
-    subproblem (or realize) has processed the flags.
+    to the lower bound. dual_objective is filled in once a subproblem has
+    priced the flags.
     """
 
     flags: frozenset[Flag] = frozenset()
-    realized_cf: dict[str, tuple[float, ...]] | None = field(
-        default=None, compare=False
-    )
     dual_objective: float | None = field(default=None, compare=False)
 
     @staticmethod

@@ -229,9 +229,11 @@ def test_06_budget_monotonicity_and_taper(toy6, toy6_ladder):
 def test_07_bigm_soundness():
     """Restricted worst-case solves match primal dispatch, far from the bound.
 
-    Partial deviations keep every multiplier strictly inside the big-M box;
-    each budget member is pinned in turn and must reproduce the dispatch
-    cost within 1e-6 relative.
+    Each budget member is pinned in turn and must reproduce the dispatch
+    cost within 1e-6 relative. M caps only the phi terms (phi <= M z and
+    phi <= mu), so only a flagged multiplier can be clipped by it; partial
+    deviations keep every variable, multipliers and phi alike, strictly
+    below M, so no solve here leans on the saturation cross-check.
     """
     cases = {
         "single_node_partial": (halve_deviation(single_node()), UncertaintyBudget(1, 1)),

@@ -204,11 +204,7 @@ def test_duplicate_with_open_gap_stalls(monkeypatch):
     flags = frozenset({("pv", "R1", "p1")})
 
     def fake_solve(build, backend, gap_tol=1e-9):
-        return WorstCaseRealization(
-            flags=flags,
-            realized_cf=realize(build.instance, WorstCaseRealization(flags=flags)),
-            dual_objective=9.9e9,
-        )
+        return WorstCaseRealization(flags=flags, dual_objective=9.9e9)
 
     monkeypatch.setattr(ccg_module, "solve_subproblem", fake_solve)
     sol, trace = run_ccg(inst, UncertaintyBudget(1, 0), backend=SCIPY)

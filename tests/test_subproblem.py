@@ -253,14 +253,32 @@ def test_tiny_big_m_raises_with_guidance():
         solve_subproblem(build, SCIPY)
 
 
-def test_four_linearization_rows_per_term():
+def test_two_linearization_rows_per_term():
     inst = single_node()
     caps = {("ren", "s1"): 20.0}
     build = build_subproblem(inst, caps, UncertaintyBudget(1, 0))
-    # 2 steps inside the period, deviation positive: 2 phi terms, 8 rows
+    # 2 steps inside the period, deviation positive: 2 phi terms, 4 rows
     assert len(build.phi) == 2
-    for tag in ("lin1", "lin2", "lin3", "lin4"):
-        assert sum(n.startswith(f"{tag}[") for n in build.model.row_names) == 2
+    names = build.model.row_names
+    for tag, count in (("lin1", 2), ("lin2", 2), ("lin3", 0), ("lin4", 0)):
+        assert sum(n.startswith(f"{tag}[") for n in names) == count
+
+
+@pytest.mark.parametrize(
+    "capacity, want", [(1.0, 190000.0), (5.0, 142000.0), (10.0, 82000.0)]
+)
+def test_big_m_bounds_only_flagged_multipliers(capacity, want):
+    # at budget 0 no flag can be set, so the worst case is the reference
+    # dispatch; its availability multipliers sit far above M = 1, which
+    # must not cap them while their flags are off
+    inst = single_node()
+    caps = {("ren", "s1"): capacity}
+    build = build_subproblem(inst, caps, UncertaintyBudget(0, 0), big_m=1.0)
+    assert len(build.z) == 1
+    worst = solve_subproblem(build, SCIPY)
+    assert worst.flags == frozenset()
+    assert worst.dual_objective == pytest.approx(want, rel=1e-9)
+    assert dispatch_cost(inst, caps, ref_cf(inst), SCIPY) == pytest.approx(want, rel=1e-9)
 
 
 def test_default_big_m_tracks_top_shedding_tier():
@@ -295,14 +313,6 @@ def test_worst_case_solve_leaves_row_names_unmade():
     solve_subproblem(build, SCIPY)
     assert callable(build.dispatch.model._row_names)
     assert callable(build.model._row_names)
-
-
-def test_realization_carries_realized_cf():
-    inst = single_node()
-    caps = {("ren", "s1"): 20.0}
-    build = build_subproblem(inst, caps, UncertaintyBudget(1, 0))
-    worst = solve_subproblem(build, SCIPY)
-    assert worst.realized_cf == {"s1": (0.0, 0.0)}
 
 
 # --- the capacities handed over ------------------------------------------------

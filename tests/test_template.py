@@ -160,9 +160,7 @@ def reference_subproblem(inst, caps, budget):
             name, mj = pm.row_names[i], dual_var[i]
             pj = model.add_var(f"phi[{name}]", obj=caps.get(("ren", entity), 0.0) * dev_rhs)
             model.add_row([(pj, 1.0), (zj, -big_m)], LE, 0.0, name=f"lin1[{name}]")
-            model.add_row([(pj, -1.0), (zj, -big_m)], LE, 0.0, name=f"lin2[{name}]")
-            model.add_row([(mj, 1.0), (pj, -1.0), (zj, big_m)], LE, big_m, name=f"lin3[{name}]")
-            model.add_row([(mj, -1.0), (pj, 1.0), (zj, big_m)], LE, big_m, name=f"lin4[{name}]")
+            model.add_row([(pj, 1.0), (mj, -1.0)], LE, 0.0, name=f"lin2[{name}]")
     return model.build()
 
 
