@@ -8,7 +8,10 @@ ModelBuilder makes them from a model written one row at a time. Two
 backends ship:
 
 - ScipyBackend: the HiGHS solver bundled with scipy, called directly, for
-  LPs with row duals and for mixed binary programs. Default.
+  LPs with row duals and for mixed binary programs. Default. Mixed-binary
+  programs run with HiGHS's RINS and RENS sub-MIP heuristics off, where the
+  bundled HiGHS has the switches, since only the proven optimum is wanted.
+  An option HiGHS rejects is a BackendError.
 - InTreeBackend: a dense two-phase simplex with Bland's rule plus best-first
   branch-and-bound over binary variables, pure numpy. Self-contained and
   deterministic; meant for desk-scale models and for cross-checking.
@@ -20,6 +23,7 @@ max, as declared on the model) with respect to the rhs of row i. For
 
 from __future__ import annotations
 
+import functools
 import heapq
 import logging
 import math
@@ -269,6 +273,30 @@ _STATUS = {
 # method used. HiGHS's pivots depend on these and on the row order.
 _OPTIONS = {"output_flag": False, "presolve": "on", "simplex_strategy": 1}
 
+# RINS and RENS are sub-MIPs that only hunt incumbents (Danna, Rothberg &
+# Le Pape 2005; Berthold 2014); CCG needs the proven optimum. The worst-case
+# MILPs have 10-14 binaries and weak big-M bounds. Over ladder-mid's 13
+# non-trivial MILPs (seed 3) the two switches took HiGHS from 8.6 s to
+# 5.4 s (451 -> 521 nodes, objectives equal to 1.7e-9 relative);
+# mip_heuristic_effort=0 alone does not stop the root sub-MIPs (6.5 s).
+_MIP_SWITCHES = {"mip_heuristic_run_rins": False, "mip_heuristic_run_rens": False}
+
+
+@functools.cache
+def _milp_options() -> dict:
+    """_OPTIONS plus those of _MIP_SWITCHES this HiGHS knows, asked once.
+
+    An older HiGHS without a switch runs as it always did.
+    """
+    probe = highs._Highs()
+    probe.setOptionValue("output_flag", False)
+    known = {
+        key: value
+        for key, value in _MIP_SWITCHES.items()
+        if probe.getOptionValue(key)[0] == highs.HighsStatus.kOk
+    }
+    return {**_OPTIONS, **known}
+
 
 def _run(model: LinearModel, options: dict) -> tuple[SolveResult, highs.HighsInfo]:
     """Solve model with one HiGHS run; return the result and HiGHS's info.
@@ -302,7 +330,8 @@ def _run(model: LinearModel, options: dict) -> tuple[SolveResult, highs.HighsInf
 
     solver = highs._Highs()
     for key, value in options.items():
-        solver.setOptionValue(key, value)
+        if solver.setOptionValue(key, value) == highs.HighsStatus.kError:
+            raise BackendError(f"HiGHS rejected option {key}={value!r}")
     if solver.passModel(lp) == highs.HighsStatus.kError:
         status = highs.HighsModelStatus.kModelError
     else:
@@ -341,7 +370,7 @@ class ScipyBackend:
     def solve_milp(self, model: LinearModel, gap_tol: float = 1e-9) -> SolveResult:
         if gap_tol < 0:
             raise ValueError("gap_tol must be nonnegative")
-        return _run(model, {**_OPTIONS, "mip_rel_gap": gap_tol})[0]
+        return _run(model, {**_milp_options(), "mip_rel_gap": gap_tol})[0]
 
 
 # ---------------------------------------------------------------------------

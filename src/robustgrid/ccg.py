@@ -126,7 +126,9 @@ def run_ccg(
         lower = solution.objective
         fresh_ub = solution.investment_cost + worst.dual_objective
         running_ub = min(running_ub, fresh_ub)
-        gap = (running_ub - lower) / max(1e-12, abs(running_ub))
+        # Scaled as fresh_gap, so with nonnegative costs gap <= fresh_gap and
+        # a converged run never reports a gap above its tolerance.
+        gap = (running_ub - lower) / max(1.0, abs(running_ub))
         fresh_gap = (fresh_ub - lower) / max(1.0, abs(fresh_ub))
         duplicate = cut.key() in seen
         trace.iterations.append(

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import robustgrid.backend as backend_module
 from robustgrid.backend import (
     EQ,
     GE,
@@ -267,6 +268,84 @@ def test_backends_agree_on_random_milps(seed):
     rb = InTreeBackend().solve_milp(model, gap_tol=1e-9)
     assert ra.optimal and rb.optimal
     assert ra.objective == pytest.approx(rb.objective, abs=1e-7)
+
+
+# --- HiGHS options ------------------------------------------------------------
+
+def _knapsack_model():
+    m = ModelBuilder(sense="max")
+    for k, v in enumerate([10.0, 6.0, 4.0]):
+        m.add_var(f"z{k}", obj=v, binary=True)
+    m.add_row([(0, 5.0), (1, 4.0), (2, 3.0)], LE, 8.0)
+    return m.build()
+
+
+def _floor_model():
+    m = ModelBuilder()
+    x = m.add_var("x", obj=1.0)
+    m.add_row([(x, 1.0)], GE, 3.0)
+    return m.build()
+
+
+@pytest.mark.parametrize(
+    "option", [("no_such_option", 1), ("presolve", "bogus")], ids=["name", "value"]
+)
+def test_run_rejects_options_highs_rejects(option):
+    key, value = option
+    options = {**backend_module._OPTIONS, key: value}
+    with pytest.raises(BackendError, match=f"{key}={value!r}"):
+        backend_module._run(_floor_model(), options)
+
+
+def _record_options(monkeypatch) -> list:
+    calls = []
+    base = backend_module.highs._Highs
+
+    class Recording(base):
+        def setOptionValue(self, key, value):
+            calls.append((key, value))
+            return super().setOptionValue(key, value)
+
+    monkeypatch.setattr(backend_module.highs, "_Highs", Recording)
+    return calls
+
+
+def test_milp_switches_off_rins_and_rens_where_highs_has_them(monkeypatch):
+    probe = backend_module.highs._Highs()
+    probe.setOptionValue("output_flag", False)
+    known = [
+        key
+        for key in ("mip_heuristic_run_rins", "mip_heuristic_run_rens")
+        if probe.getOptionValue(key)[0] == backend_module.highs.HighsStatus.kOk
+    ]
+    backend_module._milp_options()  # ask HiGHS before recording
+    calls = _record_options(monkeypatch)
+    assert ScipyBackend().solve_milp(_knapsack_model(), gap_tol=1e-9).objective == 14.0
+    expected = {**backend_module._OPTIONS, **dict.fromkeys(known, False)}
+    assert calls == list({**expected, "mip_rel_gap": 1e-9}.items())
+
+
+def test_lp_sets_exactly_the_lp_options(monkeypatch):
+    calls = _record_options(monkeypatch)
+    assert ScipyBackend().solve_lp(_floor_model()).objective == pytest.approx(3.0)
+    assert calls == list(backend_module._OPTIONS.items())
+
+
+def test_milp_options_leave_out_switches_highs_lacks(monkeypatch):
+    base = backend_module.highs._Highs
+
+    class Old(base):
+        def getOptionValue(self, key):
+            if key.startswith("mip_heuristic_run_"):
+                return backend_module.highs.HighsStatus.kError, 0
+            return super().getOptionValue(key)
+
+    monkeypatch.setattr(backend_module.highs, "_Highs", Old)
+    backend_module._milp_options.cache_clear()
+    try:
+        assert backend_module._milp_options() == backend_module._OPTIONS
+    finally:
+        backend_module._milp_options.cache_clear()
 
 
 # --- factory and model builder ---------------------------------------------

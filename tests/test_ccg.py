@@ -1,5 +1,6 @@
 """CCG loop: convergence, bound behaviour, ladder, failure modes."""
 
+import dataclasses
 import logging
 import random
 from pathlib import Path
@@ -212,6 +213,28 @@ def test_duplicate_with_open_gap_stalls(monkeypatch):
     assert not trace.converged
     assert "stall" in trace.message
     assert len(trace.iterations) == 2
+
+
+def test_converged_gap_within_tolerance(monkeypatch):
+    # bounds below 1 in magnitude: the gap the loop stops on and the gap it
+    # reports must be scaled alike, or a converged run reports 5e-8 > 1e-8
+    inst = single_node()
+    upper = 0.05 + 5e-9
+
+    def fake_master(build, backend):
+        solution = solve_master(build, backend)
+        return dataclasses.replace(solution, objective=0.1, investment_cost=0.05)
+
+    def fake_solve(build, backend, gap_tol=1e-9):
+        return WorstCaseRealization(flags=frozenset(), dual_objective=upper)
+
+    monkeypatch.setattr(ccg_module, "solve_master", fake_master)
+    monkeypatch.setattr(ccg_module, "solve_subproblem", fake_solve)
+    config = CcgConfig(tolerance=1e-8)
+    _, trace = run_ccg(inst, UncertaintyBudget(1, 0), config, SCIPY)
+    assert trace.converged
+    assert len(trace.iterations) == 1
+    assert trace.final_gap <= config.tolerance
 
 
 def test_backend_error_carries_iteration_context():
