@@ -1,8 +1,8 @@
 """Solver backends behind a single small contract.
 
 Model logic elsewhere in the package builds a LinearModel (variables with
-bounds, a CSR constraint matrix, one objective) and hands it to a backend.
-A LinearModel has one storage form, numpy arrays around the CSR: the
+bounds, a constraint matrix, one objective) and hands it to a backend. A
+LinearModel has one storage form, numpy arrays around one CSRMatrix: the
 builders in master.py and subproblem.py stamp those arrays directly, and
 ModelBuilder makes them from a model written one row at a time. Two
 backends ship:
@@ -16,6 +16,11 @@ backends ship:
   branch-and-bound over binary variables, pure numpy. Self-contained and
   deterministic; meant for desk-scale models and for cross-checking.
 
+Only HiGHS is taken from scipy. Its extension module is loaded on its own,
+under the name scipy gives it, so importing this package does not run
+scipy.optimize's __init__ (or load scipy.sparse and scipy.linalg with it);
+a later import of scipy.optimize finds and uses that same module.
+
 Dual convention: duals[i] is the derivative of the stated objective (min or
 max, as declared on the model) with respect to the rhs of row i. For
 "min x s.t. x >= 3" the dual on the row is +1.
@@ -25,21 +30,51 @@ from __future__ import annotations
 
 import functools
 import heapq
+import importlib.machinery
+import importlib.util
 import logging
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-# Private scipy API, hence the scipy>=1.15 floor in pyproject.toml: the
-# HiGHS object that scipy's own linprog and milp wrap.
-from scipy.optimize._highspy import _core as highs
+import scipy
+
+
+def _load_highs():
+    """scipy's bundled HiGHS extension, without scipy.optimize's __init__.
+
+    A private scipy module, hence the scipy>=1.15 floor in pyproject.toml:
+    the HiGHS object that scipy's own linprog and milp wrap. If scipy.optimize
+    already loaded it, that module is reused; otherwise it is loaded from
+    scipy/optimize/_highspy and registered under its own name, so that a
+    later import of scipy.optimize does not load a second copy.
+    """
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:
+        return sys.modules[name]
+    where = os.path.join(scipy.__path__[0], "optimize", "_highspy")
+    spec = importlib.machinery.PathFinder.find_spec(name, [where])
+    if spec is None:
+        raise ImportError(
+            f"no HiGHS extension {name} in {where}; robustgrid needs scipy>=1.15, "
+            f"found scipy {scipy.__version__}"
+        )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+highs = _load_highs()
 
 __all__ = [
     "LE",
     "GE",
     "EQ",
     "BackendError",
+    "CSRMatrix",
     "LinearModel",
     "ModelBuilder",
     "SolveResult",
@@ -79,8 +114,75 @@ class SolveResult:
         return self.status == "optimal"
 
 
+class CSRMatrix:
+    """A sparse matrix in compressed sparse row form.
+
+    Row i holds the columns indices[indptr[i]:indptr[i + 1]] and the values
+    in the same slice of data; shape is (rows, columns). Entries are kept as
+    given: not sorted, merged or pruned, explicit zeros and their signs
+    included. The index arrays are int32, HiGHS's index width. The
+    constructor checks the structure and raises ValueError on a malformed
+    one. colwise() gives the column-wise arrays HiGHS loads; there is no
+    algebra, since the solvers do it.
+    """
+
+    __slots__ = ("indptr", "indices", "data", "shape")
+
+    def __init__(self, indptr, indices, data, shape: tuple[int, int]):
+        n_rows, n_cols = (int(n) for n in shape)
+        indptr, indices = np.asarray(indptr), np.asarray(indices)
+        data = np.asarray(data, dtype=float)
+        if not (
+            np.issubdtype(indptr.dtype, np.integer) and np.issubdtype(indices.dtype, np.integer)
+        ):
+            raise ValueError("indptr and indices must be integer arrays")
+        if indptr.ndim != 1 or indices.ndim != 1 or data.ndim != 1:
+            raise ValueError("indptr, indices and data must be one-dimensional")
+        if min(n_rows, n_cols) < 0 or len(indptr) != n_rows + 1:
+            raise ValueError(f"indptr has length {len(indptr)} for shape {(n_rows, n_cols)}")
+        if indptr[0] != 0 or np.any(np.diff(indptr) < 0):
+            raise ValueError("indptr must start at 0 and never decrease")
+        if not indptr[-1] == len(indices) == len(data):
+            raise ValueError(
+                f"indptr ends at {indptr[-1]}, but there are {len(indices)} indices "
+                f"and {len(data)} values"
+            )
+        if len(indices) and (indices.min() < 0 or indices.max() >= n_cols):
+            raise ValueError(f"a column index is outside 0..{n_cols - 1}")
+        if max(n_cols, len(data)) > np.iinfo(np.int32).max:
+            raise ValueError("matrix too large for 32-bit indices")
+        self.indptr = indptr.astype(np.int32, copy=False)
+        self.indices = indices.astype(np.int32, copy=False)
+        self.data = data
+        self.shape = (n_rows, n_cols)
+
+    def row_ids(self) -> np.ndarray:
+        """The row of each stored entry."""
+        return np.repeat(np.arange(self.shape[0], dtype=np.int32), np.diff(self.indptr))
+
+    def colwise(self, row_order: np.ndarray | None = None):
+        """(start, index, value): the matrix column by column, as HiGHS loads it.
+
+        row_order, a permutation of the rows, first reorders the matrix so
+        that its row k is row row_order[k] of this one. Within a column the
+        entries ascend by row, and entries that share a row keep their
+        stored order; values, zeros and signs are copied as stored. That is
+        scipy's A[row_order].tocsc(), entry for entry.
+        """
+        n_rows, n_cols = self.shape
+        rows = self.row_ids()
+        if row_order is not None:
+            new_row = np.empty(n_rows, dtype=np.int32)
+            new_row[row_order] = np.arange(n_rows, dtype=np.int32)
+            rows = new_row[rows]
+        perm = np.lexsort((rows, self.indices))
+        start = np.zeros(n_cols + 1, dtype=np.int32)
+        np.cumsum(np.bincount(self.indices, minlength=n_cols), out=start[1:])
+        return start, rows[perm], self.data[perm]
+
+
 class LinearModel:
-    """Sparse LP or mixed-binary program, held as arrays around one CSR.
+    """Sparse LP or mixed-binary program, held as arrays around one CSRMatrix.
 
     matrix is the constraint matrix in canonical form (sorted column
     indices, merged duplicates, explicit zeros kept) and matrix() returns it
@@ -94,7 +196,7 @@ class LinearModel:
 
     def __init__(
         self,
-        matrix: sparse.csr_matrix,
+        matrix: CSRMatrix,
         row_sense: np.ndarray,
         row_rhs: np.ndarray,
         var_lb: np.ndarray,
@@ -113,6 +215,8 @@ class LinearModel:
             raise ValueError("row arrays do not match the matrix height")
         if not len(var_lb) == len(var_ub) == len(var_obj) == n_vars:
             raise ValueError("variable arrays do not match the matrix width")
+        if var_binary is not None and len(var_binary) != n_vars:
+            raise ValueError("var_binary does not match the matrix width")
         self.name = name
         self.sense = sense
         self._csr = matrix
@@ -161,7 +265,7 @@ class LinearModel:
     def is_mip(self) -> bool:
         return bool(np.any(self.var_binary))
 
-    def matrix(self) -> sparse.csr_matrix:
+    def matrix(self) -> CSRMatrix:
         return self._csr
 
 
@@ -231,14 +335,11 @@ class ModelBuilder:
         return len(self.rows) - 1
 
     def build(self) -> LinearModel:
-        indptr = np.cumsum([0] + [len(row) for row in self.rows])
-        matrix = sparse.csr_matrix(
-            (
-                np.array([coef for row in self.rows for _, coef in row], dtype=float),
-                np.array([j for row in self.rows for j, _ in row], dtype=np.intp),
-                indptr,
-            ),
-            shape=(len(self.rows), self.n_vars),
+        matrix = CSRMatrix(
+            np.cumsum([0] + [len(row) for row in self.rows]),
+            np.array([j for row in self.rows for j, _ in row], dtype=np.int32),
+            np.array([coef for row in self.rows for _, coef in row], dtype=float),
+            (len(self.rows), self.n_vars),
         )
         return LinearModel(
             matrix,
@@ -311,7 +412,7 @@ def _run(model: LinearModel, options: dict) -> tuple[SolveResult, highs.HighsInf
     sign = 1.0 if model.sense == "min" else -1.0
     order = np.argsort((model.row_sense == EQ) & (not model.is_mip), kind="stable")
     senses, rhs = model.row_sense[order], model.row_rhs[order]
-    A = model.matrix()[order].tocsc()
+    start, index, value = model.matrix().colwise(order)
 
     lp = highs.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = model.n_vars
@@ -322,9 +423,9 @@ def _run(model: LinearModel, options: dict) -> tuple[SolveResult, highs.HighsInf
     lp.row_lower_ = np.where(senses == LE, -INF, rhs)
     lp.row_upper_ = np.where(senses == GE, INF, rhs)
     lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = A.indptr
-    lp.a_matrix_.index_ = A.indices
-    lp.a_matrix_.value_ = A.data
+    lp.a_matrix_.start_ = start
+    lp.a_matrix_.index_ = index
+    lp.a_matrix_.value_ = value
     if model.is_mip:  # HighsVarType 1 is integer, 0 continuous
         lp.integrality_ = [highs.HighsVarType(int(b)) for b in model.var_binary]
 
@@ -454,8 +555,8 @@ class _StandardForm:
                 row[km] = row.get(km, 0.0) - coef
 
         rhs_adj = np.zeros(model.n_rows)
-        entries = model.matrix().tocoo()
-        for i, j, coef in zip(entries.row.tolist(), entries.col.tolist(), entries.data.tolist()):
+        A = model.matrix()
+        for i, j, coef in zip(A.row_ids().tolist(), A.indices.tolist(), A.data.tolist()):
             kind, data = self.recipe[j]
             if kind == "fixed":
                 rhs_adj[i] += coef * data

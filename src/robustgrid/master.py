@@ -7,16 +7,16 @@ LP (capacities folded into right-hand sides) is one such block on its own,
 and it is what the worst-case subproblem dualizes.
 
 Template and stamps: the block emitter defines a dispatch block once per
-instance, as a DispatchTemplate of numpy/CSR arrays: the block's own rows
-and columns, each row's sense and base rhs, and beside them how each row
-depends on the capacities (the template's cap_rows, cap_keys and
-cap_coefs, scaled by the realized capacity factor on the availability
-rows). The builders then stamp copies
-with array operations: the master stacks one copy per realization
-block-diagonally and writes the capacity columns; the dispatch LP keeps the
-matrix and moves the capacity terms into the rhs. A stamped model is the
-very model that emitting each block row by row would produce, down to the
-order and value of every matrix entry.
+instance, as a DispatchTemplate of numpy arrays around a CSRMatrix: the
+block's own rows and columns, each row's sense and base rhs, and beside
+them how each row depends on the capacities (the template's cap_rows,
+cap_keys and cap_coefs, scaled by the realized capacity factor on the
+availability rows). The builders then stamp copies with array operations:
+the master stacks one copy per realization block-diagonally and writes
+the capacity columns; the dispatch LP keeps the matrix and moves the
+capacity terms into the rhs. A stamped model is the very model that
+emitting each block row by row would produce, down to the order and value
+of every matrix entry.
 
 Conventions: dispatch quantities are energies per step (MWh). A power
 rating K limits energy as K * step_hours; storage energy caps carry no
@@ -33,9 +33,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
-from .backend import EQ, LE, BackendError, LinearModel, ModelBuilder, SolveResult
+from .backend import EQ, LE, BackendError, CSRMatrix, LinearModel, ModelBuilder, SolveResult
 from .model import NetworkInstance, tech_class
 
 __all__ = [
@@ -470,7 +469,7 @@ class _BlockEmitter:
 class DispatchTemplate:
     """One dispatch block in array form, emitted once per instance.
 
-    matrix is the block's local CSR exactly as the emitter wrote it (rows
+    matrix is the block's local CSRMatrix exactly as the emitter wrote it (rows
     sorted and merged, explicit zeros kept). Beside it: row senses and base
     right-hand sides, column lower bounds (0 or -inf), the operating cost of
     every column, and the capacity coupling as one entry per coupled row:
@@ -533,7 +532,7 @@ class DispatchTemplate:
         cost_cols = np.concatenate([self.fuel_cols, self.shed_cols])
         cost_vals = np.concatenate([self.fuel_costs, self.shed_costs])
         rows = np.concatenate([
-            np.repeat(np.arange(mb), np.diff(A.indptr)),
+            A.row_ids(),
             self.cap_rows,
             np.full(1 + len(cost_cols), mb),
         ])
@@ -547,20 +546,19 @@ class DispatchTemplate:
         position[order] = np.arange(len(order))
         indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=mb + 1))])
         cols = cols[order]
-        return indptr, cols, vals[order], cols > n_cap, position[A.nnz + self.ren]
+        return indptr, cols, vals[order], cols > n_cap, position[len(A.data) + self.ren]
 
     @cached_property
-    def dual_rows(self) -> sparse.csr_matrix:
+    def dual_rows(self) -> CSRMatrix:
         """The transposed block, one row per column: the dual constraints.
 
         A column's entry from row i is negated when row i is an inequality,
         since <= rows get nonnegative multipliers entering with a minus.
         """
-        At = self.matrix.tocsc()  # row indices ascend within each column
+        start, rows, values = self.matrix.colwise()  # rows ascend within each column
         sign = np.where(self.row_sense == EQ, 1.0, -1.0)
-        data = 0.0 + At.data * sign[At.indices]
-        return sparse.csr_matrix(
-            (data, At.indices, At.indptr), shape=(self.n_vars, self.n_rows)
+        return CSRMatrix(
+            start, rows, 0.0 + values * sign[rows], (self.n_vars, self.n_rows)
         )
 
     def realized_coefs(self, cf: np.ndarray) -> np.ndarray:
@@ -639,8 +637,8 @@ def build_master(
     indices = np.tile(indices, (K, 1))
     indices[:, in_block] += (nb * np.arange(K))[:, None]
     indptr = np.append((indptr[:-1] + nnz * np.arange(K)[:, None]).ravel(), K * nnz)
-    matrix = sparse.csr_matrix(
-        (data.ravel(), indices.ravel(), indptr), shape=(K * (mb + 1), n_cap + 1 + K * nb)
+    matrix = CSRMatrix(
+        indptr, indices.ravel(), data.ravel(), (K * (mb + 1), n_cap + 1 + K * nb)
     )
 
     def var_names():

@@ -22,13 +22,13 @@ arbiter that the construction is right, and verify_strong_duality checks
 it on demand.
 
 Template and stamps: the block emitter in master.py defines the dispatch
-block once per instance, and the dispatch template keeps it as a CSR
-matrix. The dual constraints are that matrix transposed, with the entries
-of inequality rows negated, so the dual still follows from the emitted
-rows alone. Capacities only move right-hand sides, never the matrix, so
-the transposed block is computed once per instance; a build stamps the
-parts that depend on the capacities (dual objective, flag binaries, budget
-rows, linearization rows) as arrays around it.
+block once per instance, and the dispatch template keeps it as a
+CSRMatrix. The dual constraints are that matrix transposed, with the
+entries of inequality rows negated, so the dual still follows from the
+emitted rows alone. Capacities only move right-hand sides, never the
+matrix, so the transposed block is computed once per instance; a build
+stamps the parts that depend on the capacities (dual objective, flag
+binaries, budget rows, linearization rows) as arrays around it.
 """
 
 from __future__ import annotations
@@ -38,9 +38,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
-from .backend import EQ, LE, BackendError, LinearModel
+from .backend import EQ, LE, BackendError, CSRMatrix, LinearModel
 from .master import (
     CapKey,
     DispatchBuild,
@@ -89,20 +88,18 @@ class SubproblemBuild:
     dispatch: DispatchBuild
 
 
-def _csr_rows(parts, n_cols: int) -> sparse.csr_matrix:
-    """Stack row blocks, each given as (indptr, indices, data), into one CSR."""
+def _csr_rows(parts, n_cols: int) -> CSRMatrix:
+    """Stack row blocks, each given as (indptr, indices, data), into one CSRMatrix."""
     indptr, offset = [np.zeros(1, dtype=np.int64)], 0
     for ptr, _, _ in parts:
         indptr.append(np.asarray(ptr[1:], dtype=np.int64) + offset)
         offset += int(ptr[-1])
     indptr = np.concatenate(indptr)
-    return sparse.csr_matrix(
-        (
-            np.concatenate([np.asarray(d, dtype=float) for _, _, d in parts]),
-            np.concatenate([np.asarray(i, dtype=np.int64) for _, i, _ in parts]),
-            indptr,
-        ),
-        shape=(len(indptr) - 1, n_cols),
+    return CSRMatrix(
+        indptr,
+        np.concatenate([np.asarray(i, dtype=np.int64) for _, i, _ in parts]),
+        np.concatenate([np.asarray(d, dtype=float) for _, _, d in parts]),
+        (len(indptr) - 1, n_cols),
     )
 
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import robustgrid.backend as backend_module
 from robustgrid.backend import (
@@ -158,7 +159,8 @@ def test_complementary_slackness_on_random_lps(backend, seed):
     model = _random_ge_lp(rng)
     r = backend.solve_lp(model)
     assert r.optimal
-    slack = model.matrix() @ r.x - model.row_rhs
+    A = model.matrix()
+    slack = sparse.csr_matrix((A.data, A.indices, A.indptr), shape=A.shape) @ r.x - model.row_rhs
     for i in range(model.n_rows):
         assert abs(r.duals[i] * slack[i]) < 1e-6
 
@@ -388,6 +390,16 @@ def test_builder_rejects_bad_input(bad):
     m.add_var("w")
     with pytest.raises(ValueError):
         bad(m)
+
+
+def test_model_rejects_binary_markers_of_another_width():
+    model = _floor_model()
+    with pytest.raises(ValueError, match="var_binary"):
+        LinearModel(
+            model.matrix(), model.row_sense, model.row_rhs, model.var_lb, model.var_ub,
+            model.var_obj, model.var_names, model.row_names,
+            var_binary=np.zeros(model.n_vars + 1, dtype=bool),
+        )
 
 
 def test_built_model_rows_view_the_matrix():
