@@ -10,8 +10,9 @@ backends ship:
 - ScipyBackend: the HiGHS solver bundled with scipy, called directly, for
   LPs with row duals and for mixed binary programs. Default. Mixed-binary
   programs run with HiGHS's RINS and RENS sub-MIP heuristics off, where the
-  bundled HiGHS has the switches, since only the proven optimum is wanted.
-  An option HiGHS rejects is a BackendError.
+  bundled HiGHS has the switches, since they only hunt incumbents. Given an
+  objective target, a mixed-binary solve stops at the first incumbent that
+  reaches it. An option HiGHS rejects is a BackendError.
 - InTreeBackend: a dense two-phase simplex with Bland's rule plus best-first
   branch-and-bound over binary variables, pure numpy. Self-contained and
   deterministic; meant for desk-scale models and for cross-checking.
@@ -99,8 +100,10 @@ class BackendError(Exception):
 
 @dataclass
 class SolveResult:
-    """Outcome of one solve. x is present iff status is optimal; duals too,
-    for LPs only (a mixed-binary solve has none).
+    """Outcome of one solve. x is present iff status is optimal or target
+    (a mixed-binary solve stopped at an incumbent that reached its
+    objective target); duals only for optimal LPs (a mixed-binary solve has
+    none).
     """
 
     status: str
@@ -363,8 +366,14 @@ def _check_no_binaries(model: LinearModel) -> None:
         )
 
 
-_STATUS = {
+# Statuses that come with a solution: a proven optimum, or an incumbent
+# that reached the objective target of a mixed-binary solve.
+_SOLVED = {
     highs.HighsModelStatus.kOptimal: "optimal",
+    highs.HighsModelStatus.kObjectiveTarget: "target",
+}
+
+_STATUS = {
     highs.HighsModelStatus.kInfeasible: "infeasible",
     highs.HighsModelStatus.kUnbounded: "unbounded",
     highs.HighsModelStatus.kModelError: "infeasible",
@@ -375,11 +384,12 @@ _STATUS = {
 _OPTIONS = {"output_flag": False, "presolve": "on", "simplex_strategy": 1}
 
 # RINS and RENS are sub-MIPs that only hunt incumbents (Danna, Rothberg &
-# Le Pape 2005; Berthold 2014); CCG needs the proven optimum. The worst-case
-# MILPs have 10-14 binaries and weak big-M bounds. Over ladder-mid's 13
-# non-trivial MILPs (seed 3) the two switches took HiGHS from 8.6 s to
-# 5.4 s (451 -> 521 nodes, objectives equal to 1.7e-9 relative);
-# mip_heuristic_effort=0 alone does not stop the root sub-MIPs (6.5 s).
+# Le Pape 2005; Berthold 2014); CCG's exact solves need the proven optimum.
+# The worst-case MILPs have 10-14 binaries and weak big-M bounds. With every
+# MILP exact, over ladder-mid's 13 non-trivial MILPs (seed 3) the two
+# switches took HiGHS from 8.6 s to 5.4 s (451 -> 521 nodes, objectives
+# equal to 1.7e-9 relative); mip_heuristic_effort=0 alone does not stop the
+# root sub-MIPs (6.5 s).
 _MIP_SWITCHES = {"mip_heuristic_run_rins": False, "mip_heuristic_run_rens": False}
 
 
@@ -439,14 +449,14 @@ def _run(model: LinearModel, options: dict) -> tuple[SolveResult, highs.HighsInf
         solver.run()
         status = solver.getModelStatus()
     info = solver.getInfo()
-    if status != highs.HighsModelStatus.kOptimal:
+    if status not in _SOLVED:
         message = solver.modelStatusToString(status)
         return SolveResult(_STATUS.get(status, "limit"), stats={"message": message}), info
     solution = solver.getSolution()
     row_dual = sign * np.asarray(solution.row_dual)
     duals = row_dual[np.argsort(order)] if solution.dual_valid else None
     result = SolveResult(
-        status="optimal",
+        status=_SOLVED[status],
         objective=sign * info.objective_function_value,
         x=np.asarray(solution.col_value),
         duals=duals,
@@ -468,10 +478,22 @@ class ScipyBackend:
             res.stats["iterations"] = info.simplex_iteration_count
         return res
 
-    def solve_milp(self, model: LinearModel, gap_tol: float = 1e-9) -> SolveResult:
+    def solve_milp(
+        self, model: LinearModel, gap_tol: float = 1e-9, target: float | None = None
+    ) -> SolveResult:
+        """Solve to the relative gap gap_tol, or, given a target, stop at the
+        first incumbent whose objective reaches it (status "target").
+
+        HiGHS minimizes sign * objective (see _run), so the target goes in
+        with that sign: for a max model, a target of +t would already be met
+        by any incumbent of value above -t.
+        """
         if gap_tol < 0:
             raise ValueError("gap_tol must be nonnegative")
-        return _run(model, {**_milp_options(), "mip_rel_gap": gap_tol})[0]
+        options = {**_milp_options(), "mip_rel_gap": gap_tol}
+        if target is not None:
+            options["objective_target"] = target if model.sense == "min" else -target
+        return _run(model, options)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -739,7 +761,11 @@ class InTreeBackend:
             duals=duals,
         )
 
-    def solve_milp(self, model: LinearModel, gap_tol: float = 1e-9) -> SolveResult:
+    def solve_milp(
+        self, model: LinearModel, gap_tol: float = 1e-9, target: float | None = None
+    ) -> SolveResult:
+        """Best-first branch-and-bound to the relative gap gap_tol. target is
+        accepted and ignored: a proven optimum answers any target."""
         if gap_tol < 0:
             raise ValueError("gap_tol must be nonnegative")
         if not model.is_mip:

@@ -11,22 +11,41 @@ built in yet; the completion puts them in, and at full budget the first
 cut is the member that dominates all others. The cut is exact: at the
 capacities the search saw, a flag never lowers the dispatch cost, so the
 cut costs at least the worst-case value, and it is a member, so it costs
-at most that. The trace keeps the search's own worst case. The master
-objective is a lower bound that only rises as memory grows; investment plus
-the worst-case value is an upper bound whose running minimum only falls.
-The loop stops when the current iterate's own bound pair closes, which is
-the same statement as the convergence certificate: the worst case found for
-the final plan costs no more than the recourse the master already priced.
+at most that. The trace keeps the search's own worst case.
 
-With exact arithmetic no cut can repeat while the gap is open: a cut in
-memory already holds the recourse estimate at or above the worst-case
-value. If floating point makes one repeat, the loop stops and reports a
-numerical stall instead of spinning.
+Separation is inexact until the end (Tsang, Shehadeh & Curtis, inexact
+column-and-constraint generation): the search gets a target, the master's
+recourse bound eta plus a margin of 10 x tolerance x max(1, |master
+objective|), and stops at the first realization whose value reaches it;
+any such realization is a valid cut. Only a search that never reaches the
+target runs to its optimum, and only such an exact search counts for the
+bounds:
+
+- The master objective is a lower bound that only rises as memory grows.
+- Investment plus an exact worst-case value is an upper bound; the trace
+  keeps its running minimum, which is inf (and so is the gap) until the
+  first exact search. An early stop's value is only a lower bound on the
+  worst case, and its saturation check has not run, so it never touches the
+  upper bound.
+- The loop stops only on an exact search whose own bound pair closes, which
+  is the same statement as the convergence certificate: the worst case
+  found for the final plan costs no more than the recourse the master
+  already priced.
+
+With exact arithmetic no cut can repeat while the gap is open. An exact
+search's cut costs at least the worst-case value, and a cut in memory
+already holds the recourse estimate at or above its own cost. An early
+stop's cut is new for the same reason: its value is at most the cost of
+its flags, hence of its completion, and at least the target, which lies
+above eta, and eta is at least the cost of every member in memory. If
+floating point makes a cut repeat, the loop stops and reports a numerical
+stall instead of spinning.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -81,6 +100,11 @@ class CcgIteration:
     duplicate: bool  # the cut was already in memory
     seconds: float
 
+    @property
+    def exact(self) -> bool:
+        """The search proved its optimum rather than stop at its target."""
+        return self.realization.exact
+
 
 @dataclass
 class CcgTrace:
@@ -118,17 +142,27 @@ def run_ccg(
             build = build_master(inst, cf_memory)
             solution = solve_master(build, backend)
             sub = build_subproblem(inst, solution.capacities, budget, big_m=config.big_m)
-            worst = solve_subproblem(sub, backend, gap_tol=config.tolerance / 10.0)
+            target = solution.recourse_bound + 10.0 * config.tolerance * max(
+                1.0, abs(solution.objective)
+            )
+            worst = solve_subproblem(
+                sub, backend, gap_tol=config.tolerance / 10.0, target=target
+            )
         except BackendError as err:
             raise BackendError(f"iteration {k}: {err}") from err
         cut = WorstCaseRealization(complete(inst, worst.flags, budget))
 
         lower = solution.objective
         fresh_ub = solution.investment_cost + worst.dual_objective
-        running_ub = min(running_ub, fresh_ub)
+        if worst.exact:
+            running_ub = min(running_ub, fresh_ub)
         # Scaled as fresh_gap, so with nonnegative costs gap <= fresh_gap and
         # a converged run never reports a gap above its tolerance.
-        gap = (running_ub - lower) / max(1.0, abs(running_ub))
+        gap = (
+            (running_ub - lower) / max(1.0, abs(running_ub))
+            if math.isfinite(running_ub)
+            else math.inf
+        )
         fresh_gap = (fresh_ub - lower) / max(1.0, abs(fresh_ub))
         duplicate = cut.key() in seen
         trace.iterations.append(
@@ -145,11 +179,12 @@ def run_ccg(
             )
         )
         log.info(
-            "iteration %d: LB %.6g, UB %.6g, gap %.3g, worst case %s",
-            k, lower, running_ub, gap, worst.summary(),
+            "iteration %d: LB %.6g, UB %.6g, gap %.3g, %s worst case %s",
+            k, lower, running_ub, gap, "exact" if worst.exact else "early",
+            worst.summary(),
         )
 
-        if fresh_gap <= config.tolerance:
+        if worst.exact and fresh_gap <= config.tolerance:
             trace.converged = True
             trace.message = f"converged in {k + 1} iteration(s)"
             break

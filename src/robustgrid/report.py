@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 
 from .ccg import CcgTrace, LadderEntry
 from .master import MasterSolution, ScenarioBlock
-from .model import NetworkInstance
-from .uncertainty import UncertaintyBudget
+from .model import PV, WIND, NetworkInstance
+from .uncertainty import UncertaintyBudget, WorstCaseRealization, is_dunkelflaute
 
 __all__ = [
     "fmt",
@@ -68,7 +69,9 @@ def solution_document(
         "converged": trace.converged,
         "stalled": trace.stalled,
         "iterations": len(trace.iterations),
-        "final_gap": trace.final_gap,
+        # inf when no search was exact (an iteration limit hit on an early
+        # stop), written as null: JSON has no Infinity
+        "final_gap": trace.final_gap if math.isfinite(trace.final_gap) else None,
         "message": trace.message,
         "capacities": capacities,
     }
@@ -87,7 +90,9 @@ def write_solution(
 
 
 def write_trace_csv(path: str | Path, trace: CcgTrace) -> None:
-    """Bound progression per iteration, with the identified realization."""
+    """Bound progression per iteration, with the identified realization and
+    whether its search was exact (1) or stopped at its target (0).
+    upper_bound and gap read inf until the first exact search."""
     rows = [
         [
             str(it.index),
@@ -96,17 +101,26 @@ def write_trace_csv(path: str | Path, trace: CcgTrace) -> None:
             fmt(it.gap),
             it.realization.summary(),
             fmt(it.seconds),
+            str(int(it.exact)),
         ]
         for it in trace.iterations
     ]
     _write_csv(
         path,
-        ["iteration", "lower_bound", "upper_bound", "gap", "realization", "seconds"],
+        ["iteration", "lower_bound", "upper_bound", "gap", "realization", "seconds", "exact"],
         rows,
     )
 
 
 # --- realization matrix -------------------------------------------------------
+
+def _matrix_cell(realization: WorstCaseRealization, region: str, period_id: str) -> str:
+    if is_dunkelflaute(realization, region, period_id):
+        return "D"
+    if realization.hits(PV, region, period_id):
+        return "S"
+    return "W" if realization.hits(WIND, region, period_id) else "-"
+
 
 def realization_matrix(inst: NetworkInstance, trace: CcgTrace) -> str:
     """Text matrix of identified adverse events.
@@ -120,15 +134,10 @@ def realization_matrix(inst: NetworkInstance, trace: CcgTrace) -> str:
     header = ["iteration", "period"] + regions
     rows: list[list[str]] = []
     for it in trace.iterations:
-        flags = it.realization.flags
-        if not flags:
+        if not it.realization.flags:
             continue
         for period in inst.timegrid.periods:
-            cells = []
-            for g in regions:
-                pv = ("pv", g, period.id) in flags
-                wind = ("wind", g, period.id) in flags
-                cells.append("D" if pv and wind else "S" if pv else "W" if wind else "-")
+            cells = [_matrix_cell(it.realization, g, period.id) for g in regions]
             rows.append([str(it.index), period.id] + cells)
     widths = [
         max(len(header[c]), *(len(r[c]) for r in rows)) if rows else len(header[c])

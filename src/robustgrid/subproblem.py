@@ -279,22 +279,31 @@ def _check_saturation(
 
 
 def solve_subproblem(
-    build: SubproblemBuild, backend, gap_tol: float = 1e-9
+    build: SubproblemBuild, backend, gap_tol: float = 1e-9, target: float | None = None
 ) -> WorstCaseRealization:
     """Maximize the dual over multipliers and flags; return the worst case.
 
     The returned realization carries its flags, checked against the
     budget, and, as dual_objective, the optimal dual value: the worst-case
     dispatch cost at the build's capacities.
+
+    Given a target, the search may stop at the first realization whose dual
+    value reaches it; the result is then marked exact=False, and its
+    dual_objective is only a lower bound on the dispatch cost at its flags
+    (phi <= mu * z for binary z, then weak duality), whatever M is. That
+    holds without the saturation check, which is skipped: clipping by M can
+    only lower a dual value, and a lower bound stays one.
     """
-    res = backend.solve_milp(build.model, gap_tol=gap_tol)
-    if res.status != "optimal":
+    res = backend.solve_milp(build.model, gap_tol=gap_tol, target=target)
+    if res.status not in ("optimal", "target"):
         raise BackendError(f"worst-case solve ended {res.status}")
     objective = float(res.objective)
     flags = frozenset(flag for flag, j in build.z.items() if res.x[j] > 0.5)
-    _check_saturation(build, res.x, flags, objective, backend)
+    exact = res.status == "optimal"
+    if exact:
+        _check_saturation(build, res.x, flags, objective, backend)
     check_flags(build.instance, flags, build.budget)
-    return WorstCaseRealization(flags=flags, dual_objective=objective)
+    return WorstCaseRealization(flags=flags, dual_objective=objective, exact=exact)
 
 
 def verify_strong_duality(

@@ -86,11 +86,14 @@ class WorstCaseRealization:
 
     flags holds the (tech, region, period) triples whose availability drops
     to the lower bound. dual_objective is filled in once a subproblem has
-    priced the flags.
+    priced the flags; exact is False when that search stopped early, at a
+    realization that reached its target, so dual_objective is a lower bound
+    on the worst case rather than the worst case itself.
     """
 
     flags: frozenset[Flag] = frozenset()
     dual_objective: float | None = field(default=None, compare=False)
+    exact: bool = field(default=True, compare=False)
 
     @staticmethod
     def reference() -> "WorstCaseRealization":

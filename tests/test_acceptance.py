@@ -205,6 +205,15 @@ def test_05_bound_monotonicity(converged_runs, toy6_ladder):
         assert trace.final_gap <= 1e-8, f"{name}: final gap {trace.final_gap:.3e}"
 
 
+def test_05b_inexact_separation_ends_on_an_exact_search(toy6_ladder):
+    """Early stops happen, never end a rung, and leave no NaN in the trace."""
+    iterations = [it for e in toy6_ladder for it in e.trace.iterations]
+    assert any(not it.exact for it in iterations), "no search stopped early"
+    for entry in toy6_ladder:
+        assert entry.trace.iterations[-1].exact, f"gamma {entry.gamma}"
+    assert not any(math.isnan(it.gap) for it in iterations)
+
+
 def test_06_budget_monotonicity_and_taper(toy6, toy6_ladder):
     """Objectives grow with the budget and the last increment is smallest."""
     values = [entry.solution.objective for entry in toy6_ladder]

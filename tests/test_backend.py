@@ -272,6 +272,60 @@ def test_backends_agree_on_random_milps(seed):
     assert ra.objective == pytest.approx(rb.objective, abs=1e-7)
 
 
+# --- objective targets --------------------------------------------------------
+
+# A three-row knapsack that HiGHS does not close at its first incumbent: the
+# bundled HiGHS passes 742 and 764 on its way to the optimum, 798.
+_VALUES = [86, 67, 56, 34, 37, 13, 16, 11, 25, 83, 68, 92, 55, 64, 97, 75, 66, 58, 60, 94]
+_WEIGHTS = [
+    [34, 83, 70, 10, 45, 87, 59, 13, 78, 75, 86, 25, 18, 87, 11, 58, 17, 36, 53, 48],
+    [46, 12, 10, 21, 10, 70, 57, 68, 33, 65, 78, 44, 51, 99, 82, 98, 44, 71, 95, 68],
+    [85, 71, 73, 45, 88, 22, 62, 74, 86, 57, 43, 37, 48, 53, 74, 90, 16, 94, 57, 42],
+]
+_CAPACITIES = [496, 561, 608]
+
+
+def _multi_knapsack():
+    m = ModelBuilder(sense="max")
+    for k, v in enumerate(_VALUES):
+        m.add_var(f"z{k}", obj=float(v), binary=True)
+    for weights, cap in zip(_WEIGHTS, _CAPACITIES):
+        m.add_row([(k, float(w)) for k, w in enumerate(weights)], LE, float(cap))
+    return m.build()
+
+
+def test_target_below_the_optimum_stops_at_a_feasible_incumbent():
+    # the target enters HiGHS's minimization as -target; with +target any
+    # incumbent meets it, and HiGHS stops at its first one (742 < target)
+    model = _multi_knapsack()
+    exact = ScipyBackend().solve_milp(model)
+    target = 0.95 * exact.objective
+    res = ScipyBackend().solve_milp(model, target=target)
+    assert res.status == "target"
+    assert exact.objective + 1e-9 >= res.objective >= target
+    x = res.x
+    assert np.allclose(x, np.round(x), atol=1e-6)
+    assert np.all(np.array(_WEIGHTS) @ x <= np.array(_CAPACITIES) + 1e-6)
+    assert res.objective == pytest.approx(float(np.dot(_VALUES, x)), abs=1e-6)
+
+
+def test_target_above_the_optimum_solves_exactly(backend):
+    model = _multi_knapsack()
+    exact = backend.solve_milp(model)
+    res = backend.solve_milp(model, target=exact.objective + 1.0)
+    assert res.status == "optimal"
+    assert res.objective == exact.objective
+    assert np.array_equal(res.x, exact.x)
+
+
+def test_intree_ignores_the_target():
+    model = _multi_knapsack()
+    exact = InTreeBackend().solve_milp(model)
+    res = InTreeBackend().solve_milp(model, target=0.5 * exact.objective)
+    assert res.status == "optimal"
+    assert res.objective == exact.objective
+
+
 # --- HiGHS options ------------------------------------------------------------
 
 def _knapsack_model():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import logging
+import math
 import random
 from pathlib import Path
 
@@ -204,7 +205,7 @@ def test_duplicate_with_open_gap_stalls(monkeypatch):
     inst = single_node(deviation=0.25)
     flags = frozenset({("pv", "R1", "p1")})
 
-    def fake_solve(build, backend, gap_tol=1e-9):
+    def fake_solve(build, backend, gap_tol=1e-9, target=None):
         return WorstCaseRealization(flags=flags, dual_objective=9.9e9)
 
     monkeypatch.setattr(ccg_module, "solve_subproblem", fake_solve)
@@ -225,7 +226,7 @@ def test_converged_gap_within_tolerance(monkeypatch):
         solution = solve_master(build, backend)
         return dataclasses.replace(solution, objective=0.1, investment_cost=0.05)
 
-    def fake_solve(build, backend, gap_tol=1e-9):
+    def fake_solve(build, backend, gap_tol=1e-9, target=None):
         return WorstCaseRealization(flags=frozenset(), dual_objective=upper)
 
     monkeypatch.setattr(ccg_module, "solve_master", fake_master)
@@ -235,6 +236,50 @@ def test_converged_gap_within_tolerance(monkeypatch):
     assert trace.converged
     assert len(trace.iterations) == 1
     assert trace.final_gap <= config.tolerance
+
+
+def test_early_stop_neither_stops_nor_lowers_the_upper_bound(monkeypatch):
+    # an early stop's value is only a lower bound on the worst case: even one
+    # that would close the gap must not end the loop or enter the running UB
+    inst = three_region_hydro()
+    results = iter([
+        WorstCaseRealization(frozenset({("wind", "R2", "p1")}), dual_objective=1.0),
+        WorstCaseRealization(
+            frozenset({("wind", "R3", "p1")}), dual_objective=0.05, exact=False
+        ),
+        WorstCaseRealization(frozenset(), dual_objective=0.05),
+    ])
+    targets = []
+
+    def fake_master(build, backend):
+        solution = solve_master(build, backend)
+        return dataclasses.replace(solution, objective=0.1, investment_cost=0.05)
+
+    def fake_solve(build, backend, gap_tol=1e-9, target=None):
+        targets.append(target)
+        return next(results)
+
+    monkeypatch.setattr(ccg_module, "solve_master", fake_master)
+    monkeypatch.setattr(ccg_module, "solve_subproblem", fake_solve)
+    _, trace = run_ccg(inst, UncertaintyBudget(0, 1), backend=SCIPY)
+    assert trace.converged and not trace.stalled
+    assert [it.exact for it in trace.iterations] == [True, False, True]
+    assert [it.upper_bound for it in trace.iterations] == pytest.approx([1.05, 1.05, 0.1])
+    assert trace.iterations[1].gap == pytest.approx(0.95 / 1.05)
+    assert all(t is not None for t in targets)
+
+
+def test_first_iterations_before_an_exact_search_have_infinite_bounds():
+    # toy6 at gamma 1 stops its first search early, so an iteration limit of
+    # one leaves no exact search: UB and gap are inf, not inf/inf = NaN
+    inst = load_instance(Path(__file__).parent / "fixtures" / "toy6.json")
+    config = CcgConfig(max_iterations=1)
+    _, trace = run_ccg(inst, UncertaintyBudget(1, 1), config, SCIPY)
+    (it,) = trace.iterations
+    assert not it.exact and not trace.converged
+    assert it.upper_bound == math.inf and it.gap == math.inf
+    assert trace.final_gap == math.inf
+    assert "inf" in trace.message
 
 
 def test_backend_error_carries_iteration_context():

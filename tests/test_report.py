@@ -3,17 +3,20 @@
 import csv
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
 from robustgrid.backend import ScipyBackend
 from robustgrid.ccg import (
+    CcgConfig,
     CcgIteration,
     CcgTrace,
     LadderEntry,
     run_ccg,
     run_gamma_ladder,
 )
+from robustgrid.io import load_instance
 from robustgrid.master import MasterSolution, ScenarioBlock
 from robustgrid.model import HydrogenUnit
 from robustgrid.report import (
@@ -23,6 +26,7 @@ from robustgrid.report import (
     report_metrics,
     solution_document,
     write_ladder_summary,
+    write_solution,
     write_trace_csv,
 )
 from robustgrid.uncertainty import UncertaintyBudget, WorstCaseRealization
@@ -97,6 +101,28 @@ def test_trace_csv_round_trips_exactly(tmp_path):
             assert row[col] == fmt(value)
             assert float(row[col]) == float(fmt(value))
         assert row["realization"] == it.realization.summary()
+        assert row["exact"] == str(int(it.exact))
+
+
+def test_run_without_an_exact_search_writes_infinite_bounds(tmp_path):
+    # toy6 at gamma 1 stops its first search early; with one iteration
+    # allowed no exact search ever runs, so there is no upper bound yet
+    inst = load_instance(Path(__file__).parent / "fixtures" / "toy6.json")
+    budget = UncertaintyBudget(1, 1)
+    solution, trace = run_ccg(inst, budget, CcgConfig(max_iterations=1), SCIPY)
+    write_solution(tmp_path / "solution.json", inst, budget, solution, trace)
+    text = (tmp_path / "solution.json").read_text()
+
+    def reject(constant):
+        raise ValueError(f"non-JSON constant {constant}")
+
+    doc = json.loads(text, parse_constant=reject)
+    assert doc["final_gap"] is None
+    assert doc["converged"] is False
+    write_trace_csv(tmp_path / "trace.csv", trace)
+    with open(tmp_path / "trace.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert (row["upper_bound"], row["gap"], row["exact"]) == ("inf", "inf", "0")
 
 
 # --- realization matrix ---------------------------------------------------------
