@@ -49,7 +49,7 @@ __all__ = [
     "solve_master",
     "build_dispatch_lp",
     "dispatch_cost",
-    "solve_dispatch",
+    "capacity_table",
     "capacity_keys",
     "investment_cost",
     "check_block_physics",
@@ -64,7 +64,7 @@ def _limit(value: float | None) -> float:
     return math.inf if value is None else value
 
 
-def _capacity_table(inst: NetworkInstance) -> list[tuple[CapKey, float, float]]:
+def capacity_table(inst: NetworkInstance) -> list[tuple[CapKey, float, float]]:
     """Every first-stage capacity decision in build order: (key, cost, limit)."""
     table = [
         (("ren", r.id), r.annualized_cost, _limit(r.expansion_limit))
@@ -87,12 +87,12 @@ def _capacity_table(inst: NetworkInstance) -> list[tuple[CapKey, float, float]]:
 
 def capacity_keys(inst: NetworkInstance) -> list[CapKey]:
     """Every first-stage capacity decision of the instance, in build order."""
-    return [key for key, _, _ in _capacity_table(inst)]
+    return [key for key, _, _ in capacity_table(inst)]
 
 
 def investment_cost(inst: NetworkInstance, capacities: dict[CapKey, float]) -> float:
     return float(sum(
-        cost * capacities.get(key, 0.0) for key, cost, _ in _capacity_table(inst)
+        cost * capacities.get(key, 0.0) for key, cost, _ in capacity_table(inst)
     ))
 
 
@@ -103,7 +103,7 @@ class BlockBuild:
     tag: str
     cf: dict[str, tuple[float, ...]]
     template: "DispatchTemplate"
-    offset: int = 0
+    offset: int
 
 
 @dataclass
@@ -120,7 +120,6 @@ class DispatchBuild:
     instance: NetworkInstance
     model: LinearModel
     cap_values: np.ndarray  # the capacities, one per template key
-    block: BlockBuild
 
 
 @dataclass
@@ -623,7 +622,7 @@ def build_master(
     tags = [f"s{k}" for k in range(len(realizations))]
     tpl = dispatch_template(inst)
     K, nb, mb, n_cap = len(realizations), tpl.n_vars, tpl.n_rows, len(tpl.keys)
-    table = _capacity_table(inst)
+    table = capacity_table(inst)
     cap_ub = np.array([limit for _, _, limit in table], dtype=float)
     for key, ub in zip(tpl.keys, cap_ub):
         if ub < 0.0:
@@ -745,30 +744,7 @@ def build_dispatch_lp(
         row_names=lambda: _tagged("d", tpl.row_names),
         name="dispatch:d",
     )
-    return DispatchBuild(
-        instance=inst,
-        model=model,
-        cap_values=caps,
-        block=BlockBuild(tag="d", cf=cf, template=tpl),
-    )
-
-
-def _solve_dispatch_lp(build: DispatchBuild, backend) -> SolveResult:
-    res = backend.solve_lp(build.model)
-    if res.status != "optimal":
-        raise BackendError(f"dispatch solve ended {res.status}")
-    return res
-
-
-def solve_dispatch(
-    inst: NetworkInstance,
-    capacities: dict[CapKey, float],
-    cf: dict[str, tuple[float, ...]],
-    backend,
-) -> tuple[float, ScenarioBlock]:
-    build = build_dispatch_lp(inst, capacities, cf)
-    res = _solve_dispatch_lp(build, backend)
-    return float(res.objective), _extract_block(build.block, res.x)
+    return DispatchBuild(instance=inst, model=model, cap_values=caps)
 
 
 def dispatch_cost(
@@ -778,7 +754,9 @@ def dispatch_cost(
     backend,
 ) -> float:
     """Optimal operating cost at fixed capacities under one realization."""
-    res = _solve_dispatch_lp(build_dispatch_lp(inst, capacities, cf), backend)
+    res = backend.solve_lp(build_dispatch_lp(inst, capacities, cf).model)
+    if res.status != "optimal":
+        raise BackendError(f"dispatch solve ended {res.status}")
     return float(res.objective)
 
 
@@ -825,12 +803,31 @@ def check_block_physics(
             if abs(total - dem) > tol * max(1.0, dem):
                 out.append(f"balance[{n.id},{t}]: residual {total - dem:.3e}")
 
+    def rating(row, family, entity, limits):
+        for t, limit in enumerate(limits):
+            if v(family, entity, t) > limit + tol * max(1.0, limit):
+                out.append(f"{row}[{entity},{t}]: above its rating")
+
     for r in inst.renewables:
         cap = capacities.get(("ren", r.id), 0.0)
-        for t in range(T):
-            limit = cap * block.realized_cf[r.id][t] * dt
-            if v("gen", r.id, t) > limit + tol * max(1.0, limit):
-                out.append(f"ren_cap[{r.id},{t}]: above availability")
+        rating("ren_cap", "gen", r.id, [cap * cf * dt for cf in block.realized_cf[r.id]])
+    for c in inst.conventionals:
+        rating("conv_cap", "gen", c.id, [c.existing_cap * dt] * T)
+    for h in inst.hydros:
+        if h.kind == "psp":
+            rating("psp_gen_cap", "gen", h.id, [h.existing_cap * dt] * T)
+            rating("psp_ch_cap", "ch", h.id, [h.existing_cap * dt] * T)
+        else:
+            rating("hydro_cap", "gen", h.id, [a * h.existing_cap * dt for a in h.availability])
+    for b in inst.batteries:
+        inverter = capacities.get(("bat_inv", b.id), 0.0)
+        rating("bat_gen_cap", "gen", b.id, [inverter * dt] * T)
+        rating("bat_ch_cap", "ch", b.id, [inverter * dt] * T)
+    for h in inst.hydrogens:
+        turbine = capacities.get(("h2_ocgt", h.id), 0.0)
+        electrolyzer = capacities.get(("h2_el", h.id), 0.0)
+        rating("h2_gen_cap", "gen", h.id, [turbine * dt] * T)
+        rating("h2_ch_cap", "ch", h.id, [electrolyzer * dt] * T)
 
     for h in inst.hydros:
         if h.kind != "psp":

@@ -4,7 +4,9 @@ Everything here reads immutable solved objects and renders them into the
 files a run leaves behind: `solution.json`, `trace.csv`, `realizations.txt`,
 `metrics.json`, and the ladder `summary.csv`. Numeric CSV cells use a fixed
 6-significant-digit policy so re-parsing a file reproduces the written
-values exactly as formatted.
+values exactly as formatted. `metrics.json` prices nothing itself: it reads
+investment costs from the master's capacity table and fuel and shedding
+costs from the dispatch template's cost columns.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 from pathlib import Path
 
 from .ccg import CcgTrace, LadderEntry
-from .master import MasterSolution, ScenarioBlock
+from .master import MasterSolution, ScenarioBlock, capacity_table, dispatch_template
 from .model import PV, WIND, NetworkInstance
 from .uncertainty import UncertaintyBudget, WorstCaseRealization, is_dunkelflaute
 
@@ -33,6 +35,7 @@ __all__ = [
 ]
 
 NET_EXPORT_TOL = 1e-6
+SHED_FAMILIES = ("ls1", "ls2", "ls3")
 
 
 def fmt(value: float) -> str:
@@ -162,61 +165,53 @@ def _binding_block(solution: MasterSolution) -> ScenarioBlock:
     return max(solution.blocks, key=lambda b: b.operating_cost)
 
 
-def _region_of_node(inst: NetworkInstance) -> dict[str, str]:
-    return {n.id: inst.region_of_node(n.id) for n in inst.nodes}
-
-
 def report_metrics(inst: NetworkInstance, solution: MasterSolution) -> dict:
     """System and per-region result metrics.
 
     Costs and energies are taken from the binding dispatch block (the one
     whose operating cost meets the recourse bound), so the regional picture
-    describes the event the plan is built to survive. Line investment is
-    split half and half between the endpoint regions. The demand total of
-    the modeled horizon stands in for annual demand.
+    describes the event the plan is built to survive. Prices are the
+    master's own: investment from its capacity table, fuel and shedding
+    from the dispatch template's cost columns. Line investment is split
+    half and half between the endpoint regions. The demand total of the
+    modeled horizon stands in for annual demand.
     """
     block = _binding_block(solution)
+    tpl = dispatch_template(inst)
     grid = inst.timegrid
     T, dt = grid.step_count, grid.step_hours
     caps = solution.capacities
-    region = _region_of_node(inst)
+    region = {n.id: inst.region_of_node(n.id) for n in inst.nodes}
+    # unit and node ids are separate id spaces: a column's family says which it names
+    unit_region = {
+        u.id: region[u.node]
+        for u in (*inst.renewables, *inst.conventionals, *inst.hydros,
+                  *inst.batteries, *inst.hydrogens)
+    }
+    line_ends = {l.id: (l.from_node, l.to_node) for l in inst.lines}
     regions = inst.region_ids()
 
     def cap(kind: str, entity: str) -> float:
         return caps.get((kind, entity), 0.0)
 
-    def energy(family: str, entity: str) -> float:
-        return sum(block.values.get((family, entity, t), 0.0) for t in range(T))
+    def by_region(cols, costs, region_of: dict[str, str]) -> dict[str, float]:
+        out = {g: 0.0 for g in regions}
+        for j, cost in zip(cols.tolist(), costs.tolist()):
+            key = tpl.col_keys[j]
+            out[region_of[key[1]]] += cost * block.values.get(key, 0.0)
+        return out
 
-    # per-region cost split; sums reproduce the system totals exactly
+    # per-region cost split; sums reproduce the system totals
     inv = {g: 0.0 for g in regions}
-    fuel = {g: 0.0 for g in regions}
-    shed = {g: 0.0 for g in regions}
-    for u in inst.renewables:
-        inv[region[u.node]] += u.annualized_cost * cap("ren", u.id)
-    for b in inst.batteries:
-        inv[region[b.node]] += (
-            b.inverter_cost * cap("bat_inv", b.id)
-            + b.storage_cost * cap("bat_stor", b.id)
-        )
-    for h in inst.hydrogens:
-        inv[region[h.node]] += (
-            h.ocgt_cost * cap("h2_ocgt", h.id)
-            + h.electrolyzer_cost * cap("h2_el", h.id)
-            + h.storage_cost * cap("h2_stor", h.id)
-        )
-    for l in inst.lines:
-        half = 0.5 * l.expansion_cost * cap("line", l.id)
-        inv[region[l.from_node]] += half
-        inv[region[l.to_node]] += half
-    for c in inst.conventionals:
-        fuel[region[c.node]] += c.variable_cost * energy("gen", c.id)
-    for n in inst.nodes:
-        costs = inst.shedding.costs_at(n.id)
-        shed[region[n.id]] += sum(
-            costs[k] * energy(family, n.id)
-            for k, family in enumerate(("ls1", "ls2", "ls3"))
-        )
+    for (kind, entity), cost, _ in capacity_table(inst):
+        if kind == "line":
+            half = 0.5 * cost * cap(kind, entity)
+            for node in line_ends[entity]:
+                inv[region[node]] += half
+        else:
+            inv[unit_region[entity]] += cost * cap(kind, entity)
+    fuel = by_region(tpl.fuel_cols, tpl.fuel_costs, unit_region)
+    shed = by_region(tpl.shed_cols, tpl.shed_costs, region)
 
     system_cost = sum(inv.values()) + sum(fuel.values()) + sum(shed.values())
     share_base = system_cost if system_cost > 0 else 1.0
@@ -245,42 +240,28 @@ def report_metrics(inst: NetworkInstance, solution: MasterSolution) -> dict:
     }
 
     # per-region energy balance in the binding block
-    gen_units: dict[str, list[str]] = {g: [] for g in regions}
-    store_units: dict[str, list[str]] = {g: [] for g in regions}
-    for u in inst.renewables:
-        gen_units[region[u.node]].append(u.id)
-    for c in inst.conventionals:
-        gen_units[region[c.node]].append(c.id)
-    for h in inst.hydros:
-        gen_units[region[h.node]].append(h.id)
-        if h.kind == "psp":
-            store_units[region[h.node]].append(h.id)
-    for b in inst.batteries:
-        gen_units[region[b.node]].append(b.id)
-        store_units[region[b.node]].append(b.id)
-    for h in inst.hydrogens:
-        gen_units[region[h.node]].append(h.id)
-        store_units[region[h.node]].append(h.id)
-
-    demand_mwh = {g: 0.0 for g in regions}
+    generation = {g: 0.0 for g in regions}
+    charging = {g: 0.0 for g in regions}
     shed_mwh = {g: 0.0 for g in regions}
+    for (family, entity, _), value in block.values.items():
+        if family == "gen":
+            generation[unit_region[entity]] += value
+        elif family == "ch":
+            charging[unit_region[entity]] += value
+        elif family in SHED_FAMILIES:
+            shed_mwh[region[entity]] += value
+    demand_mwh = {g: 0.0 for g in regions}
     for n in inst.nodes:
-        g = region[n.id]
-        demand_mwh[g] += sum(inst.demand.at(n.id, t) for t in range(T))
-        shed_mwh[g] += sum(
-            energy(family, n.id) for family in ("ls1", "ls2", "ls3")
-        )
+        demand_mwh[region[n.id]] += sum(inst.demand.at(n.id, t) for t in range(T))
     region_energy = {}
     for g in regions:
-        generation = sum(energy("gen", uid) for uid in gen_units[g])
-        charging = sum(energy("ch", uid) for uid in store_units[g])
         served = demand_mwh[g] - shed_mwh[g]
-        net_export = generation - charging - served
+        net_export = generation[g] - charging[g] - served
         region_energy[g] = {
-            "generation_mwh": generation,
+            "generation_mwh": generation[g],
             "demand_mwh": demand_mwh[g],
             "shed_mwh": shed_mwh[g],
-            "charging_mwh": charging,
+            "charging_mwh": charging[g],
             "net_export_mwh": net_export,
             "net_exporter": bool(net_export > NET_EXPORT_TOL),
         }

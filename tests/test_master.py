@@ -6,13 +6,14 @@ import pytest
 
 from robustgrid.backend import BackendError, InTreeBackend, ScipyBackend
 from robustgrid.master import (
+    ScenarioBlock,
     build_dispatch_lp,
     build_master,
     capacity_keys,
     check_block_physics,
     dispatch_cost,
+    dispatch_template,
     investment_cost,
-    solve_dispatch,
     solve_master,
 )
 from robustgrid.model import (
@@ -275,6 +276,36 @@ def test_physics_checker_flags_storage_break():
     assert any("bat_lvl" in v for v in out)
 
 
+# one dispatch value pushed past each power rating the block imposes
+RATING_BREACHES = [
+    (two_region, ("gen", "pv_a", 0), "ren_cap"),
+    (two_region, ("gen", "gas_b", 1), "conv_cap"),
+    (three_region_hydro, ("gen", "rsv_2", 0), "hydro_cap"),
+    (three_region_hydro, ("gen", "ror_3", 2), "hydro_cap"),
+    (three_region_hydro, ("gen", "psp_1", 0), "psp_gen_cap"),
+    (three_region_hydro, ("ch", "psp_1", 1), "psp_ch_cap"),
+    (two_period_battery, ("gen", "bat_a", 0), "bat_gen_cap"),
+    (two_period_battery, ("ch", "bat_a", 1), "bat_ch_cap"),
+    (three_region_hydro, ("gen", "h2_2", 3), "h2_gen_cap"),
+    (three_region_hydro, ("ch", "h2_2", 0), "h2_ch_cap"),
+]
+
+
+@pytest.mark.parametrize(
+    "make, key, row",
+    RATING_BREACHES,
+    ids=[f"{row}-{key[1]}" for _, key, row in RATING_BREACHES],
+)
+def test_physics_checker_flags_power_above_rating(make, key, row):
+    inst = make()
+    sol = solve_master(build_master(inst, [ref_cf(inst)]), SCIPY)
+    block = sol.blocks[0]
+    block.values[key] += 1e6
+    _, entity, t = key
+    out = check_block_physics(inst, sol.capacities, block)
+    assert f"{row}[{entity},{t}]: above its rating" in out
+
+
 # --- input errors -------------------------------------------------------------
 
 def test_empty_realization_list_rejected():
@@ -313,15 +344,21 @@ def test_capacity_keys_cover_fleet():
     assert not any(uid in ("psp_1", "rsv_2", "ror_3") for _, uid in keys)
 
 
-def test_solve_dispatch_returns_block():
+def test_dispatch_lp_solution_is_physical():
     inst = two_region()
     caps = {("ren", "pv_a"): 20.0, ("ren", "w_b"): 0.0, ("line", "l12"): 0.0}
-    cost, block = solve_dispatch(inst, caps, ref_cf(inst), SCIPY)
-    assert cost == pytest.approx(block.operating_cost, rel=1e-9, abs=1e-9)
-    assert check_block_physics(inst, caps, block) == []
-    assert block.fuel_cost + block.shedding_cost == pytest.approx(
-        block.operating_cost, rel=1e-12, abs=1e-12
+    cf = ref_cf(inst)
+    res = SCIPY.solve_lp(build_dispatch_lp(inst, caps, cf).model)
+    assert dispatch_cost(inst, caps, cf, SCIPY) == float(res.objective)
+    tpl = dispatch_template(inst)
+    fuel = float(tpl.fuel_costs @ res.x[tpl.fuel_cols])
+    shed = float(tpl.shed_costs @ res.x[tpl.shed_cols])
+    assert fuel + shed == pytest.approx(res.objective, rel=1e-9, abs=1e-9)
+    block = ScenarioBlock(
+        tag="d", realized_cf=cf, values=dict(zip(tpl.col_keys, res.x.tolist())),
+        operating_cost=fuel + shed, fuel_cost=fuel, shedding_cost=shed,
     )
+    assert check_block_physics(inst, caps, block) == []
 
 
 def test_infeasible_dispatch_surfaces_backend_error():

@@ -189,6 +189,38 @@ def test_cost_shares_and_region_totals():
     assert m["system_cost"] == pytest.approx(solution.objective, rel=1e-6)
 
 
+def test_regional_costs_add_up_to_the_priced_totals():
+    # the one toy with recourse at its robust optimum: gas covers the drought
+    inst = two_region()
+    solution, _ = run_ccg(inst, UncertaintyBudget(1, 1), backend=SCIPY)
+    block = max(solution.blocks, key=lambda b: b.operating_cost)
+    assert block.fuel_cost > 0.0
+    regional = report_metrics(inst, solution)["region_costs"].values()
+    for part, total in (
+        ("investment", solution.investment_cost),
+        ("fuel", block.fuel_cost),
+        ("shedding", block.shedding_cost),
+    ):
+        assert sum(r[part] for r in regional) == pytest.approx(total, rel=1e-12)
+
+
+def test_unit_named_like_a_node_is_split_by_its_own_node():
+    # gas unit "n1" sits at node n2 (RB); node n1 (RA) carries the demand
+    base = two_region(gas_cap=5.0)
+    gas = dataclasses.replace(base.conventionals[0], id="n1")
+    inst = base.replace(conventionals=(gas,))
+    solution, _ = run_ccg(inst, UncertaintyBudget(1, 1), backend=SCIPY)
+    block = max(solution.blocks, key=lambda b: b.operating_cost)
+    assert block.fuel_cost > 0.0 and block.shedding_cost > 0.0
+    m = report_metrics(inst, solution)
+    costs, energy = m["region_costs"], m["region_energy"]
+    assert costs["RB"]["fuel"] == pytest.approx(block.fuel_cost, rel=1e-12)
+    assert costs["RA"]["shedding"] == pytest.approx(block.shedding_cost, rel=1e-12)
+    assert costs["RA"]["fuel"] == 0.0 and costs["RB"]["shedding"] == 0.0
+    assert energy["RA"]["generation_mwh"] == 0.0
+    assert energy["RB"]["generation_mwh"] > 0.0 and energy["RB"]["shed_mwh"] == 0.0
+
+
 def test_capacity_mix_sums_to_hundred():
     inst = two_region()
     solution, _ = run_ccg(inst, UncertaintyBudget(1, 1), backend=SCIPY)

@@ -19,12 +19,12 @@ from robustgrid.backend import EQ, LE, ModelBuilder, ScipyBackend
 from robustgrid.io import load_instance
 from robustgrid.master import (
     _BlockEmitter,
-    _capacity_table,
     build_dispatch_lp,
     build_master,
     capacity_keys,
+    capacity_table,
+    dispatch_cost,
     dispatch_template,
-    solve_dispatch,
 )
 from robustgrid.model import PV, WIND
 from robustgrid.subproblem import build_subproblem, default_big_m
@@ -102,7 +102,7 @@ def reference_master(inst, cfs):
     model = ModelBuilder(name="master")
     inv = {
         key: model.add_var(f"cap[{key[0]},{key[1]}]", ub=limit, obj=cost)
-        for key, cost, limit in _capacity_table(inst)
+        for key, cost, limit in capacity_table(inst)
     }
     eta = model.add_var("recourse", obj=1.0)
     for k, cf in enumerate(cfs):
@@ -269,8 +269,9 @@ def test_stamped_dispatch_solves_like_the_reference():
     inst = three_region_hydro()
     caps = some_capacities(inst)
     cf = distinct_realizations(inst, 2)[1]
-    cost, block = solve_dispatch(inst, caps, cf, ScipyBackend())
+    res = ScipyBackend().solve_lp(build_dispatch_lp(inst, caps, cf).model)
     ref, _ = reference_dispatch(inst, caps, cf)
-    res = ScipyBackend().solve_lp(ref)
-    assert cost == float(res.objective)
-    assert block.values == dict(zip(dispatch_template(inst).col_keys, res.x.tolist()))
+    want = ScipyBackend().solve_lp(ref)
+    assert dispatch_cost(inst, caps, cf, ScipyBackend()) == float(want.objective)
+    assert res.objective == want.objective
+    assert res.x.tolist() == want.x.tolist()
