@@ -6,6 +6,20 @@ demand, regions, shedding, timegrid``. Time series are flat numeric arrays.
 Period bounds are 1-based inclusive step indices in files and 0-based
 internally.
 
+The keys of the seven entity families are listed once, in ``_FAMILIES``;
+the reader and the writer both walk that table. The rules:
+
+- ``nodes``, ``regions``, ``shedding`` and ``timegrid`` are required, and so
+  is every entity key without a default. The defaults: line
+  ``susceptance`` 0, ``expansion_cost`` 0 and ``expansion_limit`` the
+  line's ``existing_cap``; ``step_hours`` 1; node ``name`` and ``region``
+  ""; ``reference`` false; unit limits unset.
+- ``null`` reads as absent.
+- A number may be a JSON number or a numeric string. ``step_count`` and
+  period ``start``/``end`` take whole numbers only, and ``reference`` takes
+  a JSON boolean only. A value that cannot be read raises SchemaError
+  naming its key path, e.g. ``conventionals[0].existing_cap``.
+
 Alternatively, bulk series can live in CSV files next to the instance:
 a document carrying a ``series_files`` key maps series families to CSV
 paths (relative to the document), each CSV holding one header row of
@@ -24,7 +38,7 @@ import csv
 import json
 import logging
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 from robustgrid.model import (
     BatteryUnit,
@@ -74,10 +88,73 @@ class ValidationError(InstanceError):
         super().__init__(f"instance violates {len(self.violations)} invariant(s): {lines}")
 
 
+_REQUIRED = object()
+
+
+def _text(value: Any) -> str:
+    if isinstance(value, (bool, list, dict)):
+        raise TypeError
+    return str(value)
+
+
+def _number(value: Any) -> float:
+    if isinstance(value, bool):
+        raise TypeError
+    return float(value)
+
+
+def _whole(value: Any) -> int:
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError
+    return int(value)
+
+
+def _flag(value: Any) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError
+    return value
+
+
+def _same(value: Any) -> Any:
+    return value
+
+
+_EXPECTED = {
+    _text: "a string", _number: "a number", _whole: "a whole number", _flag: "true or false"
+}
+
+
+def _get(obj: dict, key: str, where: str, read: Callable, default: Any = _REQUIRED) -> Any:
+    """obj[key] converted by read; absent or null gives default, if there is one."""
+    value = obj.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise SchemaError(f"{where}: missing required key {key!r}")
+        return default
+    try:
+        return read(value)
+    except (TypeError, ValueError):
+        raise SchemaError(f"{where}.{key}: expected {_EXPECTED[read]}, got {value!r}") from None
+
+
 def _require(obj: dict, key: str, where: str) -> Any:
-    if key not in obj:
-        raise SchemaError(f"{where}: missing required key {key!r}")
-    return obj[key]
+    return _get(obj, key, where, _same)
+
+
+def _object(value: Any, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise SchemaError(f"{where}: expected an object")
+    return value
+
+
+def _array(value: Any, where: str) -> list:
+    if value is None:
+        return []
+    if not isinstance(value, list):
+        raise SchemaError(f"{where}: expected an array")
+    return value
 
 
 def _series(value: Any, where: str) -> tuple[float, ...]:
@@ -94,6 +171,110 @@ def _triple(value: Any, where: str) -> tuple[float, float, float]:
     if len(arr) != 3:
         raise SchemaError(f"{where}: expected exactly 3 values, got {len(arr)}")
     return (arr[0], arr[1], arr[2])
+
+
+class _Field(NamedTuple):
+    """One document key of an entity family."""
+
+    key: str
+    read: Callable | None  # None: the family's fill hook reads the key
+    default: Any = _REQUIRED
+    attr: str = ""  # the model attribute, where it is not the key
+
+
+_ID = _Field("id", _text)
+_NODE = _Field("node", _text)
+
+_FAMILIES: dict[str, tuple[type, tuple[_Field, ...]]] = {
+    "nodes": (Node, (
+        _ID, _Field("name", _text, ""), _Field("region", _text, ""),
+        _Field("reference", _flag, False, "is_reference"),
+    )),
+    "lines": (Line, (
+        _ID, _Field("kind", _text),
+        _Field("from", _text, attr="from_node"), _Field("to", _text, attr="to_node"),
+        _Field("susceptance", _number, 0.0), _Field("existing_cap", _number),
+        _Field("expansion_cost", _number, 0.0), _Field("expansion_limit", _number, None),
+    )),
+    "renewables": (RenewableUnit, (
+        _ID, _NODE, _Field("technology", _text), _Field("region", _text),
+        _Field("annualized_cost", _number), _Field("cf", None),
+        _Field("expansion_limit", _number, None),
+    )),
+    "conventionals": (ConventionalUnit, (
+        _ID, _NODE, _Field("existing_cap", _number), _Field("variable_cost", _number),
+    )),
+    "hydros": (HydroUnit, (
+        _ID, _NODE, _Field("kind", _text), _Field("existing_cap", _number),
+        _Field("availability", None),
+        _Field("storage_scale", _number, None), _Field("efficiency", _number, None),
+    )),
+    "batteries": (BatteryUnit, (
+        _ID, _NODE, _Field("inverter_cost", _number), _Field("storage_cost", _number),
+        _Field("efficiency", _number),
+        _Field("inverter_limit", _number, None), _Field("storage_limit", _number, None),
+    )),
+    "hydrogens": (HydrogenUnit, (
+        _ID, _NODE, _Field("ocgt_cost", _number), _Field("electrolyzer_cost", _number),
+        _Field("storage_cost", _number), _Field("eta_el", _number), _Field("eta_ocgt", _number),
+        _Field("ocgt_limit", _number, None), _Field("el_limit", _number, None),
+        _Field("storage_limit", _number, None),
+    )),
+}
+
+# The scalar keys of the timegrid; its periods are read and written by hand.
+_TIMEGRID = (_Field("step_count", _whole), _Field("step_hours", _number, 1.0))
+
+# The keys of a renewable's "cf" object; "cf_<part>" names its CSV family.
+_CF_PARTS = ("reference", "deviation")
+
+
+def _read_fields(fields: tuple[_Field, ...], item: dict, where: str) -> dict:
+    """Constructor arguments from a document object, for the keys the table reads."""
+    return {
+        attr or key: _get(item, key, where, read, default)
+        for key, read, default, attr in fields
+        if read is not None
+    }
+
+
+def _plain(value: Any) -> Any:
+    """A model value as the document holds it: series become arrays."""
+    if isinstance(value, tuple):
+        return list(value)
+    if isinstance(value, CapacityFactorBundle):
+        return {part: list(getattr(value, part)) for part in _CF_PARTS}
+    return value
+
+
+def _write_fields(fields: tuple[_Field, ...], entity: Any) -> dict:
+    """An entity's document object; an attribute that is None is left out."""
+    return {
+        f.key: _plain(v) for f in fields if (v := getattr(entity, f.attr or f.key)) is not None
+    }
+
+
+def _read_family(family: str, items: Any, fill: Callable | None = None) -> tuple:
+    """Build a family's entities from its document array.
+
+    fill(kw, item, where) completes the constructor arguments kw from the
+    item, for the keys the table leaves to it.
+    """
+    cls, fields = _FAMILIES[family]
+    out = []
+    for k, item in enumerate(_array(items, family)):
+        where = f"{family}[{k}]"
+        kw = _read_fields(fields, _object(item, where), where)
+        if fill is not None:
+            fill(kw, item, where)
+        out.append(cls(**kw))
+    return tuple(out)
+
+
+def _fill_line(kw: dict, item: dict, where: str) -> None:
+    # Expansion defaults to a doubling of what already stands.
+    if kw["expansion_limit"] is None:
+        kw["expansion_limit"] = kw["existing_cap"]
 
 
 def _read_series_csv(path: Path) -> dict[str, tuple[float, ...]]:
@@ -151,195 +332,93 @@ def instance_from_dict(doc: dict, base: Path | None = None) -> NetworkInstance:
             raise SchemaError(f"{where}: missing series")
         return _series(inline, where)
 
-    tg_doc = _require(doc, "timegrid", "timegrid")
+    tg_doc = _object(_require(doc, "timegrid", "timegrid"), "timegrid")
     periods = []
-    for k, p in enumerate(tg_doc.get("periods", [])):
+    for k, p in enumerate(_array(tg_doc.get("periods"), "timegrid.periods")):
         where = f"timegrid.periods[{k}]"
-        start = int(_require(p, "start", where))
-        end = int(_require(p, "end", where))
-        periods.append(Period(id=str(p.get("id", f"p{k + 1}")), start=start - 1, end=end - 1))
-    timegrid = TimeGrid(
-        step_count=int(_require(tg_doc, "step_count", "timegrid")),
-        step_hours=float(tg_doc.get("step_hours", 1.0)),
-        periods=tuple(periods),
-    )
-
-    region_docs = _require(doc, "regions", "regions")
-    region_nodes: dict[str, list[str]] = {}
-    region_names: dict[str, str] = {}
-    for k, g in enumerate(region_docs):
-        gid = str(_require(g, "id", f"regions[{k}]"))
-        region_names[gid] = str(g.get("name", gid))
-        region_nodes[gid] = [str(n) for n in g.get("nodes", [])]
-
-    nodes = []
-    for k, n in enumerate(_require(doc, "nodes", "nodes")):
-        where = f"nodes[{k}]"
-        nid = str(_require(n, "id", where))
-        region = str(n.get("region", ""))
-        if not region:
-            for gid, members in region_nodes.items():
-                if nid in members:
-                    region = gid
-                    break
-        elif region in region_nodes and nid not in region_nodes[region]:
-            region_nodes[region].append(nid)
-        nodes.append(
-            Node(
-                id=nid,
-                name=str(n.get("name", "")),
-                region=region,
-                is_reference=bool(n.get("reference", False)),
+        p = _object(p, where)
+        periods.append(
+            Period(
+                id=_get(p, "id", where, _text, f"p{k + 1}"),
+                start=_get(p, "start", where, _whole) - 1,
+                end=_get(p, "end", where, _whole) - 1,
             )
         )
+    timegrid = TimeGrid(**_read_fields(_TIMEGRID, tg_doc, "timegrid"), periods=tuple(periods))
+
+    region_nodes: dict[str, list[str]] = {}
+    region_names: dict[str, str] = {}
+    for k, g in enumerate(_array(_require(doc, "regions", "regions"), "regions")):
+        where = f"regions[{k}]"
+        g = _object(g, where)
+        gid = _get(g, "id", where, _text)
+        region_names[gid] = _get(g, "name", where, _text, gid)
+        region_nodes[gid] = [str(n) for n in _array(g.get("nodes"), f"{where}.nodes")]
+
+    def fill_node(kw: dict, item: dict, where: str) -> None:
+        nid, region = kw["id"], kw["region"]
+        if not region:
+            kw["region"] = next(
+                (gid for gid, members in region_nodes.items() if nid in members), ""
+            )
+        elif region in region_nodes and nid not in region_nodes[region]:
+            region_nodes[region].append(nid)
+
+    def fill_renewable(kw: dict, item: dict, where: str) -> None:
+        cf_doc = _object(item.get("cf") or {}, f"{where}.cf")
+        kw["cf"] = CapacityFactorBundle(
+            *(
+                pick(f"cf_{part}", kw["id"], cf_doc.get(part), f"{where}.cf.{part}")
+                for part in _CF_PARTS
+            )
+        )
+
+    def fill_hydro(kw: dict, item: dict, where: str) -> None:
+        avail = item.get("availability")
+        if kw["kind"] in ("rsv", "ror"):
+            kw["availability"] = pick("availability", kw["id"], avail, f"{where}.availability")
+        elif avail is not None:
+            kw["availability"] = _series(avail, f"{where}.availability")
+
+    nodes = _read_family("nodes", _require(doc, "nodes", "nodes"), fill_node)
     regions = tuple(
         WeatherRegion(id=gid, name=region_names[gid], nodes=tuple(region_nodes[gid]))
         for gid in region_nodes
     )
 
-    lines = []
-    for k, l in enumerate(doc.get("lines", [])):
-        where = f"lines[{k}]"
-        existing = float(_require(l, "existing_cap", where))
-        limit = l.get("expansion_limit")
-        # Expansion defaults to a doubling of what already stands.
-        lines.append(
-            Line(
-                id=str(_require(l, "id", where)),
-                kind=str(_require(l, "kind", where)),
-                from_node=str(_require(l, "from", where)),
-                to_node=str(_require(l, "to", where)),
-                susceptance=float(l.get("susceptance", 0.0)),
-                existing_cap=existing,
-                expansion_cost=float(l.get("expansion_cost", 0.0)),
-                expansion_limit=float(limit) if limit is not None else existing,
-            )
-        )
-
-    renewables = []
-    for k, r in enumerate(doc.get("renewables", [])):
-        where = f"renewables[{k}]"
-        rid = str(_require(r, "id", where))
-        cf_doc = r.get("cf", {})
-        reference = pick("cf_reference", rid, cf_doc.get("reference"), f"{where}.cf.reference")
-        deviation = pick("cf_deviation", rid, cf_doc.get("deviation"), f"{where}.cf.deviation")
-        realized = cf_doc.get("realized")
-        limit = r.get("expansion_limit")
-        renewables.append(
-            RenewableUnit(
-                id=rid,
-                node=str(_require(r, "node", where)),
-                technology=str(_require(r, "technology", where)),
-                region=str(_require(r, "region", where)),
-                annualized_cost=float(_require(r, "annualized_cost", where)),
-                cf=CapacityFactorBundle(
-                    reference=reference,
-                    deviation=deviation,
-                    realized=_series(realized, f"{where}.cf.realized")
-                    if realized is not None
-                    else None,
-                ),
-                expansion_limit=float(limit) if limit is not None else None,
-            )
-        )
-
-    conventionals = []
-    for k, c in enumerate(doc.get("conventionals", [])):
-        where = f"conventionals[{k}]"
-        conventionals.append(
-            ConventionalUnit(
-                id=str(_require(c, "id", where)),
-                node=str(_require(c, "node", where)),
-                existing_cap=float(_require(c, "existing_cap", where)),
-                variable_cost=float(_require(c, "variable_cost", where)),
-            )
-        )
-
-    hydros = []
-    for k, h in enumerate(doc.get("hydros", [])):
-        where = f"hydros[{k}]"
-        hid = str(_require(h, "id", where))
-        kind = str(_require(h, "kind", where))
-        avail = h.get("availability")
-        if kind in ("rsv", "ror"):
-            series = pick("availability", hid, avail, f"{where}.availability")
-        else:
-            series = _series(avail, f"{where}.availability") if avail is not None else None
-        hydros.append(
-            HydroUnit(
-                id=hid,
-                node=str(_require(h, "node", where)),
-                kind=kind,
-                existing_cap=float(_require(h, "existing_cap", where)),
-                availability=series,
-                storage_scale=float(h["storage_scale"]) if "storage_scale" in h else None,
-                efficiency=float(h["efficiency"]) if "efficiency" in h else None,
-            )
-        )
-
-    batteries = []
-    for k, b in enumerate(doc.get("batteries", [])):
-        where = f"batteries[{k}]"
-        batteries.append(
-            BatteryUnit(
-                id=str(_require(b, "id", where)),
-                node=str(_require(b, "node", where)),
-                inverter_cost=float(_require(b, "inverter_cost", where)),
-                storage_cost=float(_require(b, "storage_cost", where)),
-                efficiency=float(_require(b, "efficiency", where)),
-                inverter_limit=float(b["inverter_limit"]) if "inverter_limit" in b else None,
-                storage_limit=float(b["storage_limit"]) if "storage_limit" in b else None,
-            )
-        )
-
-    hydrogens = []
-    for k, h in enumerate(doc.get("hydrogens", [])):
-        where = f"hydrogens[{k}]"
-        hydrogens.append(
-            HydrogenUnit(
-                id=str(_require(h, "id", where)),
-                node=str(_require(h, "node", where)),
-                ocgt_cost=float(_require(h, "ocgt_cost", where)),
-                electrolyzer_cost=float(_require(h, "electrolyzer_cost", where)),
-                storage_cost=float(_require(h, "storage_cost", where)),
-                eta_el=float(_require(h, "eta_el", where)),
-                eta_ocgt=float(_require(h, "eta_ocgt", where)),
-                ocgt_limit=float(h["ocgt_limit"]) if "ocgt_limit" in h else None,
-                el_limit=float(h["el_limit"]) if "el_limit" in h else None,
-                storage_limit=float(h["storage_limit"]) if "storage_limit" in h else None,
-            )
-        )
-
-    demand_doc = doc.get("demand", {})
-    if "demand" in tables:
-        by_node = dict(tables["demand"])
-        for nid, series in demand_doc.items():
-            by_node.setdefault(str(nid), _series(series, f"demand[{nid}]"))
-    elif isinstance(demand_doc, dict):
-        by_node = {str(nid): _series(s, f"demand[{nid}]") for nid, s in demand_doc.items()}
-    else:
+    demand_doc = doc.get("demand")
+    if demand_doc is None:
+        demand_doc = {}
+    if not isinstance(demand_doc, dict):
         raise SchemaError("demand: expected a mapping of node id -> series")
-    demand = DemandSeries(by_node=by_node)
+    by_node = dict(tables.get("demand", {}))
+    for nid, series in demand_doc.items():
+        by_node.setdefault(str(nid), _series(series, f"demand[{nid}]"))
 
-    shed_doc = _require(doc, "shedding", "shedding")
+    shed_doc = _object(_require(doc, "shedding", "shedding"), "shedding")
+    node_costs = shed_doc.get("node_costs")
+    if node_costs is None:
+        node_costs = {}
+    if not isinstance(node_costs, dict):
+        raise SchemaError("shedding.node_costs: expected a mapping of node id -> costs")
     shedding = LoadSheddingPolicy(
         fractions=_triple(_require(shed_doc, "fractions", "shedding"), "shedding.fractions"),
         costs=_triple(_require(shed_doc, "costs", "shedding"), "shedding.costs"),
         node_costs={
             str(nid): _triple(cs, f"shedding.node_costs[{nid}]")
-            for nid, cs in shed_doc.get("node_costs", {}).items()
+            for nid, cs in node_costs.items()
         },
     )
 
     return NetworkInstance(
-        nodes=tuple(nodes),
-        lines=tuple(lines),
-        renewables=tuple(renewables),
-        conventionals=tuple(conventionals),
-        hydros=tuple(hydros),
-        batteries=tuple(batteries),
-        hydrogens=tuple(hydrogens),
-        demand=demand,
+        nodes=nodes,
+        lines=_read_family("lines", doc.get("lines"), _fill_line),
+        renewables=_read_family("renewables", doc.get("renewables"), fill_renewable),
+        conventionals=_read_family("conventionals", doc.get("conventionals")),
+        hydros=_read_family("hydros", doc.get("hydros"), fill_hydro),
+        batteries=_read_family("batteries", doc.get("batteries")),
+        hydrogens=_read_family("hydrogens", doc.get("hydrogens")),
+        demand=DemandSeries(by_node=by_node),
         regions=regions,
         shedding=shedding,
         timegrid=timegrid,
@@ -376,115 +455,25 @@ def load_instance(path: str | Path) -> NetworkInstance:
 def instance_to_dict(inst: NetworkInstance) -> dict:
     """Serialize an instance to the document schema (inline series)."""
     doc: dict[str, Any] = {
-        "nodes": [
-            {
-                "id": n.id,
-                "name": n.name,
-                "region": n.region,
-                "reference": n.is_reference,
-            }
-            for n in inst.nodes
-        ],
-        "lines": [
-            {
-                "id": l.id,
-                "kind": l.kind,
-                "from": l.from_node,
-                "to": l.to_node,
-                "susceptance": l.susceptance,
-                "existing_cap": l.existing_cap,
-                "expansion_cost": l.expansion_cost,
-                "expansion_limit": l.expansion_limit,
-            }
-            for l in inst.lines
-        ],
-        "renewables": [],
-        "conventionals": [
-            {
-                "id": c.id,
-                "node": c.node,
-                "existing_cap": c.existing_cap,
-                "variable_cost": c.variable_cost,
-            }
-            for c in inst.conventionals
-        ],
-        "hydros": [],
-        "batteries": [],
-        "hydrogens": [],
-        "demand": {nid: list(s) for nid, s in inst.demand.by_node.items()},
-        "regions": [
-            {"id": g.id, "name": g.name, "nodes": list(g.nodes)} for g in inst.regions
-        ],
-        "shedding": {
-            "fractions": list(inst.shedding.fractions),
-            "costs": list(inst.shedding.costs),
-        },
-        "timegrid": {
-            "step_count": inst.timegrid.step_count,
-            "step_hours": inst.timegrid.step_hours,
-            "periods": [
-                {"id": p.id, "start": p.start + 1, "end": p.end + 1}
-                for p in inst.timegrid.periods
-            ],
-        },
+        family: [_write_fields(fields, e) for e in getattr(inst, family)]
+        for family, (_, fields) in _FAMILIES.items()
+    }
+    doc["demand"] = {nid: list(s) for nid, s in inst.demand.by_node.items()}
+    doc["regions"] = [{"id": g.id, "name": g.name, "nodes": list(g.nodes)} for g in inst.regions]
+    doc["shedding"] = {
+        "fractions": list(inst.shedding.fractions),
+        "costs": list(inst.shedding.costs),
     }
     if inst.shedding.node_costs:
         doc["shedding"]["node_costs"] = {
             nid: list(cs) for nid, cs in inst.shedding.node_costs.items()
         }
-    for r in inst.renewables:
-        entry: dict[str, Any] = {
-            "id": r.id,
-            "node": r.node,
-            "technology": r.technology,
-            "region": r.region,
-            "annualized_cost": r.annualized_cost,
-            "cf": {"reference": list(r.cf.reference), "deviation": list(r.cf.deviation)},
-        }
-        if r.cf.realized is not None:
-            entry["cf"]["realized"] = list(r.cf.realized)
-        if r.expansion_limit is not None:
-            entry["expansion_limit"] = r.expansion_limit
-        doc["renewables"].append(entry)
-    for h in inst.hydros:
-        entry = {"id": h.id, "node": h.node, "kind": h.kind, "existing_cap": h.existing_cap}
-        if h.availability is not None:
-            entry["availability"] = list(h.availability)
-        if h.storage_scale is not None:
-            entry["storage_scale"] = h.storage_scale
-        if h.efficiency is not None:
-            entry["efficiency"] = h.efficiency
-        doc["hydros"].append(entry)
-    for b in inst.batteries:
-        entry = {
-            "id": b.id,
-            "node": b.node,
-            "inverter_cost": b.inverter_cost,
-            "storage_cost": b.storage_cost,
-            "efficiency": b.efficiency,
-        }
-        if b.inverter_limit is not None:
-            entry["inverter_limit"] = b.inverter_limit
-        if b.storage_limit is not None:
-            entry["storage_limit"] = b.storage_limit
-        doc["batteries"].append(entry)
-    for h in inst.hydrogens:
-        entry = {
-            "id": h.id,
-            "node": h.node,
-            "ocgt_cost": h.ocgt_cost,
-            "electrolyzer_cost": h.electrolyzer_cost,
-            "storage_cost": h.storage_cost,
-            "eta_el": h.eta_el,
-            "eta_ocgt": h.eta_ocgt,
-        }
-        if h.ocgt_limit is not None:
-            entry["ocgt_limit"] = h.ocgt_limit
-        if h.el_limit is not None:
-            entry["el_limit"] = h.el_limit
-        if h.storage_limit is not None:
-            entry["storage_limit"] = h.storage_limit
-        doc["hydrogens"].append(entry)
+    doc["timegrid"] = {
+        **_write_fields(_TIMEGRID, inst.timegrid),
+        "periods": [
+            {"id": p.id, "start": p.start + 1, "end": p.end + 1} for p in inst.timegrid.periods
+        ],
+    }
     return doc
 
 

@@ -117,7 +117,6 @@ class MasterBuild:
 
 @dataclass
 class DispatchBuild:
-    instance: NetworkInstance
     model: LinearModel
     cap_values: np.ndarray  # the capacities, one per template key
 
@@ -744,7 +743,7 @@ def build_dispatch_lp(
         row_names=lambda: _tagged("d", tpl.row_names),
         name="dispatch:d",
     )
-    return DispatchBuild(instance=inst, model=model, cap_values=caps)
+    return DispatchBuild(model=model, cap_values=caps)
 
 
 def dispatch_cost(

@@ -101,13 +101,11 @@ class CapacityFactorBundle:
 
     reference is the expected series, deviation the per-step drop applied
     when the unit's region is hit in the step's period (reference minus
-    deviation is the historical lower bound), realized an optional series
-    produced by applying a concrete hit pattern.
+    deviation is the historical lower bound).
     """
 
     reference: tuple[float, ...]
     deviation: tuple[float, ...]
-    realized: tuple[float, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -407,8 +405,6 @@ def validate(inst: NetworkInstance) -> list[Violation]:
                         )
                     )
                     break
-        if r.cf.realized is not None:
-            _check_series(out, r.id, "cf", r.cf.realized, T, 0.0, 1.0)
         if r.expansion_limit is not None and r.expansion_limit < 0:
             out.append(Violation(r.id, "negative_limit"))
 

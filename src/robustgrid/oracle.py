@@ -49,6 +49,9 @@ __all__ = [
     "certify_run",
 ]
 
+# Relative gap within which certify_run counts two objectives as equal.
+CERTIFY_TOLERANCE = 1e-6
+
 
 def robust_optimum_by_enumeration(
     inst: NetworkInstance,
@@ -125,7 +128,6 @@ def certify_run(
     budget: UncertaintyBudget,
     ccg_result: tuple[MasterSolution, CcgTrace],
     backend,
-    tolerance: float = 1e-6,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> CertificationReport:
     """Referee a finished run against exhaustive enumeration.
@@ -154,14 +156,14 @@ def certify_run(
     report.checks.append(
         CertificationCheck(
             name="objective_matches_enumeration",
-            passed=gap <= tolerance,
+            passed=gap <= CERTIFY_TOLERANCE,
             value=gap,
             detail=f"run {solution.objective:.10g} vs exact {exact:.10g}",
         )
     )
 
     costs = [dispatch_cost(inst, solution.capacities, cf, backend) for cf in realized]
-    bound = solution.recourse_bound + tolerance * max(1.0, solution.recourse_bound)
+    bound = solution.recourse_bound + CERTIFY_TOLERANCE * max(1.0, solution.recourse_bound)
     uncovered = [
         (m, c) for m, c in zip(members, costs) if c > bound
     ]
@@ -185,13 +187,13 @@ def certify_run(
 
     try:
         sub = build_subproblem(inst, solution.capacities, budget)
-        worst = solve_subproblem(sub, backend, gap_tol=tolerance / 10.0)
+        worst = solve_subproblem(sub, backend, gap_tol=CERTIFY_TOLERANCE / 10.0)
         enum_max = max(costs)
         sub_gap = abs(worst.dual_objective - enum_max) / max(1.0, abs(enum_max))
         report.checks.append(
             CertificationCheck(
                 name="worst_case_agrees_with_enumeration",
-                passed=sub_gap <= tolerance,
+                passed=sub_gap <= CERTIFY_TOLERANCE,
                 value=sub_gap,
                 detail=(
                     f"search {worst.dual_objective:.10g} vs enumerated "

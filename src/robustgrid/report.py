@@ -229,11 +229,11 @@ def report_metrics(inst: NetworkInstance, solution: MasterSolution) -> dict:
     mw: dict[str, float] = {}
     for u in inst.renewables:
         mw[u.technology] = mw.get(u.technology, 0.0) + cap("ren", u.id)
-    mw["battery_inverter"] = sum(cap("bat_inv", b.id) for b in inst.batteries)
-    mw["h2_ocgt"] = sum(cap("h2_ocgt", h.id) for h in inst.hydrogens)
-    mw["h2_electrolyzer"] = sum(cap("h2_el", h.id) for h in inst.hydrogens)
-    mw["conventional"] = sum(c.existing_cap for c in inst.conventionals)
-    mw["hydro"] = sum(h.existing_cap for h in inst.hydros)
+    mw["battery_inverter"] = sum((cap("bat_inv", b.id) for b in inst.batteries), 0.0)
+    mw["h2_ocgt"] = sum((cap("h2_ocgt", h.id) for h in inst.hydrogens), 0.0)
+    mw["h2_electrolyzer"] = sum((cap("h2_el", h.id) for h in inst.hydrogens), 0.0)
+    mw["conventional"] = sum((c.existing_cap for c in inst.conventionals), 0.0)
+    mw["hydro"] = sum((h.existing_cap for h in inst.hydros), 0.0)
     total_mw = sum(mw.values())
     mix_pct = {
         k: (100.0 * v / total_mw if total_mw > 0 else 0.0) for k, v in mw.items()
@@ -284,8 +284,8 @@ def report_metrics(inst: NetworkInstance, solution: MasterSolution) -> dict:
         daily = demand_mwh[g] / horizon_days if horizon_days > 0 else 0.0
         h2_duration_days[g] = deliverable / daily if daily > 0 else 0.0
 
-    initial_mw = sum(l.existing_cap for l in inst.lines)
-    expansion_mw = sum(cap("line", l.id) for l in inst.lines)
+    initial_mw = sum((l.existing_cap for l in inst.lines), 0.0)
+    expansion_mw = sum((cap("line", l.id) for l in inst.lines), 0.0)
     transmission = {
         "initial_mw": initial_mw,
         "expansion_mw": expansion_mw,

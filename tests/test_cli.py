@@ -15,7 +15,7 @@ from robustgrid.cli import (
     OK,
     main,
 )
-from robustgrid.io import load_instance, save_instance
+from robustgrid.io import instance_to_dict, load_instance, save_instance
 from robustgrid.model import CapacityFactorBundle
 from robustgrid.prep import read_history_csv
 
@@ -69,6 +69,18 @@ def test_plan_missing_file(tmp_path, capsys):
     rc = main(["plan", str(tmp_path / "nowhere.json")])
     assert rc == INPUT_ERROR
     assert "no such instance file" in capsys.readouterr().err
+
+
+def test_plan_malformed_value_is_input_error(tmp_path, capsys):
+    doc = instance_to_dict(two_region())
+    doc["conventionals"][0]["existing_cap"] = "lots"
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["plan", str(path), "--output-dir", str(tmp_path / "out")])
+    assert rc == INPUT_ERROR
+    err = capsys.readouterr().err
+    assert "error: conventionals[0].existing_cap:" in err
+    assert "Traceback" not in err
 
 
 def test_plan_rejects_negative_budget(tmp_path, capsys):

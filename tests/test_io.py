@@ -1,6 +1,9 @@
 """Instance serialization: JSON round-trip, CSV bundles, error paths."""
 
+import copy
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +19,13 @@ from robustgrid.io import (
 import toys
 
 
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def toy6():
+    return load_instance(FIXTURES / "toy6.json")
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -24,6 +34,7 @@ import toys
         toys.two_period_battery,
         toys.three_region_hydro,
         toys.symmetric_pair,
+        toy6,
     ],
 )
 def test_round_trip_preserves_instance(build, tmp_path):
@@ -32,6 +43,8 @@ def test_round_trip_preserves_instance(build, tmp_path):
     save_instance(inst, path)
     again = load_instance(path)
     assert again == inst
+    # the writer leaves unset attributes out rather than writing null
+    assert "null" not in path.read_text()
 
 
 def test_dict_round_trip_is_identity():
@@ -74,6 +87,59 @@ def test_periods_are_one_based_in_documents():
     assert (period["start"], period["end"]) == (1, 2)
     inst = instance_from_dict(doc)
     assert (inst.timegrid.periods[0].start, inst.timegrid.periods[0].end) == (0, 1)
+
+
+def _at(doc, path):
+    *parents, last = path
+    for key in parents:
+        doc = doc[key]
+    return doc, last
+
+
+# (toy, key path, value, what loading gives): a key path string names the
+# SchemaError expected; None means the value reads as if the key were absent.
+MALFORMED = [
+    ("two_region", ("conventionals", 0, "existing_cap"), "lots", "conventionals[0].existing_cap"),
+    ("two_period_battery", ("batteries", 0, "inverter_limit"), None, None),
+    ("two_region", ("timegrid", "periods", 0, "start"), "first", "timegrid.periods[0].start"),
+    ("two_region", ("shedding", "node_costs"), [1, 2], "shedding.node_costs"),
+    ("two_region", ("timegrid", "step_hours"), None, None),
+    ("two_region", ("nodes", 1, "reference"), "false", "nodes[1].reference"),
+    ("two_region", ("timegrid", "periods", 0, "start"), 1.7, "timegrid.periods[0].start"),
+    ("two_region", ("nodes", 0, "name"), None, None),
+    # null on an optional key of every other family, and on a required one
+    ("three_region_hydro", ("lines", 0, "expansion_limit"), None, None),
+    ("three_region_hydro", ("renewables", 0, "expansion_limit"), None, None),
+    ("three_region_hydro", ("hydros", 0, "storage_scale"), None, None),
+    ("three_region_hydro", ("hydrogens", 0, "el_limit"), None, None),
+    ("three_region_hydro", ("regions", 0, "name"), None, None),
+    ("three_region_hydro", ("conventionals", 0, "variable_cost"), None, "conventionals[0]"),
+]
+
+
+@pytest.mark.parametrize("toy, path, value, error", MALFORMED)
+def test_malformed_value_raises_and_null_reads_as_absent(toy, path, value, error):
+    doc = instance_to_dict(getattr(toys, toy)())
+    parent, key = _at(doc, path)
+    parent[key] = value
+    if error is not None:
+        with pytest.raises(SchemaError, match=re.escape(error)):
+            instance_from_dict(doc)
+        return
+    absent = copy.deepcopy(doc)
+    parent, key = _at(absent, path)
+    del parent[key]
+    assert instance_from_dict(doc) == instance_from_dict(absent)
+
+
+def test_numeric_strings_read_as_numbers():
+    doc = instance_to_dict(toys.two_region())
+    doc["conventionals"][0]["existing_cap"] = "8.5"
+    doc["timegrid"]["step_count"] = str(doc["timegrid"]["step_count"])
+    doc["timegrid"]["periods"][0]["end"] = float(doc["timegrid"]["periods"][0]["end"])
+    inst = instance_from_dict(doc)
+    assert inst.conventionals[0].existing_cap == 8.5
+    assert inst.timegrid == toys.two_region().timegrid
 
 
 def test_line_expansion_limit_defaults_to_existing_cap():
@@ -134,12 +200,9 @@ def test_unknown_series_family_raises(tmp_path):
 
 
 def test_bundled_six_region_fixture_loads():
-    from pathlib import Path
-
     from robustgrid.model import validate
 
-    path = Path(__file__).parent / "fixtures" / "toy6.json"
-    inst = load_instance(path)
+    inst = toy6()
     assert len(inst.regions) == 6
     assert len(inst.nodes) == 12
     # regions partition the nodes

@@ -31,7 +31,7 @@ from robustgrid.report import (
 )
 from robustgrid.uncertainty import UncertaintyBudget, WorstCaseRealization
 
-from toys import single_node, three_region_hydro, two_region
+from toys import single_node, three_region_hydro, two_period_battery, two_region
 
 SCIPY = ScipyBackend()
 
@@ -300,6 +300,18 @@ def test_transmission_summary():
     assert m["transmission"]["expansion_pct"] == pytest.approx(
         100.0 * expected / 50.0
     )
+
+
+@pytest.mark.parametrize(
+    "build", [single_node, two_region, two_period_battery, three_region_hydro]
+)
+def test_capacity_and_transmission_figures_are_floats(build):
+    # a sum over an empty fleet is 0.0, not the int 0, in metrics.json
+    inst = build()
+    solution, _ = run_ccg(inst, UncertaintyBudget(0, 0), backend=SCIPY)
+    m = report_metrics(inst, solution)
+    figures = {**m["capacity_mw"], **m["transmission"]}
+    assert all(v is None or type(v) is float for v in figures.values()), figures
 
 
 def test_metrics_require_dispatch_blocks():
