@@ -35,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .backend import EQ, LE, BackendError, CSRMatrix, LinearModel, ModelBuilder, SolveResult
-from .model import NetworkInstance, tech_class
+from .model import ConventionalUnit, NetworkInstance, tech_class
 
 __all__ = [
     "CapKey",
@@ -56,6 +56,7 @@ __all__ = [
 ]
 
 CapKey = tuple[str, str]  # (kind, entity id)
+_Limit = tuple[float, tuple[CapKey, float] | None]  # (base rhs, capacity term)
 
 ANGLE_BOUND = math.pi
 
@@ -145,16 +146,18 @@ class MasterSolution:
 class _BlockEmitter:
     """Defines one dispatch block: its columns, rows and cost terms.
 
-    emit() declares every column through var() and every row through row();
-    this is the only place the dispatch physics is written down. Rows hold
-    the block's own columns only. A row that depends on a first-stage
-    capacity names it as cap=(key, coefficient), recorded in coupling as
-    (row, key, coefficient). On ren_cap rows that coefficient is further
-    scaled by the realized capacity factor of (unit, step), and
-    ren=(unit, step, deviation, flag) is recorded in ren, led by the
-    entry's position in coupling. The builders below turn the coupling into
-    capacity columns (the master) or into right-hand sides (the
-    fixed-capacity dispatch LP).
+    emit() declares every column through var() and every row through row(),
+    directly or through rating() (one column under a limit) and store() (one
+    step of a storage unit, the one recipe pumped hydro, batteries and
+    hydrogen share); this is the only place the dispatch physics is written
+    down. Rows hold the block's own columns only. A row that depends on a
+    first-stage capacity names it as cap=(key, coefficient), recorded in
+    coupling as (row, key, coefficient). On ren_cap rows that coefficient is
+    further scaled by the realized capacity factor of (unit, step), and
+    ren=(unit, step, deviation, flag) is recorded in ren, led by the entry's
+    position in coupling. The builders below turn the coupling into capacity
+    columns (the master) or into right-hand sides (the fixed-capacity
+    dispatch LP).
     """
 
     def __init__(self, builder: ModelBuilder, inst: NetworkInstance):
@@ -195,6 +198,47 @@ class _BlockEmitter:
             self.coupling.append((idx, *cap))
         return idx
 
+    def rating(
+        self,
+        row: str,
+        family: str,
+        entity: str,
+        t: int,
+        rhs: float,
+        cap: tuple[CapKey, float] | None = None,
+    ) -> int:
+        """One column held to rhs at step t, plus cap's capacity term if given."""
+        return self.row(
+            f"{row}[{entity},{t}]", [(self.col(family, entity, t), 1.0)], LE, rhs, cap=cap
+        )
+
+    def store(
+        self,
+        prefix: str,
+        uid: str,
+        t: int,
+        gen: _Limit, ch: _Limit, lvl: _Limit,
+        gain: float,
+        draw: float,
+        start: float = 0.0,
+    ) -> None:
+        """Step t of a store: its three limits, each (rhs, cap), and its level.
+
+        The level follows lvl[t] = lvl[t-1] + gain * ch[t] - draw * gen[t],
+        with lvl[-1] = start.
+        """
+        self.rating(f"{prefix}_gen_cap", "gen", uid, t, *gen)
+        self.rating(f"{prefix}_ch_cap", "ch", uid, t, *ch)
+        self.rating(f"{prefix}_lvl_cap", "lvl", uid, t, *lvl)
+        coeffs = [
+            (self.col("lvl", uid, t), 1.0),
+            (self.col("ch", uid, t), -gain),
+            (self.col("gen", uid, t), draw),
+        ]
+        if t > 0:
+            coeffs.append((self.col("lvl", uid, t - 1), -1.0))
+        self.row(f"{prefix}_lvl[{uid},{t}]", coeffs, EQ, start if t == 0 else 0.0)
+
     # -- the block itself ----------------------------------------------------
 
     def emit(self) -> None:
@@ -203,30 +247,17 @@ class _BlockEmitter:
         T, dt = grid.step_count, grid.step_hours
         has_ac = any(l.kind == "ac" for l in inst.lines)
 
-        # variables
-        for r in inst.renewables:
+        # variables; a storage unit also charges from the grid and holds a level
+        stores = {h.id for h in inst.hydros if h.kind == "psp"}
+        stores |= {u.id for u in (*inst.batteries, *inst.hydrogens)}
+        for u in inst.units():
             for t in range(T):
-                self.var("gen", r.id, t)
-        for c in inst.conventionals:
-            for t in range(T):
-                j = self.var("gen", c.id, t)
-                self.fuel_terms.append((j, c.variable_cost))
-        for h in inst.hydros:
-            for t in range(T):
-                self.var("gen", h.id, t)
-                if h.kind == "psp":
-                    self.var("ch", h.id, t)
-                    self.var("lvl", h.id, t)
-        for b in inst.batteries:
-            for t in range(T):
-                self.var("gen", b.id, t)
-                self.var("ch", b.id, t)
-                self.var("lvl", b.id, t)
-        for h in inst.hydrogens:
-            for t in range(T):
-                self.var("gen", h.id, t)
-                self.var("ch", h.id, t)
-                self.var("lvl", h.id, t)
+                j = self.var("gen", u.id, t)
+                if isinstance(u, ConventionalUnit):
+                    self.fuel_terms.append((j, u.variable_cost))
+                if u.id in stores:
+                    self.var("ch", u.id, t)
+                    self.var("lvl", u.id, t)
         for l in inst.lines:
             for t in range(T):
                 self.var("pf", l.id, t, free=True)
@@ -244,26 +275,15 @@ class _BlockEmitter:
                     self.shed_terms.append((j, costs[k]))
 
         # energy balance at every node and step
-        units_at: dict[str, list] = {n.id: [] for n in inst.nodes}
-        for r in inst.renewables:
-            units_at[r.node].append(("gen_only", r.id))
-        for c in inst.conventionals:
-            units_at[c.node].append(("gen_only", c.id))
-        for h in inst.hydros:
-            units_at[h.node].append(
-                ("storage", h.id) if h.kind == "psp" else ("gen_only", h.id)
-            )
-        for b in inst.batteries:
-            units_at[b.node].append(("storage", b.id))
-        for h in inst.hydrogens:
-            units_at[h.node].append(("storage", h.id))
-
+        units_at: dict[str, list[str]] = {n.id: [] for n in inst.nodes}
+        for u in inst.units():
+            units_at[u.node].append(u.id)
         for n in inst.nodes:
             for t in range(T):
                 coeffs: list[tuple[int, float]] = []
-                for role, uid in units_at[n.id]:
+                for uid in units_at[n.id]:
                     coeffs.append((self.col("gen", uid, t), 1.0))
-                    if role == "storage":
+                    if ("ch", uid, t) in self.cols:
                         coeffs.append((self.col("ch", uid, t), -1.0))
                 for l in inst.lines:
                     if l.to_node == n.id:
@@ -292,115 +312,44 @@ class _BlockEmitter:
                     ren=(u, t, r.cf.deviation[t] * dt, flag),
                 )
 
-        # conventional and hydro power limits
+        # conventional and hydro power limits; pumped storage starts half full
         for c in inst.conventionals:
             for t in range(T):
-                self.row(
-                    f"conv_cap[{c.id},{t}]",
-                    [(self.col("gen", c.id, t), 1.0)],
-                    LE, c.existing_cap * dt,
-                )
+                self.rating("conv_cap", "gen", c.id, t, c.existing_cap * dt)
         for h in inst.hydros:
             if h.kind in ("ror", "rsv"):
                 for t in range(T):
-                    self.row(
-                        f"hydro_cap[{h.id},{t}]",
-                        [(self.col("gen", h.id, t), 1.0)],
-                        LE, h.availability[t] * h.existing_cap * dt,
+                    self.rating(
+                        "hydro_cap", "gen", h.id, t, h.availability[t] * h.existing_cap * dt
                     )
-            else:  # pumped storage
-                energy_cap = h.existing_cap * h.storage_scale
+            else:
+                power = (h.existing_cap * dt, None)
+                energy = h.existing_cap * h.storage_scale
                 for t in range(T):
-                    self.row(
-                        f"psp_gen_cap[{h.id},{t}]",
-                        [(self.col("gen", h.id, t), 1.0)],
-                        LE, h.existing_cap * dt,
+                    self.store(
+                        "psp", h.id, t, power, power, (energy, None),
+                        gain=h.efficiency, draw=1.0, start=energy / 2.0,
                     )
-                    self.row(
-                        f"psp_ch_cap[{h.id},{t}]",
-                        [(self.col("ch", h.id, t), 1.0)],
-                        LE, h.existing_cap * dt,
-                    )
-                    self.row(
-                        f"psp_lvl_cap[{h.id},{t}]",
-                        [(self.col("lvl", h.id, t), 1.0)],
-                        LE, energy_cap,
-                    )
-                    # level recursion; starts half full
-                    coeffs = [
-                        (self.col("lvl", h.id, t), 1.0),
-                        (self.col("ch", h.id, t), -h.efficiency),
-                        (self.col("gen", h.id, t), 1.0),
-                    ]
-                    if t == 0:
-                        self.row(f"psp_lvl[{h.id},0]", coeffs, EQ, energy_cap / 2.0)
-                    else:
-                        coeffs.append((self.col("lvl", h.id, t - 1), -1.0))
-                        self.row(f"psp_lvl[{h.id},{t}]", coeffs, EQ, 0.0)
 
         # batteries: power through the inverter, energy in the store, empty start
         for b in inst.batteries:
-            inv_key = ("bat_inv", b.id)
-            stor_key = ("bat_stor", b.id)
+            inverter = (0.0, (("bat_inv", b.id), dt))
             for t in range(T):
-                self.row(
-                    f"bat_gen_cap[{b.id},{t}]",
-                    [(self.col("gen", b.id, t), 1.0)],
-                    LE, 0.0,
-                    cap=(inv_key, dt),
+                self.store(
+                    "bat", b.id, t, inverter, inverter, (0.0, (("bat_stor", b.id), 1.0)),
+                    gain=b.efficiency, draw=1.0,
                 )
-                self.row(
-                    f"bat_ch_cap[{b.id},{t}]",
-                    [(self.col("ch", b.id, t), 1.0)],
-                    LE, 0.0,
-                    cap=(inv_key, dt),
-                )
-                self.row(
-                    f"bat_lvl_cap[{b.id},{t}]",
-                    [(self.col("lvl", b.id, t), 1.0)],
-                    LE, 0.0,
-                    cap=(stor_key, 1.0),
-                )
-                coeffs = [
-                    (self.col("lvl", b.id, t), 1.0),
-                    (self.col("ch", b.id, t), -b.efficiency),
-                    (self.col("gen", b.id, t), 1.0),
-                ]
-                if t > 0:
-                    coeffs.append((self.col("lvl", b.id, t - 1), -1.0))
-                self.row(f"bat_lvl[{b.id},{t}]", coeffs, EQ, 0.0)
 
-        # hydrogen chain: electrolyzer in, tank, turbine out
+        # hydrogen chain: electrolyzer in, tank, turbine out at its heat rate
         for h in inst.hydrogens:
             for t in range(T):
-                self.row(
-                    f"h2_gen_cap[{h.id},{t}]",
-                    [(self.col("gen", h.id, t), 1.0)],
-                    LE, 0.0,
-                    cap=(("h2_ocgt", h.id), dt),
+                self.store(
+                    "h2", h.id, t,
+                    (0.0, (("h2_ocgt", h.id), dt)),
+                    (0.0, (("h2_el", h.id), dt)),
+                    (0.0, (("h2_stor", h.id), 1.0)),
+                    gain=h.eta_el, draw=1.0 / h.eta_ocgt,
                 )
-                self.row(
-                    f"h2_ch_cap[{h.id},{t}]",
-                    [(self.col("ch", h.id, t), 1.0)],
-                    LE, 0.0,
-                    cap=(("h2_el", h.id), dt),
-                )
-                self.row(
-                    f"h2_lvl_cap[{h.id},{t}]",
-                    [(self.col("lvl", h.id, t), 1.0)],
-                    LE, 0.0,
-                    cap=(("h2_stor", h.id), 1.0),
-                )
-                # tank balance: stored hydrogen, in via electrolysis,
-                # out via the turbine at its heat rate
-                coeffs = [
-                    (self.col("lvl", h.id, t), 1.0),
-                    (self.col("ch", h.id, t), -h.eta_el),
-                    (self.col("gen", h.id, t), 1.0 / h.eta_ocgt),
-                ]
-                if t > 0:
-                    coeffs.append((self.col("lvl", h.id, t - 1), -1.0))
-                self.row(f"h2_lvl[{h.id},{t}]", coeffs, EQ, 0.0)
 
         # network: flow definition on AC lines, capacity both ways, angles
         for l in inst.lines:
@@ -457,11 +406,7 @@ class _BlockEmitter:
                 if dem <= 0.0:
                     continue
                 for k, family in enumerate(("ls1", "ls2", "ls3")):
-                    self.row(
-                        f"{family}_cap[{n.id},{t}]",
-                        [(self.col(family, n.id, t), 1.0)],
-                        LE, fractions[k] * dem,
-                    )
+                    self.rating(f"{family}_cap", family, n.id, t, fractions[k] * dem)
 
 
 class DispatchTemplate:
@@ -774,24 +719,14 @@ def check_block_physics(
     def v(family, entity, t):
         return val.get((family, entity, t), 0.0)
 
-    storage_ids = {h.id for h in inst.hydros if h.kind == "psp"}
-    storage_ids |= {b.id for b in inst.batteries}
-    storage_ids |= {h.id for h in inst.hydrogens}
-    unit_node = {}
-    for coll in (inst.renewables, inst.conventionals, inst.hydros,
-                 inst.batteries, inst.hydrogens):
-        for u in coll:
-            unit_node[u.id] = u.node
+    unit_node = {u.id: u.node for u in inst.units()}
 
     for n in inst.nodes:
         for t in range(T):
             total = 0.0
             for uid, node in unit_node.items():
-                if node != n.id:
-                    continue
-                total += v("gen", uid, t)
-                if uid in storage_ids:
-                    total -= v("ch", uid, t)
+                if node == n.id:
+                    total += v("gen", uid, t) - v("ch", uid, t)
             for l in inst.lines:
                 if l.to_node == n.id:
                     total += v("pf", l.id, t)
@@ -807,64 +742,42 @@ def check_block_physics(
             if v(family, entity, t) > limit + tol * max(1.0, limit):
                 out.append(f"{row}[{entity},{t}]: above its rating")
 
+    def capacity(kind, entity):
+        return capacities.get((kind, entity), 0.0)
+
+    def store(prefix, uid, gen_cap, ch_cap, energy_cap, gain, draw, start=0.0):
+        """Power ratings, then lvl[t] = lvl[t-1] + gain * ch[t] - draw * gen[t]."""
+        rating(f"{prefix}_gen_cap", "gen", uid, [gen_cap * dt] * T)
+        rating(f"{prefix}_ch_cap", "ch", uid, [ch_cap * dt] * T)
+        prev = start
+        for t in range(T):
+            lvl = v("lvl", uid, t)
+            expect = prev + gain * v("ch", uid, t) - draw * v("gen", uid, t)
+            if abs(lvl - expect) > tol * max(1.0, energy_cap):
+                out.append(f"{prefix}_lvl[{uid},{t}]: recursion residual")
+            if lvl < -tol or lvl > energy_cap + tol * max(1.0, energy_cap):
+                out.append(f"{prefix}_lvl[{uid},{t}]: level outside [0, cap]")
+            prev = lvl
+
     for r in inst.renewables:
-        cap = capacities.get(("ren", r.id), 0.0)
-        rating("ren_cap", "gen", r.id, [cap * cf * dt for cf in block.realized_cf[r.id]])
+        built = capacity("ren", r.id)
+        rating("ren_cap", "gen", r.id, [built * cf * dt for cf in block.realized_cf[r.id]])
     for c in inst.conventionals:
         rating("conv_cap", "gen", c.id, [c.existing_cap * dt] * T)
     for h in inst.hydros:
-        if h.kind == "psp":
-            rating("psp_gen_cap", "gen", h.id, [h.existing_cap * dt] * T)
-            rating("psp_ch_cap", "ch", h.id, [h.existing_cap * dt] * T)
+        if h.kind == "psp":  # starts half full
+            energy_cap = h.existing_cap * h.storage_scale
+            store("psp", h.id, h.existing_cap, h.existing_cap, energy_cap,
+                  h.efficiency, 1.0, start=energy_cap / 2.0)
         else:
             rating("hydro_cap", "gen", h.id, [a * h.existing_cap * dt for a in h.availability])
     for b in inst.batteries:
-        inverter = capacities.get(("bat_inv", b.id), 0.0)
-        rating("bat_gen_cap", "gen", b.id, [inverter * dt] * T)
-        rating("bat_ch_cap", "ch", b.id, [inverter * dt] * T)
+        inverter = capacity("bat_inv", b.id)
+        store("bat", b.id, inverter, inverter, capacity("bat_stor", b.id), b.efficiency, 1.0)
     for h in inst.hydrogens:
-        turbine = capacities.get(("h2_ocgt", h.id), 0.0)
-        electrolyzer = capacities.get(("h2_el", h.id), 0.0)
-        rating("h2_gen_cap", "gen", h.id, [turbine * dt] * T)
-        rating("h2_ch_cap", "ch", h.id, [electrolyzer * dt] * T)
-
-    for h in inst.hydros:
-        if h.kind != "psp":
-            continue
-        energy_cap = h.existing_cap * h.storage_scale
-        prev = energy_cap / 2.0
-        for t in range(T):
-            lvl = v("lvl", h.id, t)
-            expect = prev + h.efficiency * v("ch", h.id, t) - v("gen", h.id, t)
-            if abs(lvl - expect) > tol * max(1.0, energy_cap):
-                out.append(f"psp_lvl[{h.id},{t}]: recursion residual")
-            if lvl < -tol or lvl > energy_cap + tol * max(1.0, energy_cap):
-                out.append(f"psp_lvl[{h.id},{t}]: level outside [0, cap]")
-            prev = lvl
-
-    for b in inst.batteries:
-        stor = capacities.get(("bat_stor", b.id), 0.0)
-        prev = 0.0
-        for t in range(T):
-            lvl = v("lvl", b.id, t)
-            expect = prev + b.efficiency * v("ch", b.id, t) - v("gen", b.id, t)
-            if abs(lvl - expect) > tol * max(1.0, stor):
-                out.append(f"bat_lvl[{b.id},{t}]: recursion residual")
-            if lvl < -tol or lvl > stor + tol * max(1.0, stor):
-                out.append(f"bat_lvl[{b.id},{t}]: level outside [0, cap]")
-            prev = lvl
-
-    for h in inst.hydrogens:
-        stor = capacities.get(("h2_stor", h.id), 0.0)
-        prev = 0.0
-        for t in range(T):
-            lvl = v("lvl", h.id, t)
-            expect = prev + h.eta_el * v("ch", h.id, t) - v("gen", h.id, t) / h.eta_ocgt
-            if abs(lvl - expect) > tol * max(1.0, stor):
-                out.append(f"h2_lvl[{h.id},{t}]: recursion residual")
-            if lvl < -tol or lvl > stor + tol * max(1.0, stor):
-                out.append(f"h2_lvl[{h.id},{t}]: level outside [0, cap]")
-            prev = lvl
+        turbine, electrolyzer = capacity("h2_ocgt", h.id), capacity("h2_el", h.id)
+        store("h2", h.id, turbine, electrolyzer, capacity("h2_stor", h.id),
+              h.eta_el, 1.0 / h.eta_ocgt)
 
     fractions = inst.shedding.fractions
     for n in inst.nodes:
@@ -875,7 +788,7 @@ def check_block_physics(
                     out.append(f"{family}[{n.id},{t}]: above tier cap")
 
     for l in inst.lines:
-        cap = l.existing_cap + capacities.get(("line", l.id), 0.0)
+        cap = l.existing_cap + capacity("line", l.id)
         for t in range(T):
             pf = v("pf", l.id, t)
             if abs(pf) > cap * dt + tol * max(1.0, cap * dt):

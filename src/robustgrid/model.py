@@ -262,6 +262,12 @@ class NetworkInstance:
     def node_ids(self) -> list[str]:
         return [n.id for n in self.nodes]
 
+    def units(self) -> tuple:
+        """Every unit of the five families, family by family in declaration order."""
+        return (
+            *self.renewables, *self.conventionals, *self.hydros, *self.batteries, *self.hydrogens
+        )
+
     def region_ids(self) -> list[str]:
         return [g.id for g in self.regions]
 
@@ -321,13 +327,24 @@ def _check_series(
             return
 
 
+def _check_scalars(out: list[Violation], entity) -> None:
+    """Every number an entity holds is finite; a *_limit may be +inf (no limit)."""
+    for f in dataclasses.fields(entity):
+        value = getattr(entity, f.name)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            continue
+        if not (math.isfinite(value) or (f.name.endswith("_limit") and value == math.inf)):
+            out.append(Violation(entity.id, f"{f.name}_finite", str(value)))
+
+
 def validate(inst: NetworkInstance) -> list[Violation]:
     """Check every structural invariant; return all violations found.
 
     An empty list means the instance is internally consistent: identifiers
-    unique and resolvable, exactly one reference node, regions partitioning
-    the node set, series lengths matching the time grid, capacity-factor
-    bundles consistent, shedding tiers increasing, and period layout sane.
+    unique and resolvable, every number finite (a *_limit may be +inf),
+    exactly one reference node, regions partitioning the node set, series
+    lengths matching the time grid, capacity-factor bundles consistent,
+    shedding tiers increasing and finite, and period layout sane.
     Violations are data, not exceptions.
     """
     out: list[Violation] = []
@@ -335,15 +352,14 @@ def validate(inst: NetworkInstance) -> list[Violation]:
 
     node_ids = inst.node_ids()
     # One id space for all units: every family keys its dispatch columns ("gen", id, t).
-    units = (
-        *inst.renewables, *inst.conventionals, *inst.hydros, *inst.batteries, *inst.hydrogens
-    )
-    for kind, entities in (("node", inst.nodes), ("line", inst.lines), ("unit", units)):
+    for kind, entities in (("node", inst.nodes), ("line", inst.lines), ("unit", inst.units())):
         seen: set[str] = set()
         for e in entities:
             if e.id in seen:
                 out.append(Violation(e.id, "duplicate_id", f"{kind} id used twice"))
             seen.add(e.id)
+    for e in (*inst.lines, *inst.units()):
+        _check_scalars(out, e)
     refs = [n for n in inst.nodes if n.is_reference]
     if len(refs) != 1:
         out.append(
@@ -462,12 +478,12 @@ def validate(inst: NetworkInstance) -> list[Violation]:
         _check_series(out, nid, "demand", series, T, 0.0, None)
 
     f1, f2, f3 = inst.shedding.fractions
-    if not 0 <= f1 < f2 < f3:
+    if not 0 <= f1 < f2 < f3 < math.inf:
         out.append(Violation("shedding", "shedding_fractions", f"{f1}, {f2}, {f3}"))
     for where, (s1, s2, s3) in [("shedding", inst.shedding.costs)] + [
         (f"shedding[{nid}]", cs) for nid, cs in sorted(inst.shedding.node_costs.items())
     ]:
-        if not 0 <= s1 < s2 < s3:
+        if not 0 <= s1 < s2 < s3 < math.inf:
             out.append(Violation(where, "shedding_costs", f"{s1}, {s2}, {s3}"))
     for nid in inst.shedding.node_costs:
         if nid not in node_ids:
@@ -475,7 +491,7 @@ def validate(inst: NetworkInstance) -> list[Violation]:
 
     if T < 1:
         out.append(Violation("timegrid", "step_count", str(T)))
-    if inst.timegrid.step_hours <= 0:
+    if not 0 < inst.timegrid.step_hours < math.inf:
         out.append(Violation("timegrid", "step_hours", str(inst.timegrid.step_hours)))
     covered: set[int] = set()
     for p in inst.timegrid.periods:

@@ -60,11 +60,6 @@ class RawHistorySet:
             if np.any((mat < 0) | (mat > 1)):
                 raise ValueError(f"{uid}: capacity factors outside [0, 1]")
 
-    @property
-    def hours(self) -> int:
-        first = next(iter(self.matrices.values()), None)
-        return 0 if first is None else first.shape[1]
-
     def unit_history(self, unit_id: str) -> np.ndarray:
         if unit_id not in self.matrices:
             raise KeyError(f"no history for unit {unit_id!r}")

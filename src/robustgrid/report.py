@@ -183,11 +183,7 @@ def report_metrics(inst: NetworkInstance, solution: MasterSolution) -> dict:
     caps = solution.capacities
     region = {n.id: inst.region_of_node(n.id) for n in inst.nodes}
     # unit and node ids are separate id spaces: a column's family says which it names
-    unit_region = {
-        u.id: region[u.node]
-        for u in (*inst.renewables, *inst.conventionals, *inst.hydros,
-                  *inst.batteries, *inst.hydrogens)
-    }
+    unit_region = {u.id: region[u.node] for u in inst.units()}
     line_ends = {l.id: (l.from_node, l.to_node) for l in inst.lines}
     regions = inst.region_ids()
 

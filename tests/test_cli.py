@@ -83,6 +83,19 @@ def test_plan_malformed_value_is_input_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_plan_non_finite_value_is_input_error(tmp_path, capsys):
+    doc = instance_to_dict(two_region())
+    doc["conventionals"][0]["variable_cost"] = "nan"
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["plan", str(path), "--output-dir", str(tmp_path / "out")])
+    assert rc == INPUT_ERROR
+    err = capsys.readouterr().err
+    assert "error: instance violates" in err
+    assert "gas_b: variable_cost_finite" in err
+    assert "Traceback" not in err
+
+
 def test_plan_rejects_negative_budget(tmp_path, capsys):
     rc = main(["plan", save(single_node(), tmp_path), "--gamma-pv", "-1"])
     assert rc == INPUT_ERROR

@@ -268,12 +268,19 @@ def test_physics_checker_flags_corruption():
 
 
 def test_physics_checker_flags_storage_break():
-    inst = two_period_battery()
-    sol = solve_master(build_master(inst, [ref_cf(inst)]), SCIPY)
-    block = sol.blocks[0]
-    block.values[("lvl", "bat_a", 1)] += 5.0
-    out = check_block_physics(inst, sol.capacities, block)
-    assert any("bat_lvl" in v for v in out)
+    # one level per storage kind, nudged off its recursion
+    for make, prefix, uid, t in (
+        (two_period_battery, "bat", "bat_a", 1),
+        (three_region_hydro, "psp", "psp_1", 2),
+        (three_region_hydro, "h2", "h2_2", 0),
+    ):
+        inst = make()
+        sol = solve_master(build_master(inst, [ref_cf(inst)]), SCIPY)
+        block = sol.blocks[0]
+        assert check_block_physics(inst, sol.capacities, block) == []
+        block.values[("lvl", uid, t)] += 0.5
+        out = check_block_physics(inst, sol.capacities, block)
+        assert f"{prefix}_lvl[{uid},{t}]: recursion residual" in out
 
 
 # one dispatch value pushed past each power rating the block imposes

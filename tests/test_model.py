@@ -236,6 +236,103 @@ def test_period_outside_grid_flagged():
     assert any(rule == "period_bounds" for _, rule in _violations(bad))
 
 
+def _with(inst, family, index, **changes):
+    """inst with one entity of a family replaced by a changed copy."""
+    items = list(getattr(inst, family))
+    items[index] = dataclasses.replace(items[index], **changes)
+    return inst.replace(**{family: tuple(items)})
+
+
+NAN, INF = math.nan, math.inf
+
+# (instance, expected (entity, rule)); every number must be finite
+NON_FINITE = {
+    "conventional-variable_cost-nan": (
+        lambda: _with(toys.two_region(), "conventionals", 0, variable_cost=NAN),
+        ("gas_b", "variable_cost_finite"),
+    ),
+    "conventional-existing_cap-inf": (
+        lambda: _with(toys.two_region(), "conventionals", 0, existing_cap=INF),
+        ("gas_b", "existing_cap_finite"),
+    ),
+    "line-susceptance-nan": (
+        lambda: _with(toys.two_region(), "lines", 0, susceptance=NAN),
+        ("l12", "susceptance_finite"),
+    ),
+    "line-expansion_limit-nan": (
+        lambda: _with(toys.two_region(), "lines", 0, expansion_limit=NAN),
+        ("l12", "expansion_limit_finite"),
+    ),
+    "line-expansion_limit-minus-inf": (
+        lambda: _with(toys.two_region(), "lines", 0, expansion_limit=-INF),
+        ("l12", "expansion_limit_finite"),
+    ),
+    "renewable-annualized_cost-nan": (
+        lambda: _with(toys.two_region(), "renewables", 0, annualized_cost=NAN),
+        ("pv_a", "annualized_cost_finite"),
+    ),
+    "hydro-storage_scale-inf": (
+        lambda: _with(toys.three_region_hydro(), "hydros", 0, storage_scale=INF),
+        ("psp_1", "storage_scale_finite"),
+    ),
+    "battery-storage_cost-inf": (
+        lambda: _with(toys.two_period_battery(), "batteries", 0, storage_cost=INF),
+        ("bat_a", "storage_cost_finite"),
+    ),
+    "hydrogen-ocgt_cost-nan": (
+        lambda: _with(toys.three_region_hydro(), "hydrogens", 0, ocgt_cost=NAN),
+        ("h2_2", "ocgt_cost_finite"),
+    ),
+    "hydrogen-el_limit-nan": (
+        lambda: _with(toys.three_region_hydro(), "hydrogens", 0, el_limit=NAN),
+        ("h2_2", "el_limit_finite"),
+    ),
+    "step_hours-inf": (
+        lambda: toys.single_node().replace(timegrid=TimeGrid(2, INF)),
+        ("timegrid", "step_hours"),
+    ),
+    "step_hours-nan": (
+        lambda: toys.single_node().replace(timegrid=TimeGrid(2, NAN)),
+        ("timegrid", "step_hours"),
+    ),
+    "shedding-fraction-inf": (
+        lambda: toys.single_node().replace(
+            shedding=LoadSheddingPolicy((0.05, 0.15, INF), (1000.0, 3000.0, 12000.0))
+        ),
+        ("shedding", "shedding_fractions"),
+    ),
+    "shedding-cost-inf": (
+        lambda: toys.single_node().replace(
+            shedding=LoadSheddingPolicy((0.05, 0.15, 0.8), (1000.0, 3000.0, INF))
+        ),
+        ("shedding", "shedding_costs"),
+    ),
+    "shedding-node-cost-nan": (
+        lambda: toys.single_node().replace(
+            shedding=LoadSheddingPolicy(
+                (0.05, 0.15, 0.8), (1000.0, 3000.0, 12000.0),
+                node_costs={"n1": (NAN, 3000.0, 12000.0)},
+            )
+        ),
+        ("shedding[n1]", "shedding_costs"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_non_finite_number_flagged(case):
+    make, expected = NON_FINITE[case]
+    assert expected in _violations(make())
+
+
+def test_limit_may_be_infinite():
+    inst = _with(toys.two_region(), "lines", 0, expansion_limit=INF)
+    inst = _with(inst, "renewables", 0, expansion_limit=INF)
+    assert validate(inst) == []
+    battery = _with(toys.two_period_battery(), "batteries", 0, storage_limit=INF)
+    assert validate(battery) == []
+
+
 def test_region_partition_must_cover_every_node():
     inst = toys.two_region()
     bad = inst.replace(

@@ -9,6 +9,7 @@ right-hand side, bound, objective coefficient, binary marker and CSR entry
 must agree exactly.
 """
 
+import hashlib
 import math
 from pathlib import Path
 
@@ -275,3 +276,45 @@ def test_stamped_dispatch_solves_like_the_reference():
     assert dispatch_cost(inst, caps, cf, ScipyBackend()) == float(want.objective)
     assert res.objective == want.objective
     assert res.x.tolist() == want.x.tolist()
+
+
+# --- the emitted block, pinned -------------------------------------------------
+
+def template_digest(tpl) -> str:
+    """sha256 over every array and name list of a dispatch template."""
+    h = hashlib.sha256()
+    A = tpl.matrix
+    arrays = [
+        (A.indptr, "<i8"), (A.indices, "<i8"), (A.data, "<f8"),
+        (tpl.base_rhs, "<f8"), (tpl.var_lb, "<f8"), (tpl.var_obj, "<f8"),
+        (tpl.fuel_cols, "<i8"), (tpl.fuel_costs, "<f8"),
+        (tpl.shed_cols, "<i8"), (tpl.shed_costs, "<f8"),
+        (tpl.cap_rows, "<i8"), (tpl.cap_keys, "<i8"), (tpl.cap_coefs, "<f8"),
+        (tpl.ren, "<i8"), (tpl.ren_units, "<i8"), (tpl.ren_steps, "<i8"),
+        (tpl.ren_dev, "<f8"), (tpl.ren_flags, "<i8"),
+    ]
+    for values, dtype in arrays:
+        data = np.ascontiguousarray(values, dtype=dtype).tobytes()
+        h.update(len(data).to_bytes(8, "little") + data)
+    for names in (tpl.row_sense, tpl.var_names, tpl.row_names, tpl.keys, tpl.flags):
+        h.update(repr([str(x) if isinstance(x, str) else tuple(x) for x in names]).encode())
+    return h.hexdigest()
+
+
+# HiGHS's pivots follow the row order, and so does the CCG path: a block
+# emitted with the same rows in another order solves to another vertex.
+# These digests pin the emitter's output itself, which the row-by-row
+# references above cannot do, since they run the same emit().
+TEMPLATE_DIGESTS = {
+    "ac_lines": "ea305ff43bcf010aef959ad858297cc09b1990fa28b2acc74410e914a0454ebb",
+    "batteries_dc": "7fe2f2777fb8836772ee7dee4d3a0d6e75b2aa7891c82f15c64fea2f852016dd",
+    "psp_hydrogen": "dea20b3bd2bc8702bf44db8a0130461d40024d2fe8b03755910705ed5a1ce16d",
+    "single_node": "eaa09d193ed790a1a66caffa830f3c4bf58fe95bd10fa82a3a43d1b020a11d0a",
+    "symmetric_pair": "8262624f381495b797b026629aa919296eb56b7edc032e060914b59618439388",
+    "toy6": "07897168bc13639ff4dc602dd10aa9edbb52fc841f434b8a229b1c3e4c74ce42",
+}
+
+
+def test_emitted_template_is_pinned(inst, request):
+    name = request.node.callspec.params["inst"]
+    assert template_digest(dispatch_template(inst)) == TEMPLATE_DIGESTS[name]
