@@ -17,6 +17,15 @@ backends ship:
   branch-and-bound over binary variables, pure numpy. Self-contained and
   deterministic; meant for desk-scale models and for cross-checking.
 
+Both have solve_lp, solve_milp and session(). A solve loads the model into a
+fresh solver and runs it once, except for LPs solved through a session: a
+ScipyBackend session keeps its last optimal LP loaded in one HiGHS object,
+and re-solves a model that differs from it only in right-hand sides warm,
+from the basis it holds, moving just the rows whose rhs changed. Models are
+compared by value, since bounds may be changed in place; any other model is
+loaded cold, as outside a session. An InTreeBackend session is the backend
+itself, which re-solves from scratch. solve_milp keeps no state on either.
+
 Only HiGHS is taken from scipy. Its extension module is loaded on its own,
 under the name scipy gives it, so importing this package does not run
 scipy.optimize's __init__ (or load scipy.sparse and scipy.linalg with it);
@@ -409,8 +418,13 @@ def _milp_options() -> dict:
     return {**_OPTIONS, **known}
 
 
-def _run(model: LinearModel, options: dict) -> tuple[SolveResult, highs.HighsInfo]:
-    """Solve model with one HiGHS run; return the result and HiGHS's info.
+def _bounds(senses: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row bounds lower <= A x <= upper of rows with these senses and rhs."""
+    return np.where(senses == LE, -INF, rhs), np.where(senses == GE, INF, rhs)
+
+
+class _Loaded:
+    """A HiGHS object with one model passed in: the load half of a solve.
 
     Rows go in as lower <= A x <= upper. An LP goes in with its inequality
     rows first, then its equality rows, each group in model order, and a
@@ -418,66 +432,140 @@ def _run(model: LinearModel, options: dict) -> tuple[SolveResult, highs.HighsInf
     HiGHS. HiGHS's pivots depend on the row order, and so does the CCG
     path: with LPs in model order, the perfbench ladder-mid run at seed 3
     took 16 CCG iterations and 15857 LP iterations, against 14 and 12817
-    in this layout (HiGHS as bundled with scipy 1.17.1). duals come back
-    in model row order, for LPs only.
+    in this layout (HiGHS as bundled with scipy 1.17.1).
     """
-    sign = 1.0 if model.sense == "min" else -1.0
-    order = np.argsort((model.row_sense == EQ) & (not model.is_mip), kind="stable")
-    senses, rhs = model.row_sense[order], model.row_rhs[order]
-    start, index, value = model.matrix().colwise(order)
 
-    lp = highs.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = model.n_vars
-    lp.num_row_ = lp.a_matrix_.num_row_ = model.n_rows
-    lp.col_cost_ = sign * model.var_obj
-    lp.col_lower_ = model.var_lb
-    lp.col_upper_ = model.var_ub
-    lp.row_lower_ = np.where(senses == LE, -INF, rhs)
-    lp.row_upper_ = np.where(senses == GE, INF, rhs)
-    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = start
-    lp.a_matrix_.index_ = index
-    lp.a_matrix_.value_ = value
-    if model.is_mip:  # HighsVarType 1 is integer, 0 continuous
-        lp.integrality_ = [highs.HighsVarType(int(b)) for b in model.var_binary]
+    def __init__(self, model: LinearModel, options: dict):
+        self.sign = 1.0 if model.sense == "min" else -1.0
+        self.order = np.argsort((model.row_sense == EQ) & (not model.is_mip), kind="stable")
+        self.senses, self.rhs = model.row_sense[self.order], model.row_rhs[self.order]
+        start, index, value = model.matrix().colwise(self.order)
 
-    solver = highs._Highs()
-    for key, value in options.items():
-        if solver.setOptionValue(key, value) == highs.HighsStatus.kError:
-            raise BackendError(f"HiGHS rejected option {key}={value!r}")
-    if solver.passModel(lp) == highs.HighsStatus.kError:
-        status = highs.HighsModelStatus.kModelError
-    else:
-        solver.run()
-        status = solver.getModelStatus()
-    info = solver.getInfo()
-    if status not in _SOLVED:
-        message = solver.modelStatusToString(status)
-        return SolveResult(_STATUS.get(status, "limit"), stats={"message": message}), info
-    solution = solver.getSolution()
-    row_dual = sign * np.asarray(solution.row_dual)
-    duals = row_dual[np.argsort(order)] if solution.dual_valid else None
-    result = SolveResult(
-        status=_SOLVED[status],
-        objective=sign * info.objective_function_value,
-        x=np.asarray(solution.col_value),
-        duals=duals,
-    )
-    return result, info
+        lp = highs.HighsLp()
+        lp.num_col_ = lp.a_matrix_.num_col_ = model.n_vars
+        lp.num_row_ = lp.a_matrix_.num_row_ = model.n_rows
+        lp.col_cost_ = self.sign * model.var_obj
+        lp.col_lower_ = model.var_lb
+        lp.col_upper_ = model.var_ub
+        lp.row_lower_, lp.row_upper_ = _bounds(self.senses, self.rhs)
+        lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+        lp.a_matrix_.start_ = start
+        lp.a_matrix_.index_ = index
+        lp.a_matrix_.value_ = value
+        if model.is_mip:  # HighsVarType 1 is integer, 0 continuous
+            lp.integrality_ = [highs.HighsVarType(int(b)) for b in model.var_binary]
+
+        self.solver = highs._Highs()
+        for key, value in options.items():
+            if self.solver.setOptionValue(key, value) == highs.HighsStatus.kError:
+                raise BackendError(f"HiGHS rejected option {key}={value!r}")
+        self.passed = self.solver.passModel(lp) != highs.HighsStatus.kError
+
+    def solve(self) -> tuple[SolveResult, highs.HighsInfo]:
+        """Run HiGHS from its current state and read the result: the read
+        half. duals come back in model row order, for LPs only."""
+        if self.passed:
+            self.solver.run()
+            status = self.solver.getModelStatus()
+        else:
+            status = highs.HighsModelStatus.kModelError
+        info = self.solver.getInfo()
+        if status not in _SOLVED:
+            message = self.solver.modelStatusToString(status)
+            return SolveResult(_STATUS.get(status, "limit"), stats={"message": message}), info
+        solution = self.solver.getSolution()
+        row_dual = self.sign * np.asarray(solution.row_dual)
+        duals = row_dual[np.argsort(self.order)] if solution.dual_valid else None
+        result = SolveResult(
+            status=_SOLVED[status],
+            objective=self.sign * info.objective_function_value,
+            x=np.asarray(solution.col_value),
+            duals=duals,
+        )
+        return result, info
+
+
+class _KeptLp(_Loaded):
+    """A loaded LP plus copies of everything but its right-hand sides, so
+    that a later model can be told apart from it by value."""
+
+    def __init__(self, model: LinearModel, options: dict):
+        super().__init__(model, options)
+        self.sense = model.sense
+        self.matrix = model.matrix()
+        self.var_lb, self.var_ub = model.var_lb.copy(), model.var_ub.copy()
+        self.var_obj = model.var_obj.copy()
+
+    def move_rhs(self, model: LinearModel) -> bool:
+        """If model is this LP up to its right-hand sides, move the rows
+        whose rhs changed into HiGHS and return True; else change nothing."""
+        A, B = model.matrix(), self.matrix
+        same_matrix = A is B or A.shape == B.shape and all(
+            np.array_equal(getattr(A, part), getattr(B, part))
+            for part in ("indptr", "indices", "data")
+        )
+        if not (
+            same_matrix
+            and model.sense == self.sense
+            and np.array_equal(model.row_sense[self.order], self.senses)
+            and np.array_equal(model.var_lb, self.var_lb)
+            and np.array_equal(model.var_ub, self.var_ub)
+            and np.array_equal(model.var_obj, self.var_obj)
+        ):
+            return False
+        rhs = model.row_rhs[self.order]
+        moved = np.flatnonzero(rhs != self.rhs)
+        lower, upper = _bounds(self.senses[moved], rhs[moved])
+        for row, lo, up in zip(moved.tolist(), lower.tolist(), upper.tolist()):
+            if self.solver.changeRowBounds(row, lo, up) == highs.HighsStatus.kError:
+                return False
+        self.rhs = rhs
+        return True
+
+
+def _run(model: LinearModel, options: dict) -> tuple[SolveResult, highs.HighsInfo]:
+    """Solve model with one HiGHS run; return the result and HiGHS's info."""
+    return _Loaded(model, options).solve()
 
 
 class ScipyBackend:
-    """LPs and mixed-binary programs through the HiGHS object scipy bundles:
-    each solve loads the model's arrays into a fresh one and runs it once.
+    """LPs and mixed-binary programs through the HiGHS object scipy bundles.
+
+    Each solve loads the model's arrays into a fresh HiGHS object and runs
+    it once, except for the LPs of a session (see session()).
     """
 
     name = "scipy"
+    _keeps = False  # a session keeps its last optimal LP loaded
+    _kept: _KeptLp | None = None
+
+    def session(self) -> ScipyBackend:
+        """A new backend that keeps its last optimal LP loaded in HiGHS.
+
+        An LP equal to that one in everything but right-hand sides (the same
+        CSRMatrix or equal arrays; equal senses, bounds, costs and objective
+        sense) is re-solved warm: only the rows whose rhs changed are moved,
+        and HiGHS starts from the basis it holds. Any other LP is loaded
+        cold, as outside a session, and kept in its place; after a status
+        other than optimal the next LP loads cold. Mixed-binary solves are
+        never kept.
+        """
+        warm = ScipyBackend()
+        warm._keeps = True
+        return warm
 
     def solve_lp(self, model: LinearModel) -> SolveResult:
         _check_no_binaries(model)
-        res, info = _run(model, _OPTIONS)
+        kept, self._kept = self._kept, None
+        if kept is not None and kept.move_rhs(model):
+            loaded = kept
+        else:
+            loaded = (_KeptLp if self._keeps else _Loaded)(model, _OPTIONS)
+        res, info = loaded.solve()
         if res.optimal:
             res.stats["iterations"] = info.simplex_iteration_count
+            if self._keeps:
+                self._kept = loaded
         return res
 
     def solve_milp(
@@ -728,6 +816,10 @@ class InTreeBackend:
     """Self-contained numpy simplex + branch-and-bound backend."""
 
     name = "intree"
+
+    def session(self) -> InTreeBackend:
+        """This backend: it keeps nothing, and re-solves every LP from scratch."""
+        return self
 
     def solve_lp(self, model: LinearModel) -> SolveResult:
         _check_no_binaries(model)

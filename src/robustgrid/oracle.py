@@ -86,9 +86,8 @@ def worst_case_by_enumeration(
     instances surface every equally bad realization.
     """
     members = enumerate_set(inst, budget, cap=cap)
-    costs = [
-        dispatch_cost(inst, capacities, realize(inst, m), backend) for m in members
-    ]
+    warm = backend.session()
+    costs = [dispatch_cost(inst, capacities, realize(inst, m), warm) for m in members]
     worst = max(costs)
     tol = 1e-9 * max(1.0, abs(worst))
     argmax = [m for m, c in zip(members, costs) if c >= worst - tol]
@@ -162,7 +161,8 @@ def certify_run(
         )
     )
 
-    costs = [dispatch_cost(inst, solution.capacities, cf, backend) for cf in realized]
+    warm = backend.session()
+    costs = [dispatch_cost(inst, solution.capacities, cf, warm) for cf in realized]
     bound = solution.recourse_bound + CERTIFY_TOLERANCE * max(1.0, solution.recourse_bound)
     uncovered = [
         (m, c) for m, c in zip(members, costs) if c > bound

@@ -1,23 +1,30 @@
 """Solver backends: correctness, duals, cross-checks; the model builder."""
 
 import math
+import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import sparse
 
 import robustgrid.backend as backend_module
+import toys
 from robustgrid.backend import (
     EQ,
     GE,
     LE,
     BackendError,
+    CSRMatrix,
     InTreeBackend,
     LinearModel,
     ModelBuilder,
     ScipyBackend,
     get_backend,
 )
+from robustgrid.io import load_instance
+from robustgrid.master import build_dispatch_lp, capacity_keys
+from robustgrid.uncertainty import UncertaintyBudget, maximal_sets, realize
 
 BACKENDS = [ScipyBackend(), InTreeBackend()]
 IDS = [b.name for b in BACKENDS]
@@ -324,6 +331,213 @@ def test_intree_ignores_the_target():
     res = InTreeBackend().solve_milp(model, target=0.5 * exact.objective)
     assert res.status == "optimal"
     assert res.objective == exact.objective
+
+
+# --- sessions: LPs that differ only in right-hand sides -------------------------
+
+def _toy6():
+    return load_instance(Path(__file__).parent / "fixtures" / "toy6.json")
+
+
+def _fixed_capacities(inst, seed=0):
+    rng = random.Random(seed)
+    line_limit = {l.id: l.expansion_limit for l in inst.lines}
+    return {
+        (kind, eid): rng.uniform(0.0, line_limit[eid] if kind == "line" else 10.0)
+        for kind, eid in capacity_keys(inst)
+    }
+
+
+@pytest.mark.parametrize(
+    "make, budget",
+    [
+        (toys.two_region, UncertaintyBudget(1, 1)),
+        (toys.two_period_battery, UncertaintyBudget(1, 1)),
+        (toys.three_region_hydro, UncertaintyBudget(1, 1)),
+        (_toy6, UncertaintyBudget(1, 0)),
+    ],
+    ids=["two_region", "two_period_battery", "three_region_hydro", "toy6"],
+)
+def test_session_prices_every_maximal_member_like_a_cold_solve(make, budget):
+    inst = make()
+    caps = _fixed_capacities(inst)
+    models = [
+        build_dispatch_lp(inst, caps, realize(inst, m)).model
+        for m in maximal_sets(inst, budget)
+    ]
+    cold = [ScipyBackend().solve_lp(model) for model in models]
+    warm_backend = ScipyBackend().session()
+    warm = [warm_backend.solve_lp(model) for model in models]
+    assert len(models) > 1
+    # the first LP of a session is loaded cold, exactly as outside one
+    assert warm[0].objective == cold[0].objective
+    assert np.array_equal(warm[0].x, cold[0].x)
+    assert np.array_equal(warm[0].duals, cold[0].duals)
+    for w, c in zip(warm, cold):
+        assert w.optimal
+        assert w.objective == pytest.approx(c.objective, rel=1e-9, abs=1e-9)
+    # the rest start from the basis HiGHS holds (two_region's presolve
+    # leaves no simplex iterations to save)
+    iterations = [sum(r.stats["iterations"] for r in rs[1:]) for rs in (warm, cold)]
+    assert iterations[0] < iterations[1] or iterations[1] == 0
+
+
+def _dispatch_model():
+    inst = toys.two_region()
+    member = maximal_sets(inst, UncertaintyBudget(1, 1))[0]
+    return build_dispatch_lp(inst, _fixed_capacities(inst), realize(inst, member)).model
+
+
+def _variant(model, matrix=None, **arrays):
+    """model with the given matrix or arrays in place of its own."""
+    parts = dict(
+        row_sense=model.row_sense, row_rhs=model.row_rhs,
+        var_lb=model.var_lb, var_ub=model.var_ub, var_obj=model.var_obj,
+    )
+    parts.update(arrays)
+    return LinearModel(matrix if matrix is not None else model.matrix(), **parts,
+                       var_names=model.var_names, row_names=model.row_names,
+                       sense=model.sense)
+
+
+def _same_as_cold(res, model):
+    cold = ScipyBackend().solve_lp(model)
+    assert res.status == cold.status == "optimal"
+    assert res.objective == cold.objective
+    assert np.array_equal(res.x, cold.x)
+
+
+def _count_session_loads(monkeypatch) -> list:
+    """The names of the models a session loads cold, appended as it does."""
+    loads = []
+
+    class Counting(backend_module._KeptLp):
+        def __init__(self, model, options):
+            loads.append(model.name)
+            super().__init__(model, options)
+
+    monkeypatch.setattr(backend_module, "_KeptLp", Counting)
+    return loads
+
+
+def test_session_reloads_a_model_that_differs_beyond_its_rhs(monkeypatch):
+    loads = _count_session_loads(monkeypatch)
+    model = _dispatch_model()
+    warm = ScipyBackend().session()
+    base = warm.solve_lp(model)
+    # the same LP again, or one with an equal copy of its matrix, is warm
+    assert warm.solve_lp(model).stats["iterations"] == 0
+    A = model.matrix()
+    copy = CSRMatrix(A.indptr.copy(), A.indices.copy(), A.data.copy(), A.shape)
+    assert warm.solve_lp(_variant(model, matrix=copy)).stats["iterations"] == 0
+    assert len(loads) == 1
+
+    # the costliest column the optimum uses: halving its bound or its cost,
+    # or doubling its coefficients, moves the optimum
+    gen = int(np.argmax(base.x * model.var_obj))
+    data = A.data.copy()
+    data[A.indices == gen] *= 2.0
+    ub = model.var_ub.copy()
+    ub[gen] = base.x[gen] / 2.0
+    obj = model.var_obj.copy()
+    obj[gen] /= 2.0
+    changed = [
+        _variant(model, matrix=CSRMatrix(A.indptr, A.indices, data, A.shape)),
+        _variant(model, var_ub=ub),
+        _variant(model, var_obj=obj),
+    ]
+    for other in changed:
+        res = warm.solve_lp(other)
+        _same_as_cold(res, other)
+        assert res.objective != base.objective
+        _same_as_cold(warm.solve_lp(model), model)
+    assert len(loads) == 1 + 2 * len(changed)
+
+    # a bound tightened in place on the very model the session just solved
+    model.var_ub[gen] = 0.0
+    tightened = warm.solve_lp(model)
+    _same_as_cold(tightened, model)
+    assert tightened.objective > base.objective
+    assert len(loads) == 2 + 2 * len(changed)
+
+
+def test_session_reports_a_failed_solve_and_then_loads_cold(monkeypatch):
+    loads = _count_session_loads(monkeypatch)
+    m = ModelBuilder()
+    x = m.add_var("x", obj=1.0)
+    m.add_row([(x, 1.0)], GE, 3.0)
+    m.add_row([(x, 1.0)], LE, 5.0)
+    model = m.build()
+    warm = ScipyBackend().session()
+    assert warm.solve_lp(model).objective == pytest.approx(3.0)
+    model.row_rhs[1] = 2.0
+    assert warm.solve_lp(model).status == "infeasible"
+    assert len(loads) == 1  # the infeasible LP was re-solved warm
+    model.row_rhs[1] = 5.0
+    res = warm.solve_lp(model)
+    assert len(loads) == 2
+    assert res.stats["iterations"] == ScipyBackend().solve_lp(model).stats["iterations"]
+    _same_as_cold(res, model)
+
+
+def _unique_duals_lp():
+    # max 3x + 2y - f/2 with the equality row first, so that HiGHS's
+    # inequality-first row layout differs from the model's:
+    # f = y, x + y <= cap, y >= floor, x <= 4
+    m = ModelBuilder(sense="max")
+    x = m.add_var("x", obj=3.0, ub=4.0)
+    y = m.add_var("y", obj=2.0)
+    f = m.add_var("f", lb=-math.inf, obj=-0.5)
+    m.add_row([(f, 1.0), (y, -1.0)], EQ, 0.0, name="link")
+    m.add_row([(x, 1.0), (y, 1.0)], LE, 6.0, name="cap")
+    m.add_row([(y, 1.0)], GE, 1.0, name="floor")
+    return m.build()
+
+
+def test_session_duals_come_back_in_model_row_order():
+    model = _unique_duals_lp()
+    warm = ScipyBackend().session()
+    expected = {
+        (6.0, 1.0): (15.0, [-0.5, 1.5, 0.0]),  # x = 4 at its bound, y = 2
+        (7.0, 1.0): (16.5, [-0.5, 1.5, 0.0]),
+        (6.0, 3.0): (13.5, [-0.5, 3.0, -1.5]),  # x = 3, y = 3 on its floor
+    }
+    for (cap, floor), (objective, duals) in [*expected.items(), *expected.items()]:
+        model.row_rhs[1:] = cap, floor
+        res = warm.solve_lp(model)
+        cold = ScipyBackend().solve_lp(model)
+        assert res.objective == pytest.approx(objective, abs=1e-9)
+        assert np.allclose(res.duals, duals, atol=1e-9)
+        assert np.allclose(res.duals, cold.duals, atol=1e-9)
+        assert np.allclose(res.x, cold.x, atol=1e-9)
+
+
+def test_intree_session_solves_from_scratch_and_agrees():
+    intree = InTreeBackend()
+    assert intree.session() is intree
+    model = _unique_duals_lp()
+    warm = ScipyBackend().session()
+    for cap, floor in [(6.0, 1.0), (6.0, 3.0), (7.0, 1.0)]:
+        model.row_rhs[1:] = cap, floor
+        a, b = intree.session().solve_lp(model), warm.solve_lp(model)
+        assert a.objective == pytest.approx(b.objective, abs=1e-9)
+        assert np.allclose(a.duals, b.duals, atol=1e-9)
+
+
+def test_session_milp_equals_a_stateless_one():
+    model = _multi_knapsack()
+    warm = ScipyBackend().session()
+    lp = _unique_duals_lp()
+    before = warm.solve_lp(lp)
+    for target in (None, 0.95 * 798.0):
+        a = warm.solve_milp(model, target=target)
+        b = ScipyBackend().solve_milp(model, target=target)
+        assert (a.status, a.objective) == (b.status, b.objective)
+        assert np.array_equal(a.x, b.x)
+    # the LP the session holds is still there
+    after = warm.solve_lp(lp)
+    assert after.stats["iterations"] == 0
+    assert after.objective == before.objective
 
 
 # --- HiGHS options ------------------------------------------------------------

@@ -294,6 +294,23 @@ def test_certify_flags_loose_tolerance_run():
     assert by_name["worst_case_agrees_with_enumeration"].passed
 
 
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_certify_verdict_does_not_depend_on_warm_lps(name, monkeypatch):
+    # certify_run prices the maximal members through one warm session; with
+    # every session a plain backend instead, each LP is loaded cold
+    inst = FIXTURES[name]()
+    budget = UncertaintyBudget(1, 1)
+    result = run_ccg(inst, budget, backend=SCIPY)
+    warm = certify_run(inst, budget, result, SCIPY)
+    monkeypatch.setattr(ScipyBackend, "session", lambda self: ScipyBackend())
+    cold = certify_run(inst, budget, result, SCIPY)
+    assert [(c.name, c.passed, c.detail) for c in warm.checks] == [
+        (c.name, c.passed, c.detail) for c in cold.checks
+    ]
+    for w, c in zip(warm.checks, cold.checks):
+        assert w.value == pytest.approx(c.value, rel=1e-9, abs=1e-9)
+
+
 def test_certify_report_is_json_clean():
     inst = single_node()
     budget = UncertaintyBudget(0, 0)
