@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from robustgrid import oracle
 from robustgrid.backend import InTreeBackend, ScipyBackend
 from robustgrid.ccg import CcgConfig, run_ccg
 from robustgrid.master import build_master, capacity_keys, dispatch_cost, solve_master
@@ -90,6 +91,52 @@ def test_ccg_matches_oracle(name):
     exact = robust_optimum_by_enumeration(inst, budget, SCIPY)
     rel = abs(solution.objective - exact) / max(1.0, abs(exact))
     assert rel <= 1e-6
+
+
+@pytest.mark.parametrize("members", ["full", "maximal"])
+@pytest.mark.parametrize("gamma", [0, 1, 2])
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_row_generation_equals_the_single_lp(name, gamma, members):
+    # The referee's rounds against the LP with one block per member.
+    inst = FIXTURES[name]()
+    budget = UncertaintyBudget(gamma, gamma)
+    enumerate_members = enumerate_set if members == "full" else maximal_sets
+    realized = [realize(inst, m) for m in enumerate_members(inst, budget)]
+    single = solve_master(build_master(inst, realized), SCIPY).objective
+    exact = robust_optimum_by_enumeration(inst, budget, SCIPY, realized=realized)
+    assert exact == pytest.approx(single, rel=1e-9, abs=1e-9)
+    assert 1 <= exact.rounds <= len(realized)
+
+
+@pytest.mark.parametrize("make, members", [
+    (three_region_hydro, maximal_sets),
+    (two_period_battery, enumerate_set),
+], ids=["three_region_hydro-maximal", "two_period_battery-full"])
+def test_row_generation_adds_the_costliest_member(make, members, monkeypatch):
+    # Each round's LP holds the last one's members plus the one that cost
+    # most at its capacities (the earliest on ties), starting from member 0.
+    inst = make()
+    budget = UncertaintyBudget(1, 1)
+    realized = [realize(inst, m) for m in members(inst, budget)]
+    position = {id(cf): k for k, cf in enumerate(realized)}
+    lps, prices = [], []
+
+    def build(inst, cfs):
+        lps.append([position[id(cf)] for cf in cfs])
+        prices.append([])
+        return build_master(inst, cfs)
+
+    def priced(inst, capacities, cf, backend):
+        prices[-1].append(dispatch_cost(inst, capacities, cf, backend))
+        return prices[-1][-1]
+
+    monkeypatch.setattr(oracle, "build_master", build)
+    monkeypatch.setattr(oracle, "dispatch_cost", priced)
+    exact = robust_optimum_by_enumeration(inst, budget, SCIPY, realized=realized)
+    assert exact.rounds == len(lps) >= 3
+    assert lps[0] == [0]
+    for chosen, costs, following in zip(lps, prices, lps[1:]):
+        assert following == chosen + [costs.index(max(costs))]
 
 
 def test_intree_backend_agrees():
@@ -309,6 +356,40 @@ def test_certify_verdict_does_not_depend_on_warm_lps(name, monkeypatch):
     ]
     for w, c in zip(warm.checks, cold.checks):
         assert w.value == pytest.approx(c.value, rel=1e-9, abs=1e-9)
+
+
+def test_certify_reports_the_referee_rounds():
+    inst = three_region_hydro()
+    budget = UncertaintyBudget(1, 1)
+    report = certify_run(inst, budget, run_ccg(inst, budget, backend=SCIPY), SCIPY)
+    realized = [realize(inst, m) for m in maximal_sets(inst, budget)]
+    rounds = robust_optimum_by_enumeration(inst, budget, SCIPY, realized=realized).rounds
+    check = report.checks[0]
+    assert check.name == "objective_matches_enumeration" and check.passed
+    assert check.detail.endswith(f"({rounds} of 9 members, {rounds} rounds)")
+
+
+def test_certify_records_a_stalled_referee(monkeypatch):
+    # An inflated price for one member is one the restricted LP cannot
+    # match: once that member is in the LP the gap stays open, and the
+    # referee must stop with a failed check rather than spin or raise.
+    inst = two_region()
+    budget = UncertaintyBudget(1, 1)
+    result = run_ccg(inst, budget, backend=SCIPY)
+    inflated = realize(inst, maximal_sets(inst, budget)[-1])
+
+    def priced(inst, capacities, cf, backend):
+        cost = dispatch_cost(inst, capacities, cf, backend)
+        return cost + 1000.0 if cf == inflated else cost
+
+    monkeypatch.setattr(oracle, "dispatch_cost", priced)
+    report = certify_run(inst, budget, result, SCIPY)
+    check = report.checks[0]
+    assert check.name == "objective_matches_enumeration"
+    assert not check.passed
+    assert check.detail.startswith("enumeration referee stalled after ")
+    assert check.detail.endswith("member 3 is in the LP, yet it costs 1000 above "
+                                 "the recourse bound")
 
 
 def test_certify_report_is_json_clean():
