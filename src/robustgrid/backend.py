@@ -17,14 +17,14 @@ backends ship:
   branch-and-bound over binary variables, pure numpy. Self-contained and
   deterministic; meant for desk-scale models and for cross-checking.
 
-Both have solve_lp, solve_milp and session(). A solve loads the model into a
-fresh solver and runs it once, except for LPs solved through a session: a
-ScipyBackend session keeps its last optimal LP loaded in one HiGHS object,
-and re-solves a model that differs from it only in right-hand sides warm,
-from the basis it holds, moving just the rows whose rhs changed. Models are
-compared by value, since bounds may be changed in place; any other model is
-loaded cold, as outside a session. An InTreeBackend session is the backend
-itself, which re-solves from scratch. solve_milp keeps no state on either.
+Both have solve_lp, solve_milp and solve_lps. solve_lp and solve_milp load
+the model into a fresh solver and run it once. solve_lps(model, rhs) solves
+one LP under a sequence of right-hand-side vectors, each in place of
+model.row_rhs, and returns one result per vector: ScipyBackend loads the
+LP once and re-solves it warm from the basis HiGHS holds, moving just the
+rows whose rhs changed (after a result that is not optimal, the next
+vector loads cold); InTreeBackend solves each vector from scratch. No
+backend keeps a model between calls.
 
 Only HiGHS is taken from scipy. Its extension module is loaded on its own,
 under the name scipy gives it, so importing this package does not run
@@ -38,6 +38,7 @@ max, as declared on the model) with respect to the rhs of row i. For
 
 from __future__ import annotations
 
+import copy
 import functools
 import heapq
 import importlib.machinery
@@ -426,19 +427,20 @@ def _bounds(senses: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray
 class _Loaded:
     """A HiGHS object with one model passed in: the load half of a solve.
 
-    Rows go in as lower <= A x <= upper. An LP goes in with its inequality
-    rows first, then its equality rows, each group in model order, and a
-    mixed-binary program in model order: the layouts linprog and milp gave
-    HiGHS. HiGHS's pivots depend on the row order, and so does the CCG
-    path: with LPs in model order, the perfbench ladder-mid run at seed 3
-    took 16 CCG iterations and 15857 LP iterations, against 14 and 12817
-    in this layout (HiGHS as bundled with scipy 1.17.1).
+    Rows go in as lower <= A x <= upper, with rhs in place of the model's
+    row_rhs. An LP goes in with its inequality rows first, then its
+    equality rows, each group in model order, and a mixed-binary program in
+    model order: the layouts linprog and milp gave HiGHS. HiGHS's pivots
+    depend on the row order, and so does the CCG path: with LPs in model
+    order, the perfbench ladder-mid run at seed 3 took 16 CCG iterations
+    and 15857 LP iterations, against 14 and 12817 in this layout (HiGHS as
+    bundled with scipy 1.17.1).
     """
 
-    def __init__(self, model: LinearModel, options: dict):
+    def __init__(self, model: LinearModel, rhs: np.ndarray, options: dict):
         self.sign = 1.0 if model.sense == "min" else -1.0
         self.order = np.argsort((model.row_sense == EQ) & (not model.is_mip), kind="stable")
-        self.senses, self.rhs = model.row_sense[self.order], model.row_rhs[self.order]
+        self.senses, self.rhs = model.row_sense[self.order], rhs[self.order]
         start, index, value = model.matrix().colwise(self.order)
 
         lp = highs.HighsLp()
@@ -460,6 +462,19 @@ class _Loaded:
             if self.solver.setOptionValue(key, value) == highs.HighsStatus.kError:
                 raise BackendError(f"HiGHS rejected option {key}={value!r}")
         self.passed = self.solver.passModel(lp) != highs.HighsStatus.kError
+
+    def move_rhs(self, rhs: np.ndarray) -> None:
+        """Give the loaded model these right-hand sides (in model row order),
+        moving into HiGHS only the rows whose rhs changed."""
+        rhs = rhs[self.order]
+        moved = np.flatnonzero(rhs != self.rhs)
+        lower, upper = _bounds(self.senses[moved], rhs[moved])
+        for row, lo, up in zip(moved.tolist(), lower.tolist(), upper.tolist()):
+            if self.solver.changeRowBounds(row, lo, up) == highs.HighsStatus.kError:
+                raise BackendError(
+                    f"HiGHS refused bounds [{lo}, {up}] on row {self.order[row]}"
+                )
+        self.rhs = rhs
 
     def solve(self) -> tuple[SolveResult, highs.HighsInfo]:
         """Run HiGHS from its current state and read the result: the read
@@ -485,88 +500,45 @@ class _Loaded:
         return result, info
 
 
-class _KeptLp(_Loaded):
-    """A loaded LP plus copies of everything but its right-hand sides, so
-    that a later model can be told apart from it by value."""
-
-    def __init__(self, model: LinearModel, options: dict):
-        super().__init__(model, options)
-        self.sense = model.sense
-        self.matrix = model.matrix()
-        self.var_lb, self.var_ub = model.var_lb.copy(), model.var_ub.copy()
-        self.var_obj = model.var_obj.copy()
-
-    def move_rhs(self, model: LinearModel) -> bool:
-        """If model is this LP up to its right-hand sides, move the rows
-        whose rhs changed into HiGHS and return True; else change nothing."""
-        A, B = model.matrix(), self.matrix
-        same_matrix = A is B or A.shape == B.shape and all(
-            np.array_equal(getattr(A, part), getattr(B, part))
-            for part in ("indptr", "indices", "data")
-        )
-        if not (
-            same_matrix
-            and model.sense == self.sense
-            and np.array_equal(model.row_sense[self.order], self.senses)
-            and np.array_equal(model.var_lb, self.var_lb)
-            and np.array_equal(model.var_ub, self.var_ub)
-            and np.array_equal(model.var_obj, self.var_obj)
-        ):
-            return False
-        rhs = model.row_rhs[self.order]
-        moved = np.flatnonzero(rhs != self.rhs)
-        lower, upper = _bounds(self.senses[moved], rhs[moved])
-        for row, lo, up in zip(moved.tolist(), lower.tolist(), upper.tolist()):
-            if self.solver.changeRowBounds(row, lo, up) == highs.HighsStatus.kError:
-                return False
-        self.rhs = rhs
-        return True
-
-
-def _run(model: LinearModel, options: dict) -> tuple[SolveResult, highs.HighsInfo]:
-    """Solve model with one HiGHS run; return the result and HiGHS's info."""
-    return _Loaded(model, options).solve()
+def _rhs_vectors(model: LinearModel, rhs):
+    """The vectors of rhs as float arrays, each checked against model's rows."""
+    for b in rhs:
+        b = np.asarray(b, dtype=float)
+        if b.shape != (model.n_rows,):
+            raise ValueError(f"rhs of shape {b.shape} for a model of {model.n_rows} rows")
+        yield b
 
 
 class ScipyBackend:
-    """LPs and mixed-binary programs through the HiGHS object scipy bundles.
-
-    Each solve loads the model's arrays into a fresh HiGHS object and runs
-    it once, except for the LPs of a session (see session()).
-    """
+    """LPs and mixed-binary programs through the HiGHS object scipy bundles."""
 
     name = "scipy"
-    _keeps = False  # a session keeps its last optimal LP loaded
-    _kept: _KeptLp | None = None
-
-    def session(self) -> ScipyBackend:
-        """A new backend that keeps its last optimal LP loaded in HiGHS.
-
-        An LP equal to that one in everything but right-hand sides (the same
-        CSRMatrix or equal arrays; equal senses, bounds, costs and objective
-        sense) is re-solved warm: only the rows whose rhs changed are moved,
-        and HiGHS starts from the basis it holds. Any other LP is loaded
-        cold, as outside a session, and kept in its place; after a status
-        other than optimal the next LP loads cold. Mixed-binary solves are
-        never kept.
-        """
-        warm = ScipyBackend()
-        warm._keeps = True
-        return warm
 
     def solve_lp(self, model: LinearModel) -> SolveResult:
+        return self.solve_lps(model, [model.row_rhs])[0]
+
+    def solve_lps(self, model: LinearModel, rhs) -> list[SolveResult]:
+        """Solve the LP model under each right-hand-side vector of rhs.
+
+        The first vector loads the model cold, exactly as solve_lp would
+        with that rhs. Each later one re-solves it warm: the rows whose rhs
+        changed are moved, and HiGHS starts from the basis it holds. After
+        a result that is not optimal, the next vector loads cold.
+        """
         _check_no_binaries(model)
-        kept, self._kept = self._kept, None
-        if kept is not None and kept.move_rhs(model):
-            loaded = kept
-        else:
-            loaded = (_KeptLp if self._keeps else _Loaded)(model, _OPTIONS)
-        res, info = loaded.solve()
-        if res.optimal:
-            res.stats["iterations"] = info.simplex_iteration_count
-            if self._keeps:
-                self._kept = loaded
-        return res
+        results, loaded = [], None
+        for b in _rhs_vectors(model, rhs):
+            if loaded is None:
+                loaded = _Loaded(model, b, _OPTIONS)
+            else:
+                loaded.move_rhs(b)
+            res, info = loaded.solve()
+            if res.optimal:
+                res.stats["iterations"] = info.simplex_iteration_count
+            else:
+                loaded = None
+            results.append(res)
+        return results
 
     def solve_milp(
         self, model: LinearModel, gap_tol: float = 1e-9, target: float | None = None
@@ -574,16 +546,16 @@ class ScipyBackend:
         """Solve to the relative gap gap_tol, or, given a target, stop at the
         first incumbent whose objective reaches it (status "target").
 
-        HiGHS minimizes sign * objective (see _run), so the target goes in
-        with that sign: for a max model, a target of +t would already be met
-        by any incumbent of value above -t.
+        HiGHS minimizes sign * objective (see _Loaded), so the target goes
+        in with that sign: for a max model, a target of +t would already be
+        met by any incumbent of value above -t.
         """
         if gap_tol < 0:
             raise ValueError("gap_tol must be nonnegative")
         options = {**_milp_options(), "mip_rel_gap": gap_tol}
         if target is not None:
             options["objective_target"] = target if model.sense == "min" else -target
-        return _run(model, options)[0]
+        return _Loaded(model, model.row_rhs, options).solve()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -817,13 +789,19 @@ class InTreeBackend:
 
     name = "intree"
 
-    def session(self) -> InTreeBackend:
-        """This backend: it keeps nothing, and re-solves every LP from scratch."""
-        return self
-
     def solve_lp(self, model: LinearModel) -> SolveResult:
         _check_no_binaries(model)
         return self._relaxation(model, model.var_lb, model.var_ub)
+
+    def solve_lps(self, model: LinearModel, rhs) -> list[SolveResult]:
+        """Solve the LP model under each right-hand-side vector of rhs, each
+        from scratch."""
+        results = []
+        for b in _rhs_vectors(model, rhs):
+            one = copy.copy(model)
+            one.row_rhs = b
+            results.append(self.solve_lp(one))
+        return results
 
     def _relaxation(self, model: LinearModel, lb: np.ndarray, ub: np.ndarray) -> SolveResult:
         """Solve model as an LP over the bounds lb, ub, binaries relaxed."""

@@ -656,6 +656,16 @@ def solve_master(build: MasterBuild, backend) -> MasterSolution:
     )
 
 
+def _dispatch_rhs(tpl: DispatchTemplate, caps: np.ndarray, ren_coefs: np.ndarray) -> np.ndarray:
+    """The dispatch LP's rhs: base + coefficient * capacity on the coupled
+    rows, with ren_coefs as the coefficients of the ren_cap rows."""
+    coefs = tpl.cap_coefs.copy()
+    coefs[tpl.ren] = ren_coefs
+    rhs = tpl.base_rhs.copy()
+    rhs[tpl.cap_rows] += coefs * caps[tpl.cap_keys]
+    return rhs
+
+
 def build_dispatch_lp(
     inst: NetworkInstance,
     capacities: dict[CapKey, float],
@@ -673,14 +683,11 @@ def build_dispatch_lp(
             raise ValueError(f"capacity {key}: bad value {v}")
     tpl = dispatch_template(inst)
     caps = np.array([capacities.get(key, 0.0) for key in tpl.keys], dtype=float)
-    coefs = tpl.cap_coefs.copy()
-    coefs[tpl.ren] = tpl.realized_coefs(_cf_array(inst, [cf], ["d"]))[0]
-    rhs = tpl.base_rhs.copy()
-    rhs[tpl.cap_rows] += coefs * caps[tpl.cap_keys]
+    ren_coefs = tpl.realized_coefs(_cf_array(inst, [cf], ["d"]))[0]
     model = LinearModel(
         tpl.matrix,
         row_sense=tpl.row_sense.copy(),
-        row_rhs=rhs,
+        row_rhs=_dispatch_rhs(tpl, caps, ren_coefs),
         var_lb=tpl.var_lb.copy(),
         var_ub=np.full(tpl.n_vars, math.inf),
         var_obj=tpl.var_obj.copy(),
@@ -694,14 +701,28 @@ def build_dispatch_lp(
 def dispatch_cost(
     inst: NetworkInstance,
     capacities: dict[CapKey, float],
-    cf: dict[str, tuple[float, ...]],
+    realized: list[dict[str, tuple[float, ...]]],
     backend,
-) -> float:
-    """Optimal operating cost at fixed capacities under one realization."""
-    res = backend.solve_lp(build_dispatch_lp(inst, capacities, cf).model)
-    if res.status != "optimal":
-        raise BackendError(f"dispatch solve ended {res.status}")
-    return float(res.objective)
+) -> list[float]:
+    """Optimal operating cost at fixed capacities under each realization.
+
+    The realizations differ only in the rhs of the ren_cap rows, so one
+    dispatch LP, built at realized[0], is solved under each realization's
+    rhs (solve_lps): the very rhs build_dispatch_lp gives it, bit for bit.
+    """
+    if not realized:
+        return []
+    build = build_dispatch_lp(inst, capacities, realized[0])
+    tpl = dispatch_template(inst)
+    tags = [f"d{k}" for k in range(len(realized))]
+    ren_coefs = tpl.realized_coefs(_cf_array(inst, realized, tags))
+    rhs = (_dispatch_rhs(tpl, build.cap_values, coefs) for coefs in ren_coefs)
+    costs = []
+    for k, res in enumerate(backend.solve_lps(build.model, rhs)):
+        if res.status != "optimal":
+            raise BackendError(f"dispatch solve ended {res.status} under realization {k}")
+        costs.append(float(res.objective))
+    return costs
 
 
 def check_block_physics(

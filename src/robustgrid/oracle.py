@@ -89,8 +89,8 @@ def robust_optimum_by_enumeration(
     give the same optimum. Without it the full set is enumerated.
 
     Each round solves the LP restricted to the chosen members (the first
-    member to begin with) and prices every member at its capacities
-    through one warm session. The restricted objective is a lower bound
+    member to begin with) and prices every member at its capacities in
+    one dispatch_cost call. The restricted objective is a lower bound
     on the optimum, and investment plus the largest member cost an upper
     bound; they differ by that cost minus the recourse bound. Once the gap
     is within 1e-9 of max(1, |objective|) the restricted objective is
@@ -101,10 +101,9 @@ def robust_optimum_by_enumeration(
     if realized is None:
         realized = [realize(inst, m) for m in enumerate_set(inst, budget, cap=cap)]
     chosen = [0]
-    warm = backend.session()
     while True:
         sol = solve_master(build_master(inst, [realized[k] for k in chosen]), backend)
-        costs = [dispatch_cost(inst, sol.capacities, cf, warm) for cf in realized]
+        costs = dispatch_cost(inst, sol.capacities, realized, backend)
         worst = max(range(len(costs)), key=costs.__getitem__)
         gap = costs[worst] - sol.recourse_bound
         if gap <= 1e-9 * max(1.0, abs(sol.objective)):
@@ -131,8 +130,7 @@ def worst_case_by_enumeration(
     instances surface every equally bad realization.
     """
     members = enumerate_set(inst, budget, cap=cap)
-    warm = backend.session()
-    costs = [dispatch_cost(inst, capacities, realize(inst, m), warm) for m in members]
+    costs = dispatch_cost(inst, capacities, [realize(inst, m) for m in members], backend)
     worst = max(costs)
     tol = 1e-9 * max(1.0, abs(worst))
     argmax = [m for m, c in zip(members, costs) if c >= worst - tol]
@@ -217,8 +215,7 @@ def certify_run(
         )
     report.checks.append(objective_check)
 
-    warm = backend.session()
-    costs = [dispatch_cost(inst, solution.capacities, cf, warm) for cf in realized]
+    costs = dispatch_cost(inst, solution.capacities, realized, backend)
     bound = solution.recourse_bound + CERTIFY_TOLERANCE * max(1.0, solution.recourse_bound)
     uncovered = [
         (m, c) for m, c in zip(members, costs) if c > bound

@@ -57,6 +57,8 @@ class RawHistorySet:
                 H = mat.shape[1]
             elif mat.shape[1] != H:
                 raise ValueError(f"{uid}: hour count {mat.shape[1]} != {H}")
+            if not np.all(np.isfinite(mat)):
+                raise ValueError(f"{uid}: non-finite capacity factor in the history")
             if np.any((mat < 0) | (mat > 1)):
                 raise ValueError(f"{uid}: capacity factors outside [0, 1]")
 
@@ -82,6 +84,11 @@ def read_history_csv(paths: dict[str, str | Path]) -> RawHistorySet:
                     rows.append([float(c) for c in row[1:]])
                 except ValueError as exc:
                     raise ValueError(f"{path}:{ln}: non-numeric cell ({exc})") from exc
+                if len(rows[-1]) != len(rows[0]):
+                    raise ValueError(
+                        f"{path}:{ln}: {len(rows[-1])} hour(s), but the first row has "
+                        f"{len(rows[0])}"
+                    )
         if years is None:
             years = tuple(labels)
         elif tuple(labels) != years:

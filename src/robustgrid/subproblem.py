@@ -240,7 +240,7 @@ def _duality_gap(
     """Relative gap between a dual objective and the primal dispatch cost
     at the build's capacities under the realization's flags."""
     realized = realize(build.instance, realization)
-    primal = dispatch_cost(build.instance, build.capacities, realized, backend)
+    primal = dispatch_cost(build.instance, build.capacities, [realized], backend)[0]
     return abs(objective - primal) / max(1.0, abs(primal))
 
 

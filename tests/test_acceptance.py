@@ -178,10 +178,11 @@ def test_04_robustness_certificate(converged_runs):
         inst, budget, solution = run["inst"], run["budget"], run["solution"]
         bound = solution.recourse_bound
         allowed = bound + 1e-6 * max(1.0, bound)
-        for member in enumerate_set(inst, budget):
-            cost = dispatch_cost(
-                inst, solution.capacities, realize(inst, member), SCIPY
-            )
+        members = enumerate_set(inst, budget)
+        costs = dispatch_cost(
+            inst, solution.capacities, [realize(inst, m) for m in members], SCIPY
+        )
+        for member, cost in zip(members, costs):
             assert cost <= allowed, (
                 f"{name}: realization {member.summary()} costs {cost:.10g}, "
                 f"recourse bound is {bound:.10g}"
@@ -263,8 +264,8 @@ def test_07_bigm_soundness():
                 build.model.var_ub[j] = value
             res = SCIPY.solve_milp(build.model, gap_tol=1e-9)
             assert res.status == "optimal", f"{name}: {member.summary()}"
-            primal = dispatch_cost(
-                inst, solution.capacities, realize(inst, member), SCIPY
+            [primal] = dispatch_cost(
+                inst, solution.capacities, [realize(inst, member)], SCIPY
             )
             rel = abs(res.objective - primal) / max(1.0, abs(primal))
             assert rel <= 1e-6, (

@@ -15,7 +15,6 @@ from robustgrid.backend import (
     GE,
     LE,
     BackendError,
-    CSRMatrix,
     InTreeBackend,
     LinearModel,
     ModelBuilder,
@@ -333,7 +332,9 @@ def test_intree_ignores_the_target():
     assert res.objective == exact.objective
 
 
-# --- sessions: LPs that differ only in right-hand sides -------------------------
+# --- batches: one LP under many right-hand sides -------------------------------
+# A solve_lps call is one HiGHS session: ScipyBackend loads the LP once and
+# re-solves it warm for each further right-hand-side vector.
 
 def _toy6():
     return load_instance(Path(__file__).parent / "fixtures" / "toy6.json")
@@ -366,10 +367,9 @@ def test_session_prices_every_maximal_member_like_a_cold_solve(make, budget):
         for m in maximal_sets(inst, budget)
     ]
     cold = [ScipyBackend().solve_lp(model) for model in models]
-    warm_backend = ScipyBackend().session()
-    warm = [warm_backend.solve_lp(model) for model in models]
-    assert len(models) > 1
-    # the first LP of a session is loaded cold, exactly as outside one
+    warm = ScipyBackend().solve_lps(models[0], [model.row_rhs for model in models])
+    assert len(models) > 1 and len(warm) == len(models)
+    # the first vector is loaded cold, exactly as solve_lp loads it
     assert warm[0].objective == cold[0].objective
     assert np.array_equal(warm[0].x, cold[0].x)
     assert np.array_equal(warm[0].duals, cold[0].duals)
@@ -378,106 +378,57 @@ def test_session_prices_every_maximal_member_like_a_cold_solve(make, budget):
         assert w.objective == pytest.approx(c.objective, rel=1e-9, abs=1e-9)
     # the rest start from the basis HiGHS holds (two_region's presolve
     # leaves no simplex iterations to save)
-    iterations = [sum(r.stats["iterations"] for r in rs[1:]) for rs in (warm, cold)]
+    iterations = [sum(r.stats["iterations"] for r in rs) for rs in (warm, cold)]
     assert iterations[0] < iterations[1] or iterations[1] == 0
 
 
-def _dispatch_model():
-    inst = toys.two_region()
-    member = maximal_sets(inst, UncertaintyBudget(1, 1))[0]
-    return build_dispatch_lp(inst, _fixed_capacities(inst), realize(inst, member)).model
-
-
-def _variant(model, matrix=None, **arrays):
-    """model with the given matrix or arrays in place of its own."""
-    parts = dict(
-        row_sense=model.row_sense, row_rhs=model.row_rhs,
-        var_lb=model.var_lb, var_ub=model.var_ub, var_obj=model.var_obj,
-    )
-    parts.update(arrays)
-    return LinearModel(matrix if matrix is not None else model.matrix(), **parts,
-                       var_names=model.var_names, row_names=model.row_names,
-                       sense=model.sense)
-
-
-def _same_as_cold(res, model):
-    cold = ScipyBackend().solve_lp(model)
-    assert res.status == cold.status == "optimal"
-    assert res.objective == cold.objective
-    assert np.array_equal(res.x, cold.x)
-
-
-def _count_session_loads(monkeypatch) -> list:
-    """The names of the models a session loads cold, appended as it does."""
+def _count_loads(monkeypatch) -> list:
+    """The names of the models loaded cold into HiGHS, appended as they are."""
     loads = []
 
-    class Counting(backend_module._KeptLp):
-        def __init__(self, model, options):
+    class Counting(backend_module._Loaded):
+        def __init__(self, model, rhs, options):
             loads.append(model.name)
-            super().__init__(model, options)
+            super().__init__(model, rhs, options)
 
-    monkeypatch.setattr(backend_module, "_KeptLp", Counting)
+    monkeypatch.setattr(backend_module, "_Loaded", Counting)
     return loads
 
 
-def test_session_reloads_a_model_that_differs_beyond_its_rhs(monkeypatch):
-    loads = _count_session_loads(monkeypatch)
-    model = _dispatch_model()
-    warm = ScipyBackend().session()
-    base = warm.solve_lp(model)
-    # the same LP again, or one with an equal copy of its matrix, is warm
-    assert warm.solve_lp(model).stats["iterations"] == 0
-    A = model.matrix()
-    copy = CSRMatrix(A.indptr.copy(), A.indices.copy(), A.data.copy(), A.shape)
-    assert warm.solve_lp(_variant(model, matrix=copy)).stats["iterations"] == 0
-    assert len(loads) == 1
-
-    # the costliest column the optimum uses: halving its bound or its cost,
-    # or doubling its coefficients, moves the optimum
-    gen = int(np.argmax(base.x * model.var_obj))
-    data = A.data.copy()
-    data[A.indices == gen] *= 2.0
-    ub = model.var_ub.copy()
-    ub[gen] = base.x[gen] / 2.0
-    obj = model.var_obj.copy()
-    obj[gen] /= 2.0
-    changed = [
-        _variant(model, matrix=CSRMatrix(A.indptr, A.indices, data, A.shape)),
-        _variant(model, var_ub=ub),
-        _variant(model, var_obj=obj),
-    ]
-    for other in changed:
-        res = warm.solve_lp(other)
-        _same_as_cold(res, other)
-        assert res.objective != base.objective
-        _same_as_cold(warm.solve_lp(model), model)
-    assert len(loads) == 1 + 2 * len(changed)
-
-    # a bound tightened in place on the very model the session just solved
-    model.var_ub[gen] = 0.0
-    tightened = warm.solve_lp(model)
-    _same_as_cold(tightened, model)
-    assert tightened.objective > base.objective
-    assert len(loads) == 2 + 2 * len(changed)
-
-
-def test_session_reports_a_failed_solve_and_then_loads_cold(monkeypatch):
-    loads = _count_session_loads(monkeypatch)
+def _bracket_lp():
     m = ModelBuilder()
     x = m.add_var("x", obj=1.0)
     m.add_row([(x, 1.0)], GE, 3.0)
     m.add_row([(x, 1.0)], LE, 5.0)
-    model = m.build()
-    warm = ScipyBackend().session()
-    assert warm.solve_lp(model).objective == pytest.approx(3.0)
-    model.row_rhs[1] = 2.0
-    assert warm.solve_lp(model).status == "infeasible"
-    assert len(loads) == 1  # the infeasible LP was re-solved warm
-    model.row_rhs[1] = 5.0
-    res = warm.solve_lp(model)
-    assert len(loads) == 2
-    assert res.stats["iterations"] == ScipyBackend().solve_lp(model).stats["iterations"]
-    _same_as_cold(res, model)
+    return m.build()
+
+
+def test_session_reports_a_failed_solve_and_then_loads_cold(monkeypatch):
+    model = _bracket_lp()
+    cold = ScipyBackend().solve_lp(model)
+    loads = _count_loads(monkeypatch)
+    results = ScipyBackend().solve_lps(model, [[3.0, 5.0], [3.0, 2.0], [3.0, 5.0]])
+    assert [r.status for r in results] == ["optimal", "infeasible", "optimal"]
+    assert results[0].objective == pytest.approx(3.0)
+    assert len(loads) == 2  # the infeasible vector was re-solved warm
+    res = results[2]
+    assert res.stats["iterations"] == cold.stats["iterations"]
+    assert res.objective == cold.objective
+    assert np.array_equal(res.x, cold.x)
+    assert model.row_rhs.tolist() == [3.0, 5.0]  # a batch leaves the model as it was
+
+
+def test_batch_refuses_what_highs_refuses():
+    # a >= row with rhs +inf has the bounds [inf, inf], which HiGHS refuses
+    model = _bracket_lp()
+    with pytest.raises(BackendError, match="on row 0"):
+        ScipyBackend().solve_lps(model, [[3.0, 5.0], [math.inf, 5.0]])
+
+
+@pytest.mark.parametrize("backend", [ScipyBackend(), InTreeBackend()], ids=["scipy", "intree"])
+def test_batch_rejects_a_rhs_of_another_length(backend):
+    with pytest.raises(ValueError, match="2 rows"):
+        backend.solve_lps(_bracket_lp(), [[3.0, 5.0], [3.0]])
 
 
 def _unique_duals_lp():
@@ -496,16 +447,15 @@ def _unique_duals_lp():
 
 def test_session_duals_come_back_in_model_row_order():
     model = _unique_duals_lp()
-    warm = ScipyBackend().session()
     expected = {
         (6.0, 1.0): (15.0, [-0.5, 1.5, 0.0]),  # x = 4 at its bound, y = 2
         (7.0, 1.0): (16.5, [-0.5, 1.5, 0.0]),
         (6.0, 3.0): (13.5, [-0.5, 3.0, -1.5]),  # x = 3, y = 3 on its floor
     }
-    for (cap, floor), (objective, duals) in [*expected.items(), *expected.items()]:
-        model.row_rhs[1:] = cap, floor
-        res = warm.solve_lp(model)
-        cold = ScipyBackend().solve_lp(model)
+    cases = [*expected.items(), *expected.items()]
+    rhs = [np.array([0.0, cap, floor]) for (cap, floor), _ in cases]
+    for b, (_, (objective, duals)), res in zip(rhs, cases, ScipyBackend().solve_lps(model, rhs)):
+        cold = ScipyBackend().solve_lps(model, [b])[0]
         assert res.objective == pytest.approx(objective, abs=1e-9)
         assert np.allclose(res.duals, duals, atol=1e-9)
         assert np.allclose(res.duals, cold.duals, atol=1e-9)
@@ -513,31 +463,17 @@ def test_session_duals_come_back_in_model_row_order():
 
 
 def test_intree_session_solves_from_scratch_and_agrees():
-    intree = InTreeBackend()
-    assert intree.session() is intree
     model = _unique_duals_lp()
-    warm = ScipyBackend().session()
-    for cap, floor in [(6.0, 1.0), (6.0, 3.0), (7.0, 1.0)]:
-        model.row_rhs[1:] = cap, floor
-        a, b = intree.session().solve_lp(model), warm.solve_lp(model)
-        assert a.objective == pytest.approx(b.objective, abs=1e-9)
-        assert np.allclose(a.duals, b.duals, atol=1e-9)
-
-
-def test_session_milp_equals_a_stateless_one():
-    model = _multi_knapsack()
-    warm = ScipyBackend().session()
-    lp = _unique_duals_lp()
-    before = warm.solve_lp(lp)
-    for target in (None, 0.95 * 798.0):
-        a = warm.solve_milp(model, target=target)
-        b = ScipyBackend().solve_milp(model, target=target)
-        assert (a.status, a.objective) == (b.status, b.objective)
-        assert np.array_equal(a.x, b.x)
-    # the LP the session holds is still there
-    after = warm.solve_lp(lp)
-    assert after.stats["iterations"] == 0
-    assert after.objective == before.objective
+    rhs = [np.array([0.0, cap, floor]) for cap, floor in [(6.0, 1.0), (6.0, 3.0), (7.0, 1.0)]]
+    intree = InTreeBackend().solve_lps(model, rhs)
+    scipy_ = ScipyBackend().solve_lps(model, rhs)
+    assert len(intree) == len(scipy_) == len(rhs)
+    for b, a, s in zip(rhs, intree, scipy_):
+        alone = InTreeBackend().solve_lps(model, [b])[0]
+        assert a.objective == alone.objective and np.array_equal(a.x, alone.x)
+        assert a.objective == pytest.approx(s.objective, abs=1e-9)
+        assert np.allclose(a.duals, s.duals, atol=1e-9)
+    assert model.row_rhs.tolist() == [0.0, 6.0, 1.0]
 
 
 # --- HiGHS options ------------------------------------------------------------
@@ -564,7 +500,8 @@ def test_run_rejects_options_highs_rejects(option):
     key, value = option
     options = {**backend_module._OPTIONS, key: value}
     with pytest.raises(BackendError, match=f"{key}={value!r}"):
-        backend_module._run(_floor_model(), options)
+        model = _floor_model()
+        backend_module._Loaded(model, model.row_rhs, options)
 
 
 def _record_options(monkeypatch) -> list:

@@ -126,9 +126,8 @@ def test_robustness_certificate_small():
     sol, trace = run_ccg(inst, budget, backend=SCIPY)
     assert trace.converged
     tol = 1e-6 * max(1.0, sol.recourse_bound)
-    for member in enumerate_set(inst, budget):
-        cost = dispatch_cost(inst, sol.capacities, realize(inst, member), SCIPY)
-        assert cost <= sol.recourse_bound + tol
+    realized = [realize(inst, m) for m in enumerate_set(inst, budget)]
+    assert max(dispatch_cost(inst, sol.capacities, realized, SCIPY)) <= sol.recourse_bound + tol
 
 
 def test_memory_grows_without_repeats():
@@ -167,7 +166,7 @@ def test_completed_cut_is_still_a_worst_case(make, gamma, seed):
     worst = solve_subproblem(build_subproblem(inst, caps, budget), SCIPY)
     cut = complete(inst, worst.flags, budget)
     assert worst.flags <= cut
-    cost = dispatch_cost(inst, caps, realize(inst, WorstCaseRealization(cut)), SCIPY)
+    [cost] = dispatch_cost(inst, caps, [realize(inst, WorstCaseRealization(cut))], SCIPY)
     assert cost == pytest.approx(worst.dual_objective, rel=1e-6, abs=1e-6)
 
 

@@ -345,6 +345,40 @@ def test_prep_rejects_fractional_step_hours(tmp_path):
     assert rc == INPUT_ERROR
 
 
+def _spoil_history(tmp_path, line: int, edit) -> str:
+    """A one-unit history whose CSV line `line` (1-based) goes through edit."""
+    manifest = write_history(tmp_path, ["pv_a"])
+    csv_path = tmp_path / "pv_a.csv"
+    lines = csv_path.read_text().splitlines()
+    lines[line - 1] = edit(lines[line - 1])
+    csv_path.write_text("\n".join(lines) + "\n")
+    return manifest
+
+
+def test_prep_rejects_a_nan_history_cell(tmp_path, capsys):
+    # NaN compares false with both ends of [0, 1], so a range check alone let
+    # it through into the prepared series
+    manifest = _spoil_history(tmp_path, 2, lambda row: row.rsplit(",", 1)[0] + ",nan")
+    out = tmp_path / "out"
+    rc = main([
+        "prep", save(two_region(steps=14), tmp_path), manifest,
+        "--step-hours", "24", "--output-dir", str(out),
+    ])
+    assert rc == INPUT_ERROR
+    assert "pv_a: non-finite" in capsys.readouterr().err
+    assert not (out / "prepared_instance.json").exists()
+
+
+def test_prep_names_the_line_of_a_ragged_history_row(tmp_path, capsys):
+    manifest = _spoil_history(tmp_path, 3, lambda row: row.rsplit(",", 1)[0])
+    rc = main([
+        "prep", save(two_region(steps=14), tmp_path), manifest,
+        "--step-hours", "24",
+    ])
+    assert rc == INPUT_ERROR
+    assert "pv_a.csv:3: 335 hour(s), but the first row has 336" in capsys.readouterr().err
+
+
 # --- parser ----------------------------------------------------------------------
 
 def test_missing_subcommand_is_usage_error(capsys):

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from robustgrid.backend import BackendError, InTreeBackend, ScipyBackend
@@ -147,15 +148,15 @@ def test_objective_is_investment_plus_recourse():
 def test_dispatch_cost_reference_free(backend):
     inst = single_node()
     caps = {("ren", "s1"): 20.0}
-    assert dispatch_cost(inst, caps, ref_cf(inst), backend) == pytest.approx(
+    assert dispatch_cost(inst, caps, [ref_cf(inst)], backend) == [pytest.approx(
         0.0, abs=1e-7
-    )
+    )]
 
 
 def test_dispatch_cost_zero_cf_full_shed(backend):
     inst = single_node()
     caps = {("ren", "s1"): 20.0}
-    cost = dispatch_cost(inst, caps, hit(inst, ("pv", "R1", "p1")), backend)
+    [cost] = dispatch_cost(inst, caps, [hit(inst, ("pv", "R1", "p1"))], backend)
     assert cost == pytest.approx(FULL_SHED_COST_PER_MWH * 20.0, rel=1e-9)
 
 
@@ -175,7 +176,7 @@ def test_dispatch_cost_conventional_only():
         shedding=DEFAULT_SHEDDING,
         timegrid=TimeGrid(step_count=2, step_hours=1.0, periods=(Period("p1", 0, 1),)),
     )
-    assert dispatch_cost(inst, {}, {}, SCIPY) == pytest.approx(1000.0, rel=1e-9)
+    assert dispatch_cost(inst, {}, [{}], SCIPY) == [pytest.approx(1000.0, rel=1e-9)]
 
 
 def test_partial_deviation_worst_block_priced():
@@ -204,7 +205,7 @@ def test_master_self_consistency(name):
     builder, _ = TOYS[name]
     inst = builder()
     sol = solve_master(build_master(inst, [ref_cf(inst)]), SCIPY)
-    redisp = dispatch_cost(inst, sol.capacities, ref_cf(inst), SCIPY)
+    [redisp] = dispatch_cost(inst, sol.capacities, [ref_cf(inst)], SCIPY)
     assert sol.recourse_bound == pytest.approx(redisp, rel=1e-7, abs=1e-6)
     assert sol.objective == pytest.approx(
         investment_cost(inst, sol.capacities) + redisp, rel=1e-7, abs=1e-6
@@ -224,9 +225,7 @@ def test_recourse_bound_is_worst_block(name):
         sol.recourse_bound, rel=1e-6, abs=1e-6
     )
     # the plan really covers every block at its re-optimized dispatch
-    for cf in rlz:
-        assert dispatch_cost(inst, sol.capacities, cf, SCIPY) \
-            <= sol.recourse_bound + tol
+    assert max(dispatch_cost(inst, sol.capacities, rlz, SCIPY)) <= sol.recourse_bound + tol
 
 
 @pytest.mark.parametrize("name", sorted(TOYS))
@@ -351,12 +350,40 @@ def test_capacity_keys_cover_fleet():
     assert not any(uid in ("psp_1", "rsv_2", "ror_3") for _, uid in keys)
 
 
+@pytest.mark.parametrize("name", sorted(TOYS))
+def test_dispatch_cost_prices_each_member_at_its_own_dispatch_lp(name):
+    # one LP for the list, with each member's rhs the one build_dispatch_lp
+    # gives it, bit for bit; nothing else of the LP differs between members
+    builder, flags = TOYS[name]
+    inst = builder()
+    rlz = [ref_cf(inst)] + [hit(inst, f) for f in flags] + [hit(inst, *flags)]
+    caps = {key: 3.0 for key in capacity_keys(inst)}
+    seen = []
+
+    class Recording(ScipyBackend):
+        def solve_lps(self, model, rhs):
+            rhs = list(rhs)
+            seen.append((model, rhs))
+            return super().solve_lps(model, rhs)
+
+    costs = dispatch_cost(inst, caps, rlz, Recording())
+    [(model, rhs)] = seen
+    assert len(rhs) == len(costs) == len(rlz)
+    for cf, b, cost in zip(rlz, rhs, costs):
+        alone = build_dispatch_lp(inst, caps, cf).model
+        assert np.array_equal(b, alone.row_rhs)
+        assert alone.matrix() is model.matrix()
+        assert np.array_equal(alone.var_obj, model.var_obj)
+        assert cost == pytest.approx(SCIPY.solve_lp(alone).objective, rel=1e-9, abs=1e-9)
+    assert dispatch_cost(inst, caps, [], SCIPY) == []
+
+
 def test_dispatch_lp_solution_is_physical():
     inst = two_region()
     caps = {("ren", "pv_a"): 20.0, ("ren", "w_b"): 0.0, ("line", "l12"): 0.0}
     cf = ref_cf(inst)
     res = SCIPY.solve_lp(build_dispatch_lp(inst, caps, cf).model)
-    assert dispatch_cost(inst, caps, cf, SCIPY) == float(res.objective)
+    assert dispatch_cost(inst, caps, [cf], SCIPY) == [float(res.objective)]
     tpl = dispatch_template(inst)
     fuel = float(tpl.fuel_costs @ res.x[tpl.fuel_cols])
     shed = float(tpl.shed_costs @ res.x[tpl.shed_cols])
@@ -378,4 +405,4 @@ def test_infeasible_dispatch_surfaces_backend_error():
     )
     zero = {"s1": (0.0, 0.0)}
     with pytest.raises(BackendError, match="dispatch"):
-        dispatch_cost(inst, {("ren", "s1"): 0.0}, zero, SCIPY)
+        dispatch_cost(inst, {("ren", "s1"): 0.0}, [zero], SCIPY)

@@ -126,9 +126,9 @@ def test_row_generation_adds_the_costliest_member(make, members, monkeypatch):
         prices.append([])
         return build_master(inst, cfs)
 
-    def priced(inst, capacities, cf, backend):
-        prices[-1].append(dispatch_cost(inst, capacities, cf, backend))
-        return prices[-1][-1]
+    def priced(inst, capacities, realized, backend):
+        prices[-1] = dispatch_cost(inst, capacities, realized, backend)
+        return prices[-1]
 
     monkeypatch.setattr(oracle, "build_master", build)
     monkeypatch.setattr(oracle, "dispatch_cost", priced)
@@ -214,7 +214,7 @@ def test_argmax_under_zero_deviation_is_everything():
     caps = solve_master(build_master(inst, [ref_cf(inst)]), SCIPY).capacities
     argmax, worst = worst_case_by_enumeration(inst, caps, budget, SCIPY)
     assert len(argmax) == count_realizations(inst, budget)
-    ref_cost = dispatch_cost(inst, caps, ref_cf(inst), SCIPY)
+    [ref_cost] = dispatch_cost(inst, caps, [ref_cf(inst)], SCIPY)
     assert worst == pytest.approx(ref_cost, abs=1e-9)
 
 
@@ -230,7 +230,7 @@ def test_argmax_at_zero_capacity():
 # --- maximal members ----------------------------------------------------------
 
 def max_cost(inst, caps, members):
-    return max(dispatch_cost(inst, caps, realize(inst, m), SCIPY) for m in members)
+    return max(dispatch_cost(inst, caps, [realize(inst, m) for m in members], SCIPY))
 
 
 @pytest.mark.parametrize("gamma", [0, 1, 2])
@@ -275,9 +275,10 @@ def test_adding_a_flag_never_lowers_the_dispatch_cost(make, seed):
     G = len(inst.regions)
     caps = random_capacities(inst, random.Random(seed))
     members = enumerate_set(inst, UncertaintyBudget(G, G))
-    cost = {
-        m.flags: dispatch_cost(inst, caps, realize(inst, m), SCIPY) for m in members
-    }
+    cost = dict(zip(
+        (m.flags for m in members),
+        dispatch_cost(inst, caps, [realize(inst, m) for m in members], SCIPY),
+    ))
     every_flag = frozenset().union(*cost)
     for flags, c in cost.items():
         for f in every_flag - flags:
@@ -343,13 +344,20 @@ def test_certify_flags_loose_tolerance_run():
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_certify_verdict_does_not_depend_on_warm_lps(name, monkeypatch):
-    # certify_run prices the maximal members through one warm session; with
-    # every session a plain backend instead, each LP is loaded cold
+    # certify_run prices the maximal members through solve_lps, which
+    # re-solves one LP warm; batches of one vector each load cold, as
+    # solve_lp does
     inst = FIXTURES[name]()
     budget = UncertaintyBudget(1, 1)
     result = run_ccg(inst, budget, backend=SCIPY)
     warm = certify_run(inst, budget, result, SCIPY)
-    monkeypatch.setattr(ScipyBackend, "session", lambda self: ScipyBackend())
+
+    batch = ScipyBackend.solve_lps
+
+    def cold_lps(self, model, rhs):
+        return [batch(self, model, [b])[0] for b in rhs]
+
+    monkeypatch.setattr(ScipyBackend, "solve_lps", cold_lps)
     cold = certify_run(inst, budget, result, SCIPY)
     assert [(c.name, c.passed, c.detail) for c in warm.checks] == [
         (c.name, c.passed, c.detail) for c in cold.checks
@@ -378,9 +386,9 @@ def test_certify_records_a_stalled_referee(monkeypatch):
     result = run_ccg(inst, budget, backend=SCIPY)
     inflated = realize(inst, maximal_sets(inst, budget)[-1])
 
-    def priced(inst, capacities, cf, backend):
-        cost = dispatch_cost(inst, capacities, cf, backend)
-        return cost + 1000.0 if cf == inflated else cost
+    def priced(inst, capacities, realized, backend):
+        costs = dispatch_cost(inst, capacities, realized, backend)
+        return [c + 1000.0 if cf == inflated else c for cf, c in zip(realized, costs)]
 
     monkeypatch.setattr(oracle, "dispatch_cost", priced)
     report = certify_run(inst, budget, result, SCIPY)

@@ -116,11 +116,10 @@ def test_symmetric_regions_tie(backend):
     build = build_subproblem(inst, caps, UncertaintyBudget(1, 0))
     worst = solve_subproblem(build, backend)
     assert len(worst.flags) == 1
-    costs = [
-        dispatch_cost(inst, caps, realize(inst, WorstCaseRealization(
-            flags=frozenset({("pv", f"R{k}", "p1")}))), SCIPY)
+    costs = dispatch_cost(inst, caps, [
+        realize(inst, WorstCaseRealization(flags=frozenset({("pv", f"R{k}", "p1")})))
         for k in (1, 2)
-    ]
+    ], SCIPY)
     assert costs[0] == pytest.approx(costs[1], rel=1e-9)
     assert worst.dual_objective == pytest.approx(costs[0], rel=1e-6)
 
@@ -190,8 +189,7 @@ def test_matches_enumeration_maximum(builder):
     caps = master_capacities(inst)
     budget = UncertaintyBudget(1, 1)
     worst_enum = max(
-        dispatch_cost(inst, caps, realize(inst, r), SCIPY)
-        for r in enumerate_set(inst, budget)
+        dispatch_cost(inst, caps, [realize(inst, r) for r in enumerate_set(inst, budget)], SCIPY)
     )
     build = build_subproblem(inst, caps, budget)
     worst = solve_subproblem(build, SCIPY)
@@ -229,7 +227,7 @@ def test_restricted_flags_reproduce_dispatch():
         fix_flags(build, member.flags)
         res = SCIPY.solve_milp(build.model, gap_tol=1e-12)
         assert res.status == "optimal"
-        primal = dispatch_cost(inst, caps, realize(inst, member), SCIPY)
+        [primal] = dispatch_cost(inst, caps, [realize(inst, member)], SCIPY)
         assert res.objective == pytest.approx(primal, rel=1e-6, abs=1e-6)
 
 
@@ -278,7 +276,7 @@ def test_big_m_bounds_only_flagged_multipliers(capacity, want):
     worst = solve_subproblem(build, SCIPY)
     assert worst.flags == frozenset()
     assert worst.dual_objective == pytest.approx(want, rel=1e-9)
-    assert dispatch_cost(inst, caps, ref_cf(inst), SCIPY) == pytest.approx(want, rel=1e-9)
+    assert dispatch_cost(inst, caps, [ref_cf(inst)], SCIPY) == [pytest.approx(want, rel=1e-9)]
 
 
 def test_default_big_m_tracks_top_shedding_tier():

@@ -273,7 +273,7 @@ def test_stamped_dispatch_solves_like_the_reference():
     res = ScipyBackend().solve_lp(build_dispatch_lp(inst, caps, cf).model)
     ref, _ = reference_dispatch(inst, caps, cf)
     want = ScipyBackend().solve_lp(ref)
-    assert dispatch_cost(inst, caps, cf, ScipyBackend()) == float(want.objective)
+    assert dispatch_cost(inst, caps, [cf], ScipyBackend()) == [float(want.objective)]
     assert res.objective == want.objective
     assert res.x.tolist() == want.x.tolist()
 
