@@ -465,15 +465,16 @@ class _Loaded:
 
     def move_rhs(self, rhs: np.ndarray) -> None:
         """Give the loaded model these right-hand sides (in model row order),
-        moving into HiGHS only the rows whose rhs changed."""
+        moving into HiGHS only the rows whose rhs changed. Bounds HiGHS
+        refuses leave the model unsolvable, as a refused passModel does, so
+        solve reports a model error either way."""
         rhs = rhs[self.order]
         moved = np.flatnonzero(rhs != self.rhs)
         lower, upper = _bounds(self.senses[moved], rhs[moved])
         for row, lo, up in zip(moved.tolist(), lower.tolist(), upper.tolist()):
             if self.solver.changeRowBounds(row, lo, up) == highs.HighsStatus.kError:
-                raise BackendError(
-                    f"HiGHS refused bounds [{lo}, {up}] on row {self.order[row]}"
-                )
+                self.passed = False
+                return
         self.rhs = rhs
 
     def solve(self) -> tuple[SolveResult, highs.HighsInfo]:

@@ -1,17 +1,26 @@
 """Column-and-constraint generation loop tying master and worst case together.
 
-Each iteration solves the investment master over every cut found so far
-(the all-reference realization seeds the memory) and hands the capacities
-to the worst-case search. The memory does not get the search's worst case
-itself but its completion (uncertainty.complete): the same flags plus live
-flags, in region declaration order, up to the budget in every (technology,
-period) group. The search only has binaries where a unit already has
-capacity, so its worst case leaves out the regions the master has not
-built in yet; the completion puts them in, and at full budget the first
-cut is the member that dominates all others. The cut is exact: at the
-capacities the search saw, a flag never lowers the dispatch cost, so the
-cut costs at least the worst-case value, and it is a member, so it costs
-at most that. The trace keeps the search's own worst case.
+Each iteration solves the investment master over every realization in
+memory and hands the capacities to the worst-case search. The memory
+starts from the cover (uncertainty.cover): a few maximal members that
+between them flag every live (technology, region, period) flag, so the
+first master already hedges against a drought in every region, and at
+full budget its one seed dominates the whole set. CCG stays exact from any
+starting subset of the uncertainty set (Zeng & Zhao 2013): every seed is a
+member, so the master is still a relaxation of the robust problem and its
+objective a valid lower bound, and the loop still stops only on the exact
+search below.
+
+Each iteration then adds a cut. The memory does not get the search's worst
+case itself but its completion (uncertainty.complete): the same flags plus
+live flags, in region declaration order, up to the budget in every
+(technology, period) group. The search only has binaries where a unit
+already has capacity, so its worst case leaves out the regions the master
+has not built in yet; the completion puts them in. The cut is exact: at
+the capacities the search saw, a flag never lowers the dispatch cost, so
+the cut costs at least the worst-case value, and it is a member, so it
+costs at most that. The trace keeps the seeds and the search's own worst
+case.
 
 Separation is inexact until the end (Tsang, Shehadeh & Curtis, inexact
 column-and-constraint generation): the search gets a target, the master's
@@ -52,7 +61,13 @@ from dataclasses import dataclass, field
 from .backend import BackendError, get_backend
 from .master import MasterSolution, build_master, solve_master
 from .subproblem import build_subproblem, solve_subproblem
-from .uncertainty import UncertaintyBudget, WorstCaseRealization, complete, realize
+from .uncertainty import (
+    UncertaintyBudget,
+    WorstCaseRealization,
+    complete,
+    cover,
+    realize,
+)
 from .model import NetworkInstance
 
 __all__ = [
@@ -108,7 +123,12 @@ class CcgIteration:
 
 @dataclass
 class CcgTrace:
+    """What a run did. The master's memory starts from seeds and gains one
+    cut per iteration: block s<k> is seeds[k] for k < len(seeds), and after
+    that the completion of iteration k - len(seeds)'s worst case."""
+
     iterations: list[CcgIteration] = field(default_factory=list)
+    seeds: list[WorstCaseRealization] = field(default_factory=list)
     converged: bool = False
     stalled: bool = False
     message: str = ""
@@ -129,10 +149,10 @@ def run_ccg(
     backend = backend or get_backend("scipy")
     budget = budget.clamp(len(inst.regions))
 
-    reference = WorstCaseRealization.reference()
-    seen = {reference.key()}
-    cf_memory = [realize(inst, reference)]
-    trace = CcgTrace()
+    seeds = cover(inst, budget)
+    seen = {seed.key() for seed in seeds}
+    cf_memory = [realize(inst, seed, budget) for seed in seeds]
+    trace = CcgTrace(seeds=seeds)
     running_ub = float("inf")
     solution: MasterSolution | None = None
 

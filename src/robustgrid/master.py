@@ -562,7 +562,7 @@ def build_master(
     realization. Block k's names carry the tag s<k>.
     """
     if not realizations:
-        raise ValueError("need at least one realization (the reference counts)")
+        raise ValueError("need at least one realization; the reference is one")
     tags = [f"s{k}" for k in range(len(realizations))]
     tpl = dispatch_template(inst)
     K, nb, mb, n_cap = len(realizations), tpl.n_vars, tpl.n_rows, len(tpl.keys)

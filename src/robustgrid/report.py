@@ -72,6 +72,7 @@ def solution_document(
         "converged": trace.converged,
         "stalled": trace.stalled,
         "iterations": len(trace.iterations),
+        "seeds": len(trace.seeds),
         # inf when no search was exact (an iteration limit hit on an early
         # stop), written as null: JSON has no Infinity
         "final_gap": trace.final_gap if math.isfinite(trace.final_gap) else None,
@@ -126,22 +127,27 @@ def _matrix_cell(realization: WorstCaseRealization, region: str, period_id: str)
 
 
 def realization_matrix(inst: NetworkInstance, trace: CcgTrace) -> str:
-    """Text matrix of identified adverse events.
+    """Text matrix of the seeds and of the identified adverse events.
 
-    One row per (iteration, period) for every iteration whose identified
-    realization flags at least one region; one column per region. Cells:
-    `-` untouched, `S` solar hit, `W` wind hit, `D` both (a Dunkelflaute).
-    A run that never identifies an adverse event yields just the header.
+    One row per (seed, period) for every seed that flags at least one
+    region, labelled with its master block tag s<k>, then one row per
+    (iteration, period) for every iteration whose identified realization
+    does; one column per region. Cells: `-` untouched, `S` solar hit, `W`
+    wind hit, `D` both (a Dunkelflaute). A run that neither seeds nor
+    identifies an adverse event yields just the header.
     """
     regions = inst.region_ids()
     header = ["iteration", "period"] + regions
+    labelled = [(f"s{k}", seed) for k, seed in enumerate(trace.seeds)] + [
+        (str(it.index), it.realization) for it in trace.iterations
+    ]
     rows: list[list[str]] = []
-    for it in trace.iterations:
-        if not it.realization.flags:
+    for label, realization in labelled:
+        if not realization.flags:
             continue
         for period in inst.timegrid.periods:
-            cells = [_matrix_cell(it.realization, g, period.id) for g in regions]
-            rows.append([str(it.index), period.id] + cells)
+            cells = [_matrix_cell(realization, g, period.id) for g in regions]
+            rows.append([label, period.id] + cells)
     widths = [
         max(len(header[c]), *(len(r[c]) for r in rows)) if rows else len(header[c])
         for c in range(len(header))
@@ -170,7 +176,10 @@ def report_metrics(inst: NetworkInstance, solution: MasterSolution) -> dict:
 
     Costs and energies are taken from the binding dispatch block (the one
     whose operating cost meets the recourse bound), so the regional picture
-    describes the event the plan is built to survive. Prices are the
+    describes the event the plan is built to survive. Its tag,
+    binding_realization, is s<k>: for k below the run's seed count that is
+    seed k, row s<k> of realizations.txt; otherwise it is the completion of
+    the worst case found in iteration k minus the seed count. Prices are the
     master's own: investment from its capacity table, fuel and shedding
     from the dispatch template's cost columns. Line investment is split
     half and half between the endpoint regions. The demand total of the

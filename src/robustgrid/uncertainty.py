@@ -10,6 +10,8 @@ the same reason a member never costs more than one whose flags contain its
 own, so the maximal members (maximal_sets), which flag min(gamma, regions)
 regions in every (technology, period) group, carry every worst case, and
 any worst case stays one when complete fills its groups up to the budget.
+cover picks a few members, maximal among the flags that lower something,
+that between them flag every such flag: CCG starts from them.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ __all__ = [
     "check_flags",
     "complete",
     "count_realizations",
+    "cover",
     "enumerate_set",
     "is_dunkelflaute",
     "maximal_sets",
@@ -288,6 +291,41 @@ def complete(
                     out.add(flag)
                     room -= 1
     return frozenset(out)
+
+
+def cover(
+    inst: NetworkInstance, budget: UncertaintyBudget
+) -> list[WorstCaseRealization]:
+    """A few maximal members that together flag every live flag.
+
+    In each (tech, period) group with live regions L, in declaration order,
+    and k = min(budget.limit(tech), |L|), member j flags L[(j*k + i) mod |L|]
+    for i < k: the groups are walked round-robin, k regions at a time. There
+    are max over groups of ceil(|L| / k) members, duplicates dropped, so never
+    more than the instance has regions. Member 0 is complete(inst, {},
+    budget). With no group to flag (a zero budget, or no deviation) the cover
+    is the reference alone.
+    """
+    live = _live_flags(inst)
+    groups = []
+    for tech in TECH_CLASSES:
+        for period in inst.timegrid.periods:
+            regions = [g for g in inst.region_ids() if (tech, g, period.id) in live]
+            k = min(budget.limit(tech), len(regions))
+            if k > 0:
+                groups.append((tech, period.id, regions, k))
+    if not groups:
+        return [WorstCaseRealization.reference()]
+    count = max(math.ceil(len(regions) / k) for _, _, regions, k in groups)
+    members = {
+        frozenset(
+            (tech, regions[(j * k + i) % len(regions)], pid)
+            for tech, pid, regions, k in groups
+            for i in range(k)
+        ): None
+        for j in range(count)
+    }
+    return [WorstCaseRealization(flags) for flags in members]
 
 
 def is_dunkelflaute(

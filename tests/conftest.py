@@ -1,0 +1,16 @@
+import pytest
+
+import robustgrid.ccg as ccg_module
+from robustgrid.uncertainty import WorstCaseRealization
+
+
+def reference_only(inst, budget):
+    return [WorstCaseRealization.reference()]
+
+
+@pytest.fixture
+def reference_start(monkeypatch):
+    """CCG's memory starts from the reference realization alone instead of
+    the cover, so a small toy still takes several iterations: for tests of
+    the loop's and the referee's mechanics rather than of the start."""
+    monkeypatch.setattr(ccg_module, "cover", reference_only)

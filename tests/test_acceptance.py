@@ -215,6 +215,23 @@ def test_05b_inexact_separation_ends_on_an_exact_search(toy6_ladder):
     assert not any(math.isnan(it.gap) for it in iterations)
 
 
+def test_05c_seeded_start_keeps_every_objective(toy6, toy6_ladder, monkeypatch):
+    """Seeding the memory with the cover moves no rung's objective."""
+    import robustgrid.ccg as ccg_module
+
+    monkeypatch.setattr(
+        ccg_module, "cover", lambda inst, budget: [WorstCaseRealization.reference()]
+    )
+    plain = run_gamma_ladder(toy6, list(range(7)), backend=SCIPY)
+    for seeded, entry in zip(toy6_ladder, plain):
+        assert entry.trace.converged and entry.trace.seeds == [
+            WorstCaseRealization.reference()
+        ]
+        assert seeded.solution.objective == pytest.approx(
+            entry.solution.objective, rel=1e-9
+        ), f"gamma {entry.gamma}"
+
+
 def test_06_budget_monotonicity_and_taper(toy6, toy6_ladder):
     """Objectives grow with the budget and the last increment is smallest."""
     values = [entry.solution.objective for entry in toy6_ladder]

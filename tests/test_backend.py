@@ -418,11 +418,20 @@ def test_session_reports_a_failed_solve_and_then_loads_cold(monkeypatch):
     assert model.row_rhs.tolist() == [3.0, 5.0]  # a batch leaves the model as it was
 
 
-def test_batch_refuses_what_highs_refuses():
-    # a >= row with rhs +inf has the bounds [inf, inf], which HiGHS refuses
+def test_batch_refuses_what_highs_refuses(monkeypatch):
+    # a >= row with rhs +inf has the bounds [inf, inf], which HiGHS refuses:
+    # as a later vector it is the same model error as first, and the vector
+    # after it loads cold
     model = _bracket_lp()
-    with pytest.raises(BackendError, match="on row 0"):
-        ScipyBackend().solve_lps(model, [[3.0, 5.0], [math.inf, 5.0]])
+    [first] = ScipyBackend().solve_lps(model, [[math.inf, 5.0]])
+    assert (first.status, first.stats["message"]) == ("infeasible", "Model error")
+    loads = _count_loads(monkeypatch)
+    results = ScipyBackend().solve_lps(model, [[3.0, 5.0], [math.inf, 5.0], [3.0, 5.0]])
+    assert [(r.status, r.stats.get("message")) for r in results] == [
+        ("optimal", None), ("infeasible", "Model error"), ("optimal", None),
+    ]
+    assert results[2].objective == pytest.approx(3.0)
+    assert len(loads) == 2
 
 
 @pytest.mark.parametrize("backend", [ScipyBackend(), InTreeBackend()], ids=["scipy", "intree"])

@@ -26,6 +26,7 @@ from robustgrid.uncertainty import (
     UncertaintyBudget,
     WorstCaseRealization,
     complete,
+    cover,
     enumerate_set,
     realize,
 )
@@ -139,6 +140,41 @@ def test_memory_grows_without_repeats():
     assert all(it.seconds >= 0.0 for it in trace.iterations)
 
 
+# --- the seeded start ----------------------------------------------------------------
+
+TOYS = [single_node, two_region, two_period_battery, three_region_hydro, symmetric_pair]
+
+
+def test_memory_starts_from_the_cover():
+    # master block s<k> is seed k, then the cut of iteration k - len(seeds)
+    inst = three_region_hydro()
+    budget = UncertaintyBudget(0, 1)
+    sol, trace = run_ccg(inst, budget, backend=SCIPY)
+    assert trace.converged
+    assert trace.seeds == cover(inst, budget) and len(trace.seeds) == 2
+    assert [b.tag for b in sol.blocks] == [
+        f"s{k}" for k in range(len(trace.seeds) + len(trace.iterations) - 1)
+    ]
+    for seed, block in zip(trace.seeds, sol.blocks):
+        assert block.realized_cf == realize(inst, seed)
+
+
+@pytest.mark.parametrize("gamma", [0, 1, 2])
+@pytest.mark.parametrize("make", TOYS, ids=lambda make: make.__name__)
+def test_cover_start_keeps_the_objective(make, gamma, monkeypatch):
+    # every seed is a member, so the answer cannot depend on the start
+    inst = make()
+    budget = UncertaintyBudget(gamma, gamma)
+    seeded, seeded_trace = run_ccg(inst, budget, backend=SCIPY)
+    monkeypatch.setattr(
+        ccg_module, "cover", lambda inst, budget: [WorstCaseRealization.reference()]
+    )
+    plain, plain_trace = run_ccg(inst, budget, backend=SCIPY)
+    assert seeded_trace.converged and plain_trace.converged
+    assert len(seeded_trace.iterations) <= len(plain_trace.iterations)
+    assert seeded.objective == pytest.approx(plain.objective, rel=1e-9)
+
+
 # --- completed cuts ----------------------------------------------------------------
 
 def sparse_capacities(inst, rng):
@@ -178,17 +214,18 @@ def test_completed_cut_is_still_a_worst_case(make, gamma, seed):
     ],
     ids=["toy6", "two_region"],
 )
-def test_full_budget_converges_in_two(make, gamma):
-    # the first cut flags every live (tech, region, period), which dominates
-    # every member, so the second iteration re-identifies it with the gap shut
+def test_full_budget_converges_in_one(make, gamma):
+    # the one seed flags every live (tech, region, period), which dominates
+    # every member, so the first exact search closes the gap
     _, trace = run_ccg(make(), UncertaintyBudget(gamma, gamma), backend=SCIPY)
     assert trace.converged
-    assert len(trace.iterations) <= 2
+    assert len(trace.seeds) == 1
+    assert len(trace.iterations) == 1
 
 
 # --- failure modes ---------------------------------------------------------------
 
-def test_iteration_limit_flagged():
+def test_iteration_limit_flagged(reference_start):
     inst = single_node()
     config = CcgConfig(max_iterations=1)
     sol, trace = run_ccg(inst, UncertaintyBudget(1, 0), config, SCIPY)
@@ -199,7 +236,7 @@ def test_iteration_limit_flagged():
     assert sol is not None
 
 
-def test_duplicate_with_open_gap_stalls(monkeypatch):
+def test_duplicate_with_open_gap_stalls(monkeypatch, reference_start):
     # a worst case re-identified while the gap is open must stop the loop
     inst = single_node(deviation=0.25)
     flags = frozenset({("pv", "R1", "p1")})
@@ -237,7 +274,7 @@ def test_converged_gap_within_tolerance(monkeypatch):
     assert trace.final_gap <= config.tolerance
 
 
-def test_early_stop_neither_stops_nor_lowers_the_upper_bound(monkeypatch):
+def test_early_stop_neither_stops_nor_lowers_the_upper_bound(monkeypatch, reference_start):
     # an early stop's value is only a lower bound on the worst case: even one
     # that would close the gap must not end the loop or enter the running UB
     inst = three_region_hydro()
@@ -269,11 +306,11 @@ def test_early_stop_neither_stops_nor_lowers_the_upper_bound(monkeypatch):
 
 
 def test_first_iterations_before_an_exact_search_have_infinite_bounds():
-    # toy6 at gamma 1 stops its first search early, so an iteration limit of
+    # toy6 at gamma 2 stops its first search early, so an iteration limit of
     # one leaves no exact search: UB and gap are inf, not inf/inf = NaN
     inst = load_instance(Path(__file__).parent / "fixtures" / "toy6.json")
     config = CcgConfig(max_iterations=1)
-    _, trace = run_ccg(inst, UncertaintyBudget(1, 1), config, SCIPY)
+    _, trace = run_ccg(inst, UncertaintyBudget(2, 2), config, SCIPY)
     (it,) = trace.iterations
     assert not it.exact and not trace.converged
     assert it.upper_bound == math.inf and it.gap == math.inf
@@ -281,7 +318,7 @@ def test_first_iterations_before_an_exact_search_have_infinite_bounds():
     assert "inf" in trace.message
 
 
-def test_backend_error_carries_iteration_context():
+def test_backend_error_carries_iteration_context(reference_start):
     inst = single_node()
     config = CcgConfig(big_m=1.0)  # saturates the linearization on purpose
     with pytest.raises(BackendError, match="iteration 0"):
@@ -329,7 +366,7 @@ def test_ladder_clamps_oversized_budgets():
     )
 
 
-def test_ladder_collects_errors_and_continues():
+def test_ladder_collects_errors_and_continues(reference_start):
     inst = single_node()
     config = CcgConfig(big_m=1.0)
     entries = run_gamma_ladder(inst, [0, 1], config, SCIPY)

@@ -53,7 +53,7 @@ def test_plan_gamma_zero(tmp_path, capsys):
     assert "objective 20" in capsys.readouterr().out
 
 
-def test_plan_flags_show_in_matrix(tmp_path):
+def test_plan_flags_show_in_matrix(tmp_path, reference_start):
     out = tmp_path / "out"
     rc = main([
         "plan", save(single_node(), tmp_path),
@@ -107,7 +107,7 @@ def test_plan_rejects_bad_tolerance(tmp_path):
     assert rc == INPUT_ERROR
 
 
-def test_plan_iteration_limit_exit(tmp_path, capsys):
+def test_plan_iteration_limit_exit(tmp_path, capsys, reference_start):
     out = tmp_path / "out"
     rc = main([
         "plan", save(single_node(), tmp_path),
@@ -218,7 +218,7 @@ def test_certify_passes(tmp_path, capsys):
     assert report["passed"] is True
 
 
-def test_certify_flags_sabotaged_tolerance(tmp_path, capsys):
+def test_certify_flags_sabotaged_tolerance(tmp_path, capsys, reference_start):
     rc = main([
         "certify", save(two_region(), tmp_path),
         "--gamma-pv", "1", "--gamma-wind", "1", "--tolerance", "0.999",

@@ -304,7 +304,7 @@ def test_certify_converged_run_passes():
     assert json.loads(payload)["passed"] is True
 
 
-def test_certify_flags_iteration_limited_run():
+def test_certify_flags_iteration_limited_run(reference_start):
     # One iteration leaves the worst case unseen, so the recourse bound
     # cannot cover it and the objective is short of the exact optimum.
     inst = single_node()
@@ -324,7 +324,7 @@ def test_certify_flags_iteration_limited_run():
     ].detail
 
 
-def test_certify_flags_loose_tolerance_run():
+def test_certify_flags_loose_tolerance_run(reference_start):
     # A sloppy gap tolerance accepts the first-iteration plan; certification
     # still measures against the exact optimum and fails the objective check.
     inst = two_region()

@@ -29,7 +29,12 @@ from robustgrid.report import (
     write_solution,
     write_trace_csv,
 )
-from robustgrid.uncertainty import UncertaintyBudget, WorstCaseRealization
+from robustgrid.uncertainty import (
+    UncertaintyBudget,
+    WorstCaseRealization,
+    complete,
+    realize,
+)
 
 from toys import single_node, three_region_hydro, two_period_battery, two_region
 
@@ -82,6 +87,14 @@ def test_solution_document_round_trips():
     assert kinds == set(solution.capacities)
 
 
+def test_solution_document_counts_the_seeds():
+    inst = three_region_hydro()
+    budget = UncertaintyBudget(0, 1)
+    solution, trace = run_ccg(inst, budget, backend=SCIPY)
+    doc = solution_document(inst, budget, solution, trace)
+    assert doc["seeds"] == len(trace.seeds) == 2
+
+
 def test_trace_csv_round_trips_exactly(tmp_path):
     inst = two_region()
     _, trace = run_ccg(inst, UncertaintyBudget(1, 1), backend=SCIPY)
@@ -105,10 +118,10 @@ def test_trace_csv_round_trips_exactly(tmp_path):
 
 
 def test_run_without_an_exact_search_writes_infinite_bounds(tmp_path):
-    # toy6 at gamma 1 stops its first search early; with one iteration
+    # toy6 at gamma 2 stops its first search early; with one iteration
     # allowed no exact search ever runs, so there is no upper bound yet
     inst = load_instance(Path(__file__).parent / "fixtures" / "toy6.json")
-    budget = UncertaintyBudget(1, 1)
+    budget = UncertaintyBudget(2, 2)
     solution, trace = run_ccg(inst, budget, CcgConfig(max_iterations=1), SCIPY)
     write_solution(tmp_path / "solution.json", inst, budget, solution, trace)
     text = (tmp_path / "solution.json").read_text()
@@ -168,6 +181,21 @@ def test_matrix_cell_alphabet():
     assert lines[1].split() == ["1", "p1", "D", "W", "-"]
 
 
+def test_matrix_lists_seeds_first_by_block_tag():
+    inst = three_region_hydro()
+    trace = trace_with(inst, [{("wind", "R3", "p1")}])
+    trace.seeds = [
+        WorstCaseRealization.reference(),
+        WorstCaseRealization(frozenset({("pv", "R1", "p1"), ("wind", "R2", "p1")})),
+    ]
+    lines = realization_matrix(inst, trace).strip().splitlines()
+    # the reference seed flags nothing and gets no row
+    assert [line.split() for line in lines[1:]] == [
+        ["s1", "p1", "S", "W", "-"],
+        ["0", "p1", "-", "-", "W"],
+    ]
+
+
 def test_matrix_from_real_run():
     inst = single_node()
     _, trace = run_ccg(inst, UncertaintyBudget(1, 1), backend=SCIPY)
@@ -187,6 +215,33 @@ def test_cost_shares_and_region_totals():
     assert regional == pytest.approx(m["system_cost"], rel=1e-9)
     # investment plus the binding operating cost is the robust objective
     assert m["system_cost"] == pytest.approx(solution.objective, rel=1e-6)
+
+
+def test_binding_realization_tags_a_seed_row():
+    # two_region at (1, 1) converges on its one seed: block s0 binds
+    inst = two_region()
+    solution, trace = run_ccg(inst, UncertaintyBudget(1, 1), backend=SCIPY)
+    tag = report_metrics(inst, solution)["binding_realization"]
+    assert tag == "s0" and len(trace.seeds) == 1
+    rows = realization_matrix(inst, trace).strip().splitlines()[1:]
+    assert [row.split()[0] for row in rows] == [tag]
+    block = next(b for b in solution.blocks if b.tag == tag)
+    assert block.realized_cf == realize(inst, trace.seeds[0])
+
+
+def test_blocks_past_the_seeds_are_the_completed_cuts(reference_start):
+    # a binding_realization tag s<k> with k at or past the seed count names
+    # the completed worst case of iteration k - len(seeds)
+    inst = two_region()
+    budget = UncertaintyBudget(1, 1)
+    solution, trace = run_ccg(inst, budget, backend=SCIPY)
+    past = solution.blocks[len(trace.seeds):]
+    assert past and len(past) == len(trace.iterations) - 1
+    for block, it in zip(past, trace.iterations):
+        assert it.realization.flags
+        assert block.tag == f"s{len(trace.seeds) + it.index}"
+        cut = WorstCaseRealization(complete(inst, it.realization.flags, budget))
+        assert block.realized_cf == realize(inst, cut)
 
 
 def test_regional_costs_add_up_to_the_priced_totals():

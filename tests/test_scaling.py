@@ -18,10 +18,10 @@ from robustgrid.ccg import run_ccg
 from robustgrid.model import CapacityFactorBundle, DemandSeries, validate
 from robustgrid.uncertainty import UncertaintyBudget
 
-from toys import two_period_battery, two_region
+from toys import three_region_hydro, two_period_battery, two_region
 
 SCIPY = ScipyBackend()
-TOYS = [two_region, two_period_battery]
+TOYS = [two_region, two_period_battery, three_region_hydro]
 FACTORS = [2.0, 0.5]
 
 

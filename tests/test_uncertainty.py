@@ -16,6 +16,7 @@ from robustgrid.uncertainty import (
     check_flags,
     complete,
     count_realizations,
+    cover,
     enumerate_set,
     is_dunkelflaute,
     maximal_sets,
@@ -307,6 +308,79 @@ def test_complete_leaves_full_groups_alone(G):
     budget = UncertaintyBudget(G, G)
     cut = complete(patchy, frozenset(), budget)
     assert complete(patchy, cut, budget) == cut
+
+
+@pytest.mark.parametrize("G", [3, 4])
+def test_cover_flags_every_live_flag_with_few_maximal_members(G):
+    inst = _patchy_regions(G)
+    every_flag = {
+        (tech, g, p.id)
+        for tech in (PV, WIND)
+        for g in inst.region_ids()
+        for p in inst.timegrid.periods
+    }
+    live = {f for f in every_flag if _lowers_something(inst, f)}
+    assert live < every_flag
+    # each (tech, period) group's live regions, in declaration order
+    groups = {
+        (tech, p.id): [g for g in inst.region_ids() if (tech, g, p.id) in live]
+        for tech in (PV, WIND)
+        for p in inst.timegrid.periods
+    }
+    for g_pv in range(G + 2):
+        for g_wind in range(G + 2):
+            budget = UncertaintyBudget(g_pv, g_wind)
+            members = cover(inst, budget)
+            fill = {
+                (tech, pid): min(budget.limit(tech), len(regions))
+                for (tech, pid), regions in groups.items()
+            }
+            expected = max(
+                (math.ceil(len(groups[key]) / k) for key, k in fill.items() if k > 0),
+                default=1,
+            )
+            assert len(members) == expected <= G
+            assert len({m.key() for m in members}) == len(members)
+            assert members[0].flags == complete(inst, frozenset(), budget)
+            for m in members:
+                check_flags(inst, m.flags, budget)
+                assert m.flags <= live
+                # maximal among live flags: every group is full
+                for (tech, pid), k in fill.items():
+                    assert sum(1 for t, _, p in m.flags if (t, p) == (tech, pid)) == k
+            flagged = frozenset().union(*(m.flags for m in members))
+            assert flagged == {f for f in live if budget.limit(f[0]) > 0}
+
+
+@pytest.mark.parametrize("periods", [1, 2, 3])
+@pytest.mark.parametrize("G", [1, 2, 3, 5])
+def test_cover_count_is_the_longest_round_robin(G, periods):
+    # every group has G live regions: ceil(G / gamma) members, whatever
+    # the number of periods
+    inst = _synthetic_regions(G, periods)
+    for gamma in range(1, G + 2):
+        members = cover(inst, UncertaintyBudget(gamma, gamma))
+        assert len(members) == math.ceil(G / min(gamma, G)) <= G
+        first = [g for g in inst.region_ids() if (PV, g, "p1") in members[0].flags]
+        assert first == inst.region_ids()[:min(gamma, G)]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [toys.single_node, toys.two_region, toys.two_period_battery,
+     toys.three_region_hydro, toys.symmetric_pair],
+    ids=lambda make: make.__name__,
+)
+def test_cover_is_the_reference_without_a_group_to_flag(make):
+    inst = make()
+    assert cover(inst, UncertaintyBudget(0, 0)) == [WorstCaseRealization.reference()]
+    flat = inst.replace(renewables=tuple(
+        dataclasses.replace(u, cf=dataclasses.replace(
+            u.cf, deviation=(0.0,) * len(u.cf.deviation)
+        ))
+        for u in inst.renewables
+    ))
+    assert cover(flat, UncertaintyBudget(2, 2)) == [WorstCaseRealization.reference()]
 
 
 def test_every_member_respects_budget():
