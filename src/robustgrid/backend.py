@@ -173,25 +173,18 @@ class CSRMatrix:
         """The row of each stored entry."""
         return np.repeat(np.arange(self.shape[0], dtype=np.int32), np.diff(self.indptr))
 
-    def colwise(self, row_order: np.ndarray | None = None):
+    def colwise(self):
         """(start, index, value): the matrix column by column, as HiGHS loads it.
 
-        row_order, a permutation of the rows, first reorders the matrix so
-        that its row k is row row_order[k] of this one. Within a column the
-        entries ascend by row, and entries that share a row keep their
-        stored order; values, zeros and signs are copied as stored. That is
-        scipy's A[row_order].tocsc(), entry for entry.
+        Within a column the entries ascend by row, and entries that share a
+        row keep their stored order; values, zeros and signs are copied as
+        stored. That is scipy's tocsc(), entry for entry.
         """
-        n_rows, n_cols = self.shape
-        rows = self.row_ids()
-        if row_order is not None:
-            new_row = np.empty(n_rows, dtype=np.int32)
-            new_row[row_order] = np.arange(n_rows, dtype=np.int32)
-            rows = new_row[rows]
-        perm = np.lexsort((rows, self.indices))
+        n_cols = self.shape[1]
+        perm = np.argsort(self.indices, kind="stable")
         start = np.zeros(n_cols + 1, dtype=np.int32)
         np.cumsum(np.bincount(self.indices, minlength=n_cols), out=start[1:])
-        return start, rows[perm], self.data[perm]
+        return start, self.row_ids()[perm], self.data[perm]
 
 
 class LinearModel:
@@ -390,7 +383,8 @@ _STATUS = {
 }
 
 # Dual simplex, presolve on, no output: the options linprog's "highs"
-# method used. HiGHS's pivots depend on these and on the row order.
+# method used. HiGHS's pivots depend on these and on the row order, which
+# is the model's own (see _Loaded).
 _OPTIONS = {"output_flag": False, "presolve": "on", "simplex_strategy": 1}
 
 # RINS and RENS are sub-MIPs that only hunt incumbents (Danna, Rothberg &
@@ -428,20 +422,18 @@ class _Loaded:
     """A HiGHS object with one model passed in: the load half of a solve.
 
     Rows go in as lower <= A x <= upper, with rhs in place of the model's
-    row_rhs. An LP goes in with its inequality rows first, then its
-    equality rows, each group in model order, and a mixed-binary program in
-    model order: the layouts linprog and milp gave HiGHS. HiGHS's pivots
-    depend on the row order, and so does the CCG path: with LPs in model
-    order, the perfbench ladder-mid run at seed 3 took 16 CCG iterations
-    and 15857 LP iterations, against 14 and 12817 in this layout (HiGHS as
-    bundled with scipy 1.17.1).
+    row_rhs, and every model, LP or mixed-binary, keeps its own row order.
+    HiGHS's pivots depend on the row order, and so does the CCG path.
+    An inequality-first LP layout (the one linprog gave HiGHS) took the
+    perfbench ladder-mid run at seed 3 through 8 CCG iterations, 9580 LP
+    iterations and 8 worst-case MILPs, against 5, 4810 and 5 in model order
+    (HiGHS as bundled with scipy 1.17.1).
     """
 
     def __init__(self, model: LinearModel, rhs: np.ndarray, options: dict):
         self.sign = 1.0 if model.sense == "min" else -1.0
-        self.order = np.argsort((model.row_sense == EQ) & (not model.is_mip), kind="stable")
-        self.senses, self.rhs = model.row_sense[self.order], rhs[self.order]
-        start, index, value = model.matrix().colwise(self.order)
+        self.senses, self.rhs = model.row_sense, rhs
+        start, index, value = model.matrix().colwise()
 
         lp = highs.HighsLp()
         lp.num_col_ = lp.a_matrix_.num_col_ = model.n_vars
@@ -449,7 +441,7 @@ class _Loaded:
         lp.col_cost_ = self.sign * model.var_obj
         lp.col_lower_ = model.var_lb
         lp.col_upper_ = model.var_ub
-        lp.row_lower_, lp.row_upper_ = _bounds(self.senses, self.rhs)
+        lp.row_lower_, lp.row_upper_ = _bounds(self.senses, rhs)
         lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
         lp.a_matrix_.start_ = start
         lp.a_matrix_.index_ = index
@@ -464,11 +456,10 @@ class _Loaded:
         self.passed = self.solver.passModel(lp) != highs.HighsStatus.kError
 
     def move_rhs(self, rhs: np.ndarray) -> None:
-        """Give the loaded model these right-hand sides (in model row order),
-        moving into HiGHS only the rows whose rhs changed. Bounds HiGHS
-        refuses leave the model unsolvable, as a refused passModel does, so
-        solve reports a model error either way."""
-        rhs = rhs[self.order]
+        """Give the loaded model these right-hand sides, moving into HiGHS
+        only the rows whose rhs changed. Bounds HiGHS refuses leave the
+        model unsolvable, as a refused passModel does, so solve reports a
+        model error either way."""
         moved = np.flatnonzero(rhs != self.rhs)
         lower, upper = _bounds(self.senses[moved], rhs[moved])
         for row, lo, up in zip(moved.tolist(), lower.tolist(), upper.tolist()):
@@ -479,7 +470,7 @@ class _Loaded:
 
     def solve(self) -> tuple[SolveResult, highs.HighsInfo]:
         """Run HiGHS from its current state and read the result: the read
-        half. duals come back in model row order, for LPs only."""
+        half; duals for LPs only."""
         if self.passed:
             self.solver.run()
             status = self.solver.getModelStatus()
@@ -490,8 +481,7 @@ class _Loaded:
             message = self.solver.modelStatusToString(status)
             return SolveResult(_STATUS.get(status, "limit"), stats={"message": message}), info
         solution = self.solver.getSolution()
-        row_dual = self.sign * np.asarray(solution.row_dual)
-        duals = row_dual[np.argsort(self.order)] if solution.dual_valid else None
+        duals = self.sign * np.asarray(solution.row_dual) if solution.dual_valid else None
         result = SolveResult(
             status=_SOLVED[status],
             objective=self.sign * info.objective_function_value,
@@ -502,9 +492,11 @@ class _Loaded:
 
 
 def _rhs_vectors(model: LinearModel, rhs):
-    """The vectors of rhs as float arrays, each checked against model's rows."""
+    """The vectors of rhs as float arrays of their own, each checked against
+    model's rows. A copy, because a loaded model compares each vector with
+    the one before it, and a caller may refill one buffer between vectors."""
     for b in rhs:
-        b = np.asarray(b, dtype=float)
+        b = np.array(b, dtype=float)
         if b.shape != (model.n_rows,):
             raise ValueError(f"rhs of shape {b.shape} for a model of {model.n_rows} rows")
         yield b

@@ -113,7 +113,9 @@ class CcgIteration:
     subproblem_objective: float
     realization: WorstCaseRealization  # the search's worst case, not the cut
     duplicate: bool  # the cut was already in memory
-    seconds: float
+    seconds: float  # wall time of the whole iteration
+    master_s: float  # of which solve_master
+    worst_s: float  # of which solve_subproblem
 
     @property
     def exact(self) -> bool:
@@ -160,14 +162,18 @@ def run_ccg(
         started = time.perf_counter()
         try:
             build = build_master(inst, cf_memory)
+            master_started = time.perf_counter()
             solution = solve_master(build, backend)
+            master_s = time.perf_counter() - master_started
             sub = build_subproblem(inst, solution.capacities, budget, big_m=config.big_m)
             target = solution.recourse_bound + 10.0 * config.tolerance * max(
                 1.0, abs(solution.objective)
             )
+            worst_started = time.perf_counter()
             worst = solve_subproblem(
                 sub, backend, gap_tol=config.tolerance / 10.0, target=target
             )
+            worst_s = time.perf_counter() - worst_started
         except BackendError as err:
             raise BackendError(f"iteration {k}: {err}") from err
         cut = WorstCaseRealization(complete(inst, worst.flags, budget))
@@ -196,6 +202,8 @@ def run_ccg(
                 realization=worst,
                 duplicate=duplicate,
                 seconds=time.perf_counter() - started,
+                master_s=master_s,
+                worst_s=worst_s,
             )
         )
         log.info(

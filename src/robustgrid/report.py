@@ -96,7 +96,9 @@ def write_solution(
 def write_trace_csv(path: str | Path, trace: CcgTrace) -> None:
     """Bound progression per iteration, with the identified realization and
     whether its search was exact (1) or stopped at its target (0).
-    upper_bound and gap read inf until the first exact search."""
+    upper_bound and gap read inf until the first exact search. seconds is
+    the iteration's wall time; master_s and worst_s are the parts of it
+    spent solving the master and in the worst-case search."""
     rows = [
         [
             str(it.index),
@@ -106,12 +108,17 @@ def write_trace_csv(path: str | Path, trace: CcgTrace) -> None:
             it.realization.summary(),
             fmt(it.seconds),
             str(int(it.exact)),
+            fmt(it.master_s),
+            fmt(it.worst_s),
         ]
         for it in trace.iterations
     ]
     _write_csv(
         path,
-        ["iteration", "lower_bound", "upper_bound", "gap", "realization", "seconds", "exact"],
+        [
+            "iteration", "lower_bound", "upper_bound", "gap", "realization", "seconds",
+            "exact", "master_s", "worst_s",
+        ],
         rows,
     )
 

@@ -441,8 +441,8 @@ def test_batch_rejects_a_rhs_of_another_length(backend):
 
 
 def _unique_duals_lp():
-    # max 3x + 2y - f/2 with the equality row first, so that HiGHS's
-    # inequality-first row layout differs from the model's:
+    # max 3x + 2y - f/2 with the equality row first and each row's dual
+    # unique, so a dual read back from the wrong row shows:
     # f = y, x + y <= cap, y >= floor, x <= 4
     m = ModelBuilder(sense="max")
     x = m.add_var("x", obj=3.0, ub=4.0)
@@ -452,6 +452,39 @@ def _unique_duals_lp():
     m.add_row([(x, 1.0), (y, 1.0)], LE, 6.0, name="cap")
     m.add_row([(y, 1.0)], GE, 1.0, name="floor")
     return m.build()
+
+
+def test_lp_reaches_highs_in_model_row_order():
+    model = _unique_duals_lp()
+    loaded = backend_module._Loaded(model, model.row_rhs, backend_module._OPTIONS)
+    lower, upper = backend_module._bounds(model.row_sense, model.row_rhs)
+    lp = loaded.solver.getLp()
+    assert list(lp.row_lower_) == lower.tolist()
+    assert list(lp.row_upper_) == upper.tolist()
+    moved = model.row_rhs.copy()
+    moved[2] = 3.0  # the floor row
+    loaded.move_rhs(moved)
+    lower, upper = backend_module._bounds(model.row_sense, moved)
+    lp = loaded.solver.getLp()
+    assert list(lp.row_lower_) == lower.tolist() == [0.0, -math.inf, 3.0]
+    assert list(lp.row_upper_) == upper.tolist() == [0.0, 6.0, math.inf]
+
+
+def test_batch_reads_a_refilled_buffer_afresh():
+    # a caller may hand every vector in one buffer, refilled in place
+    model = _unique_duals_lp()
+    vectors = [[0.0, 6.0, 1.0], [0.0, 6.0, 3.0], [0.0, 7.0, 1.0]]
+
+    def refilled():
+        buffer = np.empty(3)
+        for b in vectors:
+            buffer[:] = b
+            yield buffer
+
+    got = ScipyBackend().solve_lps(model, refilled())
+    want = ScipyBackend().solve_lps(model, [np.array(b) for b in vectors])
+    assert [r.objective for r in got] == pytest.approx([15.0, 13.5, 16.5], abs=1e-9)
+    assert [r.objective for r in got] == [r.objective for r in want]
 
 
 def test_session_duals_come_back_in_model_row_order():

@@ -4,6 +4,7 @@ import dataclasses
 import logging
 import math
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -138,6 +139,25 @@ def test_memory_grows_without_repeats():
     # every identified realization before the last is distinct and kept
     assert len(set(keys[:-1])) == len(keys[:-1])
     assert all(it.seconds >= 0.0 for it in trace.iterations)
+
+
+def test_iteration_time_splits_into_master_and_worst_case(monkeypatch):
+    # each solve is held up by a known pause, so each part of an iteration's
+    # wall time must show its own
+    def paused(solve, pause):
+        def run(*args, **kwargs):
+            time.sleep(pause)
+            return solve(*args, **kwargs)
+        return run
+
+    monkeypatch.setattr(ccg_module, "solve_master", paused(ccg_module.solve_master, 0.02))
+    monkeypatch.setattr(
+        ccg_module, "solve_subproblem", paused(ccg_module.solve_subproblem, 0.04)
+    )
+    _, trace = run_ccg(three_region_hydro(), UncertaintyBudget(1, 1), backend=SCIPY)
+    for it in trace.iterations:
+        assert it.master_s >= 0.02 and it.worst_s >= 0.04
+        assert it.master_s + it.worst_s <= it.seconds
 
 
 # --- the seeded start ----------------------------------------------------------------

@@ -110,6 +110,8 @@ def test_trace_csv_round_trips_exactly(tmp_path):
             ("upper_bound", it.upper_bound),
             ("gap", it.gap),
             ("seconds", it.seconds),
+            ("master_s", it.master_s),
+            ("worst_s", it.worst_s),
         ):
             assert row[col] == fmt(value)
             assert float(row[col]) == float(fmt(value))
@@ -146,7 +148,7 @@ def trace_with(inst, flag_sets):
             index=i, lower_bound=0.0, upper_bound=0.0, gap=0.0,
             investment=0.0, subproblem_objective=0.0,
             realization=WorstCaseRealization(frozenset(flags)),
-            duplicate=False, seconds=0.0,
+            duplicate=False, seconds=0.0, master_s=0.0, worst_s=0.0,
         )
         for i, flags in enumerate(flag_sets)
     ]
