@@ -55,11 +55,12 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 import time
 from dataclasses import dataclass, field
 
 from .backend import BackendError, get_backend
-from .master import MasterSolution, build_master, solve_master
+from .master import MasterSolution, build_master, dispatch_template, solve_master
 from .subproblem import build_subproblem, solve_subproblem
 from .uncertainty import (
     UncertaintyBudget,
@@ -150,6 +151,7 @@ def run_ccg(
     config = config or CcgConfig()
     backend = backend or get_backend("scipy")
     budget = budget.clamp(len(inst.regions))
+    rung = (budget.gamma_pv, budget.gamma_wind)  # names the run in log lines
 
     seeds = cover(inst, budget)
     seen = {seed.key() for seed in seeds}
@@ -207,8 +209,8 @@ def run_ccg(
             )
         )
         log.info(
-            "iteration %d: LB %.6g, UB %.6g, gap %.3g, %s worst case %s",
-            k, lower, running_ub, gap, "exact" if worst.exact else "early",
+            "gamma %s iteration %d: LB %.6g, UB %.6g, gap %.3g, %s worst case %s",
+            rung, k, lower, running_ub, gap, "exact" if worst.exact else "early",
             worst.summary(),
         )
 
@@ -224,7 +226,7 @@ def run_ccg(
                 f"{fresh_gap:.3e}; solver tolerances are too loose for the "
                 "requested stopping tolerance"
             )
-            log.warning(trace.message)
+            log.warning("gamma %s: %s", rung, trace.message)
             break
         seen.add(cut.key())
         cf_memory.append(realize(inst, cut, budget))
@@ -233,7 +235,7 @@ def run_ccg(
             f"iteration limit {config.max_iterations} reached with gap "
             f"{trace.final_gap:.3e}"
         )
-        log.warning(trace.message)
+        log.warning("gamma %s: %s", rung, trace.message)
 
     return solution, trace
 
@@ -258,21 +260,75 @@ def run_gamma_ladder(
     """Independent converged runs for budgets of increasing size.
 
     Each size applies to both technology classes. Runs share nothing, so
-    results are order-invariant; a failing rung is recorded and the ladder
-    moves on.
+    they run side by side: in worker processes forked from this one, one per
+    usable CPU up to one per rung, largest budget first. Each worker holds
+    its own copy of the process, instance, config and backend included, so
+    nothing but the budget size goes to a worker and only the entry comes
+    back; their log lines interleave, each naming its budget. Where fewer
+    than two CPUs are usable, or the platform cannot fork, the rungs run
+    one after another in this process. Either way the entries come back in
+    request order, one per requested size, and equal bit for bit.
+
+    A rung whose solver fails is recorded in its entry's error and the
+    ladder moves on; any other exception reaches the caller, once every
+    worker has stopped.
     """
     if sorted(gammas) != list(gammas):
         raise ValueError(f"gammas must be sorted ascending, got {gammas}")
     if gammas and gammas[0] < 0:
         raise ValueError(f"gammas must be nonnegative, got {gammas}")
-    entries: list[LadderEntry] = []
-    for gamma in gammas:
-        budget = UncertaintyBudget(gamma_pv=gamma, gamma_wind=gamma)
-        entry = LadderEntry(gamma=gamma, budget=budget.clamp(len(inst.regions)))
-        try:
-            entry.solution, entry.trace = run_ccg(inst, budget, config, backend)
-        except BackendError as err:
-            entry.error = str(err)
-            log.error("ladder rung gamma=%d failed: %s", gamma, err)
-        entries.append(entry)
-    return entries
+    workers = _ladder_workers(len(gammas))
+    if workers < 2:
+        return [_run_rung(gamma, inst, config, backend) for gamma in gammas]
+
+    # imported here, so that importing robustgrid does not pay for them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    dispatch_template(inst)  # emitted once here rather than once per worker
+    pool = ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_init_worker,
+        initargs=(inst, config, backend),
+    )
+    try:
+        # the largest budget takes longest, so it starts first
+        futures = [pool.submit(_worker_rung, gamma) for gamma in reversed(gammas)]
+        return [future.result() for future in reversed(futures)]
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _ladder_workers(rungs: int) -> int:
+    """Worker processes for a ladder: one per usable CPU, at most one per
+    rung; 1 where the platform cannot fork or cannot say which CPUs this
+    process may use."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return min(rungs, len(os.sched_getaffinity(0)))
+
+
+def _run_rung(gamma, inst, config, backend) -> LadderEntry:
+    budget = UncertaintyBudget(gamma_pv=gamma, gamma_wind=gamma).clamp(len(inst.regions))
+    entry = LadderEntry(gamma=gamma, budget=budget)
+    try:
+        entry.solution, entry.trace = run_ccg(inst, budget, config, backend)
+    except BackendError as err:
+        entry.error = str(err)
+        log.error("ladder rung gamma=%d failed: %s", gamma, err)
+    return entry
+
+
+# Set only inside a ladder's worker processes, by the pool's initializer:
+# (instance, config, backend), inherited through fork rather than pickled.
+_worker_args: tuple | None = None
+
+
+def _init_worker(*args) -> None:
+    global _worker_args
+    _worker_args = args
+
+
+def _worker_rung(gamma: int) -> LadderEntry:
+    return _run_rung(gamma, *_worker_args)

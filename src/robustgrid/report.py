@@ -337,8 +337,9 @@ def write_metrics(path: str | Path, metrics: dict) -> None:
 
 def ladder_summary_rows(inst: NetworkInstance, entries: list[LadderEntry]) -> list[dict]:
     """Per-rung summary: objective, % increase over the first rung (the
-    deterministic base when the ladder starts at 0), and average cost per
-    MWh of demand. Rungs that failed to solve are skipped.
+    deterministic base when the ladder starts at 0), average cost per MWh
+    of demand, and the rung's CCG iterations and their wall seconds, read
+    from its trace. Rungs that failed to solve are skipped.
     """
     demand_total = inst.demand.total()
     rows = []
@@ -356,18 +357,23 @@ def ladder_summary_rows(inst: NetworkInstance, entries: list[LadderEntry]) -> li
                 "objective": objective,
                 "increase_pct_vs_gamma0": increase,
                 "avg_cost_per_mwh": objective / demand_total if demand_total > 0 else 0.0,
+                "iterations": len(entry.trace.iterations),
+                "seconds": sum(it.seconds for it in entry.trace.iterations),
             }
         )
     return rows
 
 
 def write_ladder_summary(path: str | Path, rows: list[dict]) -> None:
-    header = ["gamma", "objective", "increase_pct_vs_gamma0", "avg_cost_per_mwh"]
+    header = [
+        "gamma", "objective", "increase_pct_vs_gamma0", "avg_cost_per_mwh",
+        "iterations", "seconds",
+    ]
     _write_csv(
         path,
         header,
         [
-            [str(r["gamma"])] + [fmt(r[k]) for k in header[1:]]
+            [str(r[k]) if k in ("gamma", "iterations") else fmt(r[k]) for k in header]
             for r in rows
         ],
     )

@@ -3,6 +3,8 @@
 import dataclasses
 import logging
 import math
+import multiprocessing
+import os
 import random
 import time
 from pathlib import Path
@@ -245,18 +247,20 @@ def test_full_budget_converges_in_one(make, gamma):
 
 # --- failure modes ---------------------------------------------------------------
 
-def test_iteration_limit_flagged(reference_start):
+def test_iteration_limit_flagged(reference_start, caplog):
     inst = single_node()
     config = CcgConfig(max_iterations=1)
-    sol, trace = run_ccg(inst, UncertaintyBudget(1, 0), config, SCIPY)
+    with caplog.at_level(logging.WARNING, logger="robustgrid.ccg"):
+        sol, trace = run_ccg(inst, UncertaintyBudget(1, 0), config, SCIPY)
     assert not trace.converged
     assert not trace.stalled
     assert "limit" in trace.message
+    assert [r.getMessage() for r in caplog.records] == [f"gamma (1, 0): {trace.message}"]
     assert len(trace.iterations) == 1
     assert sol is not None
 
 
-def test_duplicate_with_open_gap_stalls(monkeypatch, reference_start):
+def test_duplicate_with_open_gap_stalls(monkeypatch, reference_start, caplog):
     # a worst case re-identified while the gap is open must stop the loop
     inst = single_node(deviation=0.25)
     flags = frozenset({("pv", "R1", "p1")})
@@ -265,10 +269,12 @@ def test_duplicate_with_open_gap_stalls(monkeypatch, reference_start):
         return WorstCaseRealization(flags=flags, dual_objective=9.9e9)
 
     monkeypatch.setattr(ccg_module, "solve_subproblem", fake_solve)
-    sol, trace = run_ccg(inst, UncertaintyBudget(1, 0), backend=SCIPY)
+    with caplog.at_level(logging.WARNING, logger="robustgrid.ccg"):
+        sol, trace = run_ccg(inst, UncertaintyBudget(1, 0), backend=SCIPY)
     assert trace.stalled
     assert not trace.converged
     assert "stall" in trace.message
+    assert [r.getMessage() for r in caplog.records] == [f"gamma (1, 0): {trace.message}"]
     assert len(trace.iterations) == 2
 
 
@@ -364,6 +370,16 @@ def test_budget_clamp_warns(caplog):
 
 # --- gamma ladder -----------------------------------------------------------------
 
+def _usable_cpus(monkeypatch, count):
+    """The ladder sizes its worker pool from the CPUs this process may use."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+# 1 usable CPU runs the rungs in-process, 2 in forked workers
+PATHS = pytest.mark.parametrize("cpus", [1, 2], ids=["in_process", "forked"])
+TOY6 = Path(__file__).parent / "fixtures" / "toy6.json"
+
+
 def test_ladder_monotone_objectives():
     inst = two_region()
     entries = run_gamma_ladder(inst, [0, 1, 2], backend=SCIPY)
@@ -377,22 +393,114 @@ def test_ladder_monotone_objectives():
     assert objs[0] == pytest.approx(deterministic.objective, rel=1e-8)
 
 
-def test_ladder_clamps_oversized_budgets():
+def test_ladder_clamps_oversized_budgets(monkeypatch, caplog):
+    _usable_cpus(monkeypatch, 1)  # in-process, where caplog sees the rungs
     inst = two_region()
-    entries = run_gamma_ladder(inst, [2, 7], backend=SCIPY)
+    with caplog.at_level(logging.WARNING, logger="robustgrid.uncertainty"):
+        entries = run_gamma_ladder(inst, [2, 7], backend=SCIPY)
+    # the oversized rung warns once, not once more inside run_ccg
+    assert ["clamp" in r.getMessage() for r in caplog.records] == [True]
     assert entries[0].budget == entries[1].budget
     assert entries[1].solution.objective == pytest.approx(
         entries[0].solution.objective, rel=1e-8
     )
 
 
-def test_ladder_collects_errors_and_continues(reference_start):
+def test_ladder_collects_errors_and_continues(reference_start, monkeypatch):
+    _usable_cpus(monkeypatch, 2)  # the failing rung runs in a worker
     inst = single_node()
     config = CcgConfig(big_m=1.0)
     entries = run_gamma_ladder(inst, [0, 1], config, SCIPY)
     assert entries[0].error is None and entries[0].trace.converged
     assert entries[1].error is not None and "big_m" in entries[1].error
     assert entries[1].solution is None
+
+
+def test_iteration_log_lines_name_their_budget(caplog):
+    # parallel ladder rungs interleave their log lines, so each names its rung
+    inst = three_region_hydro()
+    with caplog.at_level(logging.INFO, logger="robustgrid.ccg"):
+        _, trace = run_ccg(inst, UncertaintyBudget(2, 1), backend=SCIPY)
+    lines = [r.getMessage() for r in caplog.records]
+    assert len(lines) == len(trace.iterations)
+    for k, line in enumerate(lines):
+        assert line.startswith(f"gamma (2, 1) iteration {k}: LB ")
+
+
+@pytest.fixture(scope="module")
+def toy6_runs():
+    inst = load_instance(TOY6)
+    return inst, [run_ccg(inst, UncertaintyBudget(g, g), backend=SCIPY) for g in range(4)]
+
+
+@PATHS
+def test_ladder_equals_in_process_runs_bit_for_bit(toy6_runs, monkeypatch, cpus):
+    inst, runs = toy6_runs
+    _usable_cpus(monkeypatch, cpus)
+    entries = run_gamma_ladder(inst, [0, 1, 2, 3], backend=SCIPY)
+    assert multiprocessing.active_children() == []
+    assert [e.gamma for e in entries] == [0, 1, 2, 3]
+    for entry, (solution, trace) in zip(entries, runs):
+        assert entry.error is None
+        assert entry.solution.objective == solution.objective
+        assert entry.solution.capacities == solution.capacities
+        assert len(entry.trace.iterations) == len(trace.iterations)
+        assert [s.key() for s in entry.trace.seeds] == [s.key() for s in trace.seeds]
+
+
+def test_ladder_rungs_run_in_forked_workers(monkeypatch):
+    # each rung reports the process it ran in: never this one, at most one
+    # per usable CPU
+    _usable_cpus(monkeypatch, 2)
+
+    def where(inst, budget, config=None, backend=None):
+        return None, CcgTrace(message=str(os.getpid()))
+
+    monkeypatch.setattr(ccg_module, "run_ccg", where)
+    entries = run_gamma_ladder(single_node(), [0, 1, 2], backend=SCIPY)
+    pids = {int(e.trace.message) for e in entries}
+    assert os.getpid() not in pids
+    assert 1 <= len(pids) <= 2
+    assert multiprocessing.active_children() == []
+
+
+def test_ladder_runs_in_process_on_one_cpu(monkeypatch):
+    _usable_cpus(monkeypatch, 1)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-CPU ladder must not start a pool")
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+    entries = run_gamma_ladder(two_region(), [0, 1], backend=SCIPY)
+    assert all(e.error is None and e.trace.converged for e in entries)
+
+
+@PATHS
+def test_ladder_passes_other_errors_through(monkeypatch, cpus):
+    # only a BackendError is a recorded rung; the pool is gone either way
+    _usable_cpus(monkeypatch, cpus)
+    real = ccg_module.run_ccg
+
+    def failing(inst, budget, config=None, backend=None):
+        if budget.gamma_pv == 1:
+            raise ValueError("rung 1 is broken")
+        return real(inst, budget, config, backend)
+
+    monkeypatch.setattr(ccg_module, "run_ccg", failing)
+    with pytest.raises(ValueError, match="rung 1 is broken"):
+        run_gamma_ladder(two_region(), [0, 1, 2], backend=SCIPY)
+    assert multiprocessing.active_children() == []
+
+
+@PATHS
+def test_ladder_repeated_gamma_gives_distinct_entries(monkeypatch, cpus):
+    _usable_cpus(monkeypatch, cpus)
+    entries = run_gamma_ladder(two_region(), [1, 1], backend=SCIPY)
+    assert [e.gamma for e in entries] == [1, 1]
+    first, second = entries
+    assert first is not second
+    assert first.solution is not second.solution
+    assert first.solution.objective == second.solution.objective
 
 
 def test_ladder_rejects_unsorted():

@@ -394,16 +394,24 @@ def test_ladder_summary_values(tmp_path):
         100.0 * (obj1 - obj0) / obj0
     )
     total = inst.demand.total()
-    for r in rows:
+    for r, entry in zip(rows, entries):
         assert r["avg_cost_per_mwh"] == pytest.approx(r["objective"] / total)
+        # what each rung did, from its own trace (rungs may run in workers)
+        assert r["iterations"] == len(entry.trace.iterations) >= 1
+        assert r["seconds"] == sum(it.seconds for it in entry.trace.iterations) > 0
 
     path = tmp_path / "summary.csv"
     write_ladder_summary(path, rows)
     with open(path, newline="") as fh:
         parsed = list(csv.DictReader(fh))
+    assert list(parsed[0]) == [
+        "gamma", "objective", "increase_pct_vs_gamma0", "avg_cost_per_mwh",
+        "iterations", "seconds",
+    ]
     for text_row, row in zip(parsed, rows):
         assert int(text_row["gamma"]) == row["gamma"]
-        for col in ("objective", "increase_pct_vs_gamma0", "avg_cost_per_mwh"):
+        assert int(text_row["iterations"]) == row["iterations"]
+        for col in ("objective", "increase_pct_vs_gamma0", "avg_cost_per_mwh", "seconds"):
             assert text_row[col] == fmt(row[col])
             assert float(text_row[col]) == float(fmt(row[col]))
 
