@@ -3,14 +3,25 @@
 With a finite uncertainty set the robust problem is one LP: a dispatch
 block for every member plus the recourse epigraph. The referee solves it
 by row generation over the members instead of stamping every block at
-once. A restricted LP over some members is a lower bound on the optimum;
-its capacities, priced under every member by a plain dispatch LP, give an
-upper bound (investment plus the largest member cost). The referee adds
-the costliest member until the two bounds meet, so every returned value
-is certified by pricing the whole set, with no worst-case search, no
-duality and no big-M involved. That keeps it a fair referee for the
-iterative pipeline: the only shared machinery is the block builder and
-the LP backend, both tested independently.
+once. The certificate has two sides:
+
+- a lower bound: the objective of an LP restricted to some members'
+  blocks, for dropping blocks can only relax the full LP;
+- an upper bound: any plan inside the capacity bounds, priced under every
+  member by a plain dispatch LP, for its investment plus the largest
+  member cost is the full LP's objective at a feasible point (the bounds
+  are its only first-stage constraints, and shedding keeps every dispatch
+  feasible).
+
+The referee adds the costliest member until the two sides meet, so every
+returned value is certified by pricing the whole set, with no worst-case
+search, no duality and no big-M involved. Because the upper side accepts
+any in-bounds plan, the run's own plan may cap the referee without the
+referee trusting the run: certify_run recomputes that plan's investment,
+prices it itself, and passes no bound for a plan outside the capacity
+bounds. That keeps it a fair referee for the iterative pipeline: the only
+shared machinery is the block builder and the LP backend, both tested
+independently.
 
 certify_run enumerates only the maximal members of the set, those that
 flag min(gamma, regions) regions in every (technology, period) group. That
@@ -29,11 +40,19 @@ independent judges of that argument.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .backend import BackendError
 from .ccg import CcgTrace
-from .master import MasterSolution, build_master, dispatch_cost, solve_master
+from .master import (
+    MasterSolution,
+    build_master,
+    capacity_table,
+    dispatch_cost,
+    investment_cost,
+    solve_master,
+)
 from .model import NetworkInstance
 from .subproblem import build_subproblem, solve_subproblem
 from .uncertainty import (
@@ -41,6 +60,7 @@ from .uncertainty import (
     UncertaintyBudget,
     WorstCaseRealization,
     count_realizations,
+    cover,
     enumerate_set,
     maximal_sets,
     realize,
@@ -60,17 +80,20 @@ CERTIFY_TOLERANCE = 1e-6
 
 
 class RefereeOptimum(float):
-    """The referee's robust optimum; `rounds` says how it was reached.
+    """The referee's robust optimum, and how it was reached.
 
-    Row generation adds one member per round to the restricted LP, so the
-    LP that certified the value held `rounds` dispatch blocks.
+    `rounds` counts the restricted LPs solved; `blocks` is the size of the
+    one that certified the value: the cover it started from plus the
+    members row generation added.
     """
 
     rounds: int
+    blocks: int
 
-    def __new__(cls, value: float, rounds: int) -> RefereeOptimum:
+    def __new__(cls, value: float, rounds: int, blocks: int) -> RefereeOptimum:
         optimum = super().__new__(cls, value)
         optimum.rounds = rounds
+        optimum.blocks = blocks
         return optimum
 
 
@@ -81,40 +104,48 @@ def robust_optimum_by_enumeration(
     cap: int = DEFAULT_ENUMERATION_CAP,
     *,
     realized: list[dict[str, tuple[float, ...]]] | None = None,
+    upper: float = math.inf,
 ) -> float:
     """Exact robust optimum over the enumerated members, by row generation.
 
     realized, when given, is the capacity-factor map of every member the
     caller enumerated: the budget's full set, or its maximal members, which
-    give the same optimum. Without it the full set is enumerated.
+    give the same optimum. Without it the full set is enumerated. upper,
+    when given, must be the enumerated LP's objective at a feasible plan:
+    investment plus the largest member cost at capacities inside their
+    bounds.
 
-    Each round solves the LP restricted to the chosen members (the first
-    member to begin with) and prices every member at its capacities in
-    one dispatch_cost call. The restricted objective is a lower bound
-    on the optimum, and investment plus the largest member cost an upper
-    bound; they differ by that cost minus the recourse bound. Once the gap
-    is within 1e-9 of max(1, |objective|) the restricted objective is
+    The restricted LP starts from the budget's cover, whose members belong
+    to the set. Each round solves it; its objective is a lower bound on the
+    optimum. Unless the best upper bound held already exceeds it by at
+    most 1e-9 * max(1, |objective|), every member is priced at the LP's
+    capacities in one dispatch_cost call, and investment plus the largest
+    cost may tighten that bound. Once the two meet, the LP objective is
     returned, as a RefereeOptimum. Otherwise the costliest member (the
     earliest on ties) joins the LP. Should it already be there, the LP
     cannot close the gap, and a BackendError says so.
     """
     if realized is None:
         realized = [realize(inst, m) for m in enumerate_set(inst, budget, cap=cap)]
-    chosen = [0]
+    blocks = [realize(inst, m) for m in cover(inst, budget)]
+    rounds = 0
     while True:
-        sol = solve_master(build_master(inst, [realized[k] for k in chosen]), backend)
-        costs = dispatch_cost(inst, sol.capacities, realized, backend)
-        worst = max(range(len(costs)), key=costs.__getitem__)
-        gap = costs[worst] - sol.recourse_bound
-        if gap <= 1e-9 * max(1.0, abs(sol.objective)):
-            return RefereeOptimum(sol.objective, len(chosen))
-        if worst in chosen:
+        sol = solve_master(build_master(inst, blocks), backend)
+        rounds += 1
+        tol = 1e-9 * max(1.0, abs(sol.objective))
+        if upper - sol.objective > tol:
+            costs = dispatch_cost(inst, sol.capacities, realized, backend)
+            worst = max(range(len(costs)), key=costs.__getitem__)
+            upper = min(upper, sol.investment_cost + costs[worst])
+        if upper - sol.objective <= tol:
+            return RefereeOptimum(sol.objective, rounds, len(blocks))
+        if realized[worst] in blocks:
             raise BackendError(
-                f"enumeration referee stalled after {len(chosen)} round(s): "
-                f"member {worst} is in the LP, yet it costs {gap:.6g} above "
-                "the recourse bound"
+                f"enumeration referee stalled after {rounds} round(s): "
+                f"member {worst} is in the LP, yet it costs "
+                f"{costs[worst] - sol.recourse_bound:.6g} above the recourse bound"
             )
-        chosen.append(worst)
+        blocks.append(realized[worst])
 
 
 def worst_case_by_enumeration(
@@ -177,9 +208,18 @@ def certify_run(
     Three checks: the objective matches the enumerated optimum, the final
     recourse bound covers the dispatch cost of every member, and the
     worst-case search at the final capacities agrees with the enumerated
-    maximum. The search and the enumeration price the same capacity map,
-    solution.capacities as the master returned it. Failures are report
-    entries, never exceptions.
+    maximum. Failures are report entries, never exceptions.
+
+    Every member is priced once, at solution.capacities as the master
+    returned it, and that one batch feeds all three checks: the coverage
+    check, the enumerated maximum the search must reach, and the referee's
+    upper bound. That bound is the plan's investment, recomputed from its
+    capacities, plus the largest member cost: the enumerated LP's objective
+    at that plan, so it bounds the optimum from above whatever the run
+    claims. A plan outside the capacity bounds is no point of that LP, and
+    then the referee gets no bound. The referee still certifies its value
+    on its own: a restricted LP's objective is a lower bound, and it stops
+    only once that meets the best upper bound it holds.
 
     All three enumerate the maximal members only (maximal_sets, bounded by
     cap). Because deviation <= reference and availability enters only
@@ -192,9 +232,19 @@ def certify_run(
     report = CertificationReport()
     members = maximal_sets(inst, budget, cap=cap)
     realized = [realize(inst, m) for m in members]
+    costs = dispatch_cost(inst, solution.capacities, realized, backend)
+    enum_max = max(costs)
+    upper = math.inf
+    if all(
+        0.0 <= solution.capacities.get(key, 0.0) <= limit
+        for key, _, limit in capacity_table(inst)
+    ):
+        upper = investment_cost(inst, solution.capacities) + enum_max
 
     try:
-        exact = robust_optimum_by_enumeration(inst, budget, backend, realized=realized)
+        exact = robust_optimum_by_enumeration(
+            inst, budget, backend, realized=realized, upper=upper
+        )
     except BackendError as err:
         objective_check = CertificationCheck(
             name="objective_matches_enumeration",
@@ -210,12 +260,12 @@ def certify_run(
             value=gap,
             detail=(
                 f"run {solution.objective:.10g} vs exact {exact:.10g} "
-                f"({exact.rounds} of {len(members)} members, {exact.rounds} rounds)"
+                f"(LP of {exact.blocks} blocks for {len(members)} members, "
+                f"{exact.rounds} round(s))"
             ),
         )
     report.checks.append(objective_check)
 
-    costs = dispatch_cost(inst, solution.capacities, realized, backend)
     bound = solution.recourse_bound + CERTIFY_TOLERANCE * max(1.0, solution.recourse_bound)
     uncovered = [
         (m, c) for m, c in zip(members, costs) if c > bound
@@ -241,7 +291,6 @@ def certify_run(
     try:
         sub = build_subproblem(inst, solution.capacities, budget)
         worst = solve_subproblem(sub, backend, gap_tol=CERTIFY_TOLERANCE / 10.0)
-        enum_max = max(costs)
         sub_gap = abs(worst.dual_objective - enum_max) / max(1.0, abs(enum_max))
         report.checks.append(
             CertificationCheck(

@@ -9,7 +9,13 @@ import pytest
 from robustgrid import oracle
 from robustgrid.backend import InTreeBackend, ScipyBackend
 from robustgrid.ccg import CcgConfig, run_ccg
-from robustgrid.master import build_master, capacity_keys, dispatch_cost, solve_master
+from robustgrid.master import (
+    build_master,
+    capacity_keys,
+    dispatch_cost,
+    investment_cost,
+    solve_master,
+)
 from robustgrid.model import CapacityFactorBundle
 from robustgrid.oracle import (
     certify_run,
@@ -21,6 +27,7 @@ from robustgrid.uncertainty import (
     UncertaintyBudget,
     WorstCaseRealization,
     count_realizations,
+    cover,
     enumerate_set,
     maximal_sets,
     realize,
@@ -96,33 +103,45 @@ def test_ccg_matches_oracle(name):
 @pytest.mark.parametrize("members", ["full", "maximal"])
 @pytest.mark.parametrize("gamma", [0, 1, 2])
 @pytest.mark.parametrize("name", sorted(FIXTURES))
-def test_row_generation_equals_the_single_lp(name, gamma, members):
-    # The referee's rounds against the LP with one block per member.
+def test_row_generation_equals_the_single_lp(name, gamma, members, monkeypatch):
+    # The referee's rounds against the LP with one block per member. Its
+    # first LP holds the cover's blocks, which need not be maximal members.
     inst = FIXTURES[name]()
     budget = UncertaintyBudget(gamma, gamma)
     enumerate_members = enumerate_set if members == "full" else maximal_sets
     realized = [realize(inst, m) for m in enumerate_members(inst, budget)]
     single = solve_master(build_master(inst, realized), SCIPY).objective
+    lps = []
+
+    def build(inst, cfs):
+        lps.append(list(cfs))
+        return build_master(inst, cfs)
+
+    monkeypatch.setattr(oracle, "build_master", build)
     exact = robust_optimum_by_enumeration(inst, budget, SCIPY, realized=realized)
     assert exact == pytest.approx(single, rel=1e-9, abs=1e-9)
-    assert 1 <= exact.rounds <= len(realized)
+    assert 1 <= exact.rounds == len(lps) <= len(realized)
+    assert lps[0] == [realize(inst, m) for m in cover(inst, budget)]
+    assert exact.blocks == len(lps[-1]) == len(lps[0]) + exact.rounds - 1
 
 
 @pytest.mark.parametrize("make, members", [
     (three_region_hydro, maximal_sets),
     (two_period_battery, enumerate_set),
 ], ids=["three_region_hydro-maximal", "two_period_battery-full"])
-def test_row_generation_adds_the_costliest_member(make, members, monkeypatch):
-    # Each round's LP holds the last one's members plus the one that cost
-    # most at its capacities (the earliest on ties), starting from member 0.
+def test_row_generation_adds_the_costliest_member(
+    make, members, monkeypatch, referee_reference_start
+):
+    # Each round's LP holds the last one's blocks plus the member that cost
+    # most at its capacities (the earliest on ties). Started from the
+    # reference alone, a toy takes several rounds.
     inst = make()
     budget = UncertaintyBudget(1, 1)
     realized = [realize(inst, m) for m in members(inst, budget)]
-    position = {id(cf): k for k, cf in enumerate(realized)}
     lps, prices = [], []
 
     def build(inst, cfs):
-        lps.append([position[id(cf)] for cf in cfs])
+        lps.append(list(cfs))
         prices.append([])
         return build_master(inst, cfs)
 
@@ -134,9 +153,10 @@ def test_row_generation_adds_the_costliest_member(make, members, monkeypatch):
     monkeypatch.setattr(oracle, "dispatch_cost", priced)
     exact = robust_optimum_by_enumeration(inst, budget, SCIPY, realized=realized)
     assert exact.rounds == len(lps) >= 3
-    assert lps[0] == [0]
+    assert exact.blocks == len(lps[-1])
+    assert lps[0] == [ref_cf(inst)]
     for chosen, costs, following in zip(lps, prices, lps[1:]):
-        assert following == chosen + [costs.index(max(costs))]
+        assert following == chosen + [realized[costs.index(max(costs))]]
 
 
 def test_intree_backend_agrees():
@@ -229,16 +249,30 @@ def test_argmax_at_zero_capacity():
 
 # --- maximal members ----------------------------------------------------------
 
+def referee_values(monkeypatch):
+    """Record every value robust_optimum_by_enumeration returns to certify_run."""
+    values = []
+
+    def referee(*args, **kwargs):
+        values.append(robust_optimum_by_enumeration(*args, **kwargs))
+        return values[-1]
+
+    monkeypatch.setattr(oracle, "robust_optimum_by_enumeration", referee)
+    return values
+
+
 def max_cost(inst, caps, members):
     return max(dispatch_cost(inst, caps, [realize(inst, m) for m in members], SCIPY))
 
 
 @pytest.mark.parametrize("gamma", [0, 1, 2])
 @pytest.mark.parametrize("name", sorted(FIXTURES))
-def test_maximal_members_referee_like_the_full_set(name, gamma):
+def test_maximal_members_referee_like_the_full_set(name, gamma, monkeypatch):
     # certify_run's three numbers, over the maximal members and over all of
     # them: the enumeration LP, the coverage maximum at the converged
     # capacities, and the worst case at fixed (deterministic) capacities.
+    # The value certify_run certifies, capped by the run's plan, is the one
+    # the referee reaches on its own.
     inst = FIXTURES[name]()
     budget = UncertaintyBudget(gamma, gamma)
     maximal = maximal_sets(inst, budget)
@@ -250,6 +284,9 @@ def test_maximal_members_referee_like_the_full_set(name, gamma):
 
     solution, trace = run_ccg(inst, budget, backend=SCIPY)
     assert trace.converged
+    values = referee_values(monkeypatch)
+    assert certify_run(inst, budget, (solution, trace), SCIPY).passed
+    assert values == [pytest.approx(narrow, rel=1e-9, abs=1e-9)]
     fixed = solve_master(build_master(inst, [ref_cf(inst)]), SCIPY).capacities
     for caps in (solution.capacities, fixed):
         _, worst = worst_case_by_enumeration(inst, caps, budget, SCIPY)
@@ -367,14 +404,73 @@ def test_certify_verdict_does_not_depend_on_warm_lps(name, monkeypatch):
 
 
 def test_certify_reports_the_referee_rounds():
+    # The detail names the certifying LP's size (cover plus added members)
+    # and the LPs solved. Capped by the run's converged plan, the referee
+    # certifies the cover's LP, its first, without pricing its own plan.
     inst = three_region_hydro()
     budget = UncertaintyBudget(1, 1)
-    report = certify_run(inst, budget, run_ccg(inst, budget, backend=SCIPY), SCIPY)
+    solution, trace = run_ccg(inst, budget, backend=SCIPY)
+    report = certify_run(inst, budget, (solution, trace), SCIPY)
     realized = [realize(inst, m) for m in maximal_sets(inst, budget)]
-    rounds = robust_optimum_by_enumeration(inst, budget, SCIPY, realized=realized).rounds
+    upper = investment_cost(inst, solution.capacities) + max(
+        dispatch_cost(inst, solution.capacities, realized, SCIPY)
+    )
+    exact = robust_optimum_by_enumeration(
+        inst, budget, SCIPY, realized=realized, upper=upper
+    )
+    assert (exact.blocks, exact.rounds) == (len(cover(inst, budget)), 1) == (2, 1)
     check = report.checks[0]
     assert check.name == "objective_matches_enumeration" and check.passed
-    assert check.detail.endswith(f"({rounds} of 9 members, {rounds} rounds)")
+    assert check.detail.endswith("(LP of 2 blocks for 9 members, 1 round(s))")
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_certify_prices_the_members_once(name, monkeypatch):
+    # One dispatch_cost batch at the run's capacities feeds the coverage
+    # check, the enumerated maximum and the referee's upper bound, which
+    # the referee's first LP (the cover's) meets on a converged run.
+    inst = FIXTURES[name]()
+    budget = UncertaintyBudget(1, 1)
+    solution, trace = run_ccg(inst, budget, backend=SCIPY)
+    assert trace.converged
+    calls = []
+
+    def priced(inst, capacities, realized, backend):
+        calls.append(capacities)
+        return dispatch_cost(inst, capacities, realized, backend)
+
+    monkeypatch.setattr(oracle, "dispatch_cost", priced)
+    report = certify_run(inst, budget, (solution, trace), SCIPY)
+    assert report.passed
+    assert calls == [solution.capacities]
+
+
+def test_certify_takes_no_bound_from_a_plan_out_of_bounds(
+    monkeypatch, referee_reference_start
+):
+    # The unit's expansion limit binds: 10 MW at a worst-case cf of 0.25
+    # leaves 7.5 MW to shed. Raised past the limit to 40 MW the plan sheds
+    # nothing and prices far below the optimum, so it is no point of the
+    # enumerated LP and must not cap the referee, whose first LP (the
+    # reference alone, 5 MW short) falls below that price too.
+    inst = single_node(deviation=0.25, expansion_limit=10.0)
+    budget = UncertaintyBudget(1, 1)
+    solution, trace = run_ccg(inst, budget, backend=SCIPY)
+    key = ("ren", "s1")
+    assert solution.capacities[key] == pytest.approx(10.0)
+    raised = dataclasses.replace(solution, capacities={**solution.capacities, key: 40.0})
+    realized = [realize(inst, m) for m in maximal_sets(inst, budget)]
+    alone = robust_optimum_by_enumeration(inst, budget, SCIPY, realized=realized)
+    first_lp = solve_master(build_master(inst, [ref_cf(inst)]), SCIPY).objective
+    priced = investment_cost(inst, raised.capacities) + max(
+        dispatch_cost(inst, raised.capacities, realized, SCIPY)
+    )
+    assert priced < first_lp < alone
+
+    values = referee_values(monkeypatch)
+    report = certify_run(inst, budget, (raised, trace), SCIPY)
+    assert values == [pytest.approx(alone, rel=1e-9)]
+    assert report.checks[0].passed
 
 
 def test_certify_records_a_stalled_referee(monkeypatch):
