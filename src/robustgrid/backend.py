@@ -396,6 +396,10 @@ _OPTIONS = {"output_flag": False, "presolve": "on", "simplex_strategy": 1}
 # root sub-MIPs (6.5 s).
 _MIP_SWITCHES = {"mip_heuristic_run_rins": False, "mip_heuristic_run_rens": False}
 
+# A column's HiGHS type by its binary marker: continuous, or integer (the
+# bounds make it binary).
+_VAR_TYPES = (highs.HighsVarType.kContinuous, highs.HighsVarType.kInteger)
+
 
 @functools.cache
 def _milp_options() -> dict:
@@ -446,8 +450,9 @@ class _Loaded:
         lp.a_matrix_.start_ = start
         lp.a_matrix_.index_ = index
         lp.a_matrix_.value_ = value
-        if model.is_mip:  # HighsVarType 1 is integer, 0 continuous
-            lp.integrality_ = [highs.HighsVarType(int(b)) for b in model.var_binary]
+        if model.is_mip:  # the binding takes a list of HighsVarType, no array
+            binary = np.asarray(model.var_binary, dtype=bool).tolist()
+            lp.integrality_ = [_VAR_TYPES[b] for b in binary]
 
         self.solver = highs._Highs()
         for key, value in options.items():
@@ -542,13 +547,20 @@ class ScipyBackend:
         HiGHS minimizes sign * objective (see _Loaded), so the target goes
         in with that sign: for a max model, a target of +t would already be
         met by any incumbent of value above -t.
+
+        A result with a solution records HiGHS's branch-and-bound nodes and
+        simplex iterations in stats, as "nodes" and "iterations".
         """
         if gap_tol < 0:
             raise ValueError("gap_tol must be nonnegative")
         options = {**_milp_options(), "mip_rel_gap": gap_tol}
         if target is not None:
             options["objective_target"] = target if model.sense == "min" else -target
-        return _Loaded(model, model.row_rhs, options).solve()[0]
+        res, info = _Loaded(model, model.row_rhs, options).solve()
+        if res.x is not None:
+            res.stats["nodes"] = info.mip_node_count
+            res.stats["iterations"] = info.simplex_iteration_count
+        return res
 
 
 # ---------------------------------------------------------------------------

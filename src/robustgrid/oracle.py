@@ -50,6 +50,7 @@ from .master import (
     build_master,
     capacity_table,
     dispatch_cost,
+    dispatch_template,
     investment_cost,
     solve_master,
 )
@@ -221,6 +222,15 @@ def certify_run(
     on its own: a restricted LP's objective is a lower bound, and it stops
     only once that meets the best upper bound it holds.
 
+    The worst-case search needs neither that batch nor the referee, so it
+    runs beside them, in a second thread, from the moment the member count
+    has passed the cap: HiGHS releases the GIL while it solves. The calling
+    thread prices, referees and checks coverage, then waits for the search.
+    A BackendError from the search is the failed third check; any other
+    exception reaches the caller, and the thread is joined on every exit.
+    The checks, their order and their values are those of a run that
+    searches last.
+
     All three enumerate the maximal members only (maximal_sets, bounded by
     cap). Because deviation <= reference and availability enters only
     through the `<=` rows gen <= cf * cap * step_hours, adding a flag never
@@ -228,89 +238,101 @@ def certify_run(
     costs at least as much as every member it contains, and each check has
     the same outcome as over the full set.
     """
+    # imported here, so that importing robustgrid does not pay for it
+    from concurrent.futures import ThreadPoolExecutor
+
     solution, _ = ccg_result
     report = CertificationReport()
     members = maximal_sets(inst, budget, cap=cap)
-    realized = [realize(inst, m) for m in members]
-    costs = dispatch_cost(inst, solution.capacities, realized, backend)
-    enum_max = max(costs)
-    upper = math.inf
-    if all(
-        0.0 <= solution.capacities.get(key, 0.0) <= limit
-        for key, _, limit in capacity_table(inst)
-    ):
-        upper = investment_cost(inst, solution.capacities) + enum_max
+    dispatch_template(inst)  # emitted once here rather than by both threads
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        search = pool.submit(
+            lambda: solve_subproblem(
+                build_subproblem(inst, solution.capacities, budget),
+                backend,
+                gap_tol=CERTIFY_TOLERANCE / 10.0,
+            )
+        )
+        realized = [realize(inst, m) for m in members]
+        costs = dispatch_cost(inst, solution.capacities, realized, backend)
+        enum_max = max(costs)
+        upper = math.inf
+        if all(
+            0.0 <= solution.capacities.get(key, 0.0) <= limit
+            for key, _, limit in capacity_table(inst)
+        ):
+            upper = investment_cost(inst, solution.capacities) + enum_max
 
-    try:
-        exact = robust_optimum_by_enumeration(
-            inst, budget, backend, realized=realized, upper=upper
-        )
-    except BackendError as err:
-        objective_check = CertificationCheck(
-            name="objective_matches_enumeration",
-            passed=False,
-            value=float("nan"),
-            detail=str(err),
-        )
-    else:
-        gap = abs(solution.objective - exact) / max(1.0, abs(exact))
-        objective_check = CertificationCheck(
-            name="objective_matches_enumeration",
-            passed=gap <= CERTIFY_TOLERANCE,
-            value=gap,
-            detail=(
-                f"run {solution.objective:.10g} vs exact {exact:.10g} "
-                f"(LP of {exact.blocks} blocks for {len(members)} members, "
-                f"{exact.rounds} round(s))"
-            ),
-        )
-    report.checks.append(objective_check)
+        try:
+            exact = robust_optimum_by_enumeration(
+                inst, budget, backend, realized=realized, upper=upper
+            )
+        except BackendError as err:
+            objective_check = CertificationCheck(
+                name="objective_matches_enumeration",
+                passed=False,
+                value=float("nan"),
+                detail=str(err),
+            )
+        else:
+            gap = abs(solution.objective - exact) / max(1.0, abs(exact))
+            objective_check = CertificationCheck(
+                name="objective_matches_enumeration",
+                passed=gap <= CERTIFY_TOLERANCE,
+                value=gap,
+                detail=(
+                    f"run {solution.objective:.10g} vs exact {exact:.10g} "
+                    f"(LP of {exact.blocks} blocks for {len(members)} members, "
+                    f"{exact.rounds} round(s))"
+                ),
+            )
+        report.checks.append(objective_check)
 
-    bound = solution.recourse_bound + CERTIFY_TOLERANCE * max(1.0, solution.recourse_bound)
-    uncovered = [
-        (m, c) for m, c in zip(members, costs) if c > bound
-    ]
-    worst_excess = max(
-        (c - solution.recourse_bound for c in costs), default=0.0
-    )
-    report.checks.append(
-        CertificationCheck(
-            name="recourse_covers_all_realizations",
-            passed=not uncovered,
-            value=worst_excess,
-            detail=(
-                f"{len(uncovered)} of {len(members)} maximal realization(s) "
-                f"above the recourse bound, first: {uncovered[0][0].summary()}"
-                if uncovered
-                else f"all {len(members)} maximal realization(s) covered "
-                f"(they dominate all {count_realizations(inst, budget)} members)"
-            ),
+        bound = solution.recourse_bound + CERTIFY_TOLERANCE * max(1.0, solution.recourse_bound)
+        uncovered = [
+            (m, c) for m, c in zip(members, costs) if c > bound
+        ]
+        worst_excess = max(
+            (c - solution.recourse_bound for c in costs), default=0.0
         )
-    )
-
-    try:
-        sub = build_subproblem(inst, solution.capacities, budget)
-        worst = solve_subproblem(sub, backend, gap_tol=CERTIFY_TOLERANCE / 10.0)
-        sub_gap = abs(worst.dual_objective - enum_max) / max(1.0, abs(enum_max))
         report.checks.append(
             CertificationCheck(
-                name="worst_case_agrees_with_enumeration",
-                passed=sub_gap <= CERTIFY_TOLERANCE,
-                value=sub_gap,
+                name="recourse_covers_all_realizations",
+                passed=not uncovered,
+                value=worst_excess,
                 detail=(
-                    f"search {worst.dual_objective:.10g} vs enumerated "
-                    f"{enum_max:.10g}"
+                    f"{len(uncovered)} of {len(members)} maximal realization(s) "
+                    f"above the recourse bound, first: {uncovered[0][0].summary()}"
+                    if uncovered
+                    else f"all {len(members)} maximal realization(s) covered "
+                    f"(they dominate all {count_realizations(inst, budget)} members)"
                 ),
             )
         )
-    except BackendError as err:
-        report.checks.append(
-            CertificationCheck(
-                name="worst_case_agrees_with_enumeration",
-                passed=False,
-                value=float("nan"),
-                detail=f"worst-case solve failed: {err}",
+
+        try:
+            worst = search.result()
+        except BackendError as err:
+            report.checks.append(
+                CertificationCheck(
+                    name="worst_case_agrees_with_enumeration",
+                    passed=False,
+                    value=float("nan"),
+                    detail=f"worst-case solve failed: {err}",
+                )
             )
-        )
+        else:
+            sub_gap = abs(worst.dual_objective - enum_max) / max(1.0, abs(enum_max))
+            report.checks.append(
+                CertificationCheck(
+                    name="worst_case_agrees_with_enumeration",
+                    passed=sub_gap <= CERTIFY_TOLERANCE,
+                    value=sub_gap,
+                    detail=(
+                        f"search {worst.dual_objective:.10g} vs enumerated "
+                        f"{enum_max:.10g}"
+                    ),
+                )
+            )
 
     return report

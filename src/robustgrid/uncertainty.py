@@ -153,15 +153,21 @@ def realize(
     """
     check_flags(inst, realization.flags, budget)
     grid = inst.timegrid
+    # each step's period id, or None: the first period holding it wins, as
+    # in TimeGrid.period_of
+    period_ids: list[str | None] = [None] * grid.step_count
+    for period in reversed(grid.periods):
+        for t in range(max(period.start, 0), min(period.end + 1, grid.step_count)):
+            period_ids[t] = period.id
     out: dict[str, tuple[float, ...]] = {}
     for unit in inst.renewables:
         tech = tech_class(unit.technology)
+        ref, dev = unit.cf.reference, unit.cf.deviation
         values = []
-        for t in range(grid.step_count):
-            v = unit.cf.reference[t]
-            period = grid.period_of(t)
-            if period is not None and realization.hits(tech, unit.region, period.id):
-                v -= unit.cf.deviation[t]
+        for t, pid in enumerate(period_ids):
+            v = ref[t]
+            if pid is not None and realization.hits(tech, unit.region, pid):
+                v -= dev[t]
             values.append(max(0.0, v))
         out[unit.id] = tuple(values)
     return out

@@ -324,6 +324,21 @@ def test_target_above_the_optimum_solves_exactly(backend):
     assert np.array_equal(res.x, exact.x)
 
 
+def test_milp_results_carry_highs_counts():
+    # nodes and simplex iterations, for a proven optimum and for an early
+    # stop at the target alike
+    model = _multi_knapsack()
+    exact = ScipyBackend().solve_milp(model)
+    early = ScipyBackend().solve_milp(model, target=0.95 * exact.objective)
+    assert (exact.status, early.status) == ("optimal", "target")
+    for res in (exact, early):
+        assert isinstance(res.stats["nodes"], int)
+        assert isinstance(res.stats["iterations"], int)
+    assert exact.stats["nodes"] >= 1 and exact.stats["iterations"] > 0
+    assert early.stats["nodes"] <= exact.stats["nodes"]
+    assert early.stats["iterations"] < exact.stats["iterations"]
+
+
 def test_intree_ignores_the_target():
     model = _multi_knapsack()
     exact = InTreeBackend().solve_milp(model)

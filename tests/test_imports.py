@@ -39,6 +39,18 @@ def test_import_loads_highs_but_not_scipy_optimize_sparse_or_linalg():
         assert heavy not in loaded
 
 
+def test_import_loads_no_pool_machinery():
+    # the ladder's process pool and certify's search thread import theirs
+    # when they run
+    out = _run(
+        "import sys\n"
+        "import robustgrid, robustgrid.cli\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] in "
+        "('concurrent', 'multiprocessing')))\n"
+    )
+    assert out.split() == []
+
+
 def test_scipy_optimize_after_robustgrid_uses_the_same_highs():
     out = _run(
         "import sys\n"

@@ -1,13 +1,17 @@
 """Enumeration oracle: exact optima, argmax sets, run certification."""
 
+import concurrent.futures
 import dataclasses
 import json
+import math
 import random
+import threading
+from types import SimpleNamespace
 
 import pytest
 
 from robustgrid import oracle
-from robustgrid.backend import InTreeBackend, ScipyBackend
+from robustgrid.backend import BackendError, InTreeBackend, ScipyBackend
 from robustgrid.ccg import CcgConfig, run_ccg
 from robustgrid.master import (
     build_master,
@@ -494,6 +498,108 @@ def test_certify_records_a_stalled_referee(monkeypatch):
     assert check.detail.startswith("enumeration referee stalled after ")
     assert check.detail.endswith("member 3 is in the LP, yet it costs 1000 above "
                                  "the recourse bound")
+
+
+# --- the worst-case search beside the pricing -----------------------------------
+
+def test_certify_searches_while_it_prices(monkeypatch):
+    # The pricing batch waits until the search has started on another
+    # thread; a certify_run that searched only after pricing would time out.
+    inst = two_region()
+    budget = UncertaintyBudget(1, 1)
+    result = run_ccg(inst, budget, backend=SCIPY)
+    started = threading.Event()
+    threads = {}
+    build = oracle.build_subproblem
+
+    def search(*args, **kwargs):
+        threads["search"] = threading.get_ident()
+        started.set()
+        return build(*args, **kwargs)
+
+    def priced(inst, capacities, realized, backend):
+        assert started.wait(10.0)
+        threads["pricing"] = threading.get_ident()
+        return dispatch_cost(inst, capacities, realized, backend)
+
+    monkeypatch.setattr(oracle, "build_subproblem", search)
+    monkeypatch.setattr(oracle, "dispatch_cost", priced)
+    report = certify_run(inst, budget, result, SCIPY)
+    assert report.passed
+    assert threads["pricing"] == threading.get_ident() != threads["search"]
+
+
+def test_certify_records_a_failed_search(monkeypatch):
+    inst = two_region()
+    budget = UncertaintyBudget(1, 1)
+    result = run_ccg(inst, budget, backend=SCIPY)
+
+    def failing(*args, **kwargs):
+        raise BackendError("worst-case solve ended infeasible")
+
+    monkeypatch.setattr(oracle, "solve_subproblem", failing)
+    report = certify_run(inst, budget, result, SCIPY)
+    objective, coverage, search = report.checks
+    assert objective.passed and coverage.passed
+    assert search.name == "worst_case_agrees_with_enumeration"
+    assert not search.passed and math.isnan(search.value)
+    assert search.detail == "worst-case solve failed: worst-case solve ended infeasible"
+
+
+def test_certify_raises_what_the_search_raises_and_joins_its_thread(monkeypatch):
+    inst = two_region()
+    budget = UncertaintyBudget(1, 1)
+    result = run_ccg(inst, budget, backend=SCIPY)
+
+    def failing(*args, **kwargs):
+        raise ValueError("capacity of unit pv_a is not finite")
+
+    monkeypatch.setattr(oracle, "solve_subproblem", failing)
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="pv_a is not finite"):
+        certify_run(inst, budget, result, SCIPY)
+    assert threading.active_count() == before
+
+
+def test_certify_checks_the_cap_before_it_searches(monkeypatch):
+    inst = two_region()
+    budget = UncertaintyBudget(1, 1)
+    result = run_ccg(inst, budget, backend=SCIPY)
+    searched = []
+    monkeypatch.setattr(oracle, "build_subproblem", lambda *a, **k: searched.append(a))
+    before = threading.active_count()
+    with pytest.raises(EnumerationCapError):
+        certify_run(inst, budget, result, SCIPY, cap=3)
+    assert searched == []
+    assert threading.active_count() == before
+
+
+class SearchLast:
+    """Stands in for the thread pool: a task runs when its result is read,
+    so certify_run searches after the coverage check, on the calling thread."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn):
+        return SimpleNamespace(result=fn)
+
+
+@pytest.mark.parametrize("gamma", [0, 1, 2])
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_certify_reports_as_if_it_searched_last(name, gamma, monkeypatch):
+    inst = FIXTURES[name]()
+    budget = UncertaintyBudget(gamma, gamma)
+    result = run_ccg(inst, budget, backend=SCIPY)
+    beside = certify_run(inst, budget, result, SCIPY).to_dict()
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SearchLast)
+    assert certify_run(inst, budget, result, SCIPY).to_dict() == beside
 
 
 def test_certify_report_is_json_clean():

@@ -1,14 +1,18 @@
 """Uncertainty set: realization arithmetic, enumeration counts, budgets."""
 
 import dataclasses
+import importlib.util
 import itertools
 import logging
 import math
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
-from robustgrid.model import PV, WIND
+from robustgrid.io import load_instance
+from robustgrid.model import PV, WIND, Period, tech_class
 from robustgrid.uncertainty import (
     EnumerationCapError,
     UncertaintyBudget,
@@ -100,6 +104,75 @@ def test_realize_rejects_unknown_region_and_budget_violation():
         realize(inst, too_many, UncertaintyBudget(gamma_pv=1))
     # fine without a budget to enforce
     realize(inst, too_many)
+
+
+def realize_by_period_of(inst, realization):
+    """realize as it was written first: TimeGrid.period_of for every unit
+    and step."""
+    grid = inst.timegrid
+    out = {}
+    for unit in inst.renewables:
+        tech = tech_class(unit.technology)
+        values = []
+        for t in range(grid.step_count):
+            v = unit.cf.reference[t]
+            period = grid.period_of(t)
+            if period is not None and realization.hits(tech, unit.region, period.id):
+                v -= unit.cf.deviation[t]
+            values.append(max(0.0, v))
+        out[unit.id] = tuple(values)
+    return out
+
+
+def _perfbench_instance(regions, periods, steps_per_period):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "instances.py"
+    spec = importlib.util.spec_from_file_location("perfbench_instances", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module.build(module.Shape(regions, periods, steps_per_period), None)
+
+
+def _with_periods(inst, *periods):
+    return inst.replace(timegrid=dataclasses.replace(inst.timegrid, periods=periods))
+
+
+REALIZE_CASES = {
+    "single_node": toys.single_node,
+    "two_region": toys.two_region,
+    "two_period_battery": toys.two_period_battery,
+    "three_region_hydro": toys.three_region_hydro,
+    "symmetric_pair": toys.symmetric_pair,
+    "toy6": lambda: load_instance(Path(__file__).parent / "fixtures" / "toy6.json"),
+    "certify-small": lambda: _perfbench_instance(3, 2, 4),
+    "ladder-mid": lambda: _perfbench_instance(6, 2, 7),
+    # steps 0, 2 and 5 lie outside every period
+    "gaps": lambda: _with_periods(
+        toys.two_period_battery(steps_per_period=3), Period("p1", 1, 1), Period("p2", 3, 4)
+    ),
+    # not a valid grid; realize still takes the first period holding a step
+    "overlap": lambda: _with_periods(
+        toys.two_period_battery(), Period("p1", 0, 2), Period("p2", 1, 3)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REALIZE_CASES))
+def test_realize_equals_the_period_of_version(name):
+    # the reference, every flag, and random flag sets
+    inst = REALIZE_CASES[name]()
+    flags = [
+        (tech, region.id, period.id)
+        for tech in (PV, WIND)
+        for region in inst.regions
+        for period in inst.timegrid.periods
+    ]
+    rng = random.Random(7)
+    sets = [frozenset(), frozenset(flags)]
+    sets += [frozenset(f for f in flags if rng.random() < 0.4) for _ in range(20)]
+    for flagged in sets:
+        realization = WorstCaseRealization(flagged)
+        assert realize(inst, realization) == realize_by_period_of(inst, realization)
 
 
 # --- enumeration ---------------------------------------------------------
