@@ -842,7 +842,8 @@ class InTreeBackend:
         self, model: LinearModel, gap_tol: float = 1e-9, target: float | None = None
     ) -> SolveResult:
         """Best-first branch-and-bound to the relative gap gap_tol. target is
-        accepted and ignored: a proven optimum answers any target."""
+        accepted and ignored: a proven optimum answers any target. The
+        result records the nodes branched on or closed in stats["nodes"]."""
         if gap_tol < 0:
             raise ValueError("gap_tol must be nonnegative")
         if not model.is_mip:
@@ -862,7 +863,7 @@ class InTreeBackend:
             return SolveResult(status=root.status)
         incumbent: SolveResult | None = None
         best_obj = INF  # min space
-        counter = 0
+        counter = nodes = 0
         heap = [(sign * root.objective, counter, {}, root)]
 
         def cutoff() -> float:
@@ -874,6 +875,7 @@ class InTreeBackend:
             bound, _, fix, res = heapq.heappop(heap)
             if bound >= cutoff() - 1e-12:
                 continue
+            nodes += 1
             frac_j, frac_dist = -1, -1.0
             for j in bins:
                 v = res.x[j]
@@ -899,6 +901,7 @@ class InTreeBackend:
         if incumbent is None:
             return SolveResult(status="infeasible")
         incumbent.duals = None  # relaxation duals are not the MILP's
+        incumbent.stats["nodes"] = nodes
         return incumbent
 
 

@@ -8,8 +8,8 @@ first master already hedges against a drought in every region, and at
 full budget its one seed dominates the whole set. CCG stays exact from any
 starting subset of the uncertainty set (Zeng & Zhao 2013): every seed is a
 member, so the master is still a relaxation of the robust problem and its
-objective a valid lower bound, and the loop still stops only on the exact
-search below.
+objective a valid lower bound, and the loop still stops only on an exact
+worst case below.
 
 Each iteration then adds a cut. The memory does not get the search's worst
 case itself but its completion (uncertainty.complete): the same flags plus
@@ -22,13 +22,21 @@ the cut costs at least the worst-case value, and it is a member, so it
 costs at most that. The trace keeps the seeds and the search's own worst
 case.
 
+Where the budget leaves the adversary no choice there is no search. That
+holds at a budget of 0, at full budget, and wherever every (technology,
+period) group holds no more live flags at the master's capacities than its
+budget allows: the one maximal member then flags every live flag of the
+groups with a positive budget. As a flag never lowers the dispatch cost,
+that member is the worst case, so one dispatch LP prices it exactly, with
+no MILP and no big-M; the iteration records it as an exact worst case.
+
 Separation is inexact until the end (Tsang, Shehadeh & Curtis, inexact
 column-and-constraint generation): the search gets a target, the master's
 recourse bound eta plus a margin of 10 x tolerance x max(1, |master
 objective|), and stops at the first realization whose value reaches it;
 any such realization is a valid cut. Only a search that never reaches the
-target runs to its optimum, and only such an exact search counts for the
-bounds:
+target runs to its optimum, and only such an exact search, or a pricing,
+counts for the bounds:
 
 - The master objective is a lower bound that only rises as memory grows.
 - Investment plus an exact worst-case value is an upper bound; the trace
@@ -36,10 +44,10 @@ bounds:
   first exact search. An early stop's value is only a lower bound on the
   worst case, and its saturation check has not run, so it never touches the
   upper bound.
-- The loop stops only on an exact search whose own bound pair closes, which
-  is the same statement as the convergence certificate: the worst case
-  found for the final plan costs no more than the recourse the master
-  already priced.
+- The loop stops only on an exact search, or an exact pricing, whose own
+  bound pair closes, which is the same statement as the convergence
+  certificate: the worst case found for the final plan costs no more than
+  the recourse the master already priced.
 
 With exact arithmetic no cut can repeat while the gap is open. An exact
 search's cut costs at least the worst-case value, and a cut in memory
@@ -60,8 +68,15 @@ import time
 from dataclasses import dataclass, field
 
 from .backend import BackendError, get_backend
-from .master import MasterSolution, build_master, dispatch_template, solve_master
-from .subproblem import build_subproblem, solve_subproblem
+from .master import (
+    CapKey,
+    MasterSolution,
+    build_master,
+    dispatch_cost,
+    dispatch_template,
+    solve_master,
+)
+from .subproblem import build_subproblem, live_flags, solve_subproblem
 from .uncertainty import (
     UncertaintyBudget,
     WorstCaseRealization,
@@ -87,7 +102,8 @@ log = logging.getLogger(__name__)
 class CcgConfig:
     """Loop controls. The worst-case MILP runs to a relative gap of a
     tenth of the stopping tolerance, so its bound is crisper than the gap it
-    feeds."""
+    feeds. big_m is its linearization constant; it does not apply to an
+    iteration that prices its one maximal member, which builds no MILP."""
 
     tolerance: float = 1e-8
     max_iterations: int = 50
@@ -116,12 +132,19 @@ class CcgIteration:
     duplicate: bool  # the cut was already in memory
     seconds: float  # wall time of the whole iteration
     master_s: float  # of which solve_master
-    worst_s: float  # of which solve_subproblem
+    worst_s: float  # of which solve_subproblem, or the whole pricing
 
     @property
     def exact(self) -> bool:
-        """The search proved its optimum rather than stop at its target."""
+        """The worst case is exact: the search proved its optimum rather
+        than stop at its target, or the iteration priced it."""
         return self.realization.exact
+
+    @property
+    def milp_nodes(self) -> int | None:
+        """The worst-case MILP's branch-and-bound nodes; None where the
+        iteration priced its one maximal member instead of searching."""
+        return self.realization.milp_nodes
 
 
 @dataclass
@@ -167,14 +190,19 @@ def run_ccg(
             master_started = time.perf_counter()
             solution = solve_master(build, backend)
             master_s = time.perf_counter() - master_started
-            sub = build_subproblem(inst, solution.capacities, budget, big_m=config.big_m)
-            target = solution.recourse_bound + 10.0 * config.tolerance * max(
-                1.0, abs(solution.objective)
-            )
             worst_started = time.perf_counter()
-            worst = solve_subproblem(
-                sub, backend, gap_tol=config.tolerance / 10.0, target=target
-            )
+            worst = _priced_worst_case(inst, solution.capacities, budget, backend)
+            if worst is None:
+                sub = build_subproblem(
+                    inst, solution.capacities, budget, big_m=config.big_m
+                )
+                target = solution.recourse_bound + 10.0 * config.tolerance * max(
+                    1.0, abs(solution.objective)
+                )
+                worst_started = time.perf_counter()
+                worst = solve_subproblem(
+                    sub, backend, gap_tol=config.tolerance / 10.0, target=target
+                )
             worst_s = time.perf_counter() - worst_started
         except BackendError as err:
             raise BackendError(f"iteration {k}: {err}") from err
@@ -238,6 +266,33 @@ def run_ccg(
         log.warning("gamma %s: %s", rung, trace.message)
 
     return solution, trace
+
+
+def _priced_worst_case(
+    inst: NetworkInstance,
+    capacities: dict[CapKey, float],
+    budget: UncertaintyBudget,
+    backend,
+) -> WorstCaseRealization | None:
+    """The worst case at these capacities, priced by one dispatch LP, where
+    the budget leaves the adversary no choice; None where it leaves one.
+
+    The search has a binary for each live flag (live_flags). There is no
+    choice where every (technology, period) group of live flags has a budget
+    of 0 or of at least its count: the one maximal member then flags every
+    live flag of the groups with a positive budget, and as a flag never
+    lowers the dispatch cost, its cost is the search's optimum.
+    """
+    live = live_flags(inst, capacities)
+    counts: dict[tuple[str, str], int] = {}
+    for tech, _, period in live:
+        counts[tech, period] = counts.get((tech, period), 0) + 1
+    if any(0 < budget.limit(tech) < n for (tech, _), n in counts.items()):
+        return None
+    flags = frozenset(flag for flag in live if budget.limit(flag[0]) > 0)
+    realized = realize(inst, WorstCaseRealization(flags), budget)
+    [cost] = dispatch_cost(inst, capacities, [realized], backend)
+    return WorstCaseRealization(flags, dual_objective=cost)
 
 
 @dataclass

@@ -504,6 +504,16 @@ class DispatchTemplate:
             start, rows, 0.0 + values * sign[rows], (self.n_vars, self.n_rows)
         )
 
+    def cap_array(self, capacities: dict[CapKey, float]) -> np.ndarray:
+        """A capacity map as one value per key, 0 where the map has none."""
+        return np.array([capacities.get(key, 0.0) for key in self.keys], dtype=float)
+
+    def live(self, caps: np.ndarray) -> np.ndarray:
+        """Mask of the ren_cap entries a flag moves at capacities caps (one
+        value per key): those of a flag, with capacity and deviation both
+        positive. Only their flags can change the dispatch."""
+        return (self.ren_flags >= 0) & (caps[self.cap_keys[self.ren]] * self.ren_dev > 0.0)
+
     def realized_coefs(self, cf: np.ndarray) -> np.ndarray:
         """Capacity-factor coefficients of the ren_cap rows, per realization.
 
@@ -682,7 +692,7 @@ def build_dispatch_lp(
         if not math.isfinite(v) or v < 0:
             raise ValueError(f"capacity {key}: bad value {v}")
     tpl = dispatch_template(inst)
-    caps = np.array([capacities.get(key, 0.0) for key in tpl.keys], dtype=float)
+    caps = tpl.cap_array(capacities)
     ren_coefs = tpl.realized_coefs(_cf_array(inst, [cf], ["d"]))[0]
     model = LinearModel(
         tpl.matrix,

@@ -98,7 +98,9 @@ def write_trace_csv(path: str | Path, trace: CcgTrace) -> None:
     whether its search was exact (1) or stopped at its target (0).
     upper_bound and gap read inf until the first exact search. seconds is
     the iteration's wall time; master_s and worst_s are the parts of it
-    spent solving the master and in the worst-case search."""
+    spent solving the master and in the worst-case search. milp_nodes is
+    that search's branch-and-bound node count, blank where the iteration
+    priced the budget's one maximal member instead."""
     rows = [
         [
             str(it.index),
@@ -110,6 +112,7 @@ def write_trace_csv(path: str | Path, trace: CcgTrace) -> None:
             str(int(it.exact)),
             fmt(it.master_s),
             fmt(it.worst_s),
+            "" if it.milp_nodes is None else str(it.milp_nodes),
         ]
         for it in trace.iterations
     ]
@@ -117,7 +120,7 @@ def write_trace_csv(path: str | Path, trace: CcgTrace) -> None:
         path,
         [
             "iteration", "lower_bound", "upper_bound", "gap", "realization", "seconds",
-            "exact", "master_s", "worst_s",
+            "exact", "master_s", "worst_s", "milp_nodes",
         ],
         rows,
     )

@@ -54,6 +54,7 @@ __all__ = [
     "SubproblemBuild",
     "default_big_m",
     "build_subproblem",
+    "live_flags",
     "solve_subproblem",
     "verify_strong_duality",
 ]
@@ -130,10 +131,10 @@ def build_subproblem(
     n_dual = pm.n_rows
     eq = tpl.row_sense == EQ
 
-    # flag binaries, only where flipping one changes the dispatch at all;
-    # indices below run over the template's ren_cap entries
+    # flag binaries, only where flipping one changes the dispatch at all
+    # (live_flags); indices below run over the template's ren_cap entries
     ren_cap = disp.cap_values[tpl.cap_keys[tpl.ren]]
-    hit = np.flatnonzero((tpl.ren_flags >= 0) & (ren_cap * tpl.ren_dev > 0.0))
+    hit = np.flatnonzero(tpl.live(disp.cap_values))
     z_ranks, first = np.unique(tpl.ren_flags[hit], return_index=True)  # sorted flags
     n_z = len(z_ranks)
     z_flags = [tpl.flags[r] for r in z_ranks.tolist()]
@@ -234,6 +235,16 @@ def build_subproblem(
     )
 
 
+def live_flags(inst: NetworkInstance, capacities: dict[CapKey, float]) -> list[Flag]:
+    """The flags build_subproblem gives a binary at these capacities, sorted:
+    those that lower the availability of some unit with capacity."""
+    tpl = dispatch_template(inst)
+    # a mask rather than np.unique, which without return_index loads numpy.ma
+    live = np.zeros(len(tpl.flags), dtype=bool)
+    live[tpl.ren_flags[tpl.live(tpl.cap_array(capacities))]] = True
+    return [tpl.flags[r] for r in np.flatnonzero(live).tolist()]
+
+
 def _duality_gap(
     build: SubproblemBuild, realization: WorstCaseRealization, objective: float, backend
 ) -> float:
@@ -285,7 +296,8 @@ def solve_subproblem(
 
     The returned realization carries its flags, checked against the
     budget, and, as dual_objective, the optimal dual value: the worst-case
-    dispatch cost at the build's capacities.
+    dispatch cost at the build's capacities; as milp_nodes, the backend's
+    branch-and-bound node count.
 
     Given a target, the search may stop at the first realization whose dual
     value reaches it; the result is then marked exact=False, and its
@@ -303,7 +315,10 @@ def solve_subproblem(
     if exact:
         _check_saturation(build, res.x, flags, objective, backend)
     check_flags(build.instance, flags, build.budget)
-    return WorstCaseRealization(flags=flags, dual_objective=objective, exact=exact)
+    return WorstCaseRealization(
+        flags=flags, dual_objective=objective, exact=exact,
+        milp_nodes=res.stats.get("nodes"),
+    )
 
 
 def verify_strong_duality(

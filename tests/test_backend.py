@@ -339,6 +339,13 @@ def test_milp_results_carry_highs_counts():
     assert early.stats["iterations"] < exact.stats["iterations"]
 
 
+def test_intree_milp_results_carry_node_counts():
+    # the knapsack branches, so the in-tree search closes more than its root
+    res = InTreeBackend().solve_milp(_multi_knapsack())
+    assert res.status == "optimal"
+    assert isinstance(res.stats["nodes"], int) and res.stats["nodes"] > 1
+
+
 def test_intree_ignores_the_target():
     model = _multi_knapsack()
     exact = InTreeBackend().solve_milp(model)

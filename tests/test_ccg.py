@@ -21,16 +21,20 @@ from robustgrid.ccg import (
 import robustgrid.ccg as ccg_module
 from robustgrid.io import load_instance
 from robustgrid.master import build_master, capacity_keys, dispatch_cost, solve_master
+from robustgrid.oracle import robust_optimum_by_enumeration
 from robustgrid.subproblem import (
     build_subproblem,
+    live_flags,
     solve_subproblem,
 )
 from robustgrid.uncertainty import (
     UncertaintyBudget,
     WorstCaseRealization,
+    check_flags,
     complete,
     cover,
     enumerate_set,
+    maximal_sets,
     realize,
 )
 
@@ -43,6 +47,7 @@ from toys import (
 )
 
 SCIPY = ScipyBackend()
+TOY6 = Path(__file__).parent / "fixtures" / "toy6.json"
 
 
 def ref_cf(inst):
@@ -210,13 +215,12 @@ def sparse_capacities(inst, rng):
     }
 
 
+TOYS = [single_node, two_region, two_period_battery, three_region_hydro, symmetric_pair]
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("gamma", [0, 1, 2])
-@pytest.mark.parametrize(
-    "make",
-    [single_node, two_region, two_period_battery, three_region_hydro, symmetric_pair],
-    ids=lambda make: make.__name__,
-)
+@pytest.mark.parametrize("make", TOYS, ids=lambda make: make.__name__)
 def test_completed_cut_is_still_a_worst_case(make, gamma, seed):
     inst = make()
     budget = UncertaintyBudget(gamma, gamma).clamp(len(inst.regions))
@@ -231,18 +235,89 @@ def test_completed_cut_is_still_a_worst_case(make, gamma, seed):
 @pytest.mark.parametrize(
     "make, gamma",
     [
-        (lambda: load_instance(Path(__file__).parent / "fixtures" / "toy6.json"), 6),
+        (lambda: load_instance(TOY6), 6),
         (two_region, 2),
     ],
     ids=["toy6", "two_region"],
 )
 def test_full_budget_converges_in_one(make, gamma):
     # the one seed flags every live (tech, region, period), which dominates
-    # every member, so the first exact search closes the gap
+    # every member, so the first iteration's exact worst case closes the gap
     _, trace = run_ccg(make(), UncertaintyBudget(gamma, gamma), backend=SCIPY)
     assert trace.converged
     assert len(trace.seeds) == 1
     assert len(trace.iterations) == 1
+
+
+# --- pricing where the budget leaves no choice -----------------------------------
+
+def counting_milps(monkeypatch):
+    """A scipy backend, and the list its solve_milp appends to per call."""
+    backend, calls = ScipyBackend(), []
+    solve_milp = backend.solve_milp
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve_milp(*args, **kwargs)
+
+    monkeypatch.setattr(backend, "solve_milp", counted)
+    return backend, calls
+
+
+@pytest.mark.parametrize(
+    "make, gamma",
+    [
+        (lambda: load_instance(TOY6), 6),
+        (lambda: load_instance(TOY6), 0),
+        (two_region, 2),
+    ],
+    ids=["toy6-full", "toy6-zero", "two_region-full"],
+)
+def test_budget_without_a_choice_prices_instead_of_searching(make, gamma, monkeypatch):
+    inst = make()
+    budget = UncertaintyBudget(gamma, gamma)
+    backend, calls = counting_milps(monkeypatch)
+    solution, trace = run_ccg(inst, budget, backend=backend)
+    assert calls == []
+    assert trace.converged and len(trace.iterations) == 1
+    assert trace.iterations[0].exact and trace.iterations[0].milp_nodes is None
+    realized = [realize(inst, m) for m in maximal_sets(inst, budget)]
+    optimum = robust_optimum_by_enumeration(inst, budget, SCIPY, realized=realized)
+    assert solution.objective == pytest.approx(optimum, rel=1e-9)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("full", [False, True], ids=["zero", "full"])
+@pytest.mark.parametrize("make", TOYS, ids=lambda make: make.__name__)
+def test_priced_worst_case_equals_the_search(make, full, seed):
+    inst = make()
+    gamma = len(inst.regions) if full else 0
+    budget = UncertaintyBudget(gamma, gamma)
+    caps = sparse_capacities(inst, random.Random(seed))
+    priced = ccg_module._priced_worst_case(inst, caps, budget, SCIPY)
+    build = build_subproblem(inst, caps, budget)
+    assert live_flags(inst, caps) == list(build.z)  # the flags with a binary
+    searched = solve_subproblem(build, SCIPY)
+    assert priced.dual_objective == pytest.approx(
+        searched.dual_objective, rel=1e-6, abs=1e-6
+    )
+    check_flags(inst, priced.flags, budget)
+
+
+@pytest.mark.parametrize(
+    "make, budget",
+    [
+        (symmetric_pair, UncertaintyBudget(1, 0)),
+        (three_region_hydro, UncertaintyBudget(1, 1)),
+        (lambda: load_instance(TOY6), UncertaintyBudget(1, 1)),
+    ],
+    ids=["symmetric_pair", "three_region_hydro", "toy6"],
+)
+def test_budget_with_a_choice_still_searches(make, budget, monkeypatch):
+    backend, calls = counting_milps(monkeypatch)
+    _, trace = run_ccg(make(), budget, CcgConfig(max_iterations=1), backend)
+    assert len(calls) == 1
+    assert trace.iterations[0].milp_nodes is not None
 
 
 # --- failure modes ---------------------------------------------------------------
@@ -262,7 +337,7 @@ def test_iteration_limit_flagged(reference_start, caplog):
 
 def test_duplicate_with_open_gap_stalls(monkeypatch, reference_start, caplog):
     # a worst case re-identified while the gap is open must stop the loop
-    inst = single_node(deviation=0.25)
+    inst = load_instance(TOY6)
     flags = frozenset({("pv", "R1", "p1")})
 
     def fake_solve(build, backend, gap_tol=1e-9, target=None):
@@ -281,7 +356,7 @@ def test_duplicate_with_open_gap_stalls(monkeypatch, reference_start, caplog):
 def test_converged_gap_within_tolerance(monkeypatch):
     # bounds below 1 in magnitude: the gap the loop stops on and the gap it
     # reports must be scaled alike, or a converged run reports 5e-8 > 1e-8
-    inst = single_node()
+    inst = symmetric_pair()
     upper = 0.05 + 5e-9
 
     def fake_master(build, backend):
@@ -303,7 +378,7 @@ def test_converged_gap_within_tolerance(monkeypatch):
 def test_early_stop_neither_stops_nor_lowers_the_upper_bound(monkeypatch, reference_start):
     # an early stop's value is only a lower bound on the worst case: even one
     # that would close the gap must not end the loop or enter the running UB
-    inst = three_region_hydro()
+    inst = load_instance(TOY6)
     results = iter([
         WorstCaseRealization(frozenset({("wind", "R2", "p1")}), dual_objective=1.0),
         WorstCaseRealization(
@@ -323,7 +398,7 @@ def test_early_stop_neither_stops_nor_lowers_the_upper_bound(monkeypatch, refere
 
     monkeypatch.setattr(ccg_module, "solve_master", fake_master)
     monkeypatch.setattr(ccg_module, "solve_subproblem", fake_solve)
-    _, trace = run_ccg(inst, UncertaintyBudget(0, 1), backend=SCIPY)
+    _, trace = run_ccg(inst, UncertaintyBudget(1, 1), backend=SCIPY)
     assert trace.converged and not trace.stalled
     assert [it.exact for it in trace.iterations] == [True, False, True]
     assert [it.upper_bound for it in trace.iterations] == pytest.approx([1.05, 1.05, 0.1])
@@ -334,7 +409,7 @@ def test_early_stop_neither_stops_nor_lowers_the_upper_bound(monkeypatch, refere
 def test_first_iterations_before_an_exact_search_have_infinite_bounds():
     # toy6 at gamma 2 stops its first search early, so an iteration limit of
     # one leaves no exact search: UB and gap are inf, not inf/inf = NaN
-    inst = load_instance(Path(__file__).parent / "fixtures" / "toy6.json")
+    inst = load_instance(TOY6)
     config = CcgConfig(max_iterations=1)
     _, trace = run_ccg(inst, UncertaintyBudget(2, 2), config, SCIPY)
     (it,) = trace.iterations
@@ -345,9 +420,11 @@ def test_first_iterations_before_an_exact_search_have_infinite_bounds():
 
 
 def test_backend_error_carries_iteration_context(reference_start):
-    inst = single_node()
+    # the first two iterations price; the third searches, and its worst case
+    # keeps shedding, so an M of 1 clips it
+    inst = symmetric_pair(annualized_cost=1000.0)
     config = CcgConfig(big_m=1.0)  # saturates the linearization on purpose
-    with pytest.raises(BackendError, match="iteration 0"):
+    with pytest.raises(BackendError, match="iteration 2"):
         run_ccg(inst, UncertaintyBudget(1, 0), config, SCIPY)
 
 
@@ -377,7 +454,6 @@ def _usable_cpus(monkeypatch, count):
 
 # 1 usable CPU runs the rungs in-process, 2 in forked workers
 PATHS = pytest.mark.parametrize("cpus", [1, 2], ids=["in_process", "forked"])
-TOY6 = Path(__file__).parent / "fixtures" / "toy6.json"
 
 
 def test_ladder_monotone_objectives():
@@ -408,7 +484,7 @@ def test_ladder_clamps_oversized_budgets(monkeypatch, caplog):
 
 def test_ladder_collects_errors_and_continues(reference_start, monkeypatch):
     _usable_cpus(monkeypatch, 2)  # the failing rung runs in a worker
-    inst = single_node()
+    inst = symmetric_pair(annualized_cost=1000.0)
     config = CcgConfig(big_m=1.0)
     entries = run_gamma_ladder(inst, [0, 1], config, SCIPY)
     assert entries[0].error is None and entries[0].trace.converged

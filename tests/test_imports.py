@@ -51,6 +51,22 @@ def test_import_loads_no_pool_machinery():
     assert out.split() == []
 
 
+def test_solving_loads_no_masked_arrays():
+    # np.unique without return_index imports numpy.ma (numpy 2.4), about
+    # 1 MB resident; a priced and a searched iteration both run here
+    out = _run(
+        "import sys\n"
+        "from robustgrid.backend import ScipyBackend\n"
+        "from robustgrid.ccg import run_ccg\n"
+        "from robustgrid.uncertainty import UncertaintyBudget\n"
+        "from toys import symmetric_pair\n"
+        "for budget in (UncertaintyBudget(2, 0), UncertaintyBudget(1, 0)):\n"
+        "    run_ccg(symmetric_pair(), budget, backend=ScipyBackend())\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))\n"
+    )
+    assert out.split() == []
+
+
 def test_scipy_optimize_after_robustgrid_uses_the_same_highs():
     out = _run(
         "import sys\n"

@@ -36,7 +36,13 @@ from robustgrid.uncertainty import (
     realize,
 )
 
-from toys import single_node, three_region_hydro, two_period_battery, two_region
+from toys import (
+    single_node,
+    symmetric_pair,
+    three_region_hydro,
+    two_period_battery,
+    two_region,
+)
 
 SCIPY = ScipyBackend()
 
@@ -96,27 +102,39 @@ def test_solution_document_counts_the_seeds():
 
 
 def test_trace_csv_round_trips_exactly(tmp_path):
-    inst = two_region()
-    _, trace = run_ccg(inst, UncertaintyBudget(1, 1), backend=SCIPY)
+    # two_region's budget leaves one maximal member, so its iteration prices
+    # it; symmetric_pair's leaves two, so its iteration searches
+    runs = [
+        run_ccg(two_region(), UncertaintyBudget(1, 1), backend=SCIPY)[1],
+        run_ccg(symmetric_pair(), UncertaintyBudget(1, 0), backend=SCIPY)[1],
+    ]
+    assert [it.milp_nodes is None for trace in runs for it in trace.iterations] == [
+        True, False
+    ]
     path = tmp_path / "trace.csv"
-    write_trace_csv(path, trace)
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == len(trace.iterations)
-    for row, it in zip(rows, trace.iterations):
-        assert int(row["iteration"]) == it.index
-        for col, value in (
-            ("lower_bound", it.lower_bound),
-            ("upper_bound", it.upper_bound),
-            ("gap", it.gap),
-            ("seconds", it.seconds),
-            ("master_s", it.master_s),
-            ("worst_s", it.worst_s),
-        ):
-            assert row[col] == fmt(value)
-            assert float(row[col]) == float(fmt(value))
-        assert row["realization"] == it.realization.summary()
-        assert row["exact"] == str(int(it.exact))
+    for trace in runs:
+        write_trace_csv(path, trace)
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == len(trace.iterations)
+        for row, it in zip(rows, trace.iterations):
+            assert int(row["iteration"]) == it.index
+            for col, value in (
+                ("lower_bound", it.lower_bound),
+                ("upper_bound", it.upper_bound),
+                ("gap", it.gap),
+                ("seconds", it.seconds),
+                ("master_s", it.master_s),
+                ("worst_s", it.worst_s),
+            ):
+                assert row[col] == fmt(value)
+                assert float(row[col]) == float(fmt(value))
+            assert row["realization"] == it.realization.summary()
+            assert row["exact"] == str(int(it.exact))
+            if it.milp_nodes is None:
+                assert row["milp_nodes"] == ""
+            else:
+                assert int(row["milp_nodes"]) == it.milp_nodes
 
 
 def test_run_without_an_exact_search_writes_infinite_bounds(tmp_path):

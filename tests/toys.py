@@ -307,11 +307,13 @@ def three_region_hydro(steps: int = 4) -> NetworkInstance:
     )
 
 
-def symmetric_pair(steps: int = 2) -> NetworkInstance:
+def symmetric_pair(steps: int = 2, annualized_cost: float = 1.0) -> NetworkInstance:
     """Two identical regions with one tie; any one of them can be hit.
 
     Symmetry makes the worst case degenerate, which exercises tie-breaking
-    in the identification step without changing the optimal value.
+    in the identification step without changing the optimal value. With
+    annualized_cost above half the first shedding tier's cost, the robust
+    plan keeps some shedding, so its worst case costs more than nothing.
     """
     nodes = (
         Node("n1", region="R1", is_reference=True),
@@ -323,7 +325,7 @@ def symmetric_pair(steps: int = 2) -> NetworkInstance:
             node=f"n{k}",
             technology="solar_pv",
             region=f"R{k}",
-            annualized_cost=1.0,
+            annualized_cost=annualized_cost,
             cf=CapacityFactorBundle(
                 reference=(0.5,) * steps, deviation=(0.5,) * steps
             ),
