@@ -92,6 +92,7 @@ __all__ = [
     "ScipyBackend",
     "InTreeBackend",
     "get_backend",
+    "PRIMAL_FEASIBILITY_TOLERANCE",
 ]
 
 log = logging.getLogger(__name__)
@@ -386,6 +387,10 @@ _STATUS = {
 # method used. HiGHS's pivots depend on these and on the row order, which
 # is the model's own (see _Loaded).
 _OPTIONS = {"output_flag": False, "presolve": "on", "simplex_strategy": 1}
+
+# HiGHS's primal_feasibility_tolerance, left at its default by _OPTIONS: a
+# solution's bounds and rows hold to within this, in absolute terms.
+PRIMAL_FEASIBILITY_TOLERANCE = 1e-7
 
 # RINS and RENS are sub-MIPs that only hunt incumbents (Danna, Rothberg &
 # Le Pape 2005; Berthold 2014); CCG's exact solves need the proven optimum.

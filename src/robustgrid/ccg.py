@@ -30,13 +30,20 @@ groups with a positive budget. As a flag never lowers the dispatch cost,
 that member is the worst case, so one dispatch LP prices it exactly, with
 no MILP and no big-M; the iteration records it as an exact worst case.
 
+Where the plan stores no energy and the horizon has two periods or more,
+the search splits by period: one MILP per period window, whose values add
+up to the worst case (see subproblem). build_subproblem and
+solve_subproblem decide that between them, so the loop still calls each
+once per search, and the iteration counts the MILPs it solved.
+
 Separation is inexact until the end (Tsang, Shehadeh & Curtis, inexact
 column-and-constraint generation): the search gets a target, the master's
 recourse bound eta plus a margin of 10 x tolerance x max(1, |master
 objective|), and stops at the first realization whose value reaches it;
-any such realization is a valid cut. Only a search that never reaches the
-target runs to its optimum, and only such an exact search, or a pricing,
-counts for the bounds:
+any such realization is a valid cut. A split search gives the target to
+its last window only, less what the windows before it found. Only a search
+that never reaches the target runs to its optimum, and only such an exact
+search, or a pricing, counts for the bounds:
 
 - The master objective is a lower bound that only rises as memory grows.
 - Investment plus an exact worst-case value is an upper bound; the trace
@@ -73,10 +80,9 @@ from .master import (
     MasterSolution,
     build_master,
     dispatch_cost,
-    dispatch_template,
     solve_master,
 )
-from .subproblem import build_subproblem, live_flags, solve_subproblem
+from .subproblem import build_subproblem, live_flags, search_templates, solve_subproblem
 from .uncertainty import (
     UncertaintyBudget,
     WorstCaseRealization,
@@ -141,9 +147,17 @@ class CcgIteration:
         return self.realization.exact
 
     @property
+    def milps(self) -> int:
+        """The worst-case MILPs the iteration solved: 0 where it priced its
+        one maximal member, 1 for a whole-horizon search, and one per
+        period window where the search split by period."""
+        return self.realization.milps
+
+    @property
     def milp_nodes(self) -> int | None:
-        """The worst-case MILP's branch-and-bound nodes; None where the
-        iteration priced its one maximal member instead of searching."""
+        """The worst-case MILPs' branch-and-bound nodes, summed over them;
+        None where the iteration priced its one maximal member instead of
+        searching."""
         return self.realization.milp_nodes
 
 
@@ -340,7 +354,7 @@ def run_gamma_ladder(
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    dispatch_template(inst)  # emitted once here rather than once per worker
+    search_templates(inst)  # emitted once here rather than once per worker
     pool = ProcessPoolExecutor(
         workers,
         mp_context=multiprocessing.get_context("fork"),

@@ -34,7 +34,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .backend import EQ, LE, BackendError, CSRMatrix, LinearModel, ModelBuilder, SolveResult
+from .backend import (
+    EQ,
+    LE,
+    PRIMAL_FEASIBILITY_TOLERANCE,
+    BackendError,
+    CSRMatrix,
+    LinearModel,
+    ModelBuilder,
+    SolveResult,
+)
 from .model import ConventionalUnit, NetworkInstance, tech_class
 
 __all__ = [
@@ -59,6 +68,19 @@ CapKey = tuple[str, str]  # (kind, entity id)
 _Limit = tuple[float, tuple[CapKey, float] | None]  # (base rhs, capacity term)
 
 ANGLE_BOUND = math.pi
+
+# solve_master returns every capacity at or below this as exactly 0.0 (MW
+# or MWh). HiGHS holds bounds and rows only to its primal feasibility
+# tolerance, so a capacity far below it is noise: HiGHS left a hydrogen
+# tank of 4.7e-13 MWh on the benchmark ladder. Kept, such noise becomes
+# model structure: a flag binary wherever capacity times deviation is
+# positive (DispatchTemplate.live), or a storage level that may carry
+# energy from one period to the next, which keeps the worst-case search
+# whole (subproblem). The threshold is a hundredth of the tolerance: three
+# orders of magnitude above the noise seen, and far below what a plan
+# builds on purpose, so snapping never undoes a decision the solver could
+# tell from zero.
+CAPACITY_SNAP = 1e-2 * PRIMAL_FEASIBILITY_TOLERANCE
 
 
 def _limit(value: float | None) -> float:
@@ -168,6 +190,7 @@ class _BlockEmitter:
         self.shed_terms: list[tuple[int, float]] = []
         self.coupling: list[tuple[int, CapKey, float]] = []
         self.ren: list[tuple[int, int, int, float, tuple[str, str, str] | None]] = []
+        self.level_caps: list[int] = []
 
     # -- low-level helpers -------------------------------------------------
 
@@ -229,7 +252,7 @@ class _BlockEmitter:
         """
         self.rating(f"{prefix}_gen_cap", "gen", uid, t, *gen)
         self.rating(f"{prefix}_ch_cap", "ch", uid, t, *ch)
-        self.rating(f"{prefix}_lvl_cap", "lvl", uid, t, *lvl)
+        self.level_caps.append(self.rating(f"{prefix}_lvl_cap", "lvl", uid, t, *lvl))
         coeffs = [
             (self.col("lvl", uid, t), 1.0),
             (self.col("ch", uid, t), -gain),
@@ -419,8 +442,10 @@ class DispatchTemplate:
     cap_rows, cap_keys (positions in `keys`) and cap_coefs. For the entries
     listed in `ren` (the ren_cap rows) the coefficient is per unit of
     capacity factor, taken at unit ren_units and step ren_steps of the
-    realization. Names are local; builders prefix a tag only when a
-    model's names are read.
+    realization. level_caps lists the rows that cap a storage level, as
+    store() writes them; where each of their right-hand sides is 0, no
+    level can carry energy from one step to the next. Names are local;
+    builders prefix a tag only when a model's names are read.
     """
 
     def __init__(self, inst: NetworkInstance):
@@ -459,6 +484,7 @@ class DispatchTemplate:
         self.flags = sorted({f for *_, f in ren if f is not None})
         rank = {flag: i for i, flag in enumerate(self.flags)}
         self.ren_flags = np.array([rank.get(f, -1) for *_, f in ren], dtype=np.intp)
+        self.level_caps = np.array(emitter.level_caps, dtype=np.intp)
 
     @cached_property
     def master_block(self) -> tuple[np.ndarray, ...]:
@@ -654,7 +680,10 @@ def solve_master(build: MasterBuild, backend) -> MasterSolution:
             f"master solve ended {res.status}; with shedding tiers covering "
             "demand this indicates corrupt input data"
         )
-    capacities = {key: max(0.0, float(res.x[j])) for key, j in build.inv.items()}
+    capacities = {
+        key: float(res.x[j]) if res.x[j] > CAPACITY_SNAP else 0.0
+        for key, j in build.inv.items()
+    }
     blocks = [_extract_block(b, res.x) for b in build.blocks]
     eta = float(res.x[build.eta])
     return MasterSolution(

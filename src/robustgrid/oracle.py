@@ -50,12 +50,11 @@ from .master import (
     build_master,
     capacity_table,
     dispatch_cost,
-    dispatch_template,
     investment_cost,
     solve_master,
 )
 from .model import NetworkInstance
-from .subproblem import build_subproblem, solve_subproblem
+from .subproblem import build_subproblem, search_templates, solve_subproblem
 from .uncertainty import (
     DEFAULT_ENUMERATION_CAP,
     UncertaintyBudget,
@@ -244,7 +243,7 @@ def certify_run(
     solution, _ = ccg_result
     report = CertificationReport()
     members = maximal_sets(inst, budget, cap=cap)
-    dispatch_template(inst)  # emitted once here rather than by both threads
+    search_templates(inst)  # emitted once here rather than by both threads
     with ThreadPoolExecutor(max_workers=1) as pool:
         search = pool.submit(
             lambda: solve_subproblem(

@@ -100,7 +100,9 @@ def write_trace_csv(path: str | Path, trace: CcgTrace) -> None:
     the iteration's wall time; master_s and worst_s are the parts of it
     spent solving the master and in the worst-case search. milp_nodes is
     that search's branch-and-bound node count, blank where the iteration
-    priced the budget's one maximal member instead."""
+    priced the budget's one maximal member instead, and milps the MILPs it
+    solved: 0 where priced, 1 for the whole horizon, one per period window
+    where the search split by period."""
     rows = [
         [
             str(it.index),
@@ -113,6 +115,7 @@ def write_trace_csv(path: str | Path, trace: CcgTrace) -> None:
             fmt(it.master_s),
             fmt(it.worst_s),
             "" if it.milp_nodes is None else str(it.milp_nodes),
+            str(it.milps),
         ]
         for it in trace.iterations
     ]
@@ -120,7 +123,7 @@ def write_trace_csv(path: str | Path, trace: CcgTrace) -> None:
         path,
         [
             "iteration", "lower_bound", "upper_bound", "gap", "realization", "seconds",
-            "exact", "master_s", "worst_s", "milp_nodes",
+            "exact", "master_s", "worst_s", "milp_nodes", "milps",
         ],
         rows,
     )

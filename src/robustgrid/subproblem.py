@@ -29,13 +29,27 @@ emitted rows alone. Capacities only move right-hand sides, never the
 matrix, so the transposed block is computed once per instance; a build
 stamps the parts that depend on the capacities (dual objective, flag
 binaries, budget rows, linearization rows) as arrays around it.
+
+Split by period: dispatch steps interact only through storage levels,
+each level following lvl[t] = lvl[t-1] + charge - discharge. Where every
+level cap has a right-hand side of 0 (no pumped hydro, and no battery or
+hydrogen energy built), each level is pinned at 0, so no step carries
+energy to the next and the dispatch cost is a sum over steps. The budgets
+are per period, so a realization is a free choice of flags in each period.
+The worst case is then the sum of one worst case per period window
+(period_windows): steps outside every period join a window but carry no
+flag. Those searches are much smaller than the whole-horizon MILP, which
+branches over the product of every period's choices, and CCG stays exact
+with any exact worst-case search (Zeng & Zhao 2013). Where a plan stores
+energy the whole-horizon MILP runs as built.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,7 +61,15 @@ from .master import (
     dispatch_cost,
     dispatch_template,
 )
-from .model import NetworkInstance, PV, WIND
+from .model import (
+    PV,
+    WIND,
+    CapacityFactorBundle,
+    DemandSeries,
+    NetworkInstance,
+    Period,
+    TimeGrid,
+)
 from .uncertainty import Flag, UncertaintyBudget, WorstCaseRealization, check_flags, realize
 
 __all__ = [
@@ -55,6 +77,8 @@ __all__ = [
     "default_big_m",
     "build_subproblem",
     "live_flags",
+    "period_windows",
+    "search_templates",
     "solve_subproblem",
     "verify_strong_duality",
 ]
@@ -87,6 +111,8 @@ class SubproblemBuild:
     z: dict[Flag, int]
     phi: dict[int, int]  # primal row index -> auxiliary variable
     dispatch: DispatchBuild
+    # one build per period window where the search splits by period, else none
+    windows: list[SubproblemBuild] = field(default_factory=list)
 
 
 def _csr_rows(parts, n_cols: int) -> CSRMatrix:
@@ -104,6 +130,68 @@ def _csr_rows(parts, n_cols: int) -> CSRMatrix:
     )
 
 
+def period_windows(inst: NetworkInstance) -> list[NetworkInstance]:
+    """The horizon cut into contiguous windows, one per period, in time order.
+
+    A window runs from its period's first step to the step before the next
+    period's; steps before the first period join the first window, and the
+    steps after the last period the last. Each window is the instance with
+    every per-step series sliced to its steps (renewable reference and
+    deviation, hydro availability, demand) and its one period moved with
+    them. The windows are kept on the instance, as its dispatch template is.
+    """
+    windows = inst.__dict__.get("_period_windows")
+    if windows is None:
+        periods = sorted(inst.timegrid.periods, key=lambda p: p.start)
+        bounds = [0] + [p.start for p in periods[1:]] + [inst.timegrid.step_count]
+        windows = [
+            _window(inst, period, start, stop)
+            for period, start, stop in zip(periods, bounds, bounds[1:])
+        ]
+        object.__setattr__(inst, "_period_windows", windows)
+    return windows
+
+
+def _window(inst: NetworkInstance, period: Period, start: int, stop: int) -> NetworkInstance:
+    """The instance on steps start..stop-1, with period as its only period."""
+    cut = slice(start, stop)
+    return inst.replace(
+        renewables=tuple(
+            dataclasses.replace(
+                r, cf=CapacityFactorBundle(r.cf.reference[cut], r.cf.deviation[cut])
+            )
+            for r in inst.renewables
+        ),
+        hydros=tuple(
+            h if h.availability is None
+            else dataclasses.replace(h, availability=h.availability[cut])
+            for h in inst.hydros
+        ),
+        demand=DemandSeries({node: series[cut] for node, series in inst.demand.by_node.items()}),
+        timegrid=TimeGrid(
+            step_count=stop - start,
+            step_hours=inst.timegrid.step_hours,
+            periods=(Period(period.id, period.start - start, period.end - start),),
+        ),
+    )
+
+
+def _split_windows(inst: NetworkInstance) -> list[NetworkInstance]:
+    """The windows a search on inst may split into: none below two periods."""
+    return period_windows(inst) if len(inst.timegrid.periods) > 1 else []
+
+
+def search_templates(inst: NetworkInstance) -> None:
+    """Emit every dispatch template a worst-case search on inst may read:
+    the instance's own and, with two periods or more, each window's.
+
+    Call it before forking workers or starting threads that search, so the
+    templates are emitted once rather than in each of them.
+    """
+    for each in (inst, *_split_windows(inst)):
+        dispatch_template(each)
+
+
 def build_subproblem(
     inst: NetworkInstance,
     capacities: dict[CapKey, float],
@@ -118,6 +206,11 @@ def build_subproblem(
     right-hand sides the dual objective weighs are exactly those of
     build_dispatch_lp at these capacities and the reference capacity
     factors.
+
+    Where the instance has two periods or more and every storage level cap
+    has a right-hand side of 0 at these capacities, the build also holds
+    one subproblem per period window (period_windows), which
+    solve_subproblem searches in its place (module docstring).
     """
     if big_m is None:
         big_m = default_big_m(inst)
@@ -223,6 +316,12 @@ def build_subproblem(
         name="worst_case",
         sense="max",
     )
+    windows = []
+    if not pm.row_rhs[tpl.level_caps].any():
+        windows = [
+            build_subproblem(window, capacities, budget, big_m)
+            for window in _split_windows(inst)
+        ]
     return SubproblemBuild(
         instance=inst,
         capacities=capacities,
@@ -232,6 +331,7 @@ def build_subproblem(
         z=dict(zip(z_flags, z_col[z_ranks].tolist())),
         phi=dict(zip(phi_rows.tolist(), phi_col.tolist())),
         dispatch=disp,
+        windows=windows,
     )
 
 
@@ -305,7 +405,38 @@ def solve_subproblem(
     (phi <= mu * z for binary z, then weak duality), whatever M is. That
     holds without the saturation check, which is skipped: clipping by M can
     only lower a dual value, and a lower bound stays one.
+
+    A build split by period (build.windows) is searched one window at a
+    time, in time order: every window but the last to its optimum, and the
+    last toward what the others leave of the target. The result has the
+    union of their flags, the sum of their values and of their node
+    counts, and is exact only where every window's search was; milps
+    counts the MILPs solved, one per window.
     """
+    if not build.windows:
+        return _search(build, backend, gap_tol, target)
+    *first, last = build.windows
+    parts = [_search(window, backend, gap_tol) for window in first]
+    value = sum(part.dual_objective for part in parts)
+    parts.append(
+        _search(last, backend, gap_tol, None if target is None else target - value)
+    )
+    flags = frozenset().union(*(part.flags for part in parts))
+    check_flags(build.instance, flags, build.budget)
+    nodes = [part.milp_nodes for part in parts]
+    return WorstCaseRealization(
+        flags=flags,
+        dual_objective=value + parts[-1].dual_objective,
+        exact=all(part.exact for part in parts),
+        milp_nodes=None if None in nodes else sum(nodes),
+        milps=len(parts),
+    )
+
+
+def _search(
+    build: SubproblemBuild, backend, gap_tol: float, target: float | None = None
+) -> WorstCaseRealization:
+    """One worst-case MILP, over the whole of build.model."""
     res = backend.solve_milp(build.model, gap_tol=gap_tol, target=target)
     if res.status not in ("optimal", "target"):
         raise BackendError(f"worst-case solve ended {res.status}")
@@ -317,7 +448,7 @@ def solve_subproblem(
     check_flags(build.instance, flags, build.budget)
     return WorstCaseRealization(
         flags=flags, dual_objective=objective, exact=exact,
-        milp_nodes=res.stats.get("nodes"),
+        milp_nodes=res.stats.get("nodes"), milps=1,
     )
 
 

@@ -91,15 +91,17 @@ class WorstCaseRealization:
     to the lower bound. dual_objective is filled in once a subproblem has
     priced the flags; exact is False when that search stopped early, at a
     realization that reached its target, so dual_objective is a lower bound
-    on the worst case rather than the worst case itself. milp_nodes is the
-    branch-and-bound node count of the search that found it, None where no
-    search ran or the solver did not say.
+    on the worst case rather than the worst case itself. milps counts the
+    MILPs of the search that found it, 0 where no search ran; milp_nodes is
+    their branch-and-bound node count, None where no search ran or the
+    solver did not say.
     """
 
     flags: frozenset[Flag] = frozenset()
     dual_objective: float | None = field(default=None, compare=False)
     exact: bool = field(default=True, compare=False)
     milp_nodes: int | None = field(default=None, compare=False)
+    milps: int = field(default=0, compare=False)
 
     @staticmethod
     def reference() -> "WorstCaseRealization":

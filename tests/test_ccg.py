@@ -305,18 +305,20 @@ def test_priced_worst_case_equals_the_search(make, full, seed):
 
 
 @pytest.mark.parametrize(
-    "make, budget",
+    "make, budget, milps",
     [
-        (symmetric_pair, UncertaintyBudget(1, 0)),
-        (three_region_hydro, UncertaintyBudget(1, 1)),
-        (lambda: load_instance(TOY6), UncertaintyBudget(1, 1)),
+        (symmetric_pair, UncertaintyBudget(1, 0), 1),
+        (three_region_hydro, UncertaintyBudget(1, 1), 1),
+        # two periods and no stored energy: one MILP per period window
+        (lambda: load_instance(TOY6), UncertaintyBudget(1, 1), 2),
     ],
     ids=["symmetric_pair", "three_region_hydro", "toy6"],
 )
-def test_budget_with_a_choice_still_searches(make, budget, monkeypatch):
+def test_budget_with_a_choice_still_searches(make, budget, milps, monkeypatch):
     backend, calls = counting_milps(monkeypatch)
     _, trace = run_ccg(make(), budget, CcgConfig(max_iterations=1), backend)
-    assert len(calls) == 1
+    assert len(calls) == milps
+    assert trace.iterations[0].milps == milps
     assert trace.iterations[0].milp_nodes is not None
 
 

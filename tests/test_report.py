@@ -103,19 +103,26 @@ def test_solution_document_counts_the_seeds():
 
 def test_trace_csv_round_trips_exactly(tmp_path):
     # two_region's budget leaves one maximal member, so its iteration prices
-    # it; symmetric_pair's leaves two, so its iteration searches
+    # it; symmetric_pair's leaves two, so its iteration searches the whole
+    # horizon; toy6 has two periods and stores no energy, so its search
+    # splits into one MILP per period
+    toy6 = load_instance(Path(__file__).parent / "fixtures" / "toy6.json")
     runs = [
         run_ccg(two_region(), UncertaintyBudget(1, 1), backend=SCIPY)[1],
         run_ccg(symmetric_pair(), UncertaintyBudget(1, 0), backend=SCIPY)[1],
+        run_ccg(toy6, UncertaintyBudget(1, 0), backend=SCIPY)[1],
     ]
     assert [it.milp_nodes is None for trace in runs for it in trace.iterations] == [
-        True, False
+        True, False, False
     ]
+    assert [it.milps for trace in runs for it in trace.iterations] == [0, 1, 2]
     path = tmp_path / "trace.csv"
     for trace in runs:
         write_trace_csv(path, trace)
         with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+        assert reader.fieldnames[-2:] == ["milp_nodes", "milps"]
         assert len(rows) == len(trace.iterations)
         for row, it in zip(rows, trace.iterations):
             assert int(row["iteration"]) == it.index
@@ -135,6 +142,7 @@ def test_trace_csv_round_trips_exactly(tmp_path):
                 assert row["milp_nodes"] == ""
             else:
                 assert int(row["milp_nodes"]) == it.milp_nodes
+            assert int(row["milps"]) == it.milps
 
 
 def test_run_without_an_exact_search_writes_infinite_bounds(tmp_path):
