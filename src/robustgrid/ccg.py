@@ -31,17 +31,21 @@ that member is the worst case, so one dispatch LP prices it exactly, with
 no MILP and no big-M; the iteration records it as an exact worst case.
 
 Where the plan stores no energy and the horizon has two periods or more,
-the search splits by period: one MILP per period window, whose values add
-up to the worst case (see subproblem). build_subproblem and
-solve_subproblem decide that between them, so the loop still calls each
-once per search, and the iteration counts the MILPs it solved.
+the search splits by period: one worst case per period window, whose
+values add up to the worst case (see subproblem). A window with few
+maximal members over its live flags is priced by one dispatch_cost batch,
+exactly, the way this loop prices a one-member budget; any other window
+runs its MILP. build_subproblem and solve_subproblem decide that between
+them, so the loop still calls each once per search, and the iteration
+counts the MILPs it solved, 0 where every window was priced.
 
 Separation is inexact until the end (Tsang, Shehadeh & Curtis, inexact
 column-and-constraint generation): the search gets a target, the master's
 recourse bound eta plus a margin of 10 x tolerance x max(1, |master
 objective|), and stops at the first realization whose value reaches it;
 any such realization is a valid cut. A split search gives the target to
-its last window only, less what the windows before it found. Only a search
+its last window only, less what the windows before it found, and a priced
+window ignores it. Only a search
 that never reaches the target runs to its optimum, and only such an exact
 search, or a pricing, counts for the bounds:
 
@@ -82,7 +86,13 @@ from .master import (
     dispatch_cost,
     solve_master,
 )
-from .subproblem import build_subproblem, live_flags, search_templates, solve_subproblem
+from .subproblem import (
+    build_subproblem,
+    live_flags,
+    live_members,
+    search_templates,
+    solve_subproblem,
+)
 from .uncertainty import (
     UncertaintyBudget,
     WorstCaseRealization,
@@ -108,8 +118,9 @@ log = logging.getLogger(__name__)
 class CcgConfig:
     """Loop controls. The worst-case MILP runs to a relative gap of a
     tenth of the stopping tolerance, so its bound is crisper than the gap it
-    feeds. big_m is its linearization constant; it does not apply to an
-    iteration that prices its one maximal member, which builds no MILP."""
+    feeds. big_m is its linearization constant; it does not apply where a
+    worst case is priced rather than searched (its one maximal member, or
+    a period window's few), as no MILP is built there."""
 
     tolerance: float = 1e-8
     max_iterations: int = 50
@@ -150,14 +161,15 @@ class CcgIteration:
     def milps(self) -> int:
         """The worst-case MILPs the iteration solved: 0 where it priced its
         one maximal member, 1 for a whole-horizon search, and one per
-        period window where the search split by period."""
+        period window that was not priced where the search split by
+        period."""
         return self.realization.milps
 
     @property
     def milp_nodes(self) -> int | None:
         """The worst-case MILPs' branch-and-bound nodes, summed over them;
-        None where the iteration priced its one maximal member instead of
-        searching."""
+        None where the iteration solved no MILP: it priced its one maximal
+        member, or every period window's members."""
         return self.realization.milp_nodes
 
 
@@ -292,18 +304,16 @@ def _priced_worst_case(
     the budget leaves the adversary no choice; None where it leaves one.
 
     The search has a binary for each live flag (live_flags). There is no
-    choice where every (technology, period) group of live flags has a budget
-    of 0 or of at least its count: the one maximal member then flags every
-    live flag of the groups with a positive budget, and as a flag never
-    lowers the dispatch cost, its cost is the search's optimum.
+    choice where the live flags leave one maximal member (live_members):
+    every (technology, period) group has a budget of 0 or of at least its
+    count, and the member flags every live flag of the groups with a
+    positive budget. As a flag never lowers the dispatch cost, its cost is
+    the search's optimum.
     """
-    live = live_flags(inst, capacities)
-    counts: dict[tuple[str, str], int] = {}
-    for tech, _, period in live:
-        counts[tech, period] = counts.get((tech, period), 0) + 1
-    if any(0 < budget.limit(tech) < n for (tech, _), n in counts.items()):
+    members = live_members(live_flags(inst, capacities), budget, limit=1)
+    if members is None:
         return None
-    flags = frozenset(flag for flag in live if budget.limit(flag[0]) > 0)
+    [flags] = members
     realized = realize(inst, WorstCaseRealization(flags), budget)
     [cost] = dispatch_cost(inst, capacities, [realized], backend)
     return WorstCaseRealization(flags, dual_objective=cost)

@@ -100,9 +100,10 @@ def write_trace_csv(path: str | Path, trace: CcgTrace) -> None:
     the iteration's wall time; master_s and worst_s are the parts of it
     spent solving the master and in the worst-case search. milp_nodes is
     that search's branch-and-bound node count, blank where the iteration
-    priced the budget's one maximal member instead, and milps the MILPs it
-    solved: 0 where priced, 1 for the whole horizon, one per period window
-    where the search split by period."""
+    solved no MILP, and milps the MILPs it solved: 0 where it priced the
+    budget's one maximal member or every period window's few, 1 for the
+    whole horizon, and one per period window not priced where the search
+    split by period."""
     rows = [
         [
             str(it.index),

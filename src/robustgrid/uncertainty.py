@@ -92,9 +92,9 @@ class WorstCaseRealization:
     priced the flags; exact is False when that search stopped early, at a
     realization that reached its target, so dual_objective is a lower bound
     on the worst case rather than the worst case itself. milps counts the
-    MILPs of the search that found it, 0 where no search ran; milp_nodes is
-    their branch-and-bound node count, None where no search ran or the
-    solver did not say.
+    MILPs of the search that found it, 0 where none ran (it was priced);
+    milp_nodes is their branch-and-bound node count, None where no MILP ran
+    or the solver did not say.
     """
 
     flags: frozenset[Flag] = frozenset()

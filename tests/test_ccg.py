@@ -39,9 +39,11 @@ from robustgrid.uncertainty import (
 )
 
 from toys import (
+    draw_capacities,
     single_node,
     symmetric_pair,
     three_region_hydro,
+    toy6_with_pumped_hydro,
     two_period_battery,
     two_region,
 )
@@ -286,6 +288,22 @@ def test_budget_without_a_choice_prices_instead_of_searching(make, gamma, monkey
     assert solution.objective == pytest.approx(optimum, rel=1e-9)
 
 
+def test_few_members_per_window_price_every_iteration(monkeypatch):
+    # toy6 builds pv alone, so a window at gamma (1, 1) has at most six
+    # maximal members: every split search prices them instead of its MILPs
+    inst = load_instance(TOY6)
+    budget = UncertaintyBudget(1, 1)
+    backend, calls = counting_milps(monkeypatch)
+    solution, trace = run_ccg(inst, budget, backend=backend)
+    assert calls == []
+    assert trace.converged
+    assert all(it.exact for it in trace.iterations)
+    assert [it.milps for it in trace.iterations] == [0] * len(trace.iterations)
+    assert all(it.milp_nodes is None for it in trace.iterations)
+    optimum = robust_optimum_by_enumeration(inst, budget, SCIPY)
+    assert solution.objective == pytest.approx(optimum, rel=1e-9)
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("full", [False, True], ids=["zero", "full"])
 @pytest.mark.parametrize("make", TOYS, ids=lambda make: make.__name__)
@@ -304,19 +322,34 @@ def test_priced_worst_case_equals_the_search(make, full, seed):
     check_flags(inst, priced.flags, budget)
 
 
+def drawn_plan(inst, monkeypatch):
+    """Make every master of a run return drawn capacities that store no
+    energy and build pv and wind in all six of toy6's regions: more maximal
+    members per period window than any plan toy6 builds itself."""
+    caps = draw_capacities(inst, 0)
+    solve = ccg_module.solve_master
+    monkeypatch.setattr(
+        ccg_module, "solve_master",
+        lambda build, backend: dataclasses.replace(solve(build, backend), capacities=caps),
+    )
+    return inst
+
+
 @pytest.mark.parametrize(
     "make, budget, milps",
     [
-        (symmetric_pair, UncertaintyBudget(1, 0), 1),
-        (three_region_hydro, UncertaintyBudget(1, 1), 1),
-        # two periods and no stored energy: one MILP per period window
-        (lambda: load_instance(TOY6), UncertaintyBudget(1, 1), 2),
+        (lambda mp: symmetric_pair(), UncertaintyBudget(1, 0), 1),
+        (lambda mp: three_region_hydro(), UncertaintyBudget(1, 1), 1),
+        # two periods and no stored energy, but C(6, 2) ** 2 = 225 maximal
+        # members in each window: one MILP per period window
+        (lambda mp: drawn_plan(load_instance(TOY6), mp), UncertaintyBudget(2, 2), 2),
     ],
-    ids=["symmetric_pair", "three_region_hydro", "toy6"],
+    ids=["symmetric_pair", "three_region_hydro", "toy6_drawn"],
 )
 def test_budget_with_a_choice_still_searches(make, budget, milps, monkeypatch):
+    inst = make(monkeypatch)
     backend, calls = counting_milps(monkeypatch)
-    _, trace = run_ccg(make(), budget, CcgConfig(max_iterations=1), backend)
+    _, trace = run_ccg(inst, budget, CcgConfig(max_iterations=1), backend)
     assert len(calls) == milps
     assert trace.iterations[0].milps == milps
     assert trace.iterations[0].milp_nodes is not None
@@ -409,9 +442,10 @@ def test_early_stop_neither_stops_nor_lowers_the_upper_bound(monkeypatch, refere
 
 
 def test_first_iterations_before_an_exact_search_have_infinite_bounds():
-    # toy6 at gamma 2 stops its first search early, so an iteration limit of
-    # one leaves no exact search: UB and gap are inf, not inf/inf = NaN
-    inst = load_instance(TOY6)
+    # toy6 with pumped hydro at gamma 2 stops its first search early, so an
+    # iteration limit of one leaves no exact search: UB and gap are inf, not
+    # inf/inf = NaN
+    inst = toy6_with_pumped_hydro()
     config = CcgConfig(max_iterations=1)
     _, trace = run_ccg(inst, UncertaintyBudget(2, 2), config, SCIPY)
     (it,) = trace.iterations

@@ -19,6 +19,7 @@ from robustgrid.ccg import (
 from robustgrid.io import load_instance
 from robustgrid.master import MasterSolution, ScenarioBlock
 from robustgrid.model import HydrogenUnit
+import robustgrid.subproblem as subproblem
 from robustgrid.report import (
     fmt,
     ladder_summary_rows,
@@ -40,6 +41,7 @@ from toys import (
     single_node,
     symmetric_pair,
     three_region_hydro,
+    toy6_with_pumped_hydro,
     two_period_battery,
     two_region,
 )
@@ -101,21 +103,24 @@ def test_solution_document_counts_the_seeds():
     assert doc["seeds"] == len(trace.seeds) == 2
 
 
-def test_trace_csv_round_trips_exactly(tmp_path):
+def test_trace_csv_round_trips_exactly(tmp_path, monkeypatch):
     # two_region's budget leaves one maximal member, so its iteration prices
     # it; symmetric_pair's leaves two, so its iteration searches the whole
     # horizon; toy6 has two periods and stores no energy, so its search
-    # splits into one MILP per period
+    # splits by period and prices each window's six members; with no window
+    # priced, it solves one MILP per period instead
     toy6 = load_instance(Path(__file__).parent / "fixtures" / "toy6.json")
     runs = [
         run_ccg(two_region(), UncertaintyBudget(1, 1), backend=SCIPY)[1],
         run_ccg(symmetric_pair(), UncertaintyBudget(1, 0), backend=SCIPY)[1],
         run_ccg(toy6, UncertaintyBudget(1, 0), backend=SCIPY)[1],
     ]
+    monkeypatch.setattr(subproblem, "WINDOW_ENUMERATION_LIMIT", 0)
+    runs.append(run_ccg(toy6, UncertaintyBudget(1, 0), backend=SCIPY)[1])
     assert [it.milp_nodes is None for trace in runs for it in trace.iterations] == [
-        True, False, False
+        True, False, True, False
     ]
-    assert [it.milps for trace in runs for it in trace.iterations] == [0, 1, 2]
+    assert [it.milps for trace in runs for it in trace.iterations] == [0, 1, 0, 2]
     path = tmp_path / "trace.csv"
     for trace in runs:
         write_trace_csv(path, trace)
@@ -146,9 +151,10 @@ def test_trace_csv_round_trips_exactly(tmp_path):
 
 
 def test_run_without_an_exact_search_writes_infinite_bounds(tmp_path):
-    # toy6 at gamma 2 stops its first search early; with one iteration
-    # allowed no exact search ever runs, so there is no upper bound yet
-    inst = load_instance(Path(__file__).parent / "fixtures" / "toy6.json")
+    # toy6 with pumped hydro at gamma 2 stops its first search early; with
+    # one iteration allowed no exact search ever runs, so there is no upper
+    # bound yet
+    inst = toy6_with_pumped_hydro()
     budget = UncertaintyBudget(2, 2)
     solution, trace = run_ccg(inst, budget, CcgConfig(max_iterations=1), SCIPY)
     write_solution(tmp_path / "solution.json", inst, budget, solution, trace)

@@ -1,7 +1,7 @@
 """The worst-case search split by period, and the capacity snap it relies on."""
 
 import dataclasses
-import random
+import math
 from pathlib import Path
 
 import numpy as np
@@ -13,14 +13,16 @@ from robustgrid.io import load_instance
 from robustgrid.master import (
     CAPACITY_SNAP,
     build_master,
-    capacity_keys,
     dispatch_cost,
     solve_master,
 )
-from robustgrid.model import HydroUnit, Period, tech_class, validate
+from robustgrid.model import Period, tech_class, validate
+import robustgrid.subproblem as subproblem
 from robustgrid.subproblem import (
+    WINDOW_ENUMERATION_LIMIT,
     build_subproblem,
     live_flags,
+    live_members,
     period_windows,
     solve_subproblem,
 )
@@ -32,11 +34,15 @@ from robustgrid.uncertainty import (
     realize,
 )
 
-from toys import three_region_hydro, two_period_battery
+from toys import (
+    draw_capacities,
+    three_region_hydro,
+    toy6_with_pumped_hydro,
+    two_period_battery,
+)
 
 SCIPY = ScipyBackend()
 TOY6 = Path(__file__).parent / "fixtures" / "toy6.json"
-ENERGY = ("bat_stor", "h2_stor")
 
 
 def toy6():
@@ -77,22 +83,6 @@ def hydro_windows():
         inst.timegrid, periods=(Period("p2", 4, 5), Period("p1", 1, 2))
     )
     return inst.replace(renewables=rens, hydros=hydros, demand=demand, timegrid=timegrid)
-
-
-def draw_capacities(inst, seed, energy=0.0):
-    """Random capacities, about a quarter of them zero; every storage
-    energy capacity is `energy`."""
-    rng = random.Random(seed)
-    line_limit = {l.id: l.expansion_limit for l in inst.lines}
-    caps = {}
-    for kind, eid in capacity_keys(inst):
-        if kind in ENERGY:
-            caps[kind, eid] = energy
-        elif rng.random() < 0.25:
-            caps[kind, eid] = 0.0
-        else:
-            caps[kind, eid] = rng.uniform(0.0, line_limit[eid] if kind == "line" else 10.0)
-    return caps
 
 
 def counting_milps(monkeypatch):
@@ -208,11 +198,84 @@ def test_split_search_equals_the_whole_horizon_search(make, gamma, seed):
     assert len(build.windows) == 2
     split = solve_subproblem(build, SCIPY)
     whole = solve_subproblem(dataclasses.replace(build, windows=[]), SCIPY)
-    assert split.exact and split.milps == 2 and whole.milps == 1
+    # one MILP per window with too many maximal members to price
+    milps = sum(
+        live_members(w.z, budget, WINDOW_ENUMERATION_LIMIT) is None for w in build.windows
+    )
+    assert split.exact and split.milps == milps and whole.milps == 1
     assert split.dual_objective == pytest.approx(whole.dual_objective, rel=1e-6, abs=1e-6)
     check_flags(inst, split.flags, budget)
     [cost] = dispatch_cost(inst, caps, [realize(inst, WorstCaseRealization(split.flags))], SCIPY)
     assert cost == pytest.approx(split.dual_objective, rel=1e-6, abs=1e-6)
+
+
+# --- a window with few maximal members is priced, not searched ---------------------
+
+PRICED_CASES = [
+    (make, gamma, seed)
+    for make, regions in ((toy6, 6), (hydro_windows, 3))
+    for gamma in range(1, regions + 1)
+    for seed in (0, 1)
+]
+
+
+@pytest.mark.parametrize(
+    "make, gamma, seed", PRICED_CASES,
+    ids=[f"{m.__name__}-gamma{g}-seed{s}" for m, g, s in PRICED_CASES],
+)
+def test_priced_window_equals_its_milp(make, gamma, seed, monkeypatch):
+    inst = make()
+    budget = UncertaintyBudget(gamma, gamma)
+    caps = draw_capacities(inst, seed)
+    build = build_subproblem(inst, caps, budget)
+    assert len(build.windows) == 2
+    # price every window, however many members it has
+    monkeypatch.setattr(subproblem, "WINDOW_ENUMERATION_LIMIT", math.inf)
+    for window in build.windows:
+        priced = subproblem._price_or_search(window, SCIPY, gap_tol=1e-9)
+        searched = solve_subproblem(window, SCIPY)  # a window has no windows: its MILP
+        assert searched.milps == 1
+        assert priced.exact and priced.milps == 0 and priced.milp_nodes is None
+        assert priced.dual_objective == pytest.approx(searched.dual_objective, rel=1e-6, abs=1e-6)
+        check_flags(window.instance, priced.flags, budget)
+        # the costliest member, and of several equally costly ones the smallest key
+        members = live_members(window.z, budget, math.inf)
+        costs = dispatch_cost(
+            window.instance, caps,
+            [realize(window.instance, WorstCaseRealization(m)) for m in members], SCIPY,
+        )
+        top = max(costs)
+        assert priced.dual_objective == top
+        assert priced.key() == min(
+            WorstCaseRealization(m).key() for m, cost in zip(members, costs) if cost == top
+        )
+
+
+def test_window_above_the_limit_solves_one_milp(monkeypatch):
+    inst = toy6()
+    budget = UncertaintyBudget(2, 2)
+    build = build_subproblem(inst, draw_capacities(inst, 0), budget)
+    # pv and wind live in all six regions: C(6, 2) ** 2 = 225 members per window
+    for window in build.windows:
+        assert live_members(window.z, budget, WINDOW_ENUMERATION_LIMIT) is None
+    backend, calls = counting_milps(monkeypatch)
+    parts = [solve_subproblem(window, backend) for window in build.windows]
+    assert len(calls) == 2 and [part.milps for part in parts] == [1, 1]
+    split = solve_subproblem(build, backend)
+    assert len(calls) == 4 and split.milps == 2
+    assert split.milp_nodes == sum(part.milp_nodes for part in parts)
+
+
+def test_split_search_prices_every_window_with_few_members(monkeypatch):
+    inst = toy6()
+    budget = UncertaintyBudget(1, 1)
+    build = build_subproblem(inst, draw_capacities(inst, 1), budget)
+    backend, calls = counting_milps(monkeypatch)
+    priced = solve_subproblem(build, backend, target=math.inf)
+    assert calls == []
+    assert priced.exact and priced.milps == 0 and priced.milp_nodes is None
+    whole = solve_subproblem(dataclasses.replace(build, windows=[]), SCIPY)
+    assert priced.dual_objective == pytest.approx(whole.dual_objective, rel=1e-6, abs=1e-6)
 
 
 # every maximal member at the budgets where they are few enough to price:
@@ -265,14 +328,6 @@ def test_split_search_stops_early_only_in_its_last_window(monkeypatch):
 
 
 # --- a plan that stores energy keeps the whole-horizon search ----------------------
-
-def toy6_with_pumped_hydro():
-    inst = toy6()
-    psp = HydroUnit(
-        id="psp_1", node="n1", kind="psp", existing_cap=5.0, storage_scale=6.0, efficiency=0.75
-    )
-    return inst.replace(hydros=(psp,))
-
 
 STORING = [
     (toy6_with_pumped_hydro, 0.0),

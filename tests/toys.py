@@ -7,6 +7,11 @@ the assertion in the test module.
 
 from __future__ import annotations
 
+import random
+from pathlib import Path
+
+from robustgrid.io import load_instance
+from robustgrid.master import capacity_keys
 from robustgrid.model import (
     BatteryUnit,
     ConventionalUnit,
@@ -357,3 +362,35 @@ def symmetric_pair(steps: int = 2, annualized_cost: float = 1.0) -> NetworkInsta
             periods=(Period("p1", 0, steps - 1),),
         ),
     )
+
+
+def toy6_with_pumped_hydro() -> NetworkInstance:
+    """toy6 (tests/fixtures/toy6.json) with one pumped-hydro unit at n1.
+
+    Its storage level is open at every plan, so a worst-case search on it
+    never splits by period: the whole-horizon MILP runs, and its inexact
+    separation can stop early (toy6 itself, which stores no energy, prices
+    its few-member windows exactly instead).
+    """
+    inst = load_instance(Path(__file__).parent / "fixtures" / "toy6.json")
+    psp = HydroUnit(
+        id="psp_1", node="n1", kind="psp", existing_cap=5.0, storage_scale=6.0, efficiency=0.75
+    )
+    return inst.replace(hydros=(psp,))
+
+
+def draw_capacities(inst: NetworkInstance, seed: int, energy: float = 0.0) -> dict:
+    """Random capacities for inst, about a quarter of them zero; every
+    storage energy capacity is `energy`, so at the default 0 the plan
+    stores no energy."""
+    rng = random.Random(seed)
+    line_limit = {l.id: l.expansion_limit for l in inst.lines}
+    caps = {}
+    for kind, eid in capacity_keys(inst):
+        if kind in ("bat_stor", "h2_stor"):
+            caps[kind, eid] = energy
+        elif rng.random() < 0.25:
+            caps[kind, eid] = 0.0
+        else:
+            caps[kind, eid] = rng.uniform(0.0, line_limit[eid] if kind == "line" else 10.0)
+    return caps
