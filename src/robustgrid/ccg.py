@@ -22,32 +22,24 @@ the cut costs at least the worst-case value, and it is a member, so it
 costs at most that. The trace keeps the seeds and the search's own worst
 case.
 
-Where the budget leaves the adversary no choice there is no search. That
-holds at a budget of 0, at full budget, and wherever every (technology,
-period) group holds no more live flags at the master's capacities than its
-budget allows: the one maximal member then flags every live flag of the
-groups with a positive budget. As a flag never lowers the dispatch cost,
-that member is the worst case, so one dispatch LP prices it exactly, with
-no MILP and no big-M; the iteration records it as an exact worst case.
-
-Where the plan stores no energy and the horizon has two periods or more,
-the search splits by period: one worst case per period window, whose
-values add up to the worst case (see subproblem). A window with few
-maximal members over its live flags is priced by one dispatch_cost batch,
-exactly, the way this loop prices a one-member budget; any other window
-runs its MILP. build_subproblem and solve_subproblem decide that between
-them, so the loop still calls each once per search, and the iteration
-counts the MILPs it solved, 0 where every window was priced.
+The loop calls build_subproblem and solve_subproblem once per iteration,
+and solve_subproblem chooses the route (see subproblem): where the budget
+leaves the adversary no choice it prices the one maximal member with one
+dispatch LP; where the plan stores no energy and the horizon has two
+periods or more it splits the search by period, pricing each window with
+few maximal members and searching the others with their MILPs; otherwise
+it runs the whole-horizon MILP. A priced worst case is exact, and the
+iteration counts the MILPs solved, 0 where everything was priced.
 
 Separation is inexact until the end (Tsang, Shehadeh & Curtis, inexact
 column-and-constraint generation): the search gets a target, the master's
 recourse bound eta plus a margin of 10 x tolerance x max(1, |master
 objective|), and stops at the first realization whose value reaches it;
 any such realization is a valid cut. A split search gives the target to
-its last window only, less what the windows before it found, and a priced
-window ignores it. Only a search
-that never reaches the target runs to its optimum, and only such an exact
-search, or a pricing, counts for the bounds:
+its last window only, less what the windows before it found, and pricing
+ignores it. Only a search that never reaches the target runs to its
+optimum, and only such an exact search, or a pricing, counts for the
+bounds:
 
 - The master objective is a lower bound that only rises as memory grows.
 - Investment plus an exact worst-case value is an upper bound; the trace
@@ -79,20 +71,8 @@ import time
 from dataclasses import dataclass, field
 
 from .backend import BackendError, get_backend
-from .master import (
-    CapKey,
-    MasterSolution,
-    build_master,
-    dispatch_cost,
-    solve_master,
-)
-from .subproblem import (
-    build_subproblem,
-    live_flags,
-    live_members,
-    search_templates,
-    solve_subproblem,
-)
+from .master import MasterSolution, build_master, solve_master
+from .subproblem import build_subproblem, search_templates, solve_subproblem
 from .uncertainty import (
     UncertaintyBudget,
     WorstCaseRealization,
@@ -116,11 +96,11 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class CcgConfig:
-    """Loop controls. The worst-case MILP runs to a relative gap of a
-    tenth of the stopping tolerance, so its bound is crisper than the gap it
-    feeds. big_m is its linearization constant; it does not apply where a
-    worst case is priced rather than searched (its one maximal member, or
-    a period window's few), as no MILP is built there."""
+    """Loop controls. A worst-case MILP runs to a relative gap of a tenth
+    of the stopping tolerance, so its bound is crisper than the gap it
+    feeds. big_m is its linearization constant; it does not apply where
+    solve_subproblem prices the worst case instead (a build or period
+    window with few maximal members), as no MILP is assembled there."""
 
     tolerance: float = 1e-8
     max_iterations: int = 50
@@ -149,27 +129,27 @@ class CcgIteration:
     duplicate: bool  # the cut was already in memory
     seconds: float  # wall time of the whole iteration
     master_s: float  # of which solve_master
-    worst_s: float  # of which solve_subproblem, or the whole pricing
+    worst_s: float  # of which solve_subproblem
 
     @property
     def exact(self) -> bool:
         """The worst case is exact: the search proved its optimum rather
-        than stop at its target, or the iteration priced it."""
+        than stop at its target, or solve_subproblem priced it."""
         return self.realization.exact
 
     @property
     def milps(self) -> int:
-        """The worst-case MILPs the iteration solved: 0 where it priced its
-        one maximal member, 1 for a whole-horizon search, and one per
-        period window that was not priced where the search split by
-        period."""
+        """The worst-case MILPs the iteration solved: 0 where
+        solve_subproblem priced the one maximal member, 1 for a
+        whole-horizon search, and where the search split by period one per
+        window that was not priced."""
         return self.realization.milps
 
     @property
     def milp_nodes(self) -> int | None:
         """The worst-case MILPs' branch-and-bound nodes, summed over them;
-        None where the iteration solved no MILP: it priced its one maximal
-        member, or every period window's members."""
+        None where the iteration solved no MILP: solve_subproblem priced
+        the one maximal member, or every period window's members."""
         return self.realization.milp_nodes
 
 
@@ -216,19 +196,14 @@ def run_ccg(
             master_started = time.perf_counter()
             solution = solve_master(build, backend)
             master_s = time.perf_counter() - master_started
+            sub = build_subproblem(inst, solution.capacities, budget, big_m=config.big_m)
+            target = solution.recourse_bound + 10.0 * config.tolerance * max(
+                1.0, abs(solution.objective)
+            )
             worst_started = time.perf_counter()
-            worst = _priced_worst_case(inst, solution.capacities, budget, backend)
-            if worst is None:
-                sub = build_subproblem(
-                    inst, solution.capacities, budget, big_m=config.big_m
-                )
-                target = solution.recourse_bound + 10.0 * config.tolerance * max(
-                    1.0, abs(solution.objective)
-                )
-                worst_started = time.perf_counter()
-                worst = solve_subproblem(
-                    sub, backend, gap_tol=config.tolerance / 10.0, target=target
-                )
+            worst = solve_subproblem(
+                sub, backend, gap_tol=config.tolerance / 10.0, target=target
+            )
             worst_s = time.perf_counter() - worst_started
         except BackendError as err:
             raise BackendError(f"iteration {k}: {err}") from err
@@ -292,31 +267,6 @@ def run_ccg(
         log.warning("gamma %s: %s", rung, trace.message)
 
     return solution, trace
-
-
-def _priced_worst_case(
-    inst: NetworkInstance,
-    capacities: dict[CapKey, float],
-    budget: UncertaintyBudget,
-    backend,
-) -> WorstCaseRealization | None:
-    """The worst case at these capacities, priced by one dispatch LP, where
-    the budget leaves the adversary no choice; None where it leaves one.
-
-    The search has a binary for each live flag (live_flags). There is no
-    choice where the live flags leave one maximal member (live_members):
-    every (technology, period) group has a budget of 0 or of at least its
-    count, and the member flags every live flag of the groups with a
-    positive budget. As a flag never lowers the dispatch cost, its cost is
-    the search's optimum.
-    """
-    members = live_members(live_flags(inst, capacities), budget, limit=1)
-    if members is None:
-        return None
-    [flags] = members
-    realized = realize(inst, WorstCaseRealization(flags), budget)
-    [cost] = dispatch_cost(inst, capacities, [realized], backend)
-    return WorstCaseRealization(flags, dual_objective=cost)
 
 
 @dataclass

@@ -531,7 +531,11 @@ class DispatchTemplate:
         )
 
     def cap_array(self, capacities: dict[CapKey, float]) -> np.ndarray:
-        """A capacity map as one value per key, 0 where the map has none."""
+        """A capacity map as one value per key, 0 where the map has none.
+        Every value in the map must be finite and nonnegative."""
+        for key, v in capacities.items():
+            if not math.isfinite(v) or v < 0:
+                raise ValueError(f"capacity {key}: bad value {v}")
         return np.array([capacities.get(key, 0.0) for key in self.keys], dtype=float)
 
     def live(self, caps: np.ndarray) -> np.ndarray:
@@ -539,6 +543,12 @@ class DispatchTemplate:
         value per key): those of a flag, with capacity and deviation both
         positive. Only their flags can change the dispatch."""
         return (self.ren_flags >= 0) & (caps[self.cap_keys[self.ren]] * self.ren_dev > 0.0)
+
+    def stores_energy(self, caps: np.ndarray) -> bool:
+        """Whether some level cap has a nonzero right-hand side at
+        capacities caps (one value per key), so that a level may carry
+        energy from one step to the next."""
+        return bool(_dispatch_rhs(self, caps, self.cap_coefs[self.ren])[self.level_caps].any())
 
     def realized_coefs(self, cf: np.ndarray) -> np.ndarray:
         """Capacity-factor coefficients of the ren_cap rows, per realization.
@@ -717,9 +727,6 @@ def build_dispatch_lp(
     ren_cap coefficients taken from the realized capacity factors. Names
     carry the tag d.
     """
-    for key, v in capacities.items():
-        if not math.isfinite(v) or v < 0:
-            raise ValueError(f"capacity {key}: bad value {v}")
     tpl = dispatch_template(inst)
     caps = tpl.cap_array(capacities)
     ren_coefs = tpl.realized_coefs(_cf_array(inst, [cf], ["d"]))[0]

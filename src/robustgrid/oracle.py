@@ -207,8 +207,13 @@ def certify_run(
 
     Three checks: the objective matches the enumerated optimum, the final
     recourse bound covers the dispatch cost of every member, and the
-    worst-case search at the final capacities agrees with the enumerated
-    maximum. Failures are report entries, never exceptions.
+    worst-case search at the final capacities (solve_subproblem) agrees
+    with the enumerated maximum. Where the budget leaves one maximal
+    member, or a period window few, that search prices them with dispatch
+    LPs rather than solve a MILP (see subproblem), so there the third check
+    compares dispatch LPs with dispatch LPs; the enumeration referee of the
+    first check stays independent of the search on every route. Failures
+    are report entries, never exceptions.
 
     Every member is priced once, at solution.capacities as the master
     returned it, and that one batch feeds all three checks: the coverage

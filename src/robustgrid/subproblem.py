@@ -26,7 +26,7 @@ block once per instance, and the dispatch template keeps it as a
 CSRMatrix. The dual constraints are that matrix transposed, with the
 entries of inequality rows negated, so the dual still follows from the
 emitted rows alone. Capacities only move right-hand sides, never the
-matrix, so the transposed block is computed once per instance; a build
+matrix, so the transposed block is computed once per instance; an assembly
 stamps the parts that depend on the capacities (dual objective, flag
 binaries, budget rows, linearization rows) as arrays around it.
 
@@ -43,14 +43,26 @@ branches over the product of every period's choices, and CCG stays exact
 with any exact worst-case search (Zeng & Zhao 2013). Where a plan stores
 energy the whole-horizon MILP runs as built.
 
-A window often leaves the adversary few choices: its maximal members over
-its live flags (live_members) number the product over pv and wind of
-C(live, min(gamma, live)), six to twenty where one technology is built in
-six regions. Where they number at most WINDOW_ENUMERATION_LIMIT, one
-dispatch_cost batch prices them all on the window, and as a flag never
-lowers the dispatch cost the costliest is the window's exact worst case:
-no MILP, no big-M, no saturation check. Only the other windows run their
+Where the budget leaves the adversary no choice there is no MILP. That
+holds at a budget of 0, at full budget, and wherever every (technology,
+period) group holds no more live flags at these capacities than its
+budget allows: the one maximal member over the live flags (live_members)
+then flags every live flag of the groups with a positive budget. As a
+flag never lowers the dispatch cost, that member is the worst case, so
+one dispatch LP prices it exactly, with no MILP and no big-M, and the
+horizon is not split.
+
+A window often leaves the adversary few choices too: its maximal members
+number the product over pv and wind of C(live, min(gamma, live)), six to
+twenty where one technology is built in six regions. Where they number
+at most WINDOW_ENUMERATION_LIMIT, one dispatch_cost batch prices them all
+on the window, and the costliest is the window's exact worst case: no
+MILP, no big-M, no saturation check. Only the other windows run their
 MILP.
+
+solve_subproblem alone chooses among these routes, and build_subproblem
+assembles no MILP: the dual model is assembled on first use, by the
+search that solves it, so a priced build or window never pays for one.
 """
 
 from __future__ import annotations
@@ -61,6 +73,8 @@ import logging
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,6 +82,7 @@ from .backend import EQ, LE, BackendError, CSRMatrix, LinearModel
 from .master import (
     CapKey,
     DispatchBuild,
+    DispatchTemplate,
     build_dispatch_lp,
     dispatch_cost,
     dispatch_template,
@@ -87,7 +102,6 @@ __all__ = [
     "SubproblemBuild",
     "default_big_m",
     "build_subproblem",
-    "live_flags",
     "live_members",
     "period_windows",
     "search_templates",
@@ -125,16 +139,42 @@ def default_big_m(inst: NetworkInstance) -> float:
 
 @dataclass
 class SubproblemBuild:
+    """A worst-case search at fixed capacities. Its MILP (model, phi and
+    dispatch) is assembled on first use, by _assemble."""
+
     instance: NetworkInstance
     capacities: dict[CapKey, float]  # lines as expansion, as the master returns them
     budget: UncertaintyBudget
     big_m: float
-    model: LinearModel  # column i is the multiplier of dispatch row i
+    # the live flags, sorted, each with the model column of its binary
     z: dict[Flag, int]
-    phi: dict[int, int]  # primal row index -> auxiliary variable
-    dispatch: DispatchBuild
     # one build per period window where the search splits by period, else none
     windows: list[SubproblemBuild] = field(default_factory=list)
+
+    @cached_property
+    def _milp(self) -> _Milp:
+        return _assemble(self)
+
+    @property
+    def model(self) -> LinearModel:
+        """The dual MILP: column i is the multiplier of dispatch row i."""
+        return self._milp.model
+
+    @property
+    def phi(self) -> dict[int, int]:
+        """Primal row index -> its auxiliary variable's column."""
+        return self._milp.phi
+
+    @property
+    def dispatch(self) -> DispatchBuild:
+        """The dispatch LP at the capacities and reference capacity factors."""
+        return self._milp.dispatch
+
+
+class _Milp(NamedTuple):
+    model: LinearModel
+    phi: dict[int, int]
+    dispatch: DispatchBuild
 
 
 def _csr_rows(parts, n_cols: int) -> CSRMatrix:
@@ -220,39 +260,76 @@ def build_subproblem(
     budget: UncertaintyBudget,
     big_m: float | None = None,
 ) -> SubproblemBuild:
-    """Dualize the fixed-capacity dispatch LP and couple it to the flags.
+    """A worst-case search at fixed capacities, ready for solve_subproblem.
 
     capacities is the master's capacity map as solve_master returns it:
     lines as expansion beyond the existing capacity, every value finite and
-    nonnegative (build_dispatch_lp rejects anything else). The dispatch
-    right-hand sides the dual objective weighs are exactly those of
-    build_dispatch_lp at these capacities and the reference capacity
-    factors.
+    nonnegative (anything else is a ValueError). The build holds the live
+    flags, those that lower the availability of some unit with capacity,
+    each with the column of its binary; the MILP is assembled only where a
+    search solves it.
 
-    Where the instance has two periods or more and every storage level cap
-    has a right-hand side of 0 at these capacities, the build also holds
-    one subproblem per period window (period_windows), which
-    solve_subproblem searches in its place (module docstring).
+    Where the live flags leave more than one maximal member, the instance
+    has two periods or more and every storage level cap has a right-hand
+    side of 0 at these capacities, the build also holds one subproblem per
+    period window (period_windows), which solve_subproblem searches in its
+    place (module docstring).
     """
     if big_m is None:
         big_m = default_big_m(inst)
     if not big_m > 0:
         raise ValueError(f"big_m must be positive, got {big_m}")
-    M = float(big_m)
+    tpl = dispatch_template(inst)
+    caps = tpl.cap_array(capacities)
+    z_ranks, _, _ = _live(tpl, caps)
+    # the dual model's columns: one multiplier per dispatch row, then the binaries
+    z = {tpl.flags[r]: tpl.n_rows + k for k, r in enumerate(z_ranks.tolist())}
+    windows = []
+    if live_members(z, budget, 1) is None and not tpl.stores_energy(caps):
+        windows = [
+            build_subproblem(window, capacities, budget, big_m)
+            for window in _split_windows(inst)
+        ]
+    return SubproblemBuild(
+        instance=inst,
+        capacities=capacities,
+        budget=budget,
+        big_m=big_m,
+        z=z,
+        windows=windows,
+    )
+
+
+def _live(tpl: DispatchTemplate, caps: np.ndarray):
+    """The live flags at capacities caps, as sorted template ranks; the
+    ren_cap entries they move; and for each flag the position in those
+    entries where it first appears."""
+    hit = np.flatnonzero(tpl.live(caps))
+    z_ranks, first = np.unique(tpl.ren_flags[hit], return_index=True)
+    return z_ranks, hit, first
+
+
+def _assemble(build: SubproblemBuild) -> _Milp:
+    """Dualize the fixed-capacity dispatch LP and couple it to the flags.
+
+    The dispatch right-hand sides the dual objective weighs are exactly
+    those of build_dispatch_lp at the build's capacities and the reference
+    capacity factors.
+    """
+    inst, budget, M = build.instance, build.budget, float(build.big_m)
     reference = {r.id: r.cf.reference for r in inst.renewables}
-    disp = build_dispatch_lp(inst, capacities, reference)
+    disp = build_dispatch_lp(inst, build.capacities, reference)
     pm = disp.model
     tpl = dispatch_template(inst)
     n_dual = pm.n_rows
     eq = tpl.row_sense == EQ
 
     # flag binaries, only where flipping one changes the dispatch at all
-    # (live_flags); indices below run over the template's ren_cap entries
+    # (build.z); indices below run over the template's ren_cap entries
     ren_cap = disp.cap_values[tpl.cap_keys[tpl.ren]]
-    hit = np.flatnonzero(tpl.live(disp.cap_values))
-    z_ranks, first = np.unique(tpl.ren_flags[hit], return_index=True)  # sorted flags
+    z_ranks, hit, first = _live(tpl, disp.cap_values)
     n_z = len(z_ranks)
-    z_flags = [tpl.flags[r] for r in z_ranks.tolist()]
+    z_flags = list(build.z)
     z_col = np.empty(len(tpl.flags), dtype=np.intp)
     z_col[z_ranks] = n_dual + np.arange(n_z)
     # one phi term per hit row, grouped by flag: flags in the order they
@@ -271,9 +348,7 @@ def build_subproblem(
     periods = sorted({flag[2] for flag in z_flags})
     for tech in (PV, WIND):
         for pid in periods:
-            members = [
-                n_dual + k for k, f in enumerate(z_flags) if f[0] == tech and f[2] == pid
-            ]
+            members = [j for f, j in build.z.items() if f[0] == tech and f[2] == pid]
             if members:
                 budget_rows.append(members)
                 budget_names.append(f"budget[{tech},{pid}]")
@@ -338,33 +413,12 @@ def build_subproblem(
         name="worst_case",
         sense="max",
     )
-    windows = []
-    if not pm.row_rhs[tpl.level_caps].any():
-        windows = [
-            build_subproblem(window, capacities, budget, big_m)
-            for window in _split_windows(inst)
-        ]
-    return SubproblemBuild(
-        instance=inst,
-        capacities=capacities,
-        budget=budget,
-        big_m=big_m,
+    return _Milp(
         model=model,
-        z=dict(zip(z_flags, z_col[z_ranks].tolist())),
         phi=dict(zip(phi_rows.tolist(), phi_col.tolist())),
         dispatch=disp,
-        windows=windows,
     )
 
-
-def live_flags(inst: NetworkInstance, capacities: dict[CapKey, float]) -> list[Flag]:
-    """The flags build_subproblem gives a binary at these capacities, sorted:
-    those that lower the availability of some unit with capacity."""
-    tpl = dispatch_template(inst)
-    # a mask rather than np.unique, which without return_index loads numpy.ma
-    live = np.zeros(len(tpl.flags), dtype=bool)
-    live[tpl.ren_flags[tpl.live(tpl.cap_array(capacities))]] = True
-    return [tpl.flags[r] for r in np.flatnonzero(live).tolist()]
 
 
 def live_members(
@@ -437,39 +491,47 @@ def _check_saturation(
 def solve_subproblem(
     build: SubproblemBuild, backend, gap_tol: float = 1e-9, target: float | None = None
 ) -> WorstCaseRealization:
-    """Maximize the dual over multipliers and flags; return the worst case.
+    """The worst case at the build's capacities, by the cheapest exact route.
 
     The returned realization carries its flags, checked against the
-    budget, and, as dual_objective, the optimal dual value: the worst-case
-    dispatch cost at the build's capacities; as milp_nodes, the backend's
-    branch-and-bound node count.
+    budget, and, as dual_objective, the worst-case dispatch cost at the
+    build's capacities; milps counts the MILPs solved, and milp_nodes sums
+    their branch-and-bound nodes, None where none ran. The route:
 
-    Given a target, the search may stop at the first realization whose dual
-    value reaches it; the result is then marked exact=False, and its
-    dual_objective is only a lower bound on the dispatch cost at its flags
-    (phi <= mu * z for binary z, then weak duality), whatever M is. That
-    holds without the saturation check, which is skipped: clipping by M can
-    only lower a dual value, and a lower bound stays one.
+    1. Where the live flags (build.z) leave one maximal member
+       (live_members), one dispatch LP prices it (module docstring).
+    2. Otherwise, a build split by period (build.windows) is searched one
+       window at a time, in time order. A window with at most
+       WINDOW_ENUMERATION_LIMIT maximal members is priced by one
+       dispatch_cost batch: the costliest member, ties to the smallest
+       key, is its exact worst case. Every other window runs its MILP, to
+       its optimum except in the last window, which searches toward what
+       the others leave of the target. The result has the union of the
+       windows' flags and the sum of their values, and is exact only where
+       every window's was.
+    3. Otherwise, the whole-horizon MILP.
 
-    A build split by period (build.windows) is searched one window at a
-    time, in time order: every window but the last to its optimum, and the
-    last toward what the others leave of the target. A window with at most
-    WINDOW_ENUMERATION_LIMIT maximal members over its live flags
-    (live_members) is priced instead: one dispatch_cost batch prices every
-    member on the window, and the costliest, ties to the smallest key, is
-    its exact worst case, found with no MILP, no big-M and no target. The
-    result has the union of the windows' flags and the sum of their values,
-    and is exact only where every window's was; milps counts the MILPs
-    solved, and milp_nodes sums their nodes, None where every window was
-    priced.
+    A priced worst case is exact, whatever the target. Given a target, a
+    MILP may stop at the first realization whose dual value reaches it;
+    the result is then marked exact=False, and its dual_objective is only
+    a lower bound on the dispatch cost at its flags (phi <= mu * z for
+    binary z, then weak duality), whatever M is. That holds without the
+    saturation check, which is skipped: clipping by M can only lower a dual
+    value, and a lower bound stays one.
     """
-    if not build.windows:
-        return _search(build, backend, gap_tol, target)
+    if not build.windows:  # build_subproblem splits no build of one member
+        return _price_or_search(build, 1, backend, gap_tol, target)
     *first, last = build.windows
-    parts = [_price_or_search(window, backend, gap_tol) for window in first]
+    parts = [
+        _price_or_search(window, WINDOW_ENUMERATION_LIMIT, backend, gap_tol)
+        for window in first
+    ]
     value = sum(part.dual_objective for part in parts)
     parts.append(
-        _price_or_search(last, backend, gap_tol, None if target is None else target - value)
+        _price_or_search(
+            last, WINDOW_ENUMERATION_LIMIT, backend, gap_tol,
+            None if target is None else target - value,
+        )
     )
     flags = frozenset().union(*(part.flags for part in parts))
     check_flags(build.instance, flags, build.budget)
@@ -484,15 +546,16 @@ def solve_subproblem(
 
 
 def _price_or_search(
-    window: SubproblemBuild, backend, gap_tol: float, target: float | None = None
+    build: SubproblemBuild, limit: int, backend, gap_tol: float,
+    target: float | None = None,
 ) -> WorstCaseRealization:
-    """One window's worst case: priced where its maximal members are few,
-    else its MILP."""
-    members = live_members(window.z, window.budget, WINDOW_ENUMERATION_LIMIT)
+    """The build's worst case over the whole of it: priced where its
+    maximal members number at most limit, else its MILP."""
+    members = live_members(build.z, build.budget, limit)
     if members is None:
-        return _search(window, backend, gap_tol, target)
-    realized = [realize(window.instance, WorstCaseRealization(m)) for m in members]
-    costs = dispatch_cost(window.instance, window.capacities, realized, backend)
+        return _search(build, backend, gap_tol, target)
+    realized = [realize(build.instance, WorstCaseRealization(m), build.budget) for m in members]
+    costs = dispatch_cost(build.instance, build.capacities, realized, backend)
     best = min(range(len(members)), key=lambda k: (-costs[k], sorted(members[k])))
     return WorstCaseRealization(members[best], dual_objective=costs[best])
 

@@ -21,12 +21,9 @@ from robustgrid.ccg import (
 import robustgrid.ccg as ccg_module
 from robustgrid.io import load_instance
 from robustgrid.master import build_master, capacity_keys, dispatch_cost, solve_master
-from robustgrid.oracle import robust_optimum_by_enumeration
-from robustgrid.subproblem import (
-    build_subproblem,
-    live_flags,
-    solve_subproblem,
-)
+from robustgrid.oracle import certify_run, robust_optimum_by_enumeration
+import robustgrid.subproblem as subproblem
+from robustgrid.subproblem import build_subproblem, solve_subproblem
 from robustgrid.uncertainty import (
     UncertaintyBudget,
     WorstCaseRealization,
@@ -286,6 +283,10 @@ def test_budget_without_a_choice_prices_instead_of_searching(make, gamma, monkey
     realized = [realize(inst, m) for m in maximal_sets(inst, budget)]
     optimum = robust_optimum_by_enumeration(inst, budget, SCIPY, realized=realized)
     assert solution.objective == pytest.approx(optimum, rel=1e-9)
+    # certify's worst-case search prices the one member too
+    report = certify_run(inst, budget, (solution, trace), backend)
+    assert [check.passed for check in report.checks] == [True, True, True]
+    assert calls == []
 
 
 def test_few_members_per_window_price_every_iteration(monkeypatch):
@@ -312,10 +313,11 @@ def test_priced_worst_case_equals_the_search(make, full, seed):
     gamma = len(inst.regions) if full else 0
     budget = UncertaintyBudget(gamma, gamma)
     caps = sparse_capacities(inst, random.Random(seed))
-    priced = ccg_module._priced_worst_case(inst, caps, budget, SCIPY)
     build = build_subproblem(inst, caps, budget)
-    assert live_flags(inst, caps) == list(build.z)  # the flags with a binary
-    searched = solve_subproblem(build, SCIPY)
+    assert list(build.z) == sorted(build.z)  # the flags with a binary
+    priced = solve_subproblem(build, SCIPY)
+    assert priced.milps == 0 and build.windows == []
+    searched = subproblem._search(build, SCIPY, gap_tol=1e-9)  # the MILP
     assert priced.dual_objective == pytest.approx(
         searched.dual_objective, rel=1e-6, abs=1e-6
     )

@@ -14,6 +14,7 @@ from robustgrid.master import (
     CAPACITY_SNAP,
     build_master,
     dispatch_cost,
+    dispatch_template,
     solve_master,
 )
 from robustgrid.model import Period, tech_class, validate
@@ -21,7 +22,6 @@ import robustgrid.subproblem as subproblem
 from robustgrid.subproblem import (
     WINDOW_ENUMERATION_LIMIT,
     build_subproblem,
-    live_flags,
     live_members,
     period_windows,
     solve_subproblem,
@@ -137,9 +137,13 @@ def test_master_noise_snaps_to_zero_at_the_handoff():
 
     sub = build_subproblem(inst, caps, UncertaintyBudget(1, 1))
     assert set(sub.z) == flags_of("pv_3") | flags_of("w_2")
-    assert live_flags(inst, caps) == sorted(sub.z)
-    # no energy left in the tank, so the search splits by period
-    assert len(sub.windows) == 2
+    assert list(sub.z) == sorted(sub.z)
+    # no energy left in the tank, so a search with a choice would split by
+    # period; this one has none (one live flag per technology), so it is
+    # priced whole
+    tpl = dispatch_template(inst)
+    assert not tpl.stores_energy(tpl.cap_array(caps))
+    assert sub.windows == []
 
 
 # --- the windows -----------------------------------------------------------------
@@ -195,9 +199,11 @@ def test_split_search_equals_the_whole_horizon_search(make, gamma, seed):
     budget = UncertaintyBudget(gamma, gamma)
     caps = draw_capacities(inst, seed)
     build = build_subproblem(inst, caps, budget)
-    assert len(build.windows) == 2
+    # one maximal member over the whole horizon is priced whole, unsplit
+    whole_priced = live_members(build.z, budget, 1) is not None
+    assert len(build.windows) == (0 if whole_priced else 2)
     split = solve_subproblem(build, SCIPY)
-    whole = solve_subproblem(dataclasses.replace(build, windows=[]), SCIPY)
+    whole = subproblem._search(build, SCIPY, gap_tol=1e-9)  # the whole-horizon MILP
     # one MILP per window with too many maximal members to price
     milps = sum(
         live_members(w.z, budget, WINDOW_ENUMERATION_LIMIT) is None for w in build.windows
@@ -223,17 +229,19 @@ PRICED_CASES = [
     "make, gamma, seed", PRICED_CASES,
     ids=[f"{m.__name__}-gamma{g}-seed{s}" for m, g, s in PRICED_CASES],
 )
-def test_priced_window_equals_its_milp(make, gamma, seed, monkeypatch):
+def test_priced_window_equals_its_milp(make, gamma, seed):
     inst = make()
     budget = UncertaintyBudget(gamma, gamma)
     caps = draw_capacities(inst, seed)
     build = build_subproblem(inst, caps, budget)
-    assert len(build.windows) == 2
-    # price every window, however many members it has
-    monkeypatch.setattr(subproblem, "WINDOW_ENUMERATION_LIMIT", math.inf)
-    for window in build.windows:
-        priced = subproblem._price_or_search(window, SCIPY, gap_tol=1e-9)
-        searched = solve_subproblem(window, SCIPY)  # a window has no windows: its MILP
+    # a build of one maximal member is priced whole, so it has no windows
+    # of its own; its windows' builds are priced the same way all the same
+    windows = build.windows or [build_subproblem(w, caps, budget) for w in period_windows(inst)]
+    assert len(windows) == 2
+    for window in windows:
+        # priced however many members it has
+        priced = subproblem._price_or_search(window, math.inf, SCIPY, gap_tol=1e-9)
+        searched = subproblem._search(window, SCIPY, gap_tol=1e-9)  # its MILP
         assert searched.milps == 1
         assert priced.exact and priced.milps == 0 and priced.milp_nodes is None
         assert priced.dual_objective == pytest.approx(searched.dual_objective, rel=1e-6, abs=1e-6)
@@ -276,6 +284,29 @@ def test_split_search_prices_every_window_with_few_members(monkeypatch):
     assert priced.exact and priced.milps == 0 and priced.milp_nodes is None
     whole = solve_subproblem(dataclasses.replace(build, windows=[]), SCIPY)
     assert priced.dual_objective == pytest.approx(whole.dual_objective, rel=1e-6, abs=1e-6)
+
+
+@pytest.mark.parametrize("gamma", [1, 6], ids=["windows", "full"])
+def test_a_priced_search_assembles_no_milp(gamma, monkeypatch):
+    # at gamma 1 every window has few maximal members, at full budget the
+    # whole horizon has one: no part of either search needs its MILP
+    inst = toy6()
+    assembled = []
+    assemble = subproblem._assemble
+
+    def counted(build):
+        assembled.append(build)
+        return assemble(build)
+
+    monkeypatch.setattr(subproblem, "_assemble", counted)
+    build = build_subproblem(inst, draw_capacities(inst, 1), UncertaintyBudget(gamma, gamma))
+    assert len(build.windows) == (2 if gamma == 1 else 0)
+    worst = solve_subproblem(build, SCIPY)
+    assert worst.exact and worst.milps == 0
+    assert assembled == []
+    # a MILP is assembled on first use, and once
+    assert build.model is build.model
+    assert assembled == [build]
 
 
 # every maximal member at the budgets where they are few enough to price:
@@ -346,7 +377,9 @@ def test_a_plan_that_stores_energy_searches_the_whole_horizon(make, energy, seed
     build = build_subproblem(inst, caps, budget)
     assert build.windows == []
     backend, calls = counting_milps(monkeypatch)
-    worst = solve_subproblem(build, backend, gap_tol=1e-9)
+    # the search solve_subproblem runs where the budget leaves a choice;
+    # two_period_battery's one region per technology leaves none
+    worst = subproblem._search(build, backend, gap_tol=1e-9)
     assert len(calls) == 1 and worst.milps == 1
     # the very MILP the search solves, with nothing split or summed
     res = SCIPY.solve_milp(build.model, gap_tol=1e-9)
