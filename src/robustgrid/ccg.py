@@ -288,23 +288,25 @@ def run_gamma_ladder(
 ) -> list[LadderEntry]:
     """Independent converged runs for budgets of increasing size.
 
-    Each size applies to both technology classes. Runs share nothing, so
-    they run side by side: in worker processes forked from this one, one per
-    usable CPU up to one per rung, largest budget first. Each worker holds
-    its own copy of the process, instance, config and backend included, so
-    nothing but the budget size goes to a worker and only the entry comes
-    back; their log lines interleave, each naming its budget. Where fewer
-    than two CPUs are usable, or the platform cannot fork, the rungs run
-    one after another in this process. Either way the entries come back in
-    request order, one per requested size, and equal bit for bit.
+    gammas must be nonempty, nonnegative and strictly ascending (anything
+    else is a ValueError). Each size applies to both technology classes.
+    Runs share nothing, so they run side by side: in worker processes
+    forked from this one, one per usable CPU up to one per rung, largest
+    budget first. Each worker holds its own copy of the process, instance,
+    config and backend included, so nothing but the budget size goes to a
+    worker and only the entry comes back; their log lines interleave, each
+    naming its budget. Where fewer than two CPUs are usable, or the
+    platform cannot fork, the rungs run one after another in this process.
+    Either way the entries come back in request order, one per requested
+    size, and equal bit for bit.
 
     A rung whose solver fails is recorded in its entry's error and the
     ladder moves on; any other exception reaches the caller, once every
     worker has stopped.
     """
-    if sorted(gammas) != list(gammas):
-        raise ValueError(f"gammas must be sorted ascending, got {gammas}")
-    if gammas and gammas[0] < 0:
+    if not gammas or any(a >= b for a, b in zip(gammas, gammas[1:])):
+        raise ValueError(f"gammas must be nonempty and sorted strictly ascending, got {gammas}")
+    if gammas[0] < 0:
         raise ValueError(f"gammas must be nonnegative, got {gammas}")
     workers = _ladder_workers(len(gammas))
     if workers < 2:

@@ -19,6 +19,8 @@ the reader and the writer both walk that table. The rules:
   period ``start``/``end`` take whole numbers only, and ``reference`` takes
   a JSON boolean only. A value that cannot be read raises SchemaError
   naming its key path, e.g. ``conventionals[0].existing_cap``.
+- A region id listed twice raises SchemaError; validation reports every
+  other repeated id.
 
 Alternatively, bulk series can live in CSV files next to the instance:
 a document carrying a ``series_files`` key maps series families to CSV
@@ -352,6 +354,8 @@ def instance_from_dict(doc: dict, base: Path | None = None) -> NetworkInstance:
         where = f"regions[{k}]"
         g = _object(g, where)
         gid = _get(g, "id", where, _text)
+        if gid in region_nodes:
+            raise SchemaError(f"{where}.id: region {gid!r} listed twice")
         region_names[gid] = _get(g, "name", where, _text, gid)
         region_nodes[gid] = [str(n) for n in _array(g.get("nodes"), f"{where}.nodes")]
 

@@ -352,7 +352,10 @@ def validate(inst: NetworkInstance) -> list[Violation]:
 
     node_ids = inst.node_ids()
     # One id space for all units: every family keys its dispatch columns ("gen", id, t).
-    for kind, entities in (("node", inst.nodes), ("line", inst.lines), ("unit", inst.units())):
+    for kind, entities in (
+        ("node", inst.nodes), ("line", inst.lines), ("unit", inst.units()),
+        ("region", inst.regions), ("period", inst.timegrid.periods),
+    ):
         seen: set[str] = set()
         for e in entities:
             if e.id in seen:

@@ -46,11 +46,11 @@ energy the whole-horizon MILP runs as built.
 Where the budget leaves the adversary no choice there is no MILP. That
 holds at a budget of 0, at full budget, and wherever every (technology,
 period) group holds no more live flags at these capacities than its
-budget allows: the one maximal member over the live flags (live_members)
-then flags every live flag of the groups with a positive budget. As a
-flag never lowers the dispatch cost, that member is the worst case, so
-one dispatch LP prices it exactly, with no MILP and no big-M, and the
-horizon is not split.
+budget allows: the one maximal member over the live flags
+(uncertainty.members) then flags every live flag of the groups with a
+positive budget. As a flag never lowers the dispatch cost, that member is
+the worst case, so one dispatch LP prices it exactly, with no MILP and no
+big-M, and the horizon is not split.
 
 A window often leaves the adversary few choices too: its maximal members
 number the product over pv and wind of C(live, min(gamma, live)), six to
@@ -68,10 +68,8 @@ search that solves it, so a priced build or window never pays for one.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import logging
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -88,21 +86,27 @@ from .master import (
     dispatch_template,
 )
 from .model import (
-    PV,
-    WIND,
     CapacityFactorBundle,
     DemandSeries,
     NetworkInstance,
     Period,
     TimeGrid,
 )
-from .uncertainty import Flag, UncertaintyBudget, WorstCaseRealization, check_flags, realize
+from .uncertainty import (
+    Flag,
+    UncertaintyBudget,
+    WorstCaseRealization,
+    check_flags,
+    flag_groups,
+    member_count,
+    members,
+    realize,
+)
 
 __all__ = [
     "SubproblemBuild",
     "default_big_m",
     "build_subproblem",
-    "live_members",
     "period_windows",
     "search_templates",
     "solve_subproblem",
@@ -285,7 +289,7 @@ def build_subproblem(
     # the dual model's columns: one multiplier per dispatch row, then the binaries
     z = {tpl.flags[r]: tpl.n_rows + k for k, r in enumerate(z_ranks.tolist())}
     windows = []
-    if live_members(z, budget, 1) is None and not tpl.stores_energy(caps):
+    if member_count(z, budget) > 1 and not tpl.stores_energy(caps):
         windows = [
             build_subproblem(window, capacities, budget, big_m)
             for window in _split_windows(inst)
@@ -329,7 +333,6 @@ def _assemble(build: SubproblemBuild) -> _Milp:
     ren_cap = disp.cap_values[tpl.cap_keys[tpl.ren]]
     z_ranks, hit, first = _live(tpl, disp.cap_values)
     n_z = len(z_ranks)
-    z_flags = list(build.z)
     z_col = np.empty(len(tpl.flags), dtype=np.intp)
     z_col[z_ranks] = n_dual + np.arange(n_z)
     # one phi term per hit row, grouped by flag: flags in the order they
@@ -344,15 +347,10 @@ def _assemble(build: SubproblemBuild) -> _Milp:
     phi_col = n_dual + n_z + np.arange(n_phi)
 
     # per-period budget on the number of flagged regions per technology
-    budget_rows, budget_names, budget_rhs = [], [], []
-    periods = sorted({flag[2] for flag in z_flags})
-    for tech in (PV, WIND):
-        for pid in periods:
-            members = [j for f, j in build.z.items() if f[0] == tech and f[2] == pid]
-            if members:
-                budget_rows.append(members)
-                budget_names.append(f"budget[{tech},{pid}]")
-                budget_rhs.append(float(budget.limit(tech)))
+    groups = sorted(flag_groups(build.z).items())
+    budget_rows = [[build.z[flag] for flag in flags] for _, flags in groups]
+    budget_names = [f"budget[{tech},{pid}]" for (tech, pid), _ in groups]
+    budget_rhs = [float(budget.limit(tech)) for (tech, _), _ in groups]
     budget_part = (
         np.cumsum([0] + [len(r) for r in budget_rows]),
         [j for r in budget_rows for j in r],
@@ -383,7 +381,7 @@ def _assemble(build: SubproblemBuild) -> _Milp:
             f"lam[{name}]" if is_eq else f"mu[{name}]"
             for name, is_eq in zip(pm.row_names, eq.tolist())
         ]
-        names += [f"z[{f[0]},{f[1]},{f[2]}]" for f in z_flags]
+        names += [f"z[{f[0]},{f[1]},{f[2]}]" for f in build.z]
         return names + [f"phi[{pm.row_names[i]}]" for i in phi_rows.tolist()]
 
     def row_names():
@@ -418,30 +416,6 @@ def _assemble(build: SubproblemBuild) -> _Milp:
         phi=dict(zip(phi_rows.tolist(), phi_col.tolist())),
         dispatch=disp,
     )
-
-
-
-def live_members(
-    live: Iterable[Flag], budget: UncertaintyBudget, limit: int
-) -> list[frozenset[Flag]] | None:
-    """The maximal members over the live flags; None where there are more
-    than limit of them.
-
-    Every (technology, period) group of live flags contributes each
-    combination of min(budget, live count) of its flags, and a member
-    takes one combination from every group. As a flag never lowers the
-    dispatch cost, and a flag with no binary changes nothing, the costliest
-    of them is the search's optimum. There is exactly one where every group
-    has a budget of 0 or of at least its count.
-    """
-    groups: dict[tuple[str, str], list[Flag]] = {}
-    for flag in sorted(live):
-        groups.setdefault((flag[0], flag[2]), []).append(flag)
-    sizes = [min(budget.limit(tech), len(flags)) for (tech, _), flags in groups.items()]
-    if math.prod(math.comb(len(flags), k) for flags, k in zip(groups.values(), sizes)) > limit:
-        return None
-    choices = [itertools.combinations(flags, k) for flags, k in zip(groups.values(), sizes)]
-    return [frozenset(itertools.chain(*combo)) for combo in itertools.product(*choices)]
 
 
 def _duality_gap(
@@ -498,8 +472,8 @@ def solve_subproblem(
     build's capacities; milps counts the MILPs solved, and milp_nodes sums
     their branch-and-bound nodes, None where none ran. The route:
 
-    1. Where the live flags (build.z) leave one maximal member
-       (live_members), one dispatch LP prices it (module docstring).
+    1. Where the live flags (build.z) leave one maximal member, one
+       dispatch LP prices it (module docstring).
     2. Otherwise, a build split by period (build.windows) is searched one
        window at a time, in time order. A window with at most
        WINDOW_ENUMERATION_LIMIT maximal members is priced by one
@@ -551,13 +525,13 @@ def _price_or_search(
 ) -> WorstCaseRealization:
     """The build's worst case over the whole of it: priced where its
     maximal members number at most limit, else its MILP."""
-    members = live_members(build.z, build.budget, limit)
-    if members is None:
+    if member_count(build.z, build.budget) > limit:
         return _search(build, backend, gap_tol, target)
-    realized = [realize(build.instance, WorstCaseRealization(m), build.budget) for m in members]
+    candidates = members(build.z, build.budget)
+    realized = [realize(build.instance, m, build.budget) for m in candidates]
     costs = dispatch_cost(build.instance, build.capacities, realized, backend)
-    best = min(range(len(members)), key=lambda k: (-costs[k], sorted(members[k])))
-    return WorstCaseRealization(members[best], dual_objective=costs[best])
+    best = min(range(len(candidates)), key=lambda k: (-costs[k], candidates[k].key()))
+    return dataclasses.replace(candidates[best], dual_objective=costs[best])
 
 
 def _search(

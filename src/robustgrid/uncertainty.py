@@ -12,6 +12,12 @@ regions in every (technology, period) group, carry every worst case, and
 any worst case stays one when complete fills its groups up to the budget.
 cover picks a few members, maximal among the flags that lower something,
 that between them flag every such flag: CCG starts from them.
+
+This module alone knows that rule: flag_groups groups flags by
+(technology, period), and members and member_count enumerate and count
+the members over any flags. maximal_sets, enumerate_set and
+count_realizations apply them to every flag of an instance, and the
+worst-case search to its live flags.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .model import PV, WIND, NetworkInstance, tech_class
@@ -33,8 +40,11 @@ __all__ = [
     "count_realizations",
     "cover",
     "enumerate_set",
+    "flag_groups",
     "is_dunkelflaute",
     "maximal_sets",
+    "member_count",
+    "members",
     "realize",
 ]
 
@@ -127,7 +137,6 @@ def check_flags(
     """Reject flags naming unknown entities or exceeding the budget."""
     regions = set(inst.region_ids())
     periods = {p.id for p in inst.timegrid.periods}
-    counts: dict[tuple[str, str], int] = {}
     for tech, region, period in flags:
         if tech not in TECH_CLASSES:
             raise ValueError(f"unknown technology class {tech!r}")
@@ -135,12 +144,11 @@ def check_flags(
             raise ValueError(f"unknown region {region!r}")
         if period not in periods:
             raise ValueError(f"unknown period {period!r}")
-        counts[tech, period] = counts.get((tech, period), 0) + 1
     if budget is not None:
-        for (tech, period), n in counts.items():
-            if n > budget.limit(tech):
+        for (tech, period), group in flag_groups(flags).items():
+            if len(group) > budget.limit(tech):
                 raise ValueError(
-                    f"budget violation: {n} regions flagged for {tech} in "
+                    f"budget violation: {len(group)} regions flagged for {tech} in "
                     f"period {period}, budget allows {budget.limit(tech)}"
                 )
 
@@ -178,61 +186,76 @@ def realize(
     return out
 
 
-def _group_sizes(inst: NetworkInstance, budget: UncertaintyBudget, maximal: bool):
-    """Flag counts allowed per (tech, period) group, pv first, then wind."""
-    out = []
-    for gamma in (budget.gamma_pv, budget.gamma_wind):
-        top = min(gamma, len(inst.regions))
-        out.append(range(top, top + 1) if maximal else range(top + 1))
-    return out
+def flag_groups(flags: Iterable[Flag]) -> dict[tuple[str, str], list[Flag]]:
+    """flags by (tech, period) group: groups in the order of their first
+    flag, and flags in the order given."""
+    groups: dict[tuple[str, str], list[Flag]] = {}
+    for flag in flags:
+        groups.setdefault((flag[0], flag[2]), []).append(flag)
+    return groups
 
 
-def _count(inst: NetworkInstance, sizes) -> int:
-    G = len(inst.regions)
-    per_period = 1
-    for tech_sizes in sizes:
-        per_period *= sum(math.comb(G, k) for k in tech_sizes)
-    return per_period ** len(inst.timegrid.periods)
-
-
-def _product(
-    inst: NetworkInstance, sizes, cap: int, what: str
-) -> list[WorstCaseRealization]:
-    """Every member whose (tech, period) groups flag a count from sizes.
-
-    Raises EnumerationCapError when the closed-form count exceeds cap, so
-    callers never start a hopeless enumeration.
-    """
-    total = _count(inst, sizes)
-    if total > cap:
-        raise EnumerationCapError(
-            f"{total} {what} exceed the enumeration cap of {cap}"
-        )
-    regions = inst.region_ids()
-    pv_choices, wind_choices = (
-        [frozenset(c) for k in tech_sizes for c in itertools.combinations(regions, k)]
-        for tech_sizes in sizes
-    )
-    per_period: list[list[frozenset[Flag]]] = []
-    for pid in (p.id for p in inst.timegrid.periods):
-        options = []
-        for pv_set, wind_set in itertools.product(pv_choices, wind_choices):
-            options.append(
-                frozenset(
-                    [(PV, g, pid) for g in pv_set]
-                    + [(WIND, g, pid) for g in wind_set]
-                )
-            )
-        per_period.append(options)
+def _instance_flags(inst: NetworkInstance) -> list[Flag]:
+    """Every flag of the instance: period by period, pv before wind,
+    regions in declaration order."""
     return [
-        WorstCaseRealization(frozenset().union(*combo))
-        for combo in itertools.product(*per_period)
+        (tech, region, period.id)
+        for period in inst.timegrid.periods
+        for tech in TECH_CLASSES
+        for region in inst.region_ids()
+    ]
+
+
+def _sizes(tech: str, group: list[Flag], budget: UncertaintyBudget, maximal: bool) -> range:
+    """The flag counts a member may take from a group."""
+    top = min(budget.limit(tech), len(group))
+    return range(top, top + 1) if maximal else range(top + 1)
+
+
+def member_count(
+    flags: Iterable[Flag], budget: UncertaintyBudget, maximal: bool = True
+) -> int:
+    """Closed-form count of members(flags, budget, maximal=maximal)."""
+    return math.prod(
+        sum(math.comb(len(group), k) for k in _sizes(tech, group, budget, maximal))
+        for (tech, _), group in flag_groups(flags).items()
+    )
+
+
+def members(
+    flags: Iterable[Flag],
+    budget: UncertaintyBudget,
+    cap: int = DEFAULT_ENUMERATION_CAP,
+    maximal: bool = True,
+) -> list[WorstCaseRealization]:
+    """The members of the budget's set over flags.
+
+    Each (tech, period) group of flags (flag_groups) may flag up to
+    min(gamma, group size) of its flags, exactly that many where maximal,
+    and a member takes one choice from every group. Members come in
+    product order: the first group's choice varies slowest, and a group's
+    choices run from fewer flags to more, each count's combinations in the
+    order of the flags. Raises EnumerationCapError when member_count exceeds
+    cap, so callers never start a hopeless enumeration.
+    """
+    flags = list(flags)
+    total = member_count(flags, budget, maximal)
+    if total > cap:
+        what = "maximal realizations" if maximal else "realizations"
+        raise EnumerationCapError(f"{total} {what} exceed the enumeration cap of {cap}")
+    choices = [
+        [c for k in _sizes(tech, group, budget, maximal) for c in itertools.combinations(group, k)]
+        for (tech, _), group in flag_groups(flags).items()
+    ]
+    return [
+        WorstCaseRealization(frozenset(itertools.chain(*combo)))
+        for combo in itertools.product(*choices)
     ]
 
 
 def count_realizations(inst: NetworkInstance, budget: UncertaintyBudget) -> int:
     """Closed-form cardinality of the realization set."""
-    return _count(inst, _group_sizes(inst, budget, maximal=False))
+    return member_count(_instance_flags(inst), budget, maximal=False)
 
 
 def enumerate_set(
@@ -244,8 +267,7 @@ def enumerate_set(
 
     Raises EnumerationCapError when the closed-form count exceeds cap.
     """
-    sizes = _group_sizes(inst, budget, maximal=False)
-    return _product(inst, sizes, cap, "realizations")
+    return members(_instance_flags(inst), budget, cap, maximal=False)
 
 
 def maximal_sets(
@@ -261,19 +283,19 @@ def maximal_sets(
     a subset of one of them. Raises EnumerationCapError when that count
     exceeds cap.
     """
-    sizes = _group_sizes(inst, budget, maximal=True)
-    return _product(inst, sizes, cap, "maximal realizations")
+    return members(_instance_flags(inst), budget, cap)
 
 
-def _live_flags(inst: NetworkInstance) -> set[Flag]:
-    """Flags that lower some unit's availability at some step of their period."""
-    periods = inst.timegrid.periods
-    return {
+def _live_groups(inst: NetworkInstance) -> dict[tuple[str, str], list[Flag]]:
+    """The flags that lower some unit's availability at some step of their
+    period, by flag_groups, in the order of _instance_flags."""
+    live = {
         (tech_class(unit.technology), unit.region, period.id)
         for unit in inst.renewables
-        for period in periods
+        for period in inst.timegrid.periods
         if any(unit.cf.deviation[t] > 0.0 for t in period.steps())
     }
+    return flag_groups(flag for flag in _instance_flags(inst) if flag in live)
 
 
 def complete(
@@ -287,20 +309,11 @@ def complete(
     flag never lowers the dispatch cost, so at any capacities the result
     costs at least what flags cost; a worst case stays a worst case.
     """
-    live = _live_flags(inst)
+    given = flag_groups(flags)
     out = set(flags)
-    for tech in TECH_CLASSES:
-        for period in inst.timegrid.periods:
-            room = budget.limit(tech) - sum(
-                1 for t, _, p in flags if t == tech and p == period.id
-            )
-            for region in inst.region_ids():
-                if room <= 0:
-                    break
-                flag = (tech, region, period.id)
-                if flag in live and flag not in out:
-                    out.add(flag)
-                    room -= 1
+    for (tech, period), group in _live_groups(inst).items():
+        room = budget.limit(tech) - len(given.get((tech, period), ()))
+        out.update([flag for flag in group if flag not in out][:max(room, 0)])
     return frozenset(out)
 
 
@@ -317,26 +330,19 @@ def cover(
     budget). With no group to flag (a zero budget, or no deviation) the cover
     is the reference alone.
     """
-    live = _live_flags(inst)
-    groups = []
-    for tech in TECH_CLASSES:
-        for period in inst.timegrid.periods:
-            regions = [g for g in inst.region_ids() if (tech, g, period.id) in live]
-            k = min(budget.limit(tech), len(regions))
-            if k > 0:
-                groups.append((tech, period.id, regions, k))
+    groups = [
+        (group, k)
+        for (tech, _), group in _live_groups(inst).items()
+        if (k := min(budget.limit(tech), len(group))) > 0
+    ]
     if not groups:
         return [WorstCaseRealization.reference()]
-    count = max(math.ceil(len(regions) / k) for _, _, regions, k in groups)
-    members = {
-        frozenset(
-            (tech, regions[(j * k + i) % len(regions)], pid)
-            for tech, pid, regions, k in groups
-            for i in range(k)
-        ): None
+    count = max(math.ceil(len(group) / k) for group, k in groups)
+    picked = {
+        frozenset(group[(j * k + i) % len(group)] for group, k in groups for i in range(k)): None
         for j in range(count)
     }
-    return [WorstCaseRealization(flags) for flags in members]
+    return [WorstCaseRealization(flags) for flags in picked]
 
 
 def is_dunkelflaute(

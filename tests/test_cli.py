@@ -193,9 +193,10 @@ def test_ladder_zero_deviation_is_flat(tmp_path):
 
 
 def test_ladder_rejects_unsorted(tmp_path, capsys):
-    rc = main(["ladder", save(two_region(), tmp_path), "--gammas", "2,1"])
-    assert rc == INPUT_ERROR
-    assert "sorted" in capsys.readouterr().err
+    for gammas in ("2,1", "1,1", ","):
+        rc = main(["ladder", save(two_region(), tmp_path), "--gammas", gammas])
+        assert rc == INPUT_ERROR
+        assert "sorted" in capsys.readouterr().err
 
 
 def test_ladder_rejects_garbage(tmp_path):

@@ -81,6 +81,30 @@ def test_invalid_instance_raises_validation_error(tmp_path):
     assert any(v.rule == "reference_node" for v in err.value.violations)
 
 
+def test_repeated_period_id_raises_validation_error(tmp_path):
+    # two periods under one id would merge into one budget group
+    doc = instance_to_dict(toys.two_region())
+    doc["timegrid"]["periods"] = [
+        {"id": "p1", "start": 1, "end": 1},
+        {"id": "p1", "start": 2, "end": 2},
+    ]
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError) as err:
+        load_instance(path)
+    assert [(v.entity, v.rule) for v in err.value.violations] == [("p1", "duplicate_id")]
+
+
+def test_repeated_region_id_raises_schema_error(tmp_path):
+    # read as one mapping, the second entry would silently replace the first
+    doc = instance_to_dict(toys.two_region())
+    doc["regions"].append(copy.deepcopy(doc["regions"][0]))
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match=r"regions\[2\]\.id: region 'RA' listed twice"):
+        load_instance(path)
+
+
 def test_periods_are_one_based_in_documents():
     doc = instance_to_dict(toys.single_node(steps=2))
     period = doc["timegrid"]["periods"][0]

@@ -118,16 +118,21 @@ def test_missing_reference_node_flagged():
 
 
 def test_duplicate_node_ids_flagged():
-    # Nodes, lines and units (one id space across all unit families) must
-    # each have unique ids.
+    # Nodes, lines, units (one id space across all unit families), regions
+    # and periods must each have unique ids.
     inst = toys.two_region()
     pv, wind = inst.renewables
     (gas,) = inst.conventionals
+    ra, rb = inst.regions
     for bad in (
         inst.replace(nodes=inst.nodes + (Node("n1", region="RA"),)),
         inst.replace(lines=inst.lines * 2),
         inst.replace(renewables=(pv, dataclasses.replace(wind, id=pv.id))),
         inst.replace(conventionals=(dataclasses.replace(gas, id=pv.id),)),
+        inst.replace(regions=(ra, dataclasses.replace(rb, id=ra.id))),
+        inst.replace(timegrid=dataclasses.replace(
+            inst.timegrid, periods=(Period("p1", 0, 0), Period("p1", 1, 1)),
+        )),
     ):
         assert any(rule == "duplicate_id" for _, rule in _violations(bad))
 

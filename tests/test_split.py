@@ -22,7 +22,6 @@ import robustgrid.subproblem as subproblem
 from robustgrid.subproblem import (
     WINDOW_ENUMERATION_LIMIT,
     build_subproblem,
-    live_members,
     period_windows,
     solve_subproblem,
 )
@@ -31,6 +30,8 @@ from robustgrid.uncertainty import (
     WorstCaseRealization,
     check_flags,
     maximal_sets,
+    member_count,
+    members,
     realize,
 )
 
@@ -200,14 +201,12 @@ def test_split_search_equals_the_whole_horizon_search(make, gamma, seed):
     caps = draw_capacities(inst, seed)
     build = build_subproblem(inst, caps, budget)
     # one maximal member over the whole horizon is priced whole, unsplit
-    whole_priced = live_members(build.z, budget, 1) is not None
+    whole_priced = member_count(build.z, budget) == 1
     assert len(build.windows) == (0 if whole_priced else 2)
     split = solve_subproblem(build, SCIPY)
     whole = subproblem._search(build, SCIPY, gap_tol=1e-9)  # the whole-horizon MILP
     # one MILP per window with too many maximal members to price
-    milps = sum(
-        live_members(w.z, budget, WINDOW_ENUMERATION_LIMIT) is None for w in build.windows
-    )
+    milps = sum(member_count(w.z, budget) > WINDOW_ENUMERATION_LIMIT for w in build.windows)
     assert split.exact and split.milps == milps and whole.milps == 1
     assert split.dual_objective == pytest.approx(whole.dual_objective, rel=1e-6, abs=1e-6)
     check_flags(inst, split.flags, budget)
@@ -247,16 +246,13 @@ def test_priced_window_equals_its_milp(make, gamma, seed):
         assert priced.dual_objective == pytest.approx(searched.dual_objective, rel=1e-6, abs=1e-6)
         check_flags(window.instance, priced.flags, budget)
         # the costliest member, and of several equally costly ones the smallest key
-        members = live_members(window.z, budget, math.inf)
+        candidates = members(window.z, budget)
         costs = dispatch_cost(
-            window.instance, caps,
-            [realize(window.instance, WorstCaseRealization(m)) for m in members], SCIPY,
+            window.instance, caps, [realize(window.instance, m) for m in candidates], SCIPY,
         )
         top = max(costs)
         assert priced.dual_objective == top
-        assert priced.key() == min(
-            WorstCaseRealization(m).key() for m, cost in zip(members, costs) if cost == top
-        )
+        assert priced.key() == min(m.key() for m, cost in zip(candidates, costs) if cost == top)
 
 
 def test_window_above_the_limit_solves_one_milp(monkeypatch):
@@ -265,7 +261,7 @@ def test_window_above_the_limit_solves_one_milp(monkeypatch):
     build = build_subproblem(inst, draw_capacities(inst, 0), budget)
     # pv and wind live in all six regions: C(6, 2) ** 2 = 225 members per window
     for window in build.windows:
-        assert live_members(window.z, budget, WINDOW_ENUMERATION_LIMIT) is None
+        assert member_count(window.z, budget) > WINDOW_ENUMERATION_LIMIT
     backend, calls = counting_milps(monkeypatch)
     parts = [solve_subproblem(window, backend) for window in build.windows]
     assert len(calls) == 2 and [part.milps for part in parts] == [1, 1]

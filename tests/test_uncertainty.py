@@ -303,6 +303,38 @@ def test_maximal_sets_cap_enforced():
         maximal_sets(inst, budget, cap=80)
 
 
+def test_member_order_is_pinned():
+    # certify_run and the referee take the earliest member on ties, so the
+    # order is behaviour. Each code gives a member's region per (tech,
+    # period) group, "-" for none: the first group varies slowest, and a
+    # group runs from no flag to more, regions in declaration order.
+    groups = [(PV, "p1"), (WIND, "p1"), (PV, "p2"), (WIND, "p2")]
+
+    def decode(codes):
+        return [
+            frozenset((tech, f"R{c}", pid) for (tech, pid), c in zip(groups, code) if c != "-")
+            for code in codes.split()
+        ]
+
+    inst = _synthetic_regions(2, 2)
+    budget = UncertaintyBudget(1, 1)
+    assert [m.flags for m in maximal_sets(inst, budget)] == decode("""
+        0000 0001 0010 0011 0100 0101 0110 0111
+        1000 1001 1010 1011 1100 1101 1110 1111
+    """)
+    assert [m.flags for m in enumerate_set(inst, budget)] == decode("""
+        ---- ---0 ---1 --0- --00 --01 --1- --10 --11
+        -0-- -0-0 -0-1 -00- -000 -001 -01- -010 -011
+        -1-- -1-0 -1-1 -10- -100 -101 -11- -110 -111
+        0--- 0--0 0--1 0-0- 0-00 0-01 0-1- 0-10 0-11
+        00-- 00-0 00-1 000- 0000 0001 001- 0010 0011
+        01-- 01-0 01-1 010- 0100 0101 011- 0110 0111
+        1--- 1--0 1--1 1-0- 1-00 1-01 1-1- 1-10 1-11
+        10-- 10-0 10-1 100- 1000 1001 101- 1010 1011
+        11-- 11-0 11-1 110- 1100 1101 111- 1110 1111
+    """)
+
+
 def _patchy_regions(G):
     """_synthetic_regions(G, 2) with gaps in what a flag can lower.
 
