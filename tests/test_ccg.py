@@ -606,6 +606,18 @@ def test_ladder_passes_other_errors_through(monkeypatch, cpus):
     assert multiprocessing.active_children() == []
 
 
+@PATHS
+def test_ladder_rejects_repeated_gamma(monkeypatch, cpus):
+    # [1, 1] once solved the same rung twice; now it fails before any rung runs
+    _usable_cpus(monkeypatch, cpus)
+    rungs = []
+    monkeypatch.setattr(ccg_module, "_run_rung", lambda gamma, *rest: rungs.append(gamma))
+    with pytest.raises(ValueError, match="sorted strictly ascending"):
+        run_gamma_ladder(two_region(), [1, 1], backend=SCIPY)
+    assert rungs == []
+    assert multiprocessing.active_children() == []
+
+
 def test_ladder_rejects_unsorted():
     inst = single_node()
     # a repeated rung would solve and write the same budget twice
