@@ -80,7 +80,7 @@ from .uncertainty import (
     cover,
     realize,
 )
-from .model import NetworkInstance
+from .model import NetworkInstance, require_valid
 
 __all__ = [
     "CcgConfig",
@@ -88,6 +88,7 @@ __all__ = [
     "CcgTrace",
     "LadderEntry",
     "run_ccg",
+    "check_gammas",
     "run_gamma_ladder",
 ]
 
@@ -176,7 +177,9 @@ def run_ccg(
     config: CcgConfig | None = None,
     backend=None,
 ) -> tuple[MasterSolution, CcgTrace]:
-    """Iterate master and worst-case search until the bound pair closes."""
+    """Iterate master and worst-case search until the bound pair closes.
+    An instance that validate rejects is a ValueError."""
+    require_valid(inst)
     config = config or CcgConfig()
     backend = backend or get_backend("scipy")
     budget = budget.clamp(len(inst.regions))
@@ -288,8 +291,9 @@ def run_gamma_ladder(
 ) -> list[LadderEntry]:
     """Independent converged runs for budgets of increasing size.
 
-    gammas must be nonempty, nonnegative and strictly ascending (anything
-    else is a ValueError). Each size applies to both technology classes.
+    gammas must pass check_gammas, and the instance validate (anything
+    else is a ValueError, raised before any rung runs). Each size applies
+    to both technology classes.
     Runs share nothing, so they run side by side: in worker processes
     forked from this one, one per usable CPU up to one per rung, largest
     budget first. Each worker holds its own copy of the process, instance,
@@ -304,10 +308,8 @@ def run_gamma_ladder(
     ladder moves on; any other exception reaches the caller, once every
     worker has stopped.
     """
-    if not gammas or any(a >= b for a, b in zip(gammas, gammas[1:])):
-        raise ValueError(f"gammas must be nonempty and sorted strictly ascending, got {gammas}")
-    if gammas[0] < 0:
-        raise ValueError(f"gammas must be nonnegative, got {gammas}")
+    check_gammas(gammas)
+    require_valid(inst)
     workers = _ladder_workers(len(gammas))
     if workers < 2:
         return [_run_rung(gamma, inst, config, backend) for gamma in gammas]
@@ -329,6 +331,15 @@ def run_gamma_ladder(
         return [future.result() for future in reversed(futures)]
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
+
+
+def check_gammas(gammas: list[int]) -> None:
+    """Raise ValueError unless gammas is nonempty, nonnegative and strictly
+    ascending, as a ladder's budget sizes must be."""
+    if not gammas or any(a >= b for a, b in zip(gammas, gammas[1:])):
+        raise ValueError(f"gammas must be nonempty and sorted strictly ascending, got {gammas}")
+    if gammas[0] < 0:
+        raise ValueError(f"gammas must be nonnegative, got {gammas}")
 
 
 def _ladder_workers(rungs: int) -> int:

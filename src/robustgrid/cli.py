@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from .backend import BackendError, get_backend
-from .ccg import CcgConfig, run_ccg, run_gamma_ladder
+from .ccg import CcgConfig, check_gammas, run_ccg, run_gamma_ladder
 from .io import InstanceError, load_instance, save_instance
 from .model import CapacityFactorBundle
 from .oracle import certify_run
@@ -42,7 +42,12 @@ from .report import (
     write_solution,
     write_trace_csv,
 )
-from .uncertainty import DEFAULT_ENUMERATION_CAP, EnumerationCapError, UncertaintyBudget
+from .uncertainty import (
+    DEFAULT_ENUMERATION_CAP,
+    EnumerationCapError,
+    UncertaintyBudget,
+    maximal_sets,
+)
 
 __all__ = ["main"]
 
@@ -121,15 +126,11 @@ def cmd_ladder(args) -> int:
     config = _config(args)
     try:
         gammas = [int(v) for v in args.gammas.split(",") if v.strip() != ""]
+        check_gammas(gammas)
     except ValueError as exc:
         raise InputError(f"bad --gammas value {args.gammas!r}: {exc}") from exc
     outdir = _output_dir(args)
-    try:
-        entries = run_gamma_ladder(
-            inst, gammas, config=config, backend=get_backend(args.backend)
-        )
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    entries = run_gamma_ladder(inst, gammas, config=config, backend=get_backend(args.backend))
     write_ladder_summary(outdir / "summary.csv", ladder_summary_rows(inst, entries))
     failed = False
     unconverged = False
@@ -161,6 +162,7 @@ def cmd_certify(args) -> int:
     budget = _budget(args)
     config = _config(args)
     backend = get_backend(args.backend)
+    maximal_sets(inst, budget, cap=args.cap)  # over the cap: exit 5 before solving
     outdir = _output_dir(args)
     result = run_ccg(inst, budget, config=config, backend=backend)
     report = certify_run(inst, budget, result, backend, cap=args.cap)

@@ -11,12 +11,14 @@ instance, as a DispatchTemplate of numpy arrays around a CSRMatrix: the
 block's own rows and columns, each row's sense and base rhs, and beside
 them how each row depends on the capacities (the template's cap_rows,
 cap_keys and cap_coefs, scaled by the realized capacity factor on the
-availability rows). The builders then stamp copies with array operations:
-the master stacks one copy per realization block-diagonally and writes
-the capacity columns; the dispatch LP keeps the matrix and moves the
-capacity terms into the rhs. A stamped model is the very model that
-emitting each block row by row would produce, down to the order and value
-of every matrix entry.
+availability rows), plus realized_coefs and rhs, which turn realizations
+and capacities into coefficients and right-hand sides. The builders read a
+block from the template alone and stamp copies with array operations: the
+master stacks one copy per realization block-diagonally and writes the
+capacity columns; the dispatch LP keeps the matrix and moves the capacity
+terms into the rhs. A stamped model is the very model that emitting each
+block row by row would produce, down to the order and value of every
+matrix entry.
 
 Conventions: dispatch quantities are energies per step (MWh). A power
 rating K limits energy as K * step_hours; storage energy caps carry no
@@ -51,7 +53,6 @@ __all__ = [
     "MasterBuild",
     "MasterSolution",
     "ScenarioBlock",
-    "DispatchBuild",
     "DispatchTemplate",
     "dispatch_template",
     "build_master",
@@ -120,28 +121,15 @@ def investment_cost(inst: NetworkInstance, capacities: dict[CapKey, float]) -> f
 
 
 @dataclass
-class BlockBuild:
-    """One stamped dispatch block: its realization and first column."""
-
-    tag: str
-    cf: dict[str, tuple[float, ...]]
-    template: "DispatchTemplate"
-    offset: int
-
-
-@dataclass
 class MasterBuild:
+    """The master LP; block k (tag s<k>) stamps realizations[k] and starts
+    at column eta + 1 + k * (block width)."""
+
     instance: NetworkInstance
     model: LinearModel
     inv: dict[CapKey, int]
     eta: int
-    blocks: list[BlockBuild]
-
-
-@dataclass
-class DispatchBuild:
-    model: LinearModel
-    cap_values: np.ndarray  # the capacities, one per template key
+    realizations: list[dict[str, tuple[float, ...]]]
 
 
 @dataclass
@@ -442,10 +430,11 @@ class DispatchTemplate:
     cap_rows, cap_keys (positions in `keys`) and cap_coefs. For the entries
     listed in `ren` (the ren_cap rows) the coefficient is per unit of
     capacity factor, taken at unit ren_units and step ren_steps of the
-    realization. level_caps lists the rows that cap a storage level, as
-    store() writes them; where each of their right-hand sides is 0, no
-    level can carry energy from one step to the next. Names are local;
-    builders prefix a tag only when a model's names are read.
+    realization (ren_ids and step_count give a realization's shape).
+    level_caps lists the rows that cap a storage level, as store() writes
+    them; where each of their right-hand sides is 0, no level can carry
+    energy from one step to the next. Names are local; builders prefix a
+    tag only when a model's names are read.
     """
 
     def __init__(self, inst: NetworkInstance):
@@ -453,6 +442,8 @@ class DispatchTemplate:
         emitter.emit()
         local = emitter.builder.build()
         self.keys = capacity_keys(inst)
+        self.ren_ids = [r.id for r in inst.renewables]
+        self.step_count = inst.timegrid.step_count
         self.matrix = local.matrix()
         self.n_rows, self.n_vars = self.matrix.shape
         self.row_sense = local.row_sense
@@ -548,14 +539,36 @@ class DispatchTemplate:
         """Whether some level cap has a nonzero right-hand side at
         capacities caps (one value per key), so that a level may carry
         energy from one step to the next."""
-        return bool(_dispatch_rhs(self, caps, self.cap_coefs[self.ren])[self.level_caps].any())
+        return bool(self.rhs(caps, self.cap_coefs[self.ren])[self.level_caps].any())
 
-    def realized_coefs(self, cf: np.ndarray) -> np.ndarray:
-        """Capacity-factor coefficients of the ren_cap rows, per realization.
-
-        cf has shape (realizations, renewable units, steps).
+    def realized_coefs(self, realizations: list[dict[str, tuple[float, ...]]]) -> np.ndarray:
+        """Capacity-factor coefficients of the ren_cap rows, one row per
+        realization. Each realization maps every renewable unit to its
+        series of step_count capacity factors; anything else is a ValueError.
         """
+        cf = np.empty((len(realizations), len(self.ren_ids), self.step_count))
+        for k, realized in enumerate(realizations):
+            for u, uid in enumerate(self.ren_ids):
+                if uid not in realized:
+                    raise ValueError(f"realization {k} misses unit {uid!r}")
+                if len(realized[uid]) != self.step_count:
+                    raise ValueError(
+                        f"realization {k}, unit {uid!r}: series length "
+                        f"{len(realized[uid])} != {self.step_count}"
+                    )
+                cf[k, u] = realized[uid]
         return cf[:, self.ren_units, self.ren_steps] * self.cap_coefs[self.ren]
+
+    def rhs(self, caps: np.ndarray, ren_coefs: np.ndarray) -> np.ndarray:
+        """The dispatch LP's rhs at capacities caps (one value per key):
+        base + coefficient * capacity on the coupled rows, with ren_coefs
+        (one realization's realized_coefs) as the coefficients of the
+        ren_cap rows."""
+        coefs = self.cap_coefs.copy()
+        coefs[self.ren] = ren_coefs
+        rhs = self.base_rhs.copy()
+        rhs[self.cap_rows] += coefs * caps[self.cap_keys]
+        return rhs
 
 
 def dispatch_template(inst: NetworkInstance) -> DispatchTemplate:
@@ -569,27 +582,6 @@ def dispatch_template(inst: NetworkInstance) -> DispatchTemplate:
         template = DispatchTemplate(inst)
         object.__setattr__(inst, "_dispatch_template", template)
     return template
-
-
-def _cf_array(
-    inst: NetworkInstance,
-    realizations: list[dict[str, tuple[float, ...]]],
-    tags: list[str],
-) -> np.ndarray:
-    """Realized capacity factors as (realizations, renewable units, steps)."""
-    T = inst.timegrid.step_count
-    out = np.empty((len(realizations), len(inst.renewables), T))
-    for k, (tag, cf) in enumerate(zip(tags, realizations)):
-        for u, unit in enumerate(inst.renewables):
-            if unit.id not in cf:
-                raise ValueError(f"realization {tag!r} misses unit {unit.id!r}")
-            if len(cf[unit.id]) != T:
-                raise ValueError(
-                    f"realization {tag!r}, unit {unit.id!r}: series length "
-                    f"{len(cf[unit.id])} != {T}"
-                )
-            out[k, u] = cf[unit.id]
-    return out
 
 
 def _tagged(tag: str, names: list[str]) -> list[str]:
@@ -617,12 +609,12 @@ def build_master(
     for key, ub in zip(tpl.keys, cap_ub):
         if ub < 0.0:
             raise ValueError(f"variable cap[{key[0]},{key[1]}]: lb 0.0 > ub {ub}")
-    cf = _cf_array(inst, realizations, tags)
+    ren_coefs = tpl.realized_coefs(realizations)
 
     indptr, indices, data, in_block, ren_pos = tpl.master_block
     nnz = len(data)
     data = np.tile(data, (K, 1))
-    data[:, ren_pos] = 0.0 + -tpl.realized_coefs(cf)
+    data[:, ren_pos] = 0.0 + -ren_coefs
     indices = np.tile(indices, (K, 1))
     indices[:, in_block] += (nb * np.arange(K))[:, None]
     indptr = np.append((indptr[:-1] + nnz * np.arange(K)[:, None]).ravel(), K * nnz)
@@ -656,11 +648,9 @@ def build_master(
         name="master",
     )
     inv = {key: k for k, key in enumerate(tpl.keys)}
-    blocks = [
-        BlockBuild(tag=tag, cf=cf_k, template=tpl, offset=n_cap + 1 + k * nb)
-        for k, (tag, cf_k) in enumerate(zip(tags, realizations))
-    ]
-    return MasterBuild(instance=inst, model=model, inv=inv, eta=n_cap, blocks=blocks)
+    return MasterBuild(
+        instance=inst, model=model, inv=inv, eta=n_cap, realizations=realizations
+    )
 
 
 def _running_sum(terms: np.ndarray) -> float:
@@ -668,14 +658,14 @@ def _running_sum(terms: np.ndarray) -> float:
     return float(np.cumsum(terms)[-1]) if len(terms) else 0.0
 
 
-def _extract_block(block: BlockBuild, x: np.ndarray) -> ScenarioBlock:
-    tpl = block.template
-    xb = x[block.offset : block.offset + tpl.n_vars]
+def _extract_block(
+    tpl: DispatchTemplate, tag: str, cf: dict[str, tuple[float, ...]], xb: np.ndarray
+) -> ScenarioBlock:
     fuel = _running_sum(tpl.fuel_costs * xb[tpl.fuel_cols])
     shed = _running_sum(tpl.shed_costs * xb[tpl.shed_cols])
     return ScenarioBlock(
-        tag=block.tag,
-        realized_cf=block.cf,
+        tag=tag,
+        realized_cf=cf,
         values=dict(zip(tpl.col_keys, xb.tolist())),
         operating_cost=fuel + shed,
         fuel_cost=fuel,
@@ -694,7 +684,12 @@ def solve_master(build: MasterBuild, backend) -> MasterSolution:
         key: float(res.x[j]) if res.x[j] > CAPACITY_SNAP else 0.0
         for key, j in build.inv.items()
     }
-    blocks = [_extract_block(b, res.x) for b in build.blocks]
+    tpl = dispatch_template(build.instance)
+    xs = res.x[build.eta + 1 :].reshape(len(build.realizations), tpl.n_vars)
+    blocks = [
+        _extract_block(tpl, f"s{k}", cf, xb)
+        for k, (cf, xb) in enumerate(zip(build.realizations, xs))
+    ]
     eta = float(res.x[build.eta])
     return MasterSolution(
         capacities=capacities,
@@ -705,35 +700,13 @@ def solve_master(build: MasterBuild, backend) -> MasterSolution:
     )
 
 
-def _dispatch_rhs(tpl: DispatchTemplate, caps: np.ndarray, ren_coefs: np.ndarray) -> np.ndarray:
-    """The dispatch LP's rhs: base + coefficient * capacity on the coupled
-    rows, with ren_coefs as the coefficients of the ren_cap rows."""
-    coefs = tpl.cap_coefs.copy()
-    coefs[tpl.ren] = ren_coefs
-    rhs = tpl.base_rhs.copy()
-    rhs[tpl.cap_rows] += coefs * caps[tpl.cap_keys]
-    return rhs
-
-
-def build_dispatch_lp(
-    inst: NetworkInstance,
-    capacities: dict[CapKey, float],
-    cf: dict[str, tuple[float, ...]],
-) -> DispatchBuild:
-    """Single-block dispatch LP with capacities fixed into the rhs.
-
-    The template's matrix is used as is; only the right-hand sides of the
-    capacity-coupled rows change: base + coefficient * capacity, with the
-    ren_cap coefficients taken from the realized capacity factors. Names
-    carry the tag d.
-    """
-    tpl = dispatch_template(inst)
-    caps = tpl.cap_array(capacities)
-    ren_coefs = tpl.realized_coefs(_cf_array(inst, [cf], ["d"]))[0]
-    model = LinearModel(
+def _dispatch_lp(tpl: DispatchTemplate, rhs: np.ndarray) -> LinearModel:
+    """The template's block as an LP with right-hand sides rhs; names carry
+    the tag d."""
+    return LinearModel(
         tpl.matrix,
         row_sense=tpl.row_sense.copy(),
-        row_rhs=_dispatch_rhs(tpl, caps, ren_coefs),
+        row_rhs=rhs,
         var_lb=tpl.var_lb.copy(),
         var_ub=np.full(tpl.n_vars, math.inf),
         var_obj=tpl.var_obj.copy(),
@@ -741,7 +714,23 @@ def build_dispatch_lp(
         row_names=lambda: _tagged("d", tpl.row_names),
         name="dispatch:d",
     )
-    return DispatchBuild(model=model, cap_values=caps)
+
+
+def build_dispatch_lp(
+    inst: NetworkInstance,
+    capacities: dict[CapKey, float],
+    cf: dict[str, tuple[float, ...]],
+) -> LinearModel:
+    """Single-block dispatch LP with capacities fixed into the rhs.
+
+    The template's matrix is used as is; only the right-hand sides of the
+    capacity-coupled rows change (DispatchTemplate.rhs): base + coefficient
+    * capacity, with the ren_cap coefficients taken from the realized
+    capacity factors. Names carry the tag d.
+    """
+    tpl = dispatch_template(inst)
+    caps = tpl.cap_array(capacities)
+    return _dispatch_lp(tpl, tpl.rhs(caps, tpl.realized_coefs([cf])[0]))
 
 
 def dispatch_cost(
@@ -753,18 +742,18 @@ def dispatch_cost(
     """Optimal operating cost at fixed capacities under each realization.
 
     The realizations differ only in the rhs of the ren_cap rows, so one
-    dispatch LP, built at realized[0], is solved under each realization's
+    dispatch LP, stamped at realized[0], is solved under each realization's
     rhs (solve_lps): the very rhs build_dispatch_lp gives it, bit for bit.
     """
     if not realized:
         return []
-    build = build_dispatch_lp(inst, capacities, realized[0])
     tpl = dispatch_template(inst)
-    tags = [f"d{k}" for k in range(len(realized))]
-    ren_coefs = tpl.realized_coefs(_cf_array(inst, realized, tags))
-    rhs = (_dispatch_rhs(tpl, build.cap_values, coefs) for coefs in ren_coefs)
+    caps = tpl.cap_array(capacities)
+    ren_coefs = tpl.realized_coefs(realized)
+    model = _dispatch_lp(tpl, tpl.rhs(caps, ren_coefs[0]))
+    rhs = (tpl.rhs(caps, coefs) for coefs in ren_coefs)
     costs = []
-    for k, res in enumerate(backend.solve_lps(build.model, rhs)):
+    for k, res in enumerate(backend.solve_lps(model, rhs)):
         if res.status != "optimal":
             raise BackendError(f"dispatch solve ended {res.status} under realization {k}")
         costs.append(float(res.objective))

@@ -40,6 +40,7 @@ __all__ = [
     "NetworkInstance",
     "Violation",
     "validate",
+    "require_valid",
     "annualize_cost",
     "PV",
     "WIND",
@@ -507,6 +508,16 @@ def validate(inst: NetworkInstance) -> list[Violation]:
         covered |= steps
 
     return out
+
+
+def require_valid(inst: NetworkInstance) -> None:
+    """Raise ValueError listing every violation validate finds, if any."""
+    violations = validate(inst)
+    if violations:
+        raise ValueError(
+            f"instance violates {len(violations)} invariant(s): "
+            + "; ".join(str(v) for v in violations)
+        )
 
 
 def annualize_cost(

@@ -53,7 +53,7 @@ from .master import (
     investment_cost,
     solve_master,
 )
-from .model import NetworkInstance
+from .model import NetworkInstance, require_valid
 from .subproblem import build_subproblem, search_templates, solve_subproblem
 from .uncertainty import (
     DEFAULT_ENUMERATION_CAP,
@@ -240,11 +240,13 @@ def certify_run(
     through the `<=` rows gen <= cf * cap * step_hours, adding a flag never
     lowers the dispatch cost at any capacities; a maximal member therefore
     costs at least as much as every member it contains, and each check has
-    the same outcome as over the full set.
+    the same outcome as over the full set. An instance that validate
+    rejects is a ValueError.
     """
     # imported here, so that importing robustgrid does not pay for it
     from concurrent.futures import ThreadPoolExecutor
 
+    require_valid(inst)
     solution, _ = ccg_result
     report = CertificationReport()
     members = maximal_sets(inst, budget, cap=cap)

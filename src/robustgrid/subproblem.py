@@ -28,7 +28,9 @@ entries of inequality rows negated, so the dual still follows from the
 emitted rows alone. Capacities only move right-hand sides, never the
 matrix, so the transposed block is computed once per instance; an assembly
 stamps the parts that depend on the capacities (dual objective, flag
-binaries, budget rows, linearization rows) as arrays around it.
+binaries, budget rows, linearization rows) as arrays around it, and reads
+the dispatch rhs, costs and names from the template too, stamping no
+dispatch LP on the way.
 
 Split by period: dispatch steps interact only through storage levels,
 each level following lvl[t] = lvl[t-1] + charge - discharge. Where every
@@ -72,19 +74,11 @@ import logging
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
 from .backend import EQ, LE, BackendError, CSRMatrix, LinearModel
-from .master import (
-    CapKey,
-    DispatchBuild,
-    DispatchTemplate,
-    build_dispatch_lp,
-    dispatch_cost,
-    dispatch_template,
-)
+from .master import CapKey, DispatchTemplate, dispatch_cost, dispatch_template
 from .model import (
     CapacityFactorBundle,
     DemandSeries,
@@ -143,8 +137,8 @@ def default_big_m(inst: NetworkInstance) -> float:
 
 @dataclass
 class SubproblemBuild:
-    """A worst-case search at fixed capacities. Its MILP (model, phi and
-    dispatch) is assembled on first use, by _assemble."""
+    """A worst-case search at fixed capacities. Its MILP (model and phi) is
+    assembled on first use, by _assemble."""
 
     instance: NetworkInstance
     capacities: dict[CapKey, float]  # lines as expansion, as the master returns them
@@ -156,29 +150,18 @@ class SubproblemBuild:
     windows: list[SubproblemBuild] = field(default_factory=list)
 
     @cached_property
-    def _milp(self) -> _Milp:
+    def _milp(self) -> tuple[LinearModel, dict[int, int]]:
         return _assemble(self)
 
     @property
     def model(self) -> LinearModel:
         """The dual MILP: column i is the multiplier of dispatch row i."""
-        return self._milp.model
+        return self._milp[0]
 
     @property
     def phi(self) -> dict[int, int]:
         """Primal row index -> its auxiliary variable's column."""
-        return self._milp.phi
-
-    @property
-    def dispatch(self) -> DispatchBuild:
-        """The dispatch LP at the capacities and reference capacity factors."""
-        return self._milp.dispatch
-
-
-class _Milp(NamedTuple):
-    model: LinearModel
-    phi: dict[int, int]
-    dispatch: DispatchBuild
+        return self._milp[1]
 
 
 def _csr_rows(parts, n_cols: int) -> CSRMatrix:
@@ -313,25 +296,23 @@ def _live(tpl: DispatchTemplate, caps: np.ndarray):
     return z_ranks, hit, first
 
 
-def _assemble(build: SubproblemBuild) -> _Milp:
-    """Dualize the fixed-capacity dispatch LP and couple it to the flags.
-
-    The dispatch right-hand sides the dual objective weighs are exactly
-    those of build_dispatch_lp at the build's capacities and the reference
-    capacity factors.
-    """
+def _assemble(build: SubproblemBuild) -> tuple[LinearModel, dict[int, int]]:
+    """Dualize the fixed-capacity dispatch LP and couple it to the flags;
+    returns the MILP and its phi map. The dual objective weighs exactly the
+    rhs of build_dispatch_lp at the build's capacities and the reference
+    capacity factors, and names each row as that LP does."""
     inst, budget, M = build.instance, build.budget, float(build.big_m)
-    reference = {r.id: r.cf.reference for r in inst.renewables}
-    disp = build_dispatch_lp(inst, build.capacities, reference)
-    pm = disp.model
     tpl = dispatch_template(inst)
-    n_dual = pm.n_rows
+    caps = tpl.cap_array(build.capacities)
+    reference = {r.id: r.cf.reference for r in inst.renewables}
+    rhs = tpl.rhs(caps, tpl.realized_coefs([reference])[0])
+    n_dual = tpl.n_rows
     eq = tpl.row_sense == EQ
 
     # flag binaries, only where flipping one changes the dispatch at all
     # (build.z); indices below run over the template's ren_cap entries
-    ren_cap = disp.cap_values[tpl.cap_keys[tpl.ren]]
-    z_ranks, hit, first = _live(tpl, disp.cap_values)
+    ren_cap = caps[tpl.cap_keys[tpl.ren]]
+    z_ranks, hit, first = _live(tpl, caps)
     n_z = len(z_ranks)
     z_col = np.empty(len(tpl.flags), dtype=np.intp)
     z_col[z_ranks] = n_dual + np.arange(n_z)
@@ -378,17 +359,17 @@ def _assemble(build: SubproblemBuild) -> _Milp:
 
     def var_names():
         names = [
-            f"lam[{name}]" if is_eq else f"mu[{name}]"
-            for name, is_eq in zip(pm.row_names, eq.tolist())
+            f"lam[d:{name}]" if is_eq else f"mu[d:{name}]"
+            for name, is_eq in zip(tpl.row_names, eq.tolist())
         ]
         names += [f"z[{f[0]},{f[1]},{f[2]}]" for f in build.z]
-        return names + [f"phi[{pm.row_names[i]}]" for i in phi_rows.tolist()]
+        return names + [f"phi[d:{tpl.row_names[i]}]" for i in phi_rows.tolist()]
 
     def row_names():
-        names = [f"dc[{name}]" for name in pm.var_names] + budget_names
+        names = [f"dc[d:{name}]" for name in tpl.var_names] + budget_names
         for i in phi_rows.tolist():
-            name = pm.row_names[i]
-            names += [f"lin1[{name}]", f"lin2[{name}]"]
+            name = tpl.row_names[i]
+            names += [f"lin1[d:{name}]", f"lin2[d:{name}]"]
         return names
 
     model = LinearModel(
@@ -397,12 +378,12 @@ def _assemble(build: SubproblemBuild) -> _Milp:
             np.where(primal_free, EQ, LE).astype(object),
             np.full(len(budget_rows) + 2 * n_phi, LE, dtype=object),
         ]),
-        row_rhs=np.concatenate([pm.var_obj, budget_rhs, np.zeros(2 * n_phi)]),
+        row_rhs=np.concatenate([tpl.var_obj, budget_rhs, np.zeros(2 * n_phi)]),
         var_lb=np.concatenate([np.where(eq, -math.inf, 0.0), np.zeros(n_z + n_phi)]),
         var_ub=np.concatenate([
             np.full(n_dual, math.inf), np.ones(n_z), np.full(n_phi, math.inf),
         ]),
-        var_obj=np.concatenate([np.where(eq, pm.row_rhs, -pm.row_rhs), np.zeros(n_z), phi_obj]),
+        var_obj=np.concatenate([np.where(eq, rhs, -rhs), np.zeros(n_z), phi_obj]),
         var_binary=np.concatenate([
             np.zeros(n_dual, dtype=bool), np.ones(n_z, dtype=bool), np.zeros(n_phi, dtype=bool),
         ]),
@@ -411,11 +392,7 @@ def _assemble(build: SubproblemBuild) -> _Milp:
         name="worst_case",
         sense="max",
     )
-    return _Milp(
-        model=model,
-        phi=dict(zip(phi_rows.tolist(), phi_col.tolist())),
-        dispatch=disp,
-    )
+    return model, dict(zip(phi_rows.tolist(), phi_col.tolist()))
 
 
 def _duality_gap(
@@ -442,8 +419,9 @@ def _check_saturation(
     and the cross-check clears it.
     """
     threshold = build.big_m * (1.0 - SATURATION_RTOL)
+    row_names = dispatch_template(build.instance).row_names
     hot = [
-        build.dispatch.model.row_names[i]
+        f"d:{row_names[i]}"
         for i, pj in build.phi.items()
         if x[pj] >= threshold or x[i] >= threshold
     ]

@@ -385,7 +385,7 @@ def test_session_prices_every_maximal_member_like_a_cold_solve(make, budget):
     inst = make()
     caps = _fixed_capacities(inst)
     models = [
-        build_dispatch_lp(inst, caps, realize(inst, m)).model
+        build_dispatch_lp(inst, caps, realize(inst, m))
         for m in maximal_sets(inst, budget)
     ]
     cold = [ScipyBackend().solve_lp(model) for model in models]

@@ -43,6 +43,7 @@ from toys import (
     toy6_with_pumped_hydro,
     two_period_battery,
     two_region,
+    two_region_repeated_period,
 )
 
 SCIPY = ScipyBackend()
@@ -614,6 +615,23 @@ def test_ladder_rejects_repeated_gamma(monkeypatch, cpus):
     monkeypatch.setattr(ccg_module, "_run_rung", lambda gamma, *rest: rungs.append(gamma))
     with pytest.raises(ValueError, match="sorted strictly ascending"):
         run_gamma_ladder(two_region(), [1, 1], backend=SCIPY)
+    assert rungs == []
+    assert multiprocessing.active_children() == []
+
+
+def test_run_ccg_rejects_invalid_instance():
+    # validate rejects it; unchecked, CCG converged on the merged periods
+    with pytest.raises(ValueError, match=r"1 invariant\(s\): p1: duplicate_id"):
+        run_ccg(two_region_repeated_period(), UncertaintyBudget(1, 1), backend=SCIPY)
+
+
+@PATHS
+def test_ladder_rejects_invalid_instance_before_any_rung(monkeypatch, cpus):
+    _usable_cpus(monkeypatch, cpus)
+    rungs = []
+    monkeypatch.setattr(ccg_module, "_run_rung", lambda gamma, *rest: rungs.append(gamma))
+    with pytest.raises(ValueError, match="duplicate_id"):
+        run_gamma_ladder(two_region_repeated_period(), [0, 1], backend=SCIPY)
     assert rungs == []
     assert multiprocessing.active_children() == []
 

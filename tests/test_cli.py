@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+import robustgrid.cli as cli
 from robustgrid.cli import (
     CAP_EXCEEDED,
     CERTIFY_FAILED,
@@ -199,6 +200,15 @@ def test_ladder_rejects_unsorted(tmp_path, capsys):
         assert "sorted" in capsys.readouterr().err
 
 
+def test_ladder_rejected_gammas_leave_no_output_dir(tmp_path):
+    out = tmp_path / "out"
+    rc = main([
+        "ladder", save(two_region(), tmp_path), "--gammas", "1,1", "--output-dir", str(out),
+    ])
+    assert rc == INPUT_ERROR
+    assert not out.exists()
+
+
 def test_ladder_rejects_garbage(tmp_path):
     rc = main(["ladder", save(two_region(), tmp_path), "--gammas", "a,b"])
     assert rc == INPUT_ERROR
@@ -245,6 +255,20 @@ def test_certify_cap_below_maximal_count(tmp_path, capsys):
     ])
     assert rc == CAP_EXCEEDED
     assert "4 maximal realizations exceed the enumeration cap of 3" in capsys.readouterr().err
+
+
+def test_certify_over_cap_exits_before_solving_or_writing(tmp_path, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("solved although the cap was exceeded")
+
+    monkeypatch.setattr(cli, "run_ccg", unreachable)
+    out = tmp_path / "out"
+    rc = main([
+        "certify", save(two_region(), tmp_path),
+        "--gamma-pv", "1", "--gamma-wind", "1", "--cap", "3", "--output-dir", str(out),
+    ])
+    assert rc == CAP_EXCEEDED
+    assert not out.exists()
 
 
 def test_certify_cap_between_maximal_and_full_count(tmp_path, capsys):

@@ -55,7 +55,7 @@ def _master():
 def _dispatch():
     inst = three_region_hydro()
     cf = realize(inst, WorstCaseRealization.reference())
-    return build_dispatch_lp(inst, {key: 10.0 for key in capacity_keys(inst)}, cf).model
+    return build_dispatch_lp(inst, {key: 10.0 for key in capacity_keys(inst)}, cf)
 
 
 def _worst_case():

@@ -331,6 +331,27 @@ def test_missing_unit_rejected():
         build_master(inst, [{}])
 
 
+@pytest.mark.parametrize(
+    "stamp",
+    [
+        lambda inst, cf: build_master(inst, [ref_cf(inst), cf]),
+        lambda inst, cf: build_dispatch_lp(inst, {}, cf),
+        # no backend: the realizations are checked before anything is solved
+        lambda inst, cf: dispatch_cost(inst, {}, [ref_cf(inst), cf], None),
+    ],
+    ids=["build_master", "build_dispatch_lp", "dispatch_cost"],
+)
+@pytest.mark.parametrize(
+    "cf, message",
+    [({}, "misses unit 's1'"), ({"s1": (0.5,)}, "unit 's1': series length 1 != 2")],
+    ids=["missing_unit", "series_length"],
+)
+def test_malformed_realization_rejected(stamp, cf, message):
+    inst = single_node()  # one unit, s1, over two steps
+    with pytest.raises(ValueError, match=message):
+        stamp(inst, cf)
+
+
 def test_bad_capacity_rejected():
     inst = single_node()
     with pytest.raises(ValueError, match="capacity"):
@@ -370,7 +391,7 @@ def test_dispatch_cost_prices_each_member_at_its_own_dispatch_lp(name):
     [(model, rhs)] = seen
     assert len(rhs) == len(costs) == len(rlz)
     for cf, b, cost in zip(rlz, rhs, costs):
-        alone = build_dispatch_lp(inst, caps, cf).model
+        alone = build_dispatch_lp(inst, caps, cf)
         assert np.array_equal(b, alone.row_rhs)
         assert alone.matrix() is model.matrix()
         assert np.array_equal(alone.var_obj, model.var_obj)
@@ -382,7 +403,7 @@ def test_dispatch_lp_solution_is_physical():
     inst = two_region()
     caps = {("ren", "pv_a"): 20.0, ("ren", "w_b"): 0.0, ("line", "l12"): 0.0}
     cf = ref_cf(inst)
-    res = SCIPY.solve_lp(build_dispatch_lp(inst, caps, cf).model)
+    res = SCIPY.solve_lp(build_dispatch_lp(inst, caps, cf))
     assert dispatch_cost(inst, caps, [cf], SCIPY) == [float(res.objective)]
     tpl = dispatch_template(inst)
     fuel = float(tpl.fuel_costs @ res.x[tpl.fuel_cols])

@@ -44,6 +44,7 @@ from toys import (
     three_region_hydro,
     two_period_battery,
     two_region,
+    two_region_repeated_period,
 )
 
 SCIPY = ScipyBackend()
@@ -343,6 +344,14 @@ def test_certify_converged_run_passes():
     assert all(c.passed for c in report.checks)
     payload = json.dumps(report.to_dict())
     assert json.loads(payload)["passed"] is True
+
+
+def test_certify_rejects_invalid_instance():
+    # a run on the valid instance, refereed on one whose periods share an id
+    budget = UncertaintyBudget(1, 1)
+    result = run_ccg(two_region(), budget, backend=SCIPY)
+    with pytest.raises(ValueError, match="duplicate_id"):
+        certify_run(two_region_repeated_period(), budget, result, SCIPY)
 
 
 def test_certify_flags_iteration_limited_run(reference_start):

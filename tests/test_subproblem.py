@@ -296,7 +296,7 @@ def test_dual_signs_and_objective():
     res = SCIPY.solve_milp(build.model, gap_tol=1e-9)
     assert res.status == "optimal"
     assert solve_subproblem(build, SCIPY).dual_objective == pytest.approx(res.objective)
-    pm = build.dispatch.model
+    pm = build_dispatch_lp(inst, caps, ref_cf(inst))
     # column i is the multiplier of dispatch row i: free on an equality row,
     # nonnegative on a <= row; every phi is nonnegative
     multipliers = res.x[: pm.n_rows]
@@ -312,7 +312,6 @@ def test_worst_case_solve_leaves_row_names_unmade():
     inst = halve_deviation(two_region())
     build = build_subproblem(inst, master_capacities(inst), UncertaintyBudget(1, 1))
     solve_subproblem(build, SCIPY)
-    assert callable(build.dispatch.model._row_names)
     assert callable(build.model._row_names)
 
 
@@ -332,11 +331,12 @@ def test_handoff_lines_carry_total_capacity():
     inst = two_region()  # l12 existing 50
     dt = inst.timegrid.step_hours
     build = build_subproblem(inst, {("line", "l12"): 3.0}, UncertaintyBudget(1, 1))
-    pm = build.dispatch.model
+    # the dual objective weighs a <= row's multiplier with minus its rhs
+    names = build.model.var_names
     for t in range(inst.timegrid.step_count):
         for side in ("hi", "lo"):
-            i = pm.row_names.index(f"d:flow_{side}[l12,{t}]")
-            assert pm.row_rhs[i] == pytest.approx(53.0 * dt)
+            j = names.index(f"mu[d:flow_{side}[l12,{t}]]")
+            assert build.model.var_obj[j] == pytest.approx(-53.0 * dt)
 
 
 def test_worst_case_prices_the_dispatch_rhs_exactly():
@@ -347,14 +347,13 @@ def test_worst_case_prices_the_dispatch_rhs_exactly():
     inst = inst.replace(timegrid=dataclasses.replace(inst.timegrid, step_hours=24.0))
     caps = {("line", "l12"): 0.3}
     build = build_subproblem(inst, caps, UncertaintyBudget(1, 1))
-    want = build_dispatch_lp(inst, caps, ref_cf(inst)).model.row_rhs
-    got = build.dispatch.model.row_rhs
-    assert got.tolist() == want.tolist()
-    i = build.dispatch.model.row_names.index("d:flow_hi[l12,0]")
-    assert got[i] == 1207.2
+    pm = build_dispatch_lp(inst, caps, ref_cf(inst))
+    want = pm.row_rhs
+    i = pm.row_names.index("d:flow_hi[l12,0]")
+    assert want[i] == 1207.2
     # the dual objective carries them: +rhs on equality rows, -rhs on <= rows
-    eq = build.dispatch.model.row_sense == EQ
-    assert build.model.var_obj[: got.size].tolist() == np.where(eq, want, -want).tolist()
+    eq = pm.row_sense == EQ
+    assert build.model.var_obj[: want.size].tolist() == np.where(eq, want, -want).tolist()
 
 
 def test_bad_big_m_rejected():

@@ -229,7 +229,7 @@ def test_dispatch_lp_matches_row_by_row(inst):
     caps = some_capacities(inst)
     for cf in distinct_realizations(inst, 3):
         ref, _ = reference_dispatch(inst, caps, cf)
-        assert_same_model(build_dispatch_lp(inst, caps, cf).model, ref)
+        assert_same_model(build_dispatch_lp(inst, caps, cf), ref)
 
 
 @pytest.mark.parametrize("gamma", [1, 2])
@@ -257,11 +257,11 @@ def test_template_is_emitted_once_per_instance():
 def test_stamped_models_do_not_share_writable_state():
     inst = two_period_battery()
     cf = realize(inst, WorstCaseRealization.reference())
-    first = build_dispatch_lp(inst, {}, cf).model
+    first = build_dispatch_lp(inst, {}, cf)
     first.var_lb[0] = 5.0
     first.row_rhs[0] = -1.0
     first.var_obj[0] = 99.0
-    second = build_dispatch_lp(inst, {}, cf).model
+    second = build_dispatch_lp(inst, {}, cf)
     ref, _ = reference_dispatch(inst, {}, cf)
     assert_same_model(second, ref)
 
@@ -270,7 +270,7 @@ def test_stamped_dispatch_solves_like_the_reference():
     inst = three_region_hydro()
     caps = some_capacities(inst)
     cf = distinct_realizations(inst, 2)[1]
-    res = ScipyBackend().solve_lp(build_dispatch_lp(inst, caps, cf).model)
+    res = ScipyBackend().solve_lp(build_dispatch_lp(inst, caps, cf))
     ref, _ = reference_dispatch(inst, caps, cf)
     want = ScipyBackend().solve_lp(ref)
     assert dispatch_cost(inst, caps, [cf], ScipyBackend()) == [float(want.objective)]

@@ -394,3 +394,19 @@ def draw_capacities(inst: NetworkInstance, seed: int, energy: float = 0.0) -> di
         else:
             caps[kind, eid] = rng.uniform(0.0, line_limit[eid] if kind == "line" else 10.0)
     return caps
+
+
+def two_region_repeated_period() -> NetworkInstance:
+    """two_region with each of its two steps a period, both named p1.
+
+    validate reports the repeated id (duplicate_id): read as one budget
+    group, the two periods would merge and the budget would cover both.
+    """
+    inst = two_region()
+    return inst.replace(
+        timegrid=TimeGrid(
+            step_count=2,
+            step_hours=inst.timegrid.step_hours,
+            periods=(Period("p1", 0, 0), Period("p1", 1, 1)),
+        )
+    )
