@@ -124,10 +124,7 @@ class CcgIteration:
     lower_bound: float
     upper_bound: float  # running minimum of investment + worst-case value
     gap: float
-    investment: float
-    subproblem_objective: float
     realization: WorstCaseRealization  # the search's worst case, not the cut
-    duplicate: bool  # the cut was already in memory
     seconds: float  # wall time of the whole iteration
     master_s: float  # of which solve_master
     worst_s: float  # of which solve_subproblem
@@ -231,10 +228,7 @@ def run_ccg(
                 lower_bound=lower,
                 upper_bound=running_ub,
                 gap=gap,
-                investment=solution.investment_cost,
-                subproblem_objective=worst.dual_objective,
                 realization=worst,
-                duplicate=duplicate,
                 seconds=time.perf_counter() - started,
                 master_s=master_s,
                 worst_s=worst_s,

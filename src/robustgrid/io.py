@@ -57,6 +57,7 @@ from robustgrid.model import (
     RenewableUnit,
     TimeGrid,
     WeatherRegion,
+    describe_violations,
     validate,
 )
 
@@ -86,8 +87,7 @@ class ValidationError(InstanceError):
 
     def __init__(self, violations):
         self.violations = list(violations)
-        lines = "; ".join(str(v) for v in self.violations)
-        super().__init__(f"instance violates {len(self.violations)} invariant(s): {lines}")
+        super().__init__(describe_violations(self.violations))
 
 
 _REQUIRED = object()

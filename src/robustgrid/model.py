@@ -20,6 +20,7 @@ Conventions
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -41,6 +42,7 @@ __all__ = [
     "Violation",
     "validate",
     "require_valid",
+    "describe_violations",
     "annualize_cost",
     "PV",
     "WIND",
@@ -197,7 +199,8 @@ class LoadSheddingPolicy:
 
     Tier k may curtail up to fractions[k] of nodal demand per step at
     costs[k] EUR/MWh. Costs may be overridden per node; fractions are
-    uniform. Fractions summing to at least 1 guarantee dispatch feasibility.
+    uniform. validate requires the fractions to sum to at least 1, so every
+    dispatch is feasible: shedding alone can cover all demand.
     """
 
     fractions: tuple[float, float, float]
@@ -328,30 +331,60 @@ def _check_series(
             return
 
 
-def _check_scalars(out: list[Violation], entity) -> None:
-    """Every number an entity holds is finite; a *_limit may be +inf (no limit)."""
-    for f in dataclasses.fields(entity):
-        value = getattr(entity, f.name)
+# The rules a line or unit field answers to by its name; the first match wins.
+_NAMED_RULES = (
+    (lambda name: name in ("node", "from_node", "to_node"), "unknown_node"),
+    (lambda name: name == "existing_cap", "negative_capacity"),
+    (lambda name: name.endswith("_limit"), "negative_limit"),
+    (lambda name: name.endswith("_cost"), "negative_cost"),
+    (lambda name: name == "efficiency" or name.startswith("eta_"), "efficiency"),
+)
+
+
+@functools.cache
+def _field_rules(cls) -> tuple[tuple[str, str | None], ...]:
+    return tuple(
+        (f.name, next((rule for test, rule in _NAMED_RULES if test(f.name)), None))
+        for f in dataclasses.fields(cls)
+    )
+
+
+def _check_fields(out: list[Violation], entity, node_ids: set[str]) -> None:
+    """Apply the named rules and finiteness to a line's or unit's fields; None is unset."""
+    for name, rule in _field_rules(type(entity)):
+        value = getattr(entity, name)
+        if rule == "unknown_node":
+            if value not in node_ids:
+                out.append(Violation(entity.id, rule, value))
+            continue
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             continue
-        if not (math.isfinite(value) or (f.name.endswith("_limit") and value == math.inf)):
-            out.append(Violation(entity.id, f"{f.name}_finite", str(value)))
+        if not (math.isfinite(value) or (rule == "negative_limit" and value == math.inf)):
+            out.append(Violation(entity.id, f"{name}_finite", str(value)))
+        # an efficiency lies in (0, 1]; every other named number is nonnegative
+        elif (not 0 < value <= 1) if rule == "efficiency" else (rule and value < 0):
+            out.append(Violation(entity.id, rule, f"{name} = {value}"))
 
 
 def validate(inst: NetworkInstance) -> list[Violation]:
     """Check every structural invariant; return all violations found.
 
     An empty list means the instance is internally consistent: identifiers
-    unique and resolvable, every number finite (a *_limit may be +inf),
-    exactly one reference node, regions partitioning the node set, series
-    lengths matching the time grid, capacity-factor bundles consistent,
-    shedding tiers increasing and finite, and period layout sane.
+    unique and resolvable, exactly one reference node, regions partitioning
+    the node set, series lengths matching the time grid, capacity-factor
+    bundles consistent, and period layout sane. Line and unit fields are
+    checked by name: every number finite (a *_limit may be +inf); node,
+    from_node and to_node name a node (unknown_node); existing_cap
+    (negative_capacity), every set *_limit (negative_limit) and every *_cost
+    (negative_cost) nonnegative; every set efficiency and eta_* in (0, 1]
+    (efficiency). Shedding tiers are finite and increasing, and their
+    fractions sum to at least 1 so shedding can cover all demand.
     Violations are data, not exceptions.
     """
     out: list[Violation] = []
     T = inst.timegrid.step_count
 
-    node_ids = inst.node_ids()
+    node_ids = set(inst.node_ids())
     # One id space for all units: every family keys its dispatch columns ("gen", id, t).
     for kind, entities in (
         ("node", inst.nodes), ("line", inst.lines), ("unit", inst.units()),
@@ -363,7 +396,7 @@ def validate(inst: NetworkInstance) -> list[Violation]:
                 out.append(Violation(e.id, "duplicate_id", f"{kind} id used twice"))
             seen.add(e.id)
     for e in (*inst.lines, *inst.units()):
-        _check_scalars(out, e)
+        _check_fields(out, e, node_ids)
     refs = [n for n in inst.nodes if n.is_reference]
     if len(refs) != 1:
         out.append(
@@ -393,21 +426,12 @@ def validate(inst: NetworkInstance) -> list[Violation]:
     for line in inst.lines:
         if line.kind not in _LINE_KINDS:
             out.append(Violation(line.id, "line_kind", line.kind))
-        for end in (line.from_node, line.to_node):
-            if end not in node_ids:
-                out.append(Violation(line.id, "unknown_node", end))
-        if line.existing_cap < 0:
-            out.append(Violation(line.id, "negative_capacity"))
         if line.kind == "ac" and line.susceptance <= 0:
             out.append(
                 Violation(line.id, "susceptance", "ac line needs susceptance > 0")
             )
-        if line.expansion_limit < 0:
-            out.append(Violation(line.id, "negative_limit"))
 
     for r in inst.renewables:
-        if r.node not in node_ids:
-            out.append(Violation(r.id, "unknown_node", r.node))
         if r.technology not in _RENEWABLE_TECHNOLOGIES:
             out.append(Violation(r.id, "technology", r.technology))
         if r.region not in region_ids:
@@ -425,24 +449,10 @@ def validate(inst: NetworkInstance) -> list[Violation]:
                         )
                     )
                     break
-        if r.expansion_limit is not None and r.expansion_limit < 0:
-            out.append(Violation(r.id, "negative_limit"))
-
-    for c in inst.conventionals:
-        if c.node not in node_ids:
-            out.append(Violation(c.id, "unknown_node", c.node))
-        if c.existing_cap < 0:
-            out.append(Violation(c.id, "negative_capacity"))
-        if c.variable_cost < 0:
-            out.append(Violation(c.id, "negative_cost"))
 
     for h in inst.hydros:
-        if h.node not in node_ids:
-            out.append(Violation(h.id, "unknown_node", h.node))
         if h.kind not in _HYDRO_KINDS:
             out.append(Violation(h.id, "hydro_kind", h.kind))
-        if h.existing_cap < 0:
-            out.append(Violation(h.id, "negative_capacity"))
         if h.kind in ("rsv", "ror"):
             if h.availability is None:
                 out.append(Violation(h.id, "availability", "series required"))
@@ -455,26 +465,10 @@ def validate(inst: NetworkInstance) -> list[Violation]:
         if h.kind == "psp":
             if h.storage_scale is None or h.storage_scale <= 0:
                 out.append(Violation(h.id, "storage_scale", "need a positive value"))
-            if h.efficiency is None or not 0 < h.efficiency <= 1:
+            if h.efficiency is None:
                 out.append(Violation(h.id, "efficiency", "need a value in (0, 1]"))
-        else:
-            if h.storage_scale is not None or h.efficiency is not None:
-                out.append(
-                    Violation(h.id, "psp_fields", "only pumped storage takes these")
-                )
-
-    for b in inst.batteries:
-        if b.node not in node_ids:
-            out.append(Violation(b.id, "unknown_node", b.node))
-        if not 0 < b.efficiency <= 1:
-            out.append(Violation(b.id, "efficiency", str(b.efficiency)))
-
-    for h2 in inst.hydrogens:
-        if h2.node not in node_ids:
-            out.append(Violation(h2.id, "unknown_node", h2.node))
-        for label, eta in (("eta_el", h2.eta_el), ("eta_ocgt", h2.eta_ocgt)):
-            if not 0 < eta <= 1:
-                out.append(Violation(h2.id, "efficiency", f"{label} = {eta}"))
+        elif h.storage_scale is not None or h.efficiency is not None:
+            out.append(Violation(h.id, "psp_fields", "only pumped storage takes these"))
 
     for nid, series in inst.demand.by_node.items():
         if nid not in node_ids:
@@ -482,8 +476,9 @@ def validate(inst: NetworkInstance) -> list[Violation]:
         _check_series(out, nid, "demand", series, T, 0.0, None)
 
     f1, f2, f3 = inst.shedding.fractions
-    if not 0 <= f1 < f2 < f3 < math.inf:
-        out.append(Violation("shedding", "shedding_fractions", f"{f1}, {f2}, {f3}"))
+    if not (0 <= f1 < f2 < f3 < math.inf and f1 + f2 + f3 >= 1 - 1e-12):
+        detail = f"{f1}, {f2}, {f3}: need 0 <= f1 < f2 < f3 summing to at least 1"
+        out.append(Violation("shedding", "shedding_fractions", detail))
     for where, (s1, s2, s3) in [("shedding", inst.shedding.costs)] + [
         (f"shedding[{nid}]", cs) for nid, cs in sorted(inst.shedding.node_costs.items())
     ]:
@@ -510,14 +505,17 @@ def validate(inst: NetworkInstance) -> list[Violation]:
     return out
 
 
+def describe_violations(violations: list[Violation]) -> str:
+    """The one-line message that names every violation of an instance."""
+    listed = "; ".join(map(str, violations))
+    return f"instance violates {len(violations)} invariant(s): {listed}"
+
+
 def require_valid(inst: NetworkInstance) -> None:
     """Raise ValueError listing every violation validate finds, if any."""
     violations = validate(inst)
     if violations:
-        raise ValueError(
-            f"instance violates {len(violations)} invariant(s): "
-            + "; ".join(str(v) for v in violations)
-        )
+        raise ValueError(describe_violations(violations))
 
 
 def annualize_cost(

@@ -20,7 +20,7 @@ from robustgrid.io import instance_to_dict, load_instance, save_instance
 from robustgrid.model import CapacityFactorBundle
 from robustgrid.prep import read_history_csv
 
-from toys import single_node, two_region
+from toys import single_node, two_period_battery, two_region
 
 pytestmark = pytest.mark.usefixtures("isolated_output_dir")
 
@@ -95,6 +95,20 @@ def test_plan_non_finite_value_is_input_error(tmp_path, capsys):
     assert "error: instance violates" in err
     assert "gas_b: variable_cost_finite" in err
     assert "Traceback" not in err
+
+
+def test_plan_negative_limit_is_input_error_before_any_output(tmp_path, capsys):
+    doc = instance_to_dict(two_period_battery())
+    doc["batteries"][0]["storage_limit"] = -2
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    rc = main(["plan", str(path), "--output-dir", str(out)])
+    assert rc == INPUT_ERROR
+    err = capsys.readouterr().err
+    assert "bat_a: negative_limit (storage_limit = -2.0)" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_plan_rejects_negative_budget(tmp_path, capsys):

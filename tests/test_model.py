@@ -330,6 +330,72 @@ def test_non_finite_number_flagged(case):
     assert expected in _violations(make())
 
 
+# (instance, expected (entity, rule)); limits and investment costs that may
+# not be negative, and shedding tiers that must be able to cover demand
+OUT_OF_RANGE = {
+    "battery-inverter_limit": (
+        lambda: _with(toys.two_period_battery(), "batteries", 0, inverter_limit=-1.0),
+        ("bat_a", "negative_limit"),
+    ),
+    "battery-storage_limit": (
+        lambda: _with(toys.two_period_battery(), "batteries", 0, storage_limit=-1.0),
+        ("bat_a", "negative_limit"),
+    ),
+    "hydrogen-ocgt_limit": (
+        lambda: _with(toys.three_region_hydro(), "hydrogens", 0, ocgt_limit=-1.0),
+        ("h2_2", "negative_limit"),
+    ),
+    "hydrogen-el_limit": (
+        lambda: _with(toys.three_region_hydro(), "hydrogens", 0, el_limit=-1.0),
+        ("h2_2", "negative_limit"),
+    ),
+    "hydrogen-storage_limit": (
+        lambda: _with(toys.three_region_hydro(), "hydrogens", 0, storage_limit=-1.0),
+        ("h2_2", "negative_limit"),
+    ),
+    "renewable-annualized_cost": (
+        lambda: _with(toys.two_region(), "renewables", 0, annualized_cost=-1.0),
+        ("pv_a", "negative_cost"),
+    ),
+    "line-expansion_cost": (
+        lambda: _with(toys.two_region(), "lines", 0, expansion_cost=-1.0),
+        ("l12", "negative_cost"),
+    ),
+    "battery-inverter_cost": (
+        lambda: _with(toys.two_period_battery(), "batteries", 0, inverter_cost=-1.0),
+        ("bat_a", "negative_cost"),
+    ),
+    "battery-storage_cost": (
+        lambda: _with(toys.two_period_battery(), "batteries", 0, storage_cost=-1.0),
+        ("bat_a", "negative_cost"),
+    ),
+    "hydrogen-ocgt_cost": (
+        lambda: _with(toys.three_region_hydro(), "hydrogens", 0, ocgt_cost=-1.0),
+        ("h2_2", "negative_cost"),
+    ),
+    "hydrogen-electrolyzer_cost": (
+        lambda: _with(toys.three_region_hydro(), "hydrogens", 0, electrolyzer_cost=-1.0),
+        ("h2_2", "negative_cost"),
+    ),
+    "hydrogen-storage_cost": (
+        lambda: _with(toys.three_region_hydro(), "hydrogens", 0, storage_cost=-1.0),
+        ("h2_2", "negative_cost"),
+    ),
+    "shedding-fractions-below-one": (
+        lambda: toys.two_region().replace(
+            shedding=LoadSheddingPolicy((0.01, 0.02, 0.03), (1000.0, 3000.0, 12000.0))
+        ),
+        ("shedding", "shedding_fractions"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+def test_out_of_range_number_flagged(case):
+    make, expected = OUT_OF_RANGE[case]
+    assert expected in _violations(make())
+
+
 def test_limit_may_be_infinite():
     inst = _with(toys.two_region(), "lines", 0, expansion_limit=INF)
     inst = _with(inst, "renewables", 0, expansion_limit=INF)

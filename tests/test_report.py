@@ -178,9 +178,8 @@ def trace_with(inst, flag_sets):
     iterations = [
         CcgIteration(
             index=i, lower_bound=0.0, upper_bound=0.0, gap=0.0,
-            investment=0.0, subproblem_objective=0.0,
             realization=WorstCaseRealization(frozenset(flags)),
-            duplicate=False, seconds=0.0, master_s=0.0, worst_s=0.0,
+            seconds=0.0, master_s=0.0, worst_s=0.0,
         )
         for i, flags in enumerate(flag_sets)
     ]
