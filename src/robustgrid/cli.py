@@ -176,7 +176,12 @@ def cmd_certify(args) -> int:
 
 
 def cmd_prep(args) -> int:
+    """Reduce the manifest's hourly history to the instance's own step."""
     inst = _load(args.instance)
+    step_hours = inst.timegrid.step_hours
+    window = int(round(step_hours))
+    if window < 1 or abs(window - step_hours) > 1e-9:
+        raise InputError(f"instance step of {step_hours} h is not a whole number of hours")
     manifest_path = Path(args.manifest)
     try:
         manifest = json.loads(manifest_path.read_text())
@@ -199,9 +204,6 @@ def cmd_prep(args) -> int:
     except (OSError, ValueError) as exc:
         raise InputError(str(exc)) from exc
 
-    window = int(round(args.step_hours))
-    if window < 1 or abs(window - args.step_hours) > 1e-9:
-        raise InputError(f"--step-hours must be a positive integer, got {args.step_hours}")
     steps = inst.timegrid.step_count
     prepared = []
     for unit in inst.renewables:
@@ -286,8 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prep", help="build model-ready series from raw history")
     p.add_argument("instance", help="instance JSON file to take series into")
     p.add_argument("manifest", help="JSON mapping of renewable unit id -> history CSV")
-    p.add_argument("--step-hours", type=float, required=True,
-                   help="model step length the hourly history is reduced to")
     p.add_argument("--output-dir", default=None,
                    help=f"artifact directory (default ${OUTPUT_DIR_ENV} or .)")
     p.set_defaults(func=cmd_prep)

@@ -52,7 +52,6 @@ __all__ = [
     "CapKey",
     "MasterBuild",
     "MasterSolution",
-    "ScenarioBlock",
     "DispatchTemplate",
     "dispatch_template",
     "build_master",
@@ -133,24 +132,26 @@ class MasterBuild:
 
 
 @dataclass
-class ScenarioBlock:
-    """Solved dispatch of one realization: values, costs, realized cf."""
-
-    tag: str
-    realized_cf: dict[str, tuple[float, ...]]
-    values: dict[tuple, float]
-    operating_cost: float
-    fuel_cost: float
-    shedding_cost: float
-
-
-@dataclass
 class MasterSolution:
+    """A solved master. Block k (tag s<k>) stamps realizations[k], and
+    dispatch[k] is its dispatch: one row per block, one column per template
+    column (DispatchTemplate.col_keys names them).
+
+    binding is the block whose recourse row carries the largest multiplier,
+    the first on ties. A positive multiplier holds that row tight in every
+    optimal solution (complementary slackness), so the binding block's
+    dispatch costs exactly the recourse bound and is cost-minimal for its
+    realization at the plan. Where every multiplier is 0 the bound is 0,
+    every block costs 0, and block 0 binds as well as any.
+    """
+
     capacities: dict[CapKey, float]
     investment_cost: float
     recourse_bound: float
     objective: float
-    blocks: list[ScenarioBlock]
+    realizations: list[dict[str, tuple[float, ...]]]
+    dispatch: np.ndarray
+    binding: int
 
 
 class _BlockEmitter:
@@ -653,50 +654,35 @@ def build_master(
     )
 
 
-def _running_sum(terms: np.ndarray) -> float:
-    """Left-to-right sum: the order Python's sum() adds in (np.sum pairs terms)."""
-    return float(np.cumsum(terms)[-1]) if len(terms) else 0.0
-
-
-def _extract_block(
-    tpl: DispatchTemplate, tag: str, cf: dict[str, tuple[float, ...]], xb: np.ndarray
-) -> ScenarioBlock:
-    fuel = _running_sum(tpl.fuel_costs * xb[tpl.fuel_cols])
-    shed = _running_sum(tpl.shed_costs * xb[tpl.shed_cols])
-    return ScenarioBlock(
-        tag=tag,
-        realized_cf=cf,
-        values=dict(zip(tpl.col_keys, xb.tolist())),
-        operating_cost=fuel + shed,
-        fuel_cost=fuel,
-        shedding_cost=shed,
-    )
-
-
 def solve_master(build: MasterBuild, backend) -> MasterSolution:
+    """Solve the master and read the plan, the recourse bound, every
+    block's dispatch and the binding block (see MasterSolution). The
+    binding block is read from the recourse rows' duals, the last row of
+    each block; an LP result without duals is a BackendError."""
     res: SolveResult = backend.solve_lp(build.model)
     if res.status != "optimal":
         raise BackendError(
             f"master solve ended {res.status}; with shedding tiers covering "
             "demand this indicates corrupt input data"
         )
+    if res.duals is None:
+        raise BackendError("master solve returned no duals to name the binding block")
     capacities = {
         key: float(res.x[j]) if res.x[j] > CAPACITY_SNAP else 0.0
         for key, j in build.inv.items()
     }
     tpl = dispatch_template(build.instance)
-    xs = res.x[build.eta + 1 :].reshape(len(build.realizations), tpl.n_vars)
-    blocks = [
-        _extract_block(tpl, f"s{k}", cf, xb)
-        for k, (cf, xb) in enumerate(zip(build.realizations, xs))
-    ]
-    eta = float(res.x[build.eta])
+    K = len(build.realizations)
+    # a <= row's dual is the objective's slope in its rhs, so -dual >= 0
+    recourse_rows = (tpl.n_rows + 1) * np.arange(K) + tpl.n_rows
     return MasterSolution(
         capacities=capacities,
         investment_cost=investment_cost(build.instance, capacities),
-        recourse_bound=eta,
+        recourse_bound=float(res.x[build.eta]),
         objective=float(res.objective),
-        blocks=blocks,
+        realizations=list(build.realizations),  # CCG appends to its own list
+        dispatch=res.x[build.eta + 1 :].reshape(K, tpl.n_vars),
+        binding=int(np.argmax(-res.duals[recourse_rows])),
     )
 
 
@@ -763,14 +749,17 @@ def dispatch_cost(
 def check_block_physics(
     inst: NetworkInstance,
     capacities: dict[CapKey, float],
-    block: ScenarioBlock,
+    cf: dict[str, tuple[float, ...]],
+    x: np.ndarray,
     tol: float = 1e-6,
 ) -> list[str]:
-    """Physical-consistency audit of one solved block; returns violations."""
+    """Physical-consistency audit of one dispatch x under realization cf,
+    one value per template column; returns violations. Only the columns'
+    names come from the template: every rule is written out again here."""
     grid = inst.timegrid
     T, dt = grid.step_count, grid.step_hours
     out: list[str] = []
-    val = block.values
+    val = dict(zip(dispatch_template(inst).col_keys, x.tolist()))
 
     def v(family, entity, t):
         return val.get((family, entity, t), 0.0)
@@ -817,7 +806,7 @@ def check_block_physics(
 
     for r in inst.renewables:
         built = capacity("ren", r.id)
-        rating("ren_cap", "gen", r.id, [built * cf * dt for cf in block.realized_cf[r.id]])
+        rating("ren_cap", "gen", r.id, [built * f * dt for f in cf[r.id]])
     for c in inst.conventionals:
         rating("conv_cap", "gen", c.id, [c.existing_cap * dt] * T)
     for h in inst.hydros:

@@ -5,8 +5,9 @@ files a run leaves behind: `solution.json`, `trace.csv`, `realizations.txt`,
 `metrics.json`, and the ladder `summary.csv`. Numeric CSV cells use a fixed
 6-significant-digit policy so re-parsing a file reproduces the written
 values exactly as formatted. `metrics.json` prices nothing itself: it reads
-investment costs from the master's capacity table and fuel and shedding
-costs from the dispatch template's cost columns.
+investment costs from the master's capacity table, and fuel and shedding
+costs from the dispatch template's cost columns applied to the master's
+dispatch of its binding block, the one the recourse duals name.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 from pathlib import Path
 
 from .ccg import CcgTrace, LadderEntry
-from .master import MasterSolution, ScenarioBlock, capacity_table, dispatch_template
+from .master import MasterSolution, capacity_table, dispatch_template
 from .model import PV, WIND, NetworkInstance
 from .uncertainty import UncertaintyBudget, WorstCaseRealization, is_dunkelflaute
 
@@ -179,28 +180,24 @@ def write_realizations(path: str | Path, inst: NetworkInstance, trace: CcgTrace)
 
 # --- metrics ------------------------------------------------------------------
 
-def _binding_block(solution: MasterSolution) -> ScenarioBlock:
-    if not solution.blocks:
-        raise ValueError("solution carries no dispatch blocks")
-    return max(solution.blocks, key=lambda b: b.operating_cost)
-
-
 def report_metrics(inst: NetworkInstance, solution: MasterSolution) -> dict:
     """System and per-region result metrics.
 
-    Costs and energies are taken from the binding dispatch block (the one
-    whose operating cost meets the recourse bound), so the regional picture
-    describes the event the plan is built to survive. Its tag,
-    binding_realization, is s<k>: for k below the run's seed count that is
-    seed k, row s<k> of realizations.txt; otherwise it is the completion of
-    the worst case found in iteration k minus the seed count. Prices are the
-    master's own: investment from its capacity table, fuel and shedding
-    from the dispatch template's cost columns. Line investment is split
+    Costs and energies are taken from the master's dispatch of its binding
+    block, solution.binding: the block with the largest recourse dual,
+    which prices at the recourse bound and whose dispatch is cost-minimal
+    at the plan (MasterSolution). So the regional picture describes the
+    event the plan is built to survive. Its tag, binding_realization, is
+    s<k>: for k below the run's seed count that is seed k, row s<k> of
+    realizations.txt; otherwise it is the completion of the worst case
+    found in iteration k minus the seed count. Prices are the master's
+    own: investment from its capacity table, fuel and shedding from the
+    dispatch template's cost columns. Line investment is split
     half and half between the endpoint regions. The demand total of the
     modeled horizon stands in for annual demand.
     """
-    block = _binding_block(solution)
     tpl = dispatch_template(inst)
+    x = solution.dispatch[solution.binding].tolist()
     grid = inst.timegrid
     T, dt = grid.step_count, grid.step_hours
     caps = solution.capacities
@@ -216,8 +213,7 @@ def report_metrics(inst: NetworkInstance, solution: MasterSolution) -> dict:
     def by_region(cols, costs, region_of: dict[str, str]) -> dict[str, float]:
         out = {g: 0.0 for g in regions}
         for j, cost in zip(cols.tolist(), costs.tolist()):
-            key = tpl.col_keys[j]
-            out[region_of[key[1]]] += cost * block.values.get(key, 0.0)
+            out[region_of[tpl.col_keys[j][1]]] += cost * x[j]
         return out
 
     # per-region cost split; sums reproduce the system totals
@@ -262,7 +258,7 @@ def report_metrics(inst: NetworkInstance, solution: MasterSolution) -> dict:
     generation = {g: 0.0 for g in regions}
     charging = {g: 0.0 for g in regions}
     shed_mwh = {g: 0.0 for g in regions}
-    for (family, entity, _), value in block.values.items():
+    for (family, entity, _), value in zip(tpl.col_keys, x):
         if family == "gen":
             generation[unit_region[entity]] += value
         elif family == "ch":
@@ -316,7 +312,7 @@ def report_metrics(inst: NetworkInstance, solution: MasterSolution) -> dict:
     return {
         "objective": solution.objective,
         "recourse_bound": solution.recourse_bound,
-        "binding_realization": block.tag,
+        "binding_realization": f"s{solution.binding}",
         "system_cost": system_cost,
         "cost_shares": {
             "investment": sum(inv.values()) / share_base,

@@ -314,9 +314,9 @@ def test_08_model_physics(converged_runs, toy6_ladder):
         (f"toy6_gamma{e.gamma}", toy6, e.solution) for e in toy6_ladder
     ]
     for name, inst, solution in cases:
-        for block in solution.blocks:
-            violations = check_block_physics(inst, solution.capacities, block)
-            assert violations == [], f"{name}/{block.tag}: {violations}"
+        for k, (cf, x) in enumerate(zip(solution.realizations, solution.dispatch)):
+            violations = check_block_physics(inst, solution.capacities, cf, x)
+            assert violations == [], f"{name}/s{k}: {violations}"
             audited += 1
     assert audited >= 20
 

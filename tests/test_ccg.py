@@ -179,11 +179,9 @@ def test_memory_starts_from_the_cover():
     sol, trace = run_ccg(inst, budget, backend=SCIPY)
     assert trace.converged
     assert trace.seeds == cover(inst, budget) and len(trace.seeds) == 2
-    assert [b.tag for b in sol.blocks] == [
-        f"s{k}" for k in range(len(trace.seeds) + len(trace.iterations) - 1)
-    ]
-    for seed, block in zip(trace.seeds, sol.blocks):
-        assert block.realized_cf == realize(inst, seed)
+    assert len(sol.realizations) == len(trace.seeds) + len(trace.iterations) - 1
+    for seed, realized in zip(trace.seeds, sol.realizations):
+        assert realized == realize(inst, seed)
 
 
 @pytest.mark.parametrize("gamma", [0, 1, 2])

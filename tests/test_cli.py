@@ -314,14 +314,21 @@ def write_history(tmp_path, unit_ids, years=3, weeks=2, seed=11):
     return str(tmp_path / "manifest.json")
 
 
+def stepped(inst, step_hours):
+    """inst with every step standing for step_hours hours."""
+    return inst.replace(timegrid=dataclasses.replace(inst.timegrid, step_hours=step_hours))
+
+
+def daily(steps):
+    """two_region over `steps` days: prep reduces an hourly history to 24-h means."""
+    return stepped(two_region(steps=steps), 24.0)
+
+
 def test_prep_writes_prepared_instance(tmp_path):
-    inst = two_region(steps=14)
+    inst = daily(14)
     manifest = write_history(tmp_path, ["pv_a"])
     out = tmp_path / "out"
-    rc = main([
-        "prep", save(inst, tmp_path), manifest,
-        "--step-hours", "24", "--output-dir", str(out),
-    ])
+    rc = main(["prep", save(inst, tmp_path), manifest, "--output-dir", str(out)])
     assert rc == OK
     prepared = load_instance(out / "prepared_instance.json")
     by_id = {u.id: u for u in prepared.renewables}
@@ -348,40 +355,39 @@ def test_prep_writes_prepared_instance(tmp_path):
 
 def test_prep_rejects_length_mismatch(tmp_path, capsys):
     manifest = write_history(tmp_path, ["pv_a"])
-    rc = main([
-        "prep", save(two_region(steps=10), tmp_path), manifest,
-        "--step-hours", "24",
-    ])
+    rc = main(["prep", save(daily(10), tmp_path), manifest])
     assert rc == INPUT_ERROR
     assert "instance expects 10" in capsys.readouterr().err
 
 
+def test_prep_reduces_to_the_instance_step(tmp_path, capsys):
+    # on a 1-hour grid a 2-week history stays 336 steps long, not 14
+    manifest = write_history(tmp_path, ["pv_a"])
+    out = tmp_path / "out"
+    rc = main(["prep", save(two_region(steps=14), tmp_path), manifest, "--output-dir", str(out)])
+    assert rc == INPUT_ERROR
+    assert "prepared series has 336 step(s), instance expects 14" in capsys.readouterr().err
+    assert not (out / "prepared_instance.json").exists()
+
+
 def test_prep_rejects_unknown_unit(tmp_path, capsys):
     manifest = write_history(tmp_path, ["mystery"])
-    rc = main([
-        "prep", save(two_region(steps=14), tmp_path), manifest,
-        "--step-hours", "24",
-    ])
+    rc = main(["prep", save(daily(14), tmp_path), manifest])
     assert rc == INPUT_ERROR
     assert "unknown renewable unit" in capsys.readouterr().err
 
 
 def test_prep_rejects_missing_csv(tmp_path):
     (tmp_path / "manifest.json").write_text(json.dumps({"pv_a": "nowhere.csv"}))
-    rc = main([
-        "prep", save(two_region(steps=14), tmp_path),
-        str(tmp_path / "manifest.json"), "--step-hours", "24",
-    ])
+    rc = main(["prep", save(daily(14), tmp_path), str(tmp_path / "manifest.json")])
     assert rc == INPUT_ERROR
 
 
-def test_prep_rejects_fractional_step_hours(tmp_path):
+def test_prep_rejects_fractional_step_hours(tmp_path, capsys):
     manifest = write_history(tmp_path, ["pv_a"])
-    rc = main([
-        "prep", save(two_region(steps=14), tmp_path), manifest,
-        "--step-hours", "24.5",
-    ])
+    rc = main(["prep", save(stepped(two_region(steps=14), 24.5), tmp_path), manifest])
     assert rc == INPUT_ERROR
+    assert "24.5 h is not a whole number of hours" in capsys.readouterr().err
 
 
 def _spoil_history(tmp_path, line: int, edit) -> str:
@@ -399,10 +405,7 @@ def test_prep_rejects_a_nan_history_cell(tmp_path, capsys):
     # it through into the prepared series
     manifest = _spoil_history(tmp_path, 2, lambda row: row.rsplit(",", 1)[0] + ",nan")
     out = tmp_path / "out"
-    rc = main([
-        "prep", save(two_region(steps=14), tmp_path), manifest,
-        "--step-hours", "24", "--output-dir", str(out),
-    ])
+    rc = main(["prep", save(daily(14), tmp_path), manifest, "--output-dir", str(out)])
     assert rc == INPUT_ERROR
     assert "pv_a: non-finite" in capsys.readouterr().err
     assert not (out / "prepared_instance.json").exists()
@@ -410,10 +413,7 @@ def test_prep_rejects_a_nan_history_cell(tmp_path, capsys):
 
 def test_prep_names_the_line_of_a_ragged_history_row(tmp_path, capsys):
     manifest = _spoil_history(tmp_path, 3, lambda row: row.rsplit(",", 1)[0])
-    rc = main([
-        "prep", save(two_region(steps=14), tmp_path), manifest,
-        "--step-hours", "24",
-    ])
+    rc = main(["prep", save(daily(14), tmp_path), manifest])
     assert rc == INPUT_ERROR
     assert "pv_a.csv:3: 335 hour(s), but the first row has 336" in capsys.readouterr().err
 

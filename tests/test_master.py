@@ -5,9 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from robustgrid.backend import BackendError, InTreeBackend, ScipyBackend
+from robustgrid.backend import BackendError, InTreeBackend, ScipyBackend, SolveResult
 from robustgrid.master import (
-    ScenarioBlock,
     build_dispatch_lp,
     build_master,
     capacity_keys,
@@ -196,6 +195,11 @@ TOYS = {
     "battery": (two_period_battery, [("pv", "RA", "p1"), ("wind", "RB", "p2")]),
     "hydro": (three_region_hydro, [("pv", "R1", "p1"), ("wind", "R2", "p1")]),
     "symmetric": (symmetric_pair, [("pv", "R1", "p1")]),
+    # the build limit leaves the drought block short of energy and the
+    # reference block slack below a positive recourse bound
+    "capped": (
+        lambda: single_node(deviation=0.25, expansion_limit=20.0), [("pv", "R1", "p1")]
+    ),
 }
 
 
@@ -212,20 +216,31 @@ def test_master_self_consistency(name):
     )
 
 
+# the toys whose master the dense in-tree simplex solves in well under a
+# second; it takes over 20 s on the 4-block battery and hydro masters
+INTREE_TOYS = {"capped", "symmetric", "two_region"}
+
+
 @pytest.mark.parametrize("name", sorted(TOYS))
 def test_recourse_bound_is_worst_block(name):
+    # the binding block is read from the recourse rows' duals, and each
+    # backend recovers duals its own way: check their sign on both
     builder, flags = TOYS[name]
     inst = builder()
     rlz = [ref_cf(inst)] + [hit(inst, f) for f in flags] + [hit(inst, *flags)]
-    sol = solve_master(build_master(inst, rlz), SCIPY)
-    tol = 1e-6 * max(1.0, abs(sol.recourse_bound))
-    for block in sol.blocks:
-        assert block.operating_cost <= sol.recourse_bound + tol
-    assert max(b.operating_cost for b in sol.blocks) == pytest.approx(
-        sol.recourse_bound, rel=1e-6, abs=1e-6
-    )
-    # the plan really covers every block at its re-optimized dispatch
-    assert max(dispatch_cost(inst, sol.capacities, rlz, SCIPY)) <= sol.recourse_bound + tol
+    tpl = dispatch_template(inst)
+    for backend in BACKENDS if name in INTREE_TOYS else [SCIPY]:
+        sol = solve_master(build_master(inst, rlz), backend)
+        assert sol.realizations == rlz and sol.dispatch.shape == (len(rlz), tpl.n_vars)
+        tol = 1e-6 * max(1.0, abs(sol.recourse_bound))
+        costs = sol.dispatch @ tpl.var_obj
+        assert (costs <= sol.recourse_bound + tol).all()
+        assert costs.max() == pytest.approx(sol.recourse_bound, rel=1e-6, abs=1e-6)
+        # the plan really covers every block at its re-optimized dispatch,
+        # and the binding block's realization prices at the bound
+        priced = dispatch_cost(inst, sol.capacities, rlz, SCIPY)
+        assert max(priced) <= sol.recourse_bound + tol
+        assert priced[sol.binding] == pytest.approx(sol.recourse_bound, rel=1e-6, abs=1e-6)
 
 
 @pytest.mark.parametrize("name", sorted(TOYS))
@@ -246,8 +261,8 @@ def test_block_physics_clean(name):
     inst = builder()
     rlz = [ref_cf(inst), hit(inst, *flags)]
     sol = solve_master(build_master(inst, rlz), SCIPY)
-    for block in sol.blocks:
-        assert check_block_physics(inst, sol.capacities, block) == []
+    for cf, x in zip(rlz, sol.dispatch):
+        assert check_block_physics(inst, sol.capacities, cf, x) == []
 
 
 def test_line_expansion_respects_limit():
@@ -258,12 +273,18 @@ def test_line_expansion_respects_limit():
     assert sol.capacities[("line", "l12")] <= 5.0 + 1e-9
 
 
+def nudged(inst, x, key, by):
+    """A copy of dispatch x with template column `key` moved by `by`."""
+    x = x.copy()
+    x[dispatch_template(inst).col_keys.index(key)] += by
+    return x
+
+
 def test_physics_checker_flags_corruption():
     inst = two_region()
     sol = solve_master(build_master(inst, [ref_cf(inst)]), SCIPY)
-    block = sol.blocks[0]
-    block.values[("gen", "pv_a", 0)] += 1.0
-    assert any("balance" in v for v in check_block_physics(inst, sol.capacities, block))
+    x = nudged(inst, sol.dispatch[0], ("gen", "pv_a", 0), 1.0)
+    assert any("balance" in v for v in check_block_physics(inst, sol.capacities, ref_cf(inst), x))
 
 
 def test_physics_checker_flags_storage_break():
@@ -274,11 +295,11 @@ def test_physics_checker_flags_storage_break():
         (three_region_hydro, "h2", "h2_2", 0),
     ):
         inst = make()
-        sol = solve_master(build_master(inst, [ref_cf(inst)]), SCIPY)
-        block = sol.blocks[0]
-        assert check_block_physics(inst, sol.capacities, block) == []
-        block.values[("lvl", uid, t)] += 0.5
-        out = check_block_physics(inst, sol.capacities, block)
+        cf = ref_cf(inst)
+        sol = solve_master(build_master(inst, [cf]), SCIPY)
+        assert check_block_physics(inst, sol.capacities, cf, sol.dispatch[0]) == []
+        x = nudged(inst, sol.dispatch[0], ("lvl", uid, t), 0.5)
+        out = check_block_physics(inst, sol.capacities, cf, x)
         assert f"{prefix}_lvl[{uid},{t}]: recursion residual" in out
 
 
@@ -305,14 +326,25 @@ RATING_BREACHES = [
 def test_physics_checker_flags_power_above_rating(make, key, row):
     inst = make()
     sol = solve_master(build_master(inst, [ref_cf(inst)]), SCIPY)
-    block = sol.blocks[0]
-    block.values[key] += 1e6
+    x = nudged(inst, sol.dispatch[0], key, 1e6)
     _, entity, t = key
-    out = check_block_physics(inst, sol.capacities, block)
+    out = check_block_physics(inst, sol.capacities, ref_cf(inst), x)
     assert f"{row}[{entity},{t}]: above its rating" in out
 
 
 # --- input errors -------------------------------------------------------------
+
+def test_master_result_without_duals_is_a_backend_error():
+    # the binding block is read from the duals; a result without them
+    # cannot name it
+    class NoDuals:
+        def solve_lp(self, model):
+            return SolveResult("optimal", objective=0.0, x=np.zeros(model.n_vars))
+
+    inst = single_node()
+    with pytest.raises(BackendError, match="no duals"):
+        solve_master(build_master(inst, [ref_cf(inst)]), NoDuals())
+
 
 def test_empty_realization_list_rejected():
     with pytest.raises(ValueError, match="at least one"):
@@ -409,11 +441,7 @@ def test_dispatch_lp_solution_is_physical():
     fuel = float(tpl.fuel_costs @ res.x[tpl.fuel_cols])
     shed = float(tpl.shed_costs @ res.x[tpl.shed_cols])
     assert fuel + shed == pytest.approx(res.objective, rel=1e-9, abs=1e-9)
-    block = ScenarioBlock(
-        tag="d", realized_cf=cf, values=dict(zip(tpl.col_keys, res.x.tolist())),
-        operating_cost=fuel + shed, fuel_cost=fuel, shedding_cost=shed,
-    )
-    assert check_block_physics(inst, caps, block) == []
+    assert check_block_physics(inst, caps, cf, res.x) == []
 
 
 def test_infeasible_dispatch_surfaces_backend_error():

@@ -5,6 +5,7 @@ import dataclasses
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from robustgrid.backend import ScipyBackend
@@ -17,7 +18,7 @@ from robustgrid.ccg import (
     run_gamma_ladder,
 )
 from robustgrid.io import load_instance
-from robustgrid.master import MasterSolution, ScenarioBlock
+from robustgrid.master import MasterSolution, dispatch_cost, dispatch_template
 from robustgrid.model import HydrogenUnit
 import robustgrid.subproblem as subproblem
 from robustgrid.report import (
@@ -41,6 +42,7 @@ from toys import (
     single_node,
     symmetric_pair,
     three_region_hydro,
+    toy6_priced,
     toy6_with_pumped_hydro,
     two_period_battery,
     two_region,
@@ -50,14 +52,11 @@ SCIPY = ScipyBackend()
 
 
 def fake_solution(inst, capacities):
-    """Solution shell with one costless block, for pure-arithmetic metrics."""
-    block = ScenarioBlock(
-        tag="s0", realized_cf={}, values={},
-        operating_cost=0.0, fuel_cost=0.0, shedding_cost=0.0,
-    )
+    """Solution shell with one idle block, for pure-arithmetic metrics."""
     return MasterSolution(
         capacities=capacities, investment_cost=0.0,
-        recourse_bound=0.0, objective=0.0, blocks=[block],
+        recourse_bound=0.0, objective=0.0, realizations=[{}],
+        dispatch=np.zeros((1, dispatch_template(inst).n_vars)), binding=0,
     )
 
 
@@ -258,8 +257,7 @@ def test_binding_realization_tags_a_seed_row():
     assert tag == "s0" and len(trace.seeds) == 1
     rows = realization_matrix(inst, trace).strip().splitlines()[1:]
     assert [row.split()[0] for row in rows] == [tag]
-    block = next(b for b in solution.blocks if b.tag == tag)
-    assert block.realized_cf == realize(inst, trace.seeds[0])
+    assert solution.realizations[solution.binding] == realize(inst, trace.seeds[0])
 
 
 def test_blocks_past_the_seeds_are_the_completed_cuts(reference_start):
@@ -268,28 +266,60 @@ def test_blocks_past_the_seeds_are_the_completed_cuts(reference_start):
     inst = two_region()
     budget = UncertaintyBudget(1, 1)
     solution, trace = run_ccg(inst, budget, backend=SCIPY)
-    past = solution.blocks[len(trace.seeds):]
-    assert past and len(past) == len(trace.iterations) - 1
-    for block, it in zip(past, trace.iterations):
+    past = len(solution.realizations) - len(trace.seeds)
+    assert past and past == len(trace.iterations) - 1
+    assert len(solution.dispatch) == len(solution.realizations)
+    for it in trace.iterations[:past]:
         assert it.realization.flags
-        assert block.tag == f"s{len(trace.seeds) + it.index}"
         cut = WorstCaseRealization(complete(inst, it.realization.flags, budget))
-        assert block.realized_cf == realize(inst, cut)
+        assert solution.realizations[len(trace.seeds) + it.index] == realize(inst, cut)
+
+
+def binding_costs(inst, solution):
+    """Fuel and shedding cost of the binding block's master dispatch."""
+    tpl, x = dispatch_template(inst), solution.dispatch[solution.binding]
+    return (
+        float(tpl.fuel_costs @ x[tpl.fuel_cols]),
+        float(tpl.shed_costs @ x[tpl.shed_cols]),
+    )
 
 
 def test_regional_costs_add_up_to_the_priced_totals():
     # the one toy with recourse at its robust optimum: gas covers the drought
     inst = two_region()
     solution, _ = run_ccg(inst, UncertaintyBudget(1, 1), backend=SCIPY)
-    block = max(solution.blocks, key=lambda b: b.operating_cost)
-    assert block.fuel_cost > 0.0
+    fuel, shed = binding_costs(inst, solution)
+    assert fuel > 0.0
     regional = report_metrics(inst, solution)["region_costs"].values()
     for part, total in (
         ("investment", solution.investment_cost),
-        ("fuel", block.fuel_cost),
-        ("shedding", block.shedding_cost),
+        ("fuel", fuel),
+        ("shedding", shed),
     ):
         assert sum(r[part] for r in regional) == pytest.approx(total, rel=1e-12)
+
+
+@pytest.mark.parametrize("gamma", [2, 4])
+def test_binding_realization_prices_at_the_recourse_bound(gamma):
+    # Several final blocks of this run are slack, and the master pads a
+    # slack block's dispatch up to the bound. Picked by master cost, the
+    # report named s1 at gamma 2 (priced 75.82 against 331.455) and s4 at
+    # gamma 4 (363.57 against 391.31).
+    inst = toy6_priced()
+    budget = UncertaintyBudget(gamma, gamma)
+    solution, trace = run_ccg(inst, budget, backend=SCIPY)
+    m = report_metrics(inst, solution)
+    # the tag read as the README tells a reader of metrics.json to read it
+    k = int(m["binding_realization"].removeprefix("s")) - len(trace.seeds)
+    if k < 0:
+        named = trace.seeds[k]
+    else:
+        named = WorstCaseRealization(complete(inst, trace.iterations[k].realization.flags, budget))
+    [priced] = dispatch_cost(inst, solution.capacities, [realize(inst, named)], SCIPY)
+    tol = CcgConfig().tolerance * max(1.0, abs(solution.objective))
+    assert abs(priced - solution.recourse_bound) <= tol
+    operating = sum(r["fuel"] + r["shedding"] for r in m["region_costs"].values())
+    assert abs(operating - priced) <= tol
 
 
 def test_unit_named_like_a_node_is_split_by_its_own_node():
@@ -298,12 +328,12 @@ def test_unit_named_like_a_node_is_split_by_its_own_node():
     gas = dataclasses.replace(base.conventionals[0], id="n1")
     inst = base.replace(conventionals=(gas,))
     solution, _ = run_ccg(inst, UncertaintyBudget(1, 1), backend=SCIPY)
-    block = max(solution.blocks, key=lambda b: b.operating_cost)
-    assert block.fuel_cost > 0.0 and block.shedding_cost > 0.0
+    fuel, shed = binding_costs(inst, solution)
+    assert fuel > 0.0 and shed > 0.0
     m = report_metrics(inst, solution)
     costs, energy = m["region_costs"], m["region_energy"]
-    assert costs["RB"]["fuel"] == pytest.approx(block.fuel_cost, rel=1e-12)
-    assert costs["RA"]["shedding"] == pytest.approx(block.shedding_cost, rel=1e-12)
+    assert costs["RB"]["fuel"] == pytest.approx(fuel, rel=1e-12)
+    assert costs["RA"]["shedding"] == pytest.approx(shed, rel=1e-12)
     assert costs["RA"]["fuel"] == 0.0 and costs["RB"]["shedding"] == 0.0
     assert energy["RA"]["generation_mwh"] == 0.0
     assert energy["RB"]["generation_mwh"] > 0.0 and energy["RB"]["shed_mwh"] == 0.0
@@ -400,16 +430,6 @@ def test_capacity_and_transmission_figures_are_floats(build):
     m = report_metrics(inst, solution)
     figures = {**m["capacity_mw"], **m["transmission"]}
     assert all(v is None or type(v) is float for v in figures.values()), figures
-
-
-def test_metrics_require_dispatch_blocks():
-    inst = single_node()
-    bare = MasterSolution(
-        capacities={}, investment_cost=0.0, recourse_bound=0.0,
-        objective=0.0, blocks=[],
-    )
-    with pytest.raises(ValueError, match="no dispatch blocks"):
-        report_metrics(inst, bare)
 
 
 # --- ladder summary --------------------------------------------------------------

@@ -103,13 +103,14 @@ def counting_milps(monkeypatch):
 # --- the snap at the capacity handoff ------------------------------------------
 
 class MasterResult:
-    """A backend whose solve_lp returns the master solution it was given."""
+    """A backend whose solve_lp returns the master solution it was given,
+    with every row's dual 0."""
 
     def __init__(self, x):
         self.x = x
 
     def solve_lp(self, model):
-        return SolveResult("optimal", objective=0.0, x=self.x)
+        return SolveResult("optimal", objective=0.0, x=self.x, duals=np.zeros(model.n_rows))
 
 
 def test_master_noise_snaps_to_zero_at_the_handoff():

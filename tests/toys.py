@@ -7,6 +7,7 @@ the assertion in the test module.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from pathlib import Path
 
@@ -377,6 +378,31 @@ def toy6_with_pumped_hydro() -> NetworkInstance:
         id="psp_1", node="n1", kind="psp", existing_cap=5.0, storage_scale=6.0, efficiency=0.75
     )
     return inst.replace(hydros=(psp,))
+
+
+def toy6_priced(weight: float = 1e-3) -> NetworkInstance:
+    """toy6 with every variable_cost and shedding cost times weight.
+
+    At 1e-3 operating cost competes with investment: from a budget of 2 on,
+    the robust plan leaves recourse, and several master blocks are slack.
+    """
+    inst = load_instance(Path(__file__).parent / "fixtures" / "toy6.json")
+
+    def scale(costs):
+        return tuple(c * weight for c in costs)
+
+    shedding = inst.shedding
+    return inst.replace(
+        conventionals=tuple(
+            dataclasses.replace(c, variable_cost=c.variable_cost * weight)
+            for c in inst.conventionals
+        ),
+        shedding=dataclasses.replace(
+            shedding,
+            costs=scale(shedding.costs),
+            node_costs={n: scale(c) for n, c in shedding.node_costs.items()},
+        ),
+    )
 
 
 def draw_capacities(inst: NetworkInstance, seed: int, energy: float = 0.0) -> dict:
