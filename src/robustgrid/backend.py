@@ -26,6 +26,21 @@ rows whose rhs changed (after a result that is not optimal, the next
 vector loads cold); InTreeBackend solves each vector from scratch. No
 backend keeps a model between calls.
 
+solve_lp(model, start=None) also hands a basis from one call to the next.
+ScipyBackend keeps HiGHS's optimal basis on an optimal result, as
+SolveResult.basis, and a later solve_lp given it as start skips presolve
+and begins its simplex there. The basis is an opaque HiGHS object: pass it
+on as it is (reading its statuses from Python can cost more than the
+pivots it saves), and do not pickle it, since it cannot be. A start only
+moves where the pivots begin: HiGHS refuses a basis whose sizes do not fit
+the model and then solves cold, and from any basis it accepts it still
+solves the model to optimality. InTreeBackend accepts start, ignores it
+and keeps no basis.
+
+ScipyBackend loads every model, LP or mixed-binary, with one passModel
+call on arrays: column-wise matrix, costs, column and row bounds and an
+integrality marker per column.
+
 Only HiGHS is taken from scipy. Its extension module is loaded on its own,
 under the name scipy gives it, so importing this package does not run
 scipy.optimize's __init__ (or load scipy.sparse and scipy.linalg with it);
@@ -114,7 +129,7 @@ class SolveResult:
     """Outcome of one solve. x is present iff status is optimal or target
     (a mixed-binary solve stopped at an incumbent that reached its
     objective target); duals only for optimal LPs (a mixed-binary solve has
-    none).
+    none), and basis only for optimal LPs that ScipyBackend.solve_lp solved.
     """
 
     status: str
@@ -122,6 +137,8 @@ class SolveResult:
     x: np.ndarray | None = None
     duals: np.ndarray | None = None
     stats: dict = field(default_factory=dict)
+    # HiGHS's optimal basis of an LP, opaque (see the module docstring)
+    basis: object | None = field(default=None, repr=False)
 
     @property
     def optimal(self) -> bool:
@@ -401,11 +418,6 @@ PRIMAL_FEASIBILITY_TOLERANCE = 1e-7
 # root sub-MIPs (6.5 s).
 _MIP_SWITCHES = {"mip_heuristic_run_rins": False, "mip_heuristic_run_rens": False}
 
-# A column's HiGHS type by its binary marker: continuous, or integer (the
-# bounds make it binary).
-_VAR_TYPES = (highs.HighsVarType.kContinuous, highs.HighsVarType.kInteger)
-
-
 @functools.cache
 def _milp_options() -> dict:
     """_OPTIONS plus those of _MIP_SWITCHES this HiGHS knows, asked once.
@@ -437,33 +449,41 @@ class _Loaded:
     perfbench ladder-mid run at seed 3 through 8 CCG iterations, 9580 LP
     iterations and 8 worst-case MILPs, against 5, 4810 and 5 in model order
     (HiGHS as bundled with scipy 1.17.1).
+
+    The model goes in by one passModel call on arrays, the column-wise
+    matrix included, always as a minimization (max models negate their
+    costs). Its integrality array marks binaries 1 (integer; the bounds
+    make them binary) and the rest 0 (continuous). An LP passes zeros too:
+    HiGHS refuses an empty one.
     """
 
     def __init__(self, model: LinearModel, rhs: np.ndarray, options: dict):
         self.sign = 1.0 if model.sense == "min" else -1.0
         self.senses, self.rhs = model.row_sense, rhs
-        start, index, value = model.matrix().colwise()
-
-        lp = highs.HighsLp()
-        lp.num_col_ = lp.a_matrix_.num_col_ = model.n_vars
-        lp.num_row_ = lp.a_matrix_.num_row_ = model.n_rows
-        lp.col_cost_ = self.sign * model.var_obj
-        lp.col_lower_ = model.var_lb
-        lp.col_upper_ = model.var_ub
-        lp.row_lower_, lp.row_upper_ = _bounds(self.senses, rhs)
-        lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
-        lp.a_matrix_.start_ = start
-        lp.a_matrix_.index_ = index
-        lp.a_matrix_.value_ = value
-        if model.is_mip:  # the binding takes a list of HighsVarType, no array
-            binary = np.asarray(model.var_binary, dtype=bool).tolist()
-            lp.integrality_ = [_VAR_TYPES[b] for b in binary]
-
         self.solver = highs._Highs()
         for key, value in options.items():
             if self.solver.setOptionValue(key, value) == highs.HighsStatus.kError:
                 raise BackendError(f"HiGHS rejected option {key}={value!r}")
-        self.passed = self.solver.passModel(lp) != highs.HighsStatus.kError
+        start, index, value = model.matrix().colwise()
+        row_lower, row_upper = _bounds(self.senses, rhs)
+        status = self.solver.passModel(
+            model.n_vars,
+            model.n_rows,
+            len(value),
+            int(highs.MatrixFormat.kColwise),
+            int(highs.ObjSense.kMinimize),
+            0.0,
+            self.sign * model.var_obj,
+            model.var_lb,
+            model.var_ub,
+            row_lower,
+            row_upper,
+            start,
+            index,
+            value,
+            np.asarray(model.var_binary, dtype=np.int32),
+        )
+        self.passed = status != highs.HighsStatus.kError
 
     def move_rhs(self, rhs: np.ndarray) -> None:
         """Give the loaded model these right-hand sides, moving into HiGHS
@@ -517,16 +537,28 @@ class ScipyBackend:
 
     name = "scipy"
 
-    def solve_lp(self, model: LinearModel) -> SolveResult:
-        return self.solve_lps(model, [model.row_rhs])[0]
+    def solve_lp(self, model: LinearModel, start=None) -> SolveResult:
+        """Solve the LP model, from the basis start where HiGHS accepts it
+        (see the module docstring). An optimal result keeps HiGHS's
+        optimal basis, and records its simplex iterations in stats."""
+        _check_no_binaries(model)
+        loaded = _Loaded(model, model.row_rhs, _OPTIONS)
+        if start is not None:
+            loaded.solver.setBasis(start)  # refused where the sizes do not fit
+        res, info = loaded.solve()
+        if res.optimal:
+            res.stats["iterations"] = info.simplex_iteration_count
+            res.basis = loaded.solver.getBasis()
+        return res
 
     def solve_lps(self, model: LinearModel, rhs) -> list[SolveResult]:
         """Solve the LP model under each right-hand-side vector of rhs.
 
         The first vector loads the model cold, exactly as solve_lp would
-        with that rhs. Each later one re-solves it warm: the rows whose rhs
-        changed are moved, and HiGHS starts from the basis it holds. After
-        a result that is not optimal, the next vector loads cold.
+        with that rhs and no start. Each later one re-solves it warm: the
+        rows whose rhs changed are moved, and HiGHS starts from the basis it
+        holds. After a result that is not optimal, the next vector loads
+        cold. No result keeps a basis.
         """
         _check_no_binaries(model)
         results, loaded = [], None
@@ -799,7 +831,8 @@ class InTreeBackend:
 
     name = "intree"
 
-    def solve_lp(self, model: LinearModel) -> SolveResult:
+    def solve_lp(self, model: LinearModel, start=None) -> SolveResult:
+        """Solve the LP model from scratch; start is accepted and ignored."""
         _check_no_binaries(model)
         return self._relaxation(model, model.var_lb, model.var_ub)
 

@@ -31,7 +31,7 @@ row (variables are only "free" or ">= 0"), which keeps the dual mechanical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -143,6 +143,11 @@ class MasterSolution:
     dispatch costs exactly the recourse bound and is cost-minimal for its
     realization at the plan. Where every multiplier is 0 the bound is 0,
     every block costs 0, and block 0 binds as well as any.
+
+    basis is the backend's optimal basis of the master LP (SolveResult.basis;
+    None on a backend that keeps none), a start for another LP of the same
+    shape. It cannot be pickled, so a pickled solution leaves it behind and
+    comes back with basis None.
     """
 
     capacities: dict[CapKey, float]
@@ -152,6 +157,10 @@ class MasterSolution:
     realizations: list[dict[str, tuple[float, ...]]]
     dispatch: np.ndarray
     binding: int
+    basis: object | None = field(default=None, repr=False, compare=False)
+
+    def __getstate__(self):
+        return {**self.__dict__, "basis": None}
 
 
 class _BlockEmitter:
@@ -654,12 +663,14 @@ def build_master(
     )
 
 
-def solve_master(build: MasterBuild, backend) -> MasterSolution:
+def solve_master(build: MasterBuild, backend, start=None) -> MasterSolution:
     """Solve the master and read the plan, the recourse bound, every
     block's dispatch and the binding block (see MasterSolution). The
     binding block is read from the recourse rows' duals, the last row of
-    each block; an LP result without duals is a BackendError."""
-    res: SolveResult = backend.solve_lp(build.model)
+    each block; an LP result without duals is a BackendError. start is a
+    basis to begin the LP from (backend.solve_lp), and the solution keeps
+    the LP's own basis."""
+    res: SolveResult = backend.solve_lp(build.model, start=start)
     if res.status != "optimal":
         raise BackendError(
             f"master solve ended {res.status}; with shedding tiers covering "
@@ -683,6 +694,7 @@ def solve_master(build: MasterBuild, backend) -> MasterSolution:
         realizations=list(build.realizations),  # CCG appends to its own list
         dispatch=res.x[build.eta + 1 :].reshape(K, tpl.n_vars),
         binding=int(np.argmax(-res.duals[recourse_rows])),
+        basis=res.basis,
     )
 
 

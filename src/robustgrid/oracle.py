@@ -15,12 +15,22 @@ once. The certificate has two sides:
 
 The referee adds the costliest member until the two sides meet, so every
 returned value is certified by pricing the whole set, with no worst-case
-search, no duality and no big-M involved. Because the upper side accepts
-any in-bounds plan, the run's own plan may cap the referee without the
-referee trusting the run: certify_run recomputes that plan's investment,
-prices it itself, and passes no bound for a plan outside the capacity
-bounds. That keeps it a fair referee for the iterative pipeline: the only
-shared machinery is the block builder and the LP backend, both tested
+search, no duality and no big-M involved. It takes two things from the
+run, and neither can make it certify a wrong value:
+
+- The run's plan, as an upper bound. The upper side accepts any in-bounds
+  plan, so certify_run recomputes that plan's investment, prices it
+  itself, and passes no bound for a plan outside the capacity bounds. The
+  bound can only end the referee early, where its own LP reaches it.
+- The basis of the run's first master (CcgTrace.seed_basis), as the start
+  of its first LP. That LP holds the cover's blocks, as the run's first
+  master does, so it starts optimal. A basis moves only where the simplex
+  starts: the LP, its bounds and the stopping rule are the referee's own,
+  HiGHS refuses a basis that does not fit the LP's sizes, and from any
+  basis it accepts it still solves that LP to optimality.
+
+That keeps it a fair referee for the iterative pipeline: the only shared
+machinery is the block builder and the LP backend, both tested
 independently.
 
 certify_run enumerates only the maximal members of the set, those that
@@ -105,6 +115,7 @@ def robust_optimum_by_enumeration(
     *,
     realized: list[dict[str, tuple[float, ...]]] | None = None,
     upper: float = math.inf,
+    start=None,
 ) -> float:
     """Exact robust optimum over the enumerated members, by row generation.
 
@@ -113,7 +124,8 @@ def robust_optimum_by_enumeration(
     give the same optimum. Without it the full set is enumerated. upper,
     when given, must be the enumerated LP's objective at a feasible plan:
     investment plus the largest member cost at capacities inside their
-    bounds.
+    bounds. start, when given, is a basis for the first LP to begin from
+    (backend.solve_lp); the later LPs start cold.
 
     The restricted LP starts from the budget's cover, whose members belong
     to the set. Each round solves it; its objective is a lower bound on the
@@ -130,7 +142,8 @@ def robust_optimum_by_enumeration(
     blocks = [realize(inst, m) for m in cover(inst, budget)]
     rounds = 0
     while True:
-        sol = solve_master(build_master(inst, blocks), backend)
+        sol = solve_master(build_master(inst, blocks), backend, start=start)
+        start = None
         rounds += 1
         tol = 1e-9 * max(1.0, abs(sol.objective))
         if upper - sol.objective > tol:
@@ -224,7 +237,9 @@ def certify_run(
     claims. A plan outside the capacity bounds is no point of that LP, and
     then the referee gets no bound. The referee still certifies its value
     on its own: a restricted LP's objective is a lower bound, and it stops
-    only once that meets the best upper bound it holds.
+    only once that meets the best upper bound it holds. Its first LP starts
+    from the run's seed basis (trace.seed_basis), which saves that LP's
+    pivots and leaves its optimum the LP's own.
 
     The worst-case search needs neither that batch nor the referee, so it
     runs beside them, in a second thread, from the moment the member count
@@ -247,7 +262,7 @@ def certify_run(
     from concurrent.futures import ThreadPoolExecutor
 
     require_valid(inst)
-    solution, _ = ccg_result
+    solution, trace = ccg_result
     report = CertificationReport()
     members = maximal_sets(inst, budget, cap=cap)
     search_templates(inst)  # emitted once here rather than by both threads
@@ -271,7 +286,8 @@ def certify_run(
 
         try:
             exact = robust_optimum_by_enumeration(
-                inst, budget, backend, realized=realized, upper=upper
+                inst, budget, backend, realized=realized, upper=upper,
+                start=trace.seed_basis,
             )
         except BackendError as err:
             objective_check = CertificationCheck(

@@ -492,6 +492,106 @@ def test_lp_reaches_highs_in_model_row_order():
     assert list(lp.row_upper_) == upper.tolist() == [0.0, 6.0, math.inf]
 
 
+def _min_lp():
+    # every row sense, bounded, free and shifted columns, and an explicit zero
+    m = ModelBuilder()
+    x = m.add_var("x", obj=2.0, ub=5.0)
+    y = m.add_var("y", lb=-1.0, ub=4.0, obj=-1.0)
+    f = m.add_var("f", lb=-math.inf, obj=0.5)
+    m.add_row([(x, 1.0), (y, 1.0)], GE, 2.0)
+    m.add_row([(f, 1.0), (y, -1.0), (x, 0.0)], EQ, 0.0)
+    m.add_row([(y, 3.0)], LE, 9.0)
+    return m.build()
+
+
+def _mixed_milp():
+    # min 5z + x with x + 4z >= 7, x <= 10, and a second binary on a <= row
+    m = ModelBuilder()
+    z = m.add_var("z", obj=5.0, binary=True)
+    x = m.add_var("x", obj=1.0, ub=10.0)
+    w = m.add_var("w", obj=-2.0, binary=True)
+    m.add_row([(x, 1.0), (z, 4.0)], GE, 7.0)
+    m.add_row([(w, 1.0), (z, 1.0)], LE, 1.0)
+    return m.build()
+
+
+@pytest.mark.parametrize(
+    "make", [_min_lp, _unique_duals_lp, _mixed_milp], ids=["min_lp", "max_lp", "milp"]
+)
+def test_one_call_load_passes_the_model_as_it_is(make):
+    model = make()
+    loaded = backend_module._Loaded(model, model.row_rhs, backend_module._OPTIONS)
+    lp = loaded.solver.getLp()
+    sign = 1.0 if model.sense == "min" else -1.0
+    assert lp.num_col_ == model.n_vars and lp.num_row_ == model.n_rows
+    assert lp.sense_ == backend_module.highs.ObjSense.kMinimize
+    assert list(lp.col_cost_) == (sign * model.var_obj).tolist()
+    assert list(lp.col_lower_) == model.var_lb.tolist()
+    assert list(lp.col_upper_) == model.var_ub.tolist()
+    senses, rhs = model.row_sense.tolist(), model.row_rhs.tolist()
+    assert list(lp.row_lower_) == [-math.inf if s == LE else b for s, b in zip(senses, rhs)]
+    assert list(lp.row_upper_) == [math.inf if s == GE else b for s, b in zip(senses, rhs)]
+    A = model.matrix()
+    csc = sparse.csr_matrix((A.data, A.indices, A.indptr), shape=A.shape).tocsc()
+    csc.eliminate_zeros()  # HiGHS drops explicit zeros as it takes the matrix in
+    assert lp.a_matrix_.format_ == backend_module.highs.MatrixFormat.kColwise
+    assert list(lp.a_matrix_.start_) == csc.indptr.tolist()
+    assert list(lp.a_matrix_.index_) == csc.indices.tolist()
+    assert list(lp.a_matrix_.value_) == csc.data.tolist()
+    integer = [t == backend_module.highs.HighsVarType.kInteger for t in lp.integrality_]
+    assert integer == model.var_binary.tolist()
+    assert model.is_mip == (make is _mixed_milp)
+
+
+# --- a basis from one LP solve to the next ------------------------------------
+
+def _toy6_dispatch_lp():
+    inst = _toy6()
+    member = maximal_sets(inst, UncertaintyBudget(1, 0))[0]
+    return build_dispatch_lp(inst, _fixed_capacities(inst), realize(inst, member))
+
+
+def test_lp_result_keeps_its_basis_and_a_start_saves_every_pivot():
+    model = _toy6_dispatch_lp()
+    cold = ScipyBackend().solve_lp(model)
+    assert cold.optimal and cold.basis is not None and cold.stats["iterations"] > 0
+    warm = ScipyBackend().solve_lp(model, start=cold.basis)
+    assert warm.stats["iterations"] == 0
+    assert warm.objective == pytest.approx(cold.objective, rel=1e-12)
+    assert np.allclose(warm.x, cold.x, rtol=1e-12, atol=1e-9)
+    assert np.allclose(warm.duals, cold.duals, rtol=1e-12, atol=1e-9)
+
+
+def test_a_start_of_another_size_is_refused_and_the_solve_is_cold():
+    model = _toy6_dispatch_lp()
+    cold = ScipyBackend().solve_lp(model)
+    res = ScipyBackend().solve_lp(model, start=ScipyBackend().solve_lp(_min_lp()).basis)
+    assert res.objective == cold.objective
+    assert res.stats["iterations"] == cold.stats["iterations"]
+    assert np.array_equal(res.x, cold.x)
+    assert np.array_equal(res.duals, cold.duals)
+
+
+def test_results_without_a_basis():
+    model = _min_lp()
+    assert all(r.basis is None for r in ScipyBackend().solve_lps(model, [model.row_rhs] * 2))
+    assert ScipyBackend().solve_milp(_mixed_milp()).basis is None
+    infeasible = _bracket_lp()
+    infeasible.row_rhs[:] = [3.0, 2.0]
+    assert ScipyBackend().solve_lp(infeasible).basis is None
+
+
+def test_intree_accepts_a_start_and_ignores_it():
+    model = _min_lp()
+    start = ScipyBackend().solve_lp(model).basis
+    plain = InTreeBackend().solve_lp(model)
+    started = InTreeBackend().solve_lp(model, start=start)
+    assert started.basis is None and plain.basis is None
+    assert started.objective == plain.objective
+    assert np.array_equal(started.x, plain.x)
+    assert np.array_equal(started.duals, plain.duals)
+
+
 def test_batch_reads_a_refilled_buffer_afresh():
     # a caller may hand every vector in one buffer, refilled in place
     model = _unique_duals_lp()

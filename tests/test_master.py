@@ -338,7 +338,7 @@ def test_master_result_without_duals_is_a_backend_error():
     # the binding block is read from the duals; a result without them
     # cannot name it
     class NoDuals:
-        def solve_lp(self, model):
+        def solve_lp(self, model, start=None):
             return SolveResult("optimal", objective=0.0, x=np.zeros(model.n_vars))
 
     inst = single_node()

@@ -509,6 +509,72 @@ def test_certify_records_a_stalled_referee(monkeypatch):
                                  "the recourse bound")
 
 
+# --- the referee's start from the run's seed basis ------------------------------
+
+class Recording(ScipyBackend):
+    """ScipyBackend that keeps every solve_lp result, in call order."""
+
+    def __init__(self):
+        self.lps = []
+
+    def solve_lp(self, model, start=None):
+        res = super().solve_lp(model, start=start)
+        self.lps.append(res)
+        return res
+
+
+@pytest.mark.parametrize("gamma", [0, 1, 2])
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_referee_starts_from_the_runs_seed_basis(name, gamma):
+    # the referee's first LP is the run's first master, so it starts optimal
+    inst = FIXTURES[name]()
+    budget = UncertaintyBudget(gamma, gamma)
+    solution, trace = run_ccg(inst, budget, backend=SCIPY)
+    assert trace.converged and trace.seed_basis is not None
+    realized = [realize(inst, m) for m in maximal_sets(inst, budget)]
+    recording = Recording()
+    warm = robust_optimum_by_enumeration(
+        inst, budget, recording, realized=realized, start=trace.seed_basis
+    )
+    assert recording.lps[0].stats["iterations"] == 0
+    cold = robust_optimum_by_enumeration(inst, budget, SCIPY, realized=realized)
+    assert warm == pytest.approx(cold, rel=1e-12)
+    assert (warm.rounds, warm.blocks) == (cold.rounds, cold.blocks)
+
+    # certify_run hands the referee that basis (its only solve_lp calls are
+    # the referee's), and its checks are a cold referee's
+    recording = Recording()
+    report = certify_run(inst, budget, (solution, trace), recording)
+    unstarted = dataclasses.replace(trace, seed_basis=None)
+    cold_report = certify_run(inst, budget, (solution, unstarted), SCIPY)
+    assert report.passed and recording.lps[0].stats["iterations"] == 0
+    assert [(c.name, c.passed) for c in report.checks] == [
+        (c.name, c.passed) for c in cold_report.checks
+    ]
+    for w, c in zip(report.checks, cold_report.checks):
+        assert w.value == pytest.approx(c.value, rel=1e-12)
+
+    # a basis of another LP's size is refused, and the referee runs cold
+    blocks = [realize(inst, m) for m in cover(inst, budget)]
+    other = solve_master(build_master(inst, blocks + blocks[:1]), SCIPY).basis
+    refused = robust_optimum_by_enumeration(
+        inst, budget, SCIPY, realized=realized, start=other
+    )
+    assert float(refused) == float(cold)
+    assert (refused.rounds, refused.blocks) == (cold.rounds, cold.blocks)
+
+
+def test_intree_referee_ignores_a_start():
+    inst = two_region()
+    budget = UncertaintyBudget(1, 1)
+    _, trace = run_ccg(inst, budget, backend=SCIPY)
+    intree = InTreeBackend()
+    started = robust_optimum_by_enumeration(inst, budget, intree, start=trace.seed_basis)
+    plain = robust_optimum_by_enumeration(inst, budget, intree)
+    assert float(started) == float(plain)
+    assert (started.rounds, started.blocks) == (plain.rounds, plain.blocks)
+
+
 # --- the worst-case search beside the pricing -----------------------------------
 
 def test_certify_searches_while_it_prices(monkeypatch):

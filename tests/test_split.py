@@ -109,7 +109,7 @@ class MasterResult:
     def __init__(self, x):
         self.x = x
 
-    def solve_lp(self, model):
+    def solve_lp(self, model, start=None):
         return SolveResult("optimal", objective=0.0, x=self.x, duals=np.zeros(model.n_rows))
 
 
