@@ -459,6 +459,7 @@ class _Loaded:
 
     def __init__(self, model: LinearModel, rhs: np.ndarray, options: dict):
         self.sign = 1.0 if model.sense == "min" else -1.0
+        self.is_mip = model.is_mip
         self.senses, self.rhs = model.row_sense, rhs
         self.solver = highs._Highs()
         for key, value in options.items():
@@ -498,27 +499,32 @@ class _Loaded:
                 return
         self.rhs = rhs
 
-    def solve(self) -> tuple[SolveResult, highs.HighsInfo]:
-        """Run HiGHS from its current state and read the result: the read
-        half; duals for LPs only."""
+    def solve(self) -> SolveResult:
+        """Run HiGHS and read its result, the one reader of its info: duals
+        for LPs only; stats "iterations", and "nodes" for a mixed-binary
+        model, with a solution, else only "message". A max model's optimum
+        of 0 reads 0.0, not -0.0."""
         if self.passed:
             self.solver.run()
             status = self.solver.getModelStatus()
         else:
             status = highs.HighsModelStatus.kModelError
-        info = self.solver.getInfo()
         if status not in _SOLVED:
             message = self.solver.modelStatusToString(status)
-            return SolveResult(_STATUS.get(status, "limit"), stats={"message": message}), info
+            return SolveResult(_STATUS.get(status, "limit"), stats={"message": message})
+        info = self.solver.getInfo()
         solution = self.solver.getSolution()
         duals = self.sign * np.asarray(solution.row_dual) if solution.dual_valid else None
-        result = SolveResult(
+        stats = {"iterations": info.simplex_iteration_count}
+        if self.is_mip:
+            stats["nodes"] = info.mip_node_count
+        return SolveResult(
             status=_SOLVED[status],
-            objective=self.sign * info.objective_function_value,
+            objective=0.0 + self.sign * info.objective_function_value,
             x=np.asarray(solution.col_value),
             duals=duals,
+            stats=stats,
         )
-        return result, info
 
 
 def _rhs_vectors(model: LinearModel, rhs):
@@ -540,14 +546,13 @@ class ScipyBackend:
     def solve_lp(self, model: LinearModel, start=None) -> SolveResult:
         """Solve the LP model, from the basis start where HiGHS accepts it
         (see the module docstring). An optimal result keeps HiGHS's
-        optimal basis, and records its simplex iterations in stats."""
+        optimal basis; stats are as _Loaded.solve records them."""
         _check_no_binaries(model)
         loaded = _Loaded(model, model.row_rhs, _OPTIONS)
         if start is not None:
             loaded.solver.setBasis(start)  # refused where the sizes do not fit
-        res, info = loaded.solve()
+        res = loaded.solve()
         if res.optimal:
-            res.stats["iterations"] = info.simplex_iteration_count
             res.basis = loaded.solver.getBasis()
         return res
 
@@ -567,10 +572,8 @@ class ScipyBackend:
                 loaded = _Loaded(model, b, _OPTIONS)
             else:
                 loaded.move_rhs(b)
-            res, info = loaded.solve()
-            if res.optimal:
-                res.stats["iterations"] = info.simplex_iteration_count
-            else:
+            res = loaded.solve()
+            if not res.optimal:
                 loaded = None
             results.append(res)
         return results
@@ -584,20 +587,13 @@ class ScipyBackend:
         HiGHS minimizes sign * objective (see _Loaded), so the target goes
         in with that sign: for a max model, a target of +t would already be
         met by any incumbent of value above -t.
-
-        A result with a solution records HiGHS's branch-and-bound nodes and
-        simplex iterations in stats, as "nodes" and "iterations".
         """
         if gap_tol < 0:
             raise ValueError("gap_tol must be nonnegative")
         options = {**_milp_options(), "mip_rel_gap": gap_tol}
         if target is not None:
             options["objective_target"] = target if model.sense == "min" else -target
-        res, info = _Loaded(model, model.row_rhs, options).solve()
-        if res.x is not None:
-            res.stats["nodes"] = info.mip_node_count
-            res.stats["iterations"] = info.simplex_iteration_count
-        return res
+        return _Loaded(model, model.row_rhs, options).solve()
 
 
 # ---------------------------------------------------------------------------
@@ -857,8 +853,7 @@ class InTreeBackend:
             return SolveResult(status=status)
         basis, keep_rows = info
         x = std.restore_x(y)
-        obj_min = float(std.c @ y) + std.offset
-        objective = std.sign * obj_min
+        objective = 0.0 + std.sign * float(std.c @ y + std.offset)  # never -0.0
         # duals of the surviving rows: solve B^T yd = c_B, map back by flips
         B = std.A[keep_rows][:, basis]
         try:

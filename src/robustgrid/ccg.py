@@ -17,10 +17,11 @@ live flags, in region declaration order, up to the budget in every
 (technology, period) group. The search only has binaries where a unit
 already has capacity, so its worst case leaves out the regions the master
 has not built in yet; the completion puts them in. The cut is exact: at
-the capacities the search saw, a flag never lowers the dispatch cost, so
-the cut costs at least the worst-case value, and it is a member, so it
-costs at most that. The trace keeps the seeds and the search's own worst
-case.
+the capacities the search saw, a flag never lowers the dispatch cost (see
+uncertainty), so the cut costs at least the worst-case value, and it is a
+member, so it costs at most that. The trace keeps the seeds and the
+search's own worst case, which alone records whether the search was exact
+and the MILPs and nodes it took.
 
 The loop calls build_subproblem and solve_subproblem once per iteration,
 and solve_subproblem chooses the route (see subproblem): where the budget
@@ -51,6 +52,17 @@ bounds:
   bound pair closes, which is the same statement as the convergence
   certificate: the worst case found for the final plan costs no more than
   the recourse the master already priced.
+
+The trace's gap is measured from the running upper bound; the stop tests
+fresh_gap, from this iteration's upper bound alone. Both divide by
+max(1, |upper bound|), and with nonnegative costs gap <= fresh_gap.
+Neither is finer than HiGHS's tolerances (1.12.0, read with
+getOptionValue): every LP holds its rows to primal_feasibility_tolerance
+= 1e-7 absolute, and a worst-case MILP ends once its gap is within
+mip_rel_gap = tolerance / 10 of its value or within mip_abs_gap = 1e-6,
+so an exact search's value may fall short of the worst case by the larger
+of the two. At a worst-case value of 0 no relative gap is defined, and
+only mip_abs_gap ends it.
 
 With exact arithmetic no cut can repeat while the gap is open. An exact
 search's cut costs at least the worst-case value, and a cut in memory
@@ -128,27 +140,6 @@ class CcgIteration:
     seconds: float  # wall time of the whole iteration
     master_s: float  # of which solve_master
     worst_s: float  # of which solve_subproblem
-
-    @property
-    def exact(self) -> bool:
-        """The worst case is exact: the search proved its optimum rather
-        than stop at its target, or solve_subproblem priced it."""
-        return self.realization.exact
-
-    @property
-    def milps(self) -> int:
-        """The worst-case MILPs the iteration solved: 0 where
-        solve_subproblem priced the one maximal member, 1 for a
-        whole-horizon search, and where the search split by period one per
-        window that was not priced."""
-        return self.realization.milps
-
-    @property
-    def milp_nodes(self) -> int | None:
-        """The worst-case MILPs' branch-and-bound nodes, summed over them;
-        None where the iteration solved no MILP: solve_subproblem priced
-        the one maximal member, or every period window's members."""
-        return self.realization.milp_nodes
 
 
 @dataclass

@@ -121,13 +121,12 @@ def investment_cost(inst: NetworkInstance, capacities: dict[CapKey, float]) -> f
 
 @dataclass
 class MasterBuild:
-    """The master LP; block k (tag s<k>) stamps realizations[k] and starts
-    at column eta + 1 + k * (block width)."""
+    """The master LP, laid out by the instance's dispatch template: one
+    capacity column per template key, in key order, then the recourse
+    column, then the blocks. Block k (tag s<k>) stamps realizations[k]."""
 
     instance: NetworkInstance
     model: LinearModel
-    inv: dict[CapKey, int]
-    eta: int
     realizations: list[dict[str, tuple[float, ...]]]
 
 
@@ -318,12 +317,12 @@ class _BlockEmitter:
                 self.row(f"balance[{n.id},{t}]", coeffs, EQ, dem)
 
         # renewable availability limits (the uncertainty-sensitive rows)
+        period_ids = grid.period_ids()
         for u, r in enumerate(inst.renewables):
             key = ("ren", r.id)
             tech = tech_class(r.technology)
-            for t in range(T):
-                period = grid.period_of(t)
-                flag = (tech, r.region, period.id) if period is not None else None
+            for t, pid in enumerate(period_ids):
+                flag = (tech, r.region, pid) if pid is not None else None
                 self.row(
                     f"ren_cap[{r.id},{t}]",
                     [(self.col("gen", r.id, t), 1.0)],
@@ -657,10 +656,7 @@ def build_master(
         row_names=row_names,
         name="master",
     )
-    inv = {key: k for k, key in enumerate(tpl.keys)}
-    return MasterBuild(
-        instance=inst, model=model, inv=inv, eta=n_cap, realizations=realizations
-    )
+    return MasterBuild(instance=inst, model=model, realizations=realizations)
 
 
 def solve_master(build: MasterBuild, backend, start=None) -> MasterSolution:
@@ -678,21 +674,20 @@ def solve_master(build: MasterBuild, backend, start=None) -> MasterSolution:
         )
     if res.duals is None:
         raise BackendError("master solve returned no duals to name the binding block")
-    capacities = {
-        key: float(res.x[j]) if res.x[j] > CAPACITY_SNAP else 0.0
-        for key, j in build.inv.items()
-    }
     tpl = dispatch_template(build.instance)
-    K = len(build.realizations)
+    eta, K = len(tpl.keys), len(build.realizations)  # the layout of MasterBuild
+    capacities = {
+        key: float(x) if x > CAPACITY_SNAP else 0.0 for key, x in zip(tpl.keys, res.x)
+    }
     # a <= row's dual is the objective's slope in its rhs, so -dual >= 0
     recourse_rows = (tpl.n_rows + 1) * np.arange(K) + tpl.n_rows
     return MasterSolution(
         capacities=capacities,
         investment_cost=investment_cost(build.instance, capacities),
-        recourse_bound=float(res.x[build.eta]),
+        recourse_bound=float(res.x[eta]),
         objective=float(res.objective),
         realizations=list(build.realizations),  # CCG appends to its own list
-        dispatch=res.x[build.eta + 1 :].reshape(K, tpl.n_vars),
+        dispatch=res.x[eta + 1 :].reshape(K, tpl.n_vars),
         binding=int(np.argmax(-res.duals[recourse_rows])),
         basis=res.basis,
     )

@@ -232,9 +232,6 @@ class Period:
     def steps(self) -> range:
         return range(self.start, self.end + 1)
 
-    def __contains__(self, t: int) -> bool:
-        return self.start <= t <= self.end
-
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -242,11 +239,13 @@ class TimeGrid:
     step_hours: float
     periods: tuple[Period, ...] = ()
 
-    def period_of(self, t: int) -> Period | None:
-        for p in self.periods:
-            if t in p:
-                return p
-        return None
+    def period_ids(self) -> list[str | None]:
+        """Per step, the id of the first period that holds it, or None."""
+        ids: list[str | None] = [None] * self.step_count
+        for p in reversed(self.periods):
+            for t in range(max(p.start, 0), min(p.end + 1, self.step_count)):
+                ids[t] = p.id
+        return ids
 
 
 @dataclass(frozen=True)

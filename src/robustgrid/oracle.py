@@ -35,15 +35,11 @@ independently.
 
 certify_run enumerates only the maximal members of the set, those that
 flag min(gamma, regions) regions in every (technology, period) group. That
-loses nothing. A flag can only lower availability: model.validate keeps
-0 <= deviation <= reference, realize floors at zero, and a unit's
-availability enters the dispatch only through its `ren_cap` row
-gen <= cf * cap * step_hours. So at any capacities a member's dispatch
-cost is no higher than that of any member whose flags contain its own,
-and every member is contained in a maximal one. The robust optimum, the
-largest dispatch cost and the coverage check are therefore the same over
-the maximal members as over the full set. enumerate_set,
-worst_case_by_enumeration and the default path of
+loses nothing: a flag never lowers the dispatch cost (the uncertainty
+module says why), and every member is contained in a maximal one. The
+robust optimum, the largest dispatch cost and the coverage check are
+therefore the same over the maximal members as over the full set.
+enumerate_set, worst_case_by_enumeration and the default path of
 robust_optimum_by_enumeration still enumerate the full set and stay
 independent judges of that argument.
 """
@@ -51,7 +47,7 @@ independent judges of that argument.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .backend import BackendError
 from .ccg import CcgTrace
@@ -188,14 +184,6 @@ class CertificationCheck:
     value: float
     detail: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "value": self.value,
-            "detail": self.detail,
-        }
-
 
 @dataclass
 class CertificationReport:
@@ -206,7 +194,7 @@ class CertificationReport:
         return all(c.passed for c in self.checks)
 
     def to_dict(self) -> dict:
-        return {"passed": self.passed, "checks": [c.to_dict() for c in self.checks]}
+        return {"passed": self.passed, "checks": [asdict(c) for c in self.checks]}
 
 
 def certify_run(
@@ -251,12 +239,10 @@ def certify_run(
     searches last.
 
     All three enumerate the maximal members only (maximal_sets, bounded by
-    cap). Because deviation <= reference and availability enters only
-    through the `<=` rows gen <= cf * cap * step_hours, adding a flag never
-    lowers the dispatch cost at any capacities; a maximal member therefore
-    costs at least as much as every member it contains, and each check has
-    the same outcome as over the full set. An instance that validate
-    rejects is a ValueError.
+    cap). As a flag never lowers the dispatch cost (see uncertainty), a
+    maximal member costs at least as much as every member it contains, and
+    each check has the same outcome as over the full set. An instance that
+    validate rejects is a ValueError.
     """
     # imported here, so that importing robustgrid does not pay for it
     from concurrent.futures import ThreadPoolExecutor

@@ -113,11 +113,11 @@ def write_trace_csv(path: str | Path, trace: CcgTrace) -> None:
             fmt(it.gap),
             it.realization.summary(),
             fmt(it.seconds),
-            str(int(it.exact)),
+            str(int(it.realization.exact)),
             fmt(it.master_s),
             fmt(it.worst_s),
-            "" if it.milp_nodes is None else str(it.milp_nodes),
-            str(it.milps),
+            "" if it.realization.milp_nodes is None else str(it.realization.milp_nodes),
+            str(it.realization.milps),
         ]
         for it in trace.iterations
     ]

@@ -50,9 +50,9 @@ holds at a budget of 0, at full budget, and wherever every (technology,
 period) group holds no more live flags at these capacities than its
 budget allows: the one maximal member over the live flags
 (uncertainty.members) then flags every live flag of the groups with a
-positive budget. As a flag never lowers the dispatch cost, that member is
-the worst case, so one dispatch LP prices it exactly, with no MILP and no
-big-M, and the horizon is not split.
+positive budget. As a flag never lowers the dispatch cost (see
+uncertainty), that member is the worst case, so one dispatch LP prices it
+exactly, with no MILP and no big-M, and the horizon is not split.
 
 A window often leaves the adversary few choices too: its maximal members
 number the product over pv and wind of C(live, min(gamma, live)), six to
@@ -492,7 +492,7 @@ def solve_subproblem(
         flags=flags,
         dual_objective=value + parts[-1].dual_objective,
         exact=all(part.exact for part in parts),
-        milp_nodes=None if not nodes or None in nodes else sum(nodes),
+        milp_nodes=sum(nodes) if nodes else None,
         milps=sum(part.milps for part in parts),
     )
 

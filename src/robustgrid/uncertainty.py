@@ -4,12 +4,16 @@ An adverse realization picks, independently for every declared period, up
 to gamma_pv weather regions whose solar units and up to gamma_wind regions
 whose wind units drop from the reference capacity factor to the synthetic
 lower bound (reference minus deviation) for every step of that period.
-Deviations are downward only: more availability never hurts a
-cost-minimizing dispatcher, so upward branches would never be active. For
-the same reason a member never costs more than one whose flags contain its
-own, so the maximal members (maximal_sets), which flag min(gamma, regions)
-regions in every (technology, period) group, carry every worst case, and
-any worst case stays one when complete fills its groups up to the budget.
+Deviations are downward only. A flag never lowers the dispatch cost at
+any capacities: validate keeps 0 <= deviation <= reference and realize
+floors at 0, so a flag only lowers capacity factors, and these enter the
+dispatch only through the ren_cap rows gen <= cf * cap * step_hours, so
+a flag only shrinks the dispatcher's choices. Hence upward branches would
+never be active, and a member never costs more than one whose flags
+contain its own: the maximal members (maximal_sets), which flag
+min(gamma, regions) regions in every (technology, period) group, carry
+every worst case, and any worst case stays one when complete fills its
+groups up to the budget.
 cover picks a few members, maximal among the flags that lower something,
 that between them flag every such flag: CCG starts from them.
 
@@ -103,8 +107,7 @@ class WorstCaseRealization:
     realization that reached its target, so dual_objective is a lower bound
     on the worst case rather than the worst case itself. milps counts the
     MILPs of the search that found it, 0 where none ran (it was priced);
-    milp_nodes is their branch-and-bound node count, None where no MILP ran
-    or the solver did not say.
+    milp_nodes is their branch-and-bound node count, None where no MILP ran.
     """
 
     flags: frozenset[Flag] = frozenset()
@@ -165,24 +168,16 @@ def realize(
     at the reference. Values are floored at 0 against roundoff.
     """
     check_flags(inst, realization.flags, budget)
-    grid = inst.timegrid
-    # each step's period id, or None: the first period holding it wins, as
-    # in TimeGrid.period_of
-    period_ids: list[str | None] = [None] * grid.step_count
-    for period in reversed(grid.periods):
-        for t in range(max(period.start, 0), min(period.end + 1, grid.step_count)):
-            period_ids[t] = period.id
+    period_ids = inst.timegrid.period_ids()
     out: dict[str, tuple[float, ...]] = {}
     for unit in inst.renewables:
         tech = tech_class(unit.technology)
+        hit = {p for kind, region, p in realization.flags if (kind, region) == (tech, unit.region)}
         ref, dev = unit.cf.reference, unit.cf.deviation
-        values = []
-        for t, pid in enumerate(period_ids):
-            v = ref[t]
-            if pid is not None and realization.hits(tech, unit.region, pid):
-                v -= dev[t]
-            values.append(max(0.0, v))
-        out[unit.id] = tuple(values)
+        out[unit.id] = tuple([
+            max(0.0, ref[t] - dev[t] if pid in hit else ref[t])
+            for t, pid in enumerate(period_ids)
+        ])
     return out
 
 
@@ -289,11 +284,12 @@ def maximal_sets(
 def _live_groups(inst: NetworkInstance) -> dict[tuple[str, str], list[Flag]]:
     """The flags that lower some unit's availability at some step of their
     period, by flag_groups, in the order of _instance_flags."""
+    period_ids = inst.timegrid.period_ids()
     live = {
-        (tech_class(unit.technology), unit.region, period.id)
+        (tech_class(unit.technology), unit.region, pid)
         for unit in inst.renewables
-        for period in inst.timegrid.periods
-        if any(unit.cf.deviation[t] > 0.0 for t in period.steps())
+        for t, pid in enumerate(period_ids)
+        if pid is not None and unit.cf.deviation[t] > 0.0
     }
     return flag_groups(flag for flag in _instance_flags(inst) if flag in live)
 
@@ -305,9 +301,10 @@ def complete(
 
     A group holding fewer than budget.limit(tech) flags gains further flags
     in region declaration order, each live: the region has a unit of that
-    technology whose deviation is positive at some step of the period. A
-    flag never lowers the dispatch cost, so at any capacities the result
-    costs at least what flags cost; a worst case stays a worst case.
+    technology whose deviation is positive at some step of the period. As
+    a flag never lowers the dispatch cost (module docstring), at any
+    capacities the result costs at least what flags cost; a worst case
+    stays a worst case.
     """
     given = flag_groups(flags)
     out = set(flags)

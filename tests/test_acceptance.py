@@ -215,9 +215,9 @@ def test_05b_inexact_separation_ends_on_an_exact_search():
     """
     ladder = run_gamma_ladder(toy6_with_pumped_hydro(), list(range(7)), backend=SCIPY)
     iterations = [it for e in ladder for it in e.trace.iterations]
-    assert any(not it.exact for it in iterations), "no search stopped early"
+    assert any(not it.realization.exact for it in iterations), "no search stopped early"
     for entry in ladder:
-        assert entry.trace.iterations[-1].exact, f"gamma {entry.gamma}"
+        assert entry.trace.iterations[-1].realization.exact, f"gamma {entry.gamma}"
     assert not any(math.isnan(it.gap) for it in iterations)
 
 

@@ -64,6 +64,20 @@ def test_max_with_mixed_rows_and_free_var(backend):
     assert np.allclose(r.duals, [1.5, -0.5], atol=1e-8)
 
 
+def test_a_max_optimum_of_zero_is_positive_zero(backend):
+    # max -x - z is 0 at x = z = 0: negating the minimum HiGHS or the
+    # in-tree simplex finds must not give -0.0, which prints as "-0"
+    for binary in (False, True):
+        m = ModelBuilder(sense="max")
+        x = m.add_var("x", obj=-1.0)
+        z = m.add_var("z", obj=-1.0, binary=binary)
+        m.add_row([(x, 1.0), (z, 1.0)], LE, 1.0)
+        model = m.build()
+        r = backend.solve_milp(model) if binary else backend.solve_lp(model)
+        assert r.optimal and r.objective == 0.0 and type(r.objective) is float
+        assert math.copysign(1.0, r.objective) == 1.0
+
+
 def test_infeasible_lp_reported(backend):
     m = ModelBuilder()
     x = m.add_var("x", ub=1.0, obj=1.0)
@@ -332,6 +346,7 @@ def test_milp_results_carry_highs_counts():
     early = ScipyBackend().solve_milp(model, target=0.95 * exact.objective)
     assert (exact.status, early.status) == ("optimal", "target")
     for res in (exact, early):
+        assert set(res.stats) == {"iterations", "nodes"}
         assert isinstance(res.stats["nodes"], int)
         assert isinstance(res.stats["iterations"], int)
     assert exact.stats["nodes"] >= 1 and exact.stats["iterations"] > 0
@@ -340,10 +355,13 @@ def test_milp_results_carry_highs_counts():
 
 
 def test_intree_milp_results_carry_node_counts():
-    # the knapsack branches, so the in-tree search closes more than its root
+    # the knapsack branches, so the in-tree search closes more than its root;
+    # a node count is all an in-tree MILP result records
     res = InTreeBackend().solve_milp(_multi_knapsack())
     assert res.status == "optimal"
     assert isinstance(res.stats["nodes"], int) and res.stats["nodes"] > 1
+    mixed = InTreeBackend().solve_milp(_mixed_milp())
+    assert set(res.stats) == set(mixed.stats) == {"nodes"}
 
 
 def test_intree_ignores_the_target():
@@ -573,12 +591,22 @@ def test_a_start_of_another_size_is_refused_and_the_solve_is_cold():
 
 
 def test_results_without_a_basis():
-    model = _min_lp()
-    assert all(r.basis is None for r in ScipyBackend().solve_lps(model, [model.row_rhs] * 2))
-    assert ScipyBackend().solve_milp(_mixed_milp()).basis is None
-    infeasible = _bracket_lp()
+    # and the stats each records: simplex iterations on an optimal LP, nodes
+    # too on a MILP, and only HiGHS's message on a failed solve
+    model, scipy = _min_lp(), ScipyBackend()
+    assert set(scipy.solve_lp(model).stats) == {"iterations"}
+    infeasible, refused = _bracket_lp(), _bracket_lp()
     infeasible.row_rhs[:] = [3.0, 2.0]
-    assert ScipyBackend().solve_lp(infeasible).basis is None
+    refused.row_rhs[:] = [math.inf, 5.0]  # bounds [inf, inf], which HiGHS refuses
+    cases = [(r, {"iterations"}) for r in scipy.solve_lps(model, [model.row_rhs] * 2)]
+    cases += [
+        (scipy.solve_milp(_mixed_milp()), {"iterations", "nodes"}),
+        (scipy.solve_lp(infeasible), {"message"}),
+        (scipy.solve_lp(refused), {"message"}),
+    ]
+    for res, keys in cases:
+        assert res.basis is None
+        assert set(res.stats) == keys
 
 
 def test_intree_accepts_a_start_and_ignores_it():

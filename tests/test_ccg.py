@@ -279,7 +279,8 @@ def test_budget_without_a_choice_prices_instead_of_searching(make, gamma, monkey
     solution, trace = run_ccg(inst, budget, backend=backend)
     assert calls == []
     assert trace.converged and len(trace.iterations) == 1
-    assert trace.iterations[0].exact and trace.iterations[0].milp_nodes is None
+    worst = trace.iterations[0].realization
+    assert worst.exact and worst.milp_nodes is None
     realized = [realize(inst, m) for m in maximal_sets(inst, budget)]
     optimum = robust_optimum_by_enumeration(inst, budget, SCIPY, realized=realized)
     assert solution.objective == pytest.approx(optimum, rel=1e-9)
@@ -298,9 +299,9 @@ def test_few_members_per_window_price_every_iteration(monkeypatch):
     solution, trace = run_ccg(inst, budget, backend=backend)
     assert calls == []
     assert trace.converged
-    assert all(it.exact for it in trace.iterations)
-    assert [it.milps for it in trace.iterations] == [0] * len(trace.iterations)
-    assert all(it.milp_nodes is None for it in trace.iterations)
+    assert all(it.realization.exact for it in trace.iterations)
+    assert [it.realization.milps for it in trace.iterations] == [0] * len(trace.iterations)
+    assert all(it.realization.milp_nodes is None for it in trace.iterations)
     optimum = robust_optimum_by_enumeration(inst, budget, SCIPY)
     assert solution.objective == pytest.approx(optimum, rel=1e-9)
 
@@ -353,8 +354,8 @@ def test_budget_with_a_choice_still_searches(make, budget, milps, monkeypatch):
     backend, calls = counting_milps(monkeypatch)
     _, trace = run_ccg(inst, budget, CcgConfig(max_iterations=1), backend)
     assert len(calls) == milps
-    assert trace.iterations[0].milps == milps
-    assert trace.iterations[0].milp_nodes is not None
+    assert trace.iterations[0].realization.milps == milps
+    assert trace.iterations[0].realization.milp_nodes is not None
 
 
 # --- failure modes ---------------------------------------------------------------
@@ -437,7 +438,7 @@ def test_early_stop_neither_stops_nor_lowers_the_upper_bound(monkeypatch, refere
     monkeypatch.setattr(ccg_module, "solve_subproblem", fake_solve)
     _, trace = run_ccg(inst, UncertaintyBudget(1, 1), backend=SCIPY)
     assert trace.converged and not trace.stalled
-    assert [it.exact for it in trace.iterations] == [True, False, True]
+    assert [it.realization.exact for it in trace.iterations] == [True, False, True]
     assert [it.upper_bound for it in trace.iterations] == pytest.approx([1.05, 1.05, 0.1])
     assert trace.iterations[1].gap == pytest.approx(0.95 / 1.05)
     assert all(t is not None for t in targets)
@@ -451,7 +452,7 @@ def test_first_iterations_before_an_exact_search_have_infinite_bounds():
     config = CcgConfig(max_iterations=1)
     _, trace = run_ccg(inst, UncertaintyBudget(2, 2), config, SCIPY)
     (it,) = trace.iterations
-    assert not it.exact and not trace.converged
+    assert not it.realization.exact and not trace.converged
     assert it.upper_bound == math.inf and it.gap == math.inf
     assert trace.final_gap == math.inf
     assert "inf" in trace.message

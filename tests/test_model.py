@@ -420,9 +420,7 @@ def test_timegrid_period_lookup():
         step_count=6, step_hours=2.0,
         periods=(Period("a", 0, 2), Period("b", 4, 5)),
     )
-    assert grid.period_of(1).id == "a"
-    assert grid.period_of(3) is None
-    assert grid.period_of(5).id == "b"
+    assert grid.period_ids() == ["a", "a", "a", None, "b", "b"]
     assert list(grid.periods[0].steps()) == [0, 1, 2]
 
 

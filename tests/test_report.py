@@ -116,10 +116,10 @@ def test_trace_csv_round_trips_exactly(tmp_path, monkeypatch):
     ]
     monkeypatch.setattr(subproblem, "WINDOW_ENUMERATION_LIMIT", 0)
     runs.append(run_ccg(toy6, UncertaintyBudget(1, 0), backend=SCIPY)[1])
-    assert [it.milp_nodes is None for trace in runs for it in trace.iterations] == [
+    assert [it.realization.milp_nodes is None for trace in runs for it in trace.iterations] == [
         True, False, True, False
     ]
-    assert [it.milps for trace in runs for it in trace.iterations] == [0, 1, 0, 2]
+    assert [it.realization.milps for trace in runs for it in trace.iterations] == [0, 1, 0, 2]
     path = tmp_path / "trace.csv"
     for trace in runs:
         write_trace_csv(path, trace)
@@ -141,12 +141,13 @@ def test_trace_csv_round_trips_exactly(tmp_path, monkeypatch):
                 assert row[col] == fmt(value)
                 assert float(row[col]) == float(fmt(value))
             assert row["realization"] == it.realization.summary()
-            assert row["exact"] == str(int(it.exact))
-            if it.milp_nodes is None:
+            worst = it.realization
+            assert row["exact"] == str(int(worst.exact))
+            if worst.milp_nodes is None:
                 assert row["milp_nodes"] == ""
             else:
-                assert int(row["milp_nodes"]) == it.milp_nodes
-            assert int(row["milps"]) == it.milps
+                assert int(row["milp_nodes"]) == worst.milp_nodes
+            assert int(row["milps"]) == worst.milps
 
 
 def test_run_without_an_exact_search_writes_infinite_bounds(tmp_path):

@@ -116,13 +116,14 @@ class MasterResult:
 def test_master_noise_snaps_to_zero_at_the_handoff():
     inst = toy6()
     build = build_master(inst, [realize(inst, WorstCaseRealization.reference())])
+    column = dispatch_template(inst).keys.index
     x = np.zeros(build.model.n_vars)
-    x[build.inv["h2_stor", "h2_2"]] = 4.7e-13  # what HiGHS left on the benchmark ladder
-    x[build.inv["ren", "pv_1"]] = 1e-13
-    x[build.inv["ren", "pv_2"]] = -1e-12
-    x[build.inv["ren", "w_1"]] = CAPACITY_SNAP
-    x[build.inv["ren", "w_2"]] = 2 * CAPACITY_SNAP
-    x[build.inv["ren", "pv_3"]] = 5.0
+    x[column(("h2_stor", "h2_2"))] = 4.7e-13  # what HiGHS left on the benchmark ladder
+    x[column(("ren", "pv_1"))] = 1e-13
+    x[column(("ren", "pv_2"))] = -1e-12
+    x[column(("ren", "w_1"))] = CAPACITY_SNAP
+    x[column(("ren", "w_2"))] = 2 * CAPACITY_SNAP
+    x[column(("ren", "pv_3"))] = 5.0
     caps = solve_master(build, MasterResult(x)).capacities
     assert caps["h2_stor", "h2_2"] == 0.0
     assert caps["ren", "pv_1"] == 0.0
@@ -392,5 +393,5 @@ def test_ccg_on_pumped_hydro_runs_one_milp_per_search(gamma, monkeypatch):
     backend, calls = counting_milps(monkeypatch)
     _, trace = run_ccg(toy6_with_pumped_hydro(), UncertaintyBudget(gamma, gamma), backend=backend)
     assert trace.converged
-    assert [it.milps for it in trace.iterations] == [1] * len(trace.iterations)
+    assert [it.realization.milps for it in trace.iterations] == [1] * len(trace.iterations)
     assert len(calls) == len(trace.iterations)
