@@ -139,6 +139,7 @@ class CcgIteration:
     realization: WorstCaseRealization  # the search's worst case, not the cut
     seconds: float  # wall time of the whole iteration
     master_s: float  # of which solve_master
+    master_iterations: int | None  # its simplex iterations (MasterSolution)
     worst_s: float  # of which solve_subproblem
 
 
@@ -233,6 +234,7 @@ def run_ccg(
                 realization=worst,
                 seconds=time.perf_counter() - started,
                 master_s=master_s,
+                master_iterations=solution.iterations,
                 worst_s=worst_s,
             )
         )

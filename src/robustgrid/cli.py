@@ -162,6 +162,8 @@ def cmd_certify(args) -> int:
     budget = _budget(args)
     config = _config(args)
     backend = get_backend(args.backend)
+    if args.cap < 1:  # every budget has a maximal member
+        raise InputError(f"--cap must be at least 1, got {args.cap}")
     maximal_sets(inst, budget, cap=args.cap)  # over the cap: exit 5 before solving
     outdir = _output_dir(args)
     result = run_ccg(inst, budget, config=config, backend=backend)
@@ -281,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma-pv", type=int, default=0, help="solar budget per period")
     p.add_argument("--gamma-wind", type=int, default=0, help="wind budget per period")
     p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
-                   help="largest count of maximal realizations worth enumerating")
+                   help="largest count of maximal realizations worth enumerating (at least 1)")
     _add_run_flags(p)
     p.set_defaults(func=cmd_certify)
 

@@ -143,6 +143,9 @@ class MasterSolution:
     realization at the plan. Where every multiplier is 0 the bound is 0,
     every block costs 0, and block 0 binds as well as any.
 
+    iterations is the master LP's simplex iteration count as the backend
+    records it (SolveResult.stats), None where it records none.
+
     basis is the backend's optimal basis of the master LP (SolveResult.basis;
     None on a backend that keeps none), a start for another LP of the same
     shape. It cannot be pickled, so a pickled solution leaves it behind and
@@ -156,6 +159,7 @@ class MasterSolution:
     realizations: list[dict[str, tuple[float, ...]]]
     dispatch: np.ndarray
     binding: int
+    iterations: int | None
     basis: object | None = field(default=None, repr=False, compare=False)
 
     def __getstate__(self):
@@ -689,6 +693,7 @@ def solve_master(build: MasterBuild, backend, start=None) -> MasterSolution:
         realizations=list(build.realizations),  # CCG appends to its own list
         dispatch=res.x[eta + 1 :].reshape(K, tpl.n_vars),
         binding=int(np.argmax(-res.duals[recourse_rows])),
+        iterations=res.stats.get("iterations"),
         basis=res.basis,
     )
 
@@ -732,25 +737,37 @@ def dispatch_cost(
     realized: list[dict[str, tuple[float, ...]]],
     backend,
 ) -> list[float]:
-    """Optimal operating cost at fixed capacities under each realization.
+    """Optimal operating cost at fixed capacities under each realization,
+    one per realization, in their order.
 
     The realizations differ only in the rhs of the ren_cap rows, so one
-    dispatch LP, stamped at realized[0], is solved under each realization's
-    rhs (solve_lps): the very rhs build_dispatch_lp gives it, bit for bit.
+    dispatch LP, stamped at realized[0], is solved under each distinct rhs
+    (solve_lps), in order of first appearance: the very rhs
+    build_dispatch_lp gives its realizations, bit for bit. Realizations
+    whose rhs agree, such as those that differ only in flags on units
+    without capacity, share that one solve and its cost. A solve that is
+    not optimal is a BackendError naming the first realization with that
+    rhs.
     """
     if not realized:
         return []
     tpl = dispatch_template(inst)
     caps = tpl.cap_array(capacities)
     ren_coefs = tpl.realized_coefs(realized)
+    # a realization enters its rhs only through these products (rhs), so
+    # equal bytes give equal right-hand sides
+    keys = [row.tobytes() for row in ren_coefs * caps[tpl.cap_keys[tpl.ren]]]
+    first: dict[bytes, int] = {}
+    for k, key in enumerate(keys):
+        first.setdefault(key, k)
     model = _dispatch_lp(tpl, tpl.rhs(caps, ren_coefs[0]))
-    rhs = (tpl.rhs(caps, coefs) for coefs in ren_coefs)
-    costs = []
-    for k, res in enumerate(backend.solve_lps(model, rhs)):
+    rhs = (tpl.rhs(caps, ren_coefs[k]) for k in first.values())
+    cost = {}
+    for (key, k), res in zip(first.items(), backend.solve_lps(model, rhs)):
         if res.status != "optimal":
             raise BackendError(f"dispatch solve ended {res.status} under realization {k}")
-        costs.append(float(res.objective))
-    return costs
+        cost[key] = float(res.objective)
+    return [cost[key] for key in keys]
 
 
 def check_block_physics(

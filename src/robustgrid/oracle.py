@@ -42,6 +42,13 @@ therefore the same over the maximal members as over the full set.
 enumerate_set, worst_case_by_enumeration and the default path of
 robust_optimum_by_enumeration still enumerate the full set and stay
 independent judges of that argument.
+
+Pricing a set costs one dispatch LP per distinct right-hand side, not per
+member: dispatch_cost solves members whose right-hand sides agree, bit for
+bit, once, and gives each of them that cost. A flag moves only the
+availability rows of units it hits, so members that differ only in flags
+on units without capacity share one LP: toy6's plan at two droughts per
+class builds no wind, and its 50625 maximal members price as 225 LPs.
 """
 
 from __future__ import annotations
@@ -217,7 +224,8 @@ def certify_run(
     are report entries, never exceptions.
 
     Every member is priced once, at solution.capacities as the master
-    returned it, and that one batch feeds all three checks: the coverage
+    returned it, with one dispatch LP per distinct right-hand side
+    (dispatch_cost), and that one batch feeds all three checks: the coverage
     check, the enumerated maximum the search must reach, and the referee's
     upper bound. That bound is the plan's investment, recomputed from its
     capacities, plus the largest member cost: the enumerated LP's objective

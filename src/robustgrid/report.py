@@ -99,12 +99,13 @@ def write_trace_csv(path: str | Path, trace: CcgTrace) -> None:
     whether its search was exact (1) or stopped at its target (0).
     upper_bound and gap read inf until the first exact search. seconds is
     the iteration's wall time; master_s and worst_s are the parts of it
-    spent solving the master and in the worst-case search. milp_nodes is
-    that search's branch-and-bound node count, blank where the iteration
-    solved no MILP, and milps the MILPs it solved: 0 where it priced the
-    budget's one maximal member or every period window's few, 1 for the
-    whole horizon, and one per period window not priced where the search
-    split by period."""
+    spent solving the master and in the worst-case search, and
+    master_iterations the master's simplex iterations, blank where the
+    backend counts none. milp_nodes is that search's branch-and-bound
+    node count, blank where the iteration solved no MILP, and milps the
+    MILPs it solved: 0 where it priced the budget's one maximal member or
+    every period window's few, 1 for the whole horizon, and one per period
+    window not priced where the search split by period."""
     rows = [
         [
             str(it.index),
@@ -115,6 +116,7 @@ def write_trace_csv(path: str | Path, trace: CcgTrace) -> None:
             fmt(it.seconds),
             str(int(it.realization.exact)),
             fmt(it.master_s),
+            "" if it.master_iterations is None else str(it.master_iterations),
             fmt(it.worst_s),
             "" if it.realization.milp_nodes is None else str(it.realization.milp_nodes),
             str(it.realization.milps),
@@ -125,7 +127,7 @@ def write_trace_csv(path: str | Path, trace: CcgTrace) -> None:
         path,
         [
             "iteration", "lower_bound", "upper_bound", "gap", "realization", "seconds",
-            "exact", "master_s", "worst_s", "milp_nodes", "milps",
+            "exact", "master_s", "master_iterations", "worst_s", "milp_nodes", "milps",
         ],
         rows,
     )

@@ -285,6 +285,23 @@ def test_certify_over_cap_exits_before_solving_or_writing(tmp_path, monkeypatch)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_certify_cap_below_one_is_input_error(tmp_path, monkeypatch, capsys, cap):
+    # no budget has fewer than one maximal member, so such a cap is never met
+    def unreachable(*args, **kwargs):
+        raise AssertionError("solved although the cap is below 1")
+
+    monkeypatch.setattr(cli, "run_ccg", unreachable)
+    out = tmp_path / "out"
+    rc = main([
+        "certify", save(two_region(), tmp_path),
+        "--gamma-pv", "1", "--gamma-wind", "1", "--cap", cap, "--output-dir", str(out),
+    ])
+    assert rc == INPUT_ERROR
+    assert not out.exists()
+    assert f"--cap must be at least 1, got {cap}" in capsys.readouterr().err
+
+
 def test_certify_cap_between_maximal_and_full_count(tmp_path, capsys):
     # the cap counts the 4 maximal realizations, not all 9
     rc = main([

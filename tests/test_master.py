@@ -405,7 +405,8 @@ def test_capacity_keys_cover_fleet():
 
 @pytest.mark.parametrize("name", sorted(TOYS))
 def test_dispatch_cost_prices_each_member_at_its_own_dispatch_lp(name):
-    # one LP for the list, with each member's rhs the one build_dispatch_lp
+    # one LP for the list, solved once under each distinct rhs in order of
+    # first appearance, with each member's rhs the one build_dispatch_lp
     # gives it, bit for bit; nothing else of the LP differs between members
     builder, flags = TOYS[name]
     inst = builder()
@@ -421,14 +422,58 @@ def test_dispatch_cost_prices_each_member_at_its_own_dispatch_lp(name):
 
     costs = dispatch_cost(inst, caps, rlz, Recording())
     [(model, rhs)] = seen
-    assert len(rhs) == len(costs) == len(rlz)
-    for cf, b, cost in zip(rlz, rhs, costs):
-        alone = build_dispatch_lp(inst, caps, cf)
-        assert np.array_equal(b, alone.row_rhs)
-        assert alone.matrix() is model.matrix()
-        assert np.array_equal(alone.var_obj, model.var_obj)
-        assert cost == pytest.approx(SCIPY.solve_lp(alone).objective, rel=1e-9, abs=1e-9)
+    assert len(costs) == len(rlz)
+    alone = [build_dispatch_lp(inst, caps, cf) for cf in rlz]
+    distinct = {}
+    for lp in alone:
+        distinct.setdefault(lp.row_rhs.tobytes(), lp.row_rhs)
+    assert [b.tobytes() for b in rhs] == list(distinct)
+    solved = dict(zip(distinct, rhs))
+    for lp, cost in zip(alone, costs):
+        assert np.array_equal(solved[lp.row_rhs.tobytes()], lp.row_rhs)
+        assert lp.matrix() is model.matrix()
+        assert np.array_equal(lp.var_obj, model.var_obj)
+        assert cost == pytest.approx(SCIPY.solve_lp(lp).objective, rel=1e-9, abs=1e-9)
     assert dispatch_cost(inst, caps, [], SCIPY) == []
+
+
+def test_dispatch_cost_solves_each_distinct_lp_once(backend):
+    # with no wind built, a wind flag moves no rhs: members that differ
+    # only in it share one solve and its cost
+    inst = two_region()
+    caps = {("ren", "pv_a"): 20.0, ("ren", "w_b"): 0.0, ("line", "l12"): 0.0}
+    wind, pv = ("wind", "RB", "p1"), ("pv", "RA", "p1")
+    rlz = [ref_cf(inst), hit(inst, wind), hit(inst, pv), hit(inst, pv, wind)]
+    seen = []
+
+    class Recording(type(backend)):
+        def solve_lps(self, model, rhs):
+            rhs = list(rhs)
+            seen.append(rhs)
+            return super().solve_lps(model, rhs)
+
+    costs = dispatch_cost(inst, caps, rlz, Recording())
+    [rhs] = seen
+    assert len(rhs) == 2
+    assert costs[0] == costs[1] and costs[2] == costs[3]
+    assert costs[0] < costs[2]
+    for cf, cost in zip(rlz, costs):
+        alone = backend.solve_lp(build_dispatch_lp(inst, caps, cf))
+        assert cost == pytest.approx(alone.objective, rel=1e-9, abs=1e-9)
+
+
+def test_infeasible_group_names_its_first_member(backend):
+    # shedding tiers covering under 100 % of demand leave no escape valve:
+    # the drought empties the unit, and realizations 2 and 3 share its rhs
+    inst = single_node().replace(
+        shedding=LoadSheddingPolicy(
+            fractions=(0.01, 0.02, 0.03), costs=(1000.0, 3000.0, 12000.0)
+        )
+    )
+    drought = hit(inst, ("pv", "R1", "p1"))
+    rlz = [ref_cf(inst), ref_cf(inst), drought, drought]
+    with pytest.raises(BackendError, match=r"infeasible under realization 2$"):
+        dispatch_cost(inst, {("ren", "s1"): 20.0}, rlz, backend)
 
 
 def test_dispatch_lp_solution_is_physical():

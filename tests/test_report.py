@@ -57,6 +57,7 @@ def fake_solution(inst, capacities):
         capacities=capacities, investment_cost=0.0,
         recourse_bound=0.0, objective=0.0, realizations=[{}],
         dispatch=np.zeros((1, dispatch_template(inst).n_vars)), binding=0,
+        iterations=None,
     )
 
 
@@ -127,6 +128,9 @@ def test_trace_csv_round_trips_exactly(tmp_path, monkeypatch):
             reader = csv.DictReader(fh)
             rows = list(reader)
         assert reader.fieldnames[-2:] == ["milp_nodes", "milps"]
+        assert reader.fieldnames.index("master_iterations") == (
+            reader.fieldnames.index("master_s") + 1
+        )
         assert len(rows) == len(trace.iterations)
         for row, it in zip(rows, trace.iterations):
             assert int(row["iteration"]) == it.index
@@ -143,6 +147,7 @@ def test_trace_csv_round_trips_exactly(tmp_path, monkeypatch):
             assert row["realization"] == it.realization.summary()
             worst = it.realization
             assert row["exact"] == str(int(worst.exact))
+            assert int(row["master_iterations"]) == it.master_iterations
             if worst.milp_nodes is None:
                 assert row["milp_nodes"] == ""
             else:
@@ -179,7 +184,7 @@ def trace_with(inst, flag_sets):
         CcgIteration(
             index=i, lower_bound=0.0, upper_bound=0.0, gap=0.0,
             realization=WorstCaseRealization(frozenset(flags)),
-            seconds=0.0, master_s=0.0, worst_s=0.0,
+            seconds=0.0, master_s=0.0, master_iterations=None, worst_s=0.0,
         )
         for i, flags in enumerate(flag_sets)
     ]
