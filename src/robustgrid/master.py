@@ -12,13 +12,13 @@ block's own rows and columns, each row's sense and base rhs, and beside
 them how each row depends on the capacities (the template's cap_rows,
 cap_keys and cap_coefs, scaled by the realized capacity factor on the
 availability rows), plus realized_coefs and rhs, which turn realizations
-and capacities into coefficients and right-hand sides. The builders read a
-block from the template alone and stamp copies with array operations: the
-master stacks one copy per realization block-diagonally and writes the
-capacity columns; the dispatch LP keeps the matrix and moves the capacity
-terms into the rhs. A stamped model is the very model that emitting each
-block row by row would produce, down to the order and value of every
-matrix entry.
+(their flags) and capacities into coefficients and right-hand sides. The
+builders read a block from the template alone and stamp copies with array
+operations: the master stacks one copy per realization block-diagonally
+and writes the capacity columns; the dispatch LP keeps the matrix and
+moves the capacity terms into the rhs. A stamped model is the very model
+that emitting each block row by row would produce, down to the order and
+value of every matrix entry.
 
 Conventions: dispatch quantities are energies per step (MWh). A power
 rating K limits energy as K * step_hours; storage energy caps carry no
@@ -46,7 +46,8 @@ from .backend import (
     ModelBuilder,
     SolveResult,
 )
-from .model import ConventionalUnit, NetworkInstance, tech_class
+from .model import ConventionalUnit, NetworkInstance
+from .uncertainty import WorstCaseRealization, check_flags, step_flags
 
 __all__ = [
     "CapKey",
@@ -127,7 +128,7 @@ class MasterBuild:
 
     instance: NetworkInstance
     model: LinearModel
-    realizations: list[dict[str, tuple[float, ...]]]
+    realizations: list[WorstCaseRealization]
 
 
 @dataclass
@@ -156,7 +157,7 @@ class MasterSolution:
     investment_cost: float
     recourse_bound: float
     objective: float
-    realizations: list[dict[str, tuple[float, ...]]]
+    realizations: list[WorstCaseRealization]
     dispatch: np.ndarray
     binding: int
     iterations: int | None
@@ -321,12 +322,9 @@ class _BlockEmitter:
                 self.row(f"balance[{n.id},{t}]", coeffs, EQ, dem)
 
         # renewable availability limits (the uncertainty-sensitive rows)
-        period_ids = grid.period_ids()
-        for u, r in enumerate(inst.renewables):
+        for u, (r, flags) in enumerate(zip(inst.renewables, step_flags(inst))):
             key = ("ren", r.id)
-            tech = tech_class(r.technology)
-            for t, pid in enumerate(period_ids):
-                flag = (tech, r.region, pid) if pid is not None else None
+            for t, flag in enumerate(flags):
                 self.row(
                     f"ren_cap[{r.id},{t}]",
                     [(self.col("gen", r.id, t), 1.0)],
@@ -441,9 +439,10 @@ class DispatchTemplate:
     right-hand sides, column lower bounds (0 or -inf), the operating cost of
     every column, and the capacity coupling as one entry per coupled row:
     cap_rows, cap_keys (positions in `keys`) and cap_coefs. For the entries
-    listed in `ren` (the ren_cap rows) the coefficient is per unit of
-    capacity factor, taken at unit ren_units and step ren_steps of the
-    realization (ren_ids and step_count give a realization's shape).
+    listed in `ren` (the ren_cap rows, of unit ren_units at step ren_steps)
+    the coefficient is per unit of capacity factor: ren_ref, the reference,
+    or ren_low, max(0, reference - deviation), where the realization holds
+    the entry's flag, flags[ren_flags] (-1 where no flag lowers the entry).
     level_caps lists the rows that cap a storage level, as store() writes
     them; where each of their right-hand sides is 0, no level can carry
     energy from one step to the next. Names are local; builders prefix a
@@ -455,8 +454,6 @@ class DispatchTemplate:
         emitter.emit()
         local = emitter.builder.build()
         self.keys = capacity_keys(inst)
-        self.ren_ids = [r.id for r in inst.renewables]
-        self.step_count = inst.timegrid.step_count
         self.matrix = local.matrix()
         self.n_rows, self.n_vars = self.matrix.shape
         self.row_sense = local.row_sense
@@ -488,6 +485,9 @@ class DispatchTemplate:
         self.flags = sorted({f for *_, f in ren if f is not None})
         rank = {flag: i for i, flag in enumerate(self.flags)}
         self.ren_flags = np.array([rank.get(f, -1) for *_, f in ren], dtype=np.intp)
+        cf = [(inst.renewables[u].cf, t) for _, u, t, _, _ in ren]
+        self.ren_ref = np.array([c.reference[t] for c, t in cf], dtype=float)
+        self.ren_low = np.maximum(0.0, self.ren_ref - [c.deviation[t] for c, t in cf])
         self.level_caps = np.array(emitter.level_caps, dtype=np.intp)
 
     @cached_property
@@ -542,11 +542,16 @@ class DispatchTemplate:
                 raise ValueError(f"capacity {key}: bad value {v}")
         return np.array([capacities.get(key, 0.0) for key in self.keys], dtype=float)
 
-    def live(self, caps: np.ndarray) -> np.ndarray:
-        """Mask of the ren_cap entries a flag moves at capacities caps (one
-        value per key): those of a flag, with capacity and deviation both
-        positive. Only their flags can change the dispatch."""
-        return (self.ren_flags >= 0) & (caps[self.cap_keys[self.ren]] * self.ren_dev > 0.0)
+    def live(self, caps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The live flags at capacities caps (one value per key), the only
+        ones that can change the dispatch, as sorted ranks in flags; the
+        ren_cap entries they move (capacity and deviation both positive);
+        and the position in those entries where each flag first appears."""
+        hit = np.flatnonzero(
+            (self.ren_flags >= 0) & (caps[self.cap_keys[self.ren]] * self.ren_dev > 0.0)
+        )
+        ranks, first = np.unique(self.ren_flags[hit], return_index=True)
+        return ranks, hit, first
 
     def stores_energy(self, caps: np.ndarray) -> bool:
         """Whether some level cap has a nonzero right-hand side at
@@ -554,23 +559,18 @@ class DispatchTemplate:
         energy from one step to the next."""
         return bool(self.rhs(caps, self.cap_coefs[self.ren])[self.level_caps].any())
 
-    def realized_coefs(self, realizations: list[dict[str, tuple[float, ...]]]) -> np.ndarray:
+    def realized_coefs(
+        self, inst: NetworkInstance, realizations: list[WorstCaseRealization]
+    ) -> np.ndarray:
         """Capacity-factor coefficients of the ren_cap rows, one row per
-        realization. Each realization maps every renewable unit to its
-        series of step_count capacity factors; anything else is a ValueError.
-        """
-        cf = np.empty((len(realizations), len(self.ren_ids), self.step_count))
-        for k, realized in enumerate(realizations):
-            for u, uid in enumerate(self.ren_ids):
-                if uid not in realized:
-                    raise ValueError(f"realization {k} misses unit {uid!r}")
-                if len(realized[uid]) != self.step_count:
-                    raise ValueError(
-                        f"realization {k}, unit {uid!r}: series length "
-                        f"{len(realized[uid])} != {self.step_count}"
-                    )
-                cf[k, u] = realized[uid]
-        return cf[:, self.ren_units, self.ren_steps] * self.cap_coefs[self.ren]
+        realization of inst: ren_low on the entries whose flag it holds,
+        ren_ref elsewhere, times the entry's capacity coefficient. A flag of
+        an unknown technology, region or period is a ValueError."""
+        check_flags(inst, frozenset().union(*(r.flags for r in realizations)))
+        # one column per flag, and a last one for ren_flags' -1 that stays False
+        hit = np.array([[f in r.flags for f in self.flags] + [False] for r in realizations])
+        ren_cf = np.where(hit[:, self.ren_flags], self.ren_low, self.ren_ref)
+        return ren_cf * self.cap_coefs[self.ren]
 
     def rhs(self, caps: np.ndarray, ren_coefs: np.ndarray) -> np.ndarray:
         """The dispatch LP's rhs at capacities caps (one value per key):
@@ -603,14 +603,15 @@ def _tagged(tag: str, names: list[str]) -> list[str]:
 
 def build_master(
     inst: NetworkInstance,
-    realizations: list[dict[str, tuple[float, ...]]],
+    realizations: list[WorstCaseRealization],
 ) -> MasterBuild:
     """Master LP: investment variables, one block per realization, epigraph.
 
     The blocks are copies of the instance's dispatch template, stacked
     block-diagonally; each copy gets its own recourse row and, on its
     ren_cap rows, the capacity coefficient -cf * step_hours of its
-    realization. Block k's names carry the tag s<k>.
+    realization (DispatchTemplate.realized_coefs). Block k's names carry
+    the tag s<k>.
     """
     if not realizations:
         raise ValueError("need at least one realization; the reference is one")
@@ -622,7 +623,7 @@ def build_master(
     for key, ub in zip(tpl.keys, cap_ub):
         if ub < 0.0:
             raise ValueError(f"variable cap[{key[0]},{key[1]}]: lb 0.0 > ub {ub}")
-    ren_coefs = tpl.realized_coefs(realizations)
+    ren_coefs = tpl.realized_coefs(inst, realizations)
 
     indptr, indices, data, in_block, ren_pos = tpl.master_block
     nnz = len(data)
@@ -717,51 +718,52 @@ def _dispatch_lp(tpl: DispatchTemplate, rhs: np.ndarray) -> LinearModel:
 def build_dispatch_lp(
     inst: NetworkInstance,
     capacities: dict[CapKey, float],
-    cf: dict[str, tuple[float, ...]],
+    realization: WorstCaseRealization,
 ) -> LinearModel:
     """Single-block dispatch LP with capacities fixed into the rhs.
 
     The template's matrix is used as is; only the right-hand sides of the
     capacity-coupled rows change (DispatchTemplate.rhs): base + coefficient
-    * capacity, with the ren_cap coefficients taken from the realized
-    capacity factors. Names carry the tag d.
+    * capacity, with the ren_cap coefficients taken from the realization's
+    flags (DispatchTemplate.realized_coefs). Names carry the tag d.
     """
     tpl = dispatch_template(inst)
     caps = tpl.cap_array(capacities)
-    return _dispatch_lp(tpl, tpl.rhs(caps, tpl.realized_coefs([cf])[0]))
+    [ren_coefs] = tpl.realized_coefs(inst, [realization])
+    return _dispatch_lp(tpl, tpl.rhs(caps, ren_coefs))
 
 
 def dispatch_cost(
     inst: NetworkInstance,
     capacities: dict[CapKey, float],
-    realized: list[dict[str, tuple[float, ...]]],
+    realizations: list[WorstCaseRealization],
     backend,
 ) -> list[float]:
     """Optimal operating cost at fixed capacities under each realization,
     one per realization, in their order.
 
-    The realizations differ only in the rhs of the ren_cap rows, so one
-    dispatch LP, stamped at realized[0], is solved under each distinct rhs
-    (solve_lps), in order of first appearance: the very rhs
-    build_dispatch_lp gives its realizations, bit for bit. Realizations
-    whose rhs agree, such as those that differ only in flags on units
-    without capacity, share that one solve and its cost. A solve that is
-    not optimal is a BackendError naming the first realization with that
-    rhs.
+    The realizations differ only in the rhs of the ren_cap rows, and only
+    through their live flags (DispatchTemplate.live), so one dispatch LP,
+    stamped at realizations[0], is solved once per distinct set of live
+    flags (solve_lps), in order of first appearance, under the very rhs
+    build_dispatch_lp gives, bit for bit: realizations that differ only in
+    flags on units without capacity share one solve and its cost. A solve
+    that is not optimal is a BackendError naming the first realization
+    with that rhs; an unknown flag, a ValueError before any solve.
     """
-    if not realized:
+    if not realizations:
         return []
     tpl = dispatch_template(inst)
     caps = tpl.cap_array(capacities)
-    ren_coefs = tpl.realized_coefs(realized)
-    # a realization enters its rhs only through these products (rhs), so
-    # equal bytes give equal right-hand sides
-    keys = [row.tobytes() for row in ren_coefs * caps[tpl.cap_keys[tpl.ren]]]
-    first: dict[bytes, int] = {}
+    check_flags(inst, frozenset().union(*(r.flags for r in realizations)))
+    live = frozenset(tpl.flags[i] for i in tpl.live(caps)[0])
+    keys = [realization.flags & live for realization in realizations]
+    first: dict[frozenset, int] = {}
     for k, key in enumerate(keys):
         first.setdefault(key, k)
+    ren_coefs = tpl.realized_coefs(inst, [realizations[k] for k in first.values()])
     model = _dispatch_lp(tpl, tpl.rhs(caps, ren_coefs[0]))
-    rhs = (tpl.rhs(caps, ren_coefs[k]) for k in first.values())
+    rhs = (tpl.rhs(caps, coefs) for coefs in ren_coefs)
     cost = {}
     for (key, k), res in zip(first.items(), backend.solve_lps(model, rhs)):
         if res.status != "optimal":

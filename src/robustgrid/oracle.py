@@ -44,10 +44,10 @@ robust_optimum_by_enumeration still enumerate the full set and stay
 independent judges of that argument.
 
 Pricing a set costs one dispatch LP per distinct right-hand side, not per
-member: dispatch_cost solves members whose right-hand sides agree, bit for
-bit, once, and gives each of them that cost. A flag moves only the
-availability rows of units it hits, so members that differ only in flags
-on units without capacity share one LP: toy6's plan at two droughts per
+member: dispatch_cost solves members that agree on every flag that moves a
+right-hand side once, and gives each of them that cost. A flag moves only
+the availability rows of units it hits, so members that differ only in
+flags on units without capacity share one LP: toy6's plan at two droughts per
 class builds no wind, and its 50625 maximal members price as 225 LPs.
 """
 
@@ -76,7 +76,7 @@ from .uncertainty import (
     cover,
     enumerate_set,
     maximal_sets,
-    realize,
+    realize,  # no caller here: the benchmark's tracer rebinds this name
 )
 
 __all__ = [
@@ -116,19 +116,19 @@ def robust_optimum_by_enumeration(
     backend,
     cap: int = DEFAULT_ENUMERATION_CAP,
     *,
-    realized: list[dict[str, tuple[float, ...]]] | None = None,
+    members: list[WorstCaseRealization] | None = None,
     upper: float = math.inf,
     start=None,
 ) -> float:
     """Exact robust optimum over the enumerated members, by row generation.
 
-    realized, when given, is the capacity-factor map of every member the
-    caller enumerated: the budget's full set, or its maximal members, which
-    give the same optimum. Without it the full set is enumerated. upper,
-    when given, must be the enumerated LP's objective at a feasible plan:
-    investment plus the largest member cost at capacities inside their
-    bounds. start, when given, is a basis for the first LP to begin from
-    (backend.solve_lp); the later LPs start cold.
+    members, when given, is every member the caller enumerated: the
+    budget's full set, or its maximal members, which give the same optimum.
+    Without it the full set is enumerated. upper, when given, must be the
+    enumerated LP's objective at a feasible plan: investment plus the
+    largest member cost at capacities inside their bounds. start, when
+    given, is a basis for the first LP to begin from (backend.solve_lp);
+    the later LPs start cold.
 
     The restricted LP starts from the budget's cover, whose members belong
     to the set. Each round solves it; its objective is a lower bound on the
@@ -140,9 +140,9 @@ def robust_optimum_by_enumeration(
     earliest on ties) joins the LP. Should it already be there, the LP
     cannot close the gap, and a BackendError says so.
     """
-    if realized is None:
-        realized = [realize(inst, m) for m in enumerate_set(inst, budget, cap=cap)]
-    blocks = [realize(inst, m) for m in cover(inst, budget)]
+    if members is None:
+        members = enumerate_set(inst, budget, cap=cap)
+    blocks = cover(inst, budget)
     rounds = 0
     while True:
         sol = solve_master(build_master(inst, blocks), backend, start=start)
@@ -150,18 +150,18 @@ def robust_optimum_by_enumeration(
         rounds += 1
         tol = 1e-9 * max(1.0, abs(sol.objective))
         if upper - sol.objective > tol:
-            costs = dispatch_cost(inst, sol.capacities, realized, backend)
+            costs = dispatch_cost(inst, sol.capacities, members, backend)
             worst = max(range(len(costs)), key=costs.__getitem__)
             upper = min(upper, sol.investment_cost + costs[worst])
         if upper - sol.objective <= tol:
             return RefereeOptimum(sol.objective, rounds, len(blocks))
-        if realized[worst] in blocks:
+        if members[worst] in blocks:
             raise BackendError(
                 f"enumeration referee stalled after {rounds} round(s): "
                 f"member {worst} is in the LP, yet it costs "
                 f"{costs[worst] - sol.recourse_bound:.6g} above the recourse bound"
             )
-        blocks.append(realized[worst])
+        blocks.append(members[worst])
 
 
 def worst_case_by_enumeration(
@@ -177,7 +177,7 @@ def worst_case_by_enumeration(
     instances surface every equally bad realization.
     """
     members = enumerate_set(inst, budget, cap=cap)
-    costs = dispatch_cost(inst, capacities, [realize(inst, m) for m in members], backend)
+    costs = dispatch_cost(inst, capacities, members, backend)
     worst = max(costs)
     tol = 1e-9 * max(1.0, abs(worst))
     argmax = [m for m, c in zip(members, costs) if c >= worst - tol]
@@ -268,8 +268,7 @@ def certify_run(
                 gap_tol=CERTIFY_TOLERANCE / 10.0,
             )
         )
-        realized = [realize(inst, m) for m in members]
-        costs = dispatch_cost(inst, solution.capacities, realized, backend)
+        costs = dispatch_cost(inst, solution.capacities, members, backend)
         enum_max = max(costs)
         upper = math.inf
         if all(
@@ -280,7 +279,7 @@ def certify_run(
 
         try:
             exact = robust_optimum_by_enumeration(
-                inst, budget, backend, realized=realized, upper=upper,
+                inst, budget, backend, members=members, upper=upper,
                 start=trace.seed_basis,
             )
         except BackendError as err:

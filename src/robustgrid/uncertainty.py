@@ -4,24 +4,27 @@ An adverse realization picks, independently for every declared period, up
 to gamma_pv weather regions whose solar units and up to gamma_wind regions
 whose wind units drop from the reference capacity factor to the synthetic
 lower bound (reference minus deviation) for every step of that period.
-Deviations are downward only. A flag never lowers the dispatch cost at
-any capacities: validate keeps 0 <= deviation <= reference and realize
-floors at 0, so a flag only lowers capacity factors, and these enter the
-dispatch only through the ren_cap rows gen <= cf * cap * step_hours, so
-a flag only shrinks the dispatcher's choices. Hence upward branches would
-never be active, and a member never costs more than one whose flags
-contain its own: the maximal members (maximal_sets), which flag
-min(gamma, regions) regions in every (technology, period) group, carry
-every worst case, and any worst case stays one when complete fills its
-groups up to the budget.
+Deviations are downward only. A flag never lowers the dispatch cost at any
+capacities: validate keeps 0 <= deviation <= reference and a flagged
+factor is floored at 0, so a flag only lowers capacity factors, and these
+enter the dispatch only through the ren_cap rows gen <= cf * cap *
+step_hours, so a flag only shrinks the dispatcher's choices. Hence upward
+branches would never be active, and a member never costs more than one
+whose flags contain its own: the maximal members (maximal_sets), which
+flag min(gamma, regions) regions in every (technology, period) group,
+carry every worst case, and any worst case stays one when complete fills
+its groups up to the budget.
 cover picks a few members, maximal among the flags that lower something,
 that between them flag every such flag: CCG starts from them.
 
-This module alone knows that rule: flag_groups groups flags by
-(technology, period), and members and member_count enumerate and count
-the members over any flags. maximal_sets, enumerate_set and
-count_realizations apply them to every flag of an instance, and the
-worst-case search to its live flags.
+This module alone knows two rules. step_flags names the flag that lowers
+each unit at each step, for realize, complete, cover and the dispatch
+template (master). flag_groups groups flags by (technology, period), and
+members and member_count enumerate and count the members over any flags;
+maximal_sets, enumerate_set and count_realizations apply them to every
+flag of an instance, and the worst-case search to its live flags.
+Elsewhere a realization is its flags alone: realize spells them out as
+per-unit series only for tests and check_block_physics.
 """
 
 from __future__ import annotations
@@ -45,11 +48,13 @@ __all__ = [
     "cover",
     "enumerate_set",
     "flag_groups",
+    "instance_flags",
     "is_dunkelflaute",
     "maximal_sets",
     "member_count",
     "members",
     "realize",
+    "step_flags",
 ]
 
 log = logging.getLogger(__name__)
@@ -120,9 +125,6 @@ class WorstCaseRealization:
     def reference() -> "WorstCaseRealization":
         return WorstCaseRealization(frozenset())
 
-    def hits(self, tech: str, region: str, period_id: str) -> bool:
-        return (tech, region, period_id) in self.flags
-
     def key(self) -> tuple[Flag, ...]:
         return tuple(sorted(self.flags))
 
@@ -168,17 +170,25 @@ def realize(
     at the reference. Values are floored at 0 against roundoff.
     """
     check_flags(inst, realization.flags, budget)
-    period_ids = inst.timegrid.period_ids()
-    out: dict[str, tuple[float, ...]] = {}
-    for unit in inst.renewables:
-        tech = tech_class(unit.technology)
-        hit = {p for kind, region, p in realization.flags if (kind, region) == (tech, unit.region)}
-        ref, dev = unit.cf.reference, unit.cf.deviation
-        out[unit.id] = tuple([
-            max(0.0, ref[t] - dev[t] if pid in hit else ref[t])
-            for t, pid in enumerate(period_ids)
+    return {
+        unit.id: tuple([
+            max(0.0, ref - dev if flag in realization.flags else ref)
+            for ref, dev, flag in zip(unit.cf.reference, unit.cf.deviation, flags)
         ])
-    return out
+        for unit, flags in zip(inst.renewables, step_flags(inst))
+    }
+
+
+def step_flags(inst: NetworkInstance) -> list[list[Flag | None]]:
+    """The flag that lowers each renewable unit at each step, one list per
+    unit: (its technology class, its region, the step's period), or None
+    at a step outside every period."""
+    period_ids = inst.timegrid.period_ids()
+    return [
+        [None if pid is None else (tech_class(unit.technology), unit.region, pid)
+         for pid in period_ids]
+        for unit in inst.renewables
+    ]
 
 
 def flag_groups(flags: Iterable[Flag]) -> dict[tuple[str, str], list[Flag]]:
@@ -190,7 +200,7 @@ def flag_groups(flags: Iterable[Flag]) -> dict[tuple[str, str], list[Flag]]:
     return groups
 
 
-def _instance_flags(inst: NetworkInstance) -> list[Flag]:
+def instance_flags(inst: NetworkInstance) -> list[Flag]:
     """Every flag of the instance: period by period, pv before wind,
     regions in declaration order."""
     return [
@@ -250,7 +260,7 @@ def members(
 
 def count_realizations(inst: NetworkInstance, budget: UncertaintyBudget) -> int:
     """Closed-form cardinality of the realization set."""
-    return member_count(_instance_flags(inst), budget, maximal=False)
+    return member_count(instance_flags(inst), budget, maximal=False)
 
 
 def enumerate_set(
@@ -262,7 +272,7 @@ def enumerate_set(
 
     Raises EnumerationCapError when the closed-form count exceeds cap.
     """
-    return members(_instance_flags(inst), budget, cap, maximal=False)
+    return members(instance_flags(inst), budget, cap, maximal=False)
 
 
 def maximal_sets(
@@ -278,20 +288,19 @@ def maximal_sets(
     a subset of one of them. Raises EnumerationCapError when that count
     exceeds cap.
     """
-    return members(_instance_flags(inst), budget, cap)
+    return members(instance_flags(inst), budget, cap)
 
 
 def _live_groups(inst: NetworkInstance) -> dict[tuple[str, str], list[Flag]]:
     """The flags that lower some unit's availability at some step of their
-    period, by flag_groups, in the order of _instance_flags."""
-    period_ids = inst.timegrid.period_ids()
+    period, by flag_groups, in the order of instance_flags."""
     live = {
-        (tech_class(unit.technology), unit.region, pid)
-        for unit in inst.renewables
-        for t, pid in enumerate(period_ids)
-        if pid is not None and unit.cf.deviation[t] > 0.0
+        flag
+        for unit, flags in zip(inst.renewables, step_flags(inst))
+        for flag, dev in zip(flags, unit.cf.deviation)
+        if flag is not None and dev > 0.0
     }
-    return flag_groups(flag for flag in _instance_flags(inst) if flag in live)
+    return flag_groups(flag for flag in instance_flags(inst) if flag in live)
 
 
 def complete(
@@ -346,6 +355,4 @@ def is_dunkelflaute(
     realization: WorstCaseRealization, region: str, period_id: str
 ) -> bool:
     """True when both technology classes are down in the region and period."""
-    return realization.hits(PV, region, period_id) and realization.hits(
-        WIND, region, period_id
-    )
+    return {(PV, region, period_id), (WIND, region, period_id)} <= realization.flags

@@ -72,8 +72,7 @@ def halve_deviation(inst):
     return inst.replace(renewables=rens)
 
 
-def ref_cf(inst):
-    return realize(inst, WorstCaseRealization.reference())
+REF = WorstCaseRealization.reference()
 
 
 # enumeration-sized cases: each at most 3 regions, 2 periods, budget 2,
@@ -120,7 +119,7 @@ def test_01_deterministic_equivalence(toy6):
     fixtures["toy6"] = toy6
     for name, inst in fixtures.items():
         started = time.perf_counter()
-        det = solve_master(build_master(inst, [ref_cf(inst)]), SCIPY).objective
+        det = solve_master(build_master(inst, [REF]), SCIPY).objective
         solution, trace = run_ccg(inst, UncertaintyBudget(0, 0), backend=SCIPY)
         elapsed = time.perf_counter() - started
         assert trace.converged, name
@@ -181,7 +180,7 @@ def test_04_robustness_certificate(converged_runs):
         allowed = bound + 1e-6 * max(1.0, bound)
         members = enumerate_set(inst, budget)
         costs = dispatch_cost(
-            inst, solution.capacities, [realize(inst, m) for m in members], SCIPY
+            inst, solution.capacities, members, SCIPY
         )
         for member, cost in zip(members, costs):
             assert cost <= allowed, (
@@ -288,7 +287,7 @@ def test_07_bigm_soundness():
             res = SCIPY.solve_milp(build.model, gap_tol=1e-9)
             assert res.status == "optimal", f"{name}: {member.summary()}"
             [primal] = dispatch_cost(
-                inst, solution.capacities, [realize(inst, member)], SCIPY
+                inst, solution.capacities, [member], SCIPY
             )
             rel = abs(res.objective - primal) / max(1.0, abs(primal))
             assert rel <= 1e-6, (
@@ -314,7 +313,8 @@ def test_08_model_physics(converged_runs, toy6_ladder):
         (f"toy6_gamma{e.gamma}", toy6, e.solution) for e in toy6_ladder
     ]
     for name, inst, solution in cases:
-        for k, (cf, x) in enumerate(zip(solution.realizations, solution.dispatch)):
+        for k, (realization, x) in enumerate(zip(solution.realizations, solution.dispatch)):
+            cf = realize(inst, realization)
             violations = check_block_physics(inst, solution.capacities, cf, x)
             assert violations == [], f"{name}/s{k}: {violations}"
             audited += 1

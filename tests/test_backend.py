@@ -23,7 +23,7 @@ from robustgrid.backend import (
 )
 from robustgrid.io import load_instance
 from robustgrid.master import build_dispatch_lp, capacity_keys
-from robustgrid.uncertainty import UncertaintyBudget, maximal_sets, realize
+from robustgrid.uncertainty import UncertaintyBudget, maximal_sets
 
 BACKENDS = [ScipyBackend(), InTreeBackend()]
 IDS = [b.name for b in BACKENDS]
@@ -403,7 +403,7 @@ def test_session_prices_every_maximal_member_like_a_cold_solve(make, budget):
     inst = make()
     caps = _fixed_capacities(inst)
     models = [
-        build_dispatch_lp(inst, caps, realize(inst, m))
+        build_dispatch_lp(inst, caps, m)
         for m in maximal_sets(inst, budget)
     ]
     cold = [ScipyBackend().solve_lp(model) for model in models]
@@ -566,7 +566,7 @@ def test_one_call_load_passes_the_model_as_it_is(make):
 def _toy6_dispatch_lp():
     inst = _toy6()
     member = maximal_sets(inst, UncertaintyBudget(1, 0))[0]
-    return build_dispatch_lp(inst, _fixed_capacities(inst), realize(inst, member))
+    return build_dispatch_lp(inst, _fixed_capacities(inst), member)
 
 
 def test_lp_result_keeps_its_basis_and_a_start_saves_every_pivot():

@@ -33,7 +33,6 @@ from robustgrid.uncertainty import (
     cover,
     enumerate_set,
     maximal_sets,
-    realize,
 )
 
 from toys import (
@@ -51,8 +50,7 @@ SCIPY = ScipyBackend()
 TOY6 = Path(__file__).parent / "fixtures" / "toy6.json"
 
 
-def ref_cf(inst):
-    return realize(inst, WorstCaseRealization.reference())
+REF = WorstCaseRealization.reference()
 
 
 # --- convergence on known toys -----------------------------------------------
@@ -62,7 +60,7 @@ def test_gamma_zero_single_iteration():
     sol, trace = run_ccg(inst, UncertaintyBudget(0, 0), backend=SCIPY)
     assert trace.converged
     assert len(trace.iterations) == 1
-    deterministic = solve_master(build_master(inst, [ref_cf(inst)]), SCIPY)
+    deterministic = solve_master(build_master(inst, [REF]), SCIPY)
     assert sol.objective == pytest.approx(deterministic.objective, rel=1e-9)
 
 
@@ -136,8 +134,8 @@ def test_robustness_certificate_small():
     sol, trace = run_ccg(inst, budget, backend=SCIPY)
     assert trace.converged
     tol = 1e-6 * max(1.0, sol.recourse_bound)
-    realized = [realize(inst, m) for m in enumerate_set(inst, budget)]
-    assert max(dispatch_cost(inst, sol.capacities, realized, SCIPY)) <= sol.recourse_bound + tol
+    members = enumerate_set(inst, budget)
+    assert max(dispatch_cost(inst, sol.capacities, members, SCIPY)) <= sol.recourse_bound + tol
 
 
 def test_memory_grows_without_repeats():
@@ -181,8 +179,7 @@ def test_memory_starts_from_the_cover():
     assert trace.converged
     assert trace.seeds == cover(inst, budget) and len(trace.seeds) == 2
     assert len(sol.realizations) == len(trace.seeds) + len(trace.iterations) - 1
-    for seed, realized in zip(trace.seeds, sol.realizations):
-        assert realized == realize(inst, seed)
+    assert sol.realizations[:len(trace.seeds)] == trace.seeds
 
 
 @pytest.mark.parametrize("gamma", [0, 1, 2])
@@ -227,7 +224,7 @@ def test_completed_cut_is_still_a_worst_case(make, gamma, seed):
     worst = solve_subproblem(build_subproblem(inst, caps, budget), SCIPY)
     cut = complete(inst, worst.flags, budget)
     assert worst.flags <= cut
-    [cost] = dispatch_cost(inst, caps, [realize(inst, WorstCaseRealization(cut))], SCIPY)
+    [cost] = dispatch_cost(inst, caps, [WorstCaseRealization(cut)], SCIPY)
     assert cost == pytest.approx(worst.dual_objective, rel=1e-6, abs=1e-6)
 
 
@@ -281,8 +278,8 @@ def test_budget_without_a_choice_prices_instead_of_searching(make, gamma, monkey
     assert trace.converged and len(trace.iterations) == 1
     worst = trace.iterations[0].realization
     assert worst.exact and worst.milp_nodes is None
-    realized = [realize(inst, m) for m in maximal_sets(inst, budget)]
-    optimum = robust_optimum_by_enumeration(inst, budget, SCIPY, realized=realized)
+    maximal = maximal_sets(inst, budget)
+    optimum = robust_optimum_by_enumeration(inst, budget, SCIPY, members=maximal)
     assert solution.objective == pytest.approx(optimum, rel=1e-9)
     # certify's worst-case search prices the one member too
     report = certify_run(inst, budget, (solution, trace), backend)
@@ -504,7 +501,7 @@ def test_ladder_monotone_objectives():
     for a, b in zip(objs, objs[1:]):
         assert b >= a - 1e-6 * max(1.0, abs(a))
     # a budget of zero is the deterministic plan
-    deterministic = solve_master(build_master(inst, [ref_cf(inst)]), SCIPY)
+    deterministic = solve_master(build_master(inst, [REF]), SCIPY)
     assert objs[0] == pytest.approx(deterministic.objective, rel=1e-8)
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import robustgrid.cli as cli
+import robustgrid.uncertainty as uncertainty
 from robustgrid.cli import (
     CAP_EXCEEDED,
     CERTIFY_FAILED,
@@ -312,6 +313,25 @@ def test_certify_cap_between_maximal_and_full_count(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert stdout.count("PASS") == 3
     assert "all 4 maximal realization(s) covered (they dominate all 9 members)" in stdout
+
+
+def test_certify_enumerates_the_maximal_members_once(tmp_path, monkeypatch):
+    # the cap is checked from the closed-form count, so the set is
+    # enumerated once per run, by certify_run
+    enumerated = []
+    members = uncertainty.members
+
+    def counted(flags, *args, **kwargs):
+        enumerated.append(members(flags, *args, **kwargs))
+        return enumerated[-1]
+
+    monkeypatch.setattr(uncertainty, "members", counted)
+    rc = main([
+        "certify", save(two_region(), tmp_path),
+        "--gamma-pv", "1", "--gamma-wind", "1", "--output-dir", str(tmp_path / "out"),
+    ])
+    assert rc == OK
+    assert [len(each) for each in enumerated] == [4]
 
 
 # --- prep -----------------------------------------------------------------------

@@ -21,7 +21,7 @@ from robustgrid.master import (
     dispatch_template,
 )
 from robustgrid.subproblem import build_subproblem
-from robustgrid.uncertainty import UncertaintyBudget, WorstCaseRealization, enumerate_set, realize
+from robustgrid.uncertainty import UncertaintyBudget, WorstCaseRealization, enumerate_set
 
 from toys import three_region_hydro, two_region
 
@@ -49,13 +49,13 @@ def _builder_lp():
 def _master():
     inst = two_region()
     members = list(enumerate_set(inst, UncertaintyBudget(1, 1)))[:2]
-    return build_master(inst, [realize(inst, m) for m in members]).model
+    return build_master(inst, members).model
 
 
 def _dispatch():
     inst = three_region_hydro()
-    cf = realize(inst, WorstCaseRealization.reference())
-    return build_dispatch_lp(inst, {key: 10.0 for key in capacity_keys(inst)}, cf)
+    reference = WorstCaseRealization.reference()
+    return build_dispatch_lp(inst, {key: 10.0 for key in capacity_keys(inst)}, reference)
 
 
 def _worst_case():

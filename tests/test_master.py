@@ -48,19 +48,18 @@ def backend(request):
     return request.param
 
 
-def ref_cf(inst):
-    return realize(inst, WorstCaseRealization.reference())
+REF = WorstCaseRealization.reference()
 
 
-def hit(inst, *flags):
-    return realize(inst, WorstCaseRealization(flags=frozenset(flags)))
+def hit(*flags):
+    return WorstCaseRealization(flags=frozenset(flags))
 
 
 # --- structure: hand-counted rows and columns ------------------------------
 
 def test_single_node_master_counts():
     inst = single_node()
-    build = build_master(inst, [ref_cf(inst)])
+    build = build_master(inst, [REF])
     m = build.model
     # columns: 1 capacity + recourse + 2 generation + 3 tiers x 2 steps
     assert m.n_vars == 1 + 1 + 2 + 6
@@ -72,7 +71,7 @@ def test_single_node_master_counts():
 
 def test_ac_line_block_counts():
     inst = two_region()
-    build = build_master(inst, [ref_cf(inst)])
+    build = build_master(inst, [REF])
     m = build.model
     # per step: one angle per node, one flow definition, a bound each way,
     # and the slack row pinning the reference angle
@@ -87,7 +86,7 @@ def test_ac_line_block_counts():
 
 def test_psp_starts_half_full():
     inst = three_region_hydro()
-    build = build_master(inst, [ref_cf(inst)])
+    build = build_master(inst, [REF])
     i = build.model.row_names.index("s0:psp_lvl[psp_1,0]")
     # 5 MW at 6 hours of storage, half full: 15 MWh on the rhs
     assert build.model.row_rhs[i] == pytest.approx(15.0)
@@ -95,7 +94,7 @@ def test_psp_starts_half_full():
 
 def test_dc_line_has_no_angles():
     inst = two_period_battery()
-    build = build_master(inst, [ref_cf(inst)])
+    build = build_master(inst, [REF])
     assert not any(":theta[" in name for name in build.model.var_names)
     assert not any(":flow_def[" in name for name in build.model.row_names)
 
@@ -105,7 +104,7 @@ def test_dc_line_has_no_angles():
 def test_deterministic_single_node_optimum(backend):
     # demand 10 in each of 2 steps at cf 0.5: build 20 MW at cost 1/MW
     inst = single_node()
-    sol = solve_master(build_master(inst, [ref_cf(inst)]), backend)
+    sol = solve_master(build_master(inst, [REF]), backend)
     assert sol.capacities[("ren", "s1")] == pytest.approx(20.0, abs=1e-7)
     assert sol.objective == pytest.approx(20.0, abs=1e-7)
     assert sol.recourse_bound == pytest.approx(0.0, abs=1e-7)
@@ -116,9 +115,9 @@ def test_zero_cf_realization_builds_nothing(backend):
     # full deviation wipes solar out; building cannot help the worst block,
     # so the plan sheds everything: 10100 EUR per MWh of demand
     inst = single_node()
-    zero = hit(inst, ("pv", "R1", "p1"))
-    assert zero["s1"] == (0.0, 0.0)
-    sol = solve_master(build_master(inst, [ref_cf(inst), zero]), backend)
+    zero = hit(("pv", "R1", "p1"))
+    assert realize(inst, zero)["s1"] == (0.0, 0.0)
+    sol = solve_master(build_master(inst, [REF, zero]), backend)
     want = FULL_SHED_COST_PER_MWH * 10.0 * 2
     assert sol.capacities[("ren", "s1")] == pytest.approx(0.0, abs=1e-7)
     assert sol.recourse_bound == pytest.approx(want, rel=1e-9)
@@ -128,14 +127,14 @@ def test_zero_cf_realization_builds_nothing(backend):
 def test_zero_demand_zero_plan():
     inst = single_node()
     inst = inst.replace(demand=DemandSeries(by_node={"n1": (0.0, 0.0)}))
-    sol = solve_master(build_master(inst, [ref_cf(inst)]), SCIPY)
+    sol = solve_master(build_master(inst, [REF]), SCIPY)
     assert sol.objective == pytest.approx(0.0, abs=1e-9)
     assert all(v == pytest.approx(0.0, abs=1e-9) for v in sol.capacities.values())
 
 
 def test_objective_is_investment_plus_recourse():
     inst = two_region()
-    rlz = [ref_cf(inst), hit(inst, ("pv", "RA", "p1"))]
+    rlz = [REF, hit(("pv", "RA", "p1"))]
     sol = solve_master(build_master(inst, rlz), SCIPY)
     assert sol.objective == pytest.approx(
         sol.investment_cost + sol.recourse_bound, rel=1e-9
@@ -147,7 +146,7 @@ def test_objective_is_investment_plus_recourse():
 def test_dispatch_cost_reference_free(backend):
     inst = single_node()
     caps = {("ren", "s1"): 20.0}
-    assert dispatch_cost(inst, caps, [ref_cf(inst)], backend) == [pytest.approx(
+    assert dispatch_cost(inst, caps, [REF], backend) == [pytest.approx(
         0.0, abs=1e-7
     )]
 
@@ -155,7 +154,7 @@ def test_dispatch_cost_reference_free(backend):
 def test_dispatch_cost_zero_cf_full_shed(backend):
     inst = single_node()
     caps = {("ren", "s1"): 20.0}
-    [cost] = dispatch_cost(inst, caps, [hit(inst, ("pv", "R1", "p1"))], backend)
+    [cost] = dispatch_cost(inst, caps, [hit(("pv", "R1", "p1"))], backend)
     assert cost == pytest.approx(FULL_SHED_COST_PER_MWH * 20.0, rel=1e-9)
 
 
@@ -175,14 +174,14 @@ def test_dispatch_cost_conventional_only():
         shedding=DEFAULT_SHEDDING,
         timegrid=TimeGrid(step_count=2, step_hours=1.0, periods=(Period("p1", 0, 1),)),
     )
-    assert dispatch_cost(inst, {}, [{}], SCIPY) == [pytest.approx(1000.0, rel=1e-9)]
+    assert dispatch_cost(inst, {}, [REF], SCIPY) == [pytest.approx(1000.0, rel=1e-9)]
 
 
 def test_partial_deviation_worst_block_priced():
     # cf 0.5 vs hit 0.25: covering the hit outright costs 40, far below
     # any shedding, so the robust plan doubles the build
     inst = single_node(deviation=0.25)
-    rlz = [ref_cf(inst), hit(inst, ("pv", "R1", "p1"))]
+    rlz = [REF, hit(("pv", "R1", "p1"))]
     sol = solve_master(build_master(inst, rlz), SCIPY)
     assert sol.capacities[("ren", "s1")] == pytest.approx(40.0, abs=1e-6)
     assert sol.objective == pytest.approx(40.0, rel=1e-9)
@@ -208,8 +207,8 @@ def test_master_self_consistency(name):
     # with one block the recourse bound is that block's re-solved dispatch
     builder, _ = TOYS[name]
     inst = builder()
-    sol = solve_master(build_master(inst, [ref_cf(inst)]), SCIPY)
-    [redisp] = dispatch_cost(inst, sol.capacities, [ref_cf(inst)], SCIPY)
+    sol = solve_master(build_master(inst, [REF]), SCIPY)
+    [redisp] = dispatch_cost(inst, sol.capacities, [REF], SCIPY)
     assert sol.recourse_bound == pytest.approx(redisp, rel=1e-7, abs=1e-6)
     assert sol.objective == pytest.approx(
         investment_cost(inst, sol.capacities) + redisp, rel=1e-7, abs=1e-6
@@ -227,7 +226,7 @@ def test_recourse_bound_is_worst_block(name):
     # backend recovers duals its own way: check their sign on both
     builder, flags = TOYS[name]
     inst = builder()
-    rlz = [ref_cf(inst)] + [hit(inst, f) for f in flags] + [hit(inst, *flags)]
+    rlz = [REF] + [hit(f) for f in flags] + [hit(*flags)]
     tpl = dispatch_template(inst)
     for backend in BACKENDS if name in INTREE_TOYS else [SCIPY]:
         sol = solve_master(build_master(inst, rlz), backend)
@@ -247,7 +246,7 @@ def test_recourse_bound_is_worst_block(name):
 def test_adding_blocks_never_cheapens(name):
     builder, flags = TOYS[name]
     inst = builder()
-    chain = [ref_cf(inst)] + [hit(inst, f) for f in flags]
+    chain = [REF] + [hit(f) for f in flags]
     prev = -math.inf
     for k in range(1, len(chain) + 1):
         sol = solve_master(build_master(inst, chain[:k]), SCIPY)
@@ -259,16 +258,16 @@ def test_adding_blocks_never_cheapens(name):
 def test_block_physics_clean(name):
     builder, flags = TOYS[name]
     inst = builder()
-    rlz = [ref_cf(inst), hit(inst, *flags)]
+    rlz = [REF, hit(*flags)]
     sol = solve_master(build_master(inst, rlz), SCIPY)
-    for cf, x in zip(rlz, sol.dispatch):
-        assert check_block_physics(inst, sol.capacities, cf, x) == []
+    for realization, x in zip(rlz, sol.dispatch):
+        assert check_block_physics(inst, sol.capacities, realize(inst, realization), x) == []
 
 
 def test_line_expansion_respects_limit():
     # starve the tie so imports want more than the limit allows
     inst = two_region(line_cap=5.0)
-    rlz = [ref_cf(inst), hit(inst, ("pv", "RA", "p1"))]
+    rlz = [REF, hit(("pv", "RA", "p1"))]
     sol = solve_master(build_master(inst, rlz), SCIPY)
     assert sol.capacities[("line", "l12")] <= 5.0 + 1e-9
 
@@ -282,9 +281,10 @@ def nudged(inst, x, key, by):
 
 def test_physics_checker_flags_corruption():
     inst = two_region()
-    sol = solve_master(build_master(inst, [ref_cf(inst)]), SCIPY)
+    sol = solve_master(build_master(inst, [REF]), SCIPY)
     x = nudged(inst, sol.dispatch[0], ("gen", "pv_a", 0), 1.0)
-    assert any("balance" in v for v in check_block_physics(inst, sol.capacities, ref_cf(inst), x))
+    out = check_block_physics(inst, sol.capacities, realize(inst, REF), x)
+    assert any("balance" in v for v in out)
 
 
 def test_physics_checker_flags_storage_break():
@@ -295,8 +295,8 @@ def test_physics_checker_flags_storage_break():
         (three_region_hydro, "h2", "h2_2", 0),
     ):
         inst = make()
-        cf = ref_cf(inst)
-        sol = solve_master(build_master(inst, [cf]), SCIPY)
+        cf = realize(inst, REF)
+        sol = solve_master(build_master(inst, [REF]), SCIPY)
         assert check_block_physics(inst, sol.capacities, cf, sol.dispatch[0]) == []
         x = nudged(inst, sol.dispatch[0], ("lvl", uid, t), 0.5)
         out = check_block_physics(inst, sol.capacities, cf, x)
@@ -325,10 +325,10 @@ RATING_BREACHES = [
 )
 def test_physics_checker_flags_power_above_rating(make, key, row):
     inst = make()
-    sol = solve_master(build_master(inst, [ref_cf(inst)]), SCIPY)
+    sol = solve_master(build_master(inst, [REF]), SCIPY)
     x = nudged(inst, sol.dispatch[0], key, 1e6)
     _, entity, t = key
-    out = check_block_physics(inst, sol.capacities, ref_cf(inst), x)
+    out = check_block_physics(inst, sol.capacities, realize(inst, REF), x)
     assert f"{row}[{entity},{t}]: above its rating" in out
 
 
@@ -343,7 +343,7 @@ def test_master_result_without_duals_is_a_backend_error():
 
     inst = single_node()
     with pytest.raises(BackendError, match="no duals"):
-        solve_master(build_master(inst, [ref_cf(inst)]), NoDuals())
+        solve_master(build_master(inst, [REF]), NoDuals())
 
 
 def test_empty_realization_list_rejected():
@@ -351,43 +351,37 @@ def test_empty_realization_list_rejected():
         build_master(single_node(), [])
 
 
-def test_series_length_mismatch_rejected():
-    inst = single_node()
-    with pytest.raises(ValueError, match="length"):
-        build_master(inst, [{"s1": (0.5,)}])
-
-
-def test_missing_unit_rejected():
-    inst = single_node()
-    with pytest.raises(ValueError, match="misses"):
-        build_master(inst, [{}])
-
-
 @pytest.mark.parametrize(
     "stamp",
     [
-        lambda inst, cf: build_master(inst, [ref_cf(inst), cf]),
-        lambda inst, cf: build_dispatch_lp(inst, {}, cf),
-        # no backend: the realizations are checked before anything is solved
-        lambda inst, cf: dispatch_cost(inst, {}, [ref_cf(inst), cf], None),
+        lambda inst, realization: build_master(inst, [REF, realization]),
+        lambda inst, realization: build_dispatch_lp(inst, {}, realization),
+        # no backend: the flags are checked before anything is solved
+        lambda inst, realization: dispatch_cost(inst, {}, [REF, realization], None),
     ],
     ids=["build_master", "build_dispatch_lp", "dispatch_cost"],
 )
 @pytest.mark.parametrize(
-    "cf, message",
-    [({}, "misses unit 's1'"), ({"s1": (0.5,)}, "unit 's1': series length 1 != 2")],
-    ids=["missing_unit", "series_length"],
+    "flag, message",
+    [
+        (("pv", "nowhere", "p1"), "unknown region 'nowhere'"),
+        (("pv", "R1", "p9"), "unknown period 'p9'"),
+        (("solar", "R1", "p1"), "unknown technology class 'solar'"),
+    ],
+    ids=["unknown_region", "unknown_period", "unknown_technology"],
 )
-def test_malformed_realization_rejected(stamp, cf, message):
-    inst = single_node()  # one unit, s1, over two steps
+def test_malformed_realization_rejected(stamp, flag, message):
+    # a flag naming no region, period or technology of single_node is an
+    # input error, even one that lowers no unit and so moves no rhs
+    inst = single_node()
     with pytest.raises(ValueError, match=message):
-        stamp(inst, cf)
+        stamp(inst, hit(flag))
 
 
 def test_bad_capacity_rejected():
     inst = single_node()
     with pytest.raises(ValueError, match="capacity"):
-        build_dispatch_lp(inst, {("ren", "s1"): -1.0}, ref_cf(inst))
+        build_dispatch_lp(inst, {("ren", "s1"): -1.0}, REF)
 
 
 # --- miscellaneous ------------------------------------------------------------
@@ -410,7 +404,7 @@ def test_dispatch_cost_prices_each_member_at_its_own_dispatch_lp(name):
     # gives it, bit for bit; nothing else of the LP differs between members
     builder, flags = TOYS[name]
     inst = builder()
-    rlz = [ref_cf(inst)] + [hit(inst, f) for f in flags] + [hit(inst, *flags)]
+    rlz = [REF] + [hit(f) for f in flags] + [hit(*flags)]
     caps = {key: 3.0 for key in capacity_keys(inst)}
     seen = []
 
@@ -423,7 +417,7 @@ def test_dispatch_cost_prices_each_member_at_its_own_dispatch_lp(name):
     costs = dispatch_cost(inst, caps, rlz, Recording())
     [(model, rhs)] = seen
     assert len(costs) == len(rlz)
-    alone = [build_dispatch_lp(inst, caps, cf) for cf in rlz]
+    alone = [build_dispatch_lp(inst, caps, r) for r in rlz]
     distinct = {}
     for lp in alone:
         distinct.setdefault(lp.row_rhs.tobytes(), lp.row_rhs)
@@ -443,7 +437,7 @@ def test_dispatch_cost_solves_each_distinct_lp_once(backend):
     inst = two_region()
     caps = {("ren", "pv_a"): 20.0, ("ren", "w_b"): 0.0, ("line", "l12"): 0.0}
     wind, pv = ("wind", "RB", "p1"), ("pv", "RA", "p1")
-    rlz = [ref_cf(inst), hit(inst, wind), hit(inst, pv), hit(inst, pv, wind)]
+    rlz = [REF, hit(wind), hit(pv), hit(pv, wind)]
     seen = []
 
     class Recording(type(backend)):
@@ -457,8 +451,8 @@ def test_dispatch_cost_solves_each_distinct_lp_once(backend):
     assert len(rhs) == 2
     assert costs[0] == costs[1] and costs[2] == costs[3]
     assert costs[0] < costs[2]
-    for cf, cost in zip(rlz, costs):
-        alone = backend.solve_lp(build_dispatch_lp(inst, caps, cf))
+    for r, cost in zip(rlz, costs):
+        alone = backend.solve_lp(build_dispatch_lp(inst, caps, r))
         assert cost == pytest.approx(alone.objective, rel=1e-9, abs=1e-9)
 
 
@@ -470,8 +464,8 @@ def test_infeasible_group_names_its_first_member(backend):
             fractions=(0.01, 0.02, 0.03), costs=(1000.0, 3000.0, 12000.0)
         )
     )
-    drought = hit(inst, ("pv", "R1", "p1"))
-    rlz = [ref_cf(inst), ref_cf(inst), drought, drought]
+    drought = hit(("pv", "R1", "p1"))
+    rlz = [REF, REF, drought, drought]
     with pytest.raises(BackendError, match=r"infeasible under realization 2$"):
         dispatch_cost(inst, {("ren", "s1"): 20.0}, rlz, backend)
 
@@ -479,14 +473,13 @@ def test_infeasible_group_names_its_first_member(backend):
 def test_dispatch_lp_solution_is_physical():
     inst = two_region()
     caps = {("ren", "pv_a"): 20.0, ("ren", "w_b"): 0.0, ("line", "l12"): 0.0}
-    cf = ref_cf(inst)
-    res = SCIPY.solve_lp(build_dispatch_lp(inst, caps, cf))
-    assert dispatch_cost(inst, caps, [cf], SCIPY) == [float(res.objective)]
+    res = SCIPY.solve_lp(build_dispatch_lp(inst, caps, REF))
+    assert dispatch_cost(inst, caps, [REF], SCIPY) == [float(res.objective)]
     tpl = dispatch_template(inst)
     fuel = float(tpl.fuel_costs @ res.x[tpl.fuel_cols])
     shed = float(tpl.shed_costs @ res.x[tpl.shed_cols])
     assert fuel + shed == pytest.approx(res.objective, rel=1e-9, abs=1e-9)
-    assert check_block_physics(inst, caps, cf, res.x) == []
+    assert check_block_physics(inst, caps, realize(inst, REF), res.x) == []
 
 
 def test_infeasible_dispatch_surfaces_backend_error():
@@ -497,6 +490,6 @@ def test_infeasible_dispatch_surfaces_backend_error():
             fractions=(0.01, 0.02, 0.03), costs=(1000.0, 3000.0, 12000.0)
         )
     )
-    zero = {"s1": (0.0, 0.0)}
+    zero = hit(("pv", "R1", "p1"))
     with pytest.raises(BackendError, match="dispatch"):
         dispatch_cost(inst, {("ren", "s1"): 0.0}, [zero], SCIPY)

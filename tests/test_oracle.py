@@ -34,7 +34,6 @@ from robustgrid.uncertainty import (
     cover,
     enumerate_set,
     maximal_sets,
-    realize,
 )
 
 from toys import (
@@ -58,8 +57,7 @@ FIXTURES = {
 }
 
 
-def ref_cf(inst):
-    return realize(inst, WorstCaseRealization.reference())
+REF = WorstCaseRealization.reference()
 
 
 def zero_deviation(inst):
@@ -82,7 +80,7 @@ def zero_deviation(inst):
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_gamma_zero_equals_deterministic(name):
     inst = FIXTURES[name]()
-    det = solve_master(build_master(inst, [ref_cf(inst)]), SCIPY).objective
+    det = solve_master(build_master(inst, [REF]), SCIPY).objective
     exact = robust_optimum_by_enumeration(inst, UncertaintyBudget(0, 0), SCIPY)
     assert exact == pytest.approx(det, rel=1e-9, abs=1e-9)
 
@@ -114,19 +112,19 @@ def test_row_generation_equals_the_single_lp(name, gamma, members, monkeypatch):
     inst = FIXTURES[name]()
     budget = UncertaintyBudget(gamma, gamma)
     enumerate_members = enumerate_set if members == "full" else maximal_sets
-    realized = [realize(inst, m) for m in enumerate_members(inst, budget)]
-    single = solve_master(build_master(inst, realized), SCIPY).objective
+    rlz = enumerate_members(inst, budget)
+    single = solve_master(build_master(inst, rlz), SCIPY).objective
     lps = []
 
-    def build(inst, cfs):
-        lps.append(list(cfs))
-        return build_master(inst, cfs)
+    def build(inst, rlz):
+        lps.append(list(rlz))
+        return build_master(inst, rlz)
 
     monkeypatch.setattr(oracle, "build_master", build)
-    exact = robust_optimum_by_enumeration(inst, budget, SCIPY, realized=realized)
+    exact = robust_optimum_by_enumeration(inst, budget, SCIPY, members=rlz)
     assert exact == pytest.approx(single, rel=1e-9, abs=1e-9)
-    assert 1 <= exact.rounds == len(lps) <= len(realized)
-    assert lps[0] == [realize(inst, m) for m in cover(inst, budget)]
+    assert 1 <= exact.rounds == len(lps) <= len(rlz)
+    assert lps[0] == cover(inst, budget)
     assert exact.blocks == len(lps[-1]) == len(lps[0]) + exact.rounds - 1
 
 
@@ -142,26 +140,26 @@ def test_row_generation_adds_the_costliest_member(
     # reference alone, a toy takes several rounds.
     inst = make()
     budget = UncertaintyBudget(1, 1)
-    realized = [realize(inst, m) for m in members(inst, budget)]
+    rlz = members(inst, budget)
     lps, prices = [], []
 
-    def build(inst, cfs):
-        lps.append(list(cfs))
+    def build(inst, rlz):
+        lps.append(list(rlz))
         prices.append([])
-        return build_master(inst, cfs)
+        return build_master(inst, rlz)
 
-    def priced(inst, capacities, realized, backend):
-        prices[-1] = dispatch_cost(inst, capacities, realized, backend)
+    def priced(inst, capacities, rlz, backend):
+        prices[-1] = dispatch_cost(inst, capacities, rlz, backend)
         return prices[-1]
 
     monkeypatch.setattr(oracle, "build_master", build)
     monkeypatch.setattr(oracle, "dispatch_cost", priced)
-    exact = robust_optimum_by_enumeration(inst, budget, SCIPY, realized=realized)
+    exact = robust_optimum_by_enumeration(inst, budget, SCIPY, members=rlz)
     assert exact.rounds == len(lps) >= 3
     assert exact.blocks == len(lps[-1])
-    assert lps[0] == [ref_cf(inst)]
+    assert lps[0] == [REF]
     for chosen, costs, following in zip(lps, prices, lps[1:]):
-        assert following == chosen + [realized[costs.index(max(costs))]]
+        assert following == chosen + [rlz[costs.index(max(costs))]]
 
 
 def test_intree_backend_agrees():
@@ -175,9 +173,9 @@ def test_intree_backend_agrees():
 def test_enumeration_order_invariance():
     inst = two_region()
     members = enumerate_set(inst, UncertaintyBudget(1, 1))
-    cfs = [realize(inst, m) for m in members]
-    base = solve_master(build_master(inst, cfs), SCIPY).objective
-    shuffled = list(cfs)
+    rlz = members
+    base = solve_master(build_master(inst, rlz), SCIPY).objective
+    shuffled = list(rlz)
     random.Random(3).shuffle(shuffled)
     other = solve_master(build_master(inst, shuffled), SCIPY).objective
     assert other == pytest.approx(base, rel=1e-9)
@@ -202,7 +200,7 @@ def test_full_budget_reduces_to_worst_deterministic():
     budget = UncertaintyBudget(2, 2)
     members = enumerate_set(inst, budget)
     per_member = [
-        solve_master(build_master(inst, [realize(inst, m)]), SCIPY).objective
+        solve_master(build_master(inst, [m]), SCIPY).objective
         for m in members
     ]
     exact = robust_optimum_by_enumeration(inst, budget, SCIPY)
@@ -236,10 +234,10 @@ def test_argmax_set_on_symmetric_instance():
 def test_argmax_under_zero_deviation_is_everything():
     inst = zero_deviation(two_region())
     budget = UncertaintyBudget(1, 1)
-    caps = solve_master(build_master(inst, [ref_cf(inst)]), SCIPY).capacities
+    caps = solve_master(build_master(inst, [REF]), SCIPY).capacities
     argmax, worst = worst_case_by_enumeration(inst, caps, budget, SCIPY)
     assert len(argmax) == count_realizations(inst, budget)
-    [ref_cost] = dispatch_cost(inst, caps, [ref_cf(inst)], SCIPY)
+    [ref_cost] = dispatch_cost(inst, caps, [REF], SCIPY)
     assert worst == pytest.approx(ref_cost, abs=1e-9)
 
 
@@ -267,7 +265,7 @@ def referee_values(monkeypatch):
 
 
 def max_cost(inst, caps, members):
-    return max(dispatch_cost(inst, caps, [realize(inst, m) for m in members], SCIPY))
+    return max(dispatch_cost(inst, caps, members, SCIPY))
 
 
 @pytest.mark.parametrize("gamma", [0, 1, 2])
@@ -283,7 +281,7 @@ def test_maximal_members_referee_like_the_full_set(name, gamma, monkeypatch):
     maximal = maximal_sets(inst, budget)
     full = robust_optimum_by_enumeration(inst, budget, SCIPY)
     narrow = robust_optimum_by_enumeration(
-        inst, budget, SCIPY, realized=[realize(inst, m) for m in maximal]
+        inst, budget, SCIPY, members=maximal
     )
     assert narrow == pytest.approx(full, rel=1e-9, abs=1e-9)
 
@@ -292,7 +290,7 @@ def test_maximal_members_referee_like_the_full_set(name, gamma, monkeypatch):
     values = referee_values(monkeypatch)
     assert certify_run(inst, budget, (solution, trace), SCIPY).passed
     assert values == [pytest.approx(narrow, rel=1e-9, abs=1e-9)]
-    fixed = solve_master(build_master(inst, [ref_cf(inst)]), SCIPY).capacities
+    fixed = solve_master(build_master(inst, [REF]), SCIPY).capacities
     for caps in (solution.capacities, fixed):
         _, worst = worst_case_by_enumeration(inst, caps, budget, SCIPY)
         assert max_cost(inst, caps, maximal) == pytest.approx(worst, rel=1e-9, abs=1e-9)
@@ -319,7 +317,7 @@ def test_adding_a_flag_never_lowers_the_dispatch_cost(make, seed):
     members = enumerate_set(inst, UncertaintyBudget(G, G))
     cost = dict(zip(
         (m.flags for m in members),
-        dispatch_cost(inst, caps, [realize(inst, m) for m in members], SCIPY),
+        dispatch_cost(inst, caps, members, SCIPY),
     ))
     every_flag = frozenset().union(*cost)
     for flags, c in cost.items():
@@ -424,12 +422,12 @@ def test_certify_reports_the_referee_rounds():
     budget = UncertaintyBudget(1, 1)
     solution, trace = run_ccg(inst, budget, backend=SCIPY)
     report = certify_run(inst, budget, (solution, trace), SCIPY)
-    realized = [realize(inst, m) for m in maximal_sets(inst, budget)]
+    rlz = maximal_sets(inst, budget)
     upper = investment_cost(inst, solution.capacities) + max(
-        dispatch_cost(inst, solution.capacities, realized, SCIPY)
+        dispatch_cost(inst, solution.capacities, rlz, SCIPY)
     )
     exact = robust_optimum_by_enumeration(
-        inst, budget, SCIPY, realized=realized, upper=upper
+        inst, budget, SCIPY, members=rlz, upper=upper
     )
     assert (exact.blocks, exact.rounds) == (len(cover(inst, budget)), 1) == (2, 1)
     check = report.checks[0]
@@ -448,9 +446,9 @@ def test_certify_prices_the_members_once(name, monkeypatch):
     assert trace.converged
     calls = []
 
-    def priced(inst, capacities, realized, backend):
+    def priced(inst, capacities, rlz, backend):
         calls.append(capacities)
-        return dispatch_cost(inst, capacities, realized, backend)
+        return dispatch_cost(inst, capacities, rlz, backend)
 
     monkeypatch.setattr(oracle, "dispatch_cost", priced)
     report = certify_run(inst, budget, (solution, trace), SCIPY)
@@ -472,11 +470,11 @@ def test_certify_takes_no_bound_from_a_plan_out_of_bounds(
     key = ("ren", "s1")
     assert solution.capacities[key] == pytest.approx(10.0)
     raised = dataclasses.replace(solution, capacities={**solution.capacities, key: 40.0})
-    realized = [realize(inst, m) for m in maximal_sets(inst, budget)]
-    alone = robust_optimum_by_enumeration(inst, budget, SCIPY, realized=realized)
-    first_lp = solve_master(build_master(inst, [ref_cf(inst)]), SCIPY).objective
+    rlz = maximal_sets(inst, budget)
+    alone = robust_optimum_by_enumeration(inst, budget, SCIPY, members=rlz)
+    first_lp = solve_master(build_master(inst, [REF]), SCIPY).objective
     priced = investment_cost(inst, raised.capacities) + max(
-        dispatch_cost(inst, raised.capacities, realized, SCIPY)
+        dispatch_cost(inst, raised.capacities, rlz, SCIPY)
     )
     assert priced < first_lp < alone
 
@@ -493,11 +491,11 @@ def test_certify_records_a_stalled_referee(monkeypatch):
     inst = two_region()
     budget = UncertaintyBudget(1, 1)
     result = run_ccg(inst, budget, backend=SCIPY)
-    inflated = realize(inst, maximal_sets(inst, budget)[-1])
+    inflated = maximal_sets(inst, budget)[-1]
 
-    def priced(inst, capacities, realized, backend):
-        costs = dispatch_cost(inst, capacities, realized, backend)
-        return [c + 1000.0 if cf == inflated else c for cf, c in zip(realized, costs)]
+    def priced(inst, capacities, rlz, backend):
+        costs = dispatch_cost(inst, capacities, rlz, backend)
+        return [c + 1000.0 if r == inflated else c for r, c in zip(rlz, costs)]
 
     monkeypatch.setattr(oracle, "dispatch_cost", priced)
     report = certify_run(inst, budget, result, SCIPY)
@@ -531,13 +529,13 @@ def test_referee_starts_from_the_runs_seed_basis(name, gamma):
     budget = UncertaintyBudget(gamma, gamma)
     solution, trace = run_ccg(inst, budget, backend=SCIPY)
     assert trace.converged and trace.seed_basis is not None
-    realized = [realize(inst, m) for m in maximal_sets(inst, budget)]
+    rlz = maximal_sets(inst, budget)
     recording = Recording()
     warm = robust_optimum_by_enumeration(
-        inst, budget, recording, realized=realized, start=trace.seed_basis
+        inst, budget, recording, members=rlz, start=trace.seed_basis
     )
     assert recording.lps[0].stats["iterations"] == 0
-    cold = robust_optimum_by_enumeration(inst, budget, SCIPY, realized=realized)
+    cold = robust_optimum_by_enumeration(inst, budget, SCIPY, members=rlz)
     assert warm == pytest.approx(cold, rel=1e-12)
     assert (warm.rounds, warm.blocks) == (cold.rounds, cold.blocks)
 
@@ -555,10 +553,10 @@ def test_referee_starts_from_the_runs_seed_basis(name, gamma):
         assert w.value == pytest.approx(c.value, rel=1e-12)
 
     # a basis of another LP's size is refused, and the referee runs cold
-    blocks = [realize(inst, m) for m in cover(inst, budget)]
+    blocks = cover(inst, budget)
     other = solve_master(build_master(inst, blocks + blocks[:1]), SCIPY).basis
     refused = robust_optimum_by_enumeration(
-        inst, budget, SCIPY, realized=realized, start=other
+        inst, budget, SCIPY, members=rlz, start=other
     )
     assert float(refused) == float(cold)
     assert (refused.rounds, refused.blocks) == (cold.rounds, cold.blocks)
@@ -592,10 +590,10 @@ def test_certify_searches_while_it_prices(monkeypatch):
         started.set()
         return build(*args, **kwargs)
 
-    def priced(inst, capacities, realized, backend):
+    def priced(inst, capacities, rlz, backend):
         assert started.wait(10.0)
         threads["pricing"] = threading.get_ident()
-        return dispatch_cost(inst, capacities, realized, backend)
+        return dispatch_cost(inst, capacities, rlz, backend)
 
     monkeypatch.setattr(oracle, "build_subproblem", search)
     monkeypatch.setattr(oracle, "dispatch_cost", priced)

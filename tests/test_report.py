@@ -35,7 +35,6 @@ from robustgrid.uncertainty import (
     UncertaintyBudget,
     WorstCaseRealization,
     complete,
-    realize,
 )
 
 from toys import (
@@ -263,7 +262,7 @@ def test_binding_realization_tags_a_seed_row():
     assert tag == "s0" and len(trace.seeds) == 1
     rows = realization_matrix(inst, trace).strip().splitlines()[1:]
     assert [row.split()[0] for row in rows] == [tag]
-    assert solution.realizations[solution.binding] == realize(inst, trace.seeds[0])
+    assert solution.realizations[solution.binding] == trace.seeds[0]
 
 
 def test_blocks_past_the_seeds_are_the_completed_cuts(reference_start):
@@ -278,7 +277,7 @@ def test_blocks_past_the_seeds_are_the_completed_cuts(reference_start):
     for it in trace.iterations[:past]:
         assert it.realization.flags
         cut = WorstCaseRealization(complete(inst, it.realization.flags, budget))
-        assert solution.realizations[len(trace.seeds) + it.index] == realize(inst, cut)
+        assert solution.realizations[len(trace.seeds) + it.index] == cut
 
 
 def binding_costs(inst, solution):
@@ -321,7 +320,7 @@ def test_binding_realization_prices_at_the_recourse_bound(gamma):
         named = trace.seeds[k]
     else:
         named = WorstCaseRealization(complete(inst, trace.iterations[k].realization.flags, budget))
-    [priced] = dispatch_cost(inst, solution.capacities, [realize(inst, named)], SCIPY)
+    [priced] = dispatch_cost(inst, solution.capacities, [named], SCIPY)
     tol = CcgConfig().tolerance * max(1.0, abs(solution.objective))
     assert abs(priced - solution.recourse_bound) <= tol
     operating = sum(r["fuel"] + r["shedding"] for r in m["region_costs"].values())

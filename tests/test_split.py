@@ -32,7 +32,6 @@ from robustgrid.uncertainty import (
     maximal_sets,
     member_count,
     members,
-    realize,
 )
 
 from toys import (
@@ -115,7 +114,7 @@ class MasterResult:
 
 def test_master_noise_snaps_to_zero_at_the_handoff():
     inst = toy6()
-    build = build_master(inst, [realize(inst, WorstCaseRealization.reference())])
+    build = build_master(inst, [WorstCaseRealization.reference()])
     column = dispatch_template(inst).keys.index
     x = np.zeros(build.model.n_vars)
     x[column(("h2_stor", "h2_2"))] = 4.7e-13  # what HiGHS left on the benchmark ladder
@@ -212,7 +211,7 @@ def test_split_search_equals_the_whole_horizon_search(make, gamma, seed):
     assert split.exact and split.milps == milps and whole.milps == 1
     assert split.dual_objective == pytest.approx(whole.dual_objective, rel=1e-6, abs=1e-6)
     check_flags(inst, split.flags, budget)
-    [cost] = dispatch_cost(inst, caps, [realize(inst, WorstCaseRealization(split.flags))], SCIPY)
+    [cost] = dispatch_cost(inst, caps, [WorstCaseRealization(split.flags)], SCIPY)
     assert cost == pytest.approx(split.dual_objective, rel=1e-6, abs=1e-6)
 
 
@@ -250,7 +249,7 @@ def test_priced_window_equals_its_milp(make, gamma, seed):
         # the costliest member, and of several equally costly ones the smallest key
         candidates = members(window.z, budget)
         costs = dispatch_cost(
-            window.instance, caps, [realize(window.instance, m) for m in candidates], SCIPY,
+            window.instance, caps, candidates, SCIPY,
         )
         top = max(costs)
         assert priced.dual_objective == top
@@ -325,13 +324,13 @@ def test_window_costs_sum_to_the_whole_horizon_cost(make, gamma, seed):
     inst = make()
     caps = draw_capacities(inst, seed)
     members = maximal_sets(inst, UncertaintyBudget(gamma, gamma))
-    whole = dispatch_cost(inst, caps, [realize(inst, m) for m in members], SCIPY)
+    whole = dispatch_cost(inst, caps, members, SCIPY)
     # a window's cost depends only on the flags of its own period
     parts = []
     for w in period_windows(inst):
         [period] = w.timegrid.periods
         own = sorted({frozenset(f for f in m.flags if f[2] == period.id) for m in members}, key=sorted)
-        costs = dispatch_cost(w, caps, [realize(w, WorstCaseRealization(f)) for f in own], SCIPY)
+        costs = dispatch_cost(w, caps, [WorstCaseRealization(f) for f in own], SCIPY)
         parts.append((period.id, dict(zip(own, costs))))
     for m, cost in zip(members, whole):
         total = sum(
@@ -352,7 +351,7 @@ def test_split_search_stops_early_only_in_its_last_window(monkeypatch):
     assert not early.exact and early.milps == 2
     assert early.dual_objective >= 0.5 * exact.dual_objective
     # a lower bound on the dispatch cost at its own flags
-    [cost] = dispatch_cost(inst, caps, [realize(inst, WorstCaseRealization(early.flags))], SCIPY)
+    [cost] = dispatch_cost(inst, caps, [WorstCaseRealization(early.flags)], SCIPY)
     assert early.dual_objective <= cost * (1 + 1e-9) + 1e-9
 
 

@@ -25,7 +25,6 @@ from robustgrid.uncertainty import (
     UncertaintyBudget,
     WorstCaseRealization,
     enumerate_set,
-    realize,
 )
 
 from toys import (
@@ -47,12 +46,11 @@ def backend(request):
     return request.param
 
 
-def ref_cf(inst):
-    return realize(inst, WorstCaseRealization.reference())
+REF = WorstCaseRealization.reference()
 
 
 def master_capacities(inst, backend=SCIPY):
-    return solve_master(build_master(inst, [ref_cf(inst)]), backend).capacities
+    return solve_master(build_master(inst, [REF]), backend).capacities
 
 
 def fix_flags(build, flags):
@@ -118,7 +116,7 @@ def test_symmetric_regions_tie(backend):
     worst = solve_subproblem(build, backend)
     assert len(worst.flags) == 1
     costs = dispatch_cost(inst, caps, [
-        realize(inst, WorstCaseRealization(flags=frozenset({("pv", f"R{k}", "p1")})))
+        WorstCaseRealization(flags=frozenset({("pv", f"R{k}", "p1")}))
         for k in (1, 2)
     ], SCIPY)
     assert costs[0] == pytest.approx(costs[1], rel=1e-9)
@@ -190,7 +188,7 @@ def test_matches_enumeration_maximum(builder):
     caps = master_capacities(inst)
     budget = UncertaintyBudget(1, 1)
     worst_enum = max(
-        dispatch_cost(inst, caps, [realize(inst, r) for r in enumerate_set(inst, budget)], SCIPY)
+        dispatch_cost(inst, caps, enumerate_set(inst, budget), SCIPY)
     )
     build = build_subproblem(inst, caps, budget)
     worst = solve_subproblem(build, SCIPY)
@@ -228,7 +226,7 @@ def test_restricted_flags_reproduce_dispatch():
         fix_flags(build, member.flags)
         res = SCIPY.solve_milp(build.model, gap_tol=1e-12)
         assert res.status == "optimal"
-        [primal] = dispatch_cost(inst, caps, [realize(inst, member)], SCIPY)
+        [primal] = dispatch_cost(inst, caps, [member], SCIPY)
         assert res.objective == pytest.approx(primal, rel=1e-6, abs=1e-6)
 
 
@@ -279,7 +277,7 @@ def test_big_m_bounds_only_flagged_multipliers(capacity, want):
     worst = solve_subproblem(build, SCIPY)
     assert worst.flags == frozenset()
     assert worst.dual_objective == pytest.approx(want, rel=1e-9)
-    assert dispatch_cost(inst, caps, [ref_cf(inst)], SCIPY) == [pytest.approx(want, rel=1e-9)]
+    assert dispatch_cost(inst, caps, [REF], SCIPY) == [pytest.approx(want, rel=1e-9)]
 
 
 def test_default_big_m_tracks_top_shedding_tier():
@@ -296,7 +294,7 @@ def test_dual_signs_and_objective():
     res = SCIPY.solve_milp(build.model, gap_tol=1e-9)
     assert res.status == "optimal"
     assert solve_subproblem(build, SCIPY).dual_objective == pytest.approx(res.objective)
-    pm = build_dispatch_lp(inst, caps, ref_cf(inst))
+    pm = build_dispatch_lp(inst, caps, REF)
     # column i is the multiplier of dispatch row i: free on an equality row,
     # nonnegative on a <= row; every phi is nonnegative
     multipliers = res.x[: pm.n_rows]
@@ -347,7 +345,7 @@ def test_worst_case_prices_the_dispatch_rhs_exactly():
     inst = inst.replace(timegrid=dataclasses.replace(inst.timegrid, step_hours=24.0))
     caps = {("line", "l12"): 0.3}
     build = build_subproblem(inst, caps, UncertaintyBudget(1, 1))
-    pm = build_dispatch_lp(inst, caps, ref_cf(inst))
+    pm = build_dispatch_lp(inst, caps, REF)
     want = pm.row_rhs
     i = pm.row_names.index("d:flow_hi[l12,0]")
     assert want[i] == 1207.2

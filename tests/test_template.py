@@ -99,15 +99,15 @@ class _RowByRowEmitter(_BlockEmitter):
         return idx
 
 
-def reference_master(inst, cfs):
+def reference_master(inst, realizations):
     model = ModelBuilder(name="master")
     inv = {
         key: model.add_var(f"cap[{key[0]},{key[1]}]", ub=limit, obj=cost)
         for key, cost, limit in capacity_table(inst)
     }
     eta = model.add_var("recourse", obj=1.0)
-    for k, cf in enumerate(cfs):
-        emitter = _RowByRowEmitter(model, inst, cf, f"s{k}", inv=inv)
+    for k, realization in enumerate(realizations):
+        emitter = _RowByRowEmitter(model, inst, realize(inst, realization), f"s{k}", inv=inv)
         emitter.emit()
         coeffs = emitter.fuel_terms + emitter.shed_terms + [(eta, -1.0)]
         model.add_row(coeffs, LE, 0.0, name=f"s{k}:recourse_bound")
@@ -188,23 +188,15 @@ def assert_same_model(stamped, ref):
     assert stamped.rows == ref.rows
 
 
+SET_BUDGET = UncertaintyBudget(1, 1)
+
+
 def distinct_realizations(inst, n, seed=0):
-    """n distinct realizations: set members first, then random series."""
-    distinct = {}
-    for m in enumerate_set(inst, UncertaintyBudget(1, 1)):
-        if len(distinct) == n:
-            break
-        cf = realize(inst, m)
-        distinct.setdefault(tuple(sorted(cf.items())), cf)
-    rng = np.random.default_rng(seed)
-    T = inst.timegrid.step_count
-    while len(distinct) < n:
-        cf = {
-            r.id: tuple(float(v) for v in rng.choice([0.0, 0.3, 1.0, rng.uniform()], T))
-            for r in inst.renewables
-        }
-        distinct.setdefault(tuple(sorted(cf.items())), cf)
-    return list(distinct.values())
+    """n members of the set at SET_BUDGET in a seeded random order,
+    distinct up to the set's size and repeated past it."""
+    members = enumerate_set(inst, SET_BUDGET)
+    order = np.random.default_rng(seed).permutation(len(members))
+    return [members[order[k % len(members)]] for k in range(n)]
 
 
 def some_capacities(inst, seed=1):
@@ -220,16 +212,28 @@ def some_capacities(inst, seed=1):
 
 @pytest.mark.parametrize("n_blocks", [1, 3, 8])
 def test_master_matches_row_by_row(inst, n_blocks):
-    cfs = distinct_realizations(inst, n_blocks)
-    assert len({tuple(sorted(cf.items())) for cf in cfs}) == n_blocks
-    assert_same_model(build_master(inst, cfs).model, reference_master(inst, cfs))
+    rlz = distinct_realizations(inst, n_blocks)
+    assert len(set(rlz)) == min(n_blocks, len(enumerate_set(inst, SET_BUDGET)))
+    assert_same_model(build_master(inst, rlz).model, reference_master(inst, rlz))
 
 
 def test_dispatch_lp_matches_row_by_row(inst):
     caps = some_capacities(inst)
-    for cf in distinct_realizations(inst, 3):
-        ref, _ = reference_dispatch(inst, caps, cf)
-        assert_same_model(build_dispatch_lp(inst, caps, cf), ref)
+    for realization in distinct_realizations(inst, 3):
+        ref, _ = reference_dispatch(inst, caps, realize(inst, realization))
+        assert_same_model(build_dispatch_lp(inst, caps, realization), ref)
+
+
+def test_realized_coefs_equal_the_realized_series(inst):
+    # the template's flag-based coefficients are realize's series times
+    # the step, bit for bit, for every member of the set
+    tpl = dispatch_template(inst)
+    rlz = enumerate_set(inst, SET_BUDGET)
+    units = [inst.renewables[u].id for u in tpl.ren_units]
+    dt = inst.timegrid.step_hours
+    for realization, coefs in zip(rlz, tpl.realized_coefs(inst, rlz)):
+        cf = realize(inst, realization)
+        assert coefs.tolist() == [cf[u][t] * dt for u, t in zip(units, tpl.ren_steps)]
 
 
 @pytest.mark.parametrize("gamma", [1, 2])
@@ -248,7 +252,7 @@ def test_template_is_emitted_once_per_instance():
     inst = two_region()
     tpl = dispatch_template(inst)
     build_master(inst, distinct_realizations(inst, 2))
-    build_dispatch_lp(inst, {}, realize(inst, WorstCaseRealization.reference()))
+    build_dispatch_lp(inst, {}, WorstCaseRealization.reference())
     assert dispatch_template(inst) is tpl
     assert dispatch_template(two_region()) is not tpl
     assert inst == two_region()  # the cached template is not part of equality
@@ -256,24 +260,24 @@ def test_template_is_emitted_once_per_instance():
 
 def test_stamped_models_do_not_share_writable_state():
     inst = two_period_battery()
-    cf = realize(inst, WorstCaseRealization.reference())
-    first = build_dispatch_lp(inst, {}, cf)
+    reference = WorstCaseRealization.reference()
+    first = build_dispatch_lp(inst, {}, reference)
     first.var_lb[0] = 5.0
     first.row_rhs[0] = -1.0
     first.var_obj[0] = 99.0
-    second = build_dispatch_lp(inst, {}, cf)
-    ref, _ = reference_dispatch(inst, {}, cf)
+    second = build_dispatch_lp(inst, {}, reference)
+    ref, _ = reference_dispatch(inst, {}, realize(inst, reference))
     assert_same_model(second, ref)
 
 
 def test_stamped_dispatch_solves_like_the_reference():
     inst = three_region_hydro()
     caps = some_capacities(inst)
-    cf = distinct_realizations(inst, 2)[1]
-    res = ScipyBackend().solve_lp(build_dispatch_lp(inst, caps, cf))
-    ref, _ = reference_dispatch(inst, caps, cf)
+    realization = distinct_realizations(inst, 2)[1]
+    res = ScipyBackend().solve_lp(build_dispatch_lp(inst, caps, realization))
+    ref, _ = reference_dispatch(inst, caps, realize(inst, realization))
     want = ScipyBackend().solve_lp(ref)
-    assert dispatch_cost(inst, caps, [cf], ScipyBackend()) == [float(want.objective)]
+    assert dispatch_cost(inst, caps, [realization], ScipyBackend()) == [float(want.objective)]
     assert res.objective == want.objective
     assert res.x.tolist() == want.x.tolist()
 

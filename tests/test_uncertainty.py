@@ -117,7 +117,7 @@ def realize_by_period_of(inst, realization):
         for t in range(grid.step_count):
             v = unit.cf.reference[t]
             period = next((p for p in grid.periods if p.start <= t <= p.end), None)
-            if period is not None and realization.hits(tech, unit.region, period.id):
+            if period is not None and (tech, unit.region, period.id) in realization.flags:
                 v -= unit.cf.deviation[t]
             values.append(max(0.0, v))
         out[unit.id] = tuple(values)
