@@ -23,14 +23,24 @@ member, so it costs at most that. The trace keeps the seeds and the
 search's own worst case, which alone records whether the search was exact
 and the MILPs and nodes it took.
 
-The loop calls build_subproblem and solve_subproblem once per iteration,
-and solve_subproblem chooses the route (see subproblem): where the budget
-leaves the adversary no choice it prices the one maximal member with one
-dispatch LP; where the plan stores no energy and the horizon has two
-periods or more it splits the search by period, pricing each window with
-few maximal members and searching the others with their MILPs; otherwise
-it runs the whole-horizon MILP. A priced worst case is exact, and the
-iteration counts the MILPs solved, 0 where everything was priced.
+The loop calls build_subproblem once per iteration, and takes the worst
+case by one of these routes:
+
+- held: where the budget leaves the adversary no choice (one maximal
+  member over the live flags) and a block of the master just solved has
+  that member's live flags, the master holds its value, the recourse
+  bound, and no solve runs (held_worst_case). That closes the bound pair,
+  so the loop stops. At full budget the first master's one seed is that
+  block, and at a budget of 0 the reference is.
+- otherwise solve_subproblem chooses the route (see subproblem): it prices
+  the one maximal member with one dispatch LP where no block holds it;
+  where the plan stores no energy and the horizon has two periods or
+  more it splits the search by period, pricing each window with few
+  maximal members and searching the others with their MILPs; otherwise
+  it runs the whole-horizon MILP.
+
+A held or priced worst case is exact, and the iteration counts the MILPs
+solved, 0 where none ran.
 
 Separation is inexact until the end (Tsang, Shehadeh & Curtis, inexact
 column-and-constraint generation): the search gets a target, the master's
@@ -38,9 +48,9 @@ recourse bound eta plus a margin of 10 x tolerance x max(1, |master
 objective|), and stops at the first realization whose value reaches it;
 any such realization is a valid cut. A split search gives the target to
 its last window only, less what the windows before it found, and pricing
-ignores it. Only a search that never reaches the target runs to its
-optimum, and only such an exact search, or a pricing, counts for the
-bounds:
+and the held route ignore it. Only a search that never reaches the target
+runs to its optimum, and only such an exact search, a pricing or a held
+worst case counts for the bounds:
 
 - The master objective is a lower bound that only rises as memory grows.
 - Investment plus an exact worst-case value is an upper bound; the trace
@@ -48,10 +58,10 @@ bounds:
   first exact search. An early stop's value is only a lower bound on the
   worst case, and its saturation check has not run, so it never touches the
   upper bound.
-- The loop stops only on an exact search, or an exact pricing, whose own
-  bound pair closes, which is the same statement as the convergence
-  certificate: the worst case found for the final plan costs no more than
-  the recourse the master already priced.
+- The loop stops only on an exact search, an exact pricing or a held
+  worst case whose own bound pair closes, which is the same statement as
+  the convergence certificate: the worst case found for the final plan
+  costs no more than the recourse the master already priced.
 
 The trace's gap is measured from the running upper bound; the stop tests
 fresh_gap, from this iteration's upper bound alone. Both divide by
@@ -84,7 +94,12 @@ from dataclasses import dataclass, field
 
 from .backend import BackendError, get_backend
 from .master import MasterSolution, build_master, solve_master
-from .subproblem import build_subproblem, search_templates, solve_subproblem
+from .subproblem import (
+    build_subproblem,
+    held_worst_case,
+    search_templates,
+    solve_subproblem,
+)
 from .uncertainty import (
     UncertaintyBudget,
     WorstCaseRealization,
@@ -113,7 +128,8 @@ class CcgConfig:
     of the stopping tolerance, so its bound is crisper than the gap it
     feeds. big_m is its linearization constant; it does not apply where
     solve_subproblem prices the worst case instead (a build or period
-    window with few maximal members), as no MILP is assembled there."""
+    window with few maximal members), or where the master holds it, as no
+    MILP is assembled there."""
 
     tolerance: float = 1e-8
     max_iterations: int = 50
@@ -140,7 +156,7 @@ class CcgIteration:
     seconds: float  # wall time of the whole iteration
     master_s: float  # of which solve_master
     master_iterations: int | None  # its simplex iterations (MasterSolution)
-    worst_s: float  # of which solve_subproblem
+    worst_s: float  # of which taking the worst case (held or solve_subproblem)
 
 
 @dataclass
@@ -203,9 +219,12 @@ def run_ccg(
                 1.0, abs(solution.objective)
             )
             worst_started = time.perf_counter()
-            worst = solve_subproblem(
-                sub, backend, gap_tol=config.tolerance / 10.0, target=target
-            )
+            worst = held_worst_case(sub, solution)
+            held = worst is not None
+            if not held:
+                worst = solve_subproblem(
+                    sub, backend, gap_tol=config.tolerance / 10.0, target=target
+                )
             worst_s = time.perf_counter() - worst_started
         except BackendError as err:
             raise BackendError(f"iteration {k}: {err}") from err
@@ -239,7 +258,8 @@ def run_ccg(
         )
         log.info(
             "gamma %s iteration %d: LB %.6g, UB %.6g, gap %.3g, %s worst case %s",
-            rung, k, lower, running_ub, gap, "exact" if worst.exact else "early",
+            rung, k, lower, running_ub, gap,
+            "held" if held else "exact" if worst.exact else "early",
             worst.summary(),
         )
 

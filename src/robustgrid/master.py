@@ -689,7 +689,7 @@ def solve_master(build: MasterBuild, backend, start=None) -> MasterSolution:
     return MasterSolution(
         capacities=capacities,
         investment_cost=investment_cost(build.instance, capacities),
-        recourse_bound=float(res.x[eta]),
+        recourse_bound=0.0 + float(res.x[eta]),  # HiGHS may return -0.0
         objective=float(res.objective),
         realizations=list(build.realizations),  # CCG appends to its own list
         dispatch=res.x[eta + 1 :].reshape(K, tpl.n_vars),

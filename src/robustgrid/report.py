@@ -99,12 +99,13 @@ def write_trace_csv(path: str | Path, trace: CcgTrace) -> None:
     whether its search was exact (1) or stopped at its target (0).
     upper_bound and gap read inf until the first exact search. seconds is
     the iteration's wall time; master_s and worst_s are the parts of it
-    spent solving the master and in the worst-case search, and
-    master_iterations the master's simplex iterations, blank where the
-    backend counts none. milp_nodes is that search's branch-and-bound
-    node count, blank where the iteration solved no MILP, and milps the
-    MILPs it solved: 0 where it priced the budget's one maximal member or
-    every period window's few, 1 for the whole horizon, and one per period
+    spent solving the master and taking the worst case (near 0 where the
+    master held it, see ccg), and master_iterations the master's simplex
+    iterations, blank where the backend counts none. milp_nodes is that
+    search's branch-and-bound node count, blank where the iteration solved
+    no MILP, and milps the MILPs it solved: 0 where the master held the
+    budget's one maximal member or it was priced, or where every period
+    window's few were priced, 1 for the whole horizon, and one per period
     window not priced where the search split by period."""
     rows = [
         [

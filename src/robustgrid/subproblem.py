@@ -53,6 +53,9 @@ budget allows: the one maximal member over the live flags
 positive budget. As a flag never lowers the dispatch cost (see
 uncertainty), that member is the worst case, so one dispatch LP prices it
 exactly, with no MILP and no big-M, and the horizon is not split.
+CCG does not even price it where the master it just solved holds that
+member's value (held_worst_case): the certification's worst-case search
+(oracle.certify_run) still prices it, and so referees the shortcut.
 
 A window often leaves the adversary few choices too: its maximal members
 number the product over pv and wind of C(live, min(gamma, live)), six to
@@ -78,7 +81,7 @@ from functools import cached_property
 import numpy as np
 
 from .backend import EQ, LE, BackendError, CSRMatrix, LinearModel
-from .master import CapKey, dispatch_cost, dispatch_template
+from .master import CapKey, MasterSolution, dispatch_cost, dispatch_template
 from .model import (
     CapacityFactorBundle,
     DemandSeries,
@@ -103,6 +106,7 @@ __all__ = [
     "build_subproblem",
     "period_windows",
     "search_templates",
+    "held_worst_case",
     "solve_subproblem",
     "verify_strong_duality",
 ]
@@ -429,6 +433,32 @@ def _check_saturation(
     )
 
 
+def held_worst_case(
+    build: SubproblemBuild, solution: MasterSolution
+) -> WorstCaseRealization | None:
+    """The worst case at the build's capacities, read off the master
+    solved at them with no solve, or None where the master does not hold it.
+
+    build is build_subproblem at solution.capacities. The master holds the
+    worst case where the live flags (build.z) leave one maximal member,
+    route 1 of solve_subproblem, and some block of solution has live flags
+    equal to that member's. Its value is then the recourse bound eta,
+    exact: at an optimal master eta is the largest over the blocks of each
+    block's least dispatch cost at the plan; the member is the worst case
+    over the whole set, so it costs at least eta; and a block with the
+    member's live flags has the member's dispatch rhs, so the member costs
+    at most eta. A block whose live flags are a proper subset of the
+    member's costs no more than it, and proves nothing.
+    """
+    if member_count(build.z, build.budget) > 1:
+        return None
+    [member] = members(build.z, build.budget)
+    live = frozenset(build.z)
+    if all(block.flags & live != member.flags for block in solution.realizations):
+        return None
+    return dataclasses.replace(member, dual_objective=solution.recourse_bound)
+
+
 def solve_subproblem(
     build: SubproblemBuild, backend, gap_tol: float = 1e-9, target: float | None = None
 ) -> WorstCaseRealization:
@@ -440,7 +470,9 @@ def solve_subproblem(
     their branch-and-bound nodes, None where none ran. The route:
 
     1. Where the live flags (build.z) leave one maximal member, one
-       dispatch LP prices it (module docstring).
+       dispatch LP prices it (module docstring). CCG skips this route
+       where the master already holds the member (held_worst_case);
+       certify_run does not, and prices it.
     2. Otherwise, a build split by period (build.windows) is searched one
        window at a time, in time order. A window with at most
        WINDOW_ENUMERATION_LIMIT maximal members is priced by one

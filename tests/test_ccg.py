@@ -7,6 +7,7 @@ import multiprocessing
 import os
 import pickle
 import random
+import re
 import time
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from robustgrid.ccg import (
 import robustgrid.ccg as ccg_module
 from robustgrid.io import load_instance
 from robustgrid.master import build_master, capacity_keys, dispatch_cost, solve_master
+from robustgrid.model import CapacityFactorBundle, DemandSeries
 from robustgrid.oracle import certify_run, robust_optimum_by_enumeration
 import robustgrid.subproblem as subproblem
 from robustgrid.subproblem import build_subproblem, solve_subproblem
@@ -40,6 +42,7 @@ from toys import (
     single_node,
     symmetric_pair,
     three_region_hydro,
+    toy6_priced,
     toy6_with_pumped_hydro,
     two_period_battery,
     two_region,
@@ -285,6 +288,100 @@ def test_budget_without_a_choice_prices_instead_of_searching(make, gamma, monkey
     report = certify_run(inst, budget, (solution, trace), backend)
     assert [check.passed for check in report.checks] == [True, True, True]
     assert calls == []
+
+
+class SpyBackend(ScipyBackend):
+    """A scipy backend that records the name of each solve method called."""
+
+    def __init__(self):
+        self.calls = []
+
+    def solve_lp(self, *args, **kwargs):
+        self.calls.append("solve_lp")
+        return super().solve_lp(*args, **kwargs)
+
+    def solve_lps(self, *args, **kwargs):
+        self.calls.append("solve_lps")
+        return super().solve_lps(*args, **kwargs)
+
+    def solve_milp(self, *args, **kwargs):
+        self.calls.append("solve_milp")
+        return super().solve_milp(*args, **kwargs)
+
+
+@pytest.mark.parametrize("full", [False, True], ids=["zero", "full"])
+@pytest.mark.parametrize(
+    "make",
+    [lambda: load_instance(TOY6), toy6_priced, two_period_battery, toy6_with_pumped_hydro],
+    ids=["toy6", "toy6_priced", "two_period_battery", "toy6_with_pumped_hydro"],
+)
+def test_budget_without_a_choice_takes_the_worst_case_from_the_master(make, full):
+    # the one seed is the one maximal member, so the first master holds its
+    # value: the run solves that master and nothing else
+    inst = make()
+    gamma = len(inst.regions) if full else 0
+    spy = SpyBackend()
+    solution, trace = run_ccg(inst, UncertaintyBudget(gamma, gamma), backend=spy)
+    assert spy.calls == ["solve_lp"]
+    assert trace.converged
+    [it] = trace.iterations
+    worst = it.realization
+    assert worst.exact and worst.milps == 0 and worst.milp_nodes is None
+    assert worst.dual_objective == solution.recourse_bound
+    [cost] = dispatch_cost(inst, solution.capacities, [worst], SCIPY)
+    assert worst.dual_objective == pytest.approx(cost, rel=1e-12)
+
+
+def one_technology_per_region():
+    """two_region with load at both nodes, no line, half deviation, and a
+    unit of each technology in each region, but pv buildable in RA alone
+    and wind in RB alone. At gamma (1, 1) the cover's two seeds flag one
+    region each, while the plan builds pv_a and w_b: the one maximal
+    member over the live flags is pv in RA and wind in RB, and each seed
+    holds only half of it."""
+    inst = two_region()
+    pv_a, w_b = (
+        dataclasses.replace(unit, cf=CapacityFactorBundle(ref, tuple(c / 2 for c in ref)))
+        for unit in inst.renewables
+        for ref in [unit.cf.reference]
+    )
+    return inst.replace(
+        renewables=(
+            pv_a,
+            w_b,
+            dataclasses.replace(pv_a, id="pv_b", node="n2", region="RB", expansion_limit=0.0),
+            dataclasses.replace(w_b, id="w_a", node="n1", region="RA", expansion_limit=0.0),
+        ),
+        demand=DemandSeries(by_node={"n1": (10.0, 10.0), "n2": (10.0, 10.0)}),
+        lines=(dataclasses.replace(inst.lines[0], existing_cap=0.0, expansion_limit=0.0),),
+    )
+
+
+def test_member_no_block_holds_is_priced():
+    inst = one_technology_per_region()
+    budget = UncertaintyBudget(1, 1)
+    spy = SpyBackend()
+    solution, trace = run_ccg(inst, budget, backend=spy)
+    member = frozenset({("pv", "RA", "p1"), ("wind", "RB", "p1")})
+    live = frozenset(build_subproblem(inst, solution.capacities, budget).z)
+    assert live == member
+    # every seed's live flags are a proper subset of the member's
+    assert [seed.flags & live < member for seed in trace.seeds] == [True, True]
+    assert spy.calls == ["solve_lp", "solve_lps"]  # the master, then the member's LP
+    assert trace.converged
+    [it] = trace.iterations
+    assert it.realization.flags == member and it.realization.exact
+
+
+def test_iteration_log_names_the_held_route(caplog):
+    # full budget reads the worst case off the master; at gamma (1, 0) the
+    # search prices its period windows
+    toy6 = load_instance(TOY6)
+    with caplog.at_level(logging.INFO, logger="robustgrid.ccg"):
+        run_ccg(toy6, UncertaintyBudget(6, 6), backend=SCIPY)
+        run_ccg(toy6, UncertaintyBudget(1, 0), backend=SCIPY)
+    routes = [re.search(r", (\w+) worst case ", r.getMessage())[1] for r in caplog.records]
+    assert routes == ["held", "exact"]
 
 
 def test_few_members_per_window_price_every_iteration(monkeypatch):

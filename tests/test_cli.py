@@ -3,12 +3,15 @@
 import csv
 import dataclasses
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import robustgrid.cli as cli
 import robustgrid.uncertainty as uncertainty
+from robustgrid.ccg import run_ccg
 from robustgrid.cli import (
     CAP_EXCEEDED,
     CERTIFY_FAILED,
@@ -20,6 +23,7 @@ from robustgrid.cli import (
 from robustgrid.io import instance_to_dict, load_instance, save_instance
 from robustgrid.model import CapacityFactorBundle
 from robustgrid.prep import read_history_csv
+from robustgrid.uncertainty import UncertaintyBudget
 
 from toys import single_node, two_period_battery, two_region
 
@@ -53,6 +57,20 @@ def test_plan_gamma_zero(tmp_path, capsys):
         assert len(list(csv.DictReader(fh))) == 1
     json.loads((out / "metrics.json").read_text())
     assert "objective 20" in capsys.readouterr().out
+
+
+def test_full_budget_recourse_bound_is_positive_zero(tmp_path):
+    # toy6 hedges every drought at full budget, so its recourse bound is 0;
+    # HiGHS returns it as -0.0, which JSON would keep as "-0.0"
+    toy6 = str(Path(__file__).parent / "fixtures" / "toy6.json")
+    solution, _ = run_ccg(load_instance(toy6), UncertaintyBudget(6, 6))
+    assert math.copysign(1.0, solution.recourse_bound) == 1.0
+    out = tmp_path / "out"
+    rc = main(["plan", toy6, "--gamma-pv", "6", "--gamma-wind", "6", "--output-dir", str(out)])
+    assert rc == OK
+    for artifact in ("solution.json", "metrics.json"):
+        bound = json.loads((out / artifact).read_text())["recourse_bound"]
+        assert bound == 0.0 and math.copysign(1.0, bound) == 1.0
 
 
 def test_plan_flags_show_in_matrix(tmp_path, reference_start):
