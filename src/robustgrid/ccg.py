@@ -163,22 +163,14 @@ class CcgIteration:
 class CcgTrace:
     """What a run did. The master's memory starts from seeds and gains one
     cut per iteration: block s<k> is seeds[k] for k < len(seeds), and after
-    that the completion of iteration k - len(seeds)'s worst case.
-
-    seed_basis is the first master's basis (MasterSolution.basis): that
-    master holds the seeds' blocks alone, as the enumeration referee's
-    first LP does. Like the solution's basis, it is left behind when the
-    trace is pickled, and comes back None."""
+    that the completion of iteration k - len(seeds)'s worst case. The
+    final master (the MasterSolution run_ccg returns) holds them all."""
 
     iterations: list[CcgIteration] = field(default_factory=list)
     seeds: list[WorstCaseRealization] = field(default_factory=list)
     converged: bool = False
     stalled: bool = False
     message: str = ""
-    seed_basis: object | None = field(default=None, repr=False, compare=False)
-
-    def __getstate__(self):
-        return {**self.__dict__, "seed_basis": None}
 
     @property
     def final_gap(self) -> float:
@@ -212,8 +204,6 @@ def run_ccg(
             master_started = time.perf_counter()
             solution = solve_master(build, backend)
             master_s = time.perf_counter() - master_started
-            if k == 0:
-                trace.seed_basis = solution.basis
             sub = build_subproblem(inst, solution.capacities, budget, big_m=config.big_m)
             target = solution.recourse_bound + 10.0 * config.tolerance * max(
                 1.0, abs(solution.objective)

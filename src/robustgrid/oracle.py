@@ -22,12 +22,15 @@ run, and neither can make it certify a wrong value:
   plan, so certify_run recomputes that plan's investment, prices it
   itself, and passes no bound for a plan outside the capacity bounds. The
   bound can only end the referee early, where its own LP reaches it.
-- The basis of the run's first master (CcgTrace.seed_basis), as the start
-  of its first LP. That LP holds the cover's blocks, as the run's first
-  master does, so it starts optimal. A basis moves only where the simplex
-  starts: the LP, its bounds and the stopping rule are the referee's own,
-  HiGHS refuses a basis that does not fit the LP's sizes, and from any
-  basis it accepts it still solves that LP to optimality.
+- The run's final master (its MasterSolution), as the start of row
+  generation: the first LP holds that master's blocks, each checked to be
+  a member of the set, and begins from its basis, so it starts optimal.
+  An LP over any members is a lower bound, so the blocks decide only
+  where row generation starts, as the budget's cover does without a run.
+  A basis moves only where the simplex starts: the LP, its bounds and the
+  stopping rule are the referee's own, HiGHS refuses a basis that does not
+  fit the LP's sizes, and from any basis it accepts it still solves that
+  LP to optimality.
 
 That keeps it a fair referee for the iterative pipeline: the only shared
 machinery is the block builder and the LP backend, both tested
@@ -67,11 +70,12 @@ from .master import (
     solve_master,
 )
 from .model import NetworkInstance, require_valid
-from .subproblem import build_subproblem, search_templates, solve_subproblem
+from .subproblem import build_subproblem, solve_subproblem
 from .uncertainty import (
     DEFAULT_ENUMERATION_CAP,
     UncertaintyBudget,
     WorstCaseRealization,
+    check_flags,
     count_realizations,
     cover,
     enumerate_set,
@@ -96,7 +100,7 @@ class RefereeOptimum(float):
     """The referee's robust optimum, and how it was reached.
 
     `rounds` counts the restricted LPs solved; `blocks` is the size of the
-    one that certified the value: the cover it started from plus the
+    one that certified the value: the blocks it started from plus the
     members row generation added.
     """
 
@@ -118,7 +122,7 @@ def robust_optimum_by_enumeration(
     *,
     members: list[WorstCaseRealization] | None = None,
     upper: float = math.inf,
-    start=None,
+    start: MasterSolution | None = None,
 ) -> float:
     """Exact robust optimum over the enumerated members, by row generation.
 
@@ -126,14 +130,17 @@ def robust_optimum_by_enumeration(
     budget's full set, or its maximal members, which give the same optimum.
     Without it the full set is enumerated. upper, when given, must be the
     enumerated LP's objective at a feasible plan: investment plus the
-    largest member cost at capacities inside their bounds. start, when
-    given, is a basis for the first LP to begin from (backend.solve_lp);
-    the later LPs start cold.
+    largest member cost at capacities inside their bounds.
 
-    The restricted LP starts from the budget's cover, whose members belong
-    to the set. Each round solves it; its objective is a lower bound on the
-    optimum. Unless the best upper bound held already exceeds it by at
-    most 1e-9 * max(1, |objective|), every member is priced at the LP's
+    The restricted LP starts from start.realizations, the blocks of a run's
+    final master, and its first solve begins from start.basis
+    (backend.solve_lp; the later LPs start cold). Each block must be a
+    member of the budget's set (check_flags), or a BackendError names it
+    before any solve. Without start the LP starts cold from the budget's
+    cover, whose members belong to the set. Each round solves it; over
+    members only, its objective is a lower bound on the optimum. Unless the
+    best upper bound held already exceeds it by at most
+    1e-9 * max(1, |objective|), every member is priced at the LP's
     capacities in one dispatch_cost call, and investment plus the largest
     cost may tighten that bound. Once the two meet, the LP objective is
     returned, as a RefereeOptimum. Otherwise the costliest member (the
@@ -142,11 +149,22 @@ def robust_optimum_by_enumeration(
     """
     if members is None:
         members = enumerate_set(inst, budget, cap=cap)
-    blocks = cover(inst, budget)
+    if start is None:
+        blocks, basis = cover(inst, budget), None
+    else:
+        for k, block in enumerate(start.realizations):
+            try:
+                check_flags(inst, block.flags, budget)
+            except ValueError as err:
+                raise BackendError(
+                    f"run block s{k} ({block.summary()}) is not a member "
+                    f"of the set: {err}"
+                ) from None
+        blocks, basis = list(start.realizations), start.basis
     rounds = 0
     while True:
-        sol = solve_master(build_master(inst, blocks), backend, start=start)
-        start = None
+        sol = solve_master(build_master(inst, blocks), backend, start=basis)
+        basis = None
         rounds += 1
         tol = 1e-9 * max(1.0, abs(sol.objective))
         if upper - sol.objective > tol:
@@ -233,18 +251,11 @@ def certify_run(
     claims. A plan outside the capacity bounds is no point of that LP, and
     then the referee gets no bound. The referee still certifies its value
     on its own: a restricted LP's objective is a lower bound, and it stops
-    only once that meets the best upper bound it holds. Its first LP starts
-    from the run's seed basis (trace.seed_basis), which saves that LP's
-    pivots and leaves its optimum the LP's own.
-
-    The worst-case search needs neither that batch nor the referee, so it
-    runs beside them, in a second thread, from the moment the member count
-    has passed the cap: HiGHS releases the GIL while it solves. The calling
-    thread prices, referees and checks coverage, then waits for the search.
-    A BackendError from the search is the failed third check; any other
-    exception reaches the caller, and the thread is joined on every exit.
-    The checks, their order and their values are those of a run that
-    searches last.
+    only once that meets the best upper bound it holds. It starts from the
+    run's final master (start=solution): its blocks, each checked to be a
+    member of the set, and its basis, which saves that LP's pivots and
+    leaves its optimum the LP's own. A block outside the set fails the
+    objective check. The worst-case search runs last.
 
     All three enumerate the maximal members only (maximal_sets, bounded by
     cap). As a flag never lowers the dispatch cost (see uncertainty), a
@@ -252,102 +263,93 @@ def certify_run(
     each check has the same outcome as over the full set. An instance that
     validate rejects is a ValueError.
     """
-    # imported here, so that importing robustgrid does not pay for it
-    from concurrent.futures import ThreadPoolExecutor
-
     require_valid(inst)
-    solution, trace = ccg_result
+    solution, _ = ccg_result
     report = CertificationReport()
     members = maximal_sets(inst, budget, cap=cap)
-    search_templates(inst)  # emitted once here rather than by both threads
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        search = pool.submit(
-            lambda: solve_subproblem(
-                build_subproblem(inst, solution.capacities, budget),
-                backend,
-                gap_tol=CERTIFY_TOLERANCE / 10.0,
-            )
-        )
-        costs = dispatch_cost(inst, solution.capacities, members, backend)
-        enum_max = max(costs)
-        upper = math.inf
-        if all(
-            0.0 <= solution.capacities.get(key, 0.0) <= limit
-            for key, _, limit in capacity_table(inst)
-        ):
-            upper = investment_cost(inst, solution.capacities) + enum_max
+    costs = dispatch_cost(inst, solution.capacities, members, backend)
+    enum_max = max(costs)
+    upper = math.inf
+    if all(
+        0.0 <= solution.capacities.get(key, 0.0) <= limit
+        for key, _, limit in capacity_table(inst)
+    ):
+        upper = investment_cost(inst, solution.capacities) + enum_max
 
-        try:
-            exact = robust_optimum_by_enumeration(
-                inst, budget, backend, members=members, upper=upper,
-                start=trace.seed_basis,
-            )
-        except BackendError as err:
-            objective_check = CertificationCheck(
-                name="objective_matches_enumeration",
-                passed=False,
-                value=float("nan"),
-                detail=str(err),
-            )
-        else:
-            gap = abs(solution.objective - exact) / max(1.0, abs(exact))
-            objective_check = CertificationCheck(
-                name="objective_matches_enumeration",
-                passed=gap <= CERTIFY_TOLERANCE,
-                value=gap,
-                detail=(
-                    f"run {solution.objective:.10g} vs exact {exact:.10g} "
-                    f"(LP of {exact.blocks} blocks for {len(members)} members, "
-                    f"{exact.rounds} round(s))"
-                ),
-            )
-        report.checks.append(objective_check)
-
-        bound = solution.recourse_bound + CERTIFY_TOLERANCE * max(1.0, solution.recourse_bound)
-        uncovered = [
-            (m, c) for m, c in zip(members, costs) if c > bound
-        ]
-        worst_excess = max(
-            (c - solution.recourse_bound for c in costs), default=0.0
+    try:
+        exact = robust_optimum_by_enumeration(
+            inst, budget, backend, members=members, upper=upper, start=solution
         )
+    except BackendError as err:
+        objective_check = CertificationCheck(
+            name="objective_matches_enumeration",
+            passed=False,
+            value=float("nan"),
+            detail=str(err),
+        )
+    else:
+        gap = abs(solution.objective - exact) / max(1.0, abs(exact))
+        objective_check = CertificationCheck(
+            name="objective_matches_enumeration",
+            passed=gap <= CERTIFY_TOLERANCE,
+            value=gap,
+            detail=(
+                f"run {solution.objective:.10g} vs exact {exact:.10g} "
+                f"(LP of {exact.blocks} blocks for {len(members)} members, "
+                f"{exact.rounds} round(s))"
+            ),
+        )
+    report.checks.append(objective_check)
+
+    bound = solution.recourse_bound + CERTIFY_TOLERANCE * max(1.0, solution.recourse_bound)
+    uncovered = [
+        (m, c) for m, c in zip(members, costs) if c > bound
+    ]
+    worst_excess = max(
+        (c - solution.recourse_bound for c in costs), default=0.0
+    )
+    report.checks.append(
+        CertificationCheck(
+            name="recourse_covers_all_realizations",
+            passed=not uncovered,
+            value=worst_excess,
+            detail=(
+                f"{len(uncovered)} of {len(members)} maximal realization(s) "
+                f"above the recourse bound, first: {uncovered[0][0].summary()}"
+                if uncovered
+                else f"all {len(members)} maximal realization(s) covered "
+                f"(they dominate all {count_realizations(inst, budget)} members)"
+            ),
+        )
+    )
+
+    try:
+        worst = solve_subproblem(
+            build_subproblem(inst, solution.capacities, budget),
+            backend,
+            gap_tol=CERTIFY_TOLERANCE / 10.0,
+        )
+    except BackendError as err:
         report.checks.append(
             CertificationCheck(
-                name="recourse_covers_all_realizations",
-                passed=not uncovered,
-                value=worst_excess,
+                name="worst_case_agrees_with_enumeration",
+                passed=False,
+                value=float("nan"),
+                detail=f"worst-case solve failed: {err}",
+            )
+        )
+    else:
+        sub_gap = abs(worst.dual_objective - enum_max) / max(1.0, abs(enum_max))
+        report.checks.append(
+            CertificationCheck(
+                name="worst_case_agrees_with_enumeration",
+                passed=sub_gap <= CERTIFY_TOLERANCE,
+                value=sub_gap,
                 detail=(
-                    f"{len(uncovered)} of {len(members)} maximal realization(s) "
-                    f"above the recourse bound, first: {uncovered[0][0].summary()}"
-                    if uncovered
-                    else f"all {len(members)} maximal realization(s) covered "
-                    f"(they dominate all {count_realizations(inst, budget)} members)"
+                    f"search {worst.dual_objective:.10g} vs enumerated "
+                    f"{enum_max:.10g}"
                 ),
             )
         )
-
-        try:
-            worst = search.result()
-        except BackendError as err:
-            report.checks.append(
-                CertificationCheck(
-                    name="worst_case_agrees_with_enumeration",
-                    passed=False,
-                    value=float("nan"),
-                    detail=f"worst-case solve failed: {err}",
-                )
-            )
-        else:
-            sub_gap = abs(worst.dual_objective - enum_max) / max(1.0, abs(enum_max))
-            report.checks.append(
-                CertificationCheck(
-                    name="worst_case_agrees_with_enumeration",
-                    passed=sub_gap <= CERTIFY_TOLERANCE,
-                    value=sub_gap,
-                    detail=(
-                        f"search {worst.dual_objective:.10g} vs enumerated "
-                        f"{enum_max:.10g}"
-                    ),
-                )
-            )
 
     return report

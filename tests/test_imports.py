@@ -40,8 +40,7 @@ def test_import_loads_highs_but_not_scipy_optimize_sparse_or_linalg():
 
 
 def test_import_loads_no_pool_machinery():
-    # the ladder's process pool and certify's search thread import theirs
-    # when they run
+    # the ladder's process pool imports its machinery when it runs
     out = _run(
         "import sys\n"
         "import robustgrid, robustgrid.cli\n"

@@ -1,18 +1,19 @@
 """Enumeration oracle: exact optima, argmax sets, run certification."""
 
-import concurrent.futures
 import dataclasses
 import json
 import math
+import pickle
 import random
 import threading
-from types import SimpleNamespace
+from pathlib import Path
 
 import pytest
 
 from robustgrid import oracle
 from robustgrid.backend import BackendError, InTreeBackend, ScipyBackend
 from robustgrid.ccg import CcgConfig, run_ccg
+from robustgrid.io import load_instance
 from robustgrid.master import (
     build_master,
     capacity_keys,
@@ -41,12 +42,14 @@ from toys import (
     single_node,
     symmetric_pair,
     three_region_hydro,
+    toy6_priced,
     two_period_battery,
     two_region,
     two_region_repeated_period,
 )
 
 SCIPY = ScipyBackend()
+TOY6 = Path(__file__).parent / "fixtures" / "toy6.json"
 
 FIXTURES = {
     "single_node": single_node,
@@ -507,7 +510,7 @@ def test_certify_records_a_stalled_referee(monkeypatch):
                                  "the recourse bound")
 
 
-# --- the referee's start from the run's seed basis ------------------------------
+# --- the referee's start from the run's final master ---------------------------
 
 class Recording(ScipyBackend):
     """ScipyBackend that keeps every solve_lp result, in call order."""
@@ -521,85 +524,132 @@ class Recording(ScipyBackend):
         return res
 
 
-@pytest.mark.parametrize("gamma", [0, 1, 2])
-@pytest.mark.parametrize("name", sorted(FIXTURES))
-def test_referee_starts_from_the_runs_seed_basis(name, gamma):
-    # the referee's first LP is the run's first master, so it starts optimal
-    inst = FIXTURES[name]()
-    budget = UncertaintyBudget(gamma, gamma)
+def check_final_master_start(inst, budget):
+    # the referee's first LP is the run's final master, so it starts optimal
+    # and, the run converged, certifies in that one round
     solution, trace = run_ccg(inst, budget, backend=SCIPY)
-    assert trace.converged and trace.seed_basis is not None
+    assert trace.converged and solution.basis is not None
     rlz = maximal_sets(inst, budget)
     recording = Recording()
     warm = robust_optimum_by_enumeration(
-        inst, budget, recording, members=rlz, start=trace.seed_basis
+        inst, budget, recording, members=rlz, start=solution
     )
     assert recording.lps[0].stats["iterations"] == 0
+    assert (warm.rounds, warm.blocks) == (1, len(solution.realizations))
     cold = robust_optimum_by_enumeration(inst, budget, SCIPY, members=rlz)
     assert warm == pytest.approx(cold, rel=1e-12)
-    assert (warm.rounds, warm.blocks) == (cold.rounds, cold.blocks)
 
-    # certify_run hands the referee that basis (its only solve_lp calls are
-    # the referee's), and its checks are a cold referee's
-    recording = Recording()
-    report = certify_run(inst, budget, (solution, trace), recording)
-    unstarted = dataclasses.replace(trace, seed_basis=None)
-    cold_report = certify_run(inst, budget, (solution, unstarted), SCIPY)
-    assert report.passed and recording.lps[0].stats["iterations"] == 0
-    assert [(c.name, c.passed) for c in report.checks] == [
-        (c.name, c.passed) for c in cold_report.checks
-    ]
-    for w, c in zip(report.checks, cold_report.checks):
-        assert w.value == pytest.approx(c.value, rel=1e-12)
+    # a pickled solution has no basis: the same blocks, started cold
+    unpickled = pickle.loads(pickle.dumps(solution))
+    assert unpickled.basis is None
+    unstarted = robust_optimum_by_enumeration(
+        inst, budget, SCIPY, members=rlz, start=unpickled
+    )
+    assert unstarted == pytest.approx(warm, rel=1e-12)
+    assert (unstarted.rounds, unstarted.blocks) == (warm.rounds, warm.blocks)
 
-    # a basis of another LP's size is refused, and the referee runs cold
-    blocks = cover(inst, budget)
+    # a basis of another LP's size is refused, and the same blocks run cold
+    blocks = list(solution.realizations)
     other = solve_master(build_master(inst, blocks + blocks[:1]), SCIPY).basis
     refused = robust_optimum_by_enumeration(
-        inst, budget, SCIPY, members=rlz, start=other
+        inst, budget, SCIPY, members=rlz,
+        start=dataclasses.replace(solution, basis=other),
     )
-    assert float(refused) == float(cold)
-    assert (refused.rounds, refused.blocks) == (cold.rounds, cold.blocks)
+    assert float(refused) == float(unstarted)
+    assert (refused.rounds, refused.blocks) == (warm.rounds, warm.blocks)
+
+    # certify_run hands the referee the solution: the referee solves first,
+    # so the first solve_lp call is its first LP
+    recording = Recording()
+    report = certify_run(inst, budget, (solution, trace), recording)
+    assert report.passed and recording.lps[0].stats["iterations"] == 0
+
+
+@pytest.mark.parametrize("gamma", [0, 1, 2])
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_referee_starts_from_the_runs_final_master(name, gamma):
+    check_final_master_start(FIXTURES[name](), UncertaintyBudget(gamma, gamma))
+
+
+@pytest.mark.parametrize("make", [lambda: load_instance(TOY6), toy6_priced],
+                         ids=["toy6", "toy6_priced"])
+def test_referee_starts_from_a_multi_iteration_runs_final_master(make):
+    # at two pv droughts CCG takes 3 and 5 iterations here, and a referee
+    # started from the cover took 3 and 4 rounds
+    check_final_master_start(make(), UncertaintyBudget(2, 0))
 
 
 def test_intree_referee_ignores_a_start():
+    # the in-tree backend keeps no basis, so a start gives it the blocks alone
     inst = two_region()
     budget = UncertaintyBudget(1, 1)
-    _, trace = run_ccg(inst, budget, backend=SCIPY)
+    solution, _ = run_ccg(inst, budget, backend=SCIPY)
     intree = InTreeBackend()
-    started = robust_optimum_by_enumeration(inst, budget, intree, start=trace.seed_basis)
+    started = robust_optimum_by_enumeration(inst, budget, intree, start=solution)
     plain = robust_optimum_by_enumeration(inst, budget, intree)
-    assert float(started) == float(plain)
-    assert (started.rounds, started.blocks) == (plain.rounds, plain.blocks)
+    assert started == pytest.approx(plain, rel=1e-12)
+    assert (started.rounds, started.blocks) == (1, len(solution.realizations))
 
 
-# --- the worst-case search beside the pricing -----------------------------------
-
-def test_certify_searches_while_it_prices(monkeypatch):
-    # The pricing batch waits until the search has started on another
-    # thread; a certify_run that searched only after pricing would time out.
+def test_referee_refuses_a_run_block_outside_the_set():
+    # a run whose master holds an over-budget block: both regions' pv flagged
+    # at a budget of one. Its LP would lower-bound a larger set, so the
+    # referee refuses it before any solve, and certify_run fails the
+    # objective check alone
     inst = two_region()
     budget = UncertaintyBudget(1, 1)
+    solution, trace = run_ccg(inst, budget, backend=SCIPY)
+    honest = certify_run(inst, budget, (solution, trace), SCIPY)
+    over = WorstCaseRealization(frozenset({("pv", "RA", "p1"), ("pv", "RB", "p1")}))
+    forged = dataclasses.replace(solution, realizations=[over])
+
+    recording = Recording()
+    with pytest.raises(BackendError, match=r"run block s0 \(pv:RA@p1 pv:RB@p1\) "
+                       r"is not a member of the set: budget violation"):
+        robust_optimum_by_enumeration(inst, budget, recording, start=forged)
+    assert recording.lps == []
+
+    report = certify_run(inst, budget, (forged, trace), SCIPY)
+    objective = report.checks[0]
+    assert objective.name == "objective_matches_enumeration"
+    assert not objective.passed and math.isnan(objective.value)
+    assert objective.detail.startswith("run block s0 (pv:RA@p1 pv:RB@p1) is not a member")
+    assert report.to_dict()["checks"][1:] == honest.to_dict()["checks"][1:]
+
+
+# --- one thread of control -------------------------------------------------------
+
+class ThreadSpy(ScipyBackend):
+    """ScipyBackend that records the thread of every solve."""
+
+    def __init__(self):
+        self.threads = []
+
+    def solve_lp(self, model, start=None):
+        self.threads.append(threading.get_ident())
+        return super().solve_lp(model, start=start)
+
+    def solve_lps(self, model, rhs):
+        self.threads.append(threading.get_ident())
+        return super().solve_lps(model, rhs)
+
+    def solve_milp(self, model, gap_tol=1e-9, target=None):
+        self.threads.append(threading.get_ident())
+        return super().solve_milp(model, gap_tol=gap_tol, target=target)
+
+
+@pytest.mark.parametrize("gamma", [0, 1, 2])
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_certify_runs_on_the_calling_thread(name, gamma):
+    inst = FIXTURES[name]()
+    budget = UncertaintyBudget(gamma, gamma)
     result = run_ccg(inst, budget, backend=SCIPY)
-    started = threading.Event()
-    threads = {}
-    build = oracle.build_subproblem
-
-    def search(*args, **kwargs):
-        threads["search"] = threading.get_ident()
-        started.set()
-        return build(*args, **kwargs)
-
-    def priced(inst, capacities, rlz, backend):
-        assert started.wait(10.0)
-        threads["pricing"] = threading.get_ident()
-        return dispatch_cost(inst, capacities, rlz, backend)
-
-    monkeypatch.setattr(oracle, "build_subproblem", search)
-    monkeypatch.setattr(oracle, "dispatch_cost", priced)
-    report = certify_run(inst, budget, result, SCIPY)
+    spy = ThreadSpy()
+    before = threading.active_count()
+    report = certify_run(inst, budget, result, spy)
     assert report.passed
-    assert threads["pricing"] == threading.get_ident() != threads["search"]
+    assert spy.threads and set(spy.threads) == {threading.get_ident()}
+    assert threading.active_count() == before
 
 
 def test_certify_records_a_failed_search(monkeypatch):
@@ -645,34 +695,6 @@ def test_certify_checks_the_cap_before_it_searches(monkeypatch):
         certify_run(inst, budget, result, SCIPY, cap=3)
     assert searched == []
     assert threading.active_count() == before
-
-
-class SearchLast:
-    """Stands in for the thread pool: a task runs when its result is read,
-    so certify_run searches after the coverage check, on the calling thread."""
-
-    def __init__(self, max_workers):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn):
-        return SimpleNamespace(result=fn)
-
-
-@pytest.mark.parametrize("gamma", [0, 1, 2])
-@pytest.mark.parametrize("name", sorted(FIXTURES))
-def test_certify_reports_as_if_it_searched_last(name, gamma, monkeypatch):
-    inst = FIXTURES[name]()
-    budget = UncertaintyBudget(gamma, gamma)
-    result = run_ccg(inst, budget, backend=SCIPY)
-    beside = certify_run(inst, budget, result, SCIPY).to_dict()
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SearchLast)
-    assert certify_run(inst, budget, result, SCIPY).to_dict() == beside
 
 
 def test_certify_report_is_json_clean():
