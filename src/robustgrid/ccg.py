@@ -19,8 +19,9 @@ already has capacity, so its worst case leaves out the regions the master
 has not built in yet; the completion puts them in. The cut is exact: at
 the capacities the search saw, a flag never lowers the dispatch cost (see
 uncertainty), so the cut costs at least the worst-case value, and it is a
-member, so it costs at most that. The trace keeps the seeds and the
-search's own worst case, which alone records whether the search was exact
+member, so it costs at most that. Seeds and cuts, like the master's
+blocks, are flag sets. The trace keeps the seeds and the search's own
+worst case, which alone records its value, whether the search was exact
 and the MILPs and nodes it took.
 
 The loop calls build_subproblem once per iteration, and takes the worst
@@ -101,11 +102,13 @@ from .subproblem import (
     solve_subproblem,
 )
 from .uncertainty import (
+    Flag,
     UncertaintyBudget,
     WorstCaseRealization,
     complete,
     cover,
     realize,  # no caller here: the benchmark's tracer rebinds this name
+    summary,
 )
 from .model import NetworkInstance, require_valid
 
@@ -163,11 +166,11 @@ class CcgIteration:
 class CcgTrace:
     """What a run did. The master's memory starts from seeds and gains one
     cut per iteration: block s<k> is seeds[k] for k < len(seeds), and after
-    that the completion of iteration k - len(seeds)'s worst case. The
-    final master (the MasterSolution run_ccg returns) holds them all."""
+    that the completion of iteration k - len(seeds)'s worst case, all flag
+    sets. The final master (the MasterSolution run_ccg returns) holds them."""
 
     iterations: list[CcgIteration] = field(default_factory=list)
-    seeds: list[WorstCaseRealization] = field(default_factory=list)
+    seeds: list[frozenset[Flag]] = field(default_factory=list)
     converged: bool = False
     stalled: bool = False
     message: str = ""
@@ -218,7 +221,7 @@ def run_ccg(
             worst_s = time.perf_counter() - worst_started
         except BackendError as err:
             raise BackendError(f"iteration {k}: {err}") from err
-        cut = WorstCaseRealization(complete(inst, worst.flags, budget))
+        cut = complete(inst, worst.flags, budget)
 
         lower = solution.objective
         fresh_ub = solution.investment_cost + worst.dual_objective
@@ -250,7 +253,7 @@ def run_ccg(
             "gamma %s iteration %d: LB %.6g, UB %.6g, gap %.3g, %s worst case %s",
             rung, k, lower, running_ub, gap,
             "held" if held else "exact" if worst.exact else "early",
-            worst.summary(),
+            summary(worst.flags),
         )
 
         if worst.exact and fresh_gap <= config.tolerance:
@@ -260,8 +263,8 @@ def run_ccg(
         if duplicate:
             trace.stalled = True
             trace.message = (
-                f"numerical stall at iteration {k}: cut {cut.summary()!r} "
-                f"(worst case {worst.summary()!r}) re-identified with the gap still "
+                f"numerical stall at iteration {k}: cut {summary(cut)!r} "
+                f"(worst case {summary(worst.flags)!r}) re-identified with the gap still "
                 f"{fresh_gap:.3e}; solver tolerances are too loose for the "
                 "requested stopping tolerance"
             )

@@ -11,14 +11,14 @@ instance, as a DispatchTemplate of numpy arrays around a CSRMatrix: the
 block's own rows and columns, each row's sense and base rhs, and beside
 them how each row depends on the capacities (the template's cap_rows,
 cap_keys and cap_coefs, scaled by the realized capacity factor on the
-availability rows), plus realized_coefs and rhs, which turn realizations
-(their flags) and capacities into coefficients and right-hand sides. The
-builders read a block from the template alone and stamp copies with array
-operations: the master stacks one copy per realization block-diagonally
-and writes the capacity columns; the dispatch LP keeps the matrix and
-moves the capacity terms into the rhs. A stamped model is the very model
-that emitting each block row by row would produce, down to the order and
-value of every matrix entry.
+availability rows), plus realized_coefs and rhs, which turn flag sets
+and capacities into coefficients and right-hand sides. The builders read
+a block from the template alone and stamp copies with array operations:
+the master stacks one copy per flag set block-diagonally and writes the
+capacity columns; the dispatch LP keeps the matrix and moves the capacity
+terms into the rhs. A stamped model is the very model that emitting each
+block row by row would produce, down to the order and value of every
+matrix entry.
 
 Conventions: dispatch quantities are energies per step (MWh). A power
 rating K limits energy as K * step_hours; storage energy caps carry no
@@ -47,7 +47,7 @@ from .backend import (
     SolveResult,
 )
 from .model import ConventionalUnit, NetworkInstance
-from .uncertainty import WorstCaseRealization, check_flags, step_flags
+from .uncertainty import Flag, check_flags, step_flags
 
 __all__ = [
     "CapKey",
@@ -124,18 +124,19 @@ def investment_cost(inst: NetworkInstance, capacities: dict[CapKey, float]) -> f
 class MasterBuild:
     """The master LP, laid out by the instance's dispatch template: one
     capacity column per template key, in key order, then the recourse
-    column, then the blocks. Block k (tag s<k>) stamps realizations[k]."""
+    column, then the blocks. Block k (tag s<k>) stamps the flag set
+    realizations[k]."""
 
     instance: NetworkInstance
     model: LinearModel
-    realizations: list[WorstCaseRealization]
+    realizations: list[frozenset[Flag]]
 
 
 @dataclass
 class MasterSolution:
-    """A solved master. Block k (tag s<k>) stamps realizations[k], and
-    dispatch[k] is its dispatch: one row per block, one column per template
-    column (DispatchTemplate.col_keys names them).
+    """A solved master. Block k (tag s<k>) stamps the flag set
+    realizations[k], and dispatch[k] is its dispatch: one row per block,
+    one column per template column (DispatchTemplate.col_keys names them).
 
     binding is the block whose recourse row carries the largest multiplier,
     the first on ties. A positive multiplier holds that row tight in every
@@ -157,7 +158,7 @@ class MasterSolution:
     investment_cost: float
     recourse_bound: float
     objective: float
-    realizations: list[WorstCaseRealization]
+    realizations: list[frozenset[Flag]]
     dispatch: np.ndarray
     binding: int
     iterations: int | None
@@ -560,15 +561,15 @@ class DispatchTemplate:
         return bool(self.rhs(caps, self.cap_coefs[self.ren])[self.level_caps].any())
 
     def realized_coefs(
-        self, inst: NetworkInstance, realizations: list[WorstCaseRealization]
+        self, inst: NetworkInstance, realizations: list[frozenset[Flag]]
     ) -> np.ndarray:
         """Capacity-factor coefficients of the ren_cap rows, one row per
-        realization of inst: ren_low on the entries whose flag it holds,
+        flag set of inst: ren_low on the entries whose flag it holds,
         ren_ref elsewhere, times the entry's capacity coefficient. A flag of
         an unknown technology, region or period is a ValueError."""
-        check_flags(inst, frozenset().union(*(r.flags for r in realizations)))
+        check_flags(inst, frozenset().union(*realizations))
         # one column per flag, and a last one for ren_flags' -1 that stays False
-        hit = np.array([[f in r.flags for f in self.flags] + [False] for r in realizations])
+        hit = np.array([[f in r for f in self.flags] + [False] for r in realizations])
         ren_cf = np.where(hit[:, self.ren_flags], self.ren_low, self.ren_ref)
         return ren_cf * self.cap_coefs[self.ren]
 
@@ -603,9 +604,9 @@ def _tagged(tag: str, names: list[str]) -> list[str]:
 
 def build_master(
     inst: NetworkInstance,
-    realizations: list[WorstCaseRealization],
+    realizations: list[frozenset[Flag]],
 ) -> MasterBuild:
-    """Master LP: investment variables, one block per realization, epigraph.
+    """Master LP: investment variables, one block per flag set, epigraph.
 
     The blocks are copies of the instance's dispatch template, stacked
     block-diagonally; each copy gets its own recourse row and, on its
@@ -718,31 +719,31 @@ def _dispatch_lp(tpl: DispatchTemplate, rhs: np.ndarray) -> LinearModel:
 def build_dispatch_lp(
     inst: NetworkInstance,
     capacities: dict[CapKey, float],
-    realization: WorstCaseRealization,
+    flags: frozenset[Flag],
 ) -> LinearModel:
     """Single-block dispatch LP with capacities fixed into the rhs.
 
     The template's matrix is used as is; only the right-hand sides of the
     capacity-coupled rows change (DispatchTemplate.rhs): base + coefficient
-    * capacity, with the ren_cap coefficients taken from the realization's
-    flags (DispatchTemplate.realized_coefs). Names carry the tag d.
+    * capacity, with the ren_cap coefficients taken from the member flags
+    (DispatchTemplate.realized_coefs). Names carry the tag d.
     """
     tpl = dispatch_template(inst)
     caps = tpl.cap_array(capacities)
-    [ren_coefs] = tpl.realized_coefs(inst, [realization])
+    [ren_coefs] = tpl.realized_coefs(inst, [flags])
     return _dispatch_lp(tpl, tpl.rhs(caps, ren_coefs))
 
 
 def dispatch_cost(
     inst: NetworkInstance,
     capacities: dict[CapKey, float],
-    realizations: list[WorstCaseRealization],
+    realizations: list[frozenset[Flag]],
     backend,
 ) -> list[float]:
-    """Optimal operating cost at fixed capacities under each realization,
-    one per realization, in their order.
+    """Optimal operating cost at fixed capacities under each flag set, one
+    per flag set, in their order.
 
-    The realizations differ only in the rhs of the ren_cap rows, and only
+    The flag sets differ only in the rhs of the ren_cap rows, and only
     through their live flags (DispatchTemplate.live), so one dispatch LP,
     stamped at realizations[0], is solved once per distinct set of live
     flags (solve_lps), in order of first appearance, under the very rhs
@@ -755,9 +756,9 @@ def dispatch_cost(
         return []
     tpl = dispatch_template(inst)
     caps = tpl.cap_array(capacities)
-    check_flags(inst, frozenset().union(*(r.flags for r in realizations)))
+    check_flags(inst, frozenset().union(*realizations))
     live = frozenset(tpl.flags[i] for i in tpl.live(caps)[0])
-    keys = [realization.flags & live for realization in realizations]
+    keys = [flags & live for flags in realizations]
     first: dict[frozenset, int] = {}
     for k, key in enumerate(keys):
         first.setdefault(key, k)

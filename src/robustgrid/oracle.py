@@ -73,14 +73,15 @@ from .model import NetworkInstance, require_valid
 from .subproblem import build_subproblem, solve_subproblem
 from .uncertainty import (
     DEFAULT_ENUMERATION_CAP,
+    Flag,
     UncertaintyBudget,
-    WorstCaseRealization,
     check_flags,
     count_realizations,
     cover,
     enumerate_set,
     maximal_sets,
     realize,  # no caller here: the benchmark's tracer rebinds this name
+    summary,
 )
 
 __all__ = [
@@ -120,13 +121,13 @@ def robust_optimum_by_enumeration(
     backend,
     cap: int = DEFAULT_ENUMERATION_CAP,
     *,
-    members: list[WorstCaseRealization] | None = None,
+    members: list[frozenset[Flag]] | None = None,
     upper: float = math.inf,
     start: MasterSolution | None = None,
 ) -> float:
     """Exact robust optimum over the enumerated members, by row generation.
 
-    members, when given, is every member the caller enumerated: the
+    members, when given, is every member (flag set) the caller enumerated: the
     budget's full set, or its maximal members, which give the same optimum.
     Without it the full set is enumerated. upper, when given, must be the
     enumerated LP's objective at a feasible plan: investment plus the
@@ -154,10 +155,10 @@ def robust_optimum_by_enumeration(
     else:
         for k, block in enumerate(start.realizations):
             try:
-                check_flags(inst, block.flags, budget)
+                check_flags(inst, block, budget)
             except ValueError as err:
                 raise BackendError(
-                    f"run block s{k} ({block.summary()}) is not a member "
+                    f"run block s{k} ({summary(block)}) is not a member "
                     f"of the set: {err}"
                 ) from None
         blocks, basis = list(start.realizations), start.basis
@@ -188,8 +189,8 @@ def worst_case_by_enumeration(
     budget: UncertaintyBudget,
     backend,
     cap: int = DEFAULT_ENUMERATION_CAP,
-) -> tuple[list[WorstCaseRealization], float]:
-    """Evaluate the dispatch under every realization; return the argmax set.
+) -> tuple[list[frozenset[Flag]], float]:
+    """Evaluate the dispatch under every flag set; return the argmax ones.
 
     Ties within 1e-9 relative of the maximum are all reported, so symmetric
     instances surface every equally bad realization.
@@ -315,7 +316,7 @@ def certify_run(
             value=worst_excess,
             detail=(
                 f"{len(uncovered)} of {len(members)} maximal realization(s) "
-                f"above the recourse bound, first: {uncovered[0][0].summary()}"
+                f"above the recourse bound, first: {summary(uncovered[0][0])}"
                 if uncovered
                 else f"all {len(members)} maximal realization(s) covered "
                 f"(they dominate all {count_realizations(inst, budget)} members)"

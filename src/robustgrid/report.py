@@ -20,7 +20,7 @@ from pathlib import Path
 from .ccg import CcgTrace, LadderEntry
 from .master import MasterSolution, capacity_table, dispatch_template
 from .model import PV, WIND, NetworkInstance
-from .uncertainty import UncertaintyBudget, WorstCaseRealization, is_dunkelflaute
+from .uncertainty import Flag, UncertaintyBudget, is_dunkelflaute, summary
 
 __all__ = [
     "fmt",
@@ -113,7 +113,7 @@ def write_trace_csv(path: str | Path, trace: CcgTrace) -> None:
             fmt(it.lower_bound),
             fmt(it.upper_bound),
             fmt(it.gap),
-            it.realization.summary(),
+            summary(it.realization.flags),
             fmt(it.seconds),
             str(int(it.realization.exact)),
             fmt(it.master_s),
@@ -136,12 +136,12 @@ def write_trace_csv(path: str | Path, trace: CcgTrace) -> None:
 
 # --- realization matrix -------------------------------------------------------
 
-def _matrix_cell(realization: WorstCaseRealization, region: str, period_id: str) -> str:
-    if is_dunkelflaute(realization, region, period_id):
+def _matrix_cell(flags: frozenset[Flag], region: str, period_id: str) -> str:
+    if is_dunkelflaute(flags, region, period_id):
         return "D"
-    if (PV, region, period_id) in realization.flags:
+    if (PV, region, period_id) in flags:
         return "S"
-    return "W" if (WIND, region, period_id) in realization.flags else "-"
+    return "W" if (WIND, region, period_id) in flags else "-"
 
 
 def realization_matrix(inst: NetworkInstance, trace: CcgTrace) -> str:
@@ -157,14 +157,14 @@ def realization_matrix(inst: NetworkInstance, trace: CcgTrace) -> str:
     regions = inst.region_ids()
     header = ["iteration", "period"] + regions
     labelled = [(f"s{k}", seed) for k, seed in enumerate(trace.seeds)] + [
-        (str(it.index), it.realization) for it in trace.iterations
+        (str(it.index), it.realization.flags) for it in trace.iterations
     ]
     rows: list[list[str]] = []
-    for label, realization in labelled:
-        if not realization.flags:
+    for label, flags in labelled:
+        if not flags:
             continue
         for period in inst.timegrid.periods:
-            cells = [_matrix_cell(realization, g, period.id) for g in regions]
+            cells = [_matrix_cell(flags, g, period.id) for g in regions]
             rows.append([label, period.id] + cells)
     widths = [
         max(len(header[c]), *(len(r[c]) for r in rows)) if rows else len(header[c])

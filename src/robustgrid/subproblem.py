@@ -390,11 +390,11 @@ def _assemble(build: SubproblemBuild) -> tuple[LinearModel, dict[int, int]]:
 
 
 def _duality_gap(
-    build: SubproblemBuild, realization: WorstCaseRealization, objective: float, backend
+    build: SubproblemBuild, flags: frozenset[Flag], objective: float, backend
 ) -> float:
     """Relative gap between a dual objective and the primal dispatch cost
-    at the build's capacities under the realization's flags."""
-    primal = dispatch_cost(build.instance, build.capacities, [realization], backend)[0]
+    at the build's capacities under flags."""
+    primal = dispatch_cost(build.instance, build.capacities, [flags], backend)[0]
     return abs(objective - primal) / max(1.0, abs(primal))
 
 
@@ -420,7 +420,7 @@ def _check_saturation(
     ]
     if not hot:
         return
-    gap = _duality_gap(build, WorstCaseRealization(flags=flags), objective, backend)
+    gap = _duality_gap(build, flags, objective, backend)
     if gap > 1e-6:
         raise BackendError(
             f"big-M saturation on {len(hot)} multiplier(s) (first: {hot[0]}) "
@@ -454,9 +454,9 @@ def held_worst_case(
         return None
     [member] = members(build.z, build.budget)
     live = frozenset(build.z)
-    if all(block.flags & live != member.flags for block in solution.realizations):
+    if all(block & live != member for block in solution.realizations):
         return None
-    return dataclasses.replace(member, dual_objective=solution.recourse_bound)
+    return WorstCaseRealization(member, solution.recourse_bound)
 
 
 def solve_subproblem(
@@ -476,12 +476,12 @@ def solve_subproblem(
     2. Otherwise, a build split by period (build.windows) is searched one
        window at a time, in time order. A window with at most
        WINDOW_ENUMERATION_LIMIT maximal members is priced by one
-       dispatch_cost batch: the costliest member, ties to the smallest
-       key, is its exact worst case. Every other window runs its MILP, to
-       its optimum except in the last window, which searches toward what
-       the others leave of the target. The result has the union of the
-       windows' flags and the sum of their values, and is exact only where
-       every window's was.
+       dispatch_cost batch: the costliest member, ties to the first in
+       sorted flags, is its exact worst case. Every other window runs its
+       MILP, to its optimum except in the last window, which searches
+       toward what the others leave of the target. The result has the
+       union of the windows' flags and the sum of their values, and is
+       exact only where every window's was.
     3. Otherwise, the whole-horizon MILP.
 
     A priced worst case is exact, whatever the target. Given a target, a
@@ -528,8 +528,8 @@ def _price_or_search(
         return _search(build, backend, gap_tol, target)
     candidates = members(build.z, build.budget)
     costs = dispatch_cost(build.instance, build.capacities, candidates, backend)
-    best = min(range(len(candidates)), key=lambda k: (-costs[k], candidates[k].key()))
-    return dataclasses.replace(candidates[best], dual_objective=costs[best])
+    best = min(range(len(candidates)), key=lambda k: (-costs[k], sorted(candidates[k])))
+    return WorstCaseRealization(candidates[best], costs[best])
 
 
 def _search(
@@ -554,7 +554,7 @@ def _search(
 def verify_strong_duality(
     inst: NetworkInstance,
     capacities: dict[CapKey, float],
-    realization: WorstCaseRealization,
+    flags: frozenset[Flag],
     backend,
 ) -> float:
     """Relative gap between the dual at fixed flags and the primal dispatch.
@@ -570,10 +570,10 @@ def verify_strong_duality(
     )
     build = build_subproblem(inst, capacities, permissive)
     for flag, j in build.z.items():
-        value = 1.0 if flag in realization.flags else 0.0
+        value = 1.0 if flag in flags else 0.0
         build.model.var_lb[j] = value
         build.model.var_ub[j] = value
     res = backend.solve_milp(build.model, gap_tol=1e-12)
     if res.status != "optimal":
         raise BackendError(f"fixed-flag dual solve ended {res.status}")
-    return _duality_gap(build, realization, float(res.objective), backend)
+    return _duality_gap(build, flags, float(res.objective), backend)

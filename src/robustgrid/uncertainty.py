@@ -23,8 +23,9 @@ template (master). flag_groups groups flags by (technology, period), and
 members and member_count enumerate and count the members over any flags;
 maximal_sets, enumerate_set and count_realizations apply them to every
 flag of an instance, and the worst-case search to its live flags.
-Elsewhere a realization is its flags alone: realize spells them out as
-per-unit series only for tests and check_block_physics.
+Everywhere a member is its flag set alone, the reference frozenset(); a
+worst-case search alone returns more, a WorstCaseRealization. realize
+spells flags out as per-unit series only for tests and check_block_physics.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import itertools
 import logging
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .model import PV, WIND, NetworkInstance, tech_class
 
@@ -55,6 +56,7 @@ __all__ = [
     "members",
     "realize",
     "step_flags",
+    "summary",
 ]
 
 log = logging.getLogger(__name__)
@@ -104,34 +106,23 @@ Flag = tuple[str, str, str]  # (tech class, region id, period id)
 
 @dataclass(frozen=True)
 class WorstCaseRealization:
-    """One member of the uncertainty set.
-
-    flags holds the (tech, region, period) triples whose availability drops
-    to the lower bound. dual_objective is filled in once a subproblem has
-    priced the flags; exact is False when that search stopped early, at a
-    realization that reached its target, so dual_objective is a lower bound
-    on the worst case rather than the worst case itself. milps counts the
-    MILPs of the search that found it, 0 where none ran (it was priced);
-    milp_nodes is their branch-and-bound node count, None where no MILP ran.
+    """What a worst-case search returns: the member it found (flags) and
+    its worst-case dispatch cost (dual_objective), only a lower bound on it
+    where exact is False, as the search stopped early at a member that
+    reached its target. milps counts the search's MILPs, 0 where it priced
+    or held the member; milp_nodes sums their nodes, None without a MILP.
     """
 
-    flags: frozenset[Flag] = frozenset()
-    dual_objective: float | None = field(default=None, compare=False)
-    exact: bool = field(default=True, compare=False)
-    milp_nodes: int | None = field(default=None, compare=False)
-    milps: int = field(default=0, compare=False)
+    flags: frozenset[Flag]
+    dual_objective: float
+    exact: bool = True
+    milp_nodes: int | None = None
+    milps: int = 0
 
-    @staticmethod
-    def reference() -> "WorstCaseRealization":
-        return WorstCaseRealization(frozenset())
 
-    def key(self) -> tuple[Flag, ...]:
-        return tuple(sorted(self.flags))
-
-    def summary(self) -> str:
-        if not self.flags:
-            return "-"
-        return " ".join(f"{t}:{g}@{p}" for t, g, p in self.key())
+def summary(flags: Iterable[Flag]) -> str:
+    """flags as text, sorted: tech:region@period, space-separated; - for none."""
+    return " ".join(f"{t}:{g}@{p}" for t, g, p in sorted(flags)) or "-"
 
 
 def check_flags(
@@ -139,9 +130,11 @@ def check_flags(
     flags: frozenset[Flag],
     budget: UncertaintyBudget | None = None,
 ) -> None:
-    """Reject flags naming unknown entities or exceeding the budget."""
+    """Reject flags naming unknown entities or exceeding the budget; the
+    error names the first offender in sorted order."""
     regions = set(inst.region_ids())
     periods = {p.id for p in inst.timegrid.periods}
+    flags = sorted(flags)
     for tech, region, period in flags:
         if tech not in TECH_CLASSES:
             raise ValueError(f"unknown technology class {tech!r}")
@@ -160,22 +153,22 @@ def check_flags(
 
 def realize(
     inst: NetworkInstance,
-    realization: WorstCaseRealization,
+    flags: frozenset[Flag],
     budget: UncertaintyBudget | None = None,
 ) -> dict[str, tuple[float, ...]]:
-    """Per-unit capacity-factor series under the given realization.
+    """Per-unit capacity-factor series under the member flags.
 
     On flagged (tech, region, period) triples the unit's series drops by
     its deviation for every step of that period; everywhere else it stays
     at the reference. Values are floored at 0 against roundoff.
     """
-    check_flags(inst, realization.flags, budget)
+    check_flags(inst, flags, budget)
     return {
         unit.id: tuple([
-            max(0.0, ref - dev if flag in realization.flags else ref)
-            for ref, dev, flag in zip(unit.cf.reference, unit.cf.deviation, flags)
+            max(0.0, ref - dev if flag in flags else ref)
+            for ref, dev, flag in zip(unit.cf.reference, unit.cf.deviation, unit_flags)
         ])
-        for unit, flags in zip(inst.renewables, step_flags(inst))
+        for unit, unit_flags in zip(inst.renewables, step_flags(inst))
     }
 
 
@@ -232,7 +225,7 @@ def members(
     budget: UncertaintyBudget,
     cap: int = DEFAULT_ENUMERATION_CAP,
     maximal: bool = True,
-) -> list[WorstCaseRealization]:
+) -> list[frozenset[Flag]]:
     """The members of the budget's set over flags.
 
     Each (tech, period) group of flags (flag_groups) may flag up to
@@ -252,10 +245,7 @@ def members(
         [c for k in _sizes(tech, group, budget, maximal) for c in itertools.combinations(group, k)]
         for (tech, _), group in flag_groups(flags).items()
     ]
-    return [
-        WorstCaseRealization(frozenset(itertools.chain(*combo)))
-        for combo in itertools.product(*choices)
-    ]
+    return [frozenset(itertools.chain(*combo)) for combo in itertools.product(*choices)]
 
 
 def count_realizations(inst: NetworkInstance, budget: UncertaintyBudget) -> int:
@@ -267,7 +257,7 @@ def enumerate_set(
     inst: NetworkInstance,
     budget: UncertaintyBudget,
     cap: int = DEFAULT_ENUMERATION_CAP,
-) -> list[WorstCaseRealization]:
+) -> list[frozenset[Flag]]:
     """Every realization the budget admits, duplicate-free.
 
     Raises EnumerationCapError when the closed-form count exceeds cap.
@@ -279,7 +269,7 @@ def maximal_sets(
     inst: NetworkInstance,
     budget: UncertaintyBudget,
     cap: int = DEFAULT_ENUMERATION_CAP,
-) -> list[WorstCaseRealization]:
+) -> list[frozenset[Flag]]:
     """The members no other member contains, generated directly.
 
     Each flags exactly min(gamma, regions) regions in every (technology,
@@ -325,7 +315,7 @@ def complete(
 
 def cover(
     inst: NetworkInstance, budget: UncertaintyBudget
-) -> list[WorstCaseRealization]:
+) -> list[frozenset[Flag]]:
     """A few maximal members that together flag every live flag.
 
     In each (tech, period) group with live regions L, in declaration order,
@@ -342,17 +332,15 @@ def cover(
         if (k := min(budget.limit(tech), len(group))) > 0
     ]
     if not groups:
-        return [WorstCaseRealization.reference()]
+        return [frozenset()]
     count = max(math.ceil(len(group) / k) for group, k in groups)
     picked = {
         frozenset(group[(j * k + i) % len(group)] for group, k in groups for i in range(k)): None
         for j in range(count)
     }
-    return [WorstCaseRealization(flags) for flags in picked]
+    return list(picked)
 
 
-def is_dunkelflaute(
-    realization: WorstCaseRealization, region: str, period_id: str
-) -> bool:
+def is_dunkelflaute(flags: frozenset[Flag], region: str, period_id: str) -> bool:
     """True when both technology classes are down in the region and period."""
-    return {(PV, region, period_id), (WIND, region, period_id)} <= realization.flags
+    return {(PV, region, period_id), (WIND, region, period_id)} <= flags

@@ -40,10 +40,10 @@ from robustgrid.subproblem import (
 )
 from robustgrid.uncertainty import (
     UncertaintyBudget,
-    WorstCaseRealization,
     count_realizations,
     enumerate_set,
     realize,
+    summary,
 )
 
 from toys import (
@@ -72,7 +72,7 @@ def halve_deviation(inst):
     return inst.replace(renewables=rens)
 
 
-REF = WorstCaseRealization.reference()
+REF = frozenset()
 
 
 # enumeration-sized cases: each at most 3 regions, 2 periods, budget 2,
@@ -151,7 +151,7 @@ def test_03_strong_duality(converged_runs):
     rng = np.random.default_rng(2024)
     for name, run in converged_runs.items():
         inst = run["inst"]
-        final = run["trace"].iterations[-1].realization
+        final = run["trace"].iterations[-1].realization.flags
         gap = verify_strong_duality(inst, run["solution"].capacities, final, SCIPY)
         assert gap <= 1e-6, f"{name}: converged-run duality gap {gap:.3e}"
 
@@ -167,7 +167,7 @@ def test_03_strong_duality(converged_runs):
             }
             flags = frozenset(t for t in triples if rng.uniform() < 0.4)
             gap = verify_strong_duality(
-                inst, values, WorstCaseRealization(flags), SCIPY
+                inst, values, flags, SCIPY
             )
             assert gap <= 1e-6, f"{name} trial {trial}: duality gap {gap:.3e}"
 
@@ -184,7 +184,7 @@ def test_04_robustness_certificate(converged_runs):
         )
         for member, cost in zip(members, costs):
             assert cost <= allowed, (
-                f"{name}: realization {member.summary()} costs {cost:.10g}, "
+                f"{name}: realization {summary(member)} costs {cost:.10g}, "
                 f"recourse bound is {bound:.10g}"
             )
 
@@ -225,13 +225,11 @@ def test_05c_seeded_start_keeps_every_objective(toy6, toy6_ladder, monkeypatch):
     import robustgrid.ccg as ccg_module
 
     monkeypatch.setattr(
-        ccg_module, "cover", lambda inst, budget: [WorstCaseRealization.reference()]
+        ccg_module, "cover", lambda inst, budget: [frozenset()]
     )
     plain = run_gamma_ladder(toy6, list(range(7)), backend=SCIPY)
     for seeded, entry in zip(toy6_ladder, plain):
-        assert entry.trace.converged and entry.trace.seeds == [
-            WorstCaseRealization.reference()
-        ]
+        assert entry.trace.converged and entry.trace.seeds == [frozenset()]
         assert seeded.solution.objective == pytest.approx(
             entry.solution.objective, rel=1e-9
         ), f"gamma {entry.gamma}"
@@ -281,22 +279,22 @@ def test_07_bigm_soundness():
         ceiling = build.big_m * (1.0 - 1e-6)
         for member in enumerate_set(inst, budget):
             for flag, j in build.z.items():
-                value = 1.0 if flag in member.flags else 0.0
+                value = 1.0 if flag in member else 0.0
                 build.model.var_lb[j] = value
                 build.model.var_ub[j] = value
             res = SCIPY.solve_milp(build.model, gap_tol=1e-9)
-            assert res.status == "optimal", f"{name}: {member.summary()}"
+            assert res.status == "optimal", f"{name}: {summary(member)}"
             [primal] = dispatch_cost(
                 inst, solution.capacities, [member], SCIPY
             )
             rel = abs(res.objective - primal) / max(1.0, abs(primal))
             assert rel <= 1e-6, (
-                f"{name}: {member.summary()} dual {res.objective:.10g} vs "
+                f"{name}: {summary(member)} dual {res.objective:.10g} vs "
                 f"primal {primal:.10g}"
             )
             worst = float(np.max(np.abs(res.x)))
             assert worst <= ceiling, (
-                f"{name}: {member.summary()} puts a variable at {worst:.6g} "
+                f"{name}: {summary(member)} puts a variable at {worst:.6g} "
                 f"against big-M {build.big_m:.6g}"
             )
 

@@ -27,6 +27,7 @@ from robustgrid.model import CapacityFactorBundle, DemandSeries
 from robustgrid.oracle import certify_run, robust_optimum_by_enumeration
 import robustgrid.subproblem as subproblem
 from robustgrid.subproblem import build_subproblem, solve_subproblem
+import robustgrid.uncertainty as uncertainty
 from robustgrid.uncertainty import (
     UncertaintyBudget,
     WorstCaseRealization,
@@ -53,7 +54,7 @@ SCIPY = ScipyBackend()
 TOY6 = Path(__file__).parent / "fixtures" / "toy6.json"
 
 
-REF = WorstCaseRealization.reference()
+REF = frozenset()
 
 
 # --- convergence on known toys -----------------------------------------------
@@ -144,7 +145,7 @@ def test_robustness_certificate_small():
 def test_memory_grows_without_repeats():
     inst = three_region_hydro()
     _, trace = run_ccg(inst, UncertaintyBudget(1, 1), backend=SCIPY)
-    keys = [it.realization.key() for it in trace.iterations]
+    keys = [it.realization.flags for it in trace.iterations]
     # every identified realization before the last is distinct and kept
     assert len(set(keys[:-1])) == len(keys[:-1])
     assert all(it.seconds >= 0.0 for it in trace.iterations)
@@ -185,6 +186,22 @@ def test_memory_starts_from_the_cover():
     assert sol.realizations[:len(trace.seeds)] == trace.seeds
 
 
+def test_members_seeds_and_blocks_are_flag_sets(reference_start):
+    # a member of the set is its flags alone; only a search result carries
+    # a value, which it cannot lack
+    inst = three_region_hydro()
+    budget = UncertaintyBudget(1, 1)
+    for made in (maximal_sets, enumerate_set, cover):
+        assert all(type(m) is frozenset for m in made(inst, budget)), made.__name__
+    every = uncertainty.members(uncertainty.instance_flags(inst), budget)
+    assert all(type(m) is frozenset for m in every)
+    solution, trace = run_ccg(inst, budget, backend=SCIPY)
+    assert all(type(m) is frozenset for m in trace.seeds + solution.realizations)
+    assert len(solution.realizations) > len(trace.seeds)  # the cuts are flag sets too
+    with pytest.raises(TypeError):
+        WorstCaseRealization(frozenset())
+
+
 @pytest.mark.parametrize("gamma", [0, 1, 2])
 @pytest.mark.parametrize("make", TOYS, ids=lambda make: make.__name__)
 def test_cover_start_keeps_the_objective(make, gamma, monkeypatch):
@@ -193,7 +210,7 @@ def test_cover_start_keeps_the_objective(make, gamma, monkeypatch):
     budget = UncertaintyBudget(gamma, gamma)
     seeded, seeded_trace = run_ccg(inst, budget, backend=SCIPY)
     monkeypatch.setattr(
-        ccg_module, "cover", lambda inst, budget: [WorstCaseRealization.reference()]
+        ccg_module, "cover", lambda inst, budget: [frozenset()]
     )
     plain, plain_trace = run_ccg(inst, budget, backend=SCIPY)
     assert seeded_trace.converged and plain_trace.converged
@@ -227,7 +244,7 @@ def test_completed_cut_is_still_a_worst_case(make, gamma, seed):
     worst = solve_subproblem(build_subproblem(inst, caps, budget), SCIPY)
     cut = complete(inst, worst.flags, budget)
     assert worst.flags <= cut
-    [cost] = dispatch_cost(inst, caps, [WorstCaseRealization(cut)], SCIPY)
+    [cost] = dispatch_cost(inst, caps, [cut], SCIPY)
     assert cost == pytest.approx(worst.dual_objective, rel=1e-6, abs=1e-6)
 
 
@@ -328,7 +345,7 @@ def test_budget_without_a_choice_takes_the_worst_case_from_the_master(make, full
     worst = it.realization
     assert worst.exact and worst.milps == 0 and worst.milp_nodes is None
     assert worst.dual_objective == solution.recourse_bound
-    [cost] = dispatch_cost(inst, solution.capacities, [worst], SCIPY)
+    [cost] = dispatch_cost(inst, solution.capacities, [worst.flags], SCIPY)
     assert worst.dual_objective == pytest.approx(cost, rel=1e-12)
 
 
@@ -366,7 +383,7 @@ def test_member_no_block_holds_is_priced():
     live = frozenset(build_subproblem(inst, solution.capacities, budget).z)
     assert live == member
     # every seed's live flags are a proper subset of the member's
-    assert [seed.flags & live < member for seed in trace.seeds] == [True, True]
+    assert [seed & live < member for seed in trace.seeds] == [True, True]
     assert spy.calls == ["solve_lp", "solve_lps"]  # the master, then the member's LP
     assert trace.converged
     [it] = trace.iterations
@@ -671,7 +688,7 @@ def test_ladder_equals_in_process_runs_bit_for_bit(toy6_runs, monkeypatch, cpus)
         assert entry.solution.objective == solution.objective
         assert entry.solution.capacities == solution.capacities
         assert len(entry.trace.iterations) == len(trace.iterations)
-        assert [s.key() for s in entry.trace.seeds] == [s.key() for s in trace.seeds]
+        assert [sorted(s) for s in entry.trace.seeds] == [sorted(s) for s in trace.seeds]
 
 
 def test_ladder_rungs_run_in_forked_workers(monkeypatch):

@@ -21,7 +21,7 @@ from robustgrid.master import (
     dispatch_template,
 )
 from robustgrid.subproblem import build_subproblem
-from robustgrid.uncertainty import UncertaintyBudget, WorstCaseRealization, enumerate_set
+from robustgrid.uncertainty import UncertaintyBudget, enumerate_set
 
 from toys import three_region_hydro, two_region
 
@@ -54,8 +54,7 @@ def _master():
 
 def _dispatch():
     inst = three_region_hydro()
-    reference = WorstCaseRealization.reference()
-    return build_dispatch_lp(inst, {key: 10.0 for key in capacity_keys(inst)}, reference)
+    return build_dispatch_lp(inst, {key: 10.0 for key in capacity_keys(inst)}, frozenset())
 
 
 def _worst_case():

@@ -35,6 +35,7 @@ from robustgrid.uncertainty import (
     UncertaintyBudget,
     WorstCaseRealization,
     complete,
+    summary,
 )
 
 from toys import (
@@ -143,7 +144,7 @@ def test_trace_csv_round_trips_exactly(tmp_path, monkeypatch):
             ):
                 assert row[col] == fmt(value)
                 assert float(row[col]) == float(fmt(value))
-            assert row["realization"] == it.realization.summary()
+            assert row["realization"] == summary(it.realization.flags)
             worst = it.realization
             assert row["exact"] == str(int(worst.exact))
             assert int(row["master_iterations"]) == it.master_iterations
@@ -182,7 +183,7 @@ def trace_with(inst, flag_sets):
     iterations = [
         CcgIteration(
             index=i, lower_bound=0.0, upper_bound=0.0, gap=0.0,
-            realization=WorstCaseRealization(frozenset(flags)),
+            realization=WorstCaseRealization(frozenset(flags), dual_objective=0.0),
             seconds=0.0, master_s=0.0, master_iterations=None, worst_s=0.0,
         )
         for i, flags in enumerate(flag_sets)
@@ -222,8 +223,8 @@ def test_matrix_lists_seeds_first_by_block_tag():
     inst = three_region_hydro()
     trace = trace_with(inst, [{("wind", "R3", "p1")}])
     trace.seeds = [
-        WorstCaseRealization.reference(),
-        WorstCaseRealization(frozenset({("pv", "R1", "p1"), ("wind", "R2", "p1")})),
+        frozenset(),
+        frozenset({("pv", "R1", "p1"), ("wind", "R2", "p1")}),
     ]
     lines = realization_matrix(inst, trace).strip().splitlines()
     # the reference seed flags nothing and gets no row
@@ -276,7 +277,7 @@ def test_blocks_past_the_seeds_are_the_completed_cuts(reference_start):
     assert len(solution.dispatch) == len(solution.realizations)
     for it in trace.iterations[:past]:
         assert it.realization.flags
-        cut = WorstCaseRealization(complete(inst, it.realization.flags, budget))
+        cut = complete(inst, it.realization.flags, budget)
         assert solution.realizations[len(trace.seeds) + it.index] == cut
 
 
@@ -319,7 +320,7 @@ def test_binding_realization_prices_at_the_recourse_bound(gamma):
     if k < 0:
         named = trace.seeds[k]
     else:
-        named = WorstCaseRealization(complete(inst, trace.iterations[k].realization.flags, budget))
+        named = complete(inst, trace.iterations[k].realization.flags, budget)
     [priced] = dispatch_cost(inst, solution.capacities, [named], SCIPY)
     tol = CcgConfig().tolerance * max(1.0, abs(solution.objective))
     assert abs(priced - solution.recourse_bound) <= tol

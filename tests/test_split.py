@@ -27,11 +27,11 @@ from robustgrid.subproblem import (
 )
 from robustgrid.uncertainty import (
     UncertaintyBudget,
-    WorstCaseRealization,
     check_flags,
     maximal_sets,
     member_count,
     members,
+    summary,
 )
 
 from toys import (
@@ -114,7 +114,7 @@ class MasterResult:
 
 def test_master_noise_snaps_to_zero_at_the_handoff():
     inst = toy6()
-    build = build_master(inst, [WorstCaseRealization.reference()])
+    build = build_master(inst, [frozenset()])
     column = dispatch_template(inst).keys.index
     x = np.zeros(build.model.n_vars)
     x[column(("h2_stor", "h2_2"))] = 4.7e-13  # what HiGHS left on the benchmark ladder
@@ -211,7 +211,7 @@ def test_split_search_equals_the_whole_horizon_search(make, gamma, seed):
     assert split.exact and split.milps == milps and whole.milps == 1
     assert split.dual_objective == pytest.approx(whole.dual_objective, rel=1e-6, abs=1e-6)
     check_flags(inst, split.flags, budget)
-    [cost] = dispatch_cost(inst, caps, [WorstCaseRealization(split.flags)], SCIPY)
+    [cost] = dispatch_cost(inst, caps, [split.flags], SCIPY)
     assert cost == pytest.approx(split.dual_objective, rel=1e-6, abs=1e-6)
 
 
@@ -246,14 +246,15 @@ def test_priced_window_equals_its_milp(make, gamma, seed):
         assert priced.exact and priced.milps == 0 and priced.milp_nodes is None
         assert priced.dual_objective == pytest.approx(searched.dual_objective, rel=1e-6, abs=1e-6)
         check_flags(window.instance, priced.flags, budget)
-        # the costliest member, and of several equally costly ones the smallest key
+        # the costliest member, and of several equally costly ones the one
+        # whose sorted flags come first
         candidates = members(window.z, budget)
         costs = dispatch_cost(
             window.instance, caps, candidates, SCIPY,
         )
         top = max(costs)
         assert priced.dual_objective == top
-        assert priced.key() == min(m.key() for m, cost in zip(candidates, costs) if cost == top)
+        assert sorted(priced.flags) == min(sorted(m) for m, cost in zip(candidates, costs) if cost == top)
 
 
 def test_window_above_the_limit_solves_one_milp(monkeypatch):
@@ -329,14 +330,14 @@ def test_window_costs_sum_to_the_whole_horizon_cost(make, gamma, seed):
     parts = []
     for w in period_windows(inst):
         [period] = w.timegrid.periods
-        own = sorted({frozenset(f for f in m.flags if f[2] == period.id) for m in members}, key=sorted)
-        costs = dispatch_cost(w, caps, [WorstCaseRealization(f) for f in own], SCIPY)
+        own = sorted({frozenset(f for f in m if f[2] == period.id) for m in members}, key=sorted)
+        costs = dispatch_cost(w, caps, own, SCIPY)
         parts.append((period.id, dict(zip(own, costs))))
     for m, cost in zip(members, whole):
         total = sum(
-            costs[frozenset(f for f in m.flags if f[2] == pid)] for pid, costs in parts
+            costs[frozenset(f for f in m if f[2] == pid)] for pid, costs in parts
         )
-        assert total == pytest.approx(cost, rel=1e-9, abs=1e-6), m.summary()
+        assert total == pytest.approx(cost, rel=1e-9, abs=1e-6), summary(m)
 
 
 def test_split_search_stops_early_only_in_its_last_window(monkeypatch):
@@ -351,7 +352,7 @@ def test_split_search_stops_early_only_in_its_last_window(monkeypatch):
     assert not early.exact and early.milps == 2
     assert early.dual_objective >= 0.5 * exact.dual_objective
     # a lower bound on the dispatch cost at its own flags
-    [cost] = dispatch_cost(inst, caps, [WorstCaseRealization(early.flags)], SCIPY)
+    [cost] = dispatch_cost(inst, caps, [early.flags], SCIPY)
     assert early.dual_objective <= cost * (1 + 1e-9) + 1e-9
 
 

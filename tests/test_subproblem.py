@@ -23,7 +23,6 @@ from robustgrid.subproblem import (
 )
 from robustgrid.uncertainty import (
     UncertaintyBudget,
-    WorstCaseRealization,
     enumerate_set,
 )
 
@@ -46,7 +45,7 @@ def backend(request):
     return request.param
 
 
-REF = WorstCaseRealization.reference()
+REF = frozenset()
 
 
 def master_capacities(inst, backend=SCIPY):
@@ -116,7 +115,7 @@ def test_symmetric_regions_tie(backend):
     worst = solve_subproblem(build, backend)
     assert len(worst.flags) == 1
     costs = dispatch_cost(inst, caps, [
-        WorstCaseRealization(flags=frozenset({("pv", f"R{k}", "p1")}))
+        frozenset({("pv", f"R{k}", "p1")})
         for k in (1, 2)
     ], SCIPY)
     assert costs[0] == pytest.approx(costs[1], rel=1e-9)
@@ -144,9 +143,8 @@ def test_strong_duality_at_master_optimum(builder):
     caps = master_capacities(inst)
     build = build_subproblem(inst, caps, UncertaintyBudget(1, 1))
     worst = solve_subproblem(build, SCIPY)
-    assert verify_strong_duality(inst, caps, worst, SCIPY) <= 1e-6
-    reference = WorstCaseRealization.reference()
-    assert verify_strong_duality(inst, caps, reference, SCIPY) <= 1e-6
+    assert verify_strong_duality(inst, caps, worst.flags, SCIPY) <= 1e-6
+    assert verify_strong_duality(inst, caps, frozenset(), SCIPY) <= 1e-6
 
 
 @pytest.mark.parametrize("builder", [two_region, three_region_hydro],
@@ -168,14 +166,13 @@ def test_strong_duality_random_pairs(builder):
         picks = frozenset(
             f for f in flags_pool if rng.uniform() < 0.4
         )
-        realization = WorstCaseRealization(flags=picks)
-        assert verify_strong_duality(inst, caps, realization, SCIPY) <= 1e-6
+        assert verify_strong_duality(inst, caps, picks, SCIPY) <= 1e-6
 
 
 def test_strong_duality_intree_backend():
     inst = single_node()
     caps = {("ren", "s1"): 20.0}
-    worst = WorstCaseRealization(flags=frozenset({("pv", "R1", "p1")}))
+    worst = frozenset({("pv", "R1", "p1")})
     assert verify_strong_duality(inst, caps, worst, InTreeBackend()) <= 1e-6
 
 
@@ -223,7 +220,7 @@ def test_restricted_flags_reproduce_dispatch():
     budget = UncertaintyBudget(1, 1)
     for member in enumerate_set(inst, budget):
         build = build_subproblem(inst, caps, budget)
-        fix_flags(build, member.flags)
+        fix_flags(build, member)
         res = SCIPY.solve_milp(build.model, gap_tol=1e-12)
         assert res.status == "optimal"
         [primal] = dispatch_cost(inst, caps, [member], SCIPY)

@@ -31,7 +31,6 @@ from robustgrid.model import PV, WIND
 from robustgrid.subproblem import build_subproblem, default_big_m
 from robustgrid.uncertainty import (
     UncertaintyBudget,
-    WorstCaseRealization,
     enumerate_set,
     realize,
 )
@@ -252,7 +251,7 @@ def test_template_is_emitted_once_per_instance():
     inst = two_region()
     tpl = dispatch_template(inst)
     build_master(inst, distinct_realizations(inst, 2))
-    build_dispatch_lp(inst, {}, WorstCaseRealization.reference())
+    build_dispatch_lp(inst, {}, frozenset())
     assert dispatch_template(inst) is tpl
     assert dispatch_template(two_region()) is not tpl
     assert inst == two_region()  # the cached template is not part of equality
@@ -260,7 +259,7 @@ def test_template_is_emitted_once_per_instance():
 
 def test_stamped_models_do_not_share_writable_state():
     inst = two_period_battery()
-    reference = WorstCaseRealization.reference()
+    reference = frozenset()
     first = build_dispatch_lp(inst, {}, reference)
     first.var_lb[0] = 5.0
     first.row_rhs[0] = -1.0

@@ -5,18 +5,20 @@ import importlib.util
 import itertools
 import logging
 import math
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import robustgrid
 from robustgrid.io import load_instance
 from robustgrid.model import PV, WIND, Period, tech_class
 from robustgrid.uncertainty import (
     EnumerationCapError,
     UncertaintyBudget,
-    WorstCaseRealization,
     check_flags,
     complete,
     count_realizations,
@@ -25,9 +27,12 @@ from robustgrid.uncertainty import (
     is_dunkelflaute,
     maximal_sets,
     realize,
+    summary,
 )
 
 import toys
+
+TOY6 = Path(__file__).parent / "fixtures" / "toy6.json"
 
 
 def test_budget_rejects_bad_values():
@@ -53,14 +58,14 @@ def test_budget_clamp_warns(caplog):
 
 def test_all_zero_flags_reproduce_reference():
     inst = toys.two_region()
-    cf = realize(inst, WorstCaseRealization.reference())
+    cf = realize(inst, frozenset())
     for unit in inst.renewables:
         assert cf[unit.id] == unit.cf.reference
 
 
 def test_flagged_region_drops_to_lower_bound():
     inst = toys.two_region()
-    hit = WorstCaseRealization(frozenset({(PV, "RA", "p1")}))
+    hit = frozenset({(PV, "RA", "p1")})
     cf = realize(inst, hit)
     pv, wind = inst.renewables
     assert cf[pv.id] == tuple(
@@ -71,7 +76,7 @@ def test_flagged_region_drops_to_lower_bound():
 
 def test_flags_apply_only_within_their_period():
     inst = toys.two_period_battery()
-    hit = WorstCaseRealization(frozenset({(PV, "RA", "p2")}))
+    hit = frozenset({(PV, "RA", "p2")})
     cf = realize(inst, hit)
     pv = inst.renewables[0]
     grid = inst.timegrid
@@ -96,17 +101,49 @@ def test_realized_values_stay_in_bounds():
 def test_realize_rejects_unknown_region_and_budget_violation():
     inst = toys.two_region()
     with pytest.raises(ValueError):
-        realize(inst, WorstCaseRealization(frozenset({(PV, "nowhere", "p1")})))
-    too_many = WorstCaseRealization(
-        frozenset({(PV, "RA", "p1"), (PV, "RB", "p1")})
-    )
+        realize(inst, frozenset({(PV, "nowhere", "p1")}))
+    too_many = frozenset({(PV, "RA", "p1"), (PV, "RB", "p1")})
     with pytest.raises(ValueError):
         realize(inst, too_many, UncertaintyBudget(gamma_pv=1))
     # fine without a budget to enforce
     realize(inst, too_many)
 
 
-def realize_by_period_of(inst, realization):
+# check_flags messages, per case: the flags, the budget (None for none) and
+# the message, which names the first violation in sorted order
+CHECK_FLAGS_CASES = [
+    ([(PV, "RX", "p1"), (PV, "RY", "p1")], None, "unknown region 'RX'"),
+    (
+        [(PV, "R1", "p1"), (PV, "R2", "p1"), (WIND, "R1", "p2"), (WIND, "R2", "p2")],
+        (1, 1),
+        "budget violation: 2 regions flagged for pv in period p1, budget allows 1",
+    ),
+]
+
+
+@pytest.mark.parametrize("hash_seed", ["1", "2", "3"])
+def test_check_flags_message_does_not_follow_string_hashing(hash_seed):
+    # frozenset iteration order follows string hashing, so each case runs
+    # in a fresh interpreter under a fixed PYTHONHASHSEED
+    script = f"""
+from robustgrid.io import load_instance
+from robustgrid.uncertainty import UncertaintyBudget, check_flags
+inst = load_instance({str(TOY6)!r})
+for flags, budget, _ in {CHECK_FLAGS_CASES!r}:
+    try:
+        check_flags(inst, frozenset(flags), budget and UncertaintyBudget(*budget))
+    except ValueError as err:
+        print(err)
+"""
+    src = str(Path(robustgrid.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.splitlines() == [message for *_, message in CHECK_FLAGS_CASES]
+
+
+def realize_by_period_of(inst, flags):
     """realize as it was written first: a scan for the first period that
     holds each step, for every unit and step."""
     grid = inst.timegrid
@@ -117,7 +154,7 @@ def realize_by_period_of(inst, realization):
         for t in range(grid.step_count):
             v = unit.cf.reference[t]
             period = next((p for p in grid.periods if p.start <= t <= p.end), None)
-            if period is not None and (tech, unit.region, period.id) in realization.flags:
+            if period is not None and (tech, unit.region, period.id) in flags:
                 v -= unit.cf.deviation[t]
             values.append(max(0.0, v))
         out[unit.id] = tuple(values)
@@ -171,8 +208,7 @@ def test_realize_equals_the_period_of_version(name):
     sets = [frozenset(), frozenset(flags)]
     sets += [frozenset(f for f in flags if rng.random() < 0.4) for _ in range(20)]
     for flagged in sets:
-        realization = WorstCaseRealization(flagged)
-        assert realize(inst, realization) == realize_by_period_of(inst, realization)
+        assert realize(inst, flagged) == realize_by_period_of(inst, flagged)
 
 
 # --- enumeration ---------------------------------------------------------
@@ -181,13 +217,13 @@ def test_two_regions_one_period_budget_one_gives_nine():
     inst = toys.two_region()
     members = enumerate_set(inst, UncertaintyBudget(1, 1))
     assert len(members) == 9
-    assert len({m.key() for m in members}) == 9
+    assert len(set(members)) == 9
 
 
 def test_zero_budget_single_member():
     inst = toys.two_region()
     members = enumerate_set(inst, UncertaintyBudget(0, 0))
-    assert members == [WorstCaseRealization.reference()]
+    assert members == [frozenset()]
 
 
 def test_three_regions_full_pv_budget_gives_eight():
@@ -209,7 +245,7 @@ def test_count_matches_exhaustive_listing(G, periods):
             )
             assert len(members) == per_period ** periods
             assert count_realizations(inst, budget) == len(members)
-            assert len({m.key() for m in members}) == len(members)
+            assert len(set(members)) == len(members)
 
 
 def _synthetic_regions(G, periods):
@@ -277,19 +313,19 @@ def test_maximal_sets_fill_every_group(G, periods):
             assert len(members) == (
                 math.comb(G, full_pv) ** periods * math.comb(G, full_wind) ** periods
             )
-            assert len({m.key() for m in members}) == len(members)
+            assert len(set(members)) == len(members)
             for m in members:
                 for pid in pids:
-                    assert sum(1 for t, _, p in m.flags if t == PV and p == pid) == full_pv
-                    assert sum(1 for t, _, p in m.flags if t == WIND and p == pid) == full_wind
+                    assert sum(1 for t, _, p in m if t == PV and p == pid) == full_pv
+                    assert sum(1 for t, _, p in m if t == WIND and p == pid) == full_wind
 
 
 @pytest.mark.parametrize("G, periods", [(2, 1), (2, 2), (3, 1), (3, 2)])
 def test_every_member_lies_in_a_maximal_set(G, periods):
     inst = _synthetic_regions(G, periods)
     for budget in (UncertaintyBudget(1, 1), UncertaintyBudget(2, 1), UncertaintyBudget(1, 0)):
-        tops = [m.flags for m in maximal_sets(inst, budget)]
-        everything = {m.flags for m in enumerate_set(inst, budget)}
+        tops = maximal_sets(inst, budget)
+        everything = set(enumerate_set(inst, budget))
         assert set(tops) <= everything
         for flags in everything:
             assert any(flags <= top for top in tops)
@@ -318,11 +354,11 @@ def test_member_order_is_pinned():
 
     inst = _synthetic_regions(2, 2)
     budget = UncertaintyBudget(1, 1)
-    assert [m.flags for m in maximal_sets(inst, budget)] == decode("""
+    assert maximal_sets(inst, budget) == decode("""
         0000 0001 0010 0011 0100 0101 0110 0111
         1000 1001 1010 1011 1100 1101 1110 1111
     """)
-    assert [m.flags for m in enumerate_set(inst, budget)] == decode("""
+    assert enumerate_set(inst, budget) == decode("""
         ---- ---0 ---1 --0- --00 --01 --1- --10 --11
         -0-- -0-0 -0-1 -00- -000 -001 -01- -010 -011
         -1-- -1-0 -1-1 -10- -100 -101 -11- -110 -111
@@ -365,8 +401,8 @@ def _patchy_regions(G):
 
 
 def _lowers_something(inst, flag):
-    reference = realize(inst, WorstCaseRealization.reference())
-    return realize(inst, WorstCaseRealization(frozenset({flag}))) != reference
+    reference = realize(inst, frozenset())
+    return realize(inst, frozenset({flag})) != reference
 
 
 @pytest.mark.parametrize("G", [3, 4])
@@ -386,7 +422,7 @@ def test_complete_adds_live_flags_in_declaration_order(G):
             budget = UncertaintyBudget(g_pv, g_wind)
             members = enumerate_set(inst, budget.clamp(G))
             for member in rng.sample(members, min(20, len(members))):
-                flags = member.flags & live
+                flags = member & live
                 cut = complete(inst, flags, budget)
                 assert flags <= cut
                 check_flags(inst, cut, budget)
@@ -407,7 +443,7 @@ def test_complete_leaves_full_groups_alone(G):
     for budget in (UncertaintyBudget(0, 0), UncertaintyBudget(1, 0), UncertaintyBudget(2, 2)):
         for member in maximal_sets(inst, budget):
             # the instance has no wind unit, so wind groups stay empty
-            live = frozenset(f for f in member.flags if f[0] == PV)
+            live = frozenset(f for f in member if f[0] == PV)
             assert complete(inst, live, budget) == live
     patchy = _patchy_regions(G)
     budget = UncertaintyBudget(G, G)
@@ -445,15 +481,15 @@ def test_cover_flags_every_live_flag_with_few_maximal_members(G):
                 default=1,
             )
             assert len(members) == expected <= G
-            assert len({m.key() for m in members}) == len(members)
-            assert members[0].flags == complete(inst, frozenset(), budget)
+            assert len(set(members)) == len(members)
+            assert members[0] == complete(inst, frozenset(), budget)
             for m in members:
-                check_flags(inst, m.flags, budget)
-                assert m.flags <= live
+                check_flags(inst, m, budget)
+                assert m <= live
                 # maximal among live flags: every group is full
                 for (tech, pid), k in fill.items():
-                    assert sum(1 for t, _, p in m.flags if (t, p) == (tech, pid)) == k
-            flagged = frozenset().union(*(m.flags for m in members))
+                    assert sum(1 for t, _, p in m if (t, p) == (tech, pid)) == k
+            flagged = frozenset().union(*members)
             assert flagged == {f for f in live if budget.limit(f[0]) > 0}
 
 
@@ -466,7 +502,7 @@ def test_cover_count_is_the_longest_round_robin(G, periods):
     for gamma in range(1, G + 2):
         members = cover(inst, UncertaintyBudget(gamma, gamma))
         assert len(members) == math.ceil(G / min(gamma, G)) <= G
-        first = [g for g in inst.region_ids() if (PV, g, "p1") in members[0].flags]
+        first = [g for g in inst.region_ids() if (PV, g, "p1") in members[0]]
         assert first == inst.region_ids()[:min(gamma, G)]
 
 
@@ -478,14 +514,14 @@ def test_cover_count_is_the_longest_round_robin(G, periods):
 )
 def test_cover_is_the_reference_without_a_group_to_flag(make):
     inst = make()
-    assert cover(inst, UncertaintyBudget(0, 0)) == [WorstCaseRealization.reference()]
+    assert cover(inst, UncertaintyBudget(0, 0)) == [frozenset()]
     flat = inst.replace(renewables=tuple(
         dataclasses.replace(u, cf=dataclasses.replace(
             u.cf, deviation=(0.0,) * len(u.cf.deviation)
         ))
         for u in inst.renewables
     ))
-    assert cover(flat, UncertaintyBudget(2, 2)) == [WorstCaseRealization.reference()]
+    assert cover(flat, UncertaintyBudget(2, 2)) == [frozenset()]
 
 
 def test_every_member_respects_budget():
@@ -493,24 +529,22 @@ def test_every_member_respects_budget():
     budget = UncertaintyBudget(2, 1)
     for m in enumerate_set(inst, budget):
         for pid in ("p1", "p2"):
-            pv_hits = sum(1 for t, g, p in m.flags if t == PV and p == pid)
-            wind_hits = sum(1 for t, g, p in m.flags if t == WIND and p == pid)
+            pv_hits = sum(1 for t, g, p in m if t == PV and p == pid)
+            wind_hits = sum(1 for t, g, p in m if t == WIND and p == pid)
             assert pv_hits <= 2 and wind_hits <= 1
 
 
 # --- classification ------------------------------------------------------
 
 def test_dunkelflaute_requires_both_techs():
-    both = WorstCaseRealization(frozenset({(PV, "R1", "p1"), (WIND, "R1", "p1")}))
-    only_pv = WorstCaseRealization(frozenset({(PV, "R1", "p1")}))
+    both = frozenset({(PV, "R1", "p1"), (WIND, "R1", "p1")})
+    only_pv = frozenset({(PV, "R1", "p1")})
     assert is_dunkelflaute(both, "R1", "p1")
     assert not is_dunkelflaute(only_pv, "R1", "p1")
     assert not is_dunkelflaute(both, "R2", "p1")
 
 
 def test_summary_is_sorted_and_stable():
-    real = WorstCaseRealization(
-        frozenset({(WIND, "R2", "p1"), (PV, "R1", "p1")})
-    )
-    assert real.summary() == "pv:R1@p1 wind:R2@p1"
-    assert WorstCaseRealization.reference().summary() == "-"
+    real = frozenset({(WIND, "R2", "p1"), (PV, "R1", "p1")})
+    assert summary(real) == "pv:R1@p1 wind:R2@p1"
+    assert summary(frozenset()) == "-"
