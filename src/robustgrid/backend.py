@@ -13,9 +13,12 @@ backends ship:
   bundled HiGHS has the switches, since they only hunt incumbents. Given an
   objective target, a mixed-binary solve stops at the first incumbent that
   reaches it. An option HiGHS rejects is a BackendError.
-- InTreeBackend: a dense two-phase simplex with Bland's rule plus best-first
-  branch-and-bound over binary variables, pure numpy. Self-contained and
-  deterministic; meant for desk-scale models and for cross-checking.
+- InTreeBackend: a dense two-phase simplex with Bland's rule (Bland 1977)
+  plus best-first branch-and-bound over binary variables, pure numpy.
+  Self-contained and deterministic; meant for desk-scale models and for
+  cross-checking. It works on arrays: boolean masks give each variable's
+  bound kind, and one pivot routine serves both phases. Its pivots are
+  those of the loop form it replaced, and so are its results, bit for bit.
 
 Both have solve_lp, solve_milp and solve_lps. solve_lp and solve_milp load
 the model into a fresh solver and run it once. solve_lps(model, rhs) solves
@@ -53,7 +56,6 @@ max, as declared on the model) with respect to the rhs of row i. For
 
 from __future__ import annotations
 
-import copy
 import functools
 import heapq
 import importlib.machinery
@@ -605,221 +607,152 @@ _FEAS_TOL = 1e-7
 
 
 class _StandardForm:
-    """min c'y, A y = b, y >= 0 translation of a LinearModel.
+    """min c'y, A y = b, y >= 0 translation of a LinearModel, under the
+    variable bounds lb, ub and the right-hand sides rhs.
 
-    Shifts finite lower bounds, mirrors upper-bounded-only variables,
-    splits free variables, turns remaining finite upper bounds into extra
-    <= rows, then adds slack/surplus columns. Keeps enough bookkeeping to
-    map solutions and duals back to the original model.
+    Every variable is of one kind, held as a boolean mask:
+    - fixed (finite lb, ub - lb <= 1e-12): the constant lb, no column;
+    - shifted (finite lb): x = lb + y, and a finite ub becomes an extra
+      <= row y <= ub - lb;
+    - mirrored (finite ub only): x = ub - y;
+    - split (free): x = y+ - y-, two columns.
+    first[j] is variable j's first y column; slack (<=) and surplus (>=)
+    columns follow, one per row in row order. A row with a negative rhs is
+    negated so that b >= 0, and row_flip records it for the duals. Every
+    matrix entry is 0.0 + coef or 0.0 - coef, and a mirrored or minus
+    column costs -c, so that no zero picks up a sign of its own.
     """
 
-    def __init__(self, model: LinearModel, lb: np.ndarray, ub: np.ndarray):
-        n = model.n_vars
-        sign = 1.0 if model.sense == "min" else -1.0
-        c_orig = sign * np.asarray(model.var_obj)
-
-        self.model = model
-        self.sign = sign
-        self.offset = 0.0
-        # Per original variable: (kind, data) to reconstruct its value.
-        self.recipe: list[tuple[str, object]] = []
-        cols: list[dict[int, float]] = [dict() for _ in range(model.n_rows)]
-        extra_rows: list[tuple[dict[int, float], float]] = []  # ub rows: y_k <= bound
-        c_std: list[float] = []
-
-        def new_col(coef: float) -> int:
-            c_std.append(coef)
-            return len(c_std) - 1
-
-        for j in range(n):
-            if lb[j] > ub[j] + 1e-12:
-                self.infeasible_by_bounds = True
-                break
-            if abs(ub[j] - lb[j]) <= 1e-12 and math.isfinite(lb[j]):
-                self.recipe.append(("fixed", lb[j]))
-                self.offset += c_orig[j] * lb[j]
-                continue
-            if lb[j] > -INF:
-                k = new_col(c_orig[j])
-                self.offset += c_orig[j] * lb[j]
-                self.recipe.append(("shift", (k, lb[j])))
-                if ub[j] < INF:
-                    extra_rows.append(({k: 1.0}, ub[j] - lb[j]))
-            elif ub[j] < INF:
-                # x = ub - y, y >= 0
-                k = new_col(-c_orig[j])
-                self.offset += c_orig[j] * ub[j]
-                self.recipe.append(("mirror", (k, ub[j])))
-            else:
-                kp = new_col(c_orig[j])
-                km = new_col(-c_orig[j])
-                self.recipe.append(("split", (kp, km)))
-        else:
-            self.infeasible_by_bounds = False
-
+    def __init__(self, model: LinearModel, lb: np.ndarray, ub: np.ndarray, rhs: np.ndarray):
+        self.infeasible_by_bounds = bool(np.any(lb > ub + 1e-12))
         if self.infeasible_by_bounds:
             return
+        self.sign = 1.0 if model.sense == "min" else -1.0
+        self.lb, self.ub, self.n_struct = lb, ub, model.n_rows
+        fixed = np.isfinite(lb)
+        fixed[fixed] = np.abs(ub[fixed] - lb[fixed]) <= 1e-12
+        shifted = ~fixed & (lb > -INF)
+        mirrored = ~fixed & ~shifted & (ub < INF)
+        split = ~(fixed | shifted | mirrored)
+        width = (~fixed).astype(int) + split
+        first = np.cumsum(width) - width
+        self.fixed, self.shifted, self.mirrored, self.split = fixed, shifted, mirrored, split
+        self.first = first
 
-        # materialize structural rows
-        def place(j: int, coef: float, row: dict[int, float]) -> None:
-            kind, data = self.recipe[j]
-            if kind == "fixed":
-                return
-            if kind == "shift":
-                k, _ = data
-                row[k] = row.get(k, 0.0) + coef
-            elif kind == "mirror":
-                k, _ = data
-                row[k] = row.get(k, 0.0) - coef
-            else:  # split
-                kp, km = data
-                row[kp] = row.get(kp, 0.0) + coef
-                row[km] = row.get(km, 0.0) - coef
+        # x is the anchor where fixed, anchor + y where shifted, anchor - y
+        # where mirrored and y+ - y- where split (anchor 0). The offset is
+        # summed in variable order, as its last bit depends on the order.
+        anchor = np.where(mirrored, ub, np.where(split, 0.0, lb))
+        direction = np.where(mirrored, -1.0, 1.0)
+        c_x = self.sign * model.var_obj
+        self.offset = np.cumsum(np.append(0.0, c_x * anchor))[-1]
+        matrix = model.matrix()
+        i, j, coef = matrix.row_ids(), matrix.indices, matrix.data
+        shift = np.bincount(i, weights=coef * anchor[j], minlength=self.n_struct)
 
-        rhs_adj = np.zeros(model.n_rows)
-        A = model.matrix()
-        for i, j, coef in zip(A.row_ids().tolist(), A.indices.tolist(), A.data.tolist()):
-            kind, data = self.recipe[j]
-            if kind == "fixed":
-                rhs_adj[i] += coef * data
-            elif kind == "shift":
-                rhs_adj[i] += coef * data[1]
-            elif kind == "mirror":
-                rhs_adj[i] += coef * data[1]
-            place(j, coef, cols[i])
-
-        n_struct = model.n_rows
-        n_extra = len(extra_rows)
-        m = n_struct + n_extra
-        senses = list(model.row_sense) + [LE] * n_extra
-        rhs = np.concatenate(
-            [np.asarray(model.row_rhs) - rhs_adj, np.asarray([b for _, b in extra_rows])]
-            if n_extra
-            else [np.asarray(model.row_rhs) - rhs_adj]
-        )
-        all_rows = cols + [r for r, _ in extra_rows]
-
-        # slack/surplus columns
-        for i, sense in enumerate(senses):
-            if sense == LE:
-                all_rows[i][new_col(0.0)] = 1.0
-            elif sense == GE:
-                all_rows[i][new_col(0.0)] = -1.0
-
-        A = np.zeros((m, len(c_std)))
-        for i, row in enumerate(all_rows):
-            for k, coef in row.items():
-                A[i, k] = coef
+        ub_rows = np.flatnonzero(shifted & (ub < INF))
+        senses = np.append(model.row_sense, [LE] * len(ub_rows))
+        slack_rows = np.flatnonzero(senses != EQ)
+        n_y = int(width.sum())
+        m = self.n_struct + len(ub_rows)
+        A = np.zeros((m, n_y + len(slack_rows)))
+        main, minus = ~fixed[j], split[j]
+        np.add.at(A, (i[main], first[j[main]]), (direction[j] * coef)[main])
+        np.subtract.at(A, (i[minus], first[j[minus]] + 1), coef[minus])
+        A[self.n_struct + np.arange(len(ub_rows)), first[ub_rows]] = 1.0
+        slack = np.where(senses == LE, 1.0, -1.0)[slack_rows]
+        A[slack_rows, n_y + np.arange(len(slack_rows))] = slack
+        b = np.concatenate([rhs - shift, ub[ub_rows] - lb[ub_rows]])
+        self.c = np.zeros(A.shape[1])
+        self.c[first[~fixed]] = (direction * c_x)[~fixed]
+        self.c[first[split] + 1] = -c_x[split]
         # normalize to b >= 0, remembering the flip for dual recovery
         self.row_flip = np.ones(m)
-        neg = rhs < 0
+        neg = b < 0
         A[neg] *= -1.0
-        rhs = np.abs(rhs)
         self.row_flip[neg] = -1.0
-
-        self.A = A
-        self.b = rhs
-        self.c = np.asarray(c_std)
-        self.n_struct = n_struct
+        self.A, self.b = A, np.abs(b)
 
     def restore_x(self, y: np.ndarray) -> np.ndarray:
-        x = np.zeros(self.model.n_vars)
-        for j, (kind, data) in enumerate(self.recipe):
-            if kind == "fixed":
-                x[j] = data
-            elif kind == "shift":
-                k, lo = data
-                x[j] = lo + y[k]
-            elif kind == "mirror":
-                k, hi = data
-                x[j] = hi - y[k]
-            else:
-                kp, km = data
-                x[j] = y[kp] - y[km]
+        """The model's variables at the standard-form point y."""
+        lb, ub, first = self.lb, self.ub, self.first
+        x = np.zeros(len(lb))
+        x[self.fixed] = lb[self.fixed]
+        x[self.shifted] = lb[self.shifted] + y[first[self.shifted]]
+        x[self.mirrored] = ub[self.mirrored] - y[first[self.mirrored]]
+        x[self.split] = y[first[self.split]] - y[first[self.split] + 1]
         return x
 
 
-def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray):
-    """Two-phase dense simplex with Bland's rule.
+def _pivot(T: np.ndarray, i: int, j: int) -> None:
+    """Pivot the tableau T on entry (i, j): scale row i to a 1 there, then
+    clear column j from every other row with a nonzero entry in it."""
+    T[i] /= T[i, j]
+    rows = np.flatnonzero(T[:, j])
+    rows = rows[rows != i]
+    T[rows] -= T[rows, j, None] * T[i]
 
-    Returns (status, y, basis) with status in {optimal, infeasible,
-    unbounded}. A is m x n with b >= 0.
+
+def _optimize(T: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> bool:
+    """Bland's rule on the tableau T (rhs last) with basis and one cost per
+    column but the last, in place; False where the LP is unbounded.
+
+    The entering column is the first nonbasic one with a reduced cost above
+    _PIVOT_TOL. The ratio test goes down the rows, and a ratio within 1e-12
+    of the best so far wins only with a smaller basic column.
+    """
+    while True:
+        improving = cost[basis] @ T[:, :-1] - cost > _PIVOT_TOL
+        improving[basis] = False
+        if not improving.any():
+            return True
+        j = int(np.argmax(improving))
+        rows = np.flatnonzero(T[:, j] > _PIVOT_TOL)
+        ratios = T[rows, -1] / T[rows, j]
+        best_i, best_ratio = -1, INF
+        for i, ratio in zip(rows.tolist(), ratios.tolist()):
+            if ratio < best_ratio - 1e-12 or (
+                abs(ratio - best_ratio) <= 1e-12 and basis[i] < basis[best_i]
+            ):
+                best_i, best_ratio = i, ratio
+        if best_i < 0:
+            return False
+        _pivot(T, best_i, j)
+        basis[best_i] = j
+
+
+def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray):
+    """Two-phase dense simplex with Bland's rule, for A y = b, y >= 0 with
+    b >= 0.
+
+    Returns (status, y, basis, keep) with status in {optimal, infeasible,
+    unbounded}; keep marks the rows that survive the phase-1 drive-out, and
+    basis is the optimal basis of those rows. Only status is set unless
+    optimal.
     """
     m, n = A.shape
     # Phase 1: artificial basis.
     T = np.hstack([A, np.eye(m), b.reshape(-1, 1)])
-    basis = list(range(n, n + m))
+    basis = np.arange(n, n + m)
     cost1 = np.concatenate([np.zeros(n), np.ones(m)])
-
-    def run(T, basis, cost, ncols):
-        while True:
-            z = cost[basis] @ T[:, :ncols] - cost[:ncols]
-            enter = -1
-            for j in range(ncols):
-                if j in basis:
-                    continue
-                if z[j] > _PIVOT_TOL:
-                    enter = j
-                    break  # Bland: first improving index
-            if enter < 0:
-                return "optimal", T, basis
-            col = T[:, enter]
-            best_i, best_ratio = -1, INF
-            for i in range(m):
-                if col[i] > _PIVOT_TOL:
-                    ratio = T[i, -1] / col[i]
-                    if ratio < best_ratio - 1e-12 or (
-                        abs(ratio - best_ratio) <= 1e-12
-                        and (best_i < 0 or basis[i] < basis[best_i])
-                    ):
-                        best_i, best_ratio = i, ratio
-            if best_i < 0:
-                return "unbounded", T, basis
-            piv = T[best_i, enter]
-            T[best_i] /= piv
-            for i in range(m):
-                if i != best_i and abs(T[i, enter]) > 0:
-                    T[i] -= T[i, enter] * T[best_i]
-            basis[best_i] = enter
-
-    status, T, basis = run(T, basis, cost1, n + m)
-    if status != "optimal":
-        return "infeasible", None, None
-    phase1_obj = float(cost1[basis] @ T[:, -1])
-    if phase1_obj > _FEAS_TOL:
-        return "infeasible", None, None
+    if not _optimize(T, basis, cost1) or float(cost1[basis] @ T[:, -1]) > _FEAS_TOL:
+        return "infeasible", None, None, None
     # Drive artificials out of the basis where possible; drop redundant rows.
-    keep_rows = list(range(m))
-    for i in range(m):
-        if basis[i] >= n:
-            pivot_j = -1
-            for j in range(n):
-                if abs(T[i, j]) > _PIVOT_TOL:
-                    pivot_j = j
-                    break
-            if pivot_j < 0:
-                keep_rows.remove(i)
-                continue
-            piv = T[i, pivot_j]
-            T[i] /= piv
-            for k in range(m):
-                if k != i and abs(T[k, pivot_j]) > 0:
-                    T[k] -= T[k, pivot_j] * T[i]
-            basis[i] = pivot_j
-    if len(keep_rows) != m:
-        T = T[keep_rows]
-        basis = [basis[i] for i in keep_rows]
-        m = len(keep_rows)
+    keep = np.ones(m, dtype=bool)
+    for i in np.flatnonzero(basis >= n).tolist():
+        candidates = np.flatnonzero(np.abs(T[i, :n]) > _PIVOT_TOL)
+        if len(candidates):
+            _pivot(T, i, candidates[0])
+            basis[i] = candidates[0]
+        else:
+            keep[i] = False
     # Phase 2 on structural columns only.
-    T2 = np.hstack([T[:, :n], T[:, -1].reshape(-1, 1)])
-    cost2 = np.asarray(c, dtype=float)
-    status, T2, basis = run(T2, basis, cost2, n)
-    if status != "optimal":
-        return "unbounded", None, None
+    T, basis = np.hstack([T[keep, :n], T[keep, -1:]]), basis[keep]
+    if not _optimize(T, basis, c):
+        return "unbounded", None, None, None
     y = np.zeros(n)
-    for i, j in enumerate(basis):
-        y[j] = T2[i, -1]
-    return "optimal", y, (basis, keep_rows)
+    y[basis] = T[:, -1]
+    return "optimal", y, basis, keep
 
 
 class InTreeBackend:
@@ -830,45 +763,42 @@ class InTreeBackend:
     def solve_lp(self, model: LinearModel, start=None) -> SolveResult:
         """Solve the LP model from scratch; start is accepted and ignored."""
         _check_no_binaries(model)
-        return self._relaxation(model, model.var_lb, model.var_ub)
+        return self._solve(model, model.var_lb, model.var_ub, model.row_rhs)
 
     def solve_lps(self, model: LinearModel, rhs) -> list[SolveResult]:
         """Solve the LP model under each right-hand-side vector of rhs, each
         from scratch."""
-        results = []
-        for b in _rhs_vectors(model, rhs):
-            one = copy.copy(model)
-            one.row_rhs = b
-            results.append(self.solve_lp(one))
-        return results
+        _check_no_binaries(model)
+        lb, ub = model.var_lb, model.var_ub
+        return [self._solve(model, lb, ub, b) for b in _rhs_vectors(model, rhs)]
 
-    def _relaxation(self, model: LinearModel, lb: np.ndarray, ub: np.ndarray) -> SolveResult:
-        """Solve model as an LP over the bounds lb, ub, binaries relaxed."""
-        std = _StandardForm(model, lb, ub)
+    def _solve(
+        self, model: LinearModel, lb: np.ndarray, ub: np.ndarray, rhs: np.ndarray
+    ) -> SolveResult:
+        """Solve model as an LP over the bounds lb, ub and the right-hand
+        sides rhs, binaries relaxed."""
+        std = _StandardForm(model, lb, ub, rhs)
         if std.infeasible_by_bounds:
             return SolveResult(status="infeasible")
-        status, y, info = _simplex(std.A.copy(), std.b.copy(), std.c)
+        status, y, basis, keep = _simplex(std.A, std.b, std.c)
         if status != "optimal":
             # unbounded in min space maps back to the declared sense
             return SolveResult(status=status)
-        basis, keep_rows = info
-        x = std.restore_x(y)
         objective = 0.0 + std.sign * float(std.c @ y + std.offset)  # never -0.0
         # duals of the surviving rows: solve B^T yd = c_B, map back by flips
-        B = std.A[keep_rows][:, basis]
+        B = std.A[keep][:, basis]
         try:
             yd = np.linalg.solve(B.T, std.c[basis])
         except np.linalg.LinAlgError:
             yd, *_ = np.linalg.lstsq(B.T, std.c[basis], rcond=None)
         full = np.zeros(std.A.shape[0])
-        full[keep_rows] = yd
+        full[keep] = yd
         full *= std.row_flip
-        duals = std.sign * full[: std.n_struct]
         return SolveResult(
             status="optimal",
             objective=objective,
-            x=x,
-            duals=duals,
+            x=std.restore_x(y),
+            duals=std.sign * full[: std.n_struct],
         )
 
     def solve_milp(
@@ -881,7 +811,7 @@ class InTreeBackend:
             raise ValueError("gap_tol must be nonnegative")
         if not model.is_mip:
             return self.solve_lp(model)
-        bins = [j for j, b in enumerate(model.var_binary) if b]
+        bins = np.flatnonzero(model.var_binary)
         sign = 1.0 if model.sense == "min" else -1.0
 
         def relax(fix: dict[int, float]) -> SolveResult:
@@ -889,7 +819,7 @@ class InTreeBackend:
             ub = model.var_ub.copy()
             for j, v in fix.items():
                 lb[j] = ub[j] = v
-            return self._relaxation(model, lb, ub)
+            return self._solve(model, lb, ub, model.row_rhs)
 
         root = relax({})
         if root.status != "optimal":
@@ -909,18 +839,16 @@ class InTreeBackend:
             if bound >= cutoff() - 1e-12:
                 continue
             nodes += 1
-            frac_j, frac_dist = -1, -1.0
-            for j in bins:
-                v = res.x[j]
-                dist = min(v, 1.0 - v)
-                if dist > 1e-9 and dist > frac_dist:
-                    frac_j, frac_dist = j, dist
-            if frac_j < 0:
+            # branch on the first most fractional binary
+            dist = np.minimum(res.x[bins], 1.0 - res.x[bins])
+            fractional = dist > 1e-9
+            if not fractional.any():
                 obj_min = sign * res.objective
                 if obj_min < best_obj:
                     best_obj = obj_min
                     incumbent = res
                 continue
+            frac_j = int(bins[np.argmax(np.where(fractional, dist, -1.0))])
             for v in (0.0, 1.0):
                 child_fix = dict(fix)
                 child_fix[frac_j] = v

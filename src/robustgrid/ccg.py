@@ -141,10 +141,9 @@ class CcgConfig:
     def __post_init__(self):
         if not self.tolerance > 0:
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
-        if self.max_iterations < 1:
-            raise ValueError(
-                f"max_iterations must be at least 1, got {self.max_iterations}"
-            )
+        n = self.max_iterations
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ValueError(f"max_iterations must be an integer of at least 1, got {n!r}")
         if self.big_m is not None and not self.big_m > 0:
             raise ValueError(f"big_m must be positive, got {self.big_m}")
 
@@ -344,7 +343,9 @@ def run_gamma_ladder(
 
 def check_gammas(gammas: list[int]) -> None:
     """Raise ValueError unless gammas is nonempty, nonnegative and strictly
-    ascending, as a ladder's budget sizes must be."""
+    ascending integers, as a ladder's budget sizes must be."""
+    if any(isinstance(g, bool) or not isinstance(g, int) for g in gammas):
+        raise ValueError(f"gammas must be integers, got {gammas}")
     if not gammas or any(a >= b for a, b in zip(gammas, gammas[1:])):
         raise ValueError(f"gammas must be nonempty and sorted strictly ascending, got {gammas}")
     if gammas[0] < 0:

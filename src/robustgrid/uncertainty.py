@@ -79,7 +79,7 @@ class UncertaintyBudget:
 
     def __post_init__(self):
         for name, g in (("gamma_pv", self.gamma_pv), ("gamma_wind", self.gamma_wind)):
-            if not isinstance(g, int) or g < 0:
+            if isinstance(g, bool) or not isinstance(g, int) or g < 0:
                 raise ValueError(f"{name} must be a nonnegative integer, got {g!r}")
 
     def limit(self, tech: str) -> int:

@@ -96,6 +96,9 @@ def test_lp_rejects_binary_model(backend):
     m.add_var("z", binary=True, obj=1.0)
     with pytest.raises(BackendError):
         backend.solve_lp(m.build())
+    # an empty batch reads no vector, and still refuses the model
+    with pytest.raises(BackendError):
+        backend.solve_lps(m.build(), [])
 
 
 def test_deterministic_resolve(backend):
@@ -157,6 +160,67 @@ def _random_mixed_lp(rng, sense):
     return model.build()
 
 
+def _random_bounded_lp(rng):
+    """LP whose variables take every bound kind: fixed, bounded on both
+    sides, bounded below only, bounded above only and free.
+
+    Bounds and rows (=, >= and <=, the first a >= row with a negative rhs)
+    are drawn around a point x0, so the LP is feasible. The costs are
+    A'y + d for row multipliers y and reduced costs d of the signs each
+    row's sense and each variable's bounds allow: the dual is feasible, so
+    the LP is bounded, as a min or as a max of the negated costs.
+    """
+    kinds = ["fixed", "both", "below", "above", "free"]
+    kinds += [kinds[k] for k in rng.integers(0, 5, size=int(rng.integers(0, 4)))]
+    rng.shuffle(kinds)
+    n = len(kinds)
+    x0 = rng.uniform(-3.0, 3.0, size=n)
+    width = rng.uniform(0.5, 2.0, size=n)
+    lb = np.array([{"fixed": x, "both": x - w, "below": x - w}.get(k, -math.inf)
+                   for k, x, w in zip(kinds, x0, width)])
+    ub = np.array([{"fixed": x, "both": x + w, "above": x + w}.get(k, math.inf)
+                   for k, x, w in zip(kinds, x0, width)])
+    senses = [EQ, GE, LE]
+    senses += [senses[k] for k in rng.integers(0, 3, size=int(rng.integers(0, 4)))]
+    rng.shuffle(senses)
+    senses = [GE] + senses
+    A = rng.uniform(-2.0, 2.0, size=(len(senses), n))
+    if A[0] @ x0 > 0:
+        A[0] = -A[0]
+    slack = rng.uniform(0.1, 2.0, size=len(senses))
+    b = A @ x0 + np.array([{EQ: 0.0, GE: -1.0, LE: 1.0}[s] for s in senses]) * slack
+    # multipliers of a min: >= rows nonnegative, <= rows nonpositive, = rows
+    # either; reduced costs: nonnegative at a lower bound only, nonpositive
+    # at an upper bound only, 0 where free, either where both bounds hold
+    either = rng.choice([-1.0, 1.0], size=len(senses) + n)
+    y = rng.uniform(0.0, 2.0, size=len(senses)) * np.array(
+        [{GE: 1.0, LE: -1.0}.get(s, e) for s, e in zip(senses, either)]
+    )
+    d = rng.uniform(0.0, 2.0, size=n) * np.array(
+        [{"below": 1.0, "above": -1.0, "free": 0.0}.get(k, e)
+         for k, e in zip(kinds, either[len(senses):])]
+    )
+    c = A.T @ y + d
+    sense = ["min", "max"][int(rng.integers(0, 2))]
+    model = ModelBuilder(sense=sense)
+    for j in range(n):
+        model.add_var(f"x{j}", lb=lb[j], ub=ub[j], obj=float(c[j] if sense == "min" else -c[j]))
+    for i, row_sense in enumerate(senses):
+        model.add_row(list(enumerate(A[i].tolist())), row_sense, float(b[i]))
+    return model.build()
+
+
+def _assert_feasible(model, x, tol=1e-7):
+    """x satisfies model's bounds and rows to tol, in absolute terms."""
+    assert np.all(x >= model.var_lb - tol) and np.all(x <= model.var_ub + tol)
+    A = model.matrix()
+    ax = sparse.csr_matrix((A.data, A.indices, A.indptr), shape=A.shape) @ x
+    rhs, senses = model.row_rhs, model.row_sense
+    assert np.all(np.abs(ax - rhs)[senses == EQ] <= tol)
+    assert np.all((ax - rhs)[senses == GE] >= -tol)
+    assert np.all((ax - rhs)[senses == LE] <= tol)
+
+
 def _random_lps(rng):
     """One LP of each family, drawn in a fixed order from rng."""
     return [_random_ge_lp(rng), _random_mixed_lp(rng, "min"), _random_mixed_lp(rng, "max")]
@@ -197,6 +261,14 @@ def test_backends_agree_on_random_lps(seed):
     assert np.dot(ra.duals, model.row_rhs) == pytest.approx(
         np.dot(rb.duals, model.row_rhs), abs=1e-7 * max(1.0, abs(ra.objective))
     )
+    # every bound kind, rows of every sense, a negative rhs
+    model = _random_bounded_lp(rng)
+    ra = ScipyBackend().solve_lp(model)
+    rb = InTreeBackend().solve_lp(model)
+    assert ra.optimal and rb.optimal
+    assert ra.objective == pytest.approx(rb.objective, abs=1e-8 * max(1.0, abs(ra.objective)))
+    _assert_feasible(model, ra.x)
+    _assert_feasible(model, rb.x)
 
 
 # --- duals against finite differences -------------------------------------

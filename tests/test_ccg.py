@@ -17,6 +17,7 @@ from robustgrid.backend import BackendError, InTreeBackend, ScipyBackend
 from robustgrid.ccg import (
     CcgConfig,
     CcgTrace,
+    check_gammas,
     run_ccg,
     run_gamma_ladder,
 )
@@ -585,6 +586,25 @@ def test_config_validation():
         CcgConfig(max_iterations=0)
     with pytest.raises(ValueError, match="big_m"):
         CcgConfig(big_m=-5.0)
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda: UncertaintyBudget(True, 0), "gamma_pv"),
+        (lambda: UncertaintyBudget(0, 2.0), "gamma_wind"),
+        (lambda: CcgConfig(max_iterations=2.5), "max_iterations"),
+        (lambda: CcgConfig(max_iterations=True), "max_iterations"),
+        (lambda: check_gammas([False, True]), "gammas"),
+        (lambda: check_gammas([0, 1.5]), "gammas"),
+    ],
+    ids=["budget-bool", "budget-float", "iterations-float", "iterations-bool",
+         "gammas-bool", "gammas-float"],
+)
+def test_integer_counts_reject_bools_and_fractions(make, field):
+    # a bool is an int to Python, and 2.5 iterations only failed inside range()
+    with pytest.raises(ValueError, match=field):
+        make()
 
 
 def test_budget_clamp_warns(caplog):
