@@ -24,21 +24,21 @@ blocks, are flag sets. The trace keeps the seeds and the search's own
 worst case, which alone records its value, whether the search was exact
 and the MILPs and nodes it took.
 
-The loop calls build_subproblem once per iteration, and takes the worst
-case by one of these routes:
+The loop calls build_subproblem and solve_subproblem once per iteration,
+giving the search the master just solved, and solve_subproblem chooses the
+route (see subproblem):
 
-- held: where the budget leaves the adversary no choice (one maximal
-  member over the live flags) and a block of the master just solved has
-  that member's live flags, the master holds its value, the recourse
-  bound, and no solve runs (held_worst_case). That closes the bound pair,
-  so the loop stops. At full budget the first master's one seed is that
-  block, and at a budget of 0 the reference is.
-- otherwise solve_subproblem chooses the route (see subproblem): it prices
-  the one maximal member with one dispatch LP where no block holds it;
-  where the plan stores no energy and the horizon has two periods or
-  more it splits the search by period, pricing each window with few
-  maximal members and searching the others with their MILPs; otherwise
-  it runs the whole-horizon MILP.
+- where the budget leaves the adversary no choice (one maximal member over
+  the live flags), the member is the worst case. Where a block of the
+  master has that member's live flags, the master holds its value, the
+  recourse bound, and no solve runs: the held case. That closes the bound
+  pair, so the loop stops. At full budget the first master's one seed is
+  that block, and at a budget of 0 the reference is. Where no block holds
+  it, one dispatch LP prices the member.
+- otherwise, where the plan stores no energy and the horizon has two
+  periods or more, it splits the search by period, pricing each window
+  with few maximal members and searching the others with their MILPs;
+  otherwise it runs the whole-horizon MILP.
 
 A held or priced worst case is exact, and the iteration counts the MILPs
 solved, 0 where none ran.
@@ -49,7 +49,7 @@ recourse bound eta plus a margin of 10 x tolerance x max(1, |master
 objective|), and stops at the first realization whose value reaches it;
 any such realization is a valid cut. A split search gives the target to
 its last window only, less what the windows before it found, and pricing
-and the held route ignore it. Only a search that never reaches the target
+and the held case ignore it. Only a search that never reaches the target
 runs to its optimum, and only such an exact search, a pricing or a held
 worst case counts for the bounds:
 
@@ -95,12 +95,7 @@ from dataclasses import dataclass, field
 
 from .backend import BackendError, get_backend
 from .master import MasterSolution, build_master, solve_master
-from .subproblem import (
-    build_subproblem,
-    held_worst_case,
-    search_templates,
-    solve_subproblem,
-)
+from .subproblem import build_subproblem, search_templates, solve_subproblem
 from .uncertainty import (
     Flag,
     UncertaintyBudget,
@@ -158,7 +153,7 @@ class CcgIteration:
     seconds: float  # wall time of the whole iteration
     master_s: float  # of which solve_master
     master_iterations: int | None  # its simplex iterations (MasterSolution)
-    worst_s: float  # of which taking the worst case (held or solve_subproblem)
+    worst_s: float  # of which solve_subproblem, held worst cases included
 
 
 @dataclass
@@ -211,12 +206,10 @@ def run_ccg(
                 1.0, abs(solution.objective)
             )
             worst_started = time.perf_counter()
-            worst = held_worst_case(sub, solution)
-            held = worst is not None
-            if not held:
-                worst = solve_subproblem(
-                    sub, backend, gap_tol=config.tolerance / 10.0, target=target
-                )
+            worst = solve_subproblem(
+                sub, backend, gap_tol=config.tolerance / 10.0, target=target,
+                master=solution,
+            )
             worst_s = time.perf_counter() - worst_started
         except BackendError as err:
             raise BackendError(f"iteration {k}: {err}") from err
@@ -251,7 +244,7 @@ def run_ccg(
         log.info(
             "gamma %s iteration %d: LB %.6g, UB %.6g, gap %.3g, %s worst case %s",
             rung, k, lower, running_ub, gap,
-            "held" if held else "exact" if worst.exact else "early",
+            "held" if worst.held else "exact" if worst.exact else "early",
             summary(worst.flags),
         )
 

@@ -53,9 +53,11 @@ budget allows: the one maximal member over the live flags
 positive budget. As a flag never lowers the dispatch cost (see
 uncertainty), that member is the worst case, so one dispatch LP prices it
 exactly, with no MILP and no big-M, and the horizon is not split.
-CCG does not even price it where the master it just solved holds that
-member's value (held_worst_case): the certification's worst-case search
-(oracle.certify_run) still prices it, and so referees the shortcut.
+Given the master solved at these capacities, as CCG gives it, the search
+does not even price the member where a block of that master has the
+member's live flags: the master holds its value (solve_subproblem, the
+held case). The certification's worst-case search (oracle.certify_run)
+gives no master, so it prices the member and referees the shortcut.
 
 A window often leaves the adversary few choices too: its maximal members
 number the product over pv and wind of C(live, min(gamma, live)), six to
@@ -106,7 +108,6 @@ __all__ = [
     "build_subproblem",
     "period_windows",
     "search_templates",
-    "held_worst_case",
     "solve_subproblem",
     "verify_strong_duality",
 ]
@@ -433,46 +434,34 @@ def _check_saturation(
     )
 
 
-def held_worst_case(
-    build: SubproblemBuild, solution: MasterSolution
-) -> WorstCaseRealization | None:
-    """The worst case at the build's capacities, read off the master
-    solved at them with no solve, or None where the master does not hold it.
-
-    build is build_subproblem at solution.capacities. The master holds the
-    worst case where the live flags (build.z) leave one maximal member,
-    route 1 of solve_subproblem, and some block of solution has live flags
-    equal to that member's. Its value is then the recourse bound eta,
-    exact: at an optimal master eta is the largest over the blocks of each
-    block's least dispatch cost at the plan; the member is the worst case
-    over the whole set, so it costs at least eta; and a block with the
-    member's live flags has the member's dispatch rhs, so the member costs
-    at most eta. A block whose live flags are a proper subset of the
-    member's costs no more than it, and proves nothing.
-    """
-    if member_count(build.z, build.budget) > 1:
-        return None
-    [member] = members(build.z, build.budget)
-    live = frozenset(build.z)
-    if all(block & live != member for block in solution.realizations):
-        return None
-    return WorstCaseRealization(member, solution.recourse_bound)
-
-
 def solve_subproblem(
-    build: SubproblemBuild, backend, gap_tol: float = 1e-9, target: float | None = None
+    build: SubproblemBuild,
+    backend,
+    gap_tol: float = 1e-9,
+    target: float | None = None,
+    master: MasterSolution | None = None,
 ) -> WorstCaseRealization:
     """The worst case at the build's capacities, by the cheapest exact route.
 
     The returned realization carries its flags, checked against the
     budget, and, as dual_objective, the worst-case dispatch cost at the
     build's capacities; milps counts the MILPs solved, and milp_nodes sums
-    their branch-and-bound nodes, None where none ran. The route:
+    their branch-and-bound nodes, None where none ran. master, where
+    given, is a master solved at the build's capacities (anything else is
+    a ValueError). The route:
 
-    1. Where the live flags (build.z) leave one maximal member, one
-       dispatch LP prices it (module docstring). CCG skips this route
-       where the master already holds the member (held_worst_case);
-       certify_run does not, and prices it.
+    1. Where the live flags (build.z) leave one maximal member, that
+       member is the worst case (module docstring). Where some block of
+       master has live flags equal to the member's, the master holds it:
+       its value is the recourse bound eta, exact, read with no solve,
+       and the result is marked held. At an optimal master eta is the
+       largest over the blocks of each block's least dispatch cost at
+       the plan; the member is the worst case over the whole set, so it
+       costs at least eta; and a block with the member's live flags has
+       the member's dispatch rhs, so it costs at most eta. A block whose
+       live flags are a proper subset of the member's costs no more than
+       it, and proves nothing. Otherwise one dispatch LP prices the
+       member. CCG gives its master; certify_run does not, and prices it.
     2. Otherwise, a build split by period (build.windows) is searched one
        window at a time, in time order. A window with at most
        WINDOW_ENUMERATION_LIMIT maximal members is priced by one
@@ -484,15 +473,22 @@ def solve_subproblem(
        exact only where every window's was.
     3. Otherwise, the whole-horizon MILP.
 
-    A priced worst case is exact, whatever the target. Given a target, a
-    MILP may stop at the first realization whose dual value reaches it;
-    the result is then marked exact=False, and its dual_objective is only
-    a lower bound on the dispatch cost at its flags (phi <= mu * z for
-    binary z, then weak duality), whatever M is. That holds without the
-    saturation check, which is skipped: clipping by M can only lower a dual
-    value, and a lower bound stays one.
+    A held or priced worst case is exact, whatever the target. Given a
+    target, a MILP may stop at the first realization whose dual value
+    reaches it; the result is then marked exact=False, and its
+    dual_objective is only a lower bound on the dispatch cost at its flags
+    (phi <= mu * z for binary z, then weak duality), whatever M is. That
+    holds without the saturation check, which is skipped: clipping by M can
+    only lower a dual value, and a lower bound stays one.
     """
+    if master is not None and master.capacities != build.capacities:
+        raise ValueError("master was solved at other capacities than the build's")
     if not build.windows:  # build_subproblem splits no build of one member
+        if master is not None and member_count(build.z, build.budget) == 1:
+            [member] = members(build.z, build.budget)
+            live = frozenset(build.z)
+            if any(block & live == member for block in master.realizations):
+                return WorstCaseRealization(member, master.recourse_bound, held=True)
         return _price_or_search(build, 1, backend, gap_tol, target)
     *first, last = build.windows
     parts = [

@@ -111,6 +111,8 @@ class WorstCaseRealization:
     where exact is False, as the search stopped early at a member that
     reached its target. milps counts the search's MILPs, 0 where it priced
     or held the member; milp_nodes sums their nodes, None without a MILP.
+    held is True where the search read the member's value off a master
+    that holds it, with no solve (subproblem.solve_subproblem).
     """
 
     flags: frozenset[Flag]
@@ -118,6 +120,7 @@ class WorstCaseRealization:
     exact: bool = True
     milp_nodes: int | None = None
     milps: int = 0
+    held: bool = False
 
 
 def summary(flags: Iterable[Flag]) -> str:

@@ -391,6 +391,67 @@ def test_member_no_block_holds_is_priced():
     assert it.realization.flags == member and it.realization.exact
 
 
+@pytest.mark.parametrize("gamma", [6, 0], ids=["full", "zero"])
+def test_solve_subproblem_reads_the_held_member_off_the_master(gamma):
+    # the budget leaves one maximal member, and the cover's first master
+    # holds it: given that master the search solves nothing
+    inst = load_instance(TOY6)
+    budget = UncertaintyBudget(gamma, gamma)
+    solution = solve_master(build_master(inst, cover(inst, budget)), SCIPY)
+    build = build_subproblem(inst, solution.capacities, budget)
+    spy = SpyBackend()
+    held = solve_subproblem(build, spy, master=solution)
+    assert held.held and held.exact and held.milps == 0
+    assert held.dual_objective == solution.recourse_bound
+    assert spy.calls == []
+    # without the master the same search prices the member
+    priced = solve_subproblem(build, spy)
+    assert spy.calls == ["solve_lps"]
+    assert not priced.held and priced.exact
+    assert priced.flags == held.flags
+    eta = solution.recourse_bound
+    assert priced.dual_objective == pytest.approx(eta, rel=0, abs=1e-9 * max(1.0, abs(eta)))
+
+
+def test_solve_subproblem_rejects_a_master_at_other_capacities():
+    inst = load_instance(TOY6)
+    budget = UncertaintyBudget(6, 6)
+    solution = solve_master(build_master(inst, cover(inst, budget)), SCIPY)
+    other = {key: value + 1.0 for key, value in solution.capacities.items()}
+    spy = SpyBackend()
+    with pytest.raises(ValueError, match="capacities"):
+        solve_subproblem(build_subproblem(inst, other, budget), spy, master=solution)
+    assert spy.calls == []
+
+
+@pytest.mark.parametrize("full", [False, True], ids=["zero", "full"])
+@pytest.mark.parametrize(
+    "make",
+    [
+        single_node, two_region, two_period_battery, three_region_hydro, symmetric_pair,
+        lambda: load_instance(TOY6), toy6_priced, toy6_with_pumped_hydro,
+    ],
+    ids=[
+        "single_node", "two_region", "two_period_battery", "three_region_hydro",
+        "symmetric_pair", "toy6", "toy6_priced", "toy6_with_pumped_hydro",
+    ],
+)
+def test_held_value_equals_the_priced_one(make, full):
+    # at both ends of the ladder the first master holds the one maximal
+    # member, and the value it holds is the one a dispatch LP prices
+    inst = make()
+    gamma = len(inst.regions) if full else 0
+    budget = UncertaintyBudget(gamma, gamma)
+    solution = solve_master(build_master(inst, cover(inst, budget)), SCIPY)
+    build = build_subproblem(inst, solution.capacities, budget)
+    held = solve_subproblem(build, SCIPY, master=solution)
+    priced = solve_subproblem(build, SCIPY)
+    assert held.held and not priced.held
+    assert held.flags == priced.flags
+    eta = solution.recourse_bound
+    assert priced.dual_objective == pytest.approx(eta, rel=0, abs=1e-9 * max(1.0, abs(eta)))
+
+
 def test_iteration_log_names_the_held_route(caplog):
     # full budget reads the worst case off the master; at gamma (1, 0) the
     # search prices its period windows
@@ -490,7 +551,7 @@ def test_duplicate_with_open_gap_stalls(monkeypatch, reference_start, caplog):
     inst = load_instance(TOY6)
     flags = frozenset({("pv", "R1", "p1")})
 
-    def fake_solve(build, backend, gap_tol=1e-9, target=None):
+    def fake_solve(build, backend, gap_tol=1e-9, target=None, master=None):
         return WorstCaseRealization(flags=flags, dual_objective=9.9e9)
 
     monkeypatch.setattr(ccg_module, "solve_subproblem", fake_solve)
@@ -513,7 +574,7 @@ def test_converged_gap_within_tolerance(monkeypatch):
         solution = solve_master(build, backend)
         return dataclasses.replace(solution, objective=0.1, investment_cost=0.05)
 
-    def fake_solve(build, backend, gap_tol=1e-9, target=None):
+    def fake_solve(build, backend, gap_tol=1e-9, target=None, master=None):
         return WorstCaseRealization(flags=frozenset(), dual_objective=upper)
 
     monkeypatch.setattr(ccg_module, "solve_master", fake_master)
@@ -542,7 +603,7 @@ def test_early_stop_neither_stops_nor_lowers_the_upper_bound(monkeypatch, refere
         solution = solve_master(build, backend)
         return dataclasses.replace(solution, objective=0.1, investment_cost=0.05)
 
-    def fake_solve(build, backend, gap_tol=1e-9, target=None):
+    def fake_solve(build, backend, gap_tol=1e-9, target=None, master=None):
         targets.append(target)
         return next(results)
 
